@@ -27,8 +27,8 @@ from .sparse import (CsrMatrix, as_vector, read_dense_vector,
                      symmetric_check, write_dense_vector, write_matrix_market)
 from .startvec import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
                        RhsFamily, SnapshotBuffer, StartVectorStrategy,
-                       SubspaceCache, cspe_update, make_strategy,
-                       mgs_orthonormalize, pod_start_vector, spe_start_vector)
+                       SubspaceCache, make_strategy, mgs_orthonormalize,
+                       pod_start_vector)
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,8 @@ __all__ = [
     "IncompleteCholesky", "Ic0Breakdown", "IndefiniteOperatorError",
     "build_preconditioner", "pcg_solve",
     # start vectors
-    "RhsFamily", "mgs_orthonormalize", "SubspaceCache", "spe_start_vector",
-    "cspe_update", "SnapshotBuffer", "pod_start_vector",
+    "RhsFamily", "mgs_orthonormalize", "SubspaceCache", "SnapshotBuffer",
+    "pod_start_vector",
     "StartVectorStrategy", "PreviousSolutionStrategy", "CspeStrategy",
     "PodStrategy", "make_strategy",
     # partitioned system and explicit integrator

@@ -315,13 +315,18 @@ class SchurOperator:
 
 @dataclass(frozen=True)
 class CflEstimate:
-    """Largest stable explicit step: dt_max = safety * 2 / lambda_max."""
+    """Largest stable explicit step: dt_max = safety * 2 / lambda_max.
+
+    ``vector`` is the last power iterate (unit norm); passing it as ``v0`` to
+    the next estimate warm-starts that estimate.
+    """
 
     lambda_max: float
     dt_max: float
     safety: float
     power_iters: int
     power_tol: float
+    vector: np.ndarray = field(repr=False, compare=False)
 
 
 def estimate_cfl(op: SchurOperator, a_c_ref=None, *, power_iters: int = 200,
@@ -333,6 +338,13 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, power_iters: int = 200,
     to the largest generalized eigenvalue from below; the safety factor
     guards the remaining gap. A zero or missing start vector is reseeded with
     a fixed-seed pseudo-random vector so runs stay deterministic.
+
+    The stagnation test stops early when the top eigenvalues cluster. On the
+    8-cell builtin model at a_c = 0 the top two are 83,517 and 83,535, and a
+    cold start stops 0.18% low (83,382 at seed 42). Warm-starting from an
+    earlier estimate's ``vector`` resumes the iteration instead: it needs a
+    few iterations where a cold start needs about 90, and its estimate keeps
+    climbing towards lambda_max.
     """
     if not (0.0 < safety <= 1.0):
         raise ValueError("safety must lie in (0, 1]")
@@ -373,7 +385,8 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, power_iters: int = 200,
     if not (lam > 0.0) or not np.isfinite(lam):
         raise StepFailureError(f"spectral estimate is not positive: {lam}")
     return CflEstimate(lambda_max=lam, dt_max=safety * 2.0 / lam,
-                       safety=safety, power_iters=used, power_tol=power_tol)
+                       safety=safety, power_iters=used, power_tol=power_tol,
+                       vector=v)
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -486,6 +499,12 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     ``dt="auto"`` estimates the stability bound up front and re-estimates
     every ``reestimate_every`` steps at the current state, shrinking the step
     when saturation tightened the bound (a fixed dt is never adjusted).
+    Each re-estimate is warm-started from the previous estimate's power
+    iterate, so it costs a few power iterations instead of a cold start's
+    ~90, and it corrects the cold estimate's early stop below lambda_max
+    (0.18% on the 8-cell builtin model, see ``estimate_cfl``). Every
+    re-estimate is logged in ``aggregates["cfl_history"]`` as
+    ``(step, lambda_max, power_iters, dt)``, dt being the step used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
 
     Raises StepFailureError on divergence, naming the failing step.
@@ -542,19 +561,20 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     next_output = output_period
 
     steps = 0
-    refreshes = 0
+    cfl_history = []
     eps = 1e-12 * t_end
     while t < t_end - eps:
         if auto and reestimate_every > 0 and steps > 0 \
                 and steps % reestimate_every == 0:
             est = estimate_cfl(op, a_c_ref=a_c, power_iters=power_iters,
-                               power_tol=power_tol, safety=safety, seed=seed)
-            refreshes += 1
+                               power_tol=power_tol, safety=safety, seed=seed,
+                               v0=est.vector)
             lambda_max = est.lambda_max
             if est.dt_max < dt_val:
                 log.info("stability bound tightened: dt %.3e -> %.3e",
                          dt_val, est.dt_max)
                 dt_val = est.dt_max
+            cfl_history.append((steps, lambda_max, est.power_iters, dt_val))
         step_dt = min(dt_val, t_end - t)
         a_c, step_reports = explicit_euler_step((a_c, t), step_dt, op,
                                                 step_index=steps + 1)
@@ -579,7 +599,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "steps": steps,
         "dt": dt_val,
         "lambda_max": lambda_max,
-        "cfl_refreshes": refreshes,
+        "cfl_refreshes": len(cfl_history),
+        "cfl_history": cfl_history,
         "solves": {f.value: op.solve_count(f) for f in FAMILIES},
         "iterations": {f.value: int(sum(op.solve_iterations[f]))
                        for f in FAMILIES},

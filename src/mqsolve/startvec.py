@@ -31,8 +31,6 @@ __all__ = [
     "mgs_orthonormalize",
     "SubspaceCache",
     "SnapshotBuffer",
-    "spe_start_vector",
-    "cspe_update",
     "pod_start_vector",
     "StartVectorStrategy",
     "PreviousSolutionStrategy",
@@ -121,6 +119,11 @@ class SubspaceCache:
     The operator is bound at construction: cached products are only valid
     against a fixed operator, so rebinding is deliberately impossible.
     Eviction is first-in-first-out once ``max_cols`` is reached.
+
+    The inverse Cholesky factor of the Galerkin matrix is kept between
+    projections and rebuilt only after the basis changed (an accepted insert,
+    an eviction or a dropped column). Most inserts are dropped as solver
+    noise, so most projections reuse it.
     """
 
     def __init__(self, dim: int, operator, max_cols: int = 20,
@@ -134,6 +137,7 @@ class SubspaceCache:
         self._basis = np.empty((self.dim, 0))
         self._products = np.empty((self.dim, 0))
         self._galerkin = np.empty((0, 0))
+        self._inv_factor: np.ndarray | None = None
         self.products_computed = 0
         self.columns_accepted = 0
         self.columns_dropped = 0
@@ -195,6 +199,7 @@ class SubspaceCache:
         self._basis = np.column_stack([self._basis, u])
         self._products = np.column_stack([self._products, ku])
         self._galerkin = g
+        self._inv_factor = None
         self.columns_accepted += 1
         return True
 
@@ -203,6 +208,7 @@ class SubspaceCache:
         self._basis = self._basis[:, keep]
         self._products = self._products[:, keep]
         self._galerkin = self._galerkin[np.ix_(keep, keep)]
+        self._inv_factor = None
 
     def project(self, rhs) -> np.ndarray:
         """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs.
@@ -213,27 +219,20 @@ class SubspaceCache:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.dim},)")
-        while self.size:
-            beta = self._basis.T @ rhs
+        while self.size and self._inv_factor is None:
             try:
                 low = _cholesky_lower(self._galerkin)
             except _PivotFailure as bad:
                 self.drop_column(bad.index)
                 self.columns_dropped += 1
                 continue
-            return self._basis @ _solve_spd(low, beta)
-        return np.zeros(self.dim)
-
-
-def spe_start_vector(cache: SubspaceCache, rhs) -> np.ndarray:
-    """Subspace-projected start vector for the given assembled right-hand side."""
-    return cache.project(rhs)
-
-
-def cspe_update(cache: SubspaceCache, new_solution) -> SubspaceCache:
-    """Fold a converged solution into the cache (cascaded update)."""
-    cache.insert(new_solution)
-    return cache
+            self._inv_factor = scipy.linalg.solve_triangular(
+                low, np.eye(self.size), lower=True)
+        if not self.size:
+            return np.zeros(self.dim)
+        # (U^T A U)^{-1} = L^{-T} L^{-1}
+        inv = self._inv_factor
+        return self._basis @ (inv.T @ (inv @ (self._basis.T @ rhs)))
 
 
 class SnapshotBuffer:
@@ -379,10 +378,10 @@ class CspeStrategy(StartVectorStrategy):
         return self._caches[family]
 
     def start_vector(self, family, rhs):
-        return spe_start_vector(self.cache(family), rhs)
+        return self.cache(family).project(rhs)
 
     def observe(self, family, solution):
-        cspe_update(self.cache(family), solution)
+        self.cache(family).insert(solution)
 
     def basis_size(self, family=None):
         if family is not None:

@@ -237,6 +237,31 @@ def test_cfl_zero_start_vector_reseeds_deterministically(rng,
     assert a.lambda_max == b.lambda_max
 
 
+def test_warm_started_cfl_estimate_resumes_below_the_dense_bound(builtin6):
+    system = builtin6.system
+    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000),
+                       strategy="cspe")
+    first = estimate_cfl(op)
+    a_c = np.zeros(system.n_c)
+    t = 0.0
+    for step in range(1, 301):
+        a_c, _ = explicit_euler_step((a_c, t), first.dt_max, op,
+                                     step_index=step)
+        t += first.dt_max
+    cold = estimate_cfl(op, a_c_ref=a_c)
+    warm = estimate_cfl(op, a_c_ref=a_c, v0=first.vector)
+
+    n_c = system.n_c
+    dense = np.zeros((n_c, n_c))
+    for i in range(n_c):
+        dense[:, i], _ = op.apply_detached(np.eye(n_c)[i], a_c)
+    dense = 0.5 * (dense + dense.T)
+    lam = scipy.linalg.eigh(dense, np.diag(system.mc.diagonal()),
+                            eigvals_only=True)[-1]
+    assert warm.power_iters < cold.power_iters
+    assert cold.lambda_max <= warm.lambda_max <= lam * (1.0 + 1e-6)
+
+
 def test_cfl_validation(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
@@ -287,6 +312,26 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system):
         run_explicit(system, t_end=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         run_explicit(system, t_end=1.0, dt=1e-3, output_period=0.0)
+
+
+def test_run_explicit_logs_every_cfl_refresh(rng, make_linear_system):
+    system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
+    cold = estimate_cfl(SchurOperator(system, pcg=TIGHT,
+                                      preconditioner=NOPRE))
+    dt0 = cold.dt_max
+    result = run_explicit(system, t_end=23.5 * dt0, strategy="cspe",
+                          pcg=TIGHT, preconditioner=NOPRE,
+                          reestimate_every=5)
+    agg = result.aggregates
+    history = agg["cfl_history"]
+    assert agg["cfl_refreshes"] == len(history) == 4
+    assert [entry[0] for entry in history] == [5, 10, 15, 20]
+    dts = [entry[3] for entry in history]
+    assert dts == sorted(dts, reverse=True) and all(dt <= dt0 for dt in dts)
+    assert history[-1][1] == agg["lambda_max"]
+    assert history[-1][3] == agg["dt"]
+    # each refresh resumes from the previous power iterate
+    assert all(1 <= entry[2] < cold.power_iters for entry in history)
 
 
 def test_run_explicit_step_budget(rng, make_linear_system):

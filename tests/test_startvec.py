@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqsolve import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
-                     RhsFamily, SnapshotBuffer, SubspaceCache, cspe_update,
-                     make_strategy, mgs_orthonormalize, pod_start_vector,
-                     spe_start_vector)
+                     RhsFamily, SnapshotBuffer, SubspaceCache, make_strategy,
+                     mgs_orthonormalize, pod_start_vector)
 
 SRC = RhsFamily.SOURCE_CURRENT
 CPL_CUR = RhsFamily.COUPLING_FROM_CURRENT_STATE
@@ -172,6 +173,62 @@ def test_project_edge_cases(rng, make_spd):
         cache.insert(np.zeros(6))
 
 
+def test_project_drops_the_column_whose_pivot_fails():
+    # the third direction is in the operator's nullspace
+    dense = np.diag([1.0, 2.0, 0.0])
+    cache = SubspaceCache(3, dense.__matmul__)
+    assert cache.insert(np.array([1.0, 0.0, 0.0]))
+    assert cache.insert(np.array([0.0, 0.0, 1.0]))
+    x0 = cache.project(np.array([3.0, 1.0, 1.0]))
+    assert cache.size == 1
+    assert cache.columns_dropped == 1
+    assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    # the next accepted column rebuilds the factor over the new basis
+    assert cache.insert(np.array([0.0, 1.0, 0.0]))
+    x0 = cache.project(np.array([3.0, 1.0, 1.0]))
+    assert np.allclose(x0, [3.0, 0.5, 0.0], rtol=0.0, atol=1e-15)
+
+
+CACHE_OPS = st.lists(
+    st.tuples(st.sampled_from(("insert", "insert_in_span", "drop")),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), max_cols=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), ops=CACHE_OPS)
+def test_cache_state_matches_a_rebuild_after_every_operation(
+        make_spd, n, max_cols, seed, ops):
+    rng = np.random.default_rng(seed)
+    dense = make_spd(rng, n)
+    cache = SubspaceCache(n, dense.__matmul__, max_cols)
+    for op, arg in ops:
+        if op == "insert":
+            cache.insert(np.random.default_rng(arg).standard_normal(n))
+        elif op == "insert_in_span":
+            # dependent on the basis, so dropped; the factor must survive
+            coeffs = np.random.default_rng(arg).standard_normal(cache.size)
+            cache.insert(cache.basis @ coeffs)
+        elif cache.size:
+            cache.drop_column(arg % cache.size)
+        u = cache.basis
+        k = cache.size
+        assert np.allclose(u.T @ u, np.eye(k), rtol=0.0, atol=1e-10)
+        assert np.allclose(cache.galerkin, u.T @ dense @ u,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(cache.cached_products, dense @ u,
+                           rtol=0.0, atol=1e-12)
+        rhs = rng.standard_normal(n)
+        x0 = cache.project(rhs)
+        if k == 0:
+            assert np.array_equal(x0, np.zeros(n))
+            continue
+        expected = u @ np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
+        assert (np.linalg.norm(x0 - expected)
+                <= 1e-10 * np.linalg.norm(expected))
+
+
 def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
     dense = make_spd(rng, 4)
     cache = SubspaceCache(4, dense.__matmul__)
@@ -181,15 +238,6 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
     assert cache.columns_dropped == 2
     with pytest.raises(ValueError):
         SubspaceCache(4, dense.__matmul__, 0)
-
-
-def test_spe_helpers_are_thin_wrappers(rng, make_spd):
-    dense = make_spd(rng, 5)
-    cache = SubspaceCache(5, dense.__matmul__)
-    v = rng.standard_normal(5)
-    assert cspe_update(cache, v)
-    rhs = rng.standard_normal(5)
-    assert np.array_equal(spe_start_vector(cache, rhs), cache.project(rhs))
 
 
 def test_snapshot_buffer_ring(rng):
