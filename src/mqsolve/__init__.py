@@ -11,9 +11,9 @@ integrator over the monolithic system serves as the reference.
 
 from .implicit import (NewtonConfig, NewtonFailureError, NewtonStepReport,
                        implicit_euler_step, run_implicit)
-from .krylov import (Ic0Breakdown, IncompleteCholesky, IndefiniteOperatorError,
-                     JacobiPreconditioner, PcgConfig, Preconditioner,
-                     SolveReport, build_preconditioner, pcg_solve)
+from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
+                     Preconditioner, SolveReport, build_preconditioner,
+                     pcg_solve)
 from .model import (AIR, COIL, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
                     GridSpec, Material, Model, ModelError, air_material,
                     assemble, builtin_model, default_steel, export_model,
@@ -27,8 +27,7 @@ from .sparse import (CsrMatrix, as_vector, read_dense_vector,
                      symmetric_check, write_dense_vector, write_matrix_market)
 from .startvec import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
                        RhsFamily, SnapshotBuffer, StartVectorStrategy,
-                       SubspaceCache, make_strategy, mgs_orthonormalize,
-                       pod_start_vector)
+                       SubspaceCache, make_strategy, pod_start_vector)
 
 __version__ = "0.1.0"
 
@@ -40,10 +39,9 @@ __all__ = [
     "write_dense_vector",
     # krylov
     "Preconditioner", "PcgConfig", "SolveReport", "JacobiPreconditioner",
-    "IncompleteCholesky", "Ic0Breakdown", "IndefiniteOperatorError",
-    "build_preconditioner", "pcg_solve",
+    "IndefiniteOperatorError", "build_preconditioner", "pcg_solve",
     # start vectors
-    "RhsFamily", "mgs_orthonormalize", "SubspaceCache", "SnapshotBuffer",
+    "RhsFamily", "SubspaceCache", "SnapshotBuffer",
     "pod_start_vector",
     "StartVectorStrategy", "PreviousSolutionStrategy", "CspeStrategy",
     "PodStrategy", "make_strategy",

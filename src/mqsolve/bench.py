@@ -21,9 +21,9 @@ import numpy as np
 from .implicit import NewtonConfig, run_implicit
 from .krylov import PcgConfig, Preconditioner
 from .model import Model, builtin_model
-from .schur import (PartitionedSystem, ScaledPatternSource, SchurOperator,
-                    TransientResult, estimate_cfl, exponential_ramp,
-                    run_explicit)
+from .schur import (CflEstimate, PartitionedSystem, ScaledPatternSource,
+                    SchurOperator, TransientResult, estimate_cfl,
+                    exponential_ramp, run_explicit)
 from .sparse import read_dense_vector, read_matrix_market, symmetric_check
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "trace_bytes",
     "run_single",
     "run_benchmark",
+    "estimate_start_cfl",
     "TRACE_HEADER",
 ]
 
@@ -112,7 +113,6 @@ class RunConfig:
     power_iters: int = 200
     power_tol: float = 1e-4
     cache_source_solve: bool = False
-    projection_target: str = "assembled-rhs"
 
     _PARSERS = {
         "dt": _parse_dt,
@@ -150,9 +150,6 @@ class RunConfig:
             Preconditioner(self.preconditioner)
         except ValueError:
             raise ConfigError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.projection_target not in ("assembled-rhs", "composed-coupling"):
-            raise ConfigError(
-                f"unknown projection target {self.projection_target!r}")
         if not self.model:
             raise ConfigError("model source must not be empty")
         return self
@@ -217,6 +214,17 @@ class RunConfig:
             linear_solver=PcgConfig(
                 rel_tol=1e-10, max_iter=50000,
                 preconditioner=Preconditioner(self.preconditioner)))
+
+    def explicit_options(self) -> dict:
+        """Keywords of :func:`run_explicit` other than dt and probe."""
+        return dict(
+            strategy=self.strategy, pcg=self.pcg_config(),
+            preconditioner=Preconditioner(self.preconditioner),
+            output_period=self.output_period,
+            reestimate_every=self.reestimate_every, safety=self.safety,
+            power_iters=self.power_iters, power_tol=self.power_tol,
+            seed=self.seed, cache_source_solve=self.cache_source_solve,
+            max_cols=self.max_basis, n_pod=self.n_pod, eps_pod=self.eps_pod)
 
 
 def _require(manifest: dict, key: str, context: str):
@@ -364,6 +372,16 @@ def write_trace(result: TransientResult, path) -> Path:
     return path
 
 
+def estimate_start_cfl(system: PartitionedSystem,
+                       config: RunConfig) -> CflEstimate:
+    """Stable-step estimate at the zero state with the config's CFL knobs."""
+    op = SchurOperator(system, pcg=config.pcg_config(), strategy="previous",
+                       preconditioner=Preconditioner(config.preconditioner))
+    return estimate_cfl(op, power_iters=config.power_iters,
+                        power_tol=config.power_tol, safety=config.safety,
+                        seed=config.seed)
+
+
 def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
     """Run one integrator per the config; returns (result, run metadata)."""
     config.validate()
@@ -375,17 +393,8 @@ def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
                               config=config.newton_config(), probe=probe,
                               output_period=config.output_period)
     else:
-        result = run_explicit(
-            system, config.t_end, dt=config.dt, strategy=config.strategy,
-            pcg=config.pcg_config(),
-            preconditioner=Preconditioner(config.preconditioner),
-            output_period=config.output_period, probe=probe,
-            reestimate_every=config.reestimate_every, safety=config.safety,
-            power_iters=config.power_iters, power_tol=config.power_tol,
-            seed=config.seed, cache_source_solve=config.cache_source_solve,
-            projection_target=config.projection_target,
-            max_cols=config.max_basis, n_pod=config.n_pod,
-            eps_pod=config.eps_pod)
+        result = run_explicit(system, config.t_end, dt=config.dt,
+                              probe=probe, **config.explicit_options())
     meta = {
         "model": config.model,
         "model_checksum": _model_checksum(system),
@@ -494,13 +503,7 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     probe = model.probe_callable() if model is not None else None
 
     if config.dt == "auto":
-        op = SchurOperator(system, pcg=config.pcg_config(),
-                           strategy="previous",
-                           preconditioner=Preconditioner(config.preconditioner))
-        estimate = estimate_cfl(op, power_iters=config.power_iters,
-                                power_tol=config.power_tol,
-                                safety=config.safety, seed=config.seed)
-        dt = estimate.dt_max
+        dt = estimate_start_cfl(system, config).dt_max
     else:
         dt = float(config.dt)
 
@@ -508,16 +511,8 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     results: dict[str, TransientResult] = {}
     for strategy in STRATEGIES:
         result = run_explicit(
-            system, config.t_end, dt=dt, strategy=strategy,
-            pcg=config.pcg_config(),
-            preconditioner=Preconditioner(config.preconditioner),
-            output_period=config.output_period, probe=probe,
-            reestimate_every=config.reestimate_every, safety=config.safety,
-            power_iters=config.power_iters, power_tol=config.power_tol,
-            seed=config.seed, cache_source_solve=config.cache_source_solve,
-            projection_target=config.projection_target,
-            max_cols=config.max_basis, n_pod=config.n_pod,
-            eps_pod=config.eps_pod)
+            system, config.t_end, dt=dt, probe=probe,
+            **config.explicit_options() | {"strategy": strategy})
         results[strategy] = result
         write_trace(result, out_dir / f"trace_{strategy}.csv")
         rows.append(_result_row(strategy, result))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .krylov import (Ic0Breakdown, IndefiniteOperatorError, PcgConfig,
-                     Preconditioner, build_preconditioner, pcg_solve)
+from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
+                     build_preconditioner, pcg_solve)
 from .schur import TransientResult
 from .sparse import CsrMatrix, as_vector
 
@@ -142,12 +142,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     r_current = r0
     for k in range(1, config.max_newton + 1):
         jac = _monolithic_jacobian(system, x_c, dt)
-        try:
-            precond = build_preconditioner(jac, lin_config.preconditioner)
-        except Ic0Breakdown:
-            log.warning("IC(0) broke down on the monolithic Jacobian; "
-                        "falling back to Jacobi")
-            precond = build_preconditioner(jac, Preconditioner.JACOBI)
+        precond = build_preconditioner(jac, lin_config.preconditioner)
         try:
             delta, report = pcg_solve(jac, -f, config=lin_config,
                                       preconditioner=precond)

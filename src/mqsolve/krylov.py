@@ -6,18 +6,15 @@ solutions. Iteration counting is explicit because downstream benchmarks
 compare iteration budgets: ``iterations`` is the number of operator
 applications after the initial residual, and a start vector that already
 meets the tolerance reports zero iterations without touching the operator
-loop.
+loop. The preconditioner is either none or Jacobi.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from .sparse import CsrMatrix, as_vector
 
@@ -28,30 +25,17 @@ __all__ = [
     "pcg_solve",
     "build_preconditioner",
     "JacobiPreconditioner",
-    "IncompleteCholesky",
-    "Ic0Breakdown",
     "IndefiniteOperatorError",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class Preconditioner(str, Enum):
     NONE = "none"
     JACOBI = "jacobi"
-    IC0 = "ic0"
 
 
 class IndefiniteOperatorError(RuntimeError):
     """Raised when a CG search direction exposes an indefinite operator."""
-
-
-class Ic0Breakdown(RuntimeError):
-    """IC(0) hit a nonpositive pivot; callers may degrade to Jacobi."""
-
-    def __init__(self, row: int):
-        super().__init__(f"IC(0) pivot <= 0 at row {row}")
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -97,65 +81,12 @@ class JacobiPreconditioner:
         return self._inv * r
 
 
-class IncompleteCholesky:
-    """Zero-fill incomplete Cholesky A ~ L L^T on the lower pattern of A."""
-
-    def __init__(self, lower: sp.csr_matrix):
-        self._lower = lower
-        self._upper = lower.T.tocsr()
-
-    @classmethod
-    def factor(cls, a: CsrMatrix) -> "IncompleteCholesky":
-        return cls(_ic0_lower(a))
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = spsolve_triangular(self._lower, r, lower=True)
-        return spsolve_triangular(self._upper, y, lower=False)
-
-
-def _ic0_lower(a: CsrMatrix) -> sp.csr_matrix:
-    """IC(0) factor on the lower-triangular pattern; raises Ic0Breakdown."""
-    if a.nrows != a.ncols:
-        raise ValueError("IC(0) requires a square matrix")
-    lower = sp.tril(a.to_scipy(), format="csr")
-    indptr, indices = lower.indptr, lower.indices
-    data = lower.data.astype(np.float64, copy=True)
-    n = a.nrows
-    # position of each stored entry, per row, keyed by column
-    rowpos: list[dict[int, int]] = [dict() for _ in range(n)]
-    diag_pos = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        li = rowpos[i]
-        for p in range(indptr[i], indptr[i + 1]):
-            j = int(indices[p])
-            s = data[p]
-            lj = rowpos[j]
-            for k in li.keys() & lj.keys():
-                if k < j:
-                    s -= data[li[k]] * data[lj[k]]
-            if j == i:
-                if not (s > 0.0) or not np.isfinite(s):
-                    raise Ic0Breakdown(i)
-                data[p] = np.sqrt(s)
-                diag_pos[i] = p
-            else:
-                if diag_pos[j] < 0:
-                    raise Ic0Breakdown(j)
-                data[p] = s / data[diag_pos[j]]
-            li[j] = p
-        if diag_pos[i] < 0:
-            raise Ic0Breakdown(i)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def build_preconditioner(a: CsrMatrix, kind: Preconditioner):
     """Build the requested preconditioner for *a*; None for ``NONE``."""
     kind = Preconditioner(kind)
     if kind is Preconditioner.NONE:
         return None
-    if kind is Preconditioner.JACOBI:
-        return JacobiPreconditioner(a.diagonal())
-    return IncompleteCholesky.factor(a)
+    return JacobiPreconditioner(a.diagonal())
 
 
 def _as_operator(a):

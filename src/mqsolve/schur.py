@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .krylov import (Ic0Breakdown, PcgConfig, Preconditioner, SolveReport,
+from .krylov import (PcgConfig, Preconditioner, SolveReport,
                      build_preconditioner, pcg_solve)
 from .sparse import CsrMatrix, as_vector, spmv, spmv_transpose, symmetric_check
 from .startvec import RhsFamily, StartVectorStrategy, make_strategy
@@ -178,23 +178,14 @@ class SchurOperator:
                  strategy: StartVectorStrategy | str = "previous", *,
                  preconditioner: Preconditioner = Preconditioner.JACOBI,
                  cache_source_solve: bool = False,
-                 projection_target: str = "assembled-rhs",
                  max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4):
-        if projection_target not in ("assembled-rhs", "composed-coupling"):
-            raise ValueError(f"unknown projection target {projection_target!r}")
         self.system = system
         self.pcg = pcg or PcgConfig()
-        self.projection_target = projection_target
         self.cache_source_solve = bool(cache_source_solve)
         self._kn_scipy = system.kn.to_scipy()
         self._kcn_scipy = system.kcn.to_scipy()
         self._counted_kn = _CountedApply(lambda x: self._kn_scipy @ x)
-        try:
-            self._precond = build_preconditioner(system.kn, preconditioner)
-        except Ic0Breakdown as bad:
-            log.warning("IC(0) broke down on the singular block (%s); "
-                        "falling back to Jacobi", bad)
-            self._precond = build_preconditioner(system.kn, Preconditioner.JACOBI)
+        self._precond = build_preconditioner(system.kn, preconditioner)
         if isinstance(strategy, StartVectorStrategy):
             self.strategy = strategy
         else:
@@ -233,22 +224,11 @@ class SchurOperator:
     def total_solves(self) -> int:
         return sum(len(v) for v in self.solve_iterations.values())
 
-    def total_iterations(self) -> int:
-        return sum(sum(v) for v in self.solve_iterations.values())
-
-    def solve_kn(self, rhs, family: RhsFamily,
-                 raw_state: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, SolveReport]:
+    def solve_kn(self, rhs,
+                 family: RhsFamily) -> tuple[np.ndarray, SolveReport]:
         """One pseudo-inverse action K_n^+ rhs for the given family."""
         started = time.perf_counter()
-        target = rhs
-        if (self.projection_target == "composed-coupling"
-                and raw_state is not None
-                and family is not RhsFamily.SOURCE_CURRENT):
-            # the projection target recomposed from the coupling operator;
-            # numerically identical to the assembled right-hand side
-            target = spmv_transpose(self.system.kcn, raw_state)
-        x0 = self.strategy.start_vector(family, target)
+        x0 = self.strategy.start_vector(family, rhs)
         before = self._counted_kn.count
         y, report = pcg_solve(self._counted_kn, rhs, x0=x0, config=self.pcg,
                               preconditioner=self._precond)
@@ -291,7 +271,7 @@ class SchurOperator:
               ) -> np.ndarray:
         """K_S(lin_state) x, charging the inner solve to *family*."""
         w = spmv_transpose(self.system.kcn, x)
-        y, _ = self.solve_kn(w, family, raw_state=x)
+        y, _ = self.solve_kn(w, family)
         return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y)
 
     def apply_detached(self, x, lin_state, inner_start=None
@@ -404,8 +384,7 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     t_new = t + dt
     y_src, rep_src = op.source_solution(t_new)
     w = spmv_transpose(op.system.kcn, a_c)
-    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
-                                 raw_state=a_c)
+    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE)
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
@@ -427,8 +406,7 @@ def recover_an(op: SchurOperator, a_c, t: float
     """
     y_src, rep_src = op.source_solution(t)
     w = spmv_transpose(op.system.kcn, a_c)
-    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_CURRENT_STATE,
-                                 raw_state=a_c)
+    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_CURRENT_STATE)
     return y_src - y_cpl, (rep_src, rep_cpl)
 
 
@@ -491,7 +469,6 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                  reestimate_every: int = 500, safety: float = 0.9,
                  power_iters: int = 200, power_tol: float = 1e-4,
                  seed: int = 42, cache_source_solve: bool = False,
-                 projection_target: str = "assembled-rhs",
                  max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4,
                  max_steps: int = 2_000_000) -> TransientResult:
     """Integrate the eliminated system with explicit Euler.
@@ -517,7 +494,6 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     op = SchurOperator(system, pcg=pcg, strategy=strategy,
                        preconditioner=preconditioner,
                        cache_source_solve=cache_source_solve,
-                       projection_target=projection_target,
                        max_cols=max_cols, n_pod=n_pod, eps_pod=eps_pod)
     auto = isinstance(dt, str)
     if auto:

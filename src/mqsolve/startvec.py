@@ -28,7 +28,6 @@ import scipy.linalg
 
 __all__ = [
     "RhsFamily",
-    "mgs_orthonormalize",
     "SubspaceCache",
     "SnapshotBuffer",
     "pod_start_vector",
@@ -75,42 +74,6 @@ def _cholesky_lower(g: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
 def _solve_spd(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     y = scipy.linalg.solve_triangular(low, rhs, lower=True)
     return scipy.linalg.solve_triangular(low.T, y, lower=False)
-
-
-def mgs_orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize columns by modified Gram-Schmidt with dependency dropping.
-
-    *vectors* is an (n, m) array or a sequence of 1-D arrays. A column whose
-    residual norm after projection falls below ``drop_tol`` times its original
-    norm is dropped. Returns an (n, k) array, k <= m; empty input gives an
-    (n, 0) array.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = [vectors[:, j] for j in range(vectors.shape[1])]
-    else:
-        cols = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not cols:
-        return np.empty((0, 0))
-    n = cols[0].size
-    kept: list[np.ndarray] = []
-    for c in cols:
-        v = np.array(c, dtype=np.float64, copy=True)
-        if v.size != n:
-            raise ValueError("columns must share a common length")
-        orig = np.linalg.norm(v)
-        if orig == 0.0:
-            continue
-        # second sweep restores orthogonality lost to cancellation
-        for _ in range(2):
-            for u in kept:
-                v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv < drop_tol * orig:
-            continue
-        kept.append(v / nv)
-    if not kept:
-        return np.empty((n, 0))
-    return np.column_stack(kept)
 
 
 class SubspaceCache:
@@ -391,9 +354,6 @@ class CspeStrategy(StartVectorStrategy):
     @property
     def maintenance_applies(self) -> int:
         return sum(c.products_computed for c in self._caches.values())
-
-    def accepted_columns(self, family: RhsFamily) -> int:
-        return self.cache(family).columns_accepted
 
     def diagnostics(self):
         return {"basis_cols": self.basis_size(),

@@ -102,19 +102,18 @@ def test_config_validation_errors():
              dict(tol=0.0), dict(newton_tol=0.0), dict(implicit_dt=0.0),
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
              dict(max_basis=0), dict(max_newton=0),
-             dict(preconditioner="magic"), dict(projection_target="x"),
-             dict(model="")]
+             dict(preconditioner="magic"), dict(model="")]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
 
 
 def test_config_solver_mappings():
-    config = RunConfig(tol=1e-5, preconditioner="ic0", newton_tol=1e-9,
+    config = RunConfig(tol=1e-5, preconditioner="none", newton_tol=1e-9,
                        max_newton=7)
     pcg = config.pcg_config()
     assert pcg.rel_tol == 1e-5
-    assert pcg.preconditioner.value == "ic0"
+    assert pcg.preconditioner.value == "none"
     newton = config.newton_config()
     assert newton.tol == 1e-9
     assert newton.max_newton == 7
@@ -265,6 +264,15 @@ def test_benchmark_metadata(bench_pair):
     assert meta["strategies"] == list(("previous", "cspe", "pod"))
     assert meta["dt"] > 0
     assert meta["tol"] == 1e-6
+
+
+def test_run_single_matches_benchmark_traces(tmp_path):
+    # both entry points map the config to run_explicit the same way
+    run_benchmark(tiny_config(dt=2e-5), tmp_path)
+    for strategy in ("previous", "cspe", "pod"):
+        result, _ = run_single(tiny_config(dt=2e-5, strategy=strategy))
+        expected = (tmp_path / f"trace_{strategy}.csv").read_bytes()
+        assert trace_bytes(result) == expected, strategy
 
 
 def test_cli_generate_and_run_roundtrip(tmp_path, capsys):

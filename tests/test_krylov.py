@@ -1,11 +1,10 @@
-"""Preconditioned conjugate gradients and the two preconditioners."""
+"""Preconditioned conjugate gradients, unpreconditioned and with Jacobi."""
 
 import numpy as np
 import pytest
 
-from mqsolve import (CsrMatrix, Ic0Breakdown, IncompleteCholesky,
-                     IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
-                     Preconditioner, pcg_solve)
+from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
+                     PcgConfig, Preconditioner, pcg_solve)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -24,8 +23,7 @@ def test_diagonal_system_exact():
     assert np.allclose(x, np.ones(3), rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", [Preconditioner.NONE, Preconditioner.JACOBI,
-                                  Preconditioner.IC0])
+@pytest.mark.parametrize("kind", [Preconditioner.NONE, Preconditioner.JACOBI])
 def test_random_spd_all_preconditioners(rng, make_spd, kind):
     dense = make_spd(rng, 30, lo=0.5, hi=50.0)
     a = CsrMatrix.from_dense(dense)
@@ -125,33 +123,6 @@ def test_jacobi_identity_action_on_zero_diagonal():
 def test_jacobi_rejects_negative_diagonal():
     with pytest.raises(ValueError):
         JacobiPreconditioner(np.array([1.0, -2.0]))
-
-
-def test_ic0_exact_on_tridiagonal(rng):
-    n = 8
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = 4.0
-        if i + 1 < n:
-            dense[i, i + 1] = dense[i + 1, i] = -1.0
-    a = CsrMatrix.from_dense(dense)
-    pre = IncompleteCholesky.factor(a)
-    # zero fill-in on a tridiagonal pattern equals the exact factorization,
-    # so applying the preconditioner solves the system
-    r = rng.standard_normal(n)
-    assert np.allclose(pre.apply(r), np.linalg.solve(dense, r),
-                       rtol=0.0, atol=1e-12)
-    x, report = pcg_solve(a, r, config=PcgConfig(
-        rel_tol=1e-12, preconditioner=Preconditioner.IC0))
-    assert report.converged
-    assert report.iterations == 1
-
-
-def test_ic0_breakdown_reports_row():
-    a = CsrMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(Ic0Breakdown) as err:
-        IncompleteCholesky.factor(a)
-    assert err.value.row == 1
 
 
 def test_error_norm_decreases_monotonically(rng, make_spd):

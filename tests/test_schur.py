@@ -273,12 +273,6 @@ def test_cfl_validation(rng, make_linear_system):
         estimate_cfl(op, power_iters=0)
 
 
-def test_projection_target_validation(rng, make_linear_system):
-    system, _ = make_linear_system(rng)
-    with pytest.raises(ValueError):
-        SchurOperator(system, projection_target="sideways")
-
-
 def test_final_state_is_strategy_independent(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
     finals = {}

@@ -1,4 +1,4 @@
-"""Subspace recycling: MGS, cached-subspace projection, and snapshot POD."""
+"""Subspace recycling: cached-subspace projection and snapshot POD."""
 
 import numpy as np
 import pytest
@@ -7,59 +7,11 @@ from hypothesis import strategies as st
 
 from mqsolve import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
                      RhsFamily, SnapshotBuffer, SubspaceCache, make_strategy,
-                     mgs_orthonormalize, pod_start_vector)
+                     pod_start_vector)
 
 SRC = RhsFamily.SOURCE_CURRENT
 CPL_CUR = RhsFamily.COUPLING_FROM_CURRENT_STATE
 CPL_PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
-
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def test_mgs_hand_example():
-    q = mgs_orthonormalize([np.array([1.0, 1.0, 0.0]),
-                            np.array([1.0, 0.0, 0.0])])
-    expected = np.array([[INV_SQRT2, INV_SQRT2],
-                         [INV_SQRT2, -INV_SQRT2],
-                         [0.0, 0.0]])
-    assert q.shape == (3, 2)
-    assert np.allclose(q, expected, rtol=0.0, atol=1e-14)
-
-
-def test_mgs_drops_dependent_vector(rng):
-    v = rng.standard_normal(6)
-    q = mgs_orthonormalize([v, 2.0 * v])
-    assert q.shape == (6, 1)
-    assert np.allclose(np.abs(q[:, 0]), np.abs(v) / np.linalg.norm(v),
-                       rtol=0.0, atol=1e-12)
-
-
-def test_mgs_keeps_orthonormal_input():
-    q = mgs_orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert np.allclose(q, np.eye(2), rtol=0.0, atol=1e-14)
-
-
-def test_mgs_random_orthonormality_and_span(rng):
-    vectors = [rng.standard_normal(10) for _ in range(4)]
-    q = mgs_orthonormalize(vectors)
-    assert q.shape == (10, 4)
-    gram = q.T @ q
-    assert np.allclose(gram, np.eye(4), rtol=0.0, atol=1e-10)
-    # original vectors stay inside the produced span
-    for v in vectors:
-        residual = v - q @ (q.T @ v)
-        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(v)
-
-
-def test_mgs_empty_and_zero_inputs():
-    assert mgs_orthonormalize([]).shape == (0, 0)
-    q = mgs_orthonormalize([np.zeros(4)])
-    assert q.shape == (4, 0)
-
-
-def test_mgs_mismatched_lengths_raise():
-    with pytest.raises(ValueError):
-        mgs_orthonormalize([np.zeros(3), np.zeros(4)])
 
 
 def test_cache_counts_one_product_per_accepted_column(rng, make_spd,
