@@ -112,12 +112,10 @@ class RunConfig:
     reestimate_every: int = 500
     power_iters: int = 200
     power_tol: float = 1e-4
-    cache_source_solve: bool = False
 
     _PARSERS = {
         "dt": _parse_dt,
         "linear": _parse_bool,
-        "cache_source_solve": _parse_bool,
     }
 
     def validate(self) -> "RunConfig":
@@ -223,8 +221,8 @@ class RunConfig:
             output_period=self.output_period,
             reestimate_every=self.reestimate_every, safety=self.safety,
             power_iters=self.power_iters, power_tol=self.power_tol,
-            seed=self.seed, cache_source_solve=self.cache_source_solve,
-            max_cols=self.max_basis, n_pod=self.n_pod, eps_pod=self.eps_pod)
+            seed=self.seed, max_cols=self.max_basis, n_pod=self.n_pod,
+            eps_pod=self.eps_pod)
 
 
 def _require(manifest: dict, key: str, context: str):
@@ -474,15 +472,13 @@ class BenchmarkSummary:
 
 def _result_row(name: str, result: TransientResult) -> StrategyRow:
     agg = result.aggregates
-    mean = agg.get("mean_iterations", {})
+    mean = agg["mean_iterations"]
     return StrategyRow(
         name=name, steps=int(agg["steps"]),
-        mean_iters_src=float(mean.get("source", agg.get(
-            "mean_linear_per_newton", 0.0))),
-        mean_iters_cpl_prev=float(mean.get("coupling_previous", 0.0)),
-        mean_iters_cpl_cur=float(mean.get("coupling_current", 0.0)),
-        operator_applies=int(agg.get("operator_applies",
-                                     agg.get("linear_iterations", 0))),
+        mean_iters_src=mean["source"],
+        mean_iters_cpl_prev=mean["coupling_previous"],
+        mean_iters_cpl_cur=mean["coupling_current"],
+        operator_applies=agg["operator_applies"],
         wall_seconds=float(agg["wall_seconds"]),
         solver_seconds=float(agg["solver_seconds"]),
         trace_sha256=hashlib.sha256(trace_bytes(result)).hexdigest())

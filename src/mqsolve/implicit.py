@@ -26,8 +26,9 @@ import scipy.sparse as sp
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
                      build_preconditioner, pcg_solve)
-from .schur import TransientResult
+from .schur import FAMILIES, TraceRecorder, TransientResult
 from .sparse import CsrMatrix, as_vector
+from .startvec import RhsFamily
 
 __all__ = [
     "NewtonConfig",
@@ -186,50 +187,34 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
 
 def run_implicit(system, t_end: float, dt: float,
                  config: NewtonConfig | None = None, *, probe=None,
-                 output_period: float = 1e-3, a0=None) -> TransientResult:
+                 output_period: float = 1e-3) -> TransientResult:
     """Integrate with implicit Euler on a uniform grid.
 
-    Produces the same output-row schema as the explicit integrator so traces
-    can be diffed column by column; the source-family iteration column
-    carries the mean monolithic PCG iterations per Newton solve since the
-    previous row, the coupling columns stay zero. A step failure aborts the
-    run and returns the rows collected so far with ``aggregates["aborted"]``
-    set.
+    Produces the same output-row schema and shared aggregates as the
+    explicit integrator so traces can be diffed column by column. Every
+    Newton iteration's monolithic PCG solve is charged to the source family,
+    so ``iters_src`` carries the mean PCG iterations per Newton solve since
+    the previous row and the coupling columns stay zero. A step failure
+    aborts the run and returns the rows collected so far with
+    ``aggregates["aborted"]`` set.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    iterations = {f: [] for f in FAMILIES}
+    # one entry per Newton iteration
+    linear = iterations[RhsFamily.SOURCE_CURRENT]
+    trace = TraceRecorder(t_end, output_period, probe, iterations)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if output_period <= 0:
-        raise ValueError("output_period must be positive")
     config = config or NewtonConfig()
     wall_start = time.perf_counter()
     solver_seconds = 0.0
-    a_c = np.zeros(system.n_c) if a0 is None else as_vector(
-        a0, length=system.n_c, name="initial state").copy()
+    a_c = np.zeros(system.n_c)
     a_n = np.zeros(system.n_n)
     t = 0.0
-    rows = {name: [] for name in ("t", "b", "lin", "newton")}
-    window_linear: list[int] = []
-    window_newton: list[int] = []
-
-    def emit_row(t_row):
-        rows["t"].append(t_row)
-        rows["b"].append(float(probe(a_c, a_n, t_row)) if probe else 0.0)
-        rows["lin"].append(float(np.mean(window_linear)) if window_linear else 0.0)
-        rows["newton"].append(float(np.mean(window_newton)) if window_newton else 0.0)
-        window_linear.clear()
-        window_newton.clear()
-
-    emit_row(0.0)
-    next_output = output_period
-    eps = 1e-12 * t_end
+    trace.row(t, a_c, a_n)
     steps = 0
-    total_newton = 0
-    total_linear = 0
     aborted = False
     abort_reason = None
-    while t < t_end - eps:
+    while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
         try:
@@ -243,39 +228,21 @@ def run_implicit(system, t_end: float, dt: float,
         solver_seconds += time.perf_counter() - started
         t += step_dt
         steps += 1
-        total_newton += report.newton_iterations
-        total_linear += sum(report.linear_iterations)
-        window_linear.extend(report.linear_iterations)
-        window_newton.append(report.newton_iterations)
-        if t >= next_output - eps or t >= t_end - eps:
-            emit_row(t)
-            while next_output <= t + eps:
-                next_output += output_period
+        linear.extend(report.linear_iterations)
+        if trace.due(t):
+            trace.row(t, a_c, a_n)
 
-    n_rows = len(rows["t"])
-    zeros = np.zeros(n_rows)
-    aggregates = {
+    return trace.result(a_c, a_n, {
         "integrator": "implicit",
         "strategy": "newton",
         "steps": steps,
         "dt": dt,
-        "newton_iterations": total_newton,
-        "linear_iterations": total_linear,
-        "mean_newton_per_step": (total_newton / steps) if steps else 0.0,
-        "mean_linear_per_newton": (total_linear / total_newton)
-                                  if total_newton else 0.0,
+        "newton_iterations": len(linear),
+        "linear_iterations": sum(linear),
+        "mean_newton_per_step": (len(linear) / steps) if steps else 0.0,
+        "operator_applies": sum(linear),
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": solver_seconds,
-        "min_pod_info": 1.0,
-        "max_basis_cols": 0,
         "aborted": aborted,
         "abort_reason": abort_reason,
-    }
-    return TransientResult(
-        times=np.asarray(rows["t"]), probe_b=np.asarray(rows["b"]),
-        iters_src=np.asarray(rows["lin"]), iters_cpl_prev=zeros.copy(),
-        iters_cpl_cur=zeros.copy(),
-        basis_cols=np.zeros(n_rows, dtype=np.int64),
-        pod_k=np.zeros(n_rows, dtype=np.int64),
-        pod_info=np.ones(n_rows), final_a_c=a_c, final_a_n=a_n,
-        aggregates=aggregates)
+    })

@@ -22,6 +22,7 @@ run because saturation changes K_S.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
@@ -69,9 +70,8 @@ def exponential_ramp(tau: float) -> Callable[[float], float]:
 class ScaledPatternSource:
     """Separable source j(t) = pattern * waveform(t).
 
-    The fixed spatial pattern enables the optional exactness shortcut where
-    one pseudo-inverse solve of the pattern is rescaled per step (a scaled
-    solution keeps its relative residual).
+    The fixed spatial ``pattern`` stays readable; the model checksum hashes
+    it.
     """
 
     def __init__(self, pattern, waveform: Callable[[float], float]):
@@ -153,38 +153,26 @@ def _matrix_scale(a: CsrMatrix) -> float:
     return float(np.abs(a.values).max()) if a.nnz else 1.0
 
 
-class _CountedApply:
-    __slots__ = ("fn", "count")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self.fn(x)
-
-
 class SchurOperator:
     """Applies the eliminated-block operator and bookkeeps every inner solve.
 
     Inner pseudo-inverse actions are PCG solves on the singular nonconducting
     block, seeded per right-hand-side family by the configured start-vector
-    strategy. Per-solve iteration counts, operator applications, and solver
+    strategy. Per-solve iteration counts (``solve_iterations``, one list per
+    family), K_n applications of the solves (``pcg_applies``) and solver
     wall time are accumulated for benchmarking.
     """
 
     def __init__(self, system: PartitionedSystem, pcg: PcgConfig | None = None,
                  strategy: StartVectorStrategy | str = "previous", *,
                  preconditioner: Preconditioner = Preconditioner.JACOBI,
-                 cache_source_solve: bool = False,
                  max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4):
         self.system = system
-        self.pcg = pcg or PcgConfig()
-        self.cache_source_solve = bool(cache_source_solve)
-        self._kn_scipy = system.kn.to_scipy()
-        self._kcn_scipy = system.kcn.to_scipy()
-        self._counted_kn = _CountedApply(lambda x: self._kn_scipy @ x)
+        # the config names the preconditioner built here, so pcg_solve never
+        # tries to build one for the callable operator
+        self.pcg = dataclasses.replace(pcg or PcgConfig(),
+                                       preconditioner=preconditioner)
+        self._kn_apply = system.kn.to_scipy().__matmul__
         self._precond = build_preconditioner(system.kn, preconditioner)
         if isinstance(strategy, StartVectorStrategy):
             self.strategy = strategy
@@ -192,7 +180,7 @@ class SchurOperator:
             # basis increments smaller than the inner solve tolerance are
             # solver noise; accepting them churns the capped basis
             self.strategy = make_strategy(strategy, system.n_n,
-                                          self._maintenance_apply,
+                                          self._kn_apply,
                                           max_cols=max_cols, n_pod=n_pod,
                                           eps_pod=eps_pod,
                                           drop_tol=self.pcg.rel_tol)
@@ -208,54 +196,26 @@ class SchurOperator:
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.pcg_applies = 0
         self.solver_seconds = 0.0
-        self._cached_pattern_solution = None
-
-    # operator handed to the strategy for basis upkeep; counted separately
-    def _maintenance_apply(self, x):
-        return self._kn_scipy @ x
-
-    @property
-    def maintenance_applies(self) -> int:
-        return self.strategy.maintenance_applies
-
-    def solve_count(self, family: RhsFamily) -> int:
-        return len(self.solve_iterations[family])
-
-    def total_solves(self) -> int:
-        return sum(len(v) for v in self.solve_iterations.values())
 
     def solve_kn(self, rhs,
                  family: RhsFamily) -> tuple[np.ndarray, SolveReport]:
         """One pseudo-inverse action K_n^+ rhs for the given family."""
         started = time.perf_counter()
         x0 = self.strategy.start_vector(family, rhs)
-        before = self._counted_kn.count
-        y, report = pcg_solve(self._counted_kn, rhs, x0=x0, config=self.pcg,
+        y, report = pcg_solve(self._kn_apply, rhs, x0=x0, config=self.pcg,
                               preconditioner=self._precond)
         if not report.converged:
             raise StepFailureError(
                 f"inner solve ({family.value}) stalled at relative residual "
                 f"{report.final_rel_residual:.3e} after {report.iterations} "
                 "iterations")
-        self.pcg_applies += self._counted_kn.count - before
+        # one K_n product per iteration, plus the initial residual, which
+        # pcg_solve computes only when it is given a start vector
+        self.pcg_applies += report.iterations + (x0 is not None)
         self.strategy.observe(family, y)
         self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
-
-    def source_solution(self, t: float) -> tuple[np.ndarray, SolveReport]:
-        """K_n^+ j_n(t); optionally one pattern solve rescaled per call."""
-        src = self.system.source
-        if self.cache_source_solve and isinstance(src, ScaledPatternSource):
-            if self._cached_pattern_solution is None:
-                y, report = self.solve_kn(src.pattern,
-                                          RhsFamily.SOURCE_CURRENT)
-                self._cached_pattern_solution = y
-            else:
-                report = SolveReport(0, 0.0, True)
-            scale = float(src.waveform(t))
-            return self._cached_pattern_solution * scale, report
-        return self.solve_kn(src(t), RhsFamily.SOURCE_CURRENT)
 
     def minv(self, x: np.ndarray) -> np.ndarray:
         if self._minv_diag is not None:
@@ -283,12 +243,11 @@ class SchurOperator:
         """
         started = time.perf_counter()
         w = spmv_transpose(self.system.kcn, x)
-        before = self._counted_kn.count
-        y, report = pcg_solve(self._counted_kn, w, x0=inner_start,
+        y, report = pcg_solve(self._kn_apply, w, x0=inner_start,
                               config=self.pcg, preconditioner=self._precond)
         if not report.converged:
             raise StepFailureError("spectral probe solve stalled")
-        self.pcg_applies += self._counted_kn.count - before
+        self.pcg_applies += report.iterations + (inner_start is not None)
         self.solver_seconds += time.perf_counter() - started
         return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y), y
 
@@ -382,7 +341,8 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     t_new = t + dt
-    y_src, rep_src = op.source_solution(t_new)
+    y_src, rep_src = op.solve_kn(op.system.source(t_new),
+                                 RhsFamily.SOURCE_CURRENT)
     w = spmv_transpose(op.system.kcn, a_c)
     y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE)
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
@@ -404,7 +364,8 @@ def recover_an(op: SchurOperator, a_c, t: float
     The source solve repeats the family used during stepping, so its start
     vector already satisfies the tolerance and it costs zero iterations.
     """
-    y_src, rep_src = op.source_solution(t)
+    y_src, rep_src = op.solve_kn(op.system.source(t),
+                                 RhsFamily.SOURCE_CURRENT)
     w = spmv_transpose(op.system.kcn, a_c)
     y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_CURRENT_STATE)
     return y_src - y_cpl, (rep_src, rep_cpl)
@@ -415,8 +376,9 @@ class TransientResult:
     """Output-time series of one transient run plus run-level aggregates.
 
     The iteration columns carry the mean inner iterations per solve of each
-    family since the previous output row; ``pod_info`` is the minimum kept
-    information ratio over the same window (1.0 when no truncation ran).
+    family since the previous output row; ``pod_k`` and ``pod_info`` are the
+    largest k and the smallest kept information ratio over every POD
+    projection in the same window (0 and 1.0 without one).
     """
 
     times: np.ndarray
@@ -436,40 +398,100 @@ class TransientResult:
         return self.times.size
 
 
-class _WindowStats:
-    """Accumulates per-family iteration counts between output rows."""
+def _mean(counts) -> float:
+    return float(np.mean(counts)) if counts else 0.0
 
-    def __init__(self):
-        self.reset()
 
-    def reset(self):
-        self.iters = {f: [] for f in FAMILIES}
-        self.min_info = 1.0
-        self.max_k = 0
+class TraceRecorder:
+    """Output schedule, trace rows and shared aggregates of a transient run.
 
-    def add(self, family, report: SolveReport):
-        self.iters[family].append(report.iterations)
+    Both integrators log every count once and hand the logs over here:
+    ``iterations`` maps each family in FAMILIES to its per-solve PCG
+    iterations, ``projections`` holds one ``(k, info)`` entry per POD
+    projection. A row reports what was logged since the previous row: the
+    mean iterations per solve of each family, the largest k and the smallest
+    kept information (0 and 1.0 without a projection).
+    """
 
-    def note_pod(self, strategy):
-        if isinstance(strategy, StartVectorStrategy):
-            diag = strategy.diagnostics()
-            if "pod_k" in diag:
-                self.max_k = max(self.max_k, diag["pod_k"])
-                self.min_info = min(self.min_info, diag.get("pod_info", 1.0))
+    def __init__(self, t_end: float, output_period: float, probe,
+                 iterations: dict, projections=()):
+        if t_end <= 0:
+            raise ValueError("t_end must be positive")
+        if output_period <= 0:
+            raise ValueError("output_period must be positive")
+        self.t_end = t_end
+        self.output_period = output_period
+        self.eps = 1e-12 * t_end
+        self.probe = probe
+        self.iterations = iterations
+        self.projections = projections
+        self._next_output = output_period
+        # log lengths at the previous row
+        self._seen = {f: 0 for f in FAMILIES}
+        self._seen_projections = 0
+        self.rows = {name: [] for name in ("t", "b", "src", "prev", "cur",
+                                           "basis", "k", "info")}
 
-    def mean(self, family) -> float:
-        vals = self.iters[family]
-        return float(np.mean(vals)) if vals else 0.0
+    def running(self, t: float) -> bool:
+        return t < self.t_end - self.eps
+
+    def due(self, t: float) -> bool:
+        """Whether a row is owed at t: an output time passed or t_end hit."""
+        return t >= self._next_output - self.eps or t >= self.t_end - self.eps
+
+    def row(self, t: float, a_c, a_n, basis_cols: int = 0) -> None:
+        rows = self.rows
+        rows["t"].append(t)
+        rows["b"].append(float(self.probe(a_c, a_n, t)) if self.probe
+                         else 0.0)
+        for name, family in (("src", RhsFamily.SOURCE_CURRENT),
+                             ("prev", RhsFamily.COUPLING_FROM_PREVIOUS_STATE),
+                             ("cur", RhsFamily.COUPLING_FROM_CURRENT_STATE)):
+            log = self.iterations[family]
+            rows[name].append(_mean(log[self._seen[family]:]))
+            self._seen[family] = len(log)
+        window = self.projections[self._seen_projections:]
+        self._seen_projections = len(self.projections)
+        rows["basis"].append(basis_cols)
+        rows["k"].append(max((k for k, _ in window), default=0))
+        # a truncation keeps at most all of the information
+        rows["info"].append(min([1.0] + [info for _, info in window]))
+        while self._next_output <= t + self.eps:
+            self._next_output += self.output_period
+
+    def result(self, final_a_c, final_a_n, aggregates: dict
+               ) -> TransientResult:
+        """The trace plus *aggregates* and the keys both integrators share."""
+        rows = self.rows
+        logs = self.iterations
+        shared = {
+            "solves": {f.value: len(logs[f]) for f in FAMILIES},
+            "iterations": {f.value: int(sum(logs[f])) for f in FAMILIES},
+            "mean_iterations": {f.value: _mean(logs[f]) for f in FAMILIES},
+            "max_basis_cols": max(rows["basis"], default=0),
+            "min_pod_info": min([1.0] + [info for k, info in self.projections
+                                         if k]),
+        }
+        return TransientResult(
+            times=np.asarray(rows["t"]), probe_b=np.asarray(rows["b"]),
+            iters_src=np.asarray(rows["src"]),
+            iters_cpl_prev=np.asarray(rows["prev"]),
+            iters_cpl_cur=np.asarray(rows["cur"]),
+            basis_cols=np.asarray(rows["basis"], dtype=np.int64),
+            pod_k=np.asarray(rows["k"], dtype=np.int64),
+            pod_info=np.asarray(rows["info"]),
+            final_a_c=final_a_c, final_a_n=final_a_n,
+            aggregates=aggregates | shared)
 
 
 def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                  strategy="cspe", pcg: PcgConfig | None = None,
                  preconditioner: Preconditioner = Preconditioner.JACOBI,
-                 output_period: float = 1e-3, probe=None, a0=None,
+                 output_period: float = 1e-3, probe=None,
                  reestimate_every: int = 500, safety: float = 0.9,
                  power_iters: int = 200, power_tol: float = 1e-4,
-                 seed: int = 42, cache_source_solve: bool = False,
-                 max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4,
+                 seed: int = 42, max_cols: int = 20, n_pod: int = 10,
+                 eps_pod: float = 1e-4,
                  max_steps: int = 2_000_000) -> TransientResult:
     """Integrate the eliminated system with explicit Euler.
 
@@ -486,15 +508,12 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
 
     Raises StepFailureError on divergence, naming the failing step.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if output_period <= 0:
-        raise ValueError("output_period must be positive")
     wall_start = time.perf_counter()
     op = SchurOperator(system, pcg=pcg, strategy=strategy,
                        preconditioner=preconditioner,
-                       cache_source_solve=cache_source_solve,
                        max_cols=max_cols, n_pod=n_pod, eps_pod=eps_pod)
+    trace = TraceRecorder(t_end, output_period, probe, op.solve_iterations,
+                          op.strategy.projections)
     auto = isinstance(dt, str)
     if auto:
         if dt != "auto":
@@ -509,37 +528,13 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
             raise ValueError("dt must be positive")
         lambda_max = None
 
-    a_c = np.zeros(system.n_c) if a0 is None else as_vector(
-        a0, length=system.n_c, name="initial state").copy()
+    a_c = np.zeros(system.n_c)
     t = 0.0
-    window = _WindowStats()
-    rows = {name: [] for name in ("t", "b", "src", "prev", "cur",
-                                  "basis", "k", "info")}
-
-    def emit_row(t_row, a_n, reports_cur):
-        if reports_cur is not None:
-            window.add(RhsFamily.SOURCE_CURRENT, reports_cur[0])
-            window.add(RhsFamily.COUPLING_FROM_CURRENT_STATE, reports_cur[1])
-        window.note_pod(op.strategy)
-        rows["t"].append(t_row)
-        rows["b"].append(float(probe(a_c, a_n, t_row)) if probe else 0.0)
-        rows["src"].append(window.mean(RhsFamily.SOURCE_CURRENT))
-        rows["prev"].append(window.mean(RhsFamily.COUPLING_FROM_PREVIOUS_STATE))
-        rows["cur"].append(window.mean(RhsFamily.COUPLING_FROM_CURRENT_STATE))
-        rows["basis"].append(op.strategy.basis_size())
-        diag = op.strategy.diagnostics()
-        rows["k"].append(max(window.max_k, diag.get("pod_k", 0)))
-        rows["info"].append(window.min_info)
-        window.reset()
-
-    a_n, reports = recover_an(op, a_c, t)
-    emit_row(t, a_n, reports)
-    next_output = output_period
-
+    a_n, _ = recover_an(op, a_c, t)
+    trace.row(t, a_c, a_n, op.strategy.basis_size())
     steps = 0
     cfl_history = []
-    eps = 1e-12 * t_end
-    while t < t_end - eps:
+    while trace.running(t):
         if auto and reestimate_every > 0 and steps > 0 \
                 and steps % reestimate_every == 0:
             est = estimate_cfl(op, a_c_ref=a_c, power_iters=power_iters,
@@ -552,24 +547,17 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                 dt_val = est.dt_max
             cfl_history.append((steps, lambda_max, est.power_iters, dt_val))
         step_dt = min(dt_val, t_end - t)
-        a_c, step_reports = explicit_euler_step((a_c, t), step_dt, op,
-                                                step_index=steps + 1)
-        window.add(RhsFamily.SOURCE_CURRENT, step_reports[0])
-        window.add(RhsFamily.COUPLING_FROM_PREVIOUS_STATE, step_reports[1])
-        window.note_pod(op.strategy)
+        a_c, _ = explicit_euler_step((a_c, t), step_dt, op,
+                                     step_index=steps + 1)
         t += step_dt
         steps += 1
         if steps > max_steps:
             raise StepFailureError(f"step budget exceeded ({max_steps})")
-        if t >= next_output - eps or t >= t_end - eps:
-            a_n, reports = recover_an(op, a_c, t)
-            emit_row(t, a_n, reports)
-            while next_output <= t + eps:
-                next_output += output_period
+        if trace.due(t):
+            a_n, _ = recover_an(op, a_c, t)
+            trace.row(t, a_c, a_n, op.strategy.basis_size())
 
-    wall = time.perf_counter() - wall_start
-    diag = op.strategy.diagnostics()
-    aggregates = {
+    return trace.result(a_c, a_n, {
         "integrator": "explicit",
         "strategy": op.strategy.kind,
         "steps": steps,
@@ -577,28 +565,10 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "lambda_max": lambda_max,
         "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
-        "solves": {f.value: op.solve_count(f) for f in FAMILIES},
-        "iterations": {f.value: int(sum(op.solve_iterations[f]))
-                       for f in FAMILIES},
-        "mean_iterations": {
-            f.value: (float(np.mean(op.solve_iterations[f]))
-                      if op.solve_iterations[f] else 0.0)
-            for f in FAMILIES},
         "pcg_applies": op.pcg_applies,
-        "maintenance_applies": op.maintenance_applies,
-        "operator_applies": op.pcg_applies + op.maintenance_applies,
-        "wall_seconds": wall,
+        "maintenance_applies": op.strategy.maintenance_applies,
+        "operator_applies": op.pcg_applies + op.strategy.maintenance_applies,
+        "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": op.solver_seconds,
-        "min_pod_info": diag.get("min_pod_info", 1.0),
-        "max_basis_cols": diag.get("basis_cols", 0),
         "aborted": False,
-    }
-    return TransientResult(
-        times=np.asarray(rows["t"]), probe_b=np.asarray(rows["b"]),
-        iters_src=np.asarray(rows["src"]),
-        iters_cpl_prev=np.asarray(rows["prev"]),
-        iters_cpl_cur=np.asarray(rows["cur"]),
-        basis_cols=np.asarray(rows["basis"], dtype=np.int64),
-        pod_k=np.asarray(rows["k"], dtype=np.int64),
-        pod_info=np.asarray(rows["info"]),
-        final_a_c=a_c, final_a_n=a_n, aggregates=aggregates)
+    })

@@ -135,14 +135,17 @@ class SubspaceCache:
         if orig == 0.0 or not np.isfinite(orig):
             self.columns_dropped += 1
             return False
-        w = v.copy()
+        # Two Gram-Schmidt sweeps; a sweep never lengthens the vector, so
+        # one that falls below the drop threshold after the first is
+        # dropped without the second.
+        w = v
         for _ in range(2):
             if self.size:
-                w -= self._basis @ (self._basis.T @ w)
-        nw = np.linalg.norm(w)
-        if nw < self.drop_tol * orig:
-            self.columns_dropped += 1
-            return False
+                w = w - self._basis @ (self._basis.T @ w)
+            nw = np.linalg.norm(w)
+            if nw < self.drop_tol * orig:
+                self.columns_dropped += 1
+                return False
         u = w / nw
         if self.size == self.max_cols:
             self._basis = self._basis[:, 1:]
@@ -279,13 +282,15 @@ class StartVectorStrategy:
 
     ``maintenance_applies`` counts operator applications spent on history
     upkeep (outside any Krylov iteration), the quantity benchmarks charge to
-    the start-vector method itself.
+    the start-vector method itself. ``projections`` logs one ``(k, info)``
+    entry per truncated projection; only POD truncates.
     """
 
     kind = "zero"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
+        self.projections: list[tuple[int, float]] = []
 
     def start_vector(self, family: RhsFamily, rhs) -> np.ndarray:
         return np.zeros(self.dim)
@@ -299,9 +304,6 @@ class StartVectorStrategy:
     @property
     def maintenance_applies(self) -> int:
         return 0
-
-    def diagnostics(self) -> dict:
-        return {}
 
 
 class PreviousSolutionStrategy(StartVectorStrategy):
@@ -355,10 +357,6 @@ class CspeStrategy(StartVectorStrategy):
     def maintenance_applies(self) -> int:
         return sum(c.products_computed for c in self._caches.values())
 
-    def diagnostics(self):
-        return {"basis_cols": self.basis_size(),
-                "maintenance_applies": self.maintenance_applies}
-
 
 class PodStrategy(StartVectorStrategy):
     """Snapshot POD projection, one buffer per family, basis rebuilt per solve."""
@@ -373,10 +371,6 @@ class PodStrategy(StartVectorStrategy):
         self.eps_pod = eps_pod
         self._buffers: dict[RhsFamily, SnapshotBuffer] = {}
         self._applies = 0
-        self.last_k = 0
-        self.last_info = 1.0
-        self.min_info = 1.0
-        self._any_projection = False
 
     def buffer(self, family: RhsFamily) -> SnapshotBuffer:
         if family not in self._buffers:
@@ -390,27 +384,19 @@ class PodStrategy(StartVectorStrategy):
             return np.zeros(self.dim)
         x0, k, info, applies = pod_start_vector(buf, rhs, self._operator)
         self._applies += applies
-        self.last_k = k
-        self.last_info = info
-        if k:
-            self._any_projection = True
-            self.min_info = min(self.min_info, info)
+        self.projections.append((k, info))
         return x0
 
     def observe(self, family, solution):
         self.buffer(family).push(solution)
 
     def basis_size(self, family=None):
-        return self.last_k
+        """Modes kept by the latest projection."""
+        return self.projections[-1][0] if self.projections else 0
 
     @property
     def maintenance_applies(self) -> int:
         return self._applies
-
-    def diagnostics(self):
-        return {"pod_k": self.last_k, "pod_info": self.last_info,
-                "min_pod_info": self.min_info if self._any_projection else 1.0,
-                "maintenance_applies": self._applies}
 
 
 def make_strategy(kind: str, dim: int, operator=None, *, max_cols: int = 20,

@@ -206,6 +206,26 @@ def test_run_single_implicit():
     assert result.probe_b[-1] > 0
 
 
+SHARED_KEYS = {"solves", "iterations", "mean_iterations", "max_basis_cols",
+               "min_pod_info", "operator_applies"}
+
+
+@pytest.mark.parametrize("options", [{"strategy": "cspe"}, {"strategy": "pod"},
+                                     {"integrator": "implicit"}],
+                         ids=["cspe", "pod", "implicit"])
+def test_aggregates_repeat_exactly(options):
+    # repeat runs must agree on every key but the timings, compared with
+    # ``==``, and both integrators carry the shared keys
+    runs = [run_single(tiny_config(t_end=2e-3, **options))[0]
+            for _ in range(2)]
+    first, second = ({key: value for key, value in r.aggregates.items()
+                      if key not in ("wall_seconds", "solver_seconds")}
+                     for r in runs)
+    assert first == second
+    assert SHARED_KEYS <= first.keys()
+    assert not any(isinstance(v, np.ndarray) for v in first.values())
+
+
 def test_model_checksum_tracks_parameters():
     short = dict(t_end=2e-4, output_period=1e-4)
     _, meta_a = run_single(tiny_config(**short))

@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mqsolve import (CsrMatrix, PartitionedSystem, PcgConfig, Preconditioner,
-                     RhsFamily, ScaledPatternSource, SchurOperator,
-                     StepFailureError, estimate_cfl, explicit_euler_step,
-                     exponential_ramp, recover_an, run_explicit)
+from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
+                     Preconditioner, RhsFamily, ScaledPatternSource,
+                     SchurOperator, StepFailureError, estimate_cfl,
+                     explicit_euler_step, exponential_ramp, krylov,
+                     recover_an, run_explicit)
+from mqsolve.bench import trace_bytes
+from mqsolve.schur import TraceRecorder
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
 NOPRE = Preconditioner.NONE
+SRC = RhsFamily.SOURCE_CURRENT
+PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
+CUR = RhsFamily.COUPLING_FROM_CURRENT_STATE
 
 
 def dense_schur(blocks):
@@ -115,18 +123,19 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
                        preconditioner=NOPRE)
     a0 = np.zeros(3)
     dt = 1e-3
+    log = op.solve_iterations
     a1, (rep_src, rep_cpl) = explicit_euler_step((a0, 0.0), dt, op)
-    assert op.solve_count(RhsFamily.SOURCE_CURRENT) == 1
-    assert op.solve_count(RhsFamily.COUPLING_FROM_PREVIOUS_STATE) == 1
-    assert op.solve_count(RhsFamily.COUPLING_FROM_CURRENT_STATE) == 0
+    assert log[SRC] == [rep_src.iterations]
+    assert log[PREV] == [rep_cpl.iterations]
+    assert log[CUR] == []
     assert rep_src.converged and rep_cpl.converged
     a_n, (rec_src, rec_cpl) = recover_an(op, a1, dt)
-    assert op.solve_count(RhsFamily.SOURCE_CURRENT) == 2
-    assert op.solve_count(RhsFamily.COUPLING_FROM_CURRENT_STATE) == 1
+    assert log[SRC] == [rep_src.iterations, rec_src.iterations]
+    assert log[CUR] == [rec_cpl.iterations]
     # identical source right-hand side: the recycled start vector already
     # meets the tolerance
     assert rec_src.iterations == 0
-    assert op.total_solves() == 4
+    assert sum(map(len, log.values())) == 4
 
 
 def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
@@ -335,21 +344,106 @@ def test_run_explicit_step_budget(rng, make_linear_system):
                      pcg=TIGHT, preconditioner=NOPRE, max_steps=10)
 
 
-def test_cached_source_solve_rescales_pattern_solution(rng,
-                                                       make_linear_system):
-    system, blocks = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous",
-                       preconditioner=NOPRE, cache_source_solve=True)
-    y1, rep1 = op.source_solution(0.05)
-    assert rep1.iterations > 0
-    y2, rep2 = op.source_solution(0.11)
-    assert rep2.iterations == 0
-    assert rep2.converged
-    assert rep2.final_rel_residual == 0.0
-    kn_inv = np.linalg.inv(blocks["kn"])
-    for t, y in ((0.05, y1), (0.11, y2)):
-        w = 1.0 - np.exp(-t / blocks["tau"])
-        assert np.allclose(y, kn_inv @ (blocks["pattern"] * w),
-                           rtol=1e-9, atol=1e-12)
-    # only the single pattern solve hit the Krylov loop
-    assert op.solve_count(RhsFamily.SOURCE_CURRENT) == 1
+def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
+    # count the products pcg_solve makes with the callable K_n operator
+    counted = [0]
+    original = krylov._as_operator
+
+    def as_operator(a):
+        apply, n = original(a)
+        if isinstance(a, CsrMatrix):
+            return apply, n
+
+        def apply_counted(x):
+            counted[0] += 1
+            return apply(x)
+        return apply_counted, n
+
+    monkeypatch.setattr(krylov, "_as_operator", as_operator)
+    result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
+                          strategy="cspe", output_period=2e-5,
+                          reestimate_every=2)
+    agg = result.aggregates
+    assert agg["cfl_refreshes"] > 0
+    assert counted[0] + agg["maintenance_applies"] == agg["operator_applies"]
+
+
+def test_preconditioner_keyword_overrides_pcg_config(builtin6):
+    system = builtin6.system
+    common = dict(t_end=1e-4, dt=2e-5, strategy="cspe",
+                  preconditioner=NOPRE, output_period=4e-5)
+    asked = run_explicit(system, pcg=PcgConfig(preconditioner="jacobi"),
+                         **common)
+    plain = run_explicit(system, pcg=PcgConfig(rel_tol=1e-8), **common)
+    assert trace_bytes(asked) == trace_bytes(plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_end=st.floats(1e-3, 1.0),
+       period_frac=st.floats(0.01, 2.0),
+       dt_frac=st.floats(0.005, 0.5))
+def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
+    period, dt = period_frac * t_end, dt_frac * t_end
+    iterations = {f: [] for f in FAMILIES}
+    projections = []
+    trace = TraceRecorder(t_end, period, lambda a_c, a_n, t: 2.0 * t,
+                          iterations, projections)
+    window = {f: [] for f in FAMILIES}
+    window_pod = []
+    expected = []
+
+    def row(t, basis):
+        trace.row(t, None, None, basis)
+        expected.append((t, {f: list(v) for f, v in window.items()},
+                         list(window_pod)))
+        for v in window.values():
+            v.clear()
+        window_pod.clear()
+
+    def log(family, count):
+        iterations[family].append(count)
+        window[family].append(count)
+
+    log(SRC, 5)
+    log(CUR, 7)
+    row(0.0, 0)
+    t, step, step_times = 0.0, 0, []
+    while trace.running(t):
+        t += min(dt, t_end - t)
+        step += 1
+        step_times.append(t)
+        log(SRC, step % 4)
+        log(PREV, 3 * step)
+        if step % 3 == 0:
+            projections.append((step % 5, 1.0 / step))
+            window_pod.append(projections[-1])
+        if trace.due(t):
+            log(CUR, step)
+            row(t, step)
+
+    eps = 1e-12 * t_end
+    crossings = {next(s for s in step_times if s >= m * period - eps)
+                 for m in range(1, int(t_end / period) + 1)
+                 if m * period <= t_end - eps}
+    assert [t for t, _, _ in expected] == sorted({0.0, step_times[-1]}
+                                                 | crossings)
+    assert step_times[-1] >= t_end - eps
+    rows = trace.rows
+    assert rows["b"] == [2.0 * t for t, _, _ in expected]
+    for i, (_, logged, pod) in enumerate(expected):
+        for name, family in (("src", SRC), ("prev", PREV), ("cur", CUR)):
+            mean = float(np.mean(logged[family])) if logged[family] else 0.0
+            assert rows[name][i] == mean
+        if pod:
+            assert rows["k"][i] == max(k for k, _ in pod)
+            assert rows["info"][i] == min(info for _, info in pod)
+        else:
+            assert (rows["k"][i], rows["info"][i]) == (0, 1.0)
+
+    agg = trace.result(None, None, {}).aggregates
+    assert agg["solves"] == {f.value: len(iterations[f]) for f in FAMILIES}
+    assert agg["iterations"] == {f.value: sum(iterations[f])
+                                 for f in FAMILIES}
+    assert agg["max_basis_cols"] == max(rows["basis"])
+    assert agg["min_pod_info"] == min(
+        [info for k, info in projections if k], default=1.0)

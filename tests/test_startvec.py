@@ -283,14 +283,14 @@ def test_pod_info_monotone_in_eps(rng):
     snaps = [rng.standard_normal(dim) * (0.5 ** j) for j in range(4)]
     dense = np.eye(dim)
     rhs = rng.standard_normal(dim)
-    last_k = dim + 1
+    prev_k = dim + 1
     for eps in (1e-12, 1e-4, 1e-1, 0.9):
         buf = SnapshotBuffer(dim, n_pod=6, eps_pod=eps)
         for s in snaps:
             buf.push(s)
         _, k, _, _ = pod_start_vector(buf, rhs, dense.__matmul__)
-        assert k <= last_k
-        last_k = k
+        assert k <= prev_k
+        prev_k = k
 
 
 def test_previous_strategy_isolates_families(rng):
@@ -322,8 +322,9 @@ def test_cspe_strategy_isolates_families(rng, make_spd):
     rhs = dense @ x
     assert np.array_equal(strat.start_vector(CPL_PREV, rhs), np.zeros(5))
     assert np.allclose(strat.start_vector(SRC, rhs), x, rtol=0.0, atol=1e-8)
-    diag = strat.diagnostics()
-    assert diag == {"basis_cols": 1, "maintenance_applies": 1}
+    assert strat.basis_size() == 1
+    assert strat.maintenance_applies == 1
+    assert strat.projections == []
 
 
 def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
@@ -335,13 +336,13 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     assert strat.maintenance_applies == 0
     strat.observe(SRC, rng.standard_normal(6))
     strat.observe(SRC, rng.standard_normal(6))
+    assert strat.projections == []
     strat.start_vector(SRC, rhs)
-    assert strat.last_k == 2
+    assert strat.basis_size() == 2
     assert strat.maintenance_applies == 2
-    diag = strat.diagnostics()
-    assert diag["pod_k"] == 2
-    assert 0.0 < diag["min_pod_info"] <= 1.0
-    assert diag["maintenance_applies"] == 2
+    [(k, info)] = strat.projections
+    assert k == 2
+    assert 0.0 < info <= 1.0
 
 
 def test_make_strategy_dispatch(rng, make_spd):
