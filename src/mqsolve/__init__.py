@@ -9,8 +9,8 @@ decomposition) supplies the inner start vectors; an implicit Euler/Newton
 integrator over the monolithic system serves as the reference.
 """
 
-from .implicit import (NewtonConfig, NewtonFailureError, NewtonStepReport,
-                       implicit_euler_step, run_implicit)
+from .implicit import (MonolithicJacobian, NewtonConfig, NewtonFailureError,
+                       NewtonStepReport, implicit_euler_step, run_implicit)
 from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
                      Preconditioner, SolveReport, build_preconditioner,
                      pcg_solve)
@@ -22,9 +22,10 @@ from .schur import (FAMILIES, CflEstimate, PartitionedSystem,
                     ScaledPatternSource, SchurOperator, StepFailureError,
                     TransientResult, estimate_cfl, explicit_euler_step,
                     exponential_ramp, recover_an, run_explicit)
-from .sparse import (CsrMatrix, as_vector, read_dense_vector,
-                     read_matrix_market, spmv, spmv_transpose,
-                     symmetric_check, write_dense_vector, write_matrix_market)
+from .sparse import (CsrMatrix, NonFiniteError, as_vector,
+                     read_dense_vector, read_matrix_market, spmv,
+                     spmv_transpose, symmetric_check, write_dense_vector,
+                     write_matrix_market)
 from .startvec import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
                        RhsFamily, SnapshotBuffer, StartVectorStrategy,
                        SubspaceCache, make_strategy, pod_start_vector)
@@ -34,9 +35,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # sparse
-    "CsrMatrix", "as_vector", "spmv", "spmv_transpose", "symmetric_check",
-    "read_matrix_market", "write_matrix_market", "read_dense_vector",
-    "write_dense_vector",
+    "CsrMatrix", "NonFiniteError", "as_vector", "spmv", "spmv_transpose",
+    "symmetric_check", "read_matrix_market", "write_matrix_market",
+    "read_dense_vector", "write_dense_vector",
     # krylov
     "Preconditioner", "PcgConfig", "SolveReport", "JacobiPreconditioner",
     "IndefiniteOperatorError", "build_preconditioner", "pcg_solve",
@@ -51,7 +52,7 @@ __all__ = [
     "explicit_euler_step", "recover_an", "TransientResult", "run_explicit",
     # implicit reference
     "NewtonConfig", "NewtonStepReport", "NewtonFailureError",
-    "implicit_euler_step", "run_implicit",
+    "MonolithicJacobian", "implicit_euler_step", "run_implicit",
     # model generation
     "AIR", "CONDUCTOR", "COIL", "VACUUM_RELUCTIVITY", "Material", "GridSpec",
     "Excitation", "Model", "ModelError", "reluctivity", "assemble",

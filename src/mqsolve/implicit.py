@@ -22,15 +22,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
                      build_preconditioner, pcg_solve)
 from .schur import FAMILIES, TraceRecorder, TransientResult
-from .sparse import CsrMatrix, as_vector
+from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv_transpose
 from .startvec import RhsFamily
 
 __all__ = [
+    "MonolithicJacobian",
     "NewtonConfig",
     "NewtonStepReport",
     "NewtonFailureError",
@@ -72,17 +72,71 @@ class NewtonFailureError(RuntimeError):
         self.residual_history = tuple(residual_history)
 
 
-def _monolithic_jacobian(system, x_c: np.ndarray, dt: float) -> CsrMatrix:
-    kc_jac = system.kc_jacobian(x_c).to_scipy()
-    mc = system.mc.to_scipy()
-    kcn = system.kcn.to_scipy()
-    kn = system.kn.to_scipy()
-    top_left = (mc * (1.0 / dt) + kc_jac).tocsr()
-    full = sp.bmat([[top_left, kcn], [kcn.T, kn]], format="csr")
-    return CsrMatrix.from_scipy(full)
+class MonolithicJacobian:
+    """Assembles the Newton matrix [[M_c/dt + J_c, K_cn], [K_cn^T, K_n]].
+
+    J_c is ``system.kc_jacobian`` at the iterate. The CSR pattern, the
+    constant K_cn, K_cn^T and K_n values and the positions of the J_c and
+    M_c entries are built for one J_c pattern and kept while
+    ``kc_jacobian`` returns that pattern, so each call copies the constant
+    values and writes J_c and M_c/dt into them. A J_c with another pattern
+    rebuilds them.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self._kc_pattern = None
+
+    def _matches(self, kc: CsrMatrix) -> bool:
+        cached = self._kc_pattern
+        return cached is not None and all(
+            new is old or np.array_equal(new, old)
+            for new, old in zip((kc.row_ptr, kc.col_idx), cached))
+
+    def _build(self, kc: CsrMatrix) -> None:
+        s = self.system
+        n_c, n = s.n_c, s.n_c + s.n_n
+
+        def keys(a: CsrMatrix, row0: int, col0: int, transpose=False):
+            rows = np.repeat(np.arange(a.nrows), np.diff(a.row_ptr))
+            cols = a.col_idx
+            if transpose:
+                rows, cols = cols, rows
+            return (rows + row0) * n + (cols + col0)
+
+        blocks = [keys(kc, 0, 0), keys(s.mc, 0, 0), keys(s.kcn, 0, n_c),
+                  keys(s.kcn, n_c, 0, transpose=True), keys(s.kn, n_c, n_c)]
+        merged = np.unique(np.concatenate(blocks))
+        kc_at, mc_at, kcn_at, kcn_t_at, kn_at = (
+            np.searchsorted(merged, b) for b in blocks)
+        # this build sets the run's peak memory; free the keys before the
+        # pattern is validated
+        del blocks
+        row_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(merged // n, minlength=n))])
+        # the constant part of the Newton matrix: zero in the J_c and M_c
+        # entries, and K_cn^T holds the K_cn values at the mirrored positions
+        constant = np.zeros(merged.size)
+        constant[kcn_at] = s.kcn.values
+        constant[kcn_t_at] = s.kcn.values
+        constant[kn_at] = s.kn.values
+        self._constant = CsrMatrix(n, n, row_ptr, merged % n, constant)
+        self._kc_at = kc_at
+        self._mc_at = mc_at
+        self._kc_pattern = (kc.row_ptr, kc.col_idx)
+
+    def __call__(self, x_c: np.ndarray, dt: float) -> CsrMatrix:
+        kc = self.system.kc_jacobian(x_c)
+        if not self._matches(kc):
+            self._build(kc)
+        values = self._constant.values.copy()
+        values[self._kc_at] = kc.values
+        values[self._mc_at] += self.system.mc.values * (1.0 / dt)
+        return self._constant.with_values(values)
 
 
-def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = None
+def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = None,
+                        *, jacobian: MonolithicJacobian | None = None
                         ) -> tuple[np.ndarray, np.ndarray, NewtonStepReport]:
     """One implicit Euler step by monolithic Newton iteration.
 
@@ -91,7 +145,10 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     already-stationary state is accepted rather than iterated into noise.
     Linear materials converge in a single Newton iteration because the first
     update solves the affine system to the linear tolerance. If a full
-    update raises the residual the step is halved once before failing.
+    update raises the residual the step is halved once before failing. A
+    non-finite initial residual or Jacobian raises NewtonFailureError.
+    *jacobian* assembles the Newton matrix; pass the same one to every step
+    of a run so its pattern is built once.
     """
     config = config or NewtonConfig()
     a_c_prev, a_n_prev, t = state
@@ -105,12 +162,14 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     kn = system.kn.to_scipy()
     j_n = system.source(t_new)
     n_c = system.n_c
+    if jacobian is None:
+        jacobian = MonolithicJacobian(system)
 
     def residual(xc, xn, with_scale=False):
         t1 = mc @ (xc - a_c_prev) / dt
         t2 = system.kc_apply(xc, xc)
         t3 = kcn @ xn
-        t4 = kcn.T @ xc
+        t4 = spmv_transpose(system.kcn, xc)
         t5 = kn @ xn
         f = np.concatenate([t1 + t2 + t3, t4 + t5 - j_n])
         if not with_scale:
@@ -123,6 +182,9 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     f, data_scale = residual(x_c, x_n, with_scale=True)
     r0 = float(np.linalg.norm(f))
     history = [r0]
+    if not np.isfinite(r0):
+        raise NewtonFailureError(
+            "non-finite residual before Newton iteration 1", history)
     linear_iters: list[int] = []
     # residuals below rounding noise of their own addends cannot be reduced
     # further in double precision; a pure relative criterion would stall on
@@ -142,7 +204,12 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     target = max(config.tol * r0, floor)
     r_current = r0
     for k in range(1, config.max_newton + 1):
-        jac = _monolithic_jacobian(system, x_c, dt)
+        try:
+            jac = jacobian(x_c, dt)
+        except NonFiniteError as err:
+            raise NewtonFailureError(
+                f"non-finite Jacobian at Newton iteration {k}: {err}",
+                history) from err
         precond = build_preconditioner(jac, lin_config.preconditioner)
         try:
             delta, report = pcg_solve(jac, -f, config=lin_config,
@@ -205,6 +272,7 @@ def run_implicit(system, t_end: float, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     config = config or NewtonConfig()
+    jacobian = MonolithicJacobian(system)
     wall_start = time.perf_counter()
     solver_seconds = 0.0
     a_c = np.zeros(system.n_c)
@@ -219,7 +287,8 @@ def run_implicit(system, t_end: float, dt: float,
         started = time.perf_counter()
         try:
             a_c, a_n, report = implicit_euler_step((a_c, a_n, t), step_dt,
-                                                   system, config)
+                                                   system, config,
+                                                   jacobian=jacobian)
         except NewtonFailureError as bad:
             aborted = True
             abort_reason = f"step {steps + 1}: {bad}"

@@ -425,6 +425,56 @@ def probe_b(model: Model, a_interior, cells=None) -> float:
     return float(np.sqrt(b2[cells]).mean())
 
 
+def _jacobian_maps(c: sp.csr_matrix, cell_faces: np.ndarray):
+    """Fixed pattern of C^T diag(w) C + C^T H C and linear maps onto its values.
+
+    H is the sum over cells of a dense 6 x 6 block on the cell's six faces
+    (rows of *cell_faces*). Returns ``(pattern, weight_map, block_map)`` with
+    the Jacobian values ``weight_map @ w + block_map @ blocks.ravel()`` for
+    face weights ``w`` and cell blocks of shape ``(cells, 6, 6)``. Every map
+    coefficient is a product of two entries of C, so it is exactly +-1.
+    """
+    n_faces, n = c.shape
+    counts = np.diff(c.indptr)
+    # each face's edges and signs padded to the widest face; padding signs
+    # are zero and the products they enter are dropped below
+    width = int(counts.max())
+    face = np.repeat(np.arange(n_faces), counts)
+    slot = np.arange(c.nnz) - c.indptr[face]
+    edges = np.zeros((n_faces, width), dtype=np.int64)
+    signs = np.zeros((n_faces, width))
+    edges[face, slot] = c.indices
+    signs[face, slot] = c.data
+
+    def products(fa, fb, source):
+        """Pattern key, coefficient and source of every edge pair of fa x fb."""
+        key = edges[fa][..., :, None] * n + edges[fb][..., None, :]
+        coef = signs[fa][..., :, None] * signs[fb][..., None, :]
+        keep = coef != 0.0
+        return (key[keep], coef[keep],
+                np.broadcast_to(source[..., None, None], keep.shape)[keep])
+
+    faces = np.flatnonzero(counts)
+    n_cells = cell_faces.shape[0]
+    w_keys, w_coef, w_src = products(faces, faces, faces)
+    b_keys, b_coef, b_src = products(
+        cell_faces[:, :, None], cell_faces[:, None, :],
+        np.arange(36 * n_cells).reshape(n_cells, 6, 6))
+    keys = np.union1d(w_keys, b_keys)
+    w_at, b_at = np.searchsorted(keys, w_keys), np.searchsorted(keys, b_keys)
+    # this build sets the implicit run's peak memory; free the product keys
+    # before the pattern and the maps are built
+    del w_keys, b_keys
+    row_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    pattern = CsrMatrix(n, n, row_ptr, keys % n, np.zeros(keys.size))
+    weight_map = sp.csr_matrix((w_coef, (w_at, w_src)),
+                               shape=(keys.size, n_faces))
+    block_map = sp.csr_matrix((b_coef, (b_at, b_src)),
+                              shape=(keys.size, 36 * n_cells))
+    return pattern, weight_map, block_map
+
+
 def _check_conductor_region(mask: np.ndarray) -> None:
     if not mask.any():
         raise ModelError("conductivity vanishes everywhere; nothing to integrate")
@@ -516,24 +566,23 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
         w, _ = face_weights(np.asarray(state, dtype=np.float64))
         return CsrMatrix.from_scipy(c_cond.T @ sp.diags(w / h) @ c_cond)
 
+    # pattern and value maps of kc_jacobian, built on its first call so a
+    # run that never asks for the Jacobian never pays for them
+    jacobian_maps = None
+
     def kc_jacobian(state) -> CsrMatrix:
-        state = np.asarray(state, dtype=np.float64)
-        phi = c_cond @ state
-        b2 = conductor_b2(phi)
-        nu_c, dnu_c = reluctivity(conductor, b2)
+        nonlocal jacobian_maps
+        if jacobian_maps is None:
+            jacobian_maps = _jacobian_maps(c_cond, cond_faces6)
+        pattern, weight_map, block_map = jacobian_maps
+        phi = c_cond @ np.asarray(state, dtype=np.float64)
+        nu_c, dnu_c = reluctivity(conductor, conductor_b2(phi))
         w = base_weights + face_by_cond @ nu_c
-        base = c_cond.T @ sp.diags(w / h) @ c_cond
-        if (dnu_c != 0.0).any():
-            per = phi[cond_faces6]                       # (m, 6)
-            scale = dnu_c / (2.0 * h ** 5)               # (m,)
-            rows = np.repeat(cond_faces6, 6, axis=1).ravel()
-            cols = np.tile(cond_faces6, (1, 6)).ravel()
-            vals = (scale[:, None, None]
-                    * per[:, :, None] * per[:, None, :]).ravel()
-            hmat = sp.coo_matrix((vals, (rows, cols)),
-                                 shape=(topo.n_faces, topo.n_faces)).tocsr()
-            base = base + c_cond.T @ hmat @ c_cond
-        return CsrMatrix.from_scipy(base)
+        per = phi[cond_faces6]                           # (m, 6)
+        scale = dnu_c / (2.0 * h ** 5)                   # (m,)
+        blocks = scale[:, None, None] * per[:, :, None] * per[:, None, :]
+        return pattern.with_values(weight_map @ (w / h)
+                                   + block_map @ blocks.ravel())
 
     # excitation: closed loop of interior, nonconducting edges
     loop_ids, loop_signs = topo.loop_edges(excitation)

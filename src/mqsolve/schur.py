@@ -89,9 +89,12 @@ class PartitionedSystem:
     ``kc_apply(state, x)`` applies the state-dependent conducting block
     K_c(state) to x; ``kc_matrix(state)`` materializes it; ``kc_jacobian``
     materializes d/da [K_c(a) a] at the state (equal to ``kc_matrix`` for
-    linear materials, and None falls back to it). ``source`` maps time to the
-    nonconducting right-hand side, which must be consistent with the singular
-    block by construction.
+    linear materials, and None falls back to it). ``kc_jacobian`` should
+    return one sparsity pattern whatever the state, explicit zeros included;
+    the implicit integrator builds its Newton matrix pattern around it and
+    re-patterns the Newton matrix whenever it changes. ``source`` maps time
+    to the nonconducting right-hand side, which must be consistent with the
+    singular block by construction.
     """
 
     mc: CsrMatrix

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "CsrMatrix",
+    "NonFiniteError",
     "as_vector",
     "spmv",
     "spmv_transpose",
@@ -31,11 +32,15 @@ __all__ = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A vector or matrix holds NaN or infinite entries."""
+
+
 def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate *x* as a finite 1-D float64 vector and return it.
 
-    Raises ValueError on wrong dimensionality, wrong length, or non-finite
-    entries.
+    Raises ValueError on wrong dimensionality or wrong length, and
+    NonFiniteError on non-finite entries.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
@@ -43,7 +48,7 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     if length is not None and v.size != length:
         raise ValueError(f"{name} has length {v.size}, expected {length}")
     if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return v
 
 
@@ -89,7 +94,7 @@ class CsrMatrix:
             if not (np.diff(col_idx)[same_row] > 0).all():
                 raise ValueError("column indices must be strictly increasing per row")
         if not np.isfinite(values).all():
-            raise ValueError("matrix values must be finite")
+            raise NonFiniteError("matrix values must be finite")
         for arr in (row_ptr, col_idx, values):
             arr.flags.writeable = False
         object.__setattr__(self, "row_ptr", row_ptr)
@@ -137,6 +142,28 @@ class CsrMatrix:
     @classmethod
     def identity(cls, n: int) -> "CsrMatrix":
         return cls.from_diagonal(np.ones(n))
+
+    def with_values(self, values) -> "CsrMatrix":
+        """This matrix's pattern with new *values* in stored order.
+
+        The pattern was validated when this matrix was built, so only the
+        length and finiteness of *values* are checked; the index arrays are
+        shared. Like the constructor, it freezes *values* when they are
+        already a contiguous float64 array rather than copying them.
+        """
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.shape != self.col_idx.shape:
+            raise ValueError(f"values have shape {values.shape}, expected "
+                             f"({self.nnz},)")
+        if not np.isfinite(values).all():
+            raise NonFiniteError("matrix values must be finite")
+        values.flags.writeable = False
+        out = object.__new__(type(self))
+        for name, value in (("nrows", self.nrows), ("ncols", self.ncols),
+                            ("row_ptr", self.row_ptr),
+                            ("col_idx", self.col_idx), ("values", values)):
+            object.__setattr__(out, name, value)
+        return out
 
     # -- views and simple queries -----------------------------------------
 

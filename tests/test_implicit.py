@@ -1,9 +1,13 @@
 """Monolithic backward Euler with damped Newton iterations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mqsolve import (NewtonConfig, NewtonFailureError, PcgConfig,
+from mqsolve import (CsrMatrix, MonolithicJacobian, NewtonConfig,
+                     NewtonFailureError, PartitionedSystem, PcgConfig,
                      implicit_euler_step, run_implicit)
 
 TIGHT = NewtonConfig(tol=1e-10,
@@ -206,3 +210,106 @@ def test_singular_block_keeps_algebraic_row_consistent(rng,
     residual = (blocks["kcn"].T @ result.final_a_c
                 + blocks["kn"] @ result.final_a_n - j)
     assert np.linalg.norm(residual) <= 1e-7 * np.linalg.norm(j)
+
+
+def bmat_jacobian(system, kc, dt):
+    """Newton matrix around the K_c Jacobian *kc*, block by block with bmat."""
+    kcn = system.kcn.to_scipy()
+    top_left = system.mc.to_scipy() * (1.0 / dt) + kc.to_scipy()
+    return sp.bmat([[top_left, kcn], [kcn.T, system.kn.to_scipy()]]).toarray()
+
+
+def test_monolithic_jacobian_matches_bmat_for_a_shortened_step(builtin6):
+    system = builtin6.system
+    jacobian = MonolithicJacobian(system)
+    x_c, x_n = np.zeros(system.n_c), np.zeros(system.n_n)
+    assembled = []
+    # a full 1 ms step, then the shorter last step of a run that 1 ms steps
+    # do not divide evenly
+    for t, dt in ((0.0, 1e-3), (1e-3, 3.7e-4)):
+        x_c, x_n, _ = implicit_euler_step((x_c, x_n, t), dt, system,
+                                          jacobian=jacobian)
+        assembled.append(jacobian(x_c, dt))
+        assert np.array_equal(
+            assembled[-1].to_dense(),
+            bmat_jacobian(system, system.kc_jacobian(x_c), dt))
+    assert assembled[1].row_ptr is assembled[0].row_ptr
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_monolithic_jacobian_matches_bmat_for_constant_kc(rng,
+                                                          make_linear_system,
+                                                          singular):
+    system, _ = make_linear_system(rng, n_c=4, n_n=7, singular=singular)
+    jacobian = MonolithicJacobian(system)
+    x_c = rng.standard_normal(4)
+    for dt in (1e-2, 3e-3):
+        assert np.array_equal(
+            jacobian(x_c, dt).to_dense(),
+            bmat_jacobian(system, system.kc_jacobian(x_c), dt))
+
+
+def test_monolithic_jacobian_follows_a_changing_kc_pattern(
+        rng, make_linear_system):
+    system, blocks = make_linear_system(rng, n_c=4, n_n=6)
+    pruned = blocks["kc"].copy()
+    pruned[0, 3] = pruned[3, 0] = 0.0
+    patterns = [CsrMatrix.from_dense(blocks["kc"]),
+                CsrMatrix.from_dense(pruned)]
+    assert patterns[0].nnz != patterns[1].nnz
+    served = []
+
+    def kc_jacobian(state):
+        served.append(patterns[len(served) % 2])
+        return served[-1]
+
+    changing = dataclasses.replace(system, kc_jacobian=kc_jacobian)
+    jacobian = MonolithicJacobian(changing)
+    x_c = rng.standard_normal(4)
+    for k in range(4):
+        assembled = jacobian(x_c, 1e-2)
+        assert len(served) == k + 1
+        assert np.array_equal(assembled.to_dense(),
+                              bmat_jacobian(changing, served[-1], 1e-2))
+
+
+def test_kc_matrix_backed_jacobian_keeps_its_pattern(builtin6):
+    full = builtin6.system
+    # without kc_jacobian the system falls back to kc_matrix, which builds
+    # new index arrays on every call
+    system = PartitionedSystem(mc=full.mc, kcn=full.kcn, kn=full.kn,
+                               kc_apply=full.kc_apply,
+                               kc_matrix=full.kc_matrix, source=full.source)
+    jacobian = MonolithicJacobian(system)
+    first = jacobian(np.zeros(system.n_c), 1e-3)
+    state = np.random.default_rng(1).standard_normal(system.n_c) * 2e-6
+    second = jacobian(state, 1e-3)
+    assert second.row_ptr is first.row_ptr
+    assert np.array_equal(second.to_dense(), bmat_jacobian(
+        system, system.kc_matrix(state), 1e-3))
+
+
+def test_non_finite_source_aborts_with_the_step_number(builtin6):
+    system = builtin6.system
+    source = system.source
+
+    def failing(t):
+        return source(t) if t <= 2e-3 else np.full(system.n_n, np.nan)
+
+    result = run_implicit(dataclasses.replace(system, source=failing),
+                          5e-3, 1e-3)
+    agg = result.aggregates
+    assert agg["aborted"]
+    assert agg["abort_reason"].startswith("step 3")
+    assert "non-finite residual" in agg["abort_reason"]
+    assert agg["steps"] == 2
+
+
+def test_non_finite_jacobian_raises_newton_failure(rng, make_linear_system):
+    system, _ = make_linear_system(rng)
+    kc = system.kc_jacobian(None)
+    broken = dataclasses.replace(
+        system, kc_jacobian=lambda state: kc.with_values(
+            np.full(kc.nnz, np.inf)))
+    with pytest.raises(NewtonFailureError, match="Newton iteration 1"):
+        implicit_euler_step((np.zeros(3), np.zeros(5), 0.0), 1e-2, broken)

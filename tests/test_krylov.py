@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
                      PcgConfig, Preconditioner, pcg_solve)
@@ -164,3 +166,21 @@ def test_callable_operator_needs_explicit_preconditioner():
                           preconditioner=JacobiPreconditioner(np.full(2, 2.0)))
     assert report.converged
     assert np.allclose(x, np.array([1.0, 2.0]), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
+       rank_deficit=st.integers(1, 3),
+       kind=st.sampled_from([Preconditioner.NONE, Preconditioner.JACOBI]))
+def test_consistent_singular_systems_converge(seed, n, rank_deficit, kind):
+    rng = np.random.default_rng(seed)
+    rank = max(n - rank_deficit, 1)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    dense = (basis * rng.uniform(1.0, 100.0, rank)) @ basis.T
+    dense = 0.5 * (dense + dense.T)
+    # a right-hand side in the range of the matrix
+    b = dense @ rng.standard_normal(n)
+    config = PcgConfig(rel_tol=1e-10, max_iter=20 * n, preconditioner=kind)
+    x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
+    assert report.converged
+    assert np.linalg.norm(dense @ x - b) <= 1e-8 * np.linalg.norm(b)

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, Excitation, GridSpec,
                      Material, ModelError, PcgConfig, Preconditioner,
                      air_material, assemble, builtin_model, default_steel,
                      export_model, gradient_incidence, pcg_solve, probe_b,
                      read_matrix_market, reluctivity)
+from mqsolve.model import _Topology
 
 STEEL_NU0 = 49.4 + 520.6
 STEEL_DNU0 = 49.4 * 1.46
@@ -287,3 +289,53 @@ def test_builtin_nonlinear_block_responds_to_state(builtin6, rng):
     zero = system.kc_matrix(np.zeros(system.n_c)).to_dense()
     other = system.kc_matrix(rng.standard_normal(system.n_c) * 2e-6)
     assert not np.array_equal(other.to_dense(), zero)
+
+
+def spgemm_kc_jacobian(model, state):
+    """d/da [K_c(a) a] by sparse products: C^T diag(w/h) C + C^T H C."""
+    grid, h = model.grid, model.grid.h
+    c = model.curl_interior[:, model.conducting].tocsr()
+    phi = c @ state
+    cond = model.conductor_cells
+    faces6 = model.cell_faces[cond]
+    per = phi[faces6]
+    b2 = ((per[:, 0] ** 2 + per[:, 1] ** 2) + (per[:, 2] ** 2 + per[:, 3] ** 2)
+          + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h ** 4)
+    nu_c, dnu_c = reluctivity(model.conductor, b2)
+    nu_cells = np.full(grid.n_cells, model.air_reluctivity)
+    nu_cells[cond] = nu_c
+    w = _Topology(grid).face_cell_average() @ nu_cells
+    scale = dnu_c / (2.0 * h ** 5)
+    vals = (scale[:, None, None] * per[:, :, None] * per[:, None, :]).ravel()
+    rows = np.repeat(faces6, 6, axis=1).ravel()
+    cols = np.tile(faces6, (1, 6)).ravel()
+    hmat = sp.coo_matrix((vals, (rows, cols)), shape=(c.shape[0],) * 2)
+    return (c.T @ sp.diags(w / h) @ c + c.T @ hmat.tocsr() @ c).toarray()
+
+
+def saturated_state(model, b2_max=9.0):
+    """Random conducting state scaled to B^2 = b2_max in its worst cell."""
+    state = np.random.default_rng(3).standard_normal(model.n_c)
+    b2 = model.cell_b2(model.full_interior(state, np.zeros(model.n_n)))
+    return state * np.sqrt(b2_max / b2[model.conductor_cells].max())
+
+
+@pytest.mark.parametrize("name", ["builtin6", "builtin6_linear", "corner_toy"])
+def test_kc_jacobian_matches_spgemm_on_a_fixed_pattern(name, request):
+    model = request.getfixturevalue(name)
+    system = model.system
+    zero = np.zeros(model.n_c)
+    saturated = saturated_state(model)
+    jacobians = [system.kc_jacobian(zero), system.kc_jacobian(saturated)]
+    # one pattern for every state: the index arrays are shared, not rebuilt
+    assert jacobians[1].row_ptr is jacobians[0].row_ptr
+    assert jacobians[1].col_idx is jacobians[0].col_idx
+    for state, jac in zip((zero, saturated), jacobians):
+        reference = spgemm_kc_jacobian(model, state)
+        gap = np.abs(jac.to_dense() - reference).max()
+        assert gap <= 1e-13 * np.abs(reference).max()
+    if not model.conductor.is_linear:
+        b2 = model.cell_b2(model.full_interior(saturated, np.zeros(model.n_n)))
+        assert b2[model.conductor_cells].max() == pytest.approx(9.0)
+        assert not np.allclose(jacobians[1].to_dense(),
+                               jacobians[0].to_dense())

@@ -2,11 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mqsolve import (CsrMatrix, as_vector, read_dense_vector,
+from mqsolve import (CsrMatrix, NonFiniteError, as_vector, read_dense_vector,
                      read_matrix_market, spmv, spmv_transpose,
                      symmetric_check, write_dense_vector,
                      write_matrix_market)
+
+
+@st.composite
+def coo_triplets(draw):
+    """Shape plus COO triplets with repeated positions and integer values."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    nnz = draw(st.integers(0, 30))
+    rows = draw(st.lists(st.integers(0, nrows - 1), min_size=nnz,
+                         max_size=nnz))
+    cols = draw(st.lists(st.integers(0, ncols - 1), min_size=nnz,
+                         max_size=nnz))
+    # integer values keep every sum exact whatever the summation order
+    vals = draw(st.lists(st.integers(-1000, 1000), min_size=nnz,
+                         max_size=nnz))
+    return nrows, ncols, rows, cols, [float(v) for v in vals]
 
 
 def test_from_coo_sums_duplicates_and_sorts_columns():
@@ -153,3 +171,43 @@ def test_diagonal_helpers(rng):
     assert not full.is_diagonal()
     assert np.allclose(full.diagonal(), np.diag(full.to_dense()),
                        rtol=0.0, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coo=coo_triplets())
+def test_from_coo_matches_dense_accumulation(coo):
+    nrows, ncols, rows, cols, vals = coo
+    a = CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
+    dense = np.zeros((nrows, ncols))
+    np.add.at(dense, (np.array(rows, dtype=int), np.array(cols, dtype=int)),
+              vals)
+    assert np.array_equal(a.to_dense(), dense)
+    # one stored entry per distinct position, also where duplicates cancel
+    assert a.nnz == len(set(zip(rows, cols)))
+    again = CsrMatrix.from_scipy(a.to_scipy())
+    for name in ("row_ptr", "col_idx", "values"):
+        assert np.array_equal(getattr(again, name), getattr(a, name))
+    assert again.shape == a.shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(coo=coo_triplets(), shift=st.integers(1, 3), bad=st.integers(0, 29),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_with_values_checks_length_and_finiteness(coo, shift, bad, value):
+    a = CsrMatrix.from_coo(*coo)
+    values = np.arange(1.0, a.nnz + 1.0)
+    b = a.with_values(values)
+    assert b.row_ptr is a.row_ptr and b.col_idx is a.col_idx
+    expected = a.to_scipy().copy()
+    expected.data = values
+    assert np.array_equal(b.to_dense(), expected.toarray())
+    assert not b.values.flags.writeable
+    for length in (a.nnz + shift, a.nnz - shift):
+        if length >= 0:
+            with pytest.raises(ValueError):
+                a.with_values(np.ones(length))
+    if a.nnz:
+        poisoned = np.ones(a.nnz)
+        poisoned[bad % a.nnz] = value
+        with pytest.raises(NonFiniteError):
+            a.with_values(poisoned)
