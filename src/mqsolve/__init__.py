@@ -14,7 +14,7 @@ from .implicit import (MonolithicJacobian, NewtonConfig, NewtonFailureError,
 from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
                      Preconditioner, SolveReport, build_preconditioner,
                      pcg_solve)
-from .model import (AIR, COIL, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
+from .model import (AIR, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
                     GridSpec, Material, Model, ModelError, air_material,
                     assemble, builtin_model, default_steel, export_model,
                     gradient_incidence, probe_b, reluctivity)
@@ -54,7 +54,7 @@ __all__ = [
     "NewtonConfig", "NewtonStepReport", "NewtonFailureError",
     "MonolithicJacobian", "implicit_euler_step", "run_implicit",
     # model generation
-    "AIR", "CONDUCTOR", "COIL", "VACUUM_RELUCTIVITY", "Material", "GridSpec",
+    "AIR", "CONDUCTOR", "VACUUM_RELUCTIVITY", "Material", "GridSpec",
     "Excitation", "Model", "ModelError", "reluctivity", "assemble",
     "builtin_model", "default_steel", "air_material", "gradient_incidence",
     "probe_b", "export_model",

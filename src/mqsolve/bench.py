@@ -217,7 +217,6 @@ class RunConfig:
         """Keywords of :func:`run_explicit` other than dt and probe."""
         return dict(
             strategy=self.strategy, pcg=self.pcg_config(),
-            preconditioner=Preconditioner(self.preconditioner),
             output_period=self.output_period,
             reestimate_every=self.reestimate_every, safety=self.safety,
             power_iters=self.power_iters, power_tol=self.power_tol,
@@ -237,7 +236,9 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     Returns ``(system, model, manifest)``. When the manifest carries builtin
     parameters the model is rebuilt (restoring the nonlinearity and probe)
     and the stored blocks are checked against the rebuilt ones; otherwise the
-    stored blocks define a frozen-linear system and ``model`` is None.
+    stored blocks define a frozen-linear system and ``model`` is None. Blocks
+    that form no valid system, such as a non-diagonal ``m_c``, raise
+    ConfigError.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
@@ -313,9 +314,12 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
         return model.system, model, manifest
 
     source = ScaledPatternSource(pattern, exponential_ramp(tau))
-    system = PartitionedSystem.linear(mc=m_c, kcn=k_cn, kn=k_n, kc=k_c,
-                                      source=source)
-    system.validate()
+    try:
+        system = PartitionedSystem.linear(mc=m_c, kcn=k_cn, kn=k_n, kc=k_c,
+                                          source=source)
+        system.validate()
+    except ValueError as err:
+        raise ConfigError(f"model blocks are unusable: {err}") from err
     return system, None, manifest
 
 
@@ -373,8 +377,7 @@ def write_trace(result: TransientResult, path) -> Path:
 def estimate_start_cfl(system: PartitionedSystem,
                        config: RunConfig) -> CflEstimate:
     """Stable-step estimate at the zero state with the config's CFL knobs."""
-    op = SchurOperator(system, pcg=config.pcg_config(), strategy="previous",
-                       preconditioner=Preconditioner(config.preconditioner))
+    op = SchurOperator(system, pcg=config.pcg_config(), strategy="previous")
     return estimate_cfl(op, power_iters=config.power_iters,
                         power_tol=config.power_tol, safety=config.safety,
                         seed=config.seed)

@@ -93,10 +93,6 @@ def _as_operator(a):
     if isinstance(a, CsrMatrix):
         m = a.to_scipy()
         return lambda x: m @ x, a.nrows
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("dense operator must be square")
-        return lambda x: a @ x, a.shape[0]
     if callable(a):
         return a, None
     raise TypeError(f"unsupported operator type {type(a).__name__}")
@@ -108,7 +104,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
 
     Parameters
     ----------
-    a : CsrMatrix, square ndarray, or callable x -> A x
+    a : CsrMatrix or callable x -> A x
         Symmetric positive (semi)definite operator. For a singular operator
         the right-hand side must be consistent.
     b : array_like

@@ -41,7 +41,6 @@ from .sparse import CsrMatrix, write_dense_vector, write_matrix_market
 __all__ = [
     "AIR",
     "CONDUCTOR",
-    "COIL",
     "VACUUM_RELUCTIVITY",
     "Material",
     "GridSpec",
@@ -58,7 +57,7 @@ __all__ = [
     "export_model",
 ]
 
-AIR, CONDUCTOR, COIL = 0, 1, 2
+AIR, CONDUCTOR = 0, 1
 
 VACUUM_RELUCTIVITY = 1.0 / (4e-7 * np.pi)
 
@@ -145,7 +144,7 @@ class GridSpec:
             raise ModelError(
                 f"material map has shape {mat.shape}, expected "
                 f"({self.nx}, {self.ny}, {self.nz})")
-        if not np.isin(mat, (AIR, CONDUCTOR, COIL)).all():
+        if not np.isin(mat, (AIR, CONDUCTOR)).all():
             raise ModelError("material map holds unknown region ids")
         mat.flags.writeable = False
         object.__setattr__(self, "material", mat)
@@ -160,8 +159,8 @@ class Excitation:
     """Closed rectangular current loop in a constant-z node plane.
 
     The loop runs through the nodes (i0..i1) x (j0..j1) at node plane k0 and
-    carries ``amps`` ampere-turns scaled by the waveform (the saturating ramp
-    1 - exp(-t/tau) unless overridden).
+    carries ``amps`` ampere-turns scaled by the saturating ramp
+    1 - exp(-t/tau).
     """
 
     i0: int
@@ -171,7 +170,6 @@ class Excitation:
     k0: int
     amps: float
     tau: float = 0.5
-    waveform: object = None
 
     def __post_init__(self):
         if not (self.i0 < self.i1 and self.j0 < self.j1):
@@ -249,27 +247,6 @@ class _Topology:
         bz[(0, nx), :, :] = True
         bz[:, (0, ny), :] = True
         return np.concatenate([bx.ravel(), by.ravel(), bz.ravel()])
-
-    def edge_cell_any(self, cell_mask: np.ndarray) -> np.ndarray:
-        """Per-edge flag: does the edge border a cell where the mask is set."""
-        out = []
-        pads = [((0, 0), (1, 1), (1, 1)),
-                ((1, 1), (0, 0), (1, 1)),
-                ((1, 1), (1, 1), (0, 0))]
-        for axis, pad in enumerate(pads):
-            p = np.pad(cell_mask, pad)
-            s = [slice(None)] * 3
-            acc = None
-            other = [d for d in range(3) if d != axis]
-            for da in (0, 1):
-                for db in (0, 1):
-                    view = [slice(None)] * 3
-                    view[other[0]] = slice(da, p.shape[other[0]] - 1 + da)
-                    view[other[1]] = slice(db, p.shape[other[1]] - 1 + db)
-                    part = p[tuple(view)]
-                    acc = part if acc is None else (acc | part)
-            out.append(acc.ravel())
-        return np.concatenate(out)
 
     def edge_cell_mean(self, cell_values: np.ndarray) -> np.ndarray:
         """Per-edge mean of the four adjacent cell values (zero padding)."""
@@ -360,6 +337,13 @@ def gradient_incidence(grid: GridSpec) -> sp.csr_matrix:
                          shape=(topo.n_edges, topo.n_nodes)).tocsr()
 
 
+def _b2(per: np.ndarray, h: float) -> np.ndarray:
+    """Cell B^2 from the (cells, 6) face circulations: x, y, z face pairs."""
+    return ((per[:, 0] ** 2 + per[:, 1] ** 2)
+            + (per[:, 2] ** 2 + per[:, 3] ** 2)
+            + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h ** 4)
+
+
 @dataclass
 class Model:
     """Assembled model: partitioned system plus grid-aware helpers."""
@@ -399,11 +383,7 @@ class Model:
     def cell_b2(self, a_interior) -> np.ndarray:
         """Squared flux density per cell from face circulations."""
         phi = self.curl_interior @ np.asarray(a_interior, dtype=np.float64)
-        per = phi[self.cell_faces]
-        h4 = self.grid.h ** 4
-        return ((per[:, 0] ** 2 + per[:, 1] ** 2)
-                + (per[:, 2] ** 2 + per[:, 3] ** 2)
-                + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h4)
+        return _b2(phi[self.cell_faces], self.grid.h)
 
     def probe(self, a_c, a_n, cells=None) -> float:
         return probe_b(self, self.full_interior(a_c, a_n), cells)
@@ -507,7 +487,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     position = np.full(topo.n_edges, -1, dtype=np.int64)
     position[interior] = np.arange(interior.size)
 
-    conducting_global = topo.edge_cell_any(cond_cells_mask)
+    conducting_global = topo.edge_cell_mean(cond_cells_mask) > 0
     cond_int = np.flatnonzero(conducting_global[interior])
     noncond_int = np.flatnonzero(~conducting_global[interior])
     if cond_int.size == 0:
@@ -541,13 +521,9 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     m_c = CsrMatrix.from_diagonal(mc_diag)
 
     cond_faces6 = cell_faces[cond_cells]
-    h4 = h ** 4
 
     def conductor_b2(phi: np.ndarray) -> np.ndarray:
-        per = phi[cond_faces6]
-        return ((per[:, 0] ** 2 + per[:, 1] ** 2)
-                + (per[:, 2] ** 2 + per[:, 3] ** 2)
-                + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h4)
+        return _b2(phi[cond_faces6], h)
 
     def face_weights(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = c_cond @ state
@@ -605,8 +581,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     pattern_n = np.zeros(noncond_int.size)
     np.add.at(pattern_n, loop_n, loop_signs * excitation.amps)
 
-    waveform = excitation.waveform or exponential_ramp(excitation.tau)
-    source = ScaledPatternSource(pattern_n, waveform)
+    source = ScaledPatternSource(pattern_n, exponential_ramp(excitation.tau))
 
     system = PartitionedSystem(mc=m_c, kcn=k_cn, kn=k_n, kc_apply=kc_apply,
                                kc_matrix=kc_matrix, kc_jacobian=kc_jacobian,
@@ -651,19 +626,6 @@ def builtin_model(cells: int = 8, h: float = 5e-3, kappa: float = 5e6,
     material[b0:b1 + 1, b0:b1 + 1, 1:n - 1] = CONDUCTOR
     exc = Excitation(i0=1, i1=n - 1, j0=1, j1=n - 1, k0=n // 2, amps=amps,
                      tau=tau)
-    grid_tmp = GridSpec(n, n, n, h, material)
-    topo = _Topology(grid_tmp)
-    # coil region bookkeeping: cells touching the loop plane ring
-    cell_coil = np.zeros((n, n, n), dtype=bool)
-    k0 = exc.k0
-    for kk in (k0 - 1, k0):
-        if 0 <= kk < n:
-            cell_coil[exc.i0:exc.i1, exc.j0 - 1:exc.j0 + 1, kk] = True
-            cell_coil[exc.i0:exc.i1, exc.j1 - 1:exc.j1 + 1, kk] = True
-            cell_coil[exc.i0 - 1:exc.i0 + 1, exc.j0:exc.j1, kk] = True
-            cell_coil[exc.i1 - 1:exc.i1 + 1, exc.j0:exc.j1, kk] = True
-    material = material.copy()
-    material[cell_coil & (material == AIR)] = COIL
     grid = GridSpec(n, n, n, h, material)
     k1, k2, k3 = brauer
     if linear:

@@ -22,7 +22,6 @@ run because saturation changes K_S.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
@@ -94,7 +93,9 @@ class PartitionedSystem:
     the implicit integrator builds its Newton matrix pattern around it and
     re-patterns the Newton matrix whenever it changes. ``source`` maps time
     to the nonconducting right-hand side, which must be consistent with the
-    singular block by construction.
+    singular block by construction. ``mc`` must be diagonal with a positive
+    diagonal, as the lumped FIT conductivity matrix always is, so M_c^{-1}
+    is one elementwise product.
     """
 
     mc: CsrMatrix
@@ -114,6 +115,10 @@ class PartitionedSystem:
             raise ValueError(
                 f"coupling block has shape {self.kcn.shape}, expected "
                 f"({self.mc.nrows}, {self.kn.nrows})")
+        if not self.mc.is_diagonal():
+            raise ValueError("conductivity block must be diagonal")
+        if (self.mc.diagonal() <= 0).any():
+            raise ValueError("conductivity diagonal must be positive")
         if self.kc_jacobian is None:
             self.kc_jacobian = self.kc_matrix
 
@@ -126,15 +131,12 @@ class PartitionedSystem:
         return self.kn.nrows
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Structural checks: symmetry of the blocks, positivity of M_c."""
+        """Symmetry checks of the nonconducting and conducting blocks."""
         if not symmetric_check(self.kn, tol * _matrix_scale(self.kn)):
             raise ValueError("nonconducting block is not symmetric")
         kc0 = self.kc_matrix(np.zeros(self.n_c))
         if not symmetric_check(kc0, tol * _matrix_scale(kc0)):
             raise ValueError("conducting block is not symmetric")
-        diag = self.mc.diagonal()
-        if (diag <= 0).any():
-            raise ValueError("conductivity matrix must have a positive diagonal")
 
     @classmethod
     def linear(cls, mc, kcn, kn, kc: CsrMatrix, source) -> "PartitionedSystem":
@@ -144,12 +146,6 @@ class PartitionedSystem:
                    kc_matrix=lambda state: kc,
                    kc_jacobian=lambda state: kc,
                    source=source)
-
-    def frozen_at(self, state) -> "PartitionedSystem":
-        """Linear system with the conducting block frozen at *state*."""
-        state = as_vector(state, length=self.n_c, name="state")
-        return PartitionedSystem.linear(self.mc, self.kcn, self.kn,
-                                        self.kc_matrix(state), self.source)
 
 
 def _matrix_scale(a: CsrMatrix) -> float:
@@ -161,22 +157,23 @@ class SchurOperator:
 
     Inner pseudo-inverse actions are PCG solves on the singular nonconducting
     block, seeded per right-hand-side family by the configured start-vector
-    strategy. Per-solve iteration counts (``solve_iterations``, one list per
-    family), K_n applications of the solves (``pcg_applies``) and solver
-    wall time are accumulated for benchmarking.
+    strategy. ``pcg`` chooses the tolerances and the preconditioner; None
+    means the default tolerances with Jacobi. Per-solve iteration counts
+    (``solve_iterations``, one list per family), K_n applications of the
+    solves (``pcg_applies``) and solver wall time are accumulated for
+    benchmarking.
     """
 
     def __init__(self, system: PartitionedSystem, pcg: PcgConfig | None = None,
                  strategy: StartVectorStrategy | str = "previous", *,
-                 preconditioner: Preconditioner = Preconditioner.JACOBI,
                  max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4):
         self.system = system
-        # the config names the preconditioner built here, so pcg_solve never
-        # tries to build one for the callable operator
-        self.pcg = dataclasses.replace(pcg or PcgConfig(),
-                                       preconditioner=preconditioner)
+        self.pcg = pcg or PcgConfig(preconditioner=Preconditioner.JACOBI)
         self._kn_apply = system.kn.to_scipy().__matmul__
-        self._precond = build_preconditioner(system.kn, preconditioner)
+        # built here from the matrix, so pcg_solve never tries to build one
+        # for the callable operator
+        self._precond = build_preconditioner(system.kn,
+                                             self.pcg.preconditioner)
         if isinstance(strategy, StartVectorStrategy):
             self.strategy = strategy
         else:
@@ -187,55 +184,21 @@ class SchurOperator:
                                           max_cols=max_cols, n_pod=n_pod,
                                           eps_pod=eps_pod,
                                           drop_tol=self.pcg.rel_tol)
-        diag = system.mc.diagonal()
-        if system.mc.is_diagonal():
-            if (diag <= 0).any():
-                raise ValueError("conductivity diagonal must be positive")
-            self._minv_diag = 1.0 / diag
-        else:
-            self._minv_diag = None
-            self._mc_precond = build_preconditioner(system.mc,
-                                                    Preconditioner.JACOBI)
+        self._minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.pcg_applies = 0
         self.solver_seconds = 0.0
 
-    def solve_kn(self, rhs,
-                 family: RhsFamily) -> tuple[np.ndarray, SolveReport]:
-        """One pseudo-inverse action K_n^+ rhs for the given family."""
-        started = time.perf_counter()
-        x0 = self.strategy.start_vector(family, rhs)
-        y, report = pcg_solve(self._kn_apply, rhs, x0=x0, config=self.pcg,
-                              preconditioner=self._precond)
-        if not report.converged:
-            raise StepFailureError(
-                f"inner solve ({family.value}) stalled at relative residual "
-                f"{report.final_rel_residual:.3e} after {report.iterations} "
-                "iterations")
-        # one K_n product per iteration, plus the initial residual, which
-        # pcg_solve computes only when it is given a start vector
-        self.pcg_applies += report.iterations + (x0 is not None)
-        self.strategy.observe(family, y)
-        self.solve_iterations[family].append(report.iterations)
-        self.solver_seconds += time.perf_counter() - started
-        return y, report
+    def solve_kn(self, rhs, family: RhsFamily, step: int | None = None
+                 ) -> tuple[np.ndarray, SolveReport]:
+        """One pseudo-inverse action K_n^+ rhs for the given family.
+
+        *step* only names the time step in a failure message.
+        """
+        return self._solve(rhs, family=family, step=step)
 
     def minv(self, x: np.ndarray) -> np.ndarray:
-        if self._minv_diag is not None:
-            return self._minv_diag * x
-        y, report = pcg_solve(self.system.mc, x, config=self.pcg,
-                              preconditioner=self._mc_precond)
-        if not report.converged:
-            raise StepFailureError("conductivity mass solve stalled")
-        return y
-
-    def apply(self, x, lin_state,
-              family: RhsFamily = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
-              ) -> np.ndarray:
-        """K_S(lin_state) x, charging the inner solve to *family*."""
-        w = spmv_transpose(self.system.kcn, x)
-        y, _ = self.solve_kn(w, family)
-        return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y)
+        return self._minv_diag * x
 
     def apply_detached(self, x, lin_state, inner_start=None
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,15 +207,53 @@ class SchurOperator:
         Used by the spectral estimator so its probing solves do not pollute
         the time-stepping caches. Returns (K_S x, inner solution).
         """
-        started = time.perf_counter()
         w = spmv_transpose(self.system.kcn, x)
-        y, report = pcg_solve(self._kn_apply, w, x0=inner_start,
-                              config=self.pcg, preconditioner=self._precond)
-        if not report.converged:
-            raise StepFailureError("spectral probe solve stalled")
-        self.pcg_applies += report.iterations + (inner_start is not None)
-        self.solver_seconds += time.perf_counter() - started
+        y, _ = self._solve(w, x0=inner_start)
         return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y), y
+
+    def _solve(self, rhs, family: RhsFamily | None = None, x0=None,
+               step: int | None = None) -> tuple[np.ndarray, SolveReport]:
+        """The one PCG solve on K_n behind every inner action.
+
+        With a *family* the start vector comes from the strategy, and the
+        solution and iteration count go back to it and to the family log;
+        without one the solve starts from *x0* and leaves no history.
+        """
+        started = time.perf_counter()
+        try:
+            if family is not None:
+                x0 = self.strategy.start_vector(family, rhs)
+            y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
+                                  config=self.pcg,
+                                  preconditioner=self._precond)
+        except ValueError as err:
+            # pcg_solve, or a strategy before it, rejects a non-finite rhs;
+            # testing the rhs only then keeps the test off the step's cost
+            if np.isfinite(rhs).all():
+                raise
+            raise StepFailureError(
+                f"{_solve_name(family, step)}: non-finite right-hand side"
+            ) from err
+        if not report.converged:
+            raise StepFailureError(
+                f"{_solve_name(family, step)} stalled at relative residual "
+                f"{report.final_rel_residual:.3e} after {report.iterations} "
+                "iterations")
+        # one K_n product per iteration, plus the initial residual, which
+        # pcg_solve computes only when it is given a start vector
+        self.pcg_applies += report.iterations + (x0 is not None)
+        if family is not None:
+            self.strategy.observe(family, y)
+            self.solve_iterations[family].append(report.iterations)
+        self.solver_seconds += time.perf_counter() - started
+        return y, report
+
+
+def _solve_name(family: RhsFamily | None, step: int | None) -> str:
+    if family is None:
+        return "spectral probe solve"
+    where = f" at step {step}" if step is not None else ""
+    return f"inner solve ({family.value}){where}"
 
 
 @dataclass(frozen=True)
@@ -338,16 +339,17 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
 
     Exactly two inner solves: the source term at the new time and the
     coupling term built from the previous state. ``dt == 0`` reproduces the
-    state bit for bit.
+    state bit for bit. A failure names ``step_index`` when it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     t_new = t + dt
     y_src, rep_src = op.solve_kn(op.system.source(t_new),
-                                 RhsFamily.SOURCE_CURRENT)
+                                 RhsFamily.SOURCE_CURRENT, step_index)
     w = spmv_transpose(op.system.kcn, a_c)
-    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE)
+    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
+                                 step_index)
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
@@ -489,7 +491,6 @@ class TraceRecorder:
 
 def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                  strategy="cspe", pcg: PcgConfig | None = None,
-                 preconditioner: Preconditioner = Preconditioner.JACOBI,
                  output_period: float = 1e-3, probe=None,
                  reestimate_every: int = 500, safety: float = 0.9,
                  power_iters: int = 200, power_tol: float = 1e-4,
@@ -508,12 +509,13 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     re-estimate is logged in ``aggregates["cfl_history"]`` as
     ``(step, lambda_max, power_iters, dt)``, dt being the step used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
+    ``pcg`` configures the inner solves as in :class:`SchurOperator`.
 
-    Raises StepFailureError on divergence, naming the failing step.
+    Raises StepFailureError on divergence, on a non-finite source and on a
+    stalled inner solve, naming the failing step.
     """
     wall_start = time.perf_counter()
     op = SchurOperator(system, pcg=pcg, strategy=strategy,
-                       preconditioner=preconditioner,
                        max_cols=max_cols, n_pod=n_pod, eps_pod=eps_pod)
     trace = TraceRecorder(t_end, output_period, probe, op.solve_iterations,
                           op.strategy.projections)

@@ -280,23 +280,18 @@ def pod_start_vector(buffer: SnapshotBuffer, rhs, operator
 class StartVectorStrategy:
     """Produces start vectors per right-hand-side family and absorbs solutions.
 
-    ``maintenance_applies`` counts operator applications spent on history
-    upkeep (outside any Krylov iteration), the quantity benchmarks charge to
-    the start-vector method itself. ``projections`` logs one ``(k, info)``
-    entry per truncated projection; only POD truncates.
+    Subclasses define ``start_vector(family, rhs)``, the start of the next
+    solve of a family, and ``observe(family, solution)``, which takes its
+    converged solution. ``maintenance_applies`` counts operator applications
+    spent on history upkeep (outside any Krylov iteration), the quantity
+    benchmarks charge to the start-vector method itself. ``projections``
+    logs one ``(k, info)`` entry per truncated projection; only POD
+    truncates.
     """
-
-    kind = "zero"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.projections: list[tuple[int, float]] = []
-
-    def start_vector(self, family: RhsFamily, rhs) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def observe(self, family: RhsFamily, solution) -> None:
-        pass
 
     def basis_size(self, family: RhsFamily | None = None) -> int:
         return 0
@@ -402,12 +397,10 @@ class PodStrategy(StartVectorStrategy):
 def make_strategy(kind: str, dim: int, operator=None, *, max_cols: int = 20,
                   n_pod: int = 10, eps_pod: float = 1e-4,
                   drop_tol: float = 1e-10) -> StartVectorStrategy:
-    """Build a strategy by name: ``previous``, ``cspe``, ``pod``, or ``zero``."""
+    """Build a strategy by name: ``previous``, ``cspe`` or ``pod``."""
     kind = str(kind).lower()
     if kind == "previous":
         return PreviousSolutionStrategy(dim)
-    if kind == "zero":
-        return StartVectorStrategy(dim)
     if operator is None:
         raise ValueError(f"strategy {kind!r} needs the system operator")
     if kind == "cspe":

@@ -16,7 +16,8 @@ from mqsolve import (FAMILIES, CsrMatrix, NewtonConfig, PcgConfig,
                      pcg_solve, run_explicit, spmv)
 from mqsolve.bench import RunConfig, run_single
 
-TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000)
+TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000,
+                  preconditioner=Preconditioner.JACOBI)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,8 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear):
           f"({n_c} dofs): rel diff {rel:.2e} (<= 2e-2)")
     assert rel <= 0.02
 
-    solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
+    solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
+                      preconditioner=Preconditioner.JACOBI)
     dt_stable = 0.95 * 2.0 / estimate.lambda_max
     op_stable = SchurOperator(system, pcg=solve, strategy="cspe")
     a_c = np.zeros(n_c)
@@ -188,8 +190,9 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
     kn = system.kn.to_scipy()
     counter = counting_operator(lambda v: kn @ v)
     strategy = make_strategy("cspe", system.n_n, operator=counter)
-    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-8, max_iter=5000),
-                       strategy=strategy)
+    solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
+                      preconditioner=Preconditioner.JACOBI)
+    op = SchurOperator(system, pcg=solve, strategy=strategy)
     a_c = np.zeros(system.n_c)
     t = 0.0
     for step in range(12):

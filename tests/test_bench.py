@@ -139,6 +139,17 @@ def test_load_model_roundtrip_frozen_linear(corner_toy, tmp_path, rng):
     assert np.array_equal(system.kc_matrix(junk).to_dense(), kc0)
 
 
+def test_load_model_rejects_non_diagonal_conductivity(corner_toy, tmp_path):
+    from mqsolve import CsrMatrix, write_matrix_market
+    directory = export_model(corner_toy, tmp_path / "model").parent
+    mc = corner_toy.system.mc.to_dense()
+    mc[0, 1] = mc[1, 0] = 0.5 * mc[0, 0]
+    write_matrix_market(directory / "m_c.mtx", CsrMatrix.from_dense(mc),
+                        symmetry="general")
+    with pytest.raises(ConfigError, match="diagonal"):
+        load_model(directory)
+
+
 def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
     with pytest.raises(ConfigError):
         load_model(tmp_path / "nowhere")

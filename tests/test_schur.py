@@ -1,5 +1,7 @@
 """Eliminated-block operator, CFL estimation, and the explicit integrator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,12 +12,11 @@ from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
                      Preconditioner, RhsFamily, ScaledPatternSource,
                      SchurOperator, StepFailureError, estimate_cfl,
                      explicit_euler_step, exponential_ramp, krylov,
-                     recover_an, run_explicit)
-from mqsolve.bench import trace_bytes
+                     pcg_solve, recover_an, run_explicit)
 from mqsolve.schur import TraceRecorder
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
-NOPRE = Preconditioner.NONE
+JACOBI = Preconditioner.JACOBI
 SRC = RhsFamily.SOURCE_CURRENT
 PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
 CUR = RhsFamily.COUPLING_FROM_CURRENT_STATE
@@ -68,31 +69,9 @@ def test_validate_flags_asymmetric_block(rng, make_linear_system):
         bad.validate()
 
 
-def test_frozen_at_reproduces_conducting_block(corner_toy, rng):
-    system = corner_toy.system
-    # scaled so the cell flux density sits near the saturation knee
-    state = rng.standard_normal(system.n_c) * 2e-6
-    frozen = system.frozen_at(state)
-    expected = system.kc_matrix(state).to_dense()
-    junk = rng.standard_normal(system.n_c)
-    assert np.array_equal(frozen.kc_matrix(junk).to_dense(), expected)
-    x = rng.standard_normal(system.n_c)
-    assert np.allclose(frozen.kc_apply(junk, x), expected @ x,
-                       rtol=0.0, atol=1e-9 * np.abs(expected @ x).max())
-
-
-def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system):
-    system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
-    x = rng.standard_normal(4)
-    out = op.apply(x, lin_state=x)
-    expected = dense_schur(blocks) @ x
-    assert np.allclose(out, expected, rtol=1e-9, atol=1e-12)
-
-
 def test_apply_matches_dense_schur_singular(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=4, n_n=7, singular=True)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     x = rng.standard_normal(4)
     out, inner = op.apply_detached(x, lin_state=x)
     expected = dense_schur(blocks) @ x
@@ -103,24 +82,74 @@ def test_apply_matches_dense_schur_singular(rng, make_linear_system):
     assert np.allclose(inner, y_expected, rtol=1e-8, atol=1e-11)
 
 
-def test_apply_without_coupling_is_conducting_block(rng, make_linear_system):
-    system, blocks = make_linear_system(rng, n_c=3, n_n=5)
-    decoupled = PartitionedSystem.linear(
-        mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
-        kn=system.kn, kc=system.kc_matrix(None), source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT, preconditioner=NOPRE)
-    x = rng.standard_normal(3)
-    out = op.apply(x, lin_state=x)
-    assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
-    assert op.solve_iterations[RhsFamily.COUPLING_FROM_PREVIOUS_STATE] == [0]
-    zero = op.apply(np.zeros(3), lin_state=np.zeros(3))
-    assert np.array_equal(zero, np.zeros(3))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(1, 5),
+       n_n=st.integers(2, 8))
+def test_apply_detached_matches_dense_schur(make_linear_system, seed, n_c,
+                                            n_n):
+    rng = np.random.default_rng(seed)
+    system, blocks = make_linear_system(rng, n_c=n_c, n_n=n_n, singular=True)
+    op = SchurOperator(system, pcg=TIGHT)
+    x = rng.standard_normal(n_c)
+    out, _ = op.apply_detached(x, lin_state=x)
+    expected = dense_schur(blocks) @ x
+    scale = np.abs(blocks["full"]).max() * np.linalg.norm(x)
+    assert np.allclose(out, expected, rtol=1e-8, atol=1e-10 * scale)
+    zero, inner = op.apply_detached(np.zeros(n_c), lin_state=np.zeros(n_c))
+    assert np.array_equal(zero, np.zeros(n_c))
+    assert np.array_equal(inner, np.zeros(n_n))
+
+
+def test_schur_operator_honours_the_pcg_preconditioner(builtin6):
+    system = builtin6.system
+    assert SchurOperator(system).pcg.preconditioner is JACOBI
+    rhs = system.source(1e-3)
+    solutions = {}
+    for kind in Preconditioner:
+        config = PcgConfig(preconditioner=kind)
+        y, _ = SchurOperator(system, pcg=config).solve_kn(rhs, SRC)
+        # the strategy's first start vector is zero
+        expected, _ = pcg_solve(system.kn, rhs, x0=np.zeros(system.n_n),
+                                config=config)
+        assert np.array_equal(y, expected)
+        solutions[kind] = y
+    assert not np.array_equal(solutions[Preconditioner.NONE],
+                              solutions[JACOBI])
+
+
+def test_conductivity_block_must_be_diagonal(rng, make_linear_system):
+    system, blocks = make_linear_system(rng)
+    lumped = np.diag(blocks["mc_diag"])
+    lumped[0, 1] = lumped[1, 0] = 0.1
+    for mc, message in ((lumped, "diagonal"),
+                        (-np.diag(blocks["mc_diag"]), "positive")):
+        with pytest.raises(ValueError, match=message):
+            PartitionedSystem.linear(mc=CsrMatrix.from_dense(mc),
+                                     kcn=system.kcn, kn=system.kn,
+                                     kc=system.kc_matrix(None),
+                                     source=system.source)
+
+
+@pytest.mark.parametrize("strategy", ["previous", "cspe", "pod"])
+def test_non_finite_source_names_the_step_and_family(builtin6, strategy):
+    system = builtin6.system
+
+    def source(t):
+        return system.source(t) * (np.nan if t > 2e-4 else 1.0)
+
+    broken = dataclasses.replace(system, source=source)
+    t, step = 0.0, 0
+    while t <= 2e-4:
+        t, step = t + 1e-5, step + 1
+    with pytest.raises(StepFailureError,
+                       match=rf"^inner solve \(source\) at step {step}: "
+                             "non-finite right-hand side$"):
+        run_explicit(broken, t_end=1e-3, dt=1e-5, strategy=strategy)
 
 
 def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous",
-                       preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT, strategy="previous")
     a0 = np.zeros(3)
     dt = 1e-3
     log = op.solve_iterations
@@ -140,7 +169,7 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
 
 def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     a_c = rng.standard_normal(3)
     t = 0.2
     a_n, _ = recover_an(op, a_c, t)
@@ -151,8 +180,7 @@ def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
 
 def test_explicit_step_matches_dense_rate(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous",
-                       preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT, strategy="previous")
     a0 = rng.standard_normal(4) * 0.1
     dt = 1e-3
     a1, _ = explicit_euler_step((a0, 0.0), dt, op)
@@ -167,7 +195,7 @@ def test_explicit_step_matches_dense_rate(rng, make_linear_system):
 
 def test_zero_dt_step_is_identity(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     a0 = rng.standard_normal(3)
     a1, _ = explicit_euler_step((a0, 0.0), 0.0, op)
     assert np.array_equal(a1, a0)
@@ -184,7 +212,7 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([10.0, 10.0])),
         source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(decoupled, pcg=TIGHT)
     huge = np.full(2, 1e300)
     with pytest.raises(StepFailureError, match="7"):
         explicit_euler_step((huge, 0.0), 1e9, op, step_index=7)
@@ -197,7 +225,7 @@ def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
         kc=system.kc_matrix(None),
         source=ScaledPatternSource(np.zeros(5), exponential_ramp(0.5)))
     result = run_explicit(quiet, t_end=1e-2, dt=1e-3, strategy="previous",
-                          pcg=TIGHT, preconditioner=NOPRE)
+                          pcg=TIGHT)
     assert np.array_equal(result.final_a_c, np.zeros(3))
     assert np.array_equal(result.final_a_n, np.zeros(5))
     assert result.aggregates["iterations"] == {
@@ -211,7 +239,7 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0])),
         source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(decoupled, pcg=TIGHT)
     est = estimate_cfl(op, power_tol=1e-10, power_iters=500)
     assert est.lambda_max == pytest.approx(4.0, rel=1e-6)
     assert est.dt_max == pytest.approx(0.45, rel=1e-6)
@@ -221,14 +249,14 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
     op2 = SchurOperator(PartitionedSystem.linear(
         mc=CsrMatrix.identity(2),
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
-        kc=coupled_kc, source=system.source), pcg=TIGHT, preconditioner=NOPRE)
+        kc=coupled_kc, source=system.source), pcg=TIGHT)
     est2 = estimate_cfl(op2, power_tol=1e-10, power_iters=500)
     assert est2.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=6, n_n=9, singular=True)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     est = estimate_cfl(op, power_tol=1e-10, power_iters=2000)
     ks = dense_schur(blocks)
     lam = scipy.linalg.eigh(ks, np.diag(blocks["mc_diag"]),
@@ -240,7 +268,7 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
 def test_cfl_zero_start_vector_reseeds_deterministically(rng,
                                                          make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=5)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     a = estimate_cfl(op, v0=None)
     b = estimate_cfl(op, v0=np.zeros(3))
     assert a.lambda_max == b.lambda_max
@@ -248,7 +276,8 @@ def test_cfl_zero_start_vector_reseeds_deterministically(rng,
 
 def test_warm_started_cfl_estimate_resumes_below_the_dense_bound(builtin6):
     system = builtin6.system
-    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000),
+    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
+                                             preconditioner=JACOBI),
                        strategy="cspe")
     first = estimate_cfl(op)
     a_c = np.zeros(system.n_c)
@@ -273,7 +302,7 @@ def test_warm_started_cfl_estimate_resumes_below_the_dense_bound(builtin6):
 
 def test_cfl_validation(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, pcg=TIGHT, preconditioner=NOPRE)
+    op = SchurOperator(system, pcg=TIGHT)
     with pytest.raises(ValueError):
         estimate_cfl(op, safety=0.0)
     with pytest.raises(ValueError):
@@ -287,8 +316,7 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
     finals = {}
     for strategy in ("previous", "cspe", "pod"):
         result = run_explicit(system, t_end=1.2e-2, dt=1e-3,
-                              strategy=strategy, pcg=TIGHT,
-                              preconditioner=NOPRE)
+                              strategy=strategy, pcg=TIGHT)
         finals[strategy] = result.final_a_c
     scale = np.linalg.norm(finals["previous"])
     for strategy in ("cspe", "pod"):
@@ -299,8 +327,7 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
 def test_run_explicit_rows_and_validation(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     result = run_explicit(system, t_end=1e-2, dt=1e-3, strategy="previous",
-                          pcg=TIGHT, preconditioner=NOPRE,
-                          output_period=2e-3)
+                          pcg=TIGHT, output_period=2e-3)
     assert result.times[0] == 0.0
     assert result.times[-1] == pytest.approx(1e-2, rel=1e-12)
     assert np.all(np.diff(result.times) > 0)
@@ -319,12 +346,10 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system):
 
 def test_run_explicit_logs_every_cfl_refresh(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
-    cold = estimate_cfl(SchurOperator(system, pcg=TIGHT,
-                                      preconditioner=NOPRE))
+    cold = estimate_cfl(SchurOperator(system, pcg=TIGHT))
     dt0 = cold.dt_max
     result = run_explicit(system, t_end=23.5 * dt0, strategy="cspe",
-                          pcg=TIGHT, preconditioner=NOPRE,
-                          reestimate_every=5)
+                          pcg=TIGHT, reestimate_every=5)
     agg = result.aggregates
     history = agg["cfl_history"]
     assert agg["cfl_refreshes"] == len(history) == 4
@@ -341,7 +366,7 @@ def test_run_explicit_step_budget(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     with pytest.raises(StepFailureError):
         run_explicit(system, t_end=1.0, dt=1e-6, strategy="previous",
-                     pcg=TIGHT, preconditioner=NOPRE, max_steps=10)
+                     pcg=TIGHT, max_steps=10)
 
 
 def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
@@ -366,16 +391,6 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
     agg = result.aggregates
     assert agg["cfl_refreshes"] > 0
     assert counted[0] + agg["maintenance_applies"] == agg["operator_applies"]
-
-
-def test_preconditioner_keyword_overrides_pcg_config(builtin6):
-    system = builtin6.system
-    common = dict(t_end=1e-4, dt=2e-5, strategy="cspe",
-                  preconditioner=NOPRE, output_period=4e-5)
-    asked = run_explicit(system, pcg=PcgConfig(preconditioner="jacobi"),
-                         **common)
-    plain = run_explicit(system, pcg=PcgConfig(rel_tol=1e-8), **common)
-    assert trace_bytes(asked) == trace_bytes(plain)
 
 
 @settings(max_examples=40, deadline=None)

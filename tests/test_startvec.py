@@ -348,7 +348,6 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
     assert make_strategy("previous", 4).kind == "previous"
-    assert make_strategy("zero", 4).kind == "zero"
     assert isinstance(make_strategy("cspe", 4, dense.__matmul__,
                                     max_cols=7), CspeStrategy)
     assert isinstance(make_strategy("pod", 4, dense.__matmul__,
@@ -357,5 +356,6 @@ def test_make_strategy_dispatch(rng, make_spd):
         make_strategy("cspe", 4)
     with pytest.raises(ValueError):
         make_strategy("pod", 4)
-    with pytest.raises(ValueError):
-        make_strategy("banana", 4, dense.__matmul__)
+    for unknown in ("banana", "zero"):
+        with pytest.raises(ValueError):
+            make_strategy(unknown, 4, dense.__matmul__)
