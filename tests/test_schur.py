@@ -69,6 +69,31 @@ def test_validate_flags_asymmetric_block(rng, make_linear_system):
         bad.validate()
 
 
+def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system):
+    system, blocks = make_linear_system(rng, n_c=4, n_n=6)
+    op = SchurOperator(system, pcg=TIGHT)
+    x = rng.standard_normal(4)
+    out, _ = op.apply_detached(x, lin_state=x)
+    expected = dense_schur(blocks) @ x
+    assert np.allclose(out, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_apply_without_coupling_is_conducting_block(rng, make_linear_system):
+    system, blocks = make_linear_system(rng, n_c=3, n_n=5)
+    decoupled = PartitionedSystem.linear(
+        mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
+        kn=system.kn, kc=system.kc_matrix(None), source=system.source)
+    op = SchurOperator(decoupled, pcg=TIGHT)
+    x = rng.standard_normal(3)
+    out, inner = op.apply_detached(x, lin_state=x)
+    assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
+    # a zero coupling right-hand side needs no K_n product
+    assert np.array_equal(inner, np.zeros(5))
+    assert op.pcg_applies == 0
+    zero, _ = op.apply_detached(np.zeros(3), lin_state=np.zeros(3))
+    assert np.array_equal(zero, np.zeros(3))
+
+
 def test_apply_matches_dense_schur_singular(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=4, n_n=7, singular=True)
     op = SchurOperator(system, pcg=TIGHT)
