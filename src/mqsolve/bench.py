@@ -110,8 +110,8 @@ class RunConfig:
     # explicit integrator knobs
     safety: float = 0.9
     reestimate_every: int = 500
-    power_iters: int = 200
-    power_tol: float = 1e-4
+    cfl_steps: int = 60
+    cfl_tol: float = 1e-3
 
     _PARSERS = {
         "dt": _parse_dt,
@@ -144,6 +144,10 @@ class RunConfig:
             raise ConfigError("max_basis must be at least 1")
         if self.max_newton < 1:
             raise ConfigError("max_newton must be at least 1")
+        if self.cfl_steps < 1:
+            raise ConfigError("cfl_steps must be at least 1")
+        if not (self.cfl_tol >= 0):
+            raise ConfigError("cfl_tol must be nonnegative")
         try:
             Preconditioner(self.preconditioner)
         except ValueError:
@@ -219,7 +223,7 @@ class RunConfig:
             strategy=self.strategy, pcg=self.pcg_config(),
             output_period=self.output_period,
             reestimate_every=self.reestimate_every, safety=self.safety,
-            power_iters=self.power_iters, power_tol=self.power_tol,
+            cfl_steps=self.cfl_steps, cfl_tol=self.cfl_tol,
             seed=self.seed, max_cols=self.max_basis, n_pod=self.n_pod,
             eps_pod=self.eps_pod)
 
@@ -378,8 +382,8 @@ def estimate_start_cfl(system: PartitionedSystem,
                        config: RunConfig) -> CflEstimate:
     """Stable-step estimate at the zero state with the config's CFL knobs."""
     op = SchurOperator(system, pcg=config.pcg_config(), strategy="previous")
-    return estimate_cfl(op, power_iters=config.power_iters,
-                        power_tol=config.power_tol, safety=config.safety,
+    return estimate_cfl(op, cfl_steps=config.cfl_steps,
+                        cfl_tol=config.cfl_tol, safety=config.safety,
                         seed=config.seed)
 
 

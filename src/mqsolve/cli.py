@@ -140,7 +140,11 @@ def _cmd_cfl(args) -> int:
     from .bench import _model_from_config
     system, _ = _model_from_config(config)
     estimate = estimate_start_cfl(system, config)
-    print(f"lambda_max = {estimate.lambda_max:.6e}")
+    print(f"lambda_max = {estimate.lambda_max:.6e}  "
+          f"(Ritz value, {estimate.power_iters} Lanczos steps)")
+    print(f"residual   = {estimate.residual:.6e}")
+    print(f"bound      = {estimate.bound:.6e}  "
+          f"(ceiling {estimate.ceiling:.6e})")
     print(f"dt_max     = {estimate.dt_max:.6e}  "
           f"(safety {estimate.safety})")
     return EXIT_OK

@@ -530,7 +530,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
         nu_c, dnu_c = reluctivity(conductor, conductor_b2(phi))
         return base_weights + face_by_cond @ nu_c, phi
 
-    # kc_apply runs once per explicit step and per power iteration; a fresh
+    # kc_apply runs once per explicit step and per Lanczos step; a fresh
     # .T view on each call costs more than the product with it
     c_cond_t = c_cond.T.tocsr()
 

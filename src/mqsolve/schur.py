@@ -16,8 +16,10 @@ time adds two more, of which the source-family solve is a repeat that warm
 starts to zero iterations.
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S); the
-bound is estimated by power iteration and refreshed periodically during a
-run because saturation changes K_S.
+bound is estimated by Lanczos with a Ritz-residual certificate and checked
+against a Gershgorin ceiling that needs no inner solve. Saturation changes
+K_S, so a run refreshes the bound periodically; only K_c depends on the
+state, so a refresh reuses the Krylov basis and its inner solutions.
 """
 
 from __future__ import annotations
@@ -200,26 +202,27 @@ class SchurOperator:
     def minv(self, x: np.ndarray) -> np.ndarray:
         return self._minv_diag * x
 
-    def apply_detached(self, x, lin_state, inner_start=None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """K_S x with an explicit inner start vector and no family history.
+    def apply_detached(self, x, lin_state) -> tuple[np.ndarray, np.ndarray]:
+        """K_S x with a cold inner solve that leaves no family history.
 
         Used by the spectral estimator so its probing solves do not pollute
-        the time-stepping caches. Returns (K_S x, inner solution).
+        the time-stepping caches. Returns (K_S x, inner solution
+        K_n^+ K_cn^T x).
         """
         w = spmv_transpose(self.system.kcn, x)
-        y, _ = self._solve(w, x0=inner_start)
+        y, _ = self._solve(w)
         return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y), y
 
-    def _solve(self, rhs, family: RhsFamily | None = None, x0=None,
+    def _solve(self, rhs, family: RhsFamily | None = None,
                step: int | None = None) -> tuple[np.ndarray, SolveReport]:
         """The one PCG solve on K_n behind every inner action.
 
         With a *family* the start vector comes from the strategy, and the
         solution and iteration count go back to it and to the family log;
-        without one the solve starts from *x0* and leaves no history.
+        without one the solve starts from zero and leaves no history.
         """
         started = time.perf_counter()
+        x0 = None
         try:
             if family is not None:
                 x0 = self.strategy.start_vector(family, rhs)
@@ -258,78 +261,144 @@ def _solve_name(family: RhsFamily | None, step: int | None) -> str:
 
 @dataclass(frozen=True)
 class CflEstimate:
-    """Largest stable explicit step: dt_max = safety * 2 / lambda_max.
+    """Largest stable explicit step: dt_max = safety * 2 / bound.
 
-    ``vector`` is the last power iterate (unit norm); passing it as ``v0`` to
-    the next estimate warm-starts that estimate.
+    ``lambda_max`` is the top Ritz value theta of the eliminated operator,
+    ``residual`` the norm of its explicit Ritz residual, ``bound`` their sum
+    and ``ceiling`` the Gershgorin bound of M_c^{-1/2} K_c M_c^{-1/2}, which
+    no eigenvalue of the eliminated operator exceeds. ``power_iters`` counts
+    the Lanczos steps this estimate took, one inner K_n solve each. ``basis``
+    (orthonormal columns Q in the scaled space) and ``coupling``
+    (M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2} Q) do not depend on the state;
+    passing the estimate as ``previous`` to the next estimate reuses them.
     """
 
     lambda_max: float
+    residual: float
+    ceiling: float
     dt_max: float
     safety: float
     power_iters: int
-    power_tol: float
-    vector: np.ndarray = field(repr=False, compare=False)
+    cfl_tol: float
+    basis: np.ndarray = field(repr=False, compare=False)
+    coupling: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def bound(self) -> float:
+        return self.lambda_max + self.residual
 
 
-def estimate_cfl(op: SchurOperator, a_c_ref=None, *, power_iters: int = 200,
-                 power_tol: float = 1e-4, safety: float = 0.9,
-                 seed: int = 42, v0=None) -> CflEstimate:
-    """Estimate lambda_max(M_c^{-1} K_S) by power iteration.
+def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Top Ritz pair of the basis q with products aq: (theta, y, residual)."""
+    h = q.T @ aq
+    theta, vectors = np.linalg.eigh(0.5 * (h + h.T))
+    y = vectors[:, -1]
+    residual = float(np.linalg.norm(aq @ y - theta[-1] * (q @ y)))
+    return float(theta[-1]), y, residual
 
-    The Rayleigh quotient is taken in the M_c inner product, so it converges
-    to the largest generalized eigenvalue from below; the safety factor
-    guards the remaining gap. A zero or missing start vector is reseeded with
-    a fixed-seed pseudo-random vector so runs stay deterministic.
 
-    The stagnation test stops early when the top eigenvalues cluster. On the
-    8-cell builtin model at a_c = 0 the top two are 83,517 and 83,535, and a
-    cold start stops 0.18% low (83,382 at seed 42). Warm-starting from an
-    earlier estimate's ``vector`` resumes the iteration instead: it needs a
-    few iterations where a cold start needs about 90, and its estimate keeps
-    climbing towards lambda_max.
+def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
+                 cfl_tol: float = 1e-3, safety: float = 0.9, seed: int = 42,
+                 previous: CflEstimate | None = None,
+                 step: int | None = None) -> CflEstimate:
+    """Estimate lambda_max(M_c^{-1} K_S) by Lanczos with a residual certificate.
+
+    M_c is diagonal, so M_c^{-1} K_S has the eigenvalues of the symmetric
+    A = M_c^{-1/2} K_S(a) M_c^{-1/2}. Lanczos with full reorthogonalisation
+    runs on A from a fixed-seed pseudo-random start vector, written as
+    Rayleigh-Ritz on a growing orthonormal basis whose next direction is the
+    top Ritz residual (in exact arithmetic the Lanczos vector). Each step
+    costs one inner K_n solve. It stops when the explicit Ritz residual is
+    at most ``cfl_tol * theta``, after ``cfl_steps`` steps, or when the basis
+    spans an invariant subspace (the whole space at the latest), where theta
+    is exact and the residual is 0. On the 8-cell builtin model at a_c = 0
+    the top two eigenvalues are 83,517 and 83,535, and 20 steps meet the
+    default tolerance 1e-3.
+
+    Only K_c depends on the state. With ``previous`` the estimate first does
+    Rayleigh-Ritz on the previous basis, with its stored coupling products
+    and K_c at *a_c_ref*: no K_n solve. Lanczos continues from that Ritz
+    vector only if the residual is above the tolerance; a basis of
+    ``cfl_steps`` columns restarts from the Ritz vector.
+
+    A theta above the Gershgorin ceiling of M_c^{-1/2} K_c M_c^{-1/2} is
+    impossible, since K_cn K_n^+ K_cn^T is positive semidefinite: it raises
+    StepFailureError naming *step*, as a broken inner solve. The bound
+    theta + residual is not held to the ceiling: the residual of an estimate
+    stopped by ``cfl_steps`` may pass it with correct solves.
     """
     if not (0.0 < safety <= 1.0):
         raise ValueError("safety must lie in (0, 1]")
-    if power_iters < 1:
-        raise ValueError("power_iters must be at least 1")
-    n = op.system.n_c
+    if cfl_steps < 1:
+        raise ValueError("cfl_steps must be at least 1")
+    if not (cfl_tol >= 0.0):
+        raise ValueError("cfl_tol must be nonnegative")
+    system = op.system
+    n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
-    if v0 is not None:
-        v = np.asarray(v0, dtype=np.float64).copy()
-        if v.shape != (n,) or not np.linalg.norm(v) > 0.0:
-            v = None
-        else:
-            v = v / np.linalg.norm(v)
+    scale = np.sqrt(op.minv(np.ones(n)))
+    kc = system.kc_matrix(ref).to_scipy()
+    ceiling = float((scale * (abs(kc) @ scale)).max())
+
+    def lanczos_step(v):
+        # A v and C v, C = M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2}, from one
+        # inner solve
+        ks_x, y = op.apply_detached(scale * v, ref)
+        return scale * ks_x, scale * spmv(system.kcn, y)
+
+    if previous is not None:
+        q, cq = previous.basis, previous.coupling
+        if q.shape[0] != n:
+            raise ValueError("previous estimate belongs to another system")
+        aq = scale[:, None] * (kc @ (scale[:, None] * q)) - cq
+        steps = 0
     else:
-        v = None
-    if v is None:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(n)
+        v = np.random.default_rng(seed).standard_normal(n)
         v /= np.linalg.norm(v)
-    mc = op.system.mc.to_scipy()
-    lam = 0.0
-    lam_prev = None
-    inner = None
-    used = power_iters
-    for it in range(1, power_iters + 1):
-        w, inner = op.apply_detached(v, ref, inner_start=inner)
-        den = float(v @ (mc @ v))
-        lam = float(v @ w) / den
-        u = op.minv(w)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            raise StepFailureError("power iteration collapsed to the nullspace")
-        v = u / norm_u
-        if lam_prev is not None and abs(lam - lam_prev) <= power_tol * abs(lam):
-            used = it
+        av, cv = lanczos_step(v)
+        q, aq, cq = v[:, None], av[:, None], cv[:, None]
+        steps = 1
+    while True:
+        theta, y, residual = _ritz(q, aq)
+        if q.shape[1] == n:
+            residual = 0.0
+        if residual <= cfl_tol * abs(theta):
             break
-        lam_prev = lam
-    if not (lam > 0.0) or not np.isfinite(lam):
-        raise StepFailureError(f"spectral estimate is not positive: {lam}")
-    return CflEstimate(lambda_max=lam, dt_max=safety * 2.0 / lam,
-                       safety=safety, power_iters=used, power_tol=power_tol,
-                       vector=v)
+        if steps == cfl_steps:
+            log.warning("CFL estimate stopped after %d Lanczos steps at "
+                        "residual %.3e > %.1e * theta", steps, residual,
+                        cfl_tol)
+            break
+        if q.shape[1] >= cfl_steps:
+            q, aq, cq = q @ y[:, None], aq @ y[:, None], cq @ y[:, None]
+        # the Ritz residual is orthogonal to the basis; two Gram-Schmidt
+        # sweeps keep it so in floating point
+        v = aq @ y - theta * (q @ y)
+        for _ in range(2):
+            v -= q @ (q.T @ v)
+        beta = np.linalg.norm(v)
+        if beta <= n * np.finfo(float).eps * abs(theta):
+            residual = 0.0           # invariant subspace: theta is exact
+            break
+        av, cv = lanczos_step(v / beta)
+        q = np.column_stack([q, v / beta])
+        aq = np.column_stack([aq, av])
+        cq = np.column_stack([cq, cv])
+        steps += 1
+    if not (theta > 0.0) or not np.isfinite(theta):
+        raise StepFailureError(f"spectral estimate is not positive: {theta}")
+    # rounding, and the inner solves' tolerance, may lift an exact theta
+    # just above the ceiling
+    if theta > ceiling * (1.0 + max(op.pcg.rel_tol, 1e-8)):
+        where = f" at step {step}" if step is not None else ""
+        raise StepFailureError(
+            f"spectral estimate{where}: Ritz value {theta:.6e} exceeds the "
+            f"Gershgorin ceiling {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, "
+            "so an inner K_n solve is wrong")
+    return CflEstimate(lambda_max=theta, residual=residual, ceiling=ceiling,
+                       dt_max=safety * 2.0 / (theta + residual), safety=safety,
+                       power_iters=steps, cfl_tol=cfl_tol, basis=q,
+                       coupling=cq)
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -493,21 +562,22 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                  strategy="cspe", pcg: PcgConfig | None = None,
                  output_period: float = 1e-3, probe=None,
                  reestimate_every: int = 500, safety: float = 0.9,
-                 power_iters: int = 200, power_tol: float = 1e-4,
+                 cfl_steps: int = 60, cfl_tol: float = 1e-3,
                  seed: int = 42, max_cols: int = 20, n_pod: int = 10,
                  eps_pod: float = 1e-4,
                  max_steps: int = 2_000_000) -> TransientResult:
     """Integrate the eliminated system with explicit Euler.
 
-    ``dt="auto"`` estimates the stability bound up front and re-estimates
-    every ``reestimate_every`` steps at the current state, shrinking the step
-    when saturation tightened the bound (a fixed dt is never adjusted).
-    Each re-estimate is warm-started from the previous estimate's power
-    iterate, so it costs a few power iterations instead of a cold start's
-    ~90, and it corrects the cold estimate's early stop below lambda_max
-    (0.18% on the 8-cell builtin model, see ``estimate_cfl``). Every
-    re-estimate is logged in ``aggregates["cfl_history"]`` as
-    ``(step, lambda_max, power_iters, dt)``, dt being the step used after it.
+    ``dt="auto"`` estimates the stability bound up front by Lanczos (see
+    ``estimate_cfl``) and re-estimates every ``reestimate_every`` steps at
+    the current state, shrinking the step when saturation tightened the
+    bound (a fixed dt is never adjusted). A re-estimate is Rayleigh-Ritz on
+    the previous estimate's Krylov basis with K_c at the current state; it
+    needs no K_n solve unless its residual misses ``cfl_tol``, and then
+    Lanczos continues from the Ritz vector. Every re-estimate is logged in
+    ``aggregates["cfl_history"]`` as ``(step, lambda_max, steps, dt)``:
+    the Ritz value, the Lanczos steps (inner solves) it took, and the step
+    used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
     ``pcg`` configures the inner solves as in :class:`SchurOperator`.
 
@@ -523,8 +593,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     if auto:
         if dt != "auto":
             raise ValueError(f"dt must be a number or 'auto', got {dt!r}")
-        est = estimate_cfl(op, power_iters=power_iters, power_tol=power_tol,
-                           safety=safety, seed=seed)
+        est = estimate_cfl(op, cfl_steps=cfl_steps, cfl_tol=cfl_tol,
+                           safety=safety, seed=seed, step=0)
         dt_val = est.dt_max
         lambda_max = est.lambda_max
     else:
@@ -542,9 +612,9 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     while trace.running(t):
         if auto and reestimate_every > 0 and steps > 0 \
                 and steps % reestimate_every == 0:
-            est = estimate_cfl(op, a_c_ref=a_c, power_iters=power_iters,
-                               power_tol=power_tol, safety=safety, seed=seed,
-                               v0=est.vector)
+            est = estimate_cfl(op, a_c_ref=a_c, cfl_steps=cfl_steps,
+                               cfl_tol=cfl_tol, safety=safety, seed=seed,
+                               previous=est, step=steps)
             lambda_max = est.lambda_max
             if est.dt_max < dt_val:
                 log.info("stability bound tightened: dt %.3e -> %.3e",

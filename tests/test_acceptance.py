@@ -107,7 +107,7 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear):
     reference = scipy.linalg.eigh(dense, np.diag(system.mc.diagonal()),
                                   eigvals_only=True)[-1]
     rel = abs(estimate.lambda_max - reference) / reference
-    print(f"power {estimate.lambda_max:.5e} vs dense {reference:.5e} "
+    print(f"lanczos {estimate.lambda_max:.5e} vs dense {reference:.5e} "
           f"({n_c} dofs): rel diff {rel:.2e} (<= 2e-2)")
     assert rel <= 0.02
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mqsolve import TransientResult, export_model
-from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig, load_model,
-                           run_benchmark, run_single, trace_bytes,
-                           write_trace)
+from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig,
+                           estimate_start_cfl, load_model, run_benchmark,
+                           run_single, trace_bytes, write_trace)
 from mqsolve.cli import main as cli_main
 
 
@@ -96,13 +96,36 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_sources(not_json, env={})
 
 
+@pytest.mark.parametrize("key", ["power_iters", "power_tol"])
+def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
+    old_file = tmp_path / "old.json"
+    old_file.write_text(json.dumps({key: 100}))
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_sources(old_file, env={})
+    assert cli_main(["cfl", "--cells", "6", "--config", str(old_file)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cfl_settings_reach_the_estimate(builtin6):
+    config = RunConfig.from_sources(
+        env={"MQS_CFL_TOL": "1e-5", "MQS_CFL_STEPS": "40"})
+    assert (config.cfl_tol, config.cfl_steps) == (1e-5, 40)
+    options = config.explicit_options()
+    assert (options["cfl_tol"], options["cfl_steps"]) == (1e-5, 40)
+    est = estimate_start_cfl(builtin6.system, config)
+    assert est.cfl_tol == 1e-5
+    assert est.residual <= 1e-5 * est.lambda_max
+    assert 0 < est.power_iters <= 40
+
+
 def test_config_validation_errors():
     cases = [dict(integrator="leapfrog"), dict(strategy="banana"),
              dict(t_end=0.0), dict(output_period=0.0), dict(dt=0.0),
              dict(tol=0.0), dict(newton_tol=0.0), dict(implicit_dt=0.0),
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
-             dict(max_basis=0), dict(max_newton=0),
-             dict(preconditioner="magic"), dict(model="")]
+             dict(max_basis=0), dict(max_newton=0), dict(cfl_steps=0),
+             dict(cfl_tol=-1e-3), dict(preconditioner="magic"),
+             dict(model="")]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
@@ -366,6 +389,8 @@ def test_cli_cfl(capsys):
     out = capsys.readouterr().out
     assert "lambda_max" in out
     assert "dt_max" in out
+    for label in ("residual", "bound", "ceiling", "Lanczos steps"):
+        assert label in out
 
 
 def test_cli_bench(tmp_path, capsys):

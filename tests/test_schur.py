@@ -12,7 +12,7 @@ from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
                      Preconditioner, RhsFamily, ScaledPatternSource,
                      SchurOperator, StepFailureError, estimate_cfl,
                      explicit_euler_step, exponential_ramp, krylov,
-                     pcg_solve, recover_an, run_explicit)
+                     pcg_solve, recover_an, run_explicit, schur)
 from mqsolve.schur import TraceRecorder
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
@@ -265,24 +265,26 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0])),
         source=system.source)
     op = SchurOperator(decoupled, pcg=TIGHT)
-    est = estimate_cfl(op, power_tol=1e-10, power_iters=500)
+    est = estimate_cfl(op, cfl_tol=1e-10, cfl_steps=500)
     assert est.lambda_max == pytest.approx(4.0, rel=1e-6)
     assert est.dt_max == pytest.approx(0.45, rel=1e-6)
     assert est.safety == 0.9
+    # the basis spans the whole space after n_c = 2 steps: theta is exact
+    assert (est.power_iters, est.residual) == (2, 0.0)
 
     coupled_kc = CsrMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
     op2 = SchurOperator(PartitionedSystem.linear(
         mc=CsrMatrix.identity(2),
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=coupled_kc, source=system.source), pcg=TIGHT)
-    est2 = estimate_cfl(op2, power_tol=1e-10, power_iters=500)
+    est2 = estimate_cfl(op2, cfl_tol=1e-10, cfl_steps=500)
     assert est2.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=6, n_n=9, singular=True)
     op = SchurOperator(system, pcg=TIGHT)
-    est = estimate_cfl(op, power_tol=1e-10, power_iters=2000)
+    est = estimate_cfl(op, cfl_tol=1e-10, cfl_steps=2000)
     ks = dense_schur(blocks)
     lam = scipy.linalg.eigh(ks, np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
@@ -290,16 +292,47 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     assert est.dt_max == pytest.approx(0.9 * 2.0 / lam, rel=1e-6)
 
 
-def test_cfl_zero_start_vector_reseeds_deterministically(rng,
-                                                         make_linear_system):
-    system, _ = make_linear_system(rng, n_c=3, n_n=5)
+def test_cfl_validation(rng, make_linear_system):
+    system, _ = make_linear_system(rng)
     op = SchurOperator(system, pcg=TIGHT)
-    a = estimate_cfl(op, v0=None)
-    b = estimate_cfl(op, v0=np.zeros(3))
-    assert a.lambda_max == b.lambda_max
+    with pytest.raises(ValueError):
+        estimate_cfl(op, safety=0.0)
+    with pytest.raises(ValueError):
+        estimate_cfl(op, safety=1.5)
+    with pytest.raises(ValueError):
+        estimate_cfl(op, cfl_steps=0)
+    with pytest.raises(ValueError):
+        estimate_cfl(op, cfl_tol=-1.0)
 
 
-def test_warm_started_cfl_estimate_resumes_below_the_dense_bound(builtin6):
+def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
+                                                           make_linear_system):
+    # two distinct eigenvalues: the Krylov space is invariant after two steps
+    system, _ = make_linear_system(rng, n_c=5, n_n=4)
+    op = SchurOperator(PartitionedSystem.linear(
+        mc=CsrMatrix.identity(5),
+        kcn=CsrMatrix.from_dense(np.zeros((5, 4))), kn=system.kn,
+        kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0, 1.0, 4.0, 1.0])),
+        source=system.source), pcg=TIGHT)
+    est = estimate_cfl(op, cfl_tol=0.0)
+    assert est.power_iters == 2
+    assert est.residual == 0.0
+    assert est.lambda_max == pytest.approx(4.0, rel=1e-12)
+    assert est.basis.shape == est.coupling.shape == (5, 2)
+
+
+def dense_lambda_max(op, a_c):
+    """Top generalized eigenvalue of K_S(a_c), assembled column by column."""
+    n_c = op.system.n_c
+    dense = np.zeros((n_c, n_c))
+    for i in range(n_c):
+        dense[:, i], _ = op.apply_detached(np.eye(n_c)[i], a_c)
+    dense = 0.5 * (dense + dense.T)
+    return scipy.linalg.eigh(dense, np.diag(op.system.mc.diagonal()),
+                             eigvals_only=True)[-1]
+
+
+def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(builtin6):
     system = builtin6.system
     op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
                                              preconditioner=JACOBI),
@@ -311,29 +344,119 @@ def test_warm_started_cfl_estimate_resumes_below_the_dense_bound(builtin6):
         a_c, _ = explicit_euler_step((a_c, t), first.dt_max, op,
                                      step_index=step)
         t += first.dt_max
-    cold = estimate_cfl(op, a_c_ref=a_c)
-    warm = estimate_cfl(op, a_c_ref=a_c, v0=first.vector)
+    applies = op.pcg_applies
+    refresh = estimate_cfl(op, a_c_ref=a_c, previous=first)
+    assert op.pcg_applies == applies and refresh.power_iters == 0
+    # a tolerance no Rayleigh-Ritz step on the old basis meets
+    fallback = estimate_cfl(op, a_c_ref=a_c, previous=first, cfl_tol=1e-9)
+    assert fallback.power_iters > 0 and op.pcg_applies > applies
 
-    n_c = system.n_c
-    dense = np.zeros((n_c, n_c))
-    for i in range(n_c):
-        dense[:, i], _ = op.apply_detached(np.eye(n_c)[i], a_c)
-    dense = 0.5 * (dense + dense.T)
-    lam = scipy.linalg.eigh(dense, np.diag(system.mc.diagonal()),
+    lam = dense_lambda_max(op, a_c)
+    # the inner solves' tolerance bounds how far theta may pass lam
+    for est in (refresh, fallback):
+        assert est.lambda_max <= lam * (1.0 + 1e-8)
+        assert lam <= est.lambda_max + est.residual == est.bound
+        assert est.bound < est.ceiling
+        assert est.dt_max == 0.9 * 2.0 / est.bound
+    assert refresh.residual <= 1e-3 * refresh.lambda_max
+    assert fallback.residual < refresh.residual
+
+
+def logged_refreshes(system, monkeypatch, cfl_tol):
+    """Run 350 auto-dt steps with a refresh every 100, checking its log.
+
+    Returns the ``cfl_history`` after checking it against what each
+    estimate returned and the K_n products each one made.
+    """
+    calls = []
+    original = schur.estimate_cfl
+
+    def estimate(op, *args, **kwargs):
+        before = op.pcg_applies
+        est = original(op, *args, **kwargs)
+        calls.append((kwargs.get("previous"), est, op.pcg_applies - before))
+        return est
+
+    monkeypatch.setattr(schur, "estimate_cfl", estimate)
+    dt0 = estimate_cfl(SchurOperator(system), cfl_tol=cfl_tol).dt_max
+    result = run_explicit(system, t_end=350.5 * dt0, strategy="cspe",
+                          cfl_tol=cfl_tol, reestimate_every=100)
+    agg = result.aggregates
+    history = agg["cfl_history"]
+    assert agg["cfl_refreshes"] == len(history) == 3
+    assert [entry[0] for entry in history] == [100, 200, 300]
+    assert calls[0][1].dt_max == dt0 and calls[0][0] is None
+    for entry, (previous, est, applies) in zip(history, calls[1:]):
+        step, lambda_max, steps, dt = entry
+        assert previous is not None
+        assert (lambda_max, steps) == (est.lambda_max, est.power_iters)
+        # a refresh costs inner solves only when it extends the basis
+        assert (steps > 0) == (applies > 0)
+    dts = [dt0] + [entry[3] for entry in history]
+    assert dts == sorted(dts, reverse=True)
+    assert history[-1][1] == agg["lambda_max"]
+    assert history[-1][3] == agg["dt"]
+    return history
+
+
+def test_run_explicit_logs_every_cfl_refresh(builtin6, monkeypatch):
+    # the default tolerance holds on the stored basis: no K_n solve
+    history = logged_refreshes(builtin6.system, monkeypatch, 1e-3)
+    assert [entry[2] for entry in history] == [0, 0, 0]
+
+
+def test_run_explicit_logs_a_forced_lanczos_fallback(builtin6, monkeypatch):
+    # after 100 steps the stored basis no longer holds 1e-10
+    history = logged_refreshes(builtin6.system, monkeypatch, 1e-10)
+    assert any(entry[2] > 0 for entry in history)
+
+
+def test_cfl_estimate_above_the_gershgorin_ceiling_names_the_step(
+        builtin6, monkeypatch):
+    system = builtin6.system
+    op = SchurOperator(system)
+    est = estimate_cfl(op)
+    scale = 1.0 / np.sqrt(system.mc.diagonal())
+    kc = np.abs(system.kc_matrix(np.zeros(system.n_c)).to_dense())
+    assert est.ceiling == pytest.approx((scale * (kc @ scale)).max(),
+                                        rel=1e-14)
+    assert est.lambda_max < est.bound < est.ceiling
+
+    # a broken inner solve: K_S x comes back doubled
+    original = SchurOperator.apply_detached
+
+    def doubled(self, x, lin_state):
+        ks_x, y = original(self, x, lin_state)
+        return 2.0 * ks_x, y
+
+    monkeypatch.setattr(SchurOperator, "apply_detached", doubled)
+    with pytest.raises(StepFailureError, match="at step 7.*Gershgorin"):
+        estimate_cfl(op, step=7)
+    with pytest.raises(StepFailureError, match="at step 0.*Gershgorin"):
+        run_explicit(system, t_end=1e-4, strategy="cspe")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(1, 7),
+       n_n=st.integers(2, 9), singular=st.booleans(),
+       cfl_steps=st.integers(1, 8))
+def test_ritz_value_stays_below_the_dense_eigenvalue(make_linear_system, seed,
+                                                     n_c, n_n, singular,
+                                                     cfl_steps):
+    system, blocks = make_linear_system(np.random.default_rng(seed), n_c=n_c,
+                                        n_n=n_n, singular=singular)
+    est = estimate_cfl(SchurOperator(system, pcg=TIGHT), cfl_steps=cfl_steps,
+                       cfl_tol=1e-6, seed=seed)
+    lam = scipy.linalg.eigh(dense_schur(blocks), np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
-    assert warm.power_iters < cold.power_iters
-    assert cold.lambda_max <= warm.lambda_max <= lam * (1.0 + 1e-6)
-
-
-def test_cfl_validation(rng, make_linear_system):
-    system, _ = make_linear_system(rng)
-    op = SchurOperator(system, pcg=TIGHT)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, safety=0.0)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, safety=1.5)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, power_iters=0)
+    assert est.lambda_max <= lam * (1.0 + 1e-9)
+    assert est.lambda_max <= est.ceiling * (1.0 + 1e-9)
+    # bitwise deterministic for a fixed seed, on a fresh operator
+    again = estimate_cfl(SchurOperator(system, pcg=TIGHT),
+                         cfl_steps=cfl_steps, cfl_tol=1e-6, seed=seed)
+    assert again == est
+    assert np.array_equal(again.basis, est.basis)
+    assert np.array_equal(again.coupling, est.coupling)
 
 
 def test_final_state_is_strategy_independent(rng, make_linear_system):
@@ -367,24 +490,6 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system):
         run_explicit(system, t_end=1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         run_explicit(system, t_end=1.0, dt=1e-3, output_period=0.0)
-
-
-def test_run_explicit_logs_every_cfl_refresh(rng, make_linear_system):
-    system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
-    cold = estimate_cfl(SchurOperator(system, pcg=TIGHT))
-    dt0 = cold.dt_max
-    result = run_explicit(system, t_end=23.5 * dt0, strategy="cspe",
-                          pcg=TIGHT, reestimate_every=5)
-    agg = result.aggregates
-    history = agg["cfl_history"]
-    assert agg["cfl_refreshes"] == len(history) == 4
-    assert [entry[0] for entry in history] == [5, 10, 15, 20]
-    dts = [entry[3] for entry in history]
-    assert dts == sorted(dts, reverse=True) and all(dt <= dt0 for dt in dts)
-    assert history[-1][1] == agg["lambda_max"]
-    assert history[-1][3] == agg["dt"]
-    # each refresh resumes from the previous power iterate
-    assert all(1 <= entry[2] < cold.power_iters for entry in history)
 
 
 def test_run_explicit_step_budget(rng, make_linear_system):
