@@ -266,7 +266,10 @@ class CflEstimate:
     ``lambda_max`` is the top Ritz value theta of the eliminated operator,
     ``residual`` the norm of its explicit Ritz residual, ``bound`` their sum
     and ``ceiling`` the Gershgorin bound of M_c^{-1/2} K_c M_c^{-1/2}, which
-    no eigenvalue of the eliminated operator exceeds. ``power_iters`` counts
+    no eigenvalue of the eliminated operator exceeds. Only the ceiling is a
+    guaranteed upper bound on lambda_max: the residual shows that *some*
+    eigenvalue lies within it of theta, and ``bound`` is above lambda_max
+    only if theta approximates the top eigenvalue (see estimate_cfl). ``power_iters`` counts
     the Lanczos steps this estimate took, one inner K_n solve each. ``basis``
     (orthonormal columns Q in the scaled space) and ``coupling``
     (M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2} Q) do not depend on the state;
@@ -321,6 +324,16 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
     vector only if the residual is above the tolerance; a basis of
     ``cfl_steps`` columns restarts from the Ritz vector.
 
+    theta never exceeds lambda_max, and an eigenvalue lies within the
+    residual of theta. theta + residual is therefore an upper bound on
+    lambda_max only when theta approximates the top eigenvalue, not one
+    below it: likely from a random start vector once the residual meets
+    ``cfl_tol``, but not certified. An estimate stopped by ``cfl_steps`` can
+    fall short: on the 6-cell builtin model at a_c = 0, five steps give
+    theta + residual = 82,423 against lambda_max = 83,622. Explicit Euler
+    keeps a margin of 1 / safety; anything that needs a guaranteed bound
+    must use the ceiling.
+
     A theta above the Gershgorin ceiling of M_c^{-1/2} K_c M_c^{-1/2} is
     impossible, since K_cn K_n^+ K_cn^T is positive semidefinite: it raises
     StepFailureError naming *step*, as a broken inner solve. The bound
@@ -369,11 +382,12 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
                         "residual %.3e > %.1e * theta", steps, residual,
                         cfl_tol)
             break
-        if q.shape[1] >= cfl_steps:
-            q, aq, cq = q @ y[:, None], aq @ y[:, None], cq @ y[:, None]
         # the Ritz residual is orthogonal to the basis; two Gram-Schmidt
         # sweeps keep it so in floating point
         v = aq @ y - theta * (q @ y)
+        if q.shape[1] >= cfl_steps:
+            # restart from the Ritz vector, to which v is orthogonal too
+            q, aq, cq = q @ y[:, None], aq @ y[:, None], cq @ y[:, None]
         for _ in range(2):
             v -= q @ (q.T @ v)
         beta = np.linalg.norm(v)

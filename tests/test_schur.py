@@ -362,6 +362,37 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(builtin6):
     assert fallback.residual < refresh.residual
 
 
+def test_cfl_refresh_restarts_a_full_basis(builtin6):
+    system = builtin6.system
+    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
+                                             preconditioner=JACOBI))
+    # the start estimate stops at the cap with a basis of cfl_steps columns
+    first = estimate_cfl(op, cfl_steps=5)
+    assert first.power_iters == 5 and first.basis.shape[1] == 5
+    assert first.residual > 1e-3 * first.lambda_max
+    # the refresh misses the tolerance on that basis and must restart
+    refresh = estimate_cfl(op, previous=first, cfl_steps=5, cfl_tol=1e-9)
+    assert refresh.power_iters == 5
+    q = refresh.basis
+    assert q.shape[1] < 5
+    assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    # the restart keeps the Ritz vector, so theta cannot fall
+    lam = dense_lambda_max(op, np.zeros(system.n_c))
+    assert first.lambda_max <= refresh.lambda_max <= lam * (1.0 + 1e-8)
+    # the stored coupling products still belong to the restarted basis
+    scale = 1.0 / np.sqrt(system.mc.diagonal())
+    for j in range(q.shape[1]):
+        _, y = op.apply_detached(scale * q[:, j], np.zeros(system.n_c))
+        assert np.allclose(refresh.coupling[:, j],
+                           scale * (system.kcn.to_scipy() @ y), rtol=1e-8,
+                           atol=1e-8 * np.abs(refresh.coupling).max())
+
+    result = run_explicit(system, t_end=3e-3, strategy="cspe", cfl_steps=5,
+                          cfl_tol=1e-6, reestimate_every=50)
+    history = result.aggregates["cfl_history"]
+    assert history and all(entry[2] == 5 for entry in history)
+
+
 def logged_refreshes(system, monkeypatch, cfl_tol):
     """Run 350 auto-dt steps with a refresh every 100, checking its log.
 
