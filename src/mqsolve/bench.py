@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +31,7 @@ __all__ = [
     "StrategyRow",
     "BenchmarkSummary",
     "load_model",
+    "model_from_config",
     "write_trace",
     "trace_bytes",
     "run_single",
@@ -44,8 +44,6 @@ TRACE_HEADER = "t,B_probe,iters_src,iters_cpl_prev,iters_cpl_cur,basis_cols,pod_
 
 STRATEGIES = ("previous", "cspe", "pod")
 
-ENV_PREFIX = "MQS_"
-
 
 class ConfigError(ValueError):
     """Invalid run configuration or model manifest."""
@@ -53,7 +51,7 @@ class ConfigError(ValueError):
 
 def _parse_dt(value) -> float | str:
     if isinstance(value, str):
-        if value.strip().lower() in ("auto", "auto-cfl"):
+        if value.strip().lower() == "auto":
             return "auto"
         try:
             return float(value)
@@ -62,23 +60,12 @@ def _parse_dt(value) -> float | str:
     return float(value)
 
 
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
 @dataclass
 class RunConfig:
     """One run's worth of settings.
 
     Sources are layered: dataclass defaults, then a JSON config file, then
-    ``MQS_``-prefixed environment variables, then explicit flag overrides.
+    explicit flag overrides.
     The model source is either the string ``builtin`` or a path to a model
     manifest (directory or manifest.json).
     """
@@ -112,11 +99,6 @@ class RunConfig:
     reestimate_every: int = 500
     cfl_steps: int = 60
     cfl_tol: float = 1e-3
-
-    _PARSERS = {
-        "dt": _parse_dt,
-        "linear": _parse_bool,
-    }
 
     def validate(self) -> "RunConfig":
         if self.integrator not in ("explicit", "implicit"):
@@ -162,22 +144,25 @@ class RunConfig:
 
     @classmethod
     def _coerce(cls, name: str, value):
-        if name in cls._PARSERS:
-            return cls._PARSERS[name](value)
+        if name == "dt":
+            return _parse_dt(value)
         ftype = {f.name: f.type for f in dataclasses.fields(cls)}[name]
         try:
             if ftype == "int":
                 return int(value)
             if ftype == "float":
                 return float(value)
-            return str(value)
+            if ftype == "str":
+                return str(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {name}: {value!r}")
+            pass
+        if ftype == "bool" and isinstance(value, bool):
+            return value
+        raise ConfigError(f"bad value for {name}: {value!r}")
 
     @classmethod
-    def from_sources(cls, config_file=None, env=None, overrides=None
-                     ) -> "RunConfig":
-        """Layer defaults < config file < environment < overrides."""
+    def from_sources(cls, config_file=None, overrides=None) -> "RunConfig":
+        """Layer defaults < config file < overrides."""
         values: dict = {}
         if config_file is not None:
             path = Path(config_file)
@@ -193,11 +178,6 @@ class RunConfig:
                 if key not in cls.field_names():
                     raise ConfigError(f"unknown config key {key!r}")
                 values[key] = cls._coerce(key, value)
-        env = os.environ if env is None else env
-        for name in cls.field_names():
-            env_key = ENV_PREFIX + name.upper()
-            if env_key in env:
-                values[name] = cls._coerce(name, env[env_key])
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -234,6 +214,22 @@ def _require(manifest: dict, key: str, context: str):
     return manifest[key]
 
 
+def _section(manifest: dict, key: str, context: str) -> dict:
+    value = _require(manifest, key, context)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} entry {key!r} must be a JSON object, "
+                          f"got {value!r}")
+    return value
+
+
+def _field(section: dict, key: str, context: str, convert=float):
+    value = _require(section, key, context)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} has a bad {key!r}: {value!r}") from None
+
+
 def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     """Load a model directory written by :func:`mqsolve.model.export_model`.
 
@@ -253,13 +249,14 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"manifest is not valid JSON: {err}")
-    if manifest.get("format") != "mqsolve-model":
+    if not isinstance(manifest, dict) or (manifest.get("format")
+                                          != "mqsolve-model"):
         raise ConfigError("manifest format marker missing or unknown")
-    blocks = _require(manifest, "blocks", "manifest")
+    blocks = _section(manifest, "blocks", "manifest")
     loaded = {}
     for name in ("m_c", "k_c", "k_cn", "k_n", "source_pattern"):
-        entry = _require(blocks, name, "manifest blocks section")
-        file_path = directory / _require(entry, "file", f"block {name!r}")
+        entry = _section(blocks, name, "manifest blocks section")
+        file_path = directory / _field(entry, "file", f"block {name!r}", str)
         if not file_path.exists():
             raise ConfigError(f"block {name!r} file not found: {file_path}")
         if name == "source_pattern":
@@ -285,20 +282,27 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
         if not symmetric_check(block, 1e-12 * scale):
             raise ConfigError(f"block {name!r} is asymmetric beyond "
                               f"a relative tolerance of 1e-12")
-    waveform_info = _require(manifest, "waveform", "manifest")
+    waveform_info = _section(manifest, "waveform", "manifest")
     if waveform_info.get("kind") != "exponential_ramp":
         raise ConfigError(
             f"unknown waveform kind {waveform_info.get('kind')!r}")
-    tau = float(_require(waveform_info, "tau", "waveform section"))
+    tau = _field(waveform_info, "tau", "waveform section")
+    if not tau > 0:
+        raise ConfigError(f"waveform section 'tau' must be positive, "
+                          f"got {tau!r}")
 
-    builtin = manifest.get("builtin")
-    if builtin:
-        model = builtin_model(
-            cells=int(builtin["cells"]), h=float(builtin["h"]),
-            kappa=float(builtin["kappa"]),
-            brauer=tuple(builtin["brauer"]), amps=float(builtin["amps"]),
-            tau=float(builtin["tau"]), linear=bool(builtin["linear"]),
-            probe_cells=builtin.get("probe_cells"))
+    if manifest.get("builtin"):
+        builtin = _section(manifest, "builtin", "manifest")
+        params = {key: _field(builtin, key, "builtin section", convert)
+                  for key, convert in (("cells", int), ("h", float),
+                                       ("kappa", float), ("brauer", tuple),
+                                       ("amps", float), ("tau", float),
+                                       ("linear", bool))}
+        try:
+            model = builtin_model(**params,
+                                  probe_cells=builtin.get("probe_cells"))
+        except ValueError as err:
+            raise ConfigError(f"builtin section is unusable: {err}") from err
         rebuilt = {"m_c": model.system.mc,
                    "k_c": model.system.kc_matrix(np.zeros(model.n_c)),
                    "k_cn": model.system.kcn, "k_n": model.system.kn}
@@ -327,8 +331,9 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     return system, None, manifest
 
 
-def _model_from_config(config: RunConfig) -> tuple[PartitionedSystem,
-                                                   Model | None]:
+def model_from_config(config: RunConfig) -> tuple[PartitionedSystem,
+                                                  Model | None]:
+    """The config's model: the builtin one or a loaded model directory."""
     if config.model == "builtin":
         model = builtin_model(cells=config.cells, h=config.h,
                               kappa=config.kappa, amps=config.amps,
@@ -390,7 +395,7 @@ def estimate_start_cfl(system: PartitionedSystem,
 def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
     """Run one integrator per the config; returns (result, run metadata)."""
     config.validate()
-    system, model = _model_from_config(config)
+    system, model = model_from_config(config)
     probe = model.probe_callable() if model is not None else None
     if config.integrator == "implicit":
         dt = config.implicit_dt if config.dt == "auto" else float(config.dt)
@@ -494,29 +499,25 @@ def _result_row(name: str, result: TransientResult) -> StrategyRow:
 def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     """Run the three start strategies plus the implicit reference.
 
-    All explicit runs share one model, one dt (auto-estimated once unless
-    the config pins it), one tolerance, and one preconditioner; equal step
-    counts across strategies are asserted. Artifacts land in *out_dir*:
+    Every run is a :func:`run_single` call. The explicit runs share one dt
+    (auto-estimated once unless the config pins it), one tolerance, and one
+    preconditioner; equal step counts across strategies are asserted. The
+    reference runs at ``implicit_dt``. Artifacts land in *out_dir*:
     ``trace_<name>.csv``, ``summary.csv``, ``summary.txt``, ``timings.json``.
     """
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    system, model = _model_from_config(config)
-    probe = model.probe_callable() if model is not None else None
-
     if config.dt == "auto":
+        system, _ = model_from_config(config)
         dt = estimate_start_cfl(system, config).dt_max
     else:
         dt = float(config.dt)
 
     rows = []
-    results: dict[str, TransientResult] = {}
     for strategy in STRATEGIES:
-        result = run_explicit(
-            system, config.t_end, dt=dt, probe=probe,
-            **config.explicit_options() | {"strategy": strategy})
-        results[strategy] = result
+        result, meta = run_single(
+            dataclasses.replace(config, strategy=strategy, dt=dt))
         write_trace(result, out_dir / f"trace_{strategy}.csv")
         rows.append(_result_row(strategy, result))
 
@@ -524,16 +525,14 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     if len(step_counts) != 1:
         raise RuntimeError(f"strategies diverged in step count: {step_counts}")
 
-    implicit_result = run_implicit(system, config.t_end, config.implicit_dt,
-                                   config=config.newton_config(), probe=probe,
-                                   output_period=config.output_period)
-    results["implicit"] = implicit_result
-    write_trace(implicit_result, out_dir / "trace_implicit.csv")
-    rows.append(_result_row("implicit", implicit_result))
+    result, _ = run_single(dataclasses.replace(
+        config, integrator="implicit", dt=config.implicit_dt))
+    write_trace(result, out_dir / "trace_implicit.csv")
+    rows.append(_result_row("implicit", result))
 
     summary = BenchmarkSummary(rows=rows, metadata={
         "model": config.model,
-        "model_checksum": _model_checksum(system),
+        "model_checksum": meta["model_checksum"],
         "dt": dt,
         "t_end": config.t_end,
         "tol": config.tol,

@@ -3,8 +3,8 @@
 Subcommands: ``generate`` (write a model directory), ``run`` (one integrator
 run to a CSV trace), ``bench`` (three start strategies plus the implicit
 reference), ``cfl`` (print the stable step estimate). Settings layer as
-defaults < --config JSON < MQS_* environment < flags. Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+defaults < --config JSON < flags. Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import argparse
 import sys
 
 from .bench import (ConfigError, RunConfig, estimate_start_cfl,
-                    run_benchmark, run_single, write_trace)
+                    model_from_config, run_benchmark, run_single,
+                    write_trace)
 from .implicit import NewtonFailureError
 from .krylov import IndefiniteOperatorError
-from .model import ModelError, builtin_model, export_model
+from .model import ModelError, export_model
 from .schur import StepFailureError
 
 EXIT_OK = 0
@@ -26,7 +27,7 @@ EXIT_NUMERICAL = 3
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file merged below "
-                                         "environment and flags")
+                                         "flags")
     parser.add_argument("--model", help="'builtin' or path to a model "
                                         "manifest directory")
     parser.add_argument("--cells", type=int, help="builtin grid cells per "
@@ -98,9 +99,7 @@ def _cmd_generate(args) -> int:
     config = _config(args)
     if config.model != "builtin":
         raise ConfigError("generate only writes the builtin model")
-    model = builtin_model(cells=config.cells, h=config.h, kappa=config.kappa,
-                          amps=config.amps, tau=config.tau,
-                          linear=config.linear)
+    _, model = model_from_config(config)
     out = config.out if config.out != "." else "model"
     manifest = export_model(model, out)
     print(f"wrote {manifest.parent} ({model.n_c} conducting + "
@@ -119,10 +118,6 @@ def _cmd_run(args) -> int:
     print(f"wrote {path}: {agg['steps']} steps, integrator "
           f"{meta['integrator']}, final B "
           f"{float(result.probe_b[-1]):.6g}")
-    if agg.get("aborted"):
-        print(f"run aborted early: {agg.get('abort_reason')}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -137,8 +132,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_cfl(args) -> int:
     config = _config(args)
-    from .bench import _model_from_config
-    system, _ = _model_from_config(config)
+    system, _ = model_from_config(config)
     estimate = estimate_start_cfl(system, config)
     print(f"lambda_max = {estimate.lambda_max:.6e}  "
           f"(Ritz value, {estimate.power_iters} Lanczos steps)")

@@ -17,7 +17,6 @@ reference for the eliminated explicit one.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +36,6 @@ __all__ = [
     "implicit_euler_step",
     "run_implicit",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def _default_linear_config() -> PcgConfig:
@@ -261,9 +258,9 @@ def run_implicit(system, t_end: float, dt: float,
     explicit integrator so traces can be diffed column by column. Every
     Newton iteration's monolithic PCG solve is charged to the source family,
     so ``iters_src`` carries the mean PCG iterations per Newton solve since
-    the previous row and the coupling columns stay zero. A step failure
-    aborts the run and returns the rows collected so far with
-    ``aggregates["aborted"]`` set.
+    the previous row and the coupling columns stay zero. A step that fails
+    raises :class:`NewtonFailureError` with a message that starts with
+    ``step N:``.
     """
     iterations = {f: [] for f in FAMILIES}
     # one entry per Newton iteration
@@ -280,8 +277,6 @@ def run_implicit(system, t_end: float, dt: float,
     t = 0.0
     trace.row(t, a_c, a_n)
     steps = 0
-    aborted = False
-    abort_reason = None
     while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
@@ -289,11 +284,9 @@ def run_implicit(system, t_end: float, dt: float,
             a_c, a_n, report = implicit_euler_step((a_c, a_n, t), step_dt,
                                                    system, config,
                                                    jacobian=jacobian)
-        except NewtonFailureError as bad:
-            aborted = True
-            abort_reason = f"step {steps + 1}: {bad}"
-            log.error("implicit run aborted at %s", abort_reason)
-            break
+        except NewtonFailureError as err:
+            raise NewtonFailureError(f"step {steps + 1}: {err}",
+                                     err.residual_history) from err
         solver_seconds += time.perf_counter() - started
         t += step_dt
         steps += 1
@@ -312,6 +305,4 @@ def run_implicit(system, t_end: float, dt: float,
         "operator_applies": sum(linear),
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": solver_seconds,
-        "aborted": aborted,
-        "abort_reason": abort_reason,
     })

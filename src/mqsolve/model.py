@@ -362,8 +362,6 @@ class Model:
     tau: float
     amps: float
     probe_cells: np.ndarray
-    loop_global: np.ndarray
-    loop_signs: np.ndarray
     builtin_params: dict | None = None
 
     @property
@@ -603,8 +601,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
                  nonconducting=noncond_int, curl_interior=c_int,
                  cell_faces=cell_faces, conductor_cells=cond_cells,
                  pattern_n=pattern_n, tau=excitation.tau,
-                 amps=excitation.amps, probe_cells=probe_cells,
-                 loop_global=loop_ids, loop_signs=loop_signs)
+                 amps=excitation.amps, probe_cells=probe_cells)
 
 
 def builtin_model(cells: int = 8, h: float = 5e-3, kappa: float = 5e6,

@@ -659,5 +659,4 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "operator_applies": op.pcg_applies + op.strategy.maintenance_applies,
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": op.solver_seconds,
-        "aborted": False,
     })

@@ -64,36 +64,42 @@ def test_write_trace_roundtrip(tmp_path):
     assert len(lines) == 3
 
 
-def test_config_layering(tmp_path):
+def test_config_layering(tmp_path, monkeypatch):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(
-        {"cells": 7, "tol": 1e-7, "strategy": "pod"}))
-    env = {"MQS_TOL": "1e-5", "MQS_DT": "auto-cfl", "MQS_LINEAR": "yes",
-           "MQS_BANANA": "ignored"}
+        {"cells": 7, "tol": 1e-7, "strategy": "pod", "dt": 1e-5,
+         "linear": True}))
+    # the environment is not a settings source
+    monkeypatch.setenv("MQS_TOL", "1e-5")
     config = RunConfig.from_sources(
-        config_file, env=env,
-        overrides={"strategy": "cspe", "seed": None})
+        config_file, overrides={"strategy": "cspe", "seed": None,
+                                "dt": "auto"})
     assert config.cells == 7          # file
-    assert config.tol == 1e-5         # env beats file
-    assert config.dt == "auto"        # parsed alias
-    assert config.linear is True      # parsed bool
+    assert config.tol == 1e-7         # file, environment ignored
+    assert config.linear is True      # JSON bool
+    assert config.dt == "auto"        # override beats file
     assert config.strategy == "cspe"  # override beats file
     assert config.seed == 42          # None override skipped
+    with pytest.raises(ConfigError, match="dt"):
+        RunConfig.from_sources(overrides={"dt": "auto-cfl"})
+    config_file.write_text(json.dumps({"linear": "yes"}))
+    with pytest.raises(ConfigError, match="linear"):
+        RunConfig.from_sources(config_file)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps({"bananas": 3}))
     with pytest.raises(ConfigError):
-        RunConfig.from_sources(bad_file, env={})
+        RunConfig.from_sources(bad_file)
     with pytest.raises(ConfigError):
-        RunConfig.from_sources(env={}, overrides={"bananas": 3})
+        RunConfig.from_sources(overrides={"bananas": 3})
     with pytest.raises(ConfigError):
-        RunConfig.from_sources(tmp_path / "missing.json", env={})
+        RunConfig.from_sources(tmp_path / "missing.json")
     not_json = tmp_path / "broken.json"
     not_json.write_text("{nope")
     with pytest.raises(ConfigError):
-        RunConfig.from_sources(not_json, env={})
+        RunConfig.from_sources(not_json)
 
 
 @pytest.mark.parametrize("key", ["power_iters", "power_tol"])
@@ -101,14 +107,14 @@ def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
     old_file = tmp_path / "old.json"
     old_file.write_text(json.dumps({key: 100}))
     with pytest.raises(ConfigError, match=key):
-        RunConfig.from_sources(old_file, env={})
+        RunConfig.from_sources(old_file)
     assert cli_main(["cfl", "--cells", "6", "--config", str(old_file)]) == 2
     assert key in capsys.readouterr().err
 
 
 def test_cfl_settings_reach_the_estimate(builtin6):
     config = RunConfig.from_sources(
-        env={"MQS_CFL_TOL": "1e-5", "MQS_CFL_STEPS": "40"})
+        overrides={"cfl_tol": 1e-5, "cfl_steps": 40})
     assert (config.cfl_tol, config.cfl_steps) == (1e-5, 40)
     options = config.explicit_options()
     assert (options["cfl_tol"], options["cfl_steps"]) == (1e-5, 40)
@@ -198,8 +204,32 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
     with pytest.raises(ConfigError, match="waveform"):
         load_model(directory)
 
+    def rejects(directory, original, edit, match):
+        bad = json.loads(json.dumps(original))
+        edit(bad)
+        (directory / "manifest.json").write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=match):
+            load_model(directory)
+
+    for edit, match in [
+            (lambda m: m["waveform"].update(tau="abc"), "tau"),
+            (lambda m: m["waveform"].update(tau=-1.0), "tau"),
+            (lambda m: m.update(blocks=list(m["blocks"])), "blocks"),
+            (lambda m: m.update(waveform="exponential_ramp"), "waveform"),
+            (lambda m: m["blocks"].update(k_c="k_c.mtx"), "k_c")]:
+        rejects(directory, manifest, edit, match)
+
     manifest_file.write_text(json.dumps(manifest))
     load_model(directory)  # restored manifest loads again
+
+    # a builtin section with a missing or malformed entry
+    builtin_dir = export_model(builtin6, tmp_path / "mb").parent
+    builtin_manifest = json.loads((builtin_dir / "manifest.json").read_text())
+    for edit, match in [
+            (lambda m: m["builtin"].pop("h"), "'h'"),
+            (lambda m: m["builtin"].update(cells="six"), "cells"),
+            (lambda m: m.update(builtin=[6]), "builtin")]:
+        rejects(builtin_dir, builtin_manifest, edit, match)
 
     # asymmetric stored block
     from mqsolve import CsrMatrix, write_matrix_market
@@ -229,7 +259,6 @@ def test_run_single_explicit_monotone_field():
     assert b[0] == 0.0
     assert np.all(np.diff(b) >= 0)
     assert b[-1] > 0
-    assert not result.aggregates["aborted"]
 
 
 def test_run_single_implicit():
@@ -347,6 +376,17 @@ def test_cli_generate_and_run_roundtrip(tmp_path, capsys):
     assert lines[0] == TRACE_HEADER
     assert len(lines) > 2
 
+    # a malformed manifest is a configuration error, not a traceback
+    manifest_file = model_dir / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["waveform"]["tau"] = "abc"
+    manifest_file.write_text(json.dumps(manifest))
+    trace.unlink()
+    code = cli_main(["run", "--model", str(model_dir), "--out", str(trace)])
+    assert code == 2
+    assert "tau" in capsys.readouterr().err
+    assert not trace.exists()
+
 
 def test_cli_run_builtin_explicit(tmp_path, capsys):
     trace = tmp_path / "t.csv"
@@ -375,6 +415,20 @@ def test_cli_run_unstable_dt_exits_numerical(tmp_path, capsys):
                      "--out", str(tmp_path / "t.csv")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_run_implicit_newton_failure_exits_numerical(tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"max_newton": 1}))
+    trace = tmp_path / "t.csv"
+    code = cli_main(["run", "--integrator", "implicit", "--cells", "6",
+                     "--t-end", "2e-3", "--config", str(config_file),
+                     "--out", str(trace)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: step 4: ")
+    assert not trace.exists()
 
 
 def test_cli_rejects_unknown_strategy(tmp_path):
