@@ -222,6 +222,21 @@ def _section(manifest: dict, key: str, context: str) -> dict:
     return value
 
 
+def _json_type(kind):
+    """A converter that accepts only values of the JSON type *kind*."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    return check
+
+
+def _three_floats(value) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise TypeError(value)
+    return tuple(float(x) for x in value)
+
+
 def _field(section: dict, key: str, context: str, convert=float):
     value = _require(section, key, context)
     try:
@@ -256,7 +271,8 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     loaded = {}
     for name in ("m_c", "k_c", "k_cn", "k_n", "source_pattern"):
         entry = _section(blocks, name, "manifest blocks section")
-        file_path = directory / _field(entry, "file", f"block {name!r}", str)
+        file_path = directory / _field(entry, "file", f"block {name!r}",
+                                          _json_type(str))
         if not file_path.exists():
             raise ConfigError(f"block {name!r} file not found: {file_path}")
         if name == "source_pattern":
@@ -295,13 +311,14 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
         builtin = _section(manifest, "builtin", "manifest")
         params = {key: _field(builtin, key, "builtin section", convert)
                   for key, convert in (("cells", int), ("h", float),
-                                       ("kappa", float), ("brauer", tuple),
+                                       ("kappa", float),
+                                       ("brauer", _three_floats),
                                        ("amps", float), ("tau", float),
-                                       ("linear", bool))}
+                                       ("linear", _json_type(bool)))}
         try:
             model = builtin_model(**params,
                                   probe_cells=builtin.get("probe_cells"))
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"builtin section is unusable: {err}") from err
         rebuilt = {"m_c": model.system.mc,
                    "k_c": model.system.kc_matrix(np.zeros(model.n_c)),
@@ -517,7 +534,8 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     rows = []
     for strategy in STRATEGIES:
         result, meta = run_single(
-            dataclasses.replace(config, strategy=strategy, dt=dt))
+            dataclasses.replace(config, integrator="explicit",
+                                strategy=strategy, dt=dt))
         write_trace(result, out_dir / f"trace_{strategy}.csv")
         rows.append(_result_row(strategy, result))
 

@@ -216,7 +216,8 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
             (lambda m: m["waveform"].update(tau=-1.0), "tau"),
             (lambda m: m.update(blocks=list(m["blocks"])), "blocks"),
             (lambda m: m.update(waveform="exponential_ramp"), "waveform"),
-            (lambda m: m["blocks"].update(k_c="k_c.mtx"), "k_c")]:
+            (lambda m: m["blocks"].update(k_c="k_c.mtx"), "k_c"),
+            (lambda m: m["blocks"]["k_c"].update(file=7), "k_c")]:
         rejects(directory, manifest, edit, match)
 
     manifest_file.write_text(json.dumps(manifest))
@@ -228,6 +229,11 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
     for edit, match in [
             (lambda m: m["builtin"].pop("h"), "'h'"),
             (lambda m: m["builtin"].update(cells="six"), "cells"),
+            (lambda m: m["builtin"].update(linear="false"), "linear"),
+            (lambda m: m["builtin"].update(brauer=["x", 1, 2]), "brauer"),
+            (lambda m: m["builtin"].update(brauer="abc"), "brauer"),
+            (lambda m: m["builtin"].update(brauer=[1.0, 2.0]), "brauer"),
+            (lambda m: m["builtin"].update(probe_cells={"a": 1}), "builtin"),
             (lambda m: m.update(builtin=[6]), "builtin")]:
         rejects(builtin_dir, builtin_manifest, edit, match)
 
@@ -356,6 +362,17 @@ def test_run_single_matches_benchmark_traces(tmp_path):
         result, _ = run_single(tiny_config(dt=2e-5, strategy=strategy))
         expected = (tmp_path / f"trace_{strategy}.csv").read_bytes()
         assert trace_bytes(result) == expected, strategy
+
+
+def test_benchmark_strategy_rows_ignore_the_config_integrator(tmp_path):
+    # the strategy rows are explicit runs whatever integrator the config names
+    explicit, implicit = tmp_path / "explicit", tmp_path / "implicit"
+    run_benchmark(tiny_config(dt=2e-5), explicit)
+    run_benchmark(tiny_config(dt=2e-5, integrator="implicit"), implicit)
+    for name in ("summary.csv", "trace_previous.csv", "trace_cspe.csv",
+                 "trace_pod.csv", "trace_implicit.csv"):
+        same = (implicit / name).read_bytes() == (explicit / name).read_bytes()
+        assert same, name
 
 
 def test_cli_generate_and_run_roundtrip(tmp_path, capsys):
