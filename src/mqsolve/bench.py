@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,8 +57,16 @@ def _parse_dt(value) -> float | str:
         try:
             return float(value)
         except ValueError:
-            raise ConfigError(f"dt must be a number or 'auto', got {value!r}")
-    return float(value)
+            pass
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"dt must be a number or 'auto', got {value!r}")
+
+
+# the values each field type accepts; bool is an int subclass and is
+# rejected where a number is expected
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "bool": bool}
 
 
 @dataclass
@@ -130,6 +139,13 @@ class RunConfig:
             raise ConfigError("cfl_steps must be at least 1")
         if not (self.cfl_tol >= 0):
             raise ConfigError("cfl_tol must be nonnegative")
+        if not (0 < self.safety <= 1):
+            raise ConfigError("safety must lie in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.reestimate_every < 0:
+            raise ConfigError("reestimate_every must be nonnegative "
+                              "(0 disables CFL refreshes)")
         try:
             Preconditioner(self.preconditioner)
         except ValueError:
@@ -147,18 +163,12 @@ class RunConfig:
         if name == "dt":
             return _parse_dt(value)
         ftype = {f.name: f.type for f in dataclasses.fields(cls)}[name]
-        try:
-            if ftype == "int":
-                return int(value)
-            if ftype == "float":
-                return float(value)
-            if ftype == "str":
-                return str(value)
-        except (TypeError, ValueError):
-            pass
-        if ftype == "bool" and isinstance(value, bool):
-            return value
-        raise ConfigError(f"bad value for {name}: {value!r}")
+        if not isinstance(value, _FIELD_KINDS[ftype]) or (
+                isinstance(value, bool) and ftype != "bool"):
+            raise ConfigError(f"bad value for {name}: {value!r}")
+        if ftype == "float":
+            return float(value)
+        return int(value) if ftype == "int" else value
 
     @classmethod
     def from_sources(cls, config_file=None, overrides=None) -> "RunConfig":
@@ -342,7 +352,6 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     try:
         system = PartitionedSystem.linear(mc=m_c, kcn=k_cn, kn=k_n, kc=k_c,
                                           source=source)
-        system.validate()
     except ValueError as err:
         raise ConfigError(f"model blocks are unusable: {err}") from err
     return system, None, manifest

@@ -164,7 +164,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
 
     def residual(xc, xn, with_scale=False):
         t1 = mc @ (xc - a_c_prev) / dt
-        t2 = system.kc_apply(xc, xc)
+        t2 = system.kc_apply(xc)
         t3 = kcn @ xn
         t4 = spmv_transpose(system.kcn, xc)
         t5 = kn @ xn

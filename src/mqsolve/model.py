@@ -528,13 +528,13 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
         nu_c, dnu_c = reluctivity(conductor, conductor_b2(phi))
         return base_weights + face_by_cond @ nu_c, phi
 
-    # kc_apply runs once per explicit step and per Lanczos step; a fresh
-    # .T view on each call costs more than the product with it
+    # kc_apply runs once per explicit step; a fresh .T view on each call
+    # costs more than the product with it
     c_cond_t = c_cond.T.tocsr()
 
-    def kc_apply(state, x):
-        w, _ = face_weights(np.asarray(state, dtype=np.float64))
-        return c_cond_t @ ((w / h) * (c_cond @ np.asarray(x, dtype=np.float64)))
+    def kc_apply(state):
+        w, phi = face_weights(np.asarray(state, dtype=np.float64))
+        return c_cond_t @ ((w / h) * phi)
 
     def kc_matrix(state) -> CsrMatrix:
         w, _ = face_weights(np.asarray(state, dtype=np.float64))

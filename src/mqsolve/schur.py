@@ -87,10 +87,11 @@ class ScaledPatternSource:
 class PartitionedSystem:
     """Matrices and operators of the conducting / nonconducting partition.
 
-    ``kc_apply(state, x)`` applies the state-dependent conducting block
-    K_c(state) to x; ``kc_matrix(state)`` materializes it; ``kc_jacobian``
-    materializes d/da [K_c(a) a] at the state (equal to ``kc_matrix`` for
-    linear materials, and None falls back to it). ``kc_jacobian`` should
+    ``kc_apply(a)`` returns the conducting force K_c(a) a of the
+    state-dependent conducting block; ``kc_matrix(a)`` materializes K_c(a),
+    the one linear form of the block; ``kc_jacobian`` materializes
+    d/da [K_c(a) a] at the state (equal to ``kc_matrix`` for linear
+    materials, and None falls back to it). ``kc_jacobian`` should
     return one sparsity pattern whatever the state, explicit zeros included;
     the implicit integrator builds its Newton matrix pattern around it and
     re-patterns the Newton matrix whenever it changes. ``source`` maps time
@@ -103,7 +104,7 @@ class PartitionedSystem:
     mc: CsrMatrix
     kcn: CsrMatrix
     kn: CsrMatrix
-    kc_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    kc_apply: Callable[[np.ndarray], np.ndarray]
     kc_matrix: Callable[[np.ndarray], CsrMatrix]
     source: Callable[[float], np.ndarray]
     kc_jacobian: Callable[[np.ndarray], CsrMatrix] | None = None
@@ -144,7 +145,7 @@ class PartitionedSystem:
     def linear(cls, mc, kcn, kn, kc: CsrMatrix, source) -> "PartitionedSystem":
         """Wrap constant matrices as a (linear) partitioned system."""
         return cls(mc=mc, kcn=kcn, kn=kn,
-                   kc_apply=lambda state, x: spmv(kc, x),
+                   kc_apply=lambda state: spmv(kc, state),
                    kc_matrix=lambda state: kc,
                    kc_jacobian=lambda state: kc,
                    source=source)
@@ -155,7 +156,7 @@ def _matrix_scale(a: CsrMatrix) -> float:
 
 
 class SchurOperator:
-    """Applies the eliminated-block operator and bookkeeps every inner solve.
+    """The inner K_n solves of the eliminated system and their bookkeeping.
 
     Inner pseudo-inverse actions are PCG solves on the singular nonconducting
     block, seeded per right-hand-side family by the configured start-vector
@@ -191,35 +192,15 @@ class SchurOperator:
         self.pcg_applies = 0
         self.solver_seconds = 0.0
 
-    def solve_kn(self, rhs, family: RhsFamily, step: int | None = None
-                 ) -> tuple[np.ndarray, SolveReport]:
-        """One pseudo-inverse action K_n^+ rhs for the given family.
-
-        *step* only names the time step in a failure message.
-        """
-        return self._solve(rhs, family=family, step=step)
-
-    def minv(self, x: np.ndarray) -> np.ndarray:
-        return self._minv_diag * x
-
-    def apply_detached(self, x, lin_state) -> tuple[np.ndarray, np.ndarray]:
-        """K_S x with a cold inner solve that leaves no family history.
-
-        Used by the spectral estimator so its probing solves do not pollute
-        the time-stepping caches. Returns (K_S x, inner solution
-        K_n^+ K_cn^T x).
-        """
-        w = spmv_transpose(self.system.kcn, x)
-        y, _ = self._solve(w)
-        return self.system.kc_apply(lin_state, x) - spmv(self.system.kcn, y), y
-
-    def _solve(self, rhs, family: RhsFamily | None = None,
-               step: int | None = None) -> tuple[np.ndarray, SolveReport]:
-        """The one PCG solve on K_n behind every inner action.
+    def solve_kn(self, rhs, family: RhsFamily | None = None,
+                 step: int | None = None) -> tuple[np.ndarray, SolveReport]:
+        """K_n^+ rhs by PCG: the one solve behind every inner action.
 
         With a *family* the start vector comes from the strategy, and the
         solution and iteration count go back to it and to the family log;
-        without one the solve starts from zero and leaves no history.
+        without one the solve starts from zero and leaves no history, so the
+        spectral estimator's probes do not pollute the time-stepping caches.
+        *step* only names the time step in a failure message.
         """
         started = time.perf_counter()
         x0 = None
@@ -250,6 +231,9 @@ class SchurOperator:
             self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
+
+    def minv(self, x: np.ndarray) -> np.ndarray:
+        return self._minv_diag * x
 
 
 def _solve_name(family: RhsFamily | None, step: int | None) -> str:
@@ -355,9 +339,11 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
 
     def lanczos_step(v):
         # A v and C v, C = M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2}, from one
-        # inner solve
-        ks_x, y = op.apply_detached(scale * v, ref)
-        return scale * ks_x, scale * spmv(system.kcn, y)
+        # detached inner solve
+        x = scale * v
+        y, _ = op.solve_kn(spmv_transpose(system.kcn, x))
+        cv = scale * spmv(system.kcn, y)
+        return scale * (kc @ x) - cv, cv
 
     if previous is not None:
         q, cq = previous.basis, previous.coupling
@@ -436,7 +422,7 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
-    rate = spmv(op.system.kcn, y_cpl - y_src) - op.system.kc_apply(a_c, a_c)
+    rate = spmv(op.system.kcn, y_cpl - y_src) - op.system.kc_apply(a_c)
     a_next = a_c + dt * op.minv(rate)
     if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""

@@ -8,6 +8,7 @@ from mqsolve import (CsrMatrix, Excitation, GridSpec, PartitionedSystem,
                      ScaledPatternSource, assemble, builtin_model,
                      default_steel, exponential_ramp)
 from mqsolve.model import CONDUCTOR
+from mqsolve.sparse import spmv, spmv_transpose
 
 
 def random_spd(rng, n, lo=1.0, hi=10.0):
@@ -69,6 +70,17 @@ class CountingOperator:
         return self._inner @ x
 
 
+def detached_schur(op, x, state):
+    """K_S(state) x with one detached inner solve: (K_S x, K_n^+ K_cn^T x).
+
+    K_c enters as ``kc_matrix(state)``; the inner solve starts from zero and
+    leaves no family history, as the spectral estimator's probes do.
+    """
+    system = op.system
+    y, _ = op.solve_kn(spmv_transpose(system.kcn, x))
+    return system.kc_matrix(state) @ x - spmv(system.kcn, y), y
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250819)
@@ -87,6 +99,11 @@ def make_linear_system():
 @pytest.fixture(scope="session")
 def counting_operator():
     return CountingOperator
+
+
+@pytest.fixture(scope="session")
+def schur_action():
+    return detached_schur
 
 
 def corner_model(*, linear=False, amps=1e4):

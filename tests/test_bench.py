@@ -85,6 +85,19 @@ def test_config_layering(tmp_path, monkeypatch):
     config_file.write_text(json.dumps({"linear": "yes"}))
     with pytest.raises(ConfigError, match="linear"):
         RunConfig.from_sources(config_file)
+    # coercion is exact: no truncation, no bool as a number and no number
+    # as a string, from a file or an override
+    for key, value in (("cells", 7.9), ("n_pod", 2.5), ("seed", 4.2),
+                       ("max_newton", True), ("tol", True), ("dt", True),
+                       ("dt", [1e-5]), ("strategy", 3), ("linear", 1)):
+        config_file.write_text(json.dumps({key: value}))
+        for sources in (dict(config_file=config_file),
+                        dict(overrides={key: value})):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_sources(**sources)
+    config = RunConfig.from_sources(overrides={"tol": 1, "dt": "1e-5"})
+    assert config.tol == 1.0 and isinstance(config.tol, float)
+    assert config.dt == 1e-5
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -131,10 +144,24 @@ def test_config_validation_errors():
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
              dict(max_basis=0), dict(max_newton=0), dict(cfl_steps=0),
              dict(cfl_tol=-1e-3), dict(preconditioner="magic"),
-             dict(model="")]
+             dict(model=""), dict(safety=1.5), dict(safety=0.0),
+             dict(seed=-1), dict(reestimate_every=-5)]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
+    # 0 disables refreshes; a safety of exactly 1 keeps no margin
+    RunConfig(reestimate_every=0, safety=1.0).validate()
+
+
+@pytest.mark.parametrize("setting", [{"safety": 1.5}, {"seed": -1},
+                                     {"reestimate_every": -5}])
+def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys, setting):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(setting))
+    assert cli_main(["cfl", "--cells", "6", "--config",
+                     str(config_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(setting)) in err
 
 
 def test_config_solver_mappings():

@@ -291,6 +291,25 @@ def test_builtin_nonlinear_block_responds_to_state(builtin6, rng):
     assert not np.array_equal(other.to_dense(), zero)
 
 
+def test_kc_apply_is_the_force_of_kc_matrix(builtin6, corner_toy,
+                                            make_linear_system, rng):
+    linear, _ = make_linear_system(rng, n_c=4, n_n=6)
+    # (system, state scale, whether the scale saturates the conductor)
+    cases = [(builtin6.system, 2e-6, False), (builtin6.system, 2e-5, True),
+             (corner_toy.system, 2e-6, False),
+             (corner_toy.system, 2e-4, True), (linear, 1.0, False)]
+    for system, scale, saturated in cases:
+        state = rng.standard_normal(system.n_c) * scale
+        kc = system.kc_matrix(state).to_dense()
+        kc0 = system.kc_matrix(np.zeros(system.n_c)).to_dense()
+        assert (np.abs(kc).max() > 10 * np.abs(kc0).max()) == saturated
+        # rounding of the products, bounded entrywise by |K_c| |a|
+        bound = 1e-14 * (np.abs(kc) @ np.abs(state)).max()
+        assert np.allclose(system.kc_apply(state),
+                           system.kc_matrix(state) @ state, rtol=0.0,
+                           atol=bound)
+
+
 def spgemm_kc_jacobian(model, state):
     """d/da [K_c(a) a] by sparse products: C^T diag(w/h) C + C^T H C."""
     grid, h = model.grid, model.grid.h

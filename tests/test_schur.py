@@ -69,36 +69,39 @@ def test_validate_flags_asymmetric_block(rng, make_linear_system):
         bad.validate()
 
 
-def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system):
+def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system,
+                                                schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
     op = SchurOperator(system, pcg=TIGHT)
     x = rng.standard_normal(4)
-    out, _ = op.apply_detached(x, lin_state=x)
+    out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
     assert np.allclose(out, expected, rtol=1e-9, atol=1e-12)
 
 
-def test_apply_without_coupling_is_conducting_block(rng, make_linear_system):
+def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
+                                                    schur_action):
     system, blocks = make_linear_system(rng, n_c=3, n_n=5)
     decoupled = PartitionedSystem.linear(
         mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
         kn=system.kn, kc=system.kc_matrix(None), source=system.source)
     op = SchurOperator(decoupled, pcg=TIGHT)
     x = rng.standard_normal(3)
-    out, inner = op.apply_detached(x, lin_state=x)
+    out, inner = schur_action(op, x, x)
     assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
     # a zero coupling right-hand side needs no K_n product
     assert np.array_equal(inner, np.zeros(5))
     assert op.pcg_applies == 0
-    zero, _ = op.apply_detached(np.zeros(3), lin_state=np.zeros(3))
+    zero, _ = schur_action(op, np.zeros(3), np.zeros(3))
     assert np.array_equal(zero, np.zeros(3))
 
 
-def test_apply_matches_dense_schur_singular(rng, make_linear_system):
+def test_apply_matches_dense_schur_singular(rng, make_linear_system,
+                                            schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=7, singular=True)
     op = SchurOperator(system, pcg=TIGHT)
     x = rng.standard_normal(4)
-    out, inner = op.apply_detached(x, lin_state=x)
+    out, inner = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
     assert np.allclose(out, expected, rtol=1e-8, atol=1e-11)
     # from a zero start the Krylov iterates stay in the range, so the inner
@@ -110,17 +113,17 @@ def test_apply_matches_dense_schur_singular(rng, make_linear_system):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(1, 5),
        n_n=st.integers(2, 8))
-def test_apply_detached_matches_dense_schur(make_linear_system, seed, n_c,
-                                            n_n):
+def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
+                                            seed, n_c, n_n):
     rng = np.random.default_rng(seed)
     system, blocks = make_linear_system(rng, n_c=n_c, n_n=n_n, singular=True)
     op = SchurOperator(system, pcg=TIGHT)
     x = rng.standard_normal(n_c)
-    out, _ = op.apply_detached(x, lin_state=x)
+    out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
     scale = np.abs(blocks["full"]).max() * np.linalg.norm(x)
     assert np.allclose(out, expected, rtol=1e-8, atol=1e-10 * scale)
-    zero, inner = op.apply_detached(np.zeros(n_c), lin_state=np.zeros(n_c))
+    zero, inner = schur_action(op, np.zeros(n_c), np.zeros(n_c))
     assert np.array_equal(zero, np.zeros(n_c))
     assert np.array_equal(inner, np.zeros(n_n))
 
@@ -321,18 +324,19 @@ def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
     assert est.basis.shape == est.coupling.shape == (5, 2)
 
 
-def dense_lambda_max(op, a_c):
+def dense_lambda_max(op, a_c, schur_action):
     """Top generalized eigenvalue of K_S(a_c), assembled column by column."""
     n_c = op.system.n_c
     dense = np.zeros((n_c, n_c))
     for i in range(n_c):
-        dense[:, i], _ = op.apply_detached(np.eye(n_c)[i], a_c)
+        dense[:, i], _ = schur_action(op, np.eye(n_c)[i], a_c)
     dense = 0.5 * (dense + dense.T)
     return scipy.linalg.eigh(dense, np.diag(op.system.mc.diagonal()),
                              eigvals_only=True)[-1]
 
 
-def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(builtin6):
+def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(
+        builtin6, schur_action):
     system = builtin6.system
     op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
                                              preconditioner=JACOBI),
@@ -351,7 +355,7 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(builtin6):
     fallback = estimate_cfl(op, a_c_ref=a_c, previous=first, cfl_tol=1e-9)
     assert fallback.power_iters > 0 and op.pcg_applies > applies
 
-    lam = dense_lambda_max(op, a_c)
+    lam = dense_lambda_max(op, a_c, schur_action)
     # the inner solves' tolerance bounds how far theta may pass lam
     for est in (refresh, fallback):
         assert est.lambda_max <= lam * (1.0 + 1e-8)
@@ -362,7 +366,7 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(builtin6):
     assert fallback.residual < refresh.residual
 
 
-def test_cfl_refresh_restarts_a_full_basis(builtin6):
+def test_cfl_refresh_restarts_a_full_basis(builtin6, schur_action):
     system = builtin6.system
     op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
                                              preconditioner=JACOBI))
@@ -377,12 +381,12 @@ def test_cfl_refresh_restarts_a_full_basis(builtin6):
     assert q.shape[1] < 5
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     # the restart keeps the Ritz vector, so theta cannot fall
-    lam = dense_lambda_max(op, np.zeros(system.n_c))
+    lam = dense_lambda_max(op, np.zeros(system.n_c), schur_action)
     assert first.lambda_max <= refresh.lambda_max <= lam * (1.0 + 1e-8)
     # the stored coupling products still belong to the restarted basis
     scale = 1.0 / np.sqrt(system.mc.diagonal())
     for j in range(q.shape[1]):
-        _, y = op.apply_detached(scale * q[:, j], np.zeros(system.n_c))
+        _, y = schur_action(op, scale * q[:, j], np.zeros(system.n_c))
         assert np.allclose(refresh.coupling[:, j],
                            scale * (system.kcn.to_scipy() @ y), rtol=1e-8,
                            atol=1e-8 * np.abs(refresh.coupling).max())
@@ -453,14 +457,14 @@ def test_cfl_estimate_above_the_gershgorin_ceiling_names_the_step(
                                         rel=1e-14)
     assert est.lambda_max < est.bound < est.ceiling
 
-    # a broken inner solve: K_S x comes back doubled
-    original = SchurOperator.apply_detached
+    # a broken detached inner solve: the probe solution comes back as -4 y
+    original = SchurOperator.solve_kn
 
-    def doubled(self, x, lin_state):
-        ks_x, y = original(self, x, lin_state)
-        return 2.0 * ks_x, y
+    def broken(self, rhs, family=None, step=None):
+        y, report = original(self, rhs, family, step)
+        return (y if family is not None else -4.0 * y), report
 
-    monkeypatch.setattr(SchurOperator, "apply_detached", doubled)
+    monkeypatch.setattr(SchurOperator, "solve_kn", broken)
     with pytest.raises(StepFailureError, match="at step 7.*Gershgorin"):
         estimate_cfl(op, step=7)
     with pytest.raises(StepFailureError, match="at step 0.*Gershgorin"):
