@@ -25,7 +25,7 @@ import numpy as np
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
                      build_preconditioner, pcg_solve)
 from .schur import FAMILIES, TraceRecorder, TransientResult
-from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv_transpose
+from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv, spmv_transpose
 from .startvec import RhsFamily
 
 __all__ = [
@@ -118,6 +118,9 @@ class MonolithicJacobian:
         constant[kcn_t_at] = s.kcn.values
         constant[kn_at] = s.kn.values
         self._constant = CsrMatrix(n, n, row_ptr, merged % n, constant)
+        # finds the diagonal positions, which every Newton matrix built by
+        # with_values shares for its Jacobi preconditioner
+        self._constant.diagonal()
         self._kc_at = kc_at
         self._mc_at = mc_at
         self._kc_pattern = (kc.row_ptr, kc.col_idx)
@@ -154,20 +157,17 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     if dt <= 0:
         raise ValueError("dt must be positive")
     t_new = t + dt
-    mc = system.mc.to_scipy()
-    kcn = system.kcn.to_scipy()
-    kn = system.kn.to_scipy()
     j_n = system.source(t_new)
     n_c = system.n_c
     if jacobian is None:
         jacobian = MonolithicJacobian(system)
 
     def residual(xc, xn, with_scale=False):
-        t1 = mc @ (xc - a_c_prev) / dt
+        t1 = spmv(system.mc, xc - a_c_prev) / dt
         t2 = system.kc_apply(xc)
-        t3 = kcn @ xn
+        t3 = spmv(system.kcn, xn)
         t4 = spmv_transpose(system.kcn, xc)
-        t5 = kn @ xn
+        t5 = spmv(system.kn, xn)
         f = np.concatenate([t1 + t2 + t3, t4 + t5 - j_n])
         if not with_scale:
             return f

@@ -11,12 +11,14 @@ loop. The preconditioner is either none or Jacobi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .sparse import CsrMatrix, as_vector
+from .sparse import CsrMatrix, _matvec, as_vector
 
 __all__ = [
     "Preconditioner",
@@ -91,8 +93,9 @@ def build_preconditioner(a: CsrMatrix, kind: Preconditioner):
 
 def _as_operator(a):
     if isinstance(a, CsrMatrix):
-        m = a.to_scipy()
-        return lambda x: m @ x, a.nrows
+        if a.nrows != a.ncols:
+            raise ValueError(f"operator must be square, got shape {a.shape}")
+        return partial(_matvec, a), a.nrows
     if callable(a):
         return a, None
     raise TypeError(f"unsupported operator type {type(a).__name__}")
@@ -133,7 +136,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
             raise ValueError("automatic preconditioner construction needs a CsrMatrix")
         preconditioner = build_preconditioner(a, config.preconditioner)
 
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(b @ b)
     target = max(config.rel_tol * b_norm, config.abs_tol)
 
     if x0 is None:
@@ -142,7 +145,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     else:
         x = as_vector(x0, length=b.size, name="start vector").copy()
         r = b - apply_a(x)
-    r_norm = float(np.linalg.norm(r))
+    r_norm = math.sqrt(r @ r)
 
     def rel(res: float) -> float:
         if b_norm > 0.0:
@@ -164,7 +167,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(r @ r)
         if r_norm <= target:
             return x, SolveReport(it, rel(r_norm), True)
         z = preconditioner.apply(r) if preconditioner is not None else r

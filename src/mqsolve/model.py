@@ -36,7 +36,8 @@ import scipy.ndimage
 import scipy.sparse as sp
 
 from .schur import PartitionedSystem, ScaledPatternSource, exponential_ramp
-from .sparse import CsrMatrix, write_dense_vector, write_matrix_market
+from .sparse import (CsrMatrix, spmv, spmv_transpose, write_dense_vector,
+                     write_matrix_market)
 
 __all__ = [
     "AIR",
@@ -403,26 +404,26 @@ def probe_b(model: Model, a_interior, cells=None) -> float:
     return float(np.sqrt(b2[cells]).mean())
 
 
-def _jacobian_maps(c: sp.csr_matrix, cell_faces: np.ndarray):
+def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
     """Fixed pattern of C^T diag(w) C + C^T H C and linear maps onto its values.
 
     H is the sum over cells of a dense 6 x 6 block on the cell's six faces
     (rows of *cell_faces*). Returns ``(pattern, weight_map, block_map)`` with
-    the Jacobian values ``weight_map @ w + block_map @ blocks.ravel()`` for
+    the Jacobian values ``weight_map w + block_map blocks.ravel()`` for
     face weights ``w`` and cell blocks of shape ``(cells, 6, 6)``. Every map
     coefficient is a product of two entries of C, so it is exactly +-1.
     """
     n_faces, n = c.shape
-    counts = np.diff(c.indptr)
+    counts = np.diff(c.row_ptr)
     # each face's edges and signs padded to the widest face; padding signs
     # are zero and the products they enter are dropped below
     width = int(counts.max())
     face = np.repeat(np.arange(n_faces), counts)
-    slot = np.arange(c.nnz) - c.indptr[face]
+    slot = np.arange(c.nnz) - c.row_ptr[face]
     edges = np.zeros((n_faces, width), dtype=np.int64)
     signs = np.zeros((n_faces, width))
-    edges[face, slot] = c.indices
-    signs[face, slot] = c.data
+    edges[face, slot] = c.col_idx
+    signs[face, slot] = c.values
 
     def products(fa, fb, source):
         """Pattern key, coefficient and source of every edge pair of fa x fb."""
@@ -446,10 +447,9 @@ def _jacobian_maps(c: sp.csr_matrix, cell_faces: np.ndarray):
     row_ptr = np.concatenate(
         [[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     pattern = CsrMatrix(n, n, row_ptr, keys % n, np.zeros(keys.size))
-    weight_map = sp.csr_matrix((w_coef, (w_at, w_src)),
-                               shape=(keys.size, n_faces))
-    block_map = sp.csr_matrix((b_coef, (b_at, b_src)),
-                              shape=(keys.size, 36 * n_cells))
+    weight_map = CsrMatrix.from_coo(keys.size, n_faces, w_at, w_src, w_coef)
+    block_map = CsrMatrix.from_coo(keys.size, 36 * n_cells, b_at, b_src,
+                                   b_coef)
     return pattern, weight_map, block_map
 
 
@@ -493,20 +493,21 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
 
     c_full = topo.curl_incidence()
     c_int = c_full[:, interior].tocsr()
-    c_cond = c_int[:, cond_int].tocsr()
+    c_cond = CsrMatrix.from_scipy(c_int[:, cond_int])
 
     h = grid.h
     average = topo.face_cell_average()
     cell_faces = topo.cell_faces()
     cond_cells = np.flatnonzero(cond_cells_mask.ravel())
-    face_by_cond = average[:, cond_cells].tocsr()
+    face_by_cond = CsrMatrix.from_scipy(average[:, cond_cells])
 
     # constant face weights: non-conductor cells only
     nu_const_cells = np.where(cond_cells_mask.ravel(), 0.0, air_reluctivity)
     base_weights = average @ nu_const_cells
 
     nu0 = conductor.brauer_k1 + conductor.brauer_k3
-    weights0 = base_weights + face_by_cond @ np.full(cond_cells.size, nu0)
+    weights0 = base_weights + spmv(face_by_cond,
+                                   np.full(cond_cells.size, nu0))
     k_full0 = (c_int.T @ sp.diags(weights0 / h) @ c_int).tocsr()
     k_cn = CsrMatrix.from_scipy(k_full0[cond_int][:, noncond_int])
     k_n = CsrMatrix.from_scipy(k_full0[noncond_int][:, noncond_int])
@@ -523,22 +524,20 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     def conductor_b2(phi: np.ndarray) -> np.ndarray:
         return _b2(phi[cond_faces6], h)
 
-    def face_weights(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi = c_cond @ state
+    def face_weights(state):
+        """Face weights w, face circulations phi and dnu/dB^2 per cell."""
+        phi = spmv(c_cond, state)
         nu_c, dnu_c = reluctivity(conductor, conductor_b2(phi))
-        return base_weights + face_by_cond @ nu_c, phi
-
-    # kc_apply runs once per explicit step; a fresh .T view on each call
-    # costs more than the product with it
-    c_cond_t = c_cond.T.tocsr()
+        return base_weights + spmv(face_by_cond, nu_c), phi, dnu_c
 
     def kc_apply(state):
-        w, phi = face_weights(np.asarray(state, dtype=np.float64))
-        return c_cond_t @ ((w / h) * phi)
+        w, phi, _ = face_weights(state)
+        return spmv_transpose(c_cond, (w / h) * phi)
 
     def kc_matrix(state) -> CsrMatrix:
-        w, _ = face_weights(np.asarray(state, dtype=np.float64))
-        return CsrMatrix.from_scipy(c_cond.T @ sp.diags(w / h) @ c_cond)
+        w, _, _ = face_weights(state)
+        c = c_cond.to_scipy()
+        return CsrMatrix.from_scipy(c.T @ sp.diags(w / h) @ c)
 
     # pattern and value maps of kc_jacobian, built on its first call so a
     # run that never asks for the Jacobian never pays for them
@@ -549,14 +548,12 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
         if jacobian_maps is None:
             jacobian_maps = _jacobian_maps(c_cond, cond_faces6)
         pattern, weight_map, block_map = jacobian_maps
-        phi = c_cond @ np.asarray(state, dtype=np.float64)
-        nu_c, dnu_c = reluctivity(conductor, conductor_b2(phi))
-        w = base_weights + face_by_cond @ nu_c
+        w, phi, dnu_c = face_weights(state)
         per = phi[cond_faces6]                           # (m, 6)
         scale = dnu_c / (2.0 * h ** 5)                   # (m,)
         blocks = scale[:, None, None] * per[:, :, None] * per[:, None, :]
-        return pattern.with_values(weight_map @ (w / h)
-                                   + block_map @ blocks.ravel())
+        return pattern.with_values(spmv(weight_map, w / h)
+                                   + spmv(block_map, blocks.ravel()))
 
     # excitation: closed loop of interior, nonconducting edges
     loop_ids, loop_signs = topo.loop_edges(excitation)

@@ -27,13 +27,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .krylov import (PcgConfig, Preconditioner, SolveReport,
                      build_preconditioner, pcg_solve)
-from .sparse import CsrMatrix, as_vector, spmv, spmv_transpose, symmetric_check
+from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
+                     symmetric_check)
 from .startvec import RhsFamily, StartVectorStrategy, make_strategy
 
 __all__ = [
@@ -172,7 +174,7 @@ class SchurOperator:
                  max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4):
         self.system = system
         self.pcg = pcg or PcgConfig(preconditioner=Preconditioner.JACOBI)
-        self._kn_apply = system.kn.to_scipy().__matmul__
+        self._kn_apply = partial(_matvec, system.kn)
         # built here from the matrix, so pcg_solve never tries to build one
         # for the callable operator
         self._precond = build_preconditioner(system.kn,

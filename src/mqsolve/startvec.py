@@ -20,6 +20,7 @@ Families never share state; mixing histories would poison the projections.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from enum import Enum
 
@@ -86,7 +87,9 @@ class SubspaceCache:
     The inverse Cholesky factor of the Galerkin matrix is kept between
     projections and rebuilt only after the basis changed (an accepted insert,
     an eviction or a dropped column). Most inserts are dropped as solver
-    noise, so most projections reuse it.
+    noise, so most projections reuse it. The start vector ``project`` last
+    returned is kept, as a private copy, until the basis changes: a solve
+    that meets its tolerance at once hands it back to ``insert`` unchanged.
     """
 
     def __init__(self, dim: int, operator, max_cols: int = 20,
@@ -101,6 +104,7 @@ class SubspaceCache:
         self._products = np.empty((self.dim, 0))
         self._galerkin = np.empty((0, 0))
         self._inv_factor: np.ndarray | None = None
+        self._projection: np.ndarray | None = None
         self.products_computed = 0
         self.columns_accepted = 0
         self.columns_dropped = 0
@@ -127,12 +131,21 @@ class SubspaceCache:
 
         Costs exactly one operator application on acceptance and none on a
         drop. Existing products and Galerkin entries are not recomputed.
+
+        A vector equal to the start vector ``project`` last returned, with
+        the basis unchanged since, is dropped without the Gram-Schmidt
+        sweep. It lies in span(U) up to rounding, so for ``drop_tol`` >=
+        1e-12 the sweep would drop it too; a smaller ``drop_tol`` would let
+        the sweep accept that rounding noise as a column.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        orig = np.linalg.norm(v)
-        if orig == 0.0 or not np.isfinite(orig):
+        if self._projection is not None and (v == self._projection).all():
+            self.columns_dropped += 1
+            return False
+        orig = math.sqrt(v @ v)
+        if orig == 0.0 or not math.isfinite(orig):
             self.columns_dropped += 1
             return False
         # Two Gram-Schmidt sweeps; a sweep never lengthens the vector, so
@@ -142,7 +155,7 @@ class SubspaceCache:
         for _ in range(2):
             if self.size:
                 w = w - self._basis @ (self._basis.T @ w)
-            nw = np.linalg.norm(w)
+            nw = math.sqrt(w @ w)
             if nw < self.drop_tol * orig:
                 self.columns_dropped += 1
                 return False
@@ -166,6 +179,7 @@ class SubspaceCache:
         self._products = np.column_stack([self._products, ku])
         self._galerkin = g
         self._inv_factor = None
+        self._projection = None
         self.columns_accepted += 1
         return True
 
@@ -175,12 +189,14 @@ class SubspaceCache:
         self._products = self._products[:, keep]
         self._galerkin = self._galerkin[np.ix_(keep, keep)]
         self._inv_factor = None
+        self._projection = None
 
     def project(self, rhs) -> np.ndarray:
         """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs.
 
         An empty cache returns the zero vector. A singular Galerkin matrix
-        drops the offending column and retries.
+        drops the offending column and retries. The caller may modify the
+        returned array; ``insert`` compares against its own copy.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
@@ -195,10 +211,13 @@ class SubspaceCache:
             self._inv_factor = scipy.linalg.solve_triangular(
                 low, np.eye(self.size), lower=True)
         if not self.size:
-            return np.zeros(self.dim)
-        # (U^T A U)^{-1} = L^{-T} L^{-1}
-        inv = self._inv_factor
-        return self._basis @ (inv.T @ (inv @ (self._basis.T @ rhs)))
+            x0 = np.zeros(self.dim)
+        else:
+            # (U^T A U)^{-1} = L^{-T} L^{-1}
+            inv = self._inv_factor
+            x0 = self._basis @ (inv.T @ (inv @ (self._basis.T @ rhs)))
+        self._projection = x0.copy()
+        return x0
 
 
 class SnapshotBuffer:

@@ -1,5 +1,7 @@
 """Preconditioned conjugate gradients, unpreconditioned and with Jacobi."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +186,20 @@ def test_consistent_singular_systems_converge(seed, n, rank_deficit, kind):
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
     assert report.converged
     assert np.linalg.norm(dense @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_rectangular_matrix_operator_is_rejected():
+    with pytest.raises(ValueError, match="square"):
+        pcg_solve(CsrMatrix.from_dense(np.ones((2, 3))), np.ones(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-160.0, 160.0))
+def test_norm_by_dot_product_equals_numpy_norm(n, seed, log_scale):
+    # pcg_solve and SubspaceCache.insert take 2-norms as sqrt(v @ v); the
+    # traces keep their bits only while np.linalg.norm computes the same,
+    # overflow and underflow included
+    v = np.random.default_rng(seed).standard_normal(n) * 10.0 ** log_scale
+    with np.errstate(over="ignore", under="ignore"):
+        assert math.sqrt(v @ v) == float(np.linalg.norm(v))

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (CsrMatrix, NonFiniteError, as_vector, read_dense_vector,
-                     read_matrix_market, spmv, spmv_transpose,
+from mqsolve import (CsrMatrix, NonFiniteError, SchurOperator, as_vector,
+                     explicit_euler_step, read_dense_vector,
+                     read_matrix_market, recover_an, spmv, spmv_transpose,
                      symmetric_check, write_dense_vector,
                      write_matrix_market)
+from mqsolve.implicit import MonolithicJacobian, implicit_euler_step
+from mqsolve.krylov import _as_operator
 
 
 @st.composite
@@ -211,3 +215,93 @@ def test_with_values_checks_length_and_finiteness(coo, shift, bad, value):
         poisoned[bad % a.nnz] = value
         with pytest.raises(NonFiniteError):
             a.with_values(poisoned)
+
+
+@st.composite
+def csr_patterns(draw, square=False):
+    """Random pattern and float values, with empty rows and nnz == 0."""
+    nrows = draw(st.integers(0, 8))
+    ncols = nrows if square else draw(st.integers(0, 8))
+    nnz = draw(st.integers(0, 40)) if nrows and ncols else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # magnitudes spread over many decades make every row sum depend on
+    # its summation order
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-8, 8, nnz)
+    return CsrMatrix.from_coo(nrows, ncols, rng.integers(0, nrows, nnz),
+                              rng.integers(0, ncols, nnz), vals), rng
+
+
+def operands(rng, n):
+    """A float vector, a strided column of a basis and an integer vector."""
+    basis = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-8, 8, (n, 3))
+    return [basis[:, 0].copy(), basis[:, 1], rng.integers(-50, 50, n)]
+
+
+def assert_same_bits(out, ref):
+    assert out.dtype == ref.dtype == np.float64
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
+def assert_kernel_matches_scipy(a: CsrMatrix, rng):
+    m = a.to_scipy()
+    for x in operands(rng, a.ncols):
+        assert_same_bits(spmv(a, x), m @ x)
+    m_t = m.T.tocsr()
+    for y in operands(rng, a.nrows):
+        assert_same_bits(spmv_transpose(a, y), m_t @ y)
+    if a.nrows == a.ncols:
+        apply, _ = _as_operator(a)
+        for x in operands(rng, a.ncols):
+            assert_same_bits(apply(x), m @ x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(csr_patterns(), csr_patterns(square=True)))
+def test_kernel_products_equal_scipy_bit_for_bit(case):
+    a, rng = case
+    assert_kernel_matches_scipy(a, rng)
+
+
+def test_kernel_products_equal_scipy_on_the_model_blocks(builtin6, rng):
+    system = builtin6.system
+    state = 1e-6 * rng.standard_normal(system.n_c)
+    blocks = [system.mc, system.kcn, system.kn, system.kc_matrix(state),
+              system.kc_jacobian(state),
+              CsrMatrix.from_scipy(system.kcn.to_scipy().T),
+              MonolithicJacobian(system)(state, 1e-4)]
+    for block in blocks:
+        assert_kernel_matches_scipy(block, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(csr_patterns(), csr_patterns(square=True)))
+def test_diagonal_equals_scipy(case):
+    a, rng = case
+    assert np.array_equal(a.diagonal(), a.to_scipy().diagonal())
+    # with_values shares the diagonal positions with the new values
+    b = a.with_values(rng.standard_normal(a.nnz))
+    assert np.array_equal(b.diagonal(), b.to_scipy().diagonal())
+
+
+def test_per_step_products_skip_scipy_dispatch(builtin6, monkeypatch):
+    system = builtin6.system
+
+    def refuse(self, other):
+        raise AssertionError("a per-step product went through scipy's @")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "__matmul__", refuse)
+    for strategy in ("previous", "cspe", "pod"):
+        op = SchurOperator(system, strategy=strategy)
+        a_c, t = np.zeros(system.n_c), 0.0
+        for step in range(1, 4):
+            a_c, _ = explicit_euler_step((a_c, t), 1e-5, op, step)
+            t += 1e-5
+        recover_an(op, a_c, t)
+    jacobian = MonolithicJacobian(system)
+    state = (np.zeros(system.n_c), np.zeros(system.n_n), 0.0)
+    for _ in range(3):
+        a_c, a_n, _ = implicit_euler_step(state, 2.5e-4, system,
+                                          jacobian=jacobian)
+        state = (a_c, a_n, state[2] + 2.5e-4)

@@ -192,6 +192,80 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
         SubspaceCache(4, dense.__matmul__, 0)
 
 
+def test_insert_of_the_last_projection_skips_the_sweep(rng, make_spd,
+                                                      counting_operator):
+    dense = make_spd(rng, 10)
+    op = counting_operator(dense)
+    # with drop_tol 0 the sweep keeps any vector it does not zero exactly,
+    # so an accepted insert shows that the sweep ran
+    cache = SubspaceCache(10, op, drop_tol=0.0)
+    for _ in range(3):
+        cache.insert(rng.standard_normal(10))
+    x0 = cache.project(rng.standard_normal(10))
+    dropped, products = cache.columns_dropped, cache.products_computed
+    # a solve that meets its tolerance at once returns a copy of x0
+    assert not cache.insert(x0.copy())
+    assert cache.columns_dropped == dropped + 1
+    assert cache.products_computed == op.count == products
+    assert cache.size == 3
+    nudged = x0.copy()
+    nudged[0] = np.nextafter(x0[0], np.inf)
+    assert cache.insert(nudged)
+    assert cache.products_computed == products + 1
+
+
+@pytest.mark.parametrize("change", ["drop_column", "eviction", "accepted"])
+def test_a_basis_change_forgets_the_projection(rng, make_spd, change):
+    dense = make_spd(rng, 8)
+    cache = SubspaceCache(8, dense.__matmul__, max_cols=3, drop_tol=0.0)
+    for _ in range(3 if change == "eviction" else 2):
+        cache.insert(rng.standard_normal(8))
+    x0 = cache.project(rng.standard_normal(8))
+    if change == "drop_column":
+        cache.drop_column(0)
+    else:
+        assert cache.insert(rng.standard_normal(8))
+        assert cache.evictions == (change == "eviction")
+    products = cache.products_computed
+    # drop_tol 0: the sweep accepts x0, in the new span or not
+    assert cache.insert(x0)
+    assert cache.products_computed == products + 1
+
+
+def test_a_modified_start_vector_is_not_taken_for_the_projection(rng,
+                                                                 make_spd):
+    dense = make_spd(rng, 8)
+    cache = SubspaceCache(8, dense.__matmul__)
+    for _ in range(2):
+        cache.insert(rng.standard_normal(8))
+    x0 = cache.project(rng.standard_normal(8))
+    x0 += rng.standard_normal(8)
+    assert cache.insert(x0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), k=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1),
+       drop_tol=st.sampled_from([1e-12, 1e-10, 1e-8]),
+       log_scale=st.floats(-8.0, 8.0))
+def test_the_sweep_drops_every_exact_projection(make_spd, n, k, seed,
+                                                drop_tol, log_scale):
+    # the condition under which insert may skip the sweep for the last
+    # projection: the sweep itself drops any exact projection
+    rng = np.random.default_rng(seed)
+    dense = make_spd(rng, n)
+    cache = SubspaceCache(n, dense.__matmul__, max_cols=20,
+                          drop_tol=drop_tol)
+    for _ in range(k):
+        cache.insert(10.0 ** log_scale * rng.standard_normal(n))
+    earlier = cache.project(rng.standard_normal(n))
+    latest = cache.project(rng.standard_normal(n))
+    assert not np.array_equal(earlier, latest)
+    products = cache.products_computed
+    assert not cache.insert(earlier)
+    assert cache.products_computed == products
+
+
 def test_snapshot_buffer_ring(rng):
     buf = SnapshotBuffer(3, n_pod=3)
     pushed = [rng.standard_normal(3) for _ in range(5)]
