@@ -41,7 +41,7 @@ __all__ = [
     "TRACE_HEADER",
 ]
 
-TRACE_HEADER = "t,B_probe,iters_src,iters_cpl_prev,iters_cpl_cur,basis_cols,pod_k,pod_info"
+TRACE_HEADER = "t,B_probe,iters_src,iters_cpl_prev,basis_cols,pod_k,pod_info"
 
 STRATEGIES = ("previous", "cspe", "pod")
 
@@ -394,7 +394,6 @@ def trace_bytes(result: TransientResult) -> bytes:
             repr(float(result.probe_b[i])),
             repr(float(result.iters_src[i])),
             repr(float(result.iters_cpl_prev[i])),
-            repr(float(result.iters_cpl_cur[i])),
             str(int(result.basis_cols[i])),
             str(int(result.pod_k[i])),
             repr(float(result.pod_info[i])),
@@ -447,7 +446,6 @@ class StrategyRow:
     steps: int
     mean_iters_src: float
     mean_iters_cpl_prev: float
-    mean_iters_cpl_cur: float
     operator_applies: int
     wall_seconds: float
     solver_seconds: float
@@ -462,8 +460,7 @@ class BenchmarkSummary:
     metadata: dict = field(default_factory=dict)
 
     _CSV_COLUMNS = ("strategy", "steps", "mean_iters_src",
-                    "mean_iters_cpl_prev", "mean_iters_cpl_cur",
-                    "operator_applies", "trace_sha256")
+                    "mean_iters_cpl_prev", "operator_applies", "trace_sha256")
 
     def to_csv(self) -> str:
         """Deterministic summary: no timing columns (see module docstring)."""
@@ -473,7 +470,6 @@ class BenchmarkSummary:
                 row.name, str(row.steps),
                 repr(float(row.mean_iters_src)),
                 repr(float(row.mean_iters_cpl_prev)),
-                repr(float(row.mean_iters_cpl_cur)),
                 str(row.operator_applies), row.trace_sha256,
             ]))
         meta = self.metadata
@@ -486,14 +482,13 @@ class BenchmarkSummary:
     def to_text(self) -> str:
         """Aligned table including (non-deterministic) wall times."""
         header = (f"{'strategy':<10} {'steps':>6} {'it/src':>8} "
-                  f"{'it/prev':>8} {'it/cur':>8} {'op applies':>11} "
+                  f"{'it/prev':>8} {'op applies':>11} "
                   f"{'wall [s]':>9} {'solver [s]':>10}")
         lines = [header, "-" * len(header)]
         for row in self.rows:
             lines.append(
                 f"{row.name:<10} {row.steps:>6d} {row.mean_iters_src:>8.2f} "
                 f"{row.mean_iters_cpl_prev:>8.2f} "
-                f"{row.mean_iters_cpl_cur:>8.2f} "
                 f"{row.operator_applies:>11d} {row.wall_seconds:>9.2f} "
                 f"{row.solver_seconds:>10.2f}")
         meta = self.metadata
@@ -515,7 +510,6 @@ def _result_row(name: str, result: TransientResult) -> StrategyRow:
         name=name, steps=int(agg["steps"]),
         mean_iters_src=mean["source"],
         mean_iters_cpl_prev=mean["coupling_previous"],
-        mean_iters_cpl_cur=mean["coupling_current"],
         operator_applies=agg["operator_applies"],
         wall_seconds=float(agg["wall_seconds"]),
         solver_seconds=float(agg["solver_seconds"]),

@@ -258,7 +258,7 @@ def run_implicit(system, t_end: float, dt: float,
     explicit integrator so traces can be diffed column by column. Every
     Newton iteration's monolithic PCG solve is charged to the source family,
     so ``iters_src`` carries the mean PCG iterations per Newton solve since
-    the previous row and the coupling columns stay zero. A step that fails
+    the previous row and the coupling column stays zero. A step that fails
     raises :class:`NewtonFailureError` with a message that starts with
     ``step N:``.
     """

@@ -11,9 +11,11 @@ side. Eliminating the algebraic block turns the conducting part into an ODE
 where every pseudo-inverse action is realized by an unregularized PCG solve
 on the singular block (consistency makes CG converge without gauging). Each
 explicit Euler step therefore costs exactly two inner solves, one per
-right-hand-side family; recovering the nonconducting unknowns at an output
-time adds two more, of which the source-family solve is a repeat that warm
-starts to zero iterations.
+right-hand-side family. Recovering the nonconducting unknowns at an output
+time needs the same two solves: it takes the source solution of the step
+that just ended and hands its coupling solution to the next step. A run
+therefore pays two solves for all of its recoveries, the source at t = 0
+and the coupling after the last step.
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S); the
 bound is estimated by Lanczos with a Ritz-residual certificate and checked
@@ -54,9 +56,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-FAMILIES = (RhsFamily.SOURCE_CURRENT,
-            RhsFamily.COUPLING_FROM_CURRENT_STATE,
-            RhsFamily.COUPLING_FROM_PREVIOUS_STATE)
+FAMILIES = tuple(RhsFamily)
 
 
 class StepFailureError(RuntimeError):
@@ -404,47 +404,58 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
-                        op: SchurOperator, step_index: int | None = None
-                        ) -> tuple[np.ndarray, tuple[SolveReport, SolveReport]]:
+                        op: SchurOperator, step_index: int | None = None,
+                        coupling: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """One explicit Euler step of the eliminated system.
 
-    Exactly two inner solves: the source term at the new time and the
-    coupling term built from the previous state. ``dt == 0`` reproduces the
+    Two inner solves: the source term at the new time and the coupling term
+    K_n^+ K_cn^T a_c built from the previous state. A *coupling* solution
+    that ``recover_an`` returned for the same state replaces the second
+    solve. Returns the new state and the source solution K_n^+ j_n(t + dt),
+    which ``recover_an`` takes at an output time. ``dt == 0`` reproduces the
     state bit for bit. A failure names ``step_index`` when it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     t_new = t + dt
-    y_src, rep_src = op.solve_kn(op.system.source(t_new),
-                                 RhsFamily.SOURCE_CURRENT, step_index)
-    w = spmv_transpose(op.system.kcn, a_c)
-    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
-                                 step_index)
+    y_src, _ = op.solve_kn(op.system.source(t_new), RhsFamily.SOURCE_CURRENT,
+                           step_index)
+    if coupling is None:
+        coupling, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
+                                  RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
+                                  step_index)
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
-    rate = spmv(op.system.kcn, y_cpl - y_src) - op.system.kc_apply(a_c)
+    rate = spmv(op.system.kcn, coupling - y_src) - op.system.kc_apply(a_c)
     a_next = a_c + dt * op.minv(rate)
     if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
                                f"(t = {t_new:.6e})")
-    return a_next, (rep_src, rep_cpl)
+    return a_next, y_src
 
 
-def recover_an(op: SchurOperator, a_c, t: float
-               ) -> tuple[np.ndarray, tuple[SolveReport, SolveReport]]:
+def recover_an(op: SchurOperator, a_c, t: float,
+               y_src: np.ndarray | None = None, step: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Nonconducting unknowns a_n = K_n^+ j_n(t) - K_n^+ K_cn^T a_c.
 
-    The source solve repeats the family used during stepping, so its start
-    vector already satisfies the tolerance and it costs zero iterations.
+    *y_src* is the source solution K_n^+ j_n(t) of the step that ended at t;
+    without it the source is solved here. The coupling solve runs under the
+    stepping family, so its solution is the one the next step from
+    (a_c, t) needs: returns ``(a_n, y_cpl)``, and y_cpl goes to
+    ``explicit_euler_step`` as *coupling*. *step* names the step that ended
+    at t in a failure message.
     """
-    y_src, rep_src = op.solve_kn(op.system.source(t),
-                                 RhsFamily.SOURCE_CURRENT)
-    w = spmv_transpose(op.system.kcn, a_c)
-    y_cpl, rep_cpl = op.solve_kn(w, RhsFamily.COUPLING_FROM_CURRENT_STATE)
-    return y_src - y_cpl, (rep_src, rep_cpl)
+    if y_src is None:
+        y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
+                               step)
+    y_cpl, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
+                           RhsFamily.COUPLING_FROM_PREVIOUS_STATE, step)
+    return y_src - y_cpl, y_cpl
 
 
 @dataclass
@@ -452,7 +463,9 @@ class TransientResult:
     """Output-time series of one transient run plus run-level aggregates.
 
     The iteration columns carry the mean inner iterations per solve of each
-    family since the previous output row; ``pod_k`` and ``pod_info`` are the
+    family since the previous output row. Recovery at a row reuses the
+    stepping solves: its one coupling solve, logged in that row, is the
+    next step's. ``pod_k`` and ``pod_info`` are the
     largest k and the smallest kept information ratio over every POD
     projection in the same window (0 and 1.0 without one).
     """
@@ -461,7 +474,6 @@ class TransientResult:
     probe_b: np.ndarray
     iters_src: np.ndarray
     iters_cpl_prev: np.ndarray
-    iters_cpl_cur: np.ndarray
     basis_cols: np.ndarray
     pod_k: np.ndarray
     pod_info: np.ndarray
@@ -505,8 +517,8 @@ class TraceRecorder:
         # log lengths at the previous row
         self._seen = {f: 0 for f in FAMILIES}
         self._seen_projections = 0
-        self.rows = {name: [] for name in ("t", "b", "src", "prev", "cur",
-                                           "basis", "k", "info")}
+        self.rows = {name: [] for name in ("t", "b", "src", "prev", "basis",
+                                           "k", "info")}
 
     def running(self, t: float) -> bool:
         return t < self.t_end - self.eps
@@ -520,9 +532,7 @@ class TraceRecorder:
         rows["t"].append(t)
         rows["b"].append(float(self.probe(a_c, a_n, t)) if self.probe
                          else 0.0)
-        for name, family in (("src", RhsFamily.SOURCE_CURRENT),
-                             ("prev", RhsFamily.COUPLING_FROM_PREVIOUS_STATE),
-                             ("cur", RhsFamily.COUPLING_FROM_CURRENT_STATE)):
+        for name, family in zip(("src", "prev"), FAMILIES):
             log = self.iterations[family]
             rows[name].append(_mean(log[self._seen[family]:]))
             self._seen[family] = len(log)
@@ -552,7 +562,6 @@ class TraceRecorder:
             times=np.asarray(rows["t"]), probe_b=np.asarray(rows["b"]),
             iters_src=np.asarray(rows["src"]),
             iters_cpl_prev=np.asarray(rows["prev"]),
-            iters_cpl_cur=np.asarray(rows["cur"]),
             basis_cols=np.asarray(rows["basis"], dtype=np.int64),
             pod_k=np.asarray(rows["k"], dtype=np.int64),
             pod_info=np.asarray(rows["info"]),
@@ -607,7 +616,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
 
     a_c = np.zeros(system.n_c)
     t = 0.0
-    a_n, _ = recover_an(op, a_c, t)
+    # each output row solves the coupling of the step after it
+    a_n, coupling = recover_an(op, a_c, t, step=0)
     trace.row(t, a_c, a_n, op.strategy.basis_size())
     steps = 0
     cfl_history = []
@@ -624,14 +634,16 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
                 dt_val = est.dt_max
             cfl_history.append((steps, lambda_max, est.power_iters, dt_val))
         step_dt = min(dt_val, t_end - t)
-        a_c, _ = explicit_euler_step((a_c, t), step_dt, op,
-                                     step_index=steps + 1)
+        a_c, y_src = explicit_euler_step((a_c, t), step_dt, op,
+                                         step_index=steps + 1,
+                                         coupling=coupling)
+        coupling = None
         t += step_dt
         steps += 1
         if steps > max_steps:
             raise StepFailureError(f"step budget exceeded ({max_steps})")
         if trace.due(t):
-            a_n, _ = recover_an(op, a_c, t)
+            a_n, coupling = recover_an(op, a_c, t, y_src, step=steps)
             trace.row(t, a_c, a_n, op.strategy.basis_size())
 
     return trace.result(a_c, a_n, {
@@ -644,6 +656,7 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "cfl_history": cfl_history,
         "pcg_applies": op.pcg_applies,
         "maintenance_applies": op.strategy.maintenance_applies,
+        "evictions": {f.value: op.strategy.evictions(f) for f in FAMILIES},
         "operator_applies": op.pcg_applies + op.strategy.maintenance_applies,
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": op.solver_seconds,

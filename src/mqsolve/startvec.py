@@ -1,6 +1,6 @@
 """Start-vector generation for sequences of related linear solves.
 
-A transient run solves the same singular operator against three slowly
+A transient run solves the same singular operator against two slowly
 varying right-hand-side families. Each family keeps its own history and
 produces a start vector by Galerkin projection onto a subspace built from its
 previous solutions:
@@ -41,10 +41,9 @@ __all__ = [
 
 
 class RhsFamily(Enum):
-    """The three right-hand-side families of the eliminated-block solves."""
+    """The two right-hand-side families of the eliminated-block solves."""
 
     SOURCE_CURRENT = "source"
-    COUPLING_FROM_CURRENT_STATE = "coupling_current"
     COUPLING_FROM_PREVIOUS_STATE = "coupling_previous"
 
 
@@ -303,9 +302,10 @@ class StartVectorStrategy:
     solve of a family, and ``observe(family, solution)``, which takes its
     converged solution. ``maintenance_applies`` counts operator applications
     spent on history upkeep (outside any Krylov iteration), the quantity
-    benchmarks charge to the start-vector method itself. ``projections``
-    logs one ``(k, info)`` entry per truncated projection; only POD
-    truncates.
+    benchmarks charge to the start-vector method itself, and
+    ``evictions(family)`` the basis columns a capped history dropped to
+    make room. ``projections`` logs one ``(k, info)`` entry per truncated
+    projection; only POD truncates.
     """
 
     def __init__(self, dim: int):
@@ -313,6 +313,9 @@ class StartVectorStrategy:
         self.projections: list[tuple[int, float]] = []
 
     def basis_size(self, family: RhsFamily | None = None) -> int:
+        return 0
+
+    def evictions(self, family: RhsFamily) -> int:
         return 0
 
     @property
@@ -366,6 +369,9 @@ class CspeStrategy(StartVectorStrategy):
         if family is not None:
             return self.cache(family).size
         return max((c.size for c in self._caches.values()), default=0)
+
+    def evictions(self, family):
+        return self.cache(family).evictions
 
     @property
     def maintenance_applies(self) -> int:

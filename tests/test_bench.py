@@ -24,7 +24,6 @@ def synthetic_result():
         probe_b=np.array([0.0, 0.25]),
         iters_src=np.array([0.0, 2.5]),
         iters_cpl_prev=np.array([0.0, 3.0]),
-        iters_cpl_cur=np.array([0.0, 0.0]),
         basis_cols=np.array([0, 4]),
         pod_k=np.array([0, 2]),
         pod_info=np.array([1.0, 0.999]),
@@ -35,21 +34,21 @@ def synthetic_result():
 
 def test_trace_header_is_frozen():
     assert TRACE_HEADER == ("t,B_probe,iters_src,iters_cpl_prev,"
-                            "iters_cpl_cur,basis_cols,pod_k,pod_info")
+                            "basis_cols,pod_k,pod_info")
 
 
 def test_trace_bytes_renders_rows_exactly():
     data = trace_bytes(synthetic_result())
     text = data.decode("ascii")
     assert text == (TRACE_HEADER + "\n"
-                    "0.0,0.0,0.0,0.0,0.0,0,0,1.0\n"
-                    "0.001,0.25,2.5,3.0,0.0,4,2,0.999\n")
+                    "0.0,0.0,0.0,0.0,0,0,1.0\n"
+                    "0.001,0.25,2.5,3.0,4,2,0.999\n")
 
 
 def test_trace_bytes_refuses_empty():
     empty = TransientResult(
         times=np.zeros(0), probe_b=np.zeros(0), iters_src=np.zeros(0),
-        iters_cpl_prev=np.zeros(0), iters_cpl_cur=np.zeros(0),
+        iters_cpl_prev=np.zeros(0),
         basis_cols=np.zeros(0, dtype=int), pod_k=np.zeros(0, dtype=int),
         pod_info=np.zeros(0), final_a_c=np.zeros(1), final_a_n=np.zeros(1),
         aggregates={})

@@ -19,7 +19,7 @@ TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
 JACOBI = Preconditioner.JACOBI
 SRC = RhsFamily.SOURCE_CURRENT
 PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
-CUR = RhsFamily.COUPLING_FROM_CURRENT_STATE
+STRATEGIES = ("previous", "cspe", "pod")
 
 
 def dense_schur(blocks):
@@ -178,21 +178,70 @@ def test_non_finite_source_names_the_step_and_family(builtin6, strategy):
 def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
     op = SchurOperator(system, pcg=TIGHT, strategy="previous")
-    a0 = np.zeros(3)
     dt = 1e-3
     log = op.solve_iterations
-    a1, (rep_src, rep_cpl) = explicit_euler_step((a0, 0.0), dt, op)
-    assert log[SRC] == [rep_src.iterations]
-    assert log[PREV] == [rep_cpl.iterations]
-    assert log[CUR] == []
-    assert rep_src.converged and rep_cpl.converged
-    a_n, (rec_src, rec_cpl) = recover_an(op, a1, dt)
-    assert log[SRC] == [rep_src.iterations, rec_src.iterations]
-    assert log[CUR] == [rec_cpl.iterations]
-    # identical source right-hand side: the recycled start vector already
-    # meets the tolerance
-    assert rec_src.iterations == 0
-    assert sum(map(len, log.values())) == 4
+    a1, y_src = explicit_euler_step((np.zeros(3), 0.0), dt, op)
+    assert [len(log[SRC]), len(log[PREV])] == [1, 1]
+    # recovery given the step's source solution solves the coupling once,
+    # under the stepping family, and no source
+    a_n, y_cpl = recover_an(op, a1, dt, y_src)
+    assert [len(log[SRC]), len(log[PREV])] == [1, 2]
+    # the next step takes that coupling solution and solves only the source
+    a2, _ = explicit_euler_step((a1, dt), dt, op, coupling=y_cpl)
+    assert [len(log[SRC]), len(log[PREV])] == [2, 2]
+    # it is the coupling solve the step would have made itself
+    again = SchurOperator(system, pcg=TIGHT, strategy="previous")
+    b1, _ = explicit_euler_step((np.zeros(3), 0.0), dt, again)
+    b2, _ = explicit_euler_step((b1, dt), dt, again)
+    assert np.array_equal(a2, b2)
+    # without a source solution recovery solves both
+    recover_an(op, a2, 2 * dt)
+    assert [len(log[SRC]), len(log[PREV])] == [3, 3]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_solves_each_family_once_per_step_and_once_more(
+        rng, make_linear_system, strategy):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    result = run_explicit(system, t_end=1e-2, dt=1e-3, strategy=strategy,
+                          pcg=TIGHT, output_period=2e-3)
+    n = result.aggregates["steps"]
+    assert (n, result.n_rows) == (10, 6)
+    # the t = 0 row solves the source, and the last row's coupling solve
+    # has no step after it; every other recovery reuses a stepping solve
+    assert result.aggregates["solves"] == {"source": n + 1,
+                                           "coupling_previous": n + 1}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_output_rows_leave_the_trajectory_bit_for_bit(rng, make_linear_system,
+                                                      strategy):
+    system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
+    finals = [run_explicit(system, t_end=1.2e-2, dt=1e-3, strategy=strategy,
+                           pcg=TIGHT, output_period=period)
+              for period in (1e-3, 1.2e-2)]
+    assert [r.n_rows for r in finals] == [13, 2]
+    assert np.array_equal(finals[0].final_a_c, finals[1].final_a_c)
+    assert np.array_equal(finals[0].final_a_n, finals[1].final_a_n)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
+                                              strategy):
+    system, blocks = make_linear_system(rng, n_c=4, n_n=8, singular=True)
+    tol = 1e-10
+    t_end = 1.2e-2
+    result = run_explicit(system, t_end=t_end, dt=1e-3, strategy=strategy,
+                          pcg=PcgConfig(rel_tol=tol, max_iter=2000,
+                                        preconditioner=JACOBI),
+                          output_period=5e-3)
+    a_c, a_n = result.final_a_c, result.final_a_n
+    coupling = blocks["kcn"].T @ a_c
+    source = blocks["pattern"] * (1.0 - np.exp(-t_end / blocks["tau"]))
+    residual = coupling + blocks["kn"] @ a_n - source
+    # each of the two solves meets rel_tol against its own right-hand side
+    assert np.linalg.norm(residual) <= 2 * tol * (
+        np.linalg.norm(coupling) + np.linalg.norm(source))
 
 
 def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
@@ -246,6 +295,19 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
         explicit_euler_step((huge, 0.0), 1e9, op, step_index=7)
 
 
+def test_cspe_evictions_reach_the_aggregates(builtin6):
+    def evictions(strategy, **kwargs):
+        result = run_explicit(builtin6.system, t_end=3e-4, dt=1e-5,
+                              strategy=strategy, output_period=1e-4, **kwargs)
+        return result.aggregates["evictions"]
+
+    capped = evictions("cspe", max_cols=2)
+    assert set(capped) == {"source", "coupling_previous"}
+    assert sum(capped.values()) > 0
+    for strategy in STRATEGIES:
+        assert evictions(strategy) == {"source": 0, "coupling_previous": 0}
+
+
 def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=3, n_n=5)
     quiet = PartitionedSystem.linear(
@@ -257,7 +319,7 @@ def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
     assert np.array_equal(result.final_a_c, np.zeros(3))
     assert np.array_equal(result.final_a_n, np.zeros(5))
     assert result.aggregates["iterations"] == {
-        "source": 0, "coupling_current": 0, "coupling_previous": 0}
+        "source": 0, "coupling_previous": 0}
 
 
 def test_cfl_diagonal_examples(rng, make_linear_system):
@@ -584,21 +646,25 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
         iterations[family].append(count)
         window[family].append(count)
 
+    # recovery at a row solves the coupling of the step after it
     log(SRC, 5)
-    log(CUR, 7)
+    log(PREV, 7)
     row(0.0, 0)
-    t, step, step_times = 0.0, 0, []
+    t, step, step_times, handed_over = 0.0, 0, [], True
     while trace.running(t):
         t += min(dt, t_end - t)
         step += 1
         step_times.append(t)
         log(SRC, step % 4)
-        log(PREV, 3 * step)
+        if not handed_over:
+            log(PREV, 3 * step)
+        handed_over = False
         if step % 3 == 0:
             projections.append((step % 5, 1.0 / step))
             window_pod.append(projections[-1])
         if trace.due(t):
-            log(CUR, step)
+            log(PREV, step)
+            handed_over = True
             row(t, step)
 
     eps = 1e-12 * t_end
@@ -611,7 +677,7 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
     rows = trace.rows
     assert rows["b"] == [2.0 * t for t, _, _ in expected]
     for i, (_, logged, pod) in enumerate(expected):
-        for name, family in (("src", SRC), ("prev", PREV), ("cur", CUR)):
+        for name, family in (("src", SRC), ("prev", PREV)):
             mean = float(np.mean(logged[family])) if logged[family] else 0.0
             assert rows[name][i] == mean
         if pod:
