@@ -7,6 +7,13 @@ compare iteration budgets: ``iterations`` is the number of operator
 applications after the initial residual, and a start vector that already
 meets the tolerance reports zero iterations without touching the operator
 loop. The preconditioner is either none or Jacobi.
+
+Contract with the caller, which ``perfbench/run.py`` relies on to trace a
+run: :func:`pcg_solve` keeps the signature
+``pcg_solve(a, b, x0=None, config=None, preconditioner=None)``, applies the
+operator only through the callable that ``_as_operator`` returns, and uses
+a preconditioner only through its ``apply`` method. It writes neither *b*
+nor *x0*.
 """
 
 from __future__ import annotations
@@ -101,6 +108,22 @@ def _as_operator(a):
     raise TypeError(f"unsupported operator type {type(a).__name__}")
 
 
+def _vector(v, length: int | None, name: str) -> tuple[np.ndarray, float]:
+    """*v* as a 1-D float64 array of *length*, and its sum of squares.
+
+    A finite sum of squares proves every entry finite, so the entries are
+    tested (by :func:`as_vector`, with its error) only when the sum is not
+    finite; a finite vector whose sum overflows passes as before.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or (length is not None and v.size != length):
+        as_vector(v, length=length, name=name)      # raises the shape error
+    squares = float(v @ v)
+    if not math.isfinite(squares):
+        as_vector(v, name=name)
+    return v, squares
+
+
 def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
               preconditioner=None) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = b by preconditioned CG.
@@ -127,54 +150,59 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     (x, SolveReport)
         ``converged=False`` with the last iterate when the budget is
         exhausted; indefiniteness raises :class:`IndefiniteOperatorError`.
+        *x* is a new array: neither *b* nor *x0* is written.
     """
     config = config or PcgConfig()
     apply_a, n = _as_operator(a)
-    b = as_vector(b, length=n, name="rhs")
+    b, b_squares = _vector(b, n, "rhs")
     if preconditioner is None and config.preconditioner is not Preconditioner.NONE:
         if not isinstance(a, CsrMatrix):
             raise ValueError("automatic preconditioner construction needs a CsrMatrix")
         preconditioner = build_preconditioner(a, config.preconditioner)
 
-    b_norm = math.sqrt(b @ b)
+    b_norm = math.sqrt(b_squares)
     target = max(config.rel_tol * b_norm, config.abs_tol)
 
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
-        x = as_vector(x0, length=b.size, name="start vector").copy()
+        x = _vector(x0, b.size, "start vector")[0].copy()
         r = b - apply_a(x)
     r_norm = math.sqrt(r @ r)
 
-    def rel(res: float) -> float:
-        if b_norm > 0.0:
-            return res / b_norm
-        return 0.0 if res == 0.0 else np.inf
-
     if r_norm <= target:
-        return x, SolveReport(0, rel(r_norm), True)
+        return x, SolveReport(0, _relative(r_norm, b_norm), True)
 
+    # x, r and p are updated in place through one scratch vector; the
+    # operator's and the preconditioner's outputs are only read
     z = preconditioner.apply(r) if preconditioner is not None else r
     p = z.copy()
+    scratch = np.empty_like(p)
     rz = float(r @ z)
     for it in range(1, config.max_iter + 1):
         ap = apply_a(p)
         pap = float(p @ ap)
-        if not np.isfinite(pap) or pap <= 0.0:
+        if not math.isfinite(pap) or pap <= 0.0:
             raise IndefiniteOperatorError(
                 f"nonpositive curvature p^T A p = {pap:.3e} at iteration {it}")
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        np.add(x, np.multiply(p, alpha, out=scratch), out=x)
+        np.subtract(r, np.multiply(ap, alpha, out=scratch), out=r)
         r_norm = math.sqrt(r @ r)
         if r_norm <= target:
-            return x, SolveReport(it, rel(r_norm), True)
+            return x, SolveReport(it, _relative(r_norm, b_norm), True)
         z = preconditioner.apply(r) if preconditioner is not None else r
         rz_next = float(r @ z)
-        if not np.isfinite(rz_next):
+        if not math.isfinite(rz_next):
             raise IndefiniteOperatorError(
                 f"non-finite preconditioned residual at iteration {it}")
-        p = z + (rz_next / rz) * p
+        np.add(z, np.multiply(p, rz_next / rz, out=p), out=p)
         rz = rz_next
-    return x, SolveReport(config.max_iter, rel(r_norm), False)
+    return x, SolveReport(config.max_iter, _relative(r_norm, b_norm), False)
+
+
+def _relative(res: float, b_norm: float) -> float:
+    if b_norm > 0.0:
+        return res / b_norm
+    return 0.0 if res == 0.0 else np.inf

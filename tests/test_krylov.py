@@ -1,6 +1,7 @@
 """Preconditioned conjugate gradients, unpreconditioned and with Jacobi."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
-                     PcgConfig, Preconditioner, pcg_solve)
+                     NonFiniteError, PcgConfig, Preconditioner, pcg_solve)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -203,3 +204,120 @@ def test_norm_by_dot_product_equals_numpy_norm(n, seed, log_scale):
     v = np.random.default_rng(seed).standard_normal(n) * 10.0 ** log_scale
     with np.errstate(over="ignore", under="ignore"):
         assert math.sqrt(v @ v) == float(np.linalg.norm(v))
+
+
+def textbook_pcg(a, b, x0, config, preconditioner):
+    """The out-of-place PCG recurrence that pcg_solve must reproduce bitwise."""
+    b_norm = math.sqrt(b @ b)
+    target = max(config.rel_tol * b_norm, config.abs_tol)
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    r = b.copy() if x0 is None else b - a @ x
+    r_norm = math.sqrt(r @ r)
+    rel = r_norm / b_norm if b_norm > 0.0 else (0.0 if r_norm == 0.0 else np.inf)
+    if r_norm <= target:
+        return x, 0, rel
+    z = preconditioner.apply(r) if preconditioner is not None else r
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, config.max_iter + 1):
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        r_norm = math.sqrt(r @ r)
+        if r_norm <= target:
+            return x, it, r_norm / b_norm
+        z = preconditioner.apply(r) if preconditioner is not None else r
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, config.max_iter, r_norm / b_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+       rank_deficit=st.integers(0, 3), jacobi=st.booleans(),
+       start=st.booleans(), max_iter=st.integers(1, 60))
+def test_in_place_recurrence_equals_the_textbook_one(seed, n, rank_deficit,
+                                                     jacobi, start, max_iter):
+    rng = np.random.default_rng(seed)
+    rank = max(n - rank_deficit, 1)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
+    dense = (basis * rng.uniform(1.0, 100.0, rank)) @ basis.T
+    a = CsrMatrix.from_dense(0.5 * (dense + dense.T))
+    # consistent: in the range of a singular matrix too
+    b = a @ rng.standard_normal(n)
+    x0 = rng.standard_normal(n) if start else None
+    preconditioner = (JacobiPreconditioner(a.diagonal()) if jacobi
+                      else None)
+    config = PcgConfig(rel_tol=1e-10, max_iter=max_iter)
+    b_before = b.copy()
+    x0_before = None if x0 is None else x0.copy()
+
+    x, report = pcg_solve(a, b, x0=x0, config=config,
+                          preconditioner=preconditioner)
+    expected, iterations, rel = textbook_pcg(a, b, x0, config,
+                                             preconditioner)
+    assert np.array_equal(x, expected)
+    assert report.iterations == iterations
+    assert report.final_rel_residual == rel
+    assert np.array_equal(b, b_before)
+    if x0 is not None:
+        assert np.array_equal(x0, x0_before)
+        assert x is not x0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rhs_and_start_vector_are_named(bad):
+    a = CsrMatrix.identity(3)
+    poisoned = np.array([1.0, bad, 2.0])
+    with pytest.raises(NonFiniteError, match="rhs"):
+        pcg_solve(a, poisoned)
+    with pytest.raises(NonFiniteError, match="start vector"):
+        pcg_solve(a, np.ones(3), x0=poisoned)
+
+
+def test_finite_vectors_whose_sum_of_squares_overflows_pass():
+    # b @ b overflows to inf although every entry is finite: the entries
+    # are checked, pass, and the solve goes on as it always did (numpy's
+    # overflow warning aside)
+    a = CsrMatrix.identity(3)
+    big = np.full(3, 1e200)
+    with np.errstate(over="ignore"):
+        x, report = pcg_solve(a, big)
+    assert report.iterations == 0
+    assert report.converged
+    assert np.array_equal(x, np.zeros(3))
+    # an exact start vector of the same size returns as a copy
+    with np.errstate(over="ignore"):
+        x, report = pcg_solve(a, big, x0=big)
+    assert report.iterations == 0
+    assert np.array_equal(x, big)
+    assert x is not big
+
+
+def test_rhs_and_start_vector_shapes_are_checked():
+    a = CsrMatrix.identity(3)
+    with pytest.raises(ValueError, match="rhs has length 2, expected 3"):
+        pcg_solve(a, np.ones(2))
+    with pytest.raises(ValueError, match="rhs must be one-dimensional"):
+        pcg_solve(lambda x: x, np.ones((3, 1)))
+    with pytest.raises(ValueError, match="start vector has length 2"):
+        pcg_solve(a, np.ones(3), x0=np.ones(2))
+
+
+def test_a_preconditioner_is_used_only_through_apply(rng, make_spd):
+    # perfbench traces a run by handing pcg_solve a namespace that holds
+    # nothing but the preconditioner's apply
+    dense = make_spd(rng, 20, lo=0.5, hi=80.0)
+    a = CsrMatrix.from_dense(dense)
+    b = rng.standard_normal(20)
+    x0 = rng.standard_normal(20)
+    config = PcgConfig(rel_tol=1e-10, preconditioner=Preconditioner.JACOBI)
+    jacobi = JacobiPreconditioner(a.diagonal())
+    expected, expected_report = pcg_solve(a, b, x0=x0, config=config)
+    x, report = pcg_solve(lambda v: a @ v, b, x0=x0, config=config,
+                          preconditioner=SimpleNamespace(apply=jacobi.apply))
+    assert report.iterations > 1
+    assert report == expected_report
+    assert np.array_equal(x, expected)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, Excitation, GridSpec,
-                     Material, ModelError, PcgConfig, Preconditioner,
+from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, CsrMatrix, Excitation,
+                     GridSpec, Material, ModelError, PcgConfig, Preconditioner,
                      air_material, assemble, builtin_model, default_steel,
                      export_model, gradient_incidence, pcg_solve, probe_b,
                      read_matrix_market, reluctivity)
-from mqsolve.model import _Topology
+from mqsolve.model import _b2, _jacobian_maps, _rows, _Topology
+from mqsolve.sparse import spmv, spmv_transpose
 
 STEEL_NU0 = 49.4 + 520.6
 STEEL_DNU0 = 49.4 * 1.46
@@ -358,3 +359,74 @@ def test_kc_jacobian_matches_spgemm_on_a_fixed_pattern(name, request):
         assert b2[model.conductor_cells].max() == pytest.approx(9.0)
         assert not np.allclose(jacobians[1].to_dense(),
                                jacobians[0].to_dense())
+
+
+def all_faces_force(model):
+    """kc_apply, kc_matrix and kc_jacobian on every face of the grid.
+
+    The same arithmetic as the model, on the rows of
+    ``curl_interior[:, conducting]`` for all faces rather than the force
+    faces only; the dropped rows are empty, so the results must agree bit
+    for bit.
+    """
+    h = model.grid.h
+    c = CsrMatrix.from_scipy(model.curl_interior[:, model.conducting])
+    average = _Topology(model.grid).face_cell_average()
+    cond = model.conductor_cells
+    face_by_cond = CsrMatrix.from_scipy(average[:, cond])
+    in_conductor = np.isin(np.arange(model.grid.n_cells), cond)
+    base = average @ np.where(in_conductor, 0.0, model.air_reluctivity)
+    faces6 = model.cell_faces[cond]
+    pattern, weight_map, block_map = _jacobian_maps(c, faces6)
+
+    def weights(state):
+        phi = spmv(c, state)
+        nu_c, dnu_c = reluctivity(model.conductor, _b2(phi[faces6], h))
+        return base + spmv(face_by_cond, nu_c), phi, dnu_c
+
+    def kc_apply(state):
+        w, phi, _ = weights(state)
+        return spmv_transpose(c, (w / h) * phi)
+
+    def kc_matrix(state):
+        w, _, _ = weights(state)
+        scipy_c = c.to_scipy()
+        return CsrMatrix.from_scipy(scipy_c.T @ sp.diags(w / h) @ scipy_c)
+
+    def kc_jacobian(state):
+        w, phi, dnu_c = weights(state)
+        per = phi[faces6]
+        scale = dnu_c / (2.0 * h ** 5)
+        blocks = scale[:, None, None] * per[:, :, None] * per[:, None, :]
+        return pattern.with_values(spmv(weight_map, w / h)
+                                   + spmv(block_map, blocks.ravel()))
+
+    return kc_apply, kc_matrix, kc_jacobian
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.row_ptr, b.row_ptr)
+    assert np.array_equal(a.col_idx, b.col_idx)
+    assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("name", ["builtin6", "builtin6_linear", "corner_toy"])
+def test_force_faces_give_the_all_faces_force_bit_for_bit(name, request):
+    # corner_toy's conductor cell lies on the PEC boundary: three of its
+    # faces keep no edge, yet enter its B^2
+    model = request.getfixturevalue(name)
+    system = model.system
+    kc_apply, kc_matrix, kc_jacobian = all_faces_force(model)
+    for state in (np.zeros(model.n_c), saturated_state(model)):
+        assert np.array_equal(system.kc_apply(state), kc_apply(state))
+        assert_same_csr(system.kc_matrix(state), kc_matrix(state))
+        assert_same_csr(system.kc_jacobian(state), kc_jacobian(state))
+
+
+def test_force_rows_refuse_to_drop_a_stored_entry():
+    m = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]))
+    kept = _rows(m, np.array([0, 2]))
+    assert np.array_equal(kept.to_dense(), [[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="not empty"):
+        _rows(m, np.array([0, 1]))
