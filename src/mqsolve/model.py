@@ -358,10 +358,14 @@ def gradient_incidence(grid: GridSpec) -> sp.csr_matrix:
 
 
 def _b2(per: np.ndarray, h: float) -> np.ndarray:
-    """Cell B^2 from the (cells, 6) face circulations: x, y, z face pairs."""
-    return ((per[:, 0] ** 2 + per[:, 1] ** 2)
-            + (per[:, 2] ** 2 + per[:, 3] ** 2)
-            + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h ** 4)
+    """Cell B^2 from the (cells, 6) face circulations: x, y, z face pairs.
+
+    Sums ((p0^2 + p1^2) + (p2^2 + p3^2)) + (p4^2 + p5^2) in five array
+    operations; the order of the sums is part of the traces.
+    """
+    squares = per * per
+    pairs = squares[:, 0::2] + squares[:, 1::2]
+    return (pairs[:, 0] + pairs[:, 1] + pairs[:, 2]) / (2.0 * h ** 4)
 
 
 @dataclass

@@ -11,11 +11,15 @@ side. Eliminating the algebraic block turns the conducting part into an ODE
 where every pseudo-inverse action is realized by an unregularized PCG solve
 on the singular block (consistency makes CG converge without gauging). Each
 explicit Euler step therefore costs exactly two inner solves, one per
-right-hand-side family. Recovering the nonconducting unknowns at an output
-time needs the same two solves: it takes the source solution of the step
-that just ended and hands its coupling solution to the next step. A run
-therefore pays two solves for all of its recoveries, the source at t = 0
-and the coupling after the last step.
+right-hand-side family. A solve costs one K_n product per PCG iteration,
+plus one for the initial residual unless the start vector's K_n image is
+known: CSPE takes it from its cached products, so a CSPE solve whose start
+meets the tolerance makes no K_n product at all. Recovering the
+nonconducting unknowns at an output time needs the same two solves: it
+takes the source solution of the step that just ended and hands its
+coupling solution to the next step. A run therefore pays two solves for
+all of its recoveries, the source at t = 0 and the coupling after the
+last step.
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S); the
 bound is estimated by Lanczos with a Ritz-residual certificate and checked
@@ -27,6 +31,7 @@ state, so a refresh reuses the Krylov basis and its inner solutions.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,8 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from .krylov import (PcgConfig, Preconditioner, SolveReport,
-                     build_preconditioner, pcg_solve)
+from .krylov import (PcgConfig, Preconditioner, SolveReport, _relative,
+                     _vector, build_preconditioner, pcg_solve,
+                     stopping_target)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
 from .startvec import RhsFamily, StartVectorStrategy, make_strategy
@@ -164,9 +170,13 @@ class SchurOperator:
     block, seeded per right-hand-side family by the configured start-vector
     strategy. ``pcg`` chooses the tolerances and the preconditioner; None
     means the default tolerances with Jacobi. Per-solve iteration counts
-    (``solve_iterations``, one list per family), K_n applications of the
-    solves (``pcg_applies``) and solver wall time are accumulated for
-    benchmarking.
+    (``solve_iterations``, one list per family), solver wall time and the
+    K_n products of the solves are accumulated for benchmarking. The
+    products are split by cause in ``kn_applies``: PCG iterations of
+    family solves (``pcg``), initial residuals formed with a product
+    (``initial``) and every product of a family-less solve, the spectral
+    estimator's probes (``cfl``). ``cached_residuals`` counts the family
+    solves whose initial residual came from the strategy's cached products.
     """
 
     def __init__(self, system: PartitionedSystem, pcg: PcgConfig | None = None,
@@ -191,8 +201,14 @@ class SchurOperator:
                                           drop_tol=self.pcg.rel_tol)
         self._minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
-        self.pcg_applies = 0
+        self.kn_applies = {"pcg": 0, "initial": 0, "cfl": 0}
+        self.cached_residuals = 0
         self.solver_seconds = 0.0
+
+    @property
+    def pcg_applies(self) -> int:
+        """K_n products of the solves, every cause together."""
+        return sum(self.kn_applies.values())
 
     def solve_kn(self, rhs, family: RhsFamily | None = None,
                  step: int | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -202,16 +218,25 @@ class SchurOperator:
         solution and iteration count go back to it and to the family log;
         without one the solve starts from zero and leaves no history, so the
         spectral estimator's probes do not pollute the time-stepping caches.
+        When the strategy knows the start vector's K_n image
+        (``start_product``), the solve takes the initial residual from it
+        (see ``_solve_from_image``); a start that already meets the
+        tolerance is then returned itself, and is not handed back to the
+        strategy, whose history already spans it.
         *step* only names the time step in a failure message.
         """
         started = time.perf_counter()
-        x0 = None
+        x0 = image = None
         try:
             if family is not None:
                 x0 = self.strategy.start_vector(family, rhs)
-            y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
-                                  config=self.pcg,
-                                  preconditioner=self._precond)
+                image = self.strategy.start_product(family)
+            if image is None:
+                y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
+                                      config=self.pcg,
+                                      preconditioner=self._precond)
+            else:
+                y, report = self._solve_from_image(rhs, x0, image)
         except ValueError as err:
             # pcg_solve, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
@@ -227,12 +252,45 @@ class SchurOperator:
                 "iterations")
         # one K_n product per iteration, plus the initial residual, which
         # pcg_solve computes only when it is given a start vector
-        self.pcg_applies += report.iterations + (x0 is not None)
-        if family is not None:
-            self.strategy.observe(family, y)
+        if family is None:
+            self.kn_applies["cfl"] += report.iterations
+        else:
+            self.kn_applies["pcg"] += report.iterations
+            if image is None:
+                self.kn_applies["initial"] += 1
+            else:
+                self.cached_residuals += 1
+            if y is not x0:
+                self.strategy.observe(family, y)
             self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
+
+    def _solve_from_image(self, rhs, x0: np.ndarray, image: np.ndarray
+                          ) -> tuple[np.ndarray, SolveReport]:
+        """Solve from *x0* whose K_n image is *image*, with no product for
+        the initial residual r0 = rhs - image.
+
+        The stopping rule stays relative to *rhs*. A start that meets it is
+        returned itself, with zero iterations; otherwise PCG solves
+        K_n d = r0 from zero down to the same residual norm, and the
+        solution is x0 + d. The report's residual is relative to *rhs*.
+        """
+        rhs, squares = _vector(rhs, x0.size, "rhs")
+        rhs_norm = math.sqrt(squares)
+        target = stopping_target(self.pcg, rhs_norm)
+        r0 = rhs - image
+        r0_norm = math.sqrt(r0 @ r0)
+        if r0_norm <= target:
+            return x0, SolveReport(0, _relative(r0_norm, rhs_norm), True)
+        d, report = pcg_solve(self._kn_apply, r0,
+                              config=self.pcg.stopping_at(target),
+                              preconditioner=self._precond)
+        d += x0
+        return d, SolveReport(
+            report.iterations,
+            _relative(report.final_rel_residual * r0_norm, rhs_norm),
+            report.converged)
 
     def minv(self, x: np.ndarray) -> np.ndarray:
         return self._minv_diag * x
@@ -646,6 +704,7 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
             a_n, coupling = recover_an(op, a_c, t, y_src, step=steps)
             trace.row(t, a_c, a_n, op.strategy.basis_size())
 
+    kn_applies = op.kn_applies | {"upkeep": op.strategy.maintenance_applies}
     return trace.result(a_c, a_n, {
         "integrator": "explicit",
         "strategy": op.strategy.kind,
@@ -657,7 +716,9 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "pcg_applies": op.pcg_applies,
         "maintenance_applies": op.strategy.maintenance_applies,
         "evictions": {f.value: op.strategy.evictions(f) for f in FAMILIES},
-        "operator_applies": op.pcg_applies + op.strategy.maintenance_applies,
+        "kn_applies": kn_applies,
+        "cached_residuals": op.cached_residuals,
+        "operator_applies": sum(kn_applies.values()),
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": op.solver_seconds,
     })

@@ -9,7 +9,9 @@ previous solutions:
 * ``cspe``: keep an orthonormal basis of past solutions; every accepted basis
   column costs exactly one fresh operator application, and all previously
   cached operator products and Galerkin entries are reused bit-identically
-  (the cascade property).
+  (the cascade property). The start vector and its operator image both
+  come from cached products, so a solve needs no operator application for
+  its initial residual (``start_product``).
 * ``pod``: keep a ring buffer of raw snapshots and rebuild a truncated
   orthogonal basis per solve via the method of snapshots (eigendecomposition
   of the small Gram matrix), paying one operator application per retained
@@ -83,12 +85,12 @@ class SubspaceCache:
     against a fixed operator, so rebinding is deliberately impossible.
     Eviction is first-in-first-out once ``max_cols`` is reached.
 
-    The inverse Cholesky factor of the Galerkin matrix is kept between
-    projections and rebuilt only after the basis changed (an accepted insert,
-    an eviction or a dropped column). Most inserts are dropped as solver
-    noise, so most projections reuse it. The start vector ``project`` last
-    returned is kept, as a private copy, until the basis changes: a solve
-    that meets its tolerance at once hands it back to ``insert`` unchanged.
+    With the Galerkin matrix U^T A U = L L^T, ``project`` keeps
+    W = U L^{-T} and A W = (A U) L^{-T}: the start vector is x0 = W c with
+    c = W^T rhs, and its image A x0 = (A W) c (``start_product``) costs no
+    operator application. W and A W are rebuilt only after the basis
+    changed (an accepted insert, an eviction or a dropped column). Most
+    inserts are dropped as solver noise, so most projections reuse them.
     """
 
     def __init__(self, dim: int, operator, max_cols: int = 20,
@@ -102,8 +104,11 @@ class SubspaceCache:
         self._basis = np.empty((self.dim, 0))
         self._products = np.empty((self.dim, 0))
         self._galerkin = np.empty((0, 0))
-        self._inv_factor: np.ndarray | None = None
-        self._projection: np.ndarray | None = None
+        # W and A W, None after a basis change
+        self._w: np.ndarray | None = None
+        self._aw: np.ndarray | None = None
+        # A W and c of the last projection
+        self._start: tuple[np.ndarray, np.ndarray] | None = None
         self.products_computed = 0
         self.columns_accepted = 0
         self.columns_dropped = 0
@@ -130,19 +135,10 @@ class SubspaceCache:
 
         Costs exactly one operator application on acceptance and none on a
         drop. Existing products and Galerkin entries are not recomputed.
-
-        A vector equal to the start vector ``project`` last returned, with
-        the basis unchanged since, is dropped without the Gram-Schmidt
-        sweep. It lies in span(U) up to rounding, so for ``drop_tol`` >=
-        1e-12 the sweep would drop it too; a smaller ``drop_tol`` would let
-        the sweep accept that rounding noise as a column.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        if self._projection is not None and (v == self._projection).all():
-            self.columns_dropped += 1
-            return False
         orig = math.sqrt(v @ v)
         if orig == 0.0 or not math.isfinite(orig):
             self.columns_dropped += 1
@@ -177,8 +173,7 @@ class SubspaceCache:
         self._basis = np.column_stack([self._basis, u])
         self._products = np.column_stack([self._products, ku])
         self._galerkin = g
-        self._inv_factor = None
-        self._projection = None
+        self._w = self._aw = None
         self.columns_accepted += 1
         return True
 
@@ -187,36 +182,45 @@ class SubspaceCache:
         self._basis = self._basis[:, keep]
         self._products = self._products[:, keep]
         self._galerkin = self._galerkin[np.ix_(keep, keep)]
-        self._inv_factor = None
-        self._projection = None
+        self._w = self._aw = None
 
     def project(self, rhs) -> np.ndarray:
         """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs.
 
-        An empty cache returns the zero vector. A singular Galerkin matrix
-        drops the offending column and retries. The caller may modify the
-        returned array; ``insert`` compares against its own copy.
+        It is W W^T rhs. An empty cache returns the zero vector. A singular
+        Galerkin matrix drops the offending column and retries. The
+        returned array is the caller's.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.dim},)")
-        while self.size and self._inv_factor is None:
+        while self._w is None:
             try:
                 low = _cholesky_lower(self._galerkin)
             except _PivotFailure as bad:
                 self.drop_column(bad.index)
                 self.columns_dropped += 1
                 continue
-            self._inv_factor = scipy.linalg.solve_triangular(
-                low, np.eye(self.size), lower=True)
-        if not self.size:
-            x0 = np.zeros(self.dim)
-        else:
-            # (U^T A U)^{-1} = L^{-T} L^{-1}
-            inv = self._inv_factor
-            x0 = self._basis @ (inv.T @ (inv @ (self._basis.T @ rhs)))
-        self._projection = x0.copy()
-        return x0
+            # (U^T A U)^{-1} = L^{-T} L^{-1}; W and A W are stored
+            # column-major, on which numpy's products with them run faster
+            inv_t = scipy.linalg.solve_triangular(
+                low, np.eye(self.size), lower=True).T
+            self._w = np.asfortranarray(self._basis @ inv_t)
+            self._aw = np.asfortranarray(self._products @ inv_t)
+        coeffs = self._w.T @ rhs
+        self._start = (self._aw, coeffs)
+        return self._w @ coeffs
+
+    def start_product(self) -> np.ndarray:
+        """A x0 for the start vector x0 that ``project`` last returned.
+
+        It is (A W) c from the cached products, with no operator
+        application; it equals A x0 up to rounding.
+        """
+        if self._start is None:
+            raise RuntimeError("start_product needs a projection first")
+        aw, coeffs = self._start
+        return aw @ coeffs
 
 
 class SnapshotBuffer:
@@ -300,17 +304,22 @@ class StartVectorStrategy:
 
     Subclasses define ``start_vector(family, rhs)``, the start of the next
     solve of a family, and ``observe(family, solution)``, which takes its
-    converged solution. ``maintenance_applies`` counts operator applications
-    spent on history upkeep (outside any Krylov iteration), the quantity
-    benchmarks charge to the start-vector method itself, and
-    ``evictions(family)`` the basis columns a capped history dropped to
-    make room. ``projections`` logs one ``(k, info)`` entry per truncated
-    projection; only POD truncates.
+    converged solution. ``start_product(family)`` is the operator image of
+    the family's last start vector when the strategy knows it without an
+    operator application, else None. ``maintenance_applies`` counts
+    operator applications spent on history upkeep (outside any Krylov
+    iteration), the quantity benchmarks charge to the start-vector method
+    itself, and ``evictions(family)`` the basis columns a capped history
+    dropped to make room. ``projections`` logs one ``(k, info)`` entry per
+    truncated projection; only POD truncates.
     """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.projections: list[tuple[int, float]] = []
+
+    def start_product(self, family: RhsFamily) -> np.ndarray | None:
+        return None
 
     def basis_size(self, family: RhsFamily | None = None) -> int:
         return 0
@@ -354,13 +363,17 @@ class CspeStrategy(StartVectorStrategy):
         self.drop_tol = drop_tol
 
     def cache(self, family: RhsFamily) -> SubspaceCache:
-        if family not in self._caches:
-            self._caches[family] = SubspaceCache(
+        cache = self._caches.get(family)
+        if cache is None:
+            cache = self._caches[family] = SubspaceCache(
                 self.dim, self._operator, self.max_cols, self.drop_tol)
-        return self._caches[family]
+        return cache
 
     def start_vector(self, family, rhs):
         return self.cache(family).project(rhs)
+
+    def start_product(self, family):
+        return self.cache(family).start_product()
 
     def observe(self, family, solution):
         self.cache(family).insert(solution)

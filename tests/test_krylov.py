@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
                      NonFiniteError, PcgConfig, Preconditioner, pcg_solve)
+from mqsolve.krylov import stopping_target
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -157,6 +158,26 @@ def test_config_validation():
         PcgConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         PcgConfig(max_iter=0)
+
+
+def test_stopping_at_stops_at_the_absolute_target_alone(rng, make_spd):
+    config = PcgConfig(rel_tol=1e-3, abs_tol=1e-2, max_iter=300,
+                       preconditioner=Preconditioner.JACOBI)
+    assert stopping_target(config, 1.0) == 1e-2
+    assert stopping_target(config, 1e3) == 1.0
+    absolute = config.stopping_at(1e-7)
+    assert absolute.max_iter == 300
+    assert absolute.preconditioner is Preconditioner.JACOBI
+    for b_norm in (0.0, 1e-3, 1.0, 1e12):
+        assert stopping_target(absolute, b_norm) == 1e-7
+    dense = make_spd(rng, 30, lo=0.5, hi=50.0)
+    b = 1e3 * rng.standard_normal(30)
+    x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=absolute)
+    assert report.converged
+    assert report.final_rel_residual * np.linalg.norm(b) <= 1e-7
+    # the config's own rule, max(1e-3 * ||b||, 1e-2), stops earlier
+    _, relative = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
+    assert relative.iterations < report.iterations
 
 
 def test_callable_operator_needs_explicit_preconditioner():

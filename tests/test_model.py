@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, CsrMatrix, Excitation,
                      GridSpec, Material, ModelError, PcgConfig, Preconditioner,
@@ -430,3 +433,18 @@ def test_force_rows_refuse_to_drop_a_stored_entry():
     assert np.array_equal(kept.to_dense(), [[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError, match="not empty"):
         _rows(m, np.array([0, 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(per=arrays(np.float64, st.tuples(st.integers(0, 30), st.just(6)),
+                  elements=st.floats(allow_nan=False, allow_subnormal=True,
+                                     width=64)),
+       h=st.floats(1e-4, 1.0))
+def test_b2_keeps_the_pairwise_sum_bit_for_bit(per, h):
+    # the form the traces were recorded with; overflow to inf included
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = ((per[:, 0] ** 2 + per[:, 1] ** 2)
+                    + (per[:, 2] ** 2 + per[:, 3] ** 2)
+                    + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h ** 4)
+        got = _b2(per, h)
+    assert got.tobytes() == expected.tobytes()

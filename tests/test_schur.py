@@ -12,8 +12,10 @@ from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
                      Preconditioner, RhsFamily, ScaledPatternSource,
                      SchurOperator, StepFailureError, estimate_cfl,
                      explicit_euler_step, exponential_ramp, krylov,
-                     pcg_solve, recover_an, run_explicit, schur)
+                     make_strategy, pcg_solve, recover_an, run_explicit,
+                     schur)
 from mqsolve.schur import TraceRecorder
+from mqsolve.sparse import spmv
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
 JACOBI = Preconditioner.JACOBI
@@ -596,28 +598,251 @@ def test_run_explicit_step_budget(rng, make_linear_system):
                      pcg=TIGHT, max_steps=10)
 
 
-def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
-    # count the products pcg_solve makes with the callable K_n operator
-    counted = [0]
-    original = krylov._as_operator
+CAUSES = ("pcg", "initial", "cfl", "upkeep")
+
+
+def count_products_by_cause(monkeypatch):
+    """K_n products made through ``krylov._as_operator``, split by cause.
+
+    Products inside ``estimate_cfl`` are CFL probes; the others are PCG
+    iterations and initial residuals, told apart by wrapping the
+    ``pcg_solve`` that ``schur`` calls.
+    """
+    counted = dict.fromkeys(CAUSES, 0)
+    inside_cfl = [0]
+    original_as_operator = krylov._as_operator
+    original_pcg_solve = schur.pcg_solve
+    original_estimate = schur.estimate_cfl
 
     def as_operator(a):
-        apply, n = original(a)
-        if isinstance(a, CsrMatrix):
-            return apply, n
+        apply, n = original_as_operator(a)
 
         def apply_counted(x):
-            counted[0] += 1
+            if inside_cfl[0]:
+                counted["cfl"] += 1
             return apply(x)
         return apply_counted, n
 
+    def solve(a, b, x0=None, config=None, preconditioner=None):
+        x, report = original_pcg_solve(a, b, x0=x0, config=config,
+                                       preconditioner=preconditioner)
+        if not inside_cfl[0]:
+            counted["pcg"] += report.iterations
+            counted["initial"] += x0 is not None
+        return x, report
+
+    def estimate(*args, **kwargs):
+        inside_cfl[0] += 1
+        try:
+            return original_estimate(*args, **kwargs)
+        finally:
+            inside_cfl[0] -= 1
+
     monkeypatch.setattr(krylov, "_as_operator", as_operator)
-    result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
-                          strategy="cspe", output_period=2e-5,
-                          reestimate_every=2)
-    agg = result.aggregates
-    assert agg["cfl_refreshes"] > 0
-    assert counted[0] + agg["maintenance_applies"] == agg["operator_applies"]
+    monkeypatch.setattr(schur, "pcg_solve", solve)
+    monkeypatch.setattr(schur, "estimate_cfl", estimate)
+    return counted
+
+
+def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
+    # count the products made with the callable K_n operator, by cause
+    counted = count_products_by_cause(monkeypatch)
+    for strategy in STRATEGIES:
+        counted.update(dict.fromkeys(CAUSES, 0))
+        result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
+                              strategy=strategy, output_period=2e-5,
+                              reestimate_every=2)
+        agg = result.aggregates
+        assert agg["cfl_refreshes"] > 0
+        counted["upkeep"] = agg["maintenance_applies"]
+        assert agg["kn_applies"] == counted
+        assert sum(counted.values()) == agg["operator_applies"]
+        assert agg["kn_applies"]["pcg"] == sum(agg["iterations"].values())
+        assert agg["kn_applies"]["cfl"] > 0
+        solves = sum(agg["solves"].values())
+        if strategy == "cspe":
+            # every family solve takes its residual from cached products
+            assert agg["cached_residuals"] == solves
+            assert agg["kn_applies"]["initial"] == 0
+        else:
+            assert agg["cached_residuals"] == 0
+            assert agg["kn_applies"]["initial"] == solves
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_kn_applies_are_plain_and_repeat_exactly(builtin6, strategy):
+    aggregates = [run_explicit(builtin6.system, t_end=5e-5, dt="auto",
+                               strategy=strategy,
+                               output_period=1e-5).aggregates
+                  for _ in range(2)]
+    first, second = aggregates
+    assert first["kn_applies"] == second["kn_applies"]
+    assert first["cached_residuals"] == second["cached_residuals"]
+    assert all(type(v) is int for v in first["kn_applies"].values())
+    assert type(first["cached_residuals"]) is int
+
+
+def kn_solver(kn_dense, config, operator=None, drop_tol=None):
+    """A SchurOperator whose K_n block is *kn_dense*, with a CSPE strategy.
+
+    The strategy's cache applies *operator* (K_n by default) and drops
+    columns below *drop_tol* (the solve tolerance by default).
+    """
+    n = kn_dense.shape[0]
+    system = PartitionedSystem.linear(
+        mc=CsrMatrix.identity(1), kcn=CsrMatrix.from_dense(np.zeros((1, n))),
+        kn=CsrMatrix.from_dense(kn_dense), kc=CsrMatrix.identity(1),
+        source=ScaledPatternSource(np.zeros(n), exponential_ramp(1.0)))
+    strategy = make_strategy(
+        "cspe", n, operator or kn_dense.__matmul__,
+        drop_tol=config.rel_tol if drop_tol is None else drop_tol)
+    return SchurOperator(system, pcg=config, strategy=strategy)
+
+
+def singular_spd(rng, n, deficit):
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigs = rng.uniform(0.5, 5.0, n)
+    eigs[:deficit] = 0.0
+    dense = (q * eigs) @ q.T
+    return 0.5 * (dense + dense.T), q[:, deficit:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
+       deficit=st.integers(1, 2), history=st.integers(0, 5),
+       in_span=st.booleans(), kind=st.sampled_from(list(Preconditioner)))
+def test_cached_residual_solve_matches_pcg_from_the_same_start(
+        seed, n, deficit, history, in_span, kind):
+    rng = np.random.default_rng(seed)
+    dense, range_basis = singular_spd(rng, n, deficit)
+    config = PcgConfig(rel_tol=1e-8, max_iter=10 * n, preconditioner=kind)
+    op = kn_solver(dense, config)
+    for _ in range(history):
+        op.strategy.observe(SRC, rng.standard_normal(n))
+    coeffs = rng.standard_normal(range_basis.shape[1])
+    if in_span and history:
+        # a right-hand side whose solution the basis holds
+        coeffs = range_basis.T @ (op.strategy.cache(SRC).basis[:, 0])
+    rhs = dense @ (range_basis @ coeffs)
+    x0 = op.strategy.start_vector(SRC, rhs)
+    reference, ref_report = pcg_solve(CsrMatrix.from_dense(dense), rhs,
+                                      x0=x0, config=config)
+    y, report = op.solve_kn(rhs, SRC)
+    assert report.converged and ref_report.converged
+    assert abs(report.iterations - ref_report.iterations) <= 1
+    rhs_norm = np.linalg.norm(rhs)
+    scale = np.abs(dense).max() * (np.linalg.norm(x0) + np.linalg.norm(y))
+    slack = 1e-13 * scale + 1e-13 * rhs_norm
+    assert np.linalg.norm(rhs - dense @ y) <= 1.5e-8 * rhs_norm + slack
+    # both solutions lie in x0 + range(K_n), where K_n is at least 0.5
+    gap = y - reference
+    assert np.linalg.norm(gap) <= (3e-8 * rhs_norm + 2 * slack) / 0.5
+    assert report.final_rel_residual <= config.rel_tol
+
+
+def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
+    n = 40
+    dense = np.diag(np.linspace(1.0, 100.0, n))
+    config = PcgConfig(rel_tol=1e-6, max_iter=500)
+    op = kn_solver(dense, config)
+    rhs = rng.standard_normal(n)
+    exact = rhs / np.diag(dense)
+    # a start about 1e-3 of the way from the solution
+    op.strategy.observe(SRC, exact + 1e-3 * np.linalg.norm(exact)
+                        * rng.standard_normal(n) / np.sqrt(n))
+    x0 = op.strategy.start_vector(SRC, rhs)
+    r0 = rhs - dense @ x0
+    rhs_norm, r0_norm = np.linalg.norm(rhs), np.linalg.norm(r0)
+    assert 10 * config.rel_tol * rhs_norm < r0_norm < 1e-2 * rhs_norm
+    y, report = op.solve_kn(rhs, SRC)
+    residual = np.linalg.norm(rhs - dense @ y)
+    # the target is rel_tol * ||rhs||, met but not overshot to rel_tol * ||r0||
+    assert residual <= 1.01 * config.rel_tol * rhs_norm
+    assert residual > config.rel_tol * r0_norm
+    matrix = CsrMatrix.from_dense(dense)
+    _, from_start = pcg_solve(matrix, rhs, x0=x0, config=config)
+    _, relative_to_r0 = pcg_solve(matrix, r0, config=config)
+    assert report.iterations == from_start.iterations
+    assert report.iterations < relative_to_r0.iterations
+
+
+def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
+        rng, counting_operator, monkeypatch):
+    n = 12
+    dense, _ = singular_spd(rng, n, 1)
+    upkeep = counting_operator(dense)
+    # with drop_tol 0 the sweep keeps any vector it does not zero exactly,
+    # so an insert of the start would be accepted as a column
+    op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200), upkeep,
+                   drop_tol=0.0)
+    for _ in range(3):
+        op.strategy.observe(SRC, dense @ rng.standard_normal(n))
+    cache = op.strategy.cache(SRC)
+    products = []
+    original_as_operator = krylov._as_operator
+
+    def as_operator(a):
+        apply, size = original_as_operator(a)
+
+        def apply_counted(x):
+            products.append(1)
+            return apply(x)
+        return apply_counted, size
+
+    starts = []
+    original_start = type(op.strategy).start_vector
+
+    def start_vector(self, family, rhs):
+        starts.append(original_start(self, family, rhs))
+        return starts[-1]
+
+    monkeypatch.setattr(krylov, "_as_operator", as_operator)
+    monkeypatch.setattr(type(op.strategy), "start_vector", start_vector)
+
+    def arrays():
+        return cache.basis, cache.cached_products, cache.galerkin
+
+    def counters():
+        # every insert moves columns_accepted or columns_dropped
+        return (cache.products_computed, cache.columns_accepted,
+                cache.columns_dropped, cache.evictions, upkeep.count)
+
+    arrays_before, counters_before = arrays(), counters()
+    kn_applies = dict(op.kn_applies)
+
+    rhs = dense @ (cache.basis @ rng.standard_normal(cache.size))
+    y, report = op.solve_kn(rhs, SRC)
+    assert report.iterations == 0 and report.converged
+    assert y is starts[-1]                  # no copy
+    assert products == []
+    assert all(now is before for now, before in zip(arrays(), arrays_before))
+    assert counters() == counters_before    # no insert
+    assert op.kn_applies == kn_applies
+    assert op.cached_residuals == 1
+    assert op.solve_iterations[SRC] == [0]
+
+    # a start the solve moves is observed and, with drop_tol 0, accepted
+    y, report = op.solve_kn(dense @ rng.standard_normal(n), SRC)
+    assert report.iterations > 0 and y is not starts[-1]
+    assert len(products) == report.iterations
+    products_computed, accepted, dropped, evictions, applied = counters_before
+    assert counters() == (products_computed + 1, accepted + 1, dropped,
+                          evictions, applied + 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_on_the_cached_path_names_family_and_step(
+        builtin6, bad):
+    system = builtin6.system
+    op = SchurOperator(system, strategy="cspe")
+    rhs = spmv(system.kn, np.ones(system.n_n))
+    op.solve_kn(rhs, PREV, step=6)
+    assert op.strategy.start_product(PREV) is not None
+    rhs[3] = bad
+    with pytest.raises(StepFailureError,
+                       match=r"^inner solve \(coupling_previous\) at step 7: "
+                             "non-finite right-hand side$"):
+        op.solve_kn(rhs, PREV, step=7)
 
 
 @settings(max_examples=40, deadline=None)

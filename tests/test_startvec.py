@@ -110,6 +110,8 @@ def test_projection_exact_when_solution_in_subspace(rng, make_spd):
 def test_project_edge_cases(rng, make_spd):
     dense = make_spd(rng, 5)
     cache = SubspaceCache(5, dense.__matmul__)
+    with pytest.raises(RuntimeError, match="projection"):
+        cache.start_product()
     assert np.array_equal(cache.project(rng.standard_normal(5)), np.zeros(5))
     v = rng.standard_normal(5)
     cache.insert(v)
@@ -174,10 +176,14 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
         x0 = cache.project(rhs)
         if k == 0:
             assert np.array_equal(x0, np.zeros(n))
+            assert np.array_equal(cache.start_product(), np.zeros(n))
             continue
         expected = u @ np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
         assert (np.linalg.norm(x0 - expected)
                 <= 1e-10 * np.linalg.norm(expected))
+        image = dense @ x0
+        assert (np.linalg.norm(cache.start_product() - image)
+                <= 1e-12 * np.abs(dense).max() * np.linalg.norm(x0))
 
 
 def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
@@ -191,54 +197,42 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
         SubspaceCache(4, dense.__matmul__, 0)
 
 
-def test_insert_of_the_last_projection_skips_the_sweep(rng, make_spd,
-                                                      counting_operator):
-    dense = make_spd(rng, 10)
-    op = counting_operator(dense)
-    # with drop_tol 0 the sweep keeps any vector it does not zero exactly,
-    # so an accepted insert shows that the sweep ran
-    cache = SubspaceCache(10, op, drop_tol=0.0)
-    for _ in range(3):
-        cache.insert(rng.standard_normal(10))
-    x0 = cache.project(rng.standard_normal(10))
-    dropped, products = cache.columns_dropped, cache.products_computed
-    # a solve that meets its tolerance at once returns a copy of x0
-    assert not cache.insert(x0.copy())
-    assert cache.columns_dropped == dropped + 1
-    assert cache.products_computed == op.count == products
-    assert cache.size == 3
-    nudged = x0.copy()
-    nudged[0] = np.nextafter(x0[0], np.inf)
-    assert cache.insert(nudged)
-    assert cache.products_computed == products + 1
-
-
 @pytest.mark.parametrize("change", ["drop_column", "eviction", "accepted"])
 def test_a_basis_change_forgets_the_projection(rng, make_spd, change):
+    # W and A W belong to one basis: after a change the next start vector
+    # and its product are those of the new basis
     dense = make_spd(rng, 8)
-    cache = SubspaceCache(8, dense.__matmul__, max_cols=3, drop_tol=0.0)
+    cache = SubspaceCache(8, dense.__matmul__, max_cols=3)
     for _ in range(3 if change == "eviction" else 2):
         cache.insert(rng.standard_normal(8))
-    x0 = cache.project(rng.standard_normal(8))
+    rhs = rng.standard_normal(8)
+    before = cache.project(rhs)
     if change == "drop_column":
         cache.drop_column(0)
     else:
         assert cache.insert(rng.standard_normal(8))
         assert cache.evictions == (change == "eviction")
-    products = cache.products_computed
-    # drop_tol 0: the sweep accepts x0, in the new span or not
-    assert cache.insert(x0)
-    assert cache.products_computed == products + 1
+    x0 = cache.project(rhs)
+    u = cache.basis
+    expected = u @ np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
+    assert not np.allclose(x0, before)
+    assert np.allclose(x0, expected, rtol=0.0, atol=1e-11)
+    assert np.allclose(cache.start_product(), dense @ x0, rtol=0.0,
+                       atol=1e-11)
 
 
 def test_a_modified_start_vector_is_not_taken_for_the_projection(rng,
                                                                  make_spd):
+    # the caller owns the start vector; its product comes from the cache's
+    # own coefficients
     dense = make_spd(rng, 8)
     cache = SubspaceCache(8, dense.__matmul__)
     for _ in range(2):
         cache.insert(rng.standard_normal(8))
     x0 = cache.project(rng.standard_normal(8))
+    image = dense @ x0
     x0 += rng.standard_normal(8)
+    assert np.allclose(cache.start_product(), image, rtol=0.0, atol=1e-11)
     assert cache.insert(x0)
 
 
