@@ -6,15 +6,14 @@ solutions. Iteration counting is explicit because downstream benchmarks
 compare iteration budgets: ``iterations`` is the number of operator
 applications after the initial residual, and a start vector that already
 meets the tolerance reports zero iterations without touching the operator
-loop. The preconditioner is either none or Jacobi. :func:`stopping_target`
+loop. The preconditioner is either none or Jacobi. :func:`_stopping_target`
 is the one stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
 products, so ``solve_kn`` forms the initial residual itself: a start that
-meets :func:`stopping_target` is returned without a call here, and any
-other solves for the correction from zero under
-:meth:`PcgConfig.stopping_at` that target.
+meets :func:`_stopping_target` is returned without a call here, and any
+other solves for the correction from zero down to that same residual norm.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
 run: :func:`pcg_solve` keeps the signature
@@ -40,7 +39,6 @@ __all__ = [
     "PcgConfig",
     "SolveReport",
     "pcg_solve",
-    "stopping_target",
     "build_preconditioner",
     "JacobiPreconditioner",
     "IndefiniteOperatorError",
@@ -74,21 +72,8 @@ class PcgConfig:
             object.__setattr__(self, "preconditioner",
                                Preconditioner(self.preconditioner))
 
-    def stopping_at(self, target: float) -> "PcgConfig":
-        """This configuration, stopping at the residual norm *target* alone.
 
-        Its rel_tol is the smallest positive double (about 4.9e-324), so
-        the stopping rule is *target* for every right-hand side whose norm
-        is below target / 4.9e-324.
-        """
-        return PcgConfig(_SMALLEST_REL_TOL, target, self.max_iter,
-                         self.preconditioner)
-
-
-_SMALLEST_REL_TOL = math.ulp(0.0)
-
-
-def stopping_target(config: PcgConfig, b_norm: float) -> float:
+def _stopping_target(config: PcgConfig, b_norm: float) -> float:
     """Residual norm at which a solve of a right-hand side of norm *b_norm*
     stops: max(rel_tol * ||b||, abs_tol), the one stopping rule."""
     return max(config.rel_tol * b_norm, config.abs_tol)
@@ -168,7 +153,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         Start vector (zero when omitted). If it already satisfies the
         tolerance the solve returns immediately with zero iterations.
     config : PcgConfig
-        Tolerances and iteration budget. Stopping rule (stopping_target):
+        Tolerances and iteration budget. Stopping rule (_stopping_target):
         ||r||_2 <= max(rel_tol * ||b||_2, abs_tol) on the recurrence residual.
     preconditioner : object with ``apply``, optional
         Prebuilt preconditioner; when omitted and the config requests one,
@@ -190,7 +175,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         preconditioner = build_preconditioner(a, config.preconditioner)
 
     b_norm = math.sqrt(b_squares)
-    target = stopping_target(config, b_norm)
+    target = _stopping_target(config, b_norm)
 
     if x0 is None:
         x = np.zeros_like(b)

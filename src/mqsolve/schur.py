@@ -33,15 +33,15 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .krylov import (PcgConfig, Preconditioner, SolveReport, _relative,
-                     _vector, build_preconditioner, pcg_solve,
-                     stopping_target)
+                     _stopping_target, _vector, build_preconditioner,
+                     pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
 from .startvec import RhsFamily, StartVectorStrategy, make_strategy
@@ -205,11 +205,6 @@ class SchurOperator:
         self.cached_residuals = 0
         self.solver_seconds = 0.0
 
-    @property
-    def pcg_applies(self) -> int:
-        """K_n products of the solves, every cause together."""
-        return sum(self.kn_applies.values())
-
     def solve_kn(self, rhs, family: RhsFamily | None = None,
                  step: int | None = None) -> tuple[np.ndarray, SolveReport]:
         """K_n^+ rhs by PCG: the one solve behind every inner action.
@@ -278,13 +273,14 @@ class SchurOperator:
         """
         rhs, squares = _vector(rhs, x0.size, "rhs")
         rhs_norm = math.sqrt(squares)
-        target = stopping_target(self.pcg, rhs_norm)
+        target = _stopping_target(self.pcg, rhs_norm)
         r0 = rhs - image
         r0_norm = math.sqrt(r0 @ r0)
         if r0_norm <= target:
             return x0, SolveReport(0, _relative(r0_norm, rhs_norm), True)
-        d, report = pcg_solve(self._kn_apply, r0,
-                              config=self.pcg.stopping_at(target),
+        # the smallest positive rel_tol leaves target the whole rule
+        absolute = replace(self.pcg, rel_tol=math.ulp(0.0), abs_tol=target)
+        d, report = pcg_solve(self._kn_apply, r0, config=absolute,
                               preconditioner=self._precond)
         d += x0
         return d, SolveReport(
@@ -713,7 +709,6 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         "lambda_max": lambda_max,
         "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
-        "pcg_applies": op.pcg_applies,
         "maintenance_applies": op.strategy.maintenance_applies,
         "evictions": {f.value: op.strategy.evictions(f) for f in FAMILIES},
         "kn_applies": kn_applies,

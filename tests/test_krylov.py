@@ -1,5 +1,6 @@
 """Preconditioned conjugate gradients, unpreconditioned and with Jacobi."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
                      NonFiniteError, PcgConfig, Preconditioner, pcg_solve)
-from mqsolve.krylov import stopping_target
+from mqsolve.krylov import _stopping_target
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -160,16 +161,17 @@ def test_config_validation():
         PcgConfig(max_iter=0)
 
 
-def test_stopping_at_stops_at_the_absolute_target_alone(rng, make_spd):
+def test_the_smallest_rel_tol_stops_at_the_absolute_target_alone(
+        rng, make_spd):
     config = PcgConfig(rel_tol=1e-3, abs_tol=1e-2, max_iter=300,
                        preconditioner=Preconditioner.JACOBI)
-    assert stopping_target(config, 1.0) == 1e-2
-    assert stopping_target(config, 1e3) == 1.0
-    absolute = config.stopping_at(1e-7)
-    assert absolute.max_iter == 300
-    assert absolute.preconditioner is Preconditioner.JACOBI
+    assert _stopping_target(config, 1.0) == 1e-2
+    assert _stopping_target(config, 1e3) == 1.0
+    # the configuration a cached-residual solve hands to pcg_solve
+    absolute = dataclasses.replace(config, rel_tol=math.ulp(0.0),
+                                   abs_tol=1e-7)
     for b_norm in (0.0, 1e-3, 1.0, 1e12):
-        assert stopping_target(absolute, b_norm) == 1e-7
+        assert _stopping_target(absolute, b_norm) == 1e-7
     dense = make_spd(rng, 30, lo=0.5, hi=50.0)
     b = 1e3 * rng.standard_normal(30)
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=absolute)

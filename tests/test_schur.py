@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
@@ -93,7 +93,7 @@ def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
     assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
     # a zero coupling right-hand side needs no K_n product
     assert np.array_equal(inner, np.zeros(5))
-    assert op.pcg_applies == 0
+    assert sum(op.kn_applies.values()) == 0
     zero, _ = schur_action(op, np.zeros(3), np.zeros(3))
     assert np.array_equal(zero, np.zeros(3))
 
@@ -412,12 +412,12 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(
         a_c, _ = explicit_euler_step((a_c, t), first.dt_max, op,
                                      step_index=step)
         t += first.dt_max
-    applies = op.pcg_applies
+    applies = sum(op.kn_applies.values())
     refresh = estimate_cfl(op, a_c_ref=a_c, previous=first)
-    assert op.pcg_applies == applies and refresh.power_iters == 0
+    assert sum(op.kn_applies.values()) == applies and refresh.power_iters == 0
     # a tolerance no Rayleigh-Ritz step on the old basis meets
     fallback = estimate_cfl(op, a_c_ref=a_c, previous=first, cfl_tol=1e-9)
-    assert fallback.power_iters > 0 and op.pcg_applies > applies
+    assert fallback.power_iters > 0 and sum(op.kn_applies.values()) > applies
 
     lam = dense_lambda_max(op, a_c, schur_action)
     # the inner solves' tolerance bounds how far theta may pass lam
@@ -471,9 +471,10 @@ def logged_refreshes(system, monkeypatch, cfl_tol):
     original = schur.estimate_cfl
 
     def estimate(op, *args, **kwargs):
-        before = op.pcg_applies
+        before = sum(op.kn_applies.values())
         est = original(op, *args, **kwargs)
-        calls.append((kwargs.get("previous"), est, op.pcg_applies - before))
+        calls.append((kwargs.get("previous"), est,
+                      sum(op.kn_applies.values()) - before))
         return est
 
     monkeypatch.setattr(schur, "estimate_cfl", estimate)
@@ -602,13 +603,15 @@ CAUSES = ("pcg", "initial", "cfl", "upkeep")
 
 
 def count_products_by_cause(monkeypatch):
-    """K_n products made through ``krylov._as_operator``, split by cause.
+    """Every K_n product made through ``krylov._as_operator``, in total
+    and split by cause.
 
-    Products inside ``estimate_cfl`` are CFL probes; the others are PCG
-    iterations and initial residuals, told apart by wrapping the
-    ``pcg_solve`` that ``schur`` calls.
+    Products inside ``estimate_cfl`` are CFL probes. The products of each
+    other ``pcg_solve`` call that ``schur`` makes are counted there: its
+    reported iterations are PCG products and the rest were made for the
+    initial residual.
     """
-    counted = dict.fromkeys(CAUSES, 0)
+    counted = dict.fromkeys(("total",) + CAUSES, 0)
     inside_cfl = [0]
     original_as_operator = krylov._as_operator
     original_pcg_solve = schur.pcg_solve
@@ -616,19 +619,21 @@ def count_products_by_cause(monkeypatch):
 
     def as_operator(a):
         apply, n = original_as_operator(a)
-
         def apply_counted(x):
+            counted["total"] += 1
             if inside_cfl[0]:
                 counted["cfl"] += 1
             return apply(x)
         return apply_counted, n
 
     def solve(a, b, x0=None, config=None, preconditioner=None):
+        before = counted["total"]
         x, report = original_pcg_solve(a, b, x0=x0, config=config,
                                        preconditioner=preconditioner)
         if not inside_cfl[0]:
+            made = counted["total"] - before
             counted["pcg"] += report.iterations
-            counted["initial"] += x0 is not None
+            counted["initial"] += made - report.iterations
         return x, report
 
     def estimate(*args, **kwargs):
@@ -648,15 +653,19 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
     # count the products made with the callable K_n operator, by cause
     counted = count_products_by_cause(monkeypatch)
     for strategy in STRATEGIES:
-        counted.update(dict.fromkeys(CAUSES, 0))
+        counted.update(dict.fromkeys(counted, 0))
         result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
                               strategy=strategy, output_period=2e-5,
                               reestimate_every=2)
         agg = result.aggregates
         assert agg["cfl_refreshes"] > 0
+        # every product made, by any cause, is in operator_applies
+        assert (counted["total"] + agg["maintenance_applies"]
+                == agg["operator_applies"])
+        # and no product falls outside the causes
+        assert counted["total"] == sum(counted[c] for c in CAUSES)
         counted["upkeep"] = agg["maintenance_applies"]
-        assert agg["kn_applies"] == counted
-        assert sum(counted.values()) == agg["operator_applies"]
+        assert agg["kn_applies"] == {c: counted[c] for c in CAUSES}
         assert agg["kn_applies"]["pcg"] == sum(agg["iterations"].values())
         assert agg["kn_applies"]["cfl"] > 0
         solves = sum(agg["solves"].values())
@@ -707,24 +716,58 @@ def singular_spd(rng, n, deficit):
     return 0.5 * (dense + dense.T), q[:, deficit:]
 
 
+def observe_near_floor(op, dense, range_basis, null_basis, rng):
+    """Give the source cache two columns whose last Galerkin pivot sits
+    about 1e-11 above zero, relative to its diagonal entry: the floor at
+    which a column is dropped is 1e-12.
+
+    The columns span a range vector r and a null vector z, rotated, plus
+    eta times a second range vector w; a combination of them is then
+    nearly null, and W = U L^{-T} has a column of norm about 1e5 / eta.
+    """
+    r, w = range_basis[:, 0], range_basis[:, 1]
+    z = null_basis[:, 0]
+    theta = rng.uniform(0.3, 1.2)
+    eta = np.sin(theta) * np.sqrt(1e-11 * (r @ dense @ r) / (w @ dense @ w))
+    op.strategy.observe(SRC, np.cos(theta) * r + np.sin(theta) * z)
+    op.strategy.observe(SRC, -np.sin(theta) * r + np.cos(theta) * z
+                        + eta * w)
+    galerkin = op.strategy.cache(SRC).galerkin
+    pivot = np.linalg.cholesky(galerkin)[-1, -1] ** 2 / galerkin[-1, -1]
+    assert 1e-12 < pivot < 1e-10
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
        deficit=st.integers(1, 2), history=st.integers(0, 5),
-       in_span=st.booleans(), kind=st.sampled_from(list(Preconditioner)))
+       in_span=st.booleans(), near_floor=st.booleans(),
+       kind=st.sampled_from(list(Preconditioner)))
+# a zero-iteration return from a start with a near-floor pivot
+@example(seed=0, n=12, deficit=1, history=0, in_span=True, near_floor=True,
+         kind=Preconditioner.JACOBI)
 def test_cached_residual_solve_matches_pcg_from_the_same_start(
-        seed, n, deficit, history, in_span, kind):
+        seed, n, deficit, history, in_span, near_floor, kind):
     rng = np.random.default_rng(seed)
+    if near_floor:
+        n = max(n, deficit + 2)
     dense, range_basis = singular_spd(rng, n, deficit)
     config = PcgConfig(rel_tol=1e-8, max_iter=10 * n, preconditioner=kind)
     op = kn_solver(dense, config)
-    for _ in range(history):
-        op.strategy.observe(SRC, rng.standard_normal(n))
+    if near_floor:
+        null_basis = scipy.linalg.null_space(range_basis.T)
+        observe_near_floor(op, dense, range_basis, null_basis, rng)
+    else:
+        for _ in range(history):
+            op.strategy.observe(SRC, rng.standard_normal(n))
+    cache = op.strategy.cache(SRC)
     coeffs = rng.standard_normal(range_basis.shape[1])
-    if in_span and history:
+    if in_span and cache.size:
         # a right-hand side whose solution the basis holds
-        coeffs = range_basis.T @ (op.strategy.cache(SRC).basis[:, 0])
+        coeffs = range_basis.T @ (cache.basis @ rng.standard_normal(
+            cache.size))
     rhs = dense @ (range_basis @ coeffs)
     x0 = op.strategy.start_vector(SRC, rhs)
+    image = op.strategy.start_product(SRC)
     reference, ref_report = pcg_solve(CsrMatrix.from_dense(dense), rhs,
                                       x0=x0, config=config)
     y, report = op.solve_kn(rhs, SRC)
@@ -733,7 +776,16 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
     rhs_norm = np.linalg.norm(rhs)
     scale = np.abs(dense).max() * (np.linalg.norm(x0) + np.linalg.norm(y))
     slack = 1e-13 * scale + 1e-13 * rhs_norm
-    assert np.linalg.norm(rhs - dense @ y) <= 1.5e-8 * rhs_norm + slack
+    # the image from cached products is K_n x0 up to rounding, also when
+    # a column of W is large
+    assert np.linalg.norm(dense @ x0 - image) <= 1e-11 * rhs_norm + slack
+    residual = np.linalg.norm(rhs - dense @ y)
+    assert residual <= 1.5e-8 * rhs_norm + slack
+    if report.iterations == 0:
+        # the start returned as it is meets the target in its true
+        # residual, not only in the one formed from cached products
+        assert np.array_equal(y, x0)
+        assert residual <= config.rel_tol * rhs_norm + slack
     # both solutions lie in x0 + range(K_n), where K_n is at least 0.5
     gap = y - reference
     assert np.linalg.norm(gap) <= (3e-8 * rhs_norm + 2 * slack) / 0.5
