@@ -27,8 +27,8 @@ from .sparse import (CsrMatrix, NonFiniteError, as_vector,
                      spmv_transpose, symmetric_check, write_dense_vector,
                      write_matrix_market)
 from .startvec import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
-                       RhsFamily, SnapshotBuffer, StartVectorStrategy,
-                       SubspaceCache, make_strategy, pod_start_vector)
+                       RhsFamily, StartVectorStrategy, SubspaceCache,
+                       make_strategy, pod_start_vector)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,7 @@ __all__ = [
     "Preconditioner", "PcgConfig", "SolveReport", "JacobiPreconditioner",
     "IndefiniteOperatorError", "build_preconditioner", "pcg_solve",
     # start vectors
-    "RhsFamily", "SubspaceCache", "SnapshotBuffer",
-    "pod_start_vector",
+    "RhsFamily", "SubspaceCache", "pod_start_vector",
     "StartVectorStrategy", "PreviousSolutionStrategy", "CspeStrategy",
     "PodStrategy", "make_strategy",
     # partitioned system and explicit integrator

@@ -69,6 +69,25 @@ _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
                 "bool": bool}
 
 
+def _typed(kind, value):
+    """*value* as a value of the field type *kind*; TypeError if it is not
+    one. A kind ``(item, length)`` is a JSON array of *item* values, of any
+    length when *length* is None. The one rule for config values and
+    manifest entries alike.
+    """
+    if isinstance(kind, tuple):
+        item, length = kind
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise TypeError(value)
+        return [_typed(item, x) for x in value]
+    if not isinstance(value, _FIELD_KINDS[kind]) or (
+            isinstance(value, bool) and kind != "bool"):
+        raise TypeError(value)
+    if kind == "float":
+        return float(value)
+    return int(value) if kind == "int" else value
+
+
 @dataclass
 class RunConfig:
     """One run's worth of settings.
@@ -163,12 +182,10 @@ class RunConfig:
         if name == "dt":
             return _parse_dt(value)
         ftype = {f.name: f.type for f in dataclasses.fields(cls)}[name]
-        if not isinstance(value, _FIELD_KINDS[ftype]) or (
-                isinstance(value, bool) and ftype != "bool"):
-            raise ConfigError(f"bad value for {name}: {value!r}")
-        if ftype == "float":
-            return float(value)
-        return int(value) if ftype == "int" else value
+        try:
+            return _typed(ftype, value)
+        except TypeError:
+            raise ConfigError(f"bad value for {name}: {value!r}") from None
 
     @classmethod
     def from_sources(cls, config_file=None, overrides=None) -> "RunConfig":
@@ -197,15 +214,15 @@ class RunConfig:
         return cls(**values).validate()
 
     def pcg_config(self) -> PcgConfig:
-        return PcgConfig(rel_tol=self.tol, max_iter=5000,
+        return PcgConfig(rel_tol=self.tol,
                          preconditioner=Preconditioner(self.preconditioner))
 
     def newton_config(self) -> NewtonConfig:
-        return NewtonConfig(
-            tol=self.newton_tol, max_newton=self.max_newton,
-            linear_solver=PcgConfig(
-                rel_tol=1e-10, max_iter=50000,
-                preconditioner=Preconditioner(self.preconditioner)))
+        linear = dataclasses.replace(
+            NewtonConfig().linear_solver,
+            preconditioner=Preconditioner(self.preconditioner))
+        return NewtonConfig(tol=self.newton_tol, max_newton=self.max_newton,
+                            linear_solver=linear)
 
     def explicit_options(self) -> dict:
         """Keywords of :func:`run_explicit` other than dt and probe."""
@@ -232,26 +249,11 @@ def _section(manifest: dict, key: str, context: str) -> dict:
     return value
 
 
-def _json_type(kind):
-    """A converter that accepts only values of the JSON type *kind*."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-    return check
-
-
-def _three_floats(value) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise TypeError(value)
-    return tuple(float(x) for x in value)
-
-
-def _field(section: dict, key: str, context: str, convert=float):
+def _field(section: dict, key: str, context: str, kind="float"):
     value = _require(section, key, context)
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        return _typed(kind, value)
+    except TypeError:
         raise ConfigError(f"{context} has a bad {key!r}: {value!r}") from None
 
 
@@ -282,7 +284,7 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
     for name in ("m_c", "k_c", "k_cn", "k_n", "source_pattern"):
         entry = _section(blocks, name, "manifest blocks section")
         file_path = directory / _field(entry, "file", f"block {name!r}",
-                                          _json_type(str))
+                                          "str")
         if not file_path.exists():
             raise ConfigError(f"block {name!r} file not found: {file_path}")
         if name == "source_pattern":
@@ -319,15 +321,17 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
 
     if manifest.get("builtin"):
         builtin = _section(manifest, "builtin", "manifest")
-        params = {key: _field(builtin, key, "builtin section", convert)
-                  for key, convert in (("cells", int), ("h", float),
-                                       ("kappa", float),
-                                       ("brauer", _three_floats),
-                                       ("amps", float), ("tau", float),
-                                       ("linear", _json_type(bool)))}
+        params = {key: _field(builtin, key, "builtin section", kind)
+                  for key, kind in (("cells", "int"), ("h", "float"),
+                                    ("kappa", "float"),
+                                    ("brauer", ("float", 3)),
+                                    ("amps", "float"), ("tau", "float"),
+                                    ("linear", "bool"))}
+        if builtin.get("probe_cells") is not None:
+            params["probe_cells"] = _field(builtin, "probe_cells",
+                                           "builtin section", ("int", None))
         try:
-            model = builtin_model(**params,
-                                  probe_cells=builtin.get("probe_cells"))
+            model = builtin_model(**params)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"builtin section is unusable: {err}") from err
         rebuilt = {"m_c": model.system.mc,

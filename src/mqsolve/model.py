@@ -104,10 +104,14 @@ class Material:
         return self.brauer_k1 == 0.0
 
 
+# Brauer coefficients (k1, k2, k3) of the steel: unsaturated nu(0) = 570 m/H,
+# relative permeability about 1400
+_STEEL_BRAUER = (49.4, 1.46, 520.6)
+
+
 def default_steel(kappa: float = 5e6) -> Material:
-    # unsaturated nu(0) = 570 m/H, relative permeability about 1400
-    return Material(kappa=kappa, brauer_k1=49.4, brauer_k2=1.46,
-                    brauer_k3=520.6)
+    k1, k2, k3 = _STEEL_BRAUER
+    return Material(kappa=kappa, brauer_k1=k1, brauer_k2=k2, brauer_k3=k3)
 
 
 def air_material() -> Material:
@@ -374,7 +378,6 @@ class Model:
 
     grid: GridSpec
     conductor: Material
-    air_reluctivity: float
     system: PartitionedSystem
     interior_edges: np.ndarray   # global edge ids of retained dofs
     conducting: np.ndarray       # positions of conducting dofs (interior order)
@@ -500,7 +503,6 @@ def _check_conductor_region(mask: np.ndarray) -> None:
 
 
 def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
-             air_reluctivity: float = VACUUM_RELUCTIVITY,
              probe_cells=None) -> Model:
     """Assemble the partitioned system for one grid and excitation.
 
@@ -508,8 +510,6 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     when the loop is not interior and nonconducting, or when the excitation
     fails the closed-loop (divergence-free) check.
     """
-    if not (air_reluctivity > 0):
-        raise ModelError("air reluctivity must be positive")
     if conductor.kappa <= 0:
         raise ModelError("conductor material needs positive conductivity")
     topo = _Topology(grid)
@@ -538,7 +538,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
 
     # face weights at the zero state, which fix the constant blocks
     nu0 = conductor.brauer_k1 + conductor.brauer_k3
-    weights0 = average @ np.where(in_conductor, nu0, air_reluctivity)
+    weights0 = average @ np.where(in_conductor, nu0, VACUUM_RELUCTIVITY)
     k_full0 = (c_int.T @ sp.diags(weights0 / h) @ c_int).tocsr()
     k_cn = CsrMatrix.from_scipy(k_full0[cond_int][:, noncond_int])
     k_n = CsrMatrix.from_scipy(k_full0[noncond_int][:, noncond_int])
@@ -559,7 +559,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     c_cond = _rows(curl_cond, force_faces)
     face_by_cond = _rows(average[:, cond_cells], force_faces)
     # constant face weights: non-conductor cells only
-    nu_air_cells = np.where(in_conductor, 0.0, air_reluctivity)
+    nu_air_cells = np.where(in_conductor, 0.0, VACUUM_RELUCTIVITY)
     base_weights = (average @ nu_air_cells)[force_faces]
     # each conductor cell's six faces as rows of the force faces
     cond_faces6 = np.searchsorted(force_faces, cell_faces[cond_cells])
@@ -636,8 +636,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
                              or probe_cells.max() >= grid.n_cells):
         raise ModelError("probe cell index out of range")
 
-    return Model(grid=grid, conductor=conductor,
-                 air_reluctivity=air_reluctivity, system=system,
+    return Model(grid=grid, conductor=conductor, system=system,
                  interior_edges=interior, conducting=cond_int,
                  nonconducting=noncond_int, curl_interior=c_int,
                  cell_faces=cell_faces, conductor_cells=cond_cells,
@@ -646,7 +645,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
 
 
 def builtin_model(cells: int = 8, h: float = 5e-3, kappa: float = 5e6,
-                  brauer: tuple[float, float, float] = (49.4, 1.46, 520.6),
+                  brauer: tuple[float, float, float] = _STEEL_BRAUER,
                   amps: float = 50000.0, tau: float = 0.5, *,
                   linear: bool = False, probe_cells=None) -> Model:
     """Reference benchmark model: steel bar threaded by a square coil loop.

@@ -1,20 +1,20 @@
 """Start-vector generation for sequences of related linear solves.
 
 A transient run solves the same singular operator against two slowly
-varying right-hand-side families. Each family keeps its own history and
-produces a start vector by Galerkin projection onto a subspace built from its
-previous solutions:
+varying right-hand-side families. A strategy builds the history of each
+family when it is constructed and produces a start vector by Galerkin
+projection onto a subspace built from that family's previous solutions:
 
-* ``previous``: reuse the last solution unchanged.
+* ``previous``: reuse the last solution (zero before the first) unchanged.
 * ``cspe``: keep an orthonormal basis of past solutions; every accepted basis
   column costs exactly one fresh operator application, and all previously
   cached operator products and Galerkin entries are reused bit-identically
   (the cascade property). The start vector and its operator image both
   come from cached products, so a solve needs no operator application for
   its initial residual (``start_product``).
-* ``pod``: keep a ring buffer of raw snapshots and rebuild a truncated
-  orthogonal basis per solve via the method of snapshots (eigendecomposition
-  of the small Gram matrix), paying one operator application per retained
+* ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
+  truncated orthogonal basis per solve via the method of snapshots
+  (``pod_start_vector``), paying one operator application per retained
   mode each time.
 
 Families never share state; mixing histories would poison the projections.
@@ -32,7 +32,6 @@ import scipy.linalg
 __all__ = [
     "RhsFamily",
     "SubspaceCache",
-    "SnapshotBuffer",
     "pod_start_vector",
     "StartVectorStrategy",
     "PreviousSolutionStrategy",
@@ -47,6 +46,10 @@ class RhsFamily(Enum):
 
     SOURCE_CURRENT = "source"
     COUPLING_FROM_PREVIOUS_STATE = "coupling_previous"
+
+    # members are singletons compared by identity; Enum's own __hash__ is
+    # a Python-level call on every dict lookup of a family
+    __hash__ = object.__hash__
 
 
 class _PivotFailure(Exception):
@@ -223,60 +226,34 @@ class SubspaceCache:
         return aw @ coeffs
 
 
-class SnapshotBuffer:
-    """Fixed-capacity ring buffer of raw solution snapshots."""
-
-    def __init__(self, dim: int, n_pod: int = 10, eps_pod: float = 1e-4):
-        if n_pod < 1:
-            raise ValueError("n_pod must be at least 1")
-        if not (0.0 < eps_pod < 1.0):
-            raise ValueError("eps_pod must lie in (0, 1)")
-        self.dim = int(dim)
-        self.n_pod = int(n_pod)
-        self.eps_pod = float(eps_pod)
-        self._snapshots: deque[np.ndarray] = deque(maxlen=n_pod)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def push(self, solution) -> None:
-        v = np.asarray(solution, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"snapshot has shape {v.shape}, expected ({self.dim},)")
-        self._snapshots.append(v.copy())
-
-    def matrix(self) -> np.ndarray:
-        if not self._snapshots:
-            return np.empty((self.dim, 0))
-        return np.column_stack(list(self._snapshots))
-
-
-def pod_start_vector(buffer: SnapshotBuffer, rhs, operator
+def pod_start_vector(snapshots, rhs, operator, eps_pod: float
                      ) -> tuple[np.ndarray, int, float, int]:
     """Proper-orthogonal-decomposition start vector from raw snapshots.
 
     Builds the basis by the method of snapshots: eigendecomposition of the
-    small Gram matrix X^T X, singular values sigma_i = sqrt(eigenvalues),
-    truncation keeping all modes with sigma_i / sigma_1 > eps_pod. The kept
-    fraction of total singular-value mass is reported alongside.
+    small Gram matrix X^T X of the *snapshots* (a sequence of vectors),
+    singular values sigma_i = sqrt(eigenvalues), truncation keeping all
+    modes with sigma_i / sigma_1 > eps_pod. The kept fraction of total
+    singular-value mass is reported alongside.
 
-    Returns ``(x0, k, info_kept, operator_applications)``. An empty buffer or
+    Returns ``(x0, k, info_kept, operator_applications)``. No snapshots or
     all-zero snapshots give a zero start vector with k = 0 and info 0.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (buffer.dim,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({buffer.dim},)")
-    x = buffer.matrix()
-    if x.shape[1] == 0:
-        return np.zeros(buffer.dim), 0, 0.0, 0
+    if len(snapshots) == 0:
+        return np.zeros(rhs.size), 0, 0.0, 0
+    x = np.column_stack(snapshots)
+    dim = x.shape[0]
+    if rhs.shape != (dim,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({dim},)")
     gram = x.T @ x
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
     sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     evecs = evecs[:, order]
     if sigma[0] == 0.0:
-        return np.zeros(buffer.dim), 0, 0.0, 0
-    k = int(np.count_nonzero(sigma / sigma[0] > buffer.eps_pod))
+        return np.zeros(dim), 0, 0.0, 0
+    k = int(np.count_nonzero(sigma / sigma[0] > eps_pod))
     total = float(sigma.sum())
     basis = (x @ evecs[:, :k]) / sigma[:k]
     products = np.column_stack([np.asarray(operator(basis[:, j]), dtype=np.float64)
@@ -293,7 +270,7 @@ def pod_start_vector(buffer: SnapshotBuffer, rhs, operator
         coeff = _solve_spd(low, basis[:, :k].T @ rhs)
         info = float(sigma[:k].sum() / total)
         return basis[:, :k] @ coeff, k, info, applications
-    return np.zeros(buffer.dim), 0, 0.0, applications
+    return np.zeros(dim), 0, 0.0, applications
 
 
 # -- per-family strategy objects -------------------------------------------
@@ -304,7 +281,11 @@ class StartVectorStrategy:
 
     Subclasses define ``start_vector(family, rhs)``, the start of the next
     solve of a family, and ``observe(family, solution)``, which takes its
-    converged solution. ``start_product(family)`` is the operator image of
+    converged solution. A subclass builds the history of every family in
+    its constructor, so a bad setting fails there, not at the first solve.
+    ``basis_size(family)`` is the size of a family's basis (for POD, the
+    modes its latest projection kept) and ``basis_size()`` the largest
+    over the families. ``start_product(family)`` is the operator image of
     the family's last start vector when the strategy knows it without an
     operator application, else None. ``maintenance_applies`` counts
     operator applications spent on history upkeep (outside any Krylov
@@ -339,11 +320,10 @@ class PreviousSolutionStrategy(StartVectorStrategy):
 
     def __init__(self, dim: int):
         super().__init__(dim)
-        self._last: dict[RhsFamily, np.ndarray] = {}
+        self._last = {family: np.zeros(self.dim) for family in RhsFamily}
 
     def start_vector(self, family, rhs):
-        last = self._last.get(family)
-        return np.zeros(self.dim) if last is None else last.copy()
+        return self._last[family].copy()
 
     def observe(self, family, solution):
         self._last[family] = np.asarray(solution, dtype=np.float64).copy()
@@ -357,34 +337,29 @@ class CspeStrategy(StartVectorStrategy):
     def __init__(self, dim: int, operator, max_cols: int = 20,
                  drop_tol: float = 1e-10):
         super().__init__(dim)
-        self._operator = operator
-        self._caches: dict[RhsFamily, SubspaceCache] = {}
-        self.max_cols = max_cols
-        self.drop_tol = drop_tol
+        self._caches = {family: SubspaceCache(dim, operator, max_cols,
+                                              drop_tol)
+                        for family in RhsFamily}
 
     def cache(self, family: RhsFamily) -> SubspaceCache:
-        cache = self._caches.get(family)
-        if cache is None:
-            cache = self._caches[family] = SubspaceCache(
-                self.dim, self._operator, self.max_cols, self.drop_tol)
-        return cache
+        return self._caches[family]
 
     def start_vector(self, family, rhs):
-        return self.cache(family).project(rhs)
+        return self._caches[family].project(rhs)
 
     def start_product(self, family):
-        return self.cache(family).start_product()
+        return self._caches[family].start_product()
 
     def observe(self, family, solution):
-        self.cache(family).insert(solution)
+        self._caches[family].insert(solution)
 
     def basis_size(self, family=None):
         if family is not None:
-            return self.cache(family).size
-        return max((c.size for c in self._caches.values()), default=0)
+            return self._caches[family].size
+        return max(c.size for c in self._caches.values())
 
     def evictions(self, family):
-        return self.cache(family).evictions
+        return self._caches[family].evictions
 
     @property
     def maintenance_applies(self) -> int:
@@ -392,40 +367,50 @@ class CspeStrategy(StartVectorStrategy):
 
 
 class PodStrategy(StartVectorStrategy):
-    """Snapshot POD projection, one buffer per family, basis rebuilt per solve."""
+    """Snapshot POD projection, one ring of the last ``n_pod`` solutions per
+    family, basis rebuilt per solve."""
 
     kind = "pod"
 
     def __init__(self, dim: int, operator, n_pod: int = 10,
                  eps_pod: float = 1e-4):
+        if n_pod < 1:
+            raise ValueError("n_pod must be at least 1")
+        if not (0.0 < eps_pod < 1.0):
+            raise ValueError("eps_pod must lie in (0, 1)")
         super().__init__(dim)
         self._operator = operator
-        self.n_pod = n_pod
-        self.eps_pod = eps_pod
-        self._buffers: dict[RhsFamily, SnapshotBuffer] = {}
+        self.eps_pod = float(eps_pod)
+        self._snapshots = {family: deque(maxlen=int(n_pod))
+                           for family in RhsFamily}
+        # modes kept by each family's latest projection
+        self._modes = {family: 0 for family in RhsFamily}
         self._applies = 0
 
-    def buffer(self, family: RhsFamily) -> SnapshotBuffer:
-        if family not in self._buffers:
-            self._buffers[family] = SnapshotBuffer(self.dim, self.n_pod,
-                                                   self.eps_pod)
-        return self._buffers[family]
-
     def start_vector(self, family, rhs):
-        buf = self.buffer(family)
-        if len(buf) == 0:
+        snapshots = self._snapshots[family]
+        if not snapshots:
             return np.zeros(self.dim)
-        x0, k, info, applies = pod_start_vector(buf, rhs, self._operator)
+        x0, k, info, applies = pod_start_vector(snapshots, rhs,
+                                                self._operator, self.eps_pod)
         self._applies += applies
+        self._modes[family] = k
         self.projections.append((k, info))
         return x0
 
     def observe(self, family, solution):
-        self.buffer(family).push(solution)
+        v = np.asarray(solution, dtype=np.float64)
+        if v.shape != (self.dim,):
+            raise ValueError(f"snapshot has shape {v.shape}, "
+                             f"expected ({self.dim},)")
+        self._snapshots[family].append(v.copy())
 
     def basis_size(self, family=None):
-        """Modes kept by the latest projection."""
-        return self.projections[-1][0] if self.projections else 0
+        """Modes kept by the family's latest projection, or the largest
+        such count over both families."""
+        if family is not None:
+            return self._modes[family]
+        return max(self._modes.values())
 
     @property
     def maintenance_applies(self) -> int:

@@ -239,6 +239,7 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
 
     for edit, match in [
             (lambda m: m["waveform"].update(tau="abc"), "tau"),
+            (lambda m: m["waveform"].update(tau="0.5"), "tau"),
             (lambda m: m["waveform"].update(tau=-1.0), "tau"),
             (lambda m: m.update(blocks=list(m["blocks"])), "blocks"),
             (lambda m: m.update(waveform="exponential_ramp"), "waveform"),
@@ -255,6 +256,20 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
     for edit, match in [
             (lambda m: m["builtin"].pop("h"), "'h'"),
             (lambda m: m["builtin"].update(cells="six"), "cells"),
+            # manifest values are typed as config values are
+            (lambda m: m["builtin"].update(cells=6.7), "'cells'"),
+            (lambda m: m["builtin"].update(cells="6"), "'cells'"),
+            (lambda m: m["builtin"].update(cells=6.0), "'cells'"),
+            (lambda m: m["builtin"].update(amps="50000"), "'amps'"),
+            (lambda m: m["builtin"].update(kappa=True), "'kappa'"),
+            (lambda m: m["builtin"].update(brauer=[49.4, 1.46, True]),
+             "'brauer'"),
+            (lambda m: m["builtin"].update(brauer=[1.0, 2.0, 3.0, 4.0]),
+             "'brauer'"),
+            (lambda m: m["builtin"].update(probe_cells=[1.5]),
+             "'probe_cells'"),
+            (lambda m: m["builtin"].update(probe_cells="12"),
+             "'probe_cells'"),
             (lambda m: m["builtin"].update(linear="false"), "linear"),
             (lambda m: m["builtin"].update(brauer=["x", 1, 2]), "brauer"),
             (lambda m: m["builtin"].update(brauer="abc"), "brauer"),

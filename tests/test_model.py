@@ -325,7 +325,7 @@ def spgemm_kc_jacobian(model, state):
     b2 = ((per[:, 0] ** 2 + per[:, 1] ** 2) + (per[:, 2] ** 2 + per[:, 3] ** 2)
           + (per[:, 4] ** 2 + per[:, 5] ** 2)) / (2.0 * h ** 4)
     nu_c, dnu_c = reluctivity(model.conductor, b2)
-    nu_cells = np.full(grid.n_cells, model.air_reluctivity)
+    nu_cells = np.full(grid.n_cells, VACUUM_RELUCTIVITY)
     nu_cells[cond] = nu_c
     w = _Topology(grid).face_cell_average() @ nu_cells
     scale = dnu_c / (2.0 * h ** 5)
@@ -378,7 +378,7 @@ def all_faces_force(model):
     cond = model.conductor_cells
     face_by_cond = CsrMatrix.from_scipy(average[:, cond])
     in_conductor = np.isin(np.arange(model.grid.n_cells), cond)
-    base = average @ np.where(in_conductor, 0.0, model.air_reluctivity)
+    base = average @ np.where(in_conductor, 0.0, VACUUM_RELUCTIVITY)
     faces6 = model.cell_faces[cond]
     pattern, weight_map, block_map = _jacobian_maps(c, faces6)
 

@@ -1,6 +1,9 @@
 """Eliminated-block operator, CFL estimation, and the explicit integrator."""
 
+import cProfile
 import dataclasses
+import pstats
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -816,6 +819,25 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     _, relative_to_r0 = pcg_solve(matrix, r0, config=config)
     assert report.iterations == from_start.iterations
     assert report.iterations < relative_to_r0.iterations
+
+
+def test_a_cspe_solve_hashes_its_family_by_identity(rng):
+    # a family is looked up several times per solve; Enum's Python-level
+    # __hash__ would run on every lookup
+    n = 12
+    dense, _ = singular_spd(rng, n, 1)
+    op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200))
+    for family in FAMILIES:
+        op.strategy.observe(family, dense @ rng.standard_normal(n))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for family in FAMILIES:
+        op.solve_kn(dense @ rng.standard_normal(n), family)
+    profiler.disable()
+    calls = pstats.Stats(profiler).stats
+    assert any(name == "solve_kn" for _, _, name in calls)
+    assert not [f for f in calls
+                if f[2] == "__hash__" and Path(f[0]).name == "enum.py"]
 
 
 def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
-                     RhsFamily, SnapshotBuffer, SubspaceCache, make_strategy,
+                     RhsFamily, SchurOperator, SubspaceCache, make_strategy,
                      pod_start_vector)
 
 SRC = RhsFamily.SOURCE_CURRENT
@@ -259,26 +259,39 @@ def test_the_sweep_drops_every_exact_projection(make_spd, n, k, seed,
     assert cache.products_computed == products
 
 
-def test_snapshot_buffer_ring(rng):
-    buf = SnapshotBuffer(3, n_pod=3)
-    pushed = [rng.standard_normal(3) for _ in range(5)]
+def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(rng,
+                                                                make_spd):
+    dim = 8
+    dense = make_spd(rng, dim)
+    strat = PodStrategy(dim, dense.__matmul__, n_pod=3, eps_pod=1e-12)
+    pushed = [rng.standard_normal(dim) for _ in range(5)]
+    originals = [v.copy() for v in pushed]
     for v in pushed:
-        buf.push(v)
-    assert len(buf) == 3
-    assert np.array_equal(buf.matrix(), np.column_stack(pushed[2:]))
-    with pytest.raises(ValueError):
-        buf.push(np.zeros(2))
+        strat.observe(SRC, v)
+    strat.observe(CPL_PREV, pushed[0])
+    for v in pushed:
+        v[:] = 0.0  # the rings hold copies
+    rhs = rng.standard_normal(dim)
+    # the Galerkin solution on the span of the last three source solutions
+    q, _ = np.linalg.qr(np.column_stack(originals[2:]))
+    expected = q @ np.linalg.solve(q.T @ dense @ q, q.T @ rhs)
+    assert np.allclose(strat.start_vector(SRC, rhs), expected, rtol=0.0,
+                       atol=1e-8)
+    u = originals[0]
+    expected = u * (u @ rhs) / (u @ dense @ u)
+    assert np.allclose(strat.start_vector(CPL_PREV, rhs), expected,
+                       rtol=0.0, atol=1e-8)
+    with pytest.raises(ValueError, match="shape"):
+        strat.observe(SRC, np.zeros(dim - 1))
 
 
 def test_pod_matches_dense_svd(rng, make_spd):
     dim, n_snap = 12, 5
     dense = make_spd(rng, dim)
     snaps = [rng.standard_normal(dim) for _ in range(n_snap)]
-    buf = SnapshotBuffer(dim, n_pod=8, eps_pod=1e-12)
-    for s in snaps:
-        buf.push(s)
     rhs = rng.standard_normal(dim)
-    x0, k, info, applies = pod_start_vector(buf, rhs, dense.__matmul__)
+    x0, k, info, applies = pod_start_vector(snaps, rhs, dense.__matmul__,
+                                            1e-12)
     x_mat = np.column_stack(snaps)
     sigma = np.linalg.svd(x_mat, compute_uv=False)
     k_expected = int(np.sum(sigma / sigma[0] > 1e-12))
@@ -297,12 +310,10 @@ def test_pod_truncation_ladder(rng):
     v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     sigma = np.array([1.0, 1e-3, 1e-5])
     x_mat = (u * sigma) @ v.T
-    buf = SnapshotBuffer(dim, n_pod=5, eps_pod=1e-4)
-    for j in range(3):
-        buf.push(x_mat[:, j])
     dense = np.eye(dim)
-    x0, k, info, applies = pod_start_vector(buf, rng.standard_normal(dim),
-                                            dense.__matmul__)
+    x0, k, info, applies = pod_start_vector(list(x_mat.T),
+                                            rng.standard_normal(dim),
+                                            dense.__matmul__, 1e-4)
     assert k == 2
     assert applies == 2
     expected_info = (1.0 + 1e-3) / (1.0 + 1e-3 + 1e-5)
@@ -311,11 +322,9 @@ def test_pod_truncation_ladder(rng):
 
 def test_pod_rank_one_snapshots(rng):
     v = rng.standard_normal(6)
-    buf = SnapshotBuffer(6, n_pod=4, eps_pod=1e-4)
-    for _ in range(3):
-        buf.push(v)
     dense = np.diag(np.arange(1.0, 7.0))
-    x0, k, info, applies = pod_start_vector(buf, dense @ v, dense.__matmul__)
+    x0, k, info, applies = pod_start_vector([v, v, v], dense @ v,
+                                            dense.__matmul__, 1e-4)
     assert k == 1
     # tiny spurious Gram eigenvalues keep info marginally below one
     assert info >= 1.0 - 1e-6
@@ -323,24 +332,34 @@ def test_pod_rank_one_snapshots(rng):
     assert np.allclose(x0, v, rtol=0.0, atol=1e-8)
 
 
-def test_pod_empty_and_zero_buffers(rng):
-    buf = SnapshotBuffer(4, n_pod=3)
-    x0, k, info, applies = pod_start_vector(buf, np.ones(4), np.eye(4).__matmul__)
-    assert np.array_equal(x0, np.zeros(4))
-    assert (k, info, applies) == (0, 0.0, 0)
-    buf.push(np.zeros(4))
-    x0, k, info, applies = pod_start_vector(buf, np.ones(4), np.eye(4).__matmul__)
-    assert np.array_equal(x0, np.zeros(4))
-    assert (k, info, applies) == (0, 0.0, 0)
+def test_pod_empty_and_zero_snapshots():
+    for snapshots in ([], [np.zeros(4)]):
+        x0, k, info, applies = pod_start_vector(snapshots, np.ones(4),
+                                                np.eye(4).__matmul__, 1e-4)
+        assert np.array_equal(x0, np.zeros(4))
+        assert (k, info, applies) == (0, 0.0, 0)
+    with pytest.raises(ValueError, match="shape"):
+        pod_start_vector([np.ones(4)], np.ones(3), np.eye(4).__matmul__,
+                         1e-4)
+
+
+def test_pod_drops_the_mode_whose_galerkin_pivot_fails():
+    # the weaker mode lies in the operator's nullspace: its Galerkin pivot
+    # is zero, so the projection keeps the stronger mode alone
+    dense = np.diag([1.0, 2.0, 0.0])
+    snapshots = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1e-2])]
+    x0, k, info, applies = pod_start_vector(
+        snapshots, np.array([3.0, 1.0, 1.0]), dense.__matmul__, 1e-4)
+    assert (k, applies) == (1, 2)
+    assert info == pytest.approx(1.0 / 1.01, rel=1e-12)
+    assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_pod_galerkin_residual_is_small(rng, make_spd):
     dense = make_spd(rng, 9)
     x_star = rng.standard_normal(9)
-    buf = SnapshotBuffer(9, n_pod=4, eps_pod=1e-10)
-    buf.push(x_star)
     rhs = dense @ x_star
-    x0, k, info, _ = pod_start_vector(buf, rhs, dense.__matmul__)
+    x0, k, info, _ = pod_start_vector([x_star], rhs, dense.__matmul__, 1e-10)
     assert k == 1
     assert np.linalg.norm(dense @ x0 - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -352,10 +371,7 @@ def test_pod_info_monotone_in_eps(rng):
     rhs = rng.standard_normal(dim)
     prev_k = dim + 1
     for eps in (1e-12, 1e-4, 1e-1, 0.9):
-        buf = SnapshotBuffer(dim, n_pod=6, eps_pod=eps)
-        for s in snaps:
-            buf.push(s)
-        _, k, _, _ = pod_start_vector(buf, rhs, dense.__matmul__)
+        _, k, _, _ = pod_start_vector(snaps, rhs, dense.__matmul__, eps)
         assert k <= prev_k
         prev_k = k
 
@@ -412,6 +428,23 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     assert 0.0 < info <= 1.0
 
 
+def test_pod_basis_size_answers_per_family(rng, make_spd):
+    dense = make_spd(rng, 6)
+    strat = PodStrategy(6, dense.__matmul__, n_pod=4, eps_pod=1e-10)
+    assert (strat.basis_size(), strat.basis_size(SRC),
+            strat.basis_size(CPL_PREV)) == (0, 0, 0)
+    for _ in range(3):
+        strat.observe(SRC, rng.standard_normal(6))
+    strat.observe(CPL_PREV, rng.standard_normal(6))
+    strat.start_vector(SRC, rng.standard_normal(6))
+    strat.start_vector(CPL_PREV, rng.standard_normal(6))
+    # the latest projection kept one mode, the source family's three
+    assert [k for k, _ in strat.projections] == [3, 1]
+    assert strat.basis_size(SRC) == 3
+    assert strat.basis_size(CPL_PREV) == 1
+    assert strat.basis_size() == 3
+
+
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
     assert make_strategy("previous", 4).kind == "previous"
@@ -426,3 +459,17 @@ def test_make_strategy_dispatch(rng, make_spd):
     for unknown in ("banana", "zero"):
         with pytest.raises(ValueError):
             make_strategy(unknown, 4, dense.__matmul__)
+
+
+@pytest.mark.parametrize("kind, setting", [("pod", dict(n_pod=0)),
+                                           ("pod", dict(eps_pod=2.0)),
+                                           ("cspe", dict(max_cols=0))],
+                         ids=["n_pod", "eps_pod", "max_cols"])
+def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
+                                                        setting):
+    # before any solve, so before a run's start CFL estimate
+    [name] = setting
+    with pytest.raises(ValueError, match=name):
+        make_strategy(kind, 4, np.eye(4).__matmul__, **setting)
+    with pytest.raises(ValueError, match=name):
+        SchurOperator(builtin6.system, strategy=kind, **setting)
