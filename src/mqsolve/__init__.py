@@ -18,7 +18,7 @@ from .model import (AIR, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
                     GridSpec, Material, Model, ModelError, air_material,
                     assemble, builtin_model, default_steel, export_model,
                     gradient_incidence, probe_b, reluctivity)
-from .schur import (FAMILIES, CflEstimate, PartitionedSystem,
+from .schur import (FAMILIES, CflEstimate, ExplicitConfig, PartitionedSystem,
                     ScaledPatternSource, SchurOperator, StepFailureError,
                     TransientResult, estimate_cfl, explicit_euler_step,
                     exponential_ramp, recover_an, run_explicit)
@@ -27,8 +27,8 @@ from .sparse import (CsrMatrix, NonFiniteError, as_vector,
                      spmv_transpose, symmetric_check, write_dense_vector,
                      write_matrix_market)
 from .startvec import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
-                       RhsFamily, StartVectorStrategy, SubspaceCache,
-                       make_strategy, pod_start_vector)
+                       RhsFamily, StartVectorStrategy, StrategyConfig,
+                       SubspaceCache, make_strategy, pod_start_vector)
 
 __version__ = "0.1.0"
 
@@ -42,12 +42,13 @@ __all__ = [
     "Preconditioner", "PcgConfig", "SolveReport", "JacobiPreconditioner",
     "IndefiniteOperatorError", "build_preconditioner", "pcg_solve",
     # start vectors
-    "RhsFamily", "SubspaceCache", "pod_start_vector",
+    "RhsFamily", "StrategyConfig", "SubspaceCache", "pod_start_vector",
     "StartVectorStrategy", "PreviousSolutionStrategy", "CspeStrategy",
     "PodStrategy", "make_strategy",
     # partitioned system and explicit integrator
     "FAMILIES", "StepFailureError", "exponential_ramp", "ScaledPatternSource",
-    "PartitionedSystem", "SchurOperator", "CflEstimate", "estimate_cfl",
+    "PartitionedSystem", "ExplicitConfig", "SchurOperator", "CflEstimate",
+    "estimate_cfl",
     "explicit_euler_step", "recover_an", "TransientResult", "run_explicit",
     # implicit reference
     "NewtonConfig", "NewtonStepReport", "NewtonFailureError",

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .implicit import NewtonConfig, run_implicit
-from .krylov import PcgConfig, Preconditioner
 from .model import Model, builtin_model
-from .schur import (CflEstimate, PartitionedSystem, ScaledPatternSource,
+from .schur import (ExplicitConfig, PartitionedSystem, ScaledPatternSource,
                     SchurOperator, TransientResult, estimate_cfl,
                     exponential_ramp, run_explicit)
 from .sparse import read_dense_vector, read_matrix_market, symmetric_check
+from .startvec import STRATEGIES, StrategyConfig
 
 __all__ = [
     "ConfigError",
@@ -37,13 +37,10 @@ __all__ = [
     "trace_bytes",
     "run_single",
     "run_benchmark",
-    "estimate_start_cfl",
     "TRACE_HEADER",
 ]
 
 TRACE_HEADER = "t,B_probe,iters_src,iters_cpl_prev,basis_cols,pod_k,pod_info"
-
-STRATEGIES = ("previous", "cspe", "pod")
 
 
 class ConfigError(ValueError):
@@ -62,6 +59,10 @@ def _parse_dt(value) -> float | str:
         return float(value)
     raise ConfigError(f"dt must be a number or 'auto', got {value!r}")
 
+
+# RunConfig keys of the settings whose library checks name them otherwise
+_RUN_KEYS = {"kind": "strategy", "max_cols": "max_basis", "rel_tol": "tol",
+             "tol": "newton_tol"}
 
 # the values each field type accepts; bool is an int subclass and is
 # rejected where a number is expected
@@ -95,25 +96,26 @@ class RunConfig:
     Sources are layered: dataclass defaults, then a JSON config file, then
     explicit flag overrides.
     The model source is either the string ``builtin`` or a path to a model
-    manifest (directory or manifest.json).
+    manifest (directory or manifest.json). Solver settings default to the
+    library's, except ``tol``, and are checked by building them.
     """
 
     model: str = "builtin"
     integrator: str = "explicit"
-    strategy: str = "cspe"
+    strategy: str = StrategyConfig.kind
     dt: float | str = "auto"
     t_end: float = 0.12
     output_period: float = 1e-3
     # benchmark default; library-level solves default to 1e-8
     tol: float = 1e-6
     preconditioner: str = "jacobi"
-    newton_tol: float = 1e-8
-    max_newton: int = 25
+    newton_tol: float = NewtonConfig.tol
+    max_newton: int = NewtonConfig.max_newton
     implicit_dt: float = 2.5e-4
-    eps_pod: float = 1e-4
-    n_pod: int = 10
-    max_basis: int = 20
-    seed: int = 42
+    eps_pod: float = StrategyConfig.eps_pod
+    n_pod: int = StrategyConfig.n_pod
+    max_basis: int = StrategyConfig.max_cols
+    seed: int = ExplicitConfig.seed
     out: str = "."
     # builtin model parameters
     cells: int = 8
@@ -123,54 +125,33 @@ class RunConfig:
     tau: float = 0.5
     linear: bool = False
     # explicit integrator knobs
-    safety: float = 0.9
-    reestimate_every: int = 500
-    cfl_steps: int = 60
-    cfl_tol: float = 1e-3
+    safety: float = ExplicitConfig.safety
+    reestimate_every: int = ExplicitConfig.reestimate_every
+    cfl_steps: int = ExplicitConfig.cfl_steps
+    cfl_tol: float = ExplicitConfig.cfl_tol
 
     def validate(self) -> "RunConfig":
+        """Check every setting, whatever the integrator, before a model."""
         if self.integrator not in ("explicit", "implicit"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown start strategy {self.strategy!r}; "
-                              f"choose from {', '.join(STRATEGIES)}")
         if not (self.t_end > 0):
             raise ConfigError("t_end must be positive")
         if not (self.output_period > 0):
             raise ConfigError("output period must be positive")
-        if self.dt != "auto" and not (float(self.dt) > 0):
-            raise ConfigError("dt must be positive or 'auto'")
-        if not (self.tol > 0):
-            raise ConfigError("tol must be positive")
-        if not (self.newton_tol > 0):
-            raise ConfigError("newton_tol must be positive")
+        if self.dt != "auto" and not (isinstance(self.dt, numbers.Real)
+                                      and self.dt > 0):
+            raise ConfigError(f"dt must be positive or 'auto': {self.dt!r}")
         if not (self.implicit_dt > 0):
             raise ConfigError("implicit_dt must be positive")
-        if not (0 < self.eps_pod < 1):
-            raise ConfigError("eps_pod must lie in (0, 1)")
-        if self.n_pod < 1:
-            raise ConfigError("n_pod must be at least 1")
-        if self.max_basis < 1:
-            raise ConfigError("max_basis must be at least 1")
-        if self.max_newton < 1:
-            raise ConfigError("max_newton must be at least 1")
-        if self.cfl_steps < 1:
-            raise ConfigError("cfl_steps must be at least 1")
-        if not (self.cfl_tol >= 0):
-            raise ConfigError("cfl_tol must be nonnegative")
-        if not (0 < self.safety <= 1):
-            raise ConfigError("safety must lie in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.reestimate_every < 0:
-            raise ConfigError("reestimate_every must be nonnegative "
-                              "(0 disables CFL refreshes)")
-        try:
-            Preconditioner(self.preconditioner)
-        except ValueError:
-            raise ConfigError(f"unknown preconditioner {self.preconditioner!r}")
         if not self.model:
             raise ConfigError("model source must not be empty")
+        for build in (self.explicit_config, self.newton_config):
+            try:
+                build()
+            except ValueError as err:
+                name, _, rest = str(err).partition(" ")
+                raise ConfigError(f"{_RUN_KEYS.get(name, name)} {rest}"
+                                  ) from None
         return self
 
     @classmethod
@@ -213,26 +194,21 @@ class RunConfig:
             values[key] = cls._coerce(key, value)
         return cls(**values).validate()
 
-    def pcg_config(self) -> PcgConfig:
-        return PcgConfig(rel_tol=self.tol,
-                         preconditioner=Preconditioner(self.preconditioner))
-
     def newton_config(self) -> NewtonConfig:
-        linear = dataclasses.replace(
-            NewtonConfig().linear_solver,
-            preconditioner=Preconditioner(self.preconditioner))
+        linear = dataclasses.replace(NewtonConfig.linear_solver,
+                                     preconditioner=self.preconditioner)
         return NewtonConfig(tol=self.newton_tol, max_newton=self.max_newton,
                             linear_solver=linear)
 
-    def explicit_options(self) -> dict:
-        """Keywords of :func:`run_explicit` other than dt and probe."""
-        return dict(
-            strategy=self.strategy, pcg=self.pcg_config(),
-            output_period=self.output_period,
-            reestimate_every=self.reestimate_every, safety=self.safety,
-            cfl_steps=self.cfl_steps, cfl_tol=self.cfl_tol,
-            seed=self.seed, max_cols=self.max_basis, n_pod=self.n_pod,
-            eps_pod=self.eps_pod)
+    def explicit_config(self) -> ExplicitConfig:
+        strategy = StrategyConfig(self.strategy, max_cols=self.max_basis,
+                                  n_pod=self.n_pod, eps_pod=self.eps_pod)
+        pcg = dataclasses.replace(ExplicitConfig.pcg, rel_tol=self.tol,
+                                  preconditioner=self.preconditioner)
+        return ExplicitConfig(
+            strategy=strategy, pcg=pcg, safety=self.safety,
+            cfl_steps=self.cfl_steps, cfl_tol=self.cfl_tol, seed=self.seed,
+            reestimate_every=self.reestimate_every)
 
 
 def _require(manifest: dict, key: str, context: str):
@@ -412,15 +388,6 @@ def write_trace(result: TransientResult, path) -> Path:
     return path
 
 
-def estimate_start_cfl(system: PartitionedSystem,
-                       config: RunConfig) -> CflEstimate:
-    """Stable-step estimate at the zero state with the config's CFL knobs."""
-    op = SchurOperator(system, pcg=config.pcg_config(), strategy="previous")
-    return estimate_cfl(op, cfl_steps=config.cfl_steps,
-                        cfl_tol=config.cfl_tol, safety=config.safety,
-                        seed=config.seed)
-
-
 def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
     """Run one integrator per the config; returns (result, run metadata)."""
     config.validate()
@@ -428,12 +395,11 @@ def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
     probe = model.probe_callable() if model is not None else None
     if config.integrator == "implicit":
         dt = config.implicit_dt if config.dt == "auto" else float(config.dt)
-        result = run_implicit(system, config.t_end, dt,
-                              config=config.newton_config(), probe=probe,
-                              output_period=config.output_period)
+        run, settings = run_implicit, config.newton_config()
     else:
-        result = run_explicit(system, config.t_end, dt=config.dt,
-                              probe=probe, **config.explicit_options())
+        dt, run, settings = config.dt, run_explicit, config.explicit_config()
+    result = run(system, config.t_end, dt, settings, probe=probe,
+                 output_period=config.output_period)
     meta = {
         "model": config.model,
         "model_checksum": _model_checksum(system),
@@ -534,7 +500,8 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.dt == "auto":
         system, _ = model_from_config(config)
-        dt = estimate_start_cfl(system, config).dt_max
+        dt = estimate_cfl(SchurOperator(system,
+                                        config.explicit_config())).dt_max
     else:
         dt = float(config.dt)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (ConfigError, RunConfig, estimate_start_cfl,
-                    model_from_config, run_benchmark, run_single,
-                    write_trace)
+from .bench import (ConfigError, RunConfig, model_from_config,
+                    run_benchmark, run_single, write_trace)
 from .implicit import NewtonFailureError
 from .krylov import IndefiniteOperatorError
 from .model import ModelError, export_model
-from .schur import StepFailureError
+from .schur import SchurOperator, StepFailureError, estimate_cfl
+from .startvec import STRATEGIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +38,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--integrator", choices=("explicit", "implicit"))
-    parser.add_argument("--strategy", choices=("previous", "cspe", "pod"))
+    parser.add_argument("--strategy", choices=STRATEGIES)
     parser.add_argument("--dt", help="step size in seconds or 'auto'")
     parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--tol", type=float, help="PCG relative tolerance")
@@ -133,7 +133,7 @@ def _cmd_bench(args) -> int:
 def _cmd_cfl(args) -> int:
     config = _config(args)
     system, _ = model_from_config(config)
-    estimate = estimate_start_cfl(system, config)
+    estimate = estimate_cfl(SchurOperator(system, config.explicit_config()))
     print(f"lambda_max = {estimate.lambda_max:.6e}  "
           f"(Ritz value, {estimate.power_iters} Lanczos steps)")
     print(f"residual   = {estimate.residual:.6e}")

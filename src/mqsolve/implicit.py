@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,12 @@ __all__ = [
 ]
 
 
-def _default_linear_config() -> PcgConfig:
-    return PcgConfig(rel_tol=1e-10, max_iter=50000,
-                     preconditioner=Preconditioner.JACOBI)
-
-
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-8
     max_newton: int = 25
-    linear_solver: PcgConfig = field(default_factory=_default_linear_config)
+    linear_solver: PcgConfig = PcgConfig(rel_tol=1e-10, max_iter=50000,
+                                         preconditioner=Preconditioner.JACOBI)
 
     def __post_init__(self):
         if not (self.tol > 0):

@@ -69,8 +69,12 @@ class PcgConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not isinstance(self.preconditioner, Preconditioner):
-            object.__setattr__(self, "preconditioner",
-                               Preconditioner(self.preconditioner))
+            try:
+                kind = Preconditioner(self.preconditioner)
+            except ValueError:
+                raise ValueError(f"preconditioner {self.preconditioner!r} "
+                                 "is unknown") from None
+            object.__setattr__(self, "preconditioner", kind)
 
 
 def _stopping_target(config: PcgConfig, b_norm: float) -> float:

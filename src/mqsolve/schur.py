@@ -44,10 +44,12 @@ from .krylov import (PcgConfig, Preconditioner, SolveReport, _relative,
                      pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
-from .startvec import RhsFamily, StartVectorStrategy, make_strategy
+from .startvec import (RhsFamily, StartVectorStrategy, StrategyConfig,
+                       make_strategy)
 
 __all__ = [
     "PartitionedSystem",
+    "ExplicitConfig",
     "ScaledPatternSource",
     "exponential_ramp",
     "SchurOperator",
@@ -67,6 +69,35 @@ FAMILIES = tuple(RhsFamily)
 
 class StepFailureError(RuntimeError):
     """A time step produced a non-finite state or an inner solve failed."""
+
+
+@dataclass(frozen=True)
+class ExplicitConfig:
+    """Settings of the explicit run: start vectors, inner solves (Jacobi
+    PCG; ``pcg.rel_tol`` is also the CSPE drop tolerance), stability
+    estimate, auto-dt refresh period (0: none) and step budget. A bad value
+    raises ValueError naming the field first."""
+
+    strategy: StrategyConfig = StrategyConfig()
+    pcg: PcgConfig = PcgConfig(preconditioner=Preconditioner.JACOBI)
+    safety: float = 0.9
+    cfl_steps: int = 60
+    cfl_tol: float = 1e-3
+    seed: int = 42
+    reestimate_every: int = 500
+    max_steps: int = 2_000_000
+
+    def __post_init__(self):
+        if not (0.0 < self.safety <= 1.0):
+            raise ValueError("safety must lie in (0, 1]")
+        if self.cfl_steps < 1:
+            raise ValueError("cfl_steps must be at least 1")
+        if not (self.cfl_tol >= 0.0):
+            raise ValueError("cfl_tol must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.reestimate_every < 0:
+            raise ValueError("reestimate_every must be nonnegative")
 
 
 def exponential_ramp(tau: float) -> Callable[[float], float]:
@@ -167,9 +198,9 @@ class SchurOperator:
     """The inner K_n solves of the eliminated system and their bookkeeping.
 
     Inner pseudo-inverse actions are PCG solves on the singular nonconducting
-    block, seeded per right-hand-side family by the configured start-vector
-    strategy. ``pcg`` chooses the tolerances and the preconditioner; None
-    means the default tolerances with Jacobi. Per-solve iteration counts
+    block with ``config.pcg`` (None: the default ``ExplicitConfig``),
+    seeded per right-hand-side family by the strategy ``config.strategy``
+    names, or by a built *strategy*. Per-solve iteration counts
     (``solve_iterations``, one list per family), solver wall time and the
     K_n products of the solves are accumulated for benchmarking. The
     products are split by cause in ``kn_applies``: PCG iterations of
@@ -179,26 +210,20 @@ class SchurOperator:
     solves whose initial residual came from the strategy's cached products.
     """
 
-    def __init__(self, system: PartitionedSystem, pcg: PcgConfig | None = None,
-                 strategy: StartVectorStrategy | str = "previous", *,
-                 max_cols: int = 20, n_pod: int = 10, eps_pod: float = 1e-4):
+    def __init__(self, system: PartitionedSystem,
+                 config: ExplicitConfig | None = None,
+                 strategy: StartVectorStrategy | None = None):
         self.system = system
-        self.pcg = pcg or PcgConfig(preconditioner=Preconditioner.JACOBI)
+        self.config = config = config or ExplicitConfig()
         self._kn_apply = partial(_matvec, system.kn)
         # built here from the matrix, so pcg_solve never tries to build one
         # for the callable operator
         self._precond = build_preconditioner(system.kn,
-                                             self.pcg.preconditioner)
-        if isinstance(strategy, StartVectorStrategy):
-            self.strategy = strategy
-        else:
-            # basis increments smaller than the inner solve tolerance are
-            # solver noise; accepting them churns the capped basis
-            self.strategy = make_strategy(strategy, system.n_n,
-                                          self._kn_apply,
-                                          max_cols=max_cols, n_pod=n_pod,
-                                          eps_pod=eps_pod,
-                                          drop_tol=self.pcg.rel_tol)
+                                             config.pcg.preconditioner)
+        # basis increments smaller than the inner solve tolerance are
+        # solver noise; accepting them churns the capped basis
+        self.strategy = strategy or make_strategy(
+            config.strategy, system.n_n, self._kn_apply, config.pcg.rel_tol)
         self._minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.kn_applies = {"pcg": 0, "initial": 0, "cfl": 0}
@@ -228,7 +253,7 @@ class SchurOperator:
                 image = self.strategy.start_product(family)
             if image is None:
                 y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
-                                      config=self.pcg,
+                                      config=self.config.pcg,
                                       preconditioner=self._precond)
             else:
                 y, report = self._solve_from_image(rhs, x0, image)
@@ -273,13 +298,14 @@ class SchurOperator:
         """
         rhs, squares = _vector(rhs, x0.size, "rhs")
         rhs_norm = math.sqrt(squares)
-        target = _stopping_target(self.pcg, rhs_norm)
+        target = _stopping_target(self.config.pcg, rhs_norm)
         r0 = rhs - image
         r0_norm = math.sqrt(r0 @ r0)
         if r0_norm <= target:
             return x0, SolveReport(0, _relative(r0_norm, rhs_norm), True)
         # the smallest positive rel_tol leaves target the whole rule
-        absolute = replace(self.pcg, rel_tol=math.ulp(0.0), abs_tol=target)
+        absolute = replace(self.config.pcg, rel_tol=math.ulp(0.0),
+                           abs_tol=target)
         d, report = pcg_solve(self._kn_apply, r0, config=absolute,
                               preconditioner=self._precond)
         d += x0
@@ -309,8 +335,9 @@ class CflEstimate:
     no eigenvalue of the eliminated operator exceeds. Only the ceiling is a
     guaranteed upper bound on lambda_max: the residual shows that *some*
     eigenvalue lies within it of theta, and ``bound`` is above lambda_max
-    only if theta approximates the top eigenvalue (see estimate_cfl). ``power_iters`` counts
-    the Lanczos steps this estimate took, one inner K_n solve each. ``basis``
+    only if theta approximates the top eigenvalue (see estimate_cfl).
+    ``power_iters`` counts the Lanczos steps this estimate took, one inner
+    K_n solve each. ``basis``
     (orthonormal columns Q in the scaled space) and ``coupling``
     (M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2} Q) do not depend on the state;
     passing the estimate as ``previous`` to the next estimate reuses them.
@@ -340,12 +367,12 @@ def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(theta[-1]), y, residual
 
 
-def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
-                 cfl_tol: float = 1e-3, safety: float = 0.9, seed: int = 42,
+def estimate_cfl(op: SchurOperator, a_c_ref=None, *,
                  previous: CflEstimate | None = None,
                  step: int | None = None) -> CflEstimate:
     """Estimate lambda_max(M_c^{-1} K_S) by Lanczos with a residual certificate.
 
+    The settings (``cfl_steps``, ``cfl_tol``, ...) are ``op.config``'s.
     M_c is diagonal, so M_c^{-1} K_S has the eigenvalues of the symmetric
     A = M_c^{-1/2} K_S(a) M_c^{-1/2}. Lanczos with full reorthogonalisation
     runs on A from a fixed-seed pseudo-random start vector, written as
@@ -380,12 +407,7 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
     theta + residual is not held to the ceiling: the residual of an estimate
     stopped by ``cfl_steps`` may pass it with correct solves.
     """
-    if not (0.0 < safety <= 1.0):
-        raise ValueError("safety must lie in (0, 1]")
-    if cfl_steps < 1:
-        raise ValueError("cfl_steps must be at least 1")
-    if not (cfl_tol >= 0.0):
-        raise ValueError("cfl_tol must be nonnegative")
+    config = op.config
     system = op.system
     n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
@@ -408,7 +430,7 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
         aq = scale[:, None] * (kc @ (scale[:, None] * q)) - cq
         steps = 0
     else:
-        v = np.random.default_rng(seed).standard_normal(n)
+        v = np.random.default_rng(config.seed).standard_normal(n)
         v /= np.linalg.norm(v)
         av, cv = lanczos_step(v)
         q, aq, cq = v[:, None], av[:, None], cv[:, None]
@@ -417,17 +439,17 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
         theta, y, residual = _ritz(q, aq)
         if q.shape[1] == n:
             residual = 0.0
-        if residual <= cfl_tol * abs(theta):
+        if residual <= config.cfl_tol * abs(theta):
             break
-        if steps == cfl_steps:
+        if steps == config.cfl_steps:
             log.warning("CFL estimate stopped after %d Lanczos steps at "
                         "residual %.3e > %.1e * theta", steps, residual,
-                        cfl_tol)
+                        config.cfl_tol)
             break
         # the Ritz residual is orthogonal to the basis; two Gram-Schmidt
         # sweeps keep it so in floating point
         v = aq @ y - theta * (q @ y)
-        if q.shape[1] >= cfl_steps:
+        if q.shape[1] >= config.cfl_steps:
             # restart from the Ritz vector, to which v is orthogonal too
             q, aq, cq = q @ y[:, None], aq @ y[:, None], cq @ y[:, None]
         for _ in range(2):
@@ -445,16 +467,16 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *, cfl_steps: int = 60,
         raise StepFailureError(f"spectral estimate is not positive: {theta}")
     # rounding, and the inner solves' tolerance, may lift an exact theta
     # just above the ceiling
-    if theta > ceiling * (1.0 + max(op.pcg.rel_tol, 1e-8)):
+    if theta > ceiling * (1.0 + max(config.pcg.rel_tol, 1e-8)):
         where = f" at step {step}" if step is not None else ""
         raise StepFailureError(
             f"spectral estimate{where}: Ritz value {theta:.6e} exceeds the "
             f"Gershgorin ceiling {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, "
             "so an inner K_n solve is wrong")
     return CflEstimate(lambda_max=theta, residual=residual, ceiling=ceiling,
-                       dt_max=safety * 2.0 / (theta + residual), safety=safety,
-                       power_iters=steps, cfl_tol=cfl_tol, basis=q,
-                       coupling=cq)
+                       dt_max=config.safety * 2.0 / (theta + residual),
+                       safety=config.safety, power_iters=steps,
+                       cfl_tol=config.cfl_tol, basis=q, coupling=cq)
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -623,43 +645,37 @@ class TraceRecorder:
             aggregates=aggregates | shared)
 
 
-def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
-                 strategy="cspe", pcg: PcgConfig | None = None,
-                 output_period: float = 1e-3, probe=None,
-                 reestimate_every: int = 500, safety: float = 0.9,
-                 cfl_steps: int = 60, cfl_tol: float = 1e-3,
-                 seed: int = 42, max_cols: int = 20, n_pod: int = 10,
-                 eps_pod: float = 1e-4,
-                 max_steps: int = 2_000_000) -> TransientResult:
+def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
+                 config: ExplicitConfig | None = None, *, probe=None,
+                 output_period: float = 1e-3) -> TransientResult:
     """Integrate the eliminated system with explicit Euler.
 
-    ``dt="auto"`` estimates the stability bound up front by Lanczos (see
-    ``estimate_cfl``) and re-estimates every ``reestimate_every`` steps at
-    the current state, shrinking the step when saturation tightened the
-    bound (a fixed dt is never adjusted). A re-estimate is Rayleigh-Ritz on
-    the previous estimate's Krylov basis with K_c at the current state; it
-    needs no K_n solve unless its residual misses ``cfl_tol``, and then
-    Lanczos continues from the Ritz vector. Every re-estimate is logged in
+    *config* holds the run's settings (None: the default
+    ``ExplicitConfig``). ``dt="auto"`` estimates the stability bound up
+    front by Lanczos (see ``estimate_cfl``) and re-estimates every
+    ``config.reestimate_every`` steps at the current state, shrinking the
+    step when saturation tightened the bound (a fixed dt is never
+    adjusted). A re-estimate is Rayleigh-Ritz on the previous estimate's
+    Krylov basis with K_c at the current state; it needs no K_n solve
+    unless its residual misses ``config.cfl_tol``, and then Lanczos
+    continues from the Ritz vector. Every re-estimate is logged in
     ``aggregates["cfl_history"]`` as ``(step, lambda_max, steps, dt)``:
     the Ritz value, the Lanczos steps (inner solves) it took, and the step
     used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
-    ``pcg`` configures the inner solves as in :class:`SchurOperator`.
 
-    Raises StepFailureError on divergence, on a non-finite source and on a
-    stalled inner solve, naming the failing step.
+    Raises StepFailureError on divergence, a non-finite source, a stalled
+    inner solve or more than ``config.max_steps`` steps, naming the step.
     """
     wall_start = time.perf_counter()
-    op = SchurOperator(system, pcg=pcg, strategy=strategy,
-                       max_cols=max_cols, n_pod=n_pod, eps_pod=eps_pod)
+    op = SchurOperator(system, config)
     trace = TraceRecorder(t_end, output_period, probe, op.solve_iterations,
                           op.strategy.projections)
     auto = isinstance(dt, str)
     if auto:
         if dt != "auto":
             raise ValueError(f"dt must be a number or 'auto', got {dt!r}")
-        est = estimate_cfl(op, cfl_steps=cfl_steps, cfl_tol=cfl_tol,
-                           safety=safety, seed=seed, step=0)
+        est = estimate_cfl(op, step=0)
         dt_val = est.dt_max
         lambda_max = est.lambda_max
     else:
@@ -667,6 +683,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
         if dt_val <= 0:
             raise ValueError("dt must be positive")
         lambda_max = None
+    refresh_every = op.config.reestimate_every if auto else 0
+    max_steps = op.config.max_steps
 
     a_c = np.zeros(system.n_c)
     t = 0.0
@@ -676,11 +694,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto", *,
     steps = 0
     cfl_history = []
     while trace.running(t):
-        if auto and reestimate_every > 0 and steps > 0 \
-                and steps % reestimate_every == 0:
-            est = estimate_cfl(op, a_c_ref=a_c, cfl_steps=cfl_steps,
-                               cfl_tol=cfl_tol, safety=safety, seed=seed,
-                               previous=est, step=steps)
+        if refresh_every and steps and steps % refresh_every == 0:
+            est = estimate_cfl(op, a_c_ref=a_c, previous=est, step=steps)
             lambda_max = est.lambda_max
             if est.dt_max < dt_val:
                 log.info("stability bound tightened: dt %.3e -> %.3e",

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "StrategyConfig",
     "RhsFamily",
     "SubspaceCache",
     "pod_start_vector",
@@ -39,6 +41,30 @@ __all__ = [
     "PodStrategy",
     "make_strategy",
 ]
+
+
+STRATEGIES = ("previous", "cspe", "pod")
+
+
+@dataclass(frozen=True)
+class StrategyConfig:
+    """A start-vector method (one of STRATEGIES) and its history sizes; a
+    bad value raises ValueError naming the field first."""
+
+    kind: str = "cspe"
+    max_cols: int = 20
+    n_pod: int = 10
+    eps_pod: float = 1e-4
+
+    def __post_init__(self):
+        if self.kind not in STRATEGIES:
+            raise ValueError(f"kind {self.kind!r} is not one of {STRATEGIES}")
+        if self.max_cols < 1:
+            raise ValueError("max_cols must be at least 1")
+        if self.n_pod < 1:
+            raise ValueError("n_pod must be at least 1")
+        if not (0.0 < self.eps_pod < 1.0):
+            raise ValueError("eps_pod must lie in (0, 1)")
 
 
 class RhsFamily(Enum):
@@ -96,7 +122,7 @@ class SubspaceCache:
     inserts are dropped as solver noise, so most projections reuse them.
     """
 
-    def __init__(self, dim: int, operator, max_cols: int = 20,
+    def __init__(self, dim: int, operator, max_cols: int,
                  drop_tol: float = 1e-10):
         if max_cols < 1:
             raise ValueError("max_cols must be at least 1")
@@ -282,7 +308,7 @@ class StartVectorStrategy:
     Subclasses define ``start_vector(family, rhs)``, the start of the next
     solve of a family, and ``observe(family, solution)``, which takes its
     converged solution. A subclass builds the history of every family in
-    its constructor, so a bad setting fails there, not at the first solve.
+    its constructor, not at the first solve.
     ``basis_size(family)`` is the size of a family's basis (for POD, the
     modes its latest projection kept) and ``basis_size()`` the largest
     over the families. ``start_product(family)`` is the operator image of
@@ -334,8 +360,7 @@ class CspeStrategy(StartVectorStrategy):
 
     kind = "cspe"
 
-    def __init__(self, dim: int, operator, max_cols: int = 20,
-                 drop_tol: float = 1e-10):
+    def __init__(self, dim: int, operator, max_cols: int, drop_tol: float):
         super().__init__(dim)
         self._caches = {family: SubspaceCache(dim, operator, max_cols,
                                               drop_tol)
@@ -372,12 +397,7 @@ class PodStrategy(StartVectorStrategy):
 
     kind = "pod"
 
-    def __init__(self, dim: int, operator, n_pod: int = 10,
-                 eps_pod: float = 1e-4):
-        if n_pod < 1:
-            raise ValueError("n_pod must be at least 1")
-        if not (0.0 < eps_pod < 1.0):
-            raise ValueError("eps_pod must lie in (0, 1)")
+    def __init__(self, dim: int, operator, n_pod: int, eps_pod: float):
         super().__init__(dim)
         self._operator = operator
         self.eps_pod = float(eps_pod)
@@ -417,17 +437,13 @@ class PodStrategy(StartVectorStrategy):
         return self._applies
 
 
-def make_strategy(kind: str, dim: int, operator=None, *, max_cols: int = 20,
-                  n_pod: int = 10, eps_pod: float = 1e-4,
+def make_strategy(config: StrategyConfig, dim: int, operator=None,
                   drop_tol: float = 1e-10) -> StartVectorStrategy:
-    """Build a strategy by name: ``previous``, ``cspe`` or ``pod``."""
-    kind = str(kind).lower()
-    if kind == "previous":
+    """The strategy *config* names; CSPE drops increments below *drop_tol*."""
+    if config.kind == "previous":
         return PreviousSolutionStrategy(dim)
     if operator is None:
-        raise ValueError(f"strategy {kind!r} needs the system operator")
-    if kind == "cspe":
-        return CspeStrategy(dim, operator, max_cols=max_cols, drop_tol=drop_tol)
-    if kind == "pod":
-        return PodStrategy(dim, operator, n_pod=n_pod, eps_pod=eps_pod)
-    raise ValueError(f"unknown start-vector strategy {kind!r}")
+        raise ValueError(f"strategy {config.kind!r} needs the system operator")
+    if config.kind == "cspe":
+        return CspeStrategy(dim, operator, config.max_cols, drop_tol)
+    return PodStrategy(dim, operator, config.n_pod, config.eps_pod)

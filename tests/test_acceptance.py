@@ -9,11 +9,12 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from mqsolve import (FAMILIES, CsrMatrix, NewtonConfig, PcgConfig,
-                     Preconditioner, RhsFamily, SchurOperator, SubspaceCache,
-                     builtin_model, estimate_cfl, explicit_euler_step,
-                     gradient_incidence, implicit_euler_step, make_strategy,
-                     pcg_solve, run_explicit, spmv)
+from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
+                     PcgConfig, Preconditioner, RhsFamily, SchurOperator,
+                     StrategyConfig, SubspaceCache, builtin_model,
+                     estimate_cfl, explicit_euler_step, gradient_incidence,
+                     implicit_euler_step, make_strategy, pcg_solve,
+                     run_explicit, spmv)
 from mqsolve.bench import RunConfig, run_single
 
 TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000,
@@ -78,7 +79,8 @@ def test_criterion_3_galerkin_exactness_trials(rng):
         config = PcgConfig(rel_tol=1e-8, max_iter=n + 10,
                            preconditioner=Preconditioner.NONE)
         for kind in ("cspe", "pod"):
-            strategy = make_strategy(kind, n, operator=lambda v: dense @ v)
+            strategy = make_strategy(StrategyConfig(kind), n,
+                                     operator=lambda v: dense @ v)
             for column in history.T:
                 strategy.observe(family, column)
             x0 = strategy.start_vector(family, rhs)
@@ -92,7 +94,8 @@ def test_criterion_3_galerkin_exactness_trials(rng):
 
 def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
     system = builtin6_linear.system
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous")
+    op = SchurOperator(system, ExplicitConfig(
+        pcg=TIGHT, strategy=StrategyConfig("previous")))
     estimate = estimate_cfl(op)
 
     # dense reference for the eliminated operator, column by column
@@ -114,7 +117,8 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
     solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
                       preconditioner=Preconditioner.JACOBI)
     dt_stable = 0.95 * 2.0 / estimate.lambda_max
-    op_stable = SchurOperator(system, pcg=solve, strategy="cspe")
+    op_stable = SchurOperator(system, ExplicitConfig(
+        pcg=solve, strategy=StrategyConfig("cspe")))
     a_c = np.zeros(n_c)
     t = 0.0
     max_norm = 0.0
@@ -131,7 +135,8 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
     assert max_norm <= 2.0 * final_norm
 
     dt_unstable = 2.5 * 2.0 / estimate.lambda_max
-    op_unstable = SchurOperator(system, pcg=solve, strategy="previous")
+    op_unstable = SchurOperator(system, ExplicitConfig(
+        pcg=solve, strategy=StrategyConfig("previous")))
     a_c = np.zeros(n_c)
     t = 0.0
     norms = []
@@ -189,10 +194,11 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
     system = builtin6.system
     kn = system.kn.to_scipy()
     counter = counting_operator(lambda v: kn @ v)
-    strategy = make_strategy("cspe", system.n_n, operator=counter)
+    strategy = make_strategy(StrategyConfig("cspe"), system.n_n,
+                             operator=counter)
     solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
                       preconditioner=Preconditioner.JACOBI)
-    op = SchurOperator(system, pcg=solve, strategy=strategy)
+    op = SchurOperator(system, ExplicitConfig(pcg=solve), strategy)
     a_c = np.zeros(system.n_c)
     t = 0.0
     for step in range(12):
@@ -233,8 +239,11 @@ def test_criterion_7_order_of_accuracy(make_linear_system, rng, corner_toy):
         rtol=1e-12, atol=1e-14, t_eval=[t_end]).y[:, -1]
     errors = []
     for dt in (0.02, 0.01, 0.005):
-        result = run_explicit(system, dt=dt, t_end=t_end, pcg=TIGHT,
-                              strategy="previous", output_period=t_end)
+        result = run_explicit(system, dt=dt, t_end=t_end,
+                              config=ExplicitConfig(
+                                  pcg=TIGHT,
+                                  strategy=StrategyConfig("previous")),
+                              output_period=t_end)
         errors.append(np.linalg.norm(result.final_a_c - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     print(f"error ratios under dt halving: "

@@ -1,14 +1,16 @@
 """Run configuration, model manifests, trace output, and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mqsolve import TransientResult, export_model
-from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig,
-                           estimate_start_cfl, load_model, run_benchmark,
-                           run_single, trace_bytes, write_trace)
+from mqsolve import (ExplicitConfig, NewtonConfig, SchurOperator,
+                     TransientResult, bench, estimate_cfl, export_model)
+from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig, load_model,
+                           run_benchmark, run_single, trace_bytes,
+                           write_trace)
 from mqsolve.cli import main as cli_main
 
 
@@ -128,9 +130,9 @@ def test_cfl_settings_reach_the_estimate(builtin6):
     config = RunConfig.from_sources(
         overrides={"cfl_tol": 1e-5, "cfl_steps": 40})
     assert (config.cfl_tol, config.cfl_steps) == (1e-5, 40)
-    options = config.explicit_options()
-    assert (options["cfl_tol"], options["cfl_steps"]) == (1e-5, 40)
-    est = estimate_start_cfl(builtin6.system, config)
+    settings = config.explicit_config()
+    assert (settings.cfl_tol, settings.cfl_steps) == (1e-5, 40)
+    est = estimate_cfl(SchurOperator(builtin6.system, settings))
     assert est.cfl_tol == 1e-5
     assert est.residual <= 1e-5 * est.lambda_max
     assert 0 < est.power_iters <= 40
@@ -144,7 +146,8 @@ def test_config_validation_errors():
              dict(max_basis=0), dict(max_newton=0), dict(cfl_steps=0),
              dict(cfl_tol=-1e-3), dict(preconditioner="magic"),
              dict(model=""), dict(safety=1.5), dict(safety=0.0),
-             dict(seed=-1), dict(reestimate_every=-5)]
+             dict(seed=-1), dict(reestimate_every=-5), dict(dt="Auto"),
+             dict(dt="1e-5")]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
@@ -152,21 +155,40 @@ def test_config_validation_errors():
     RunConfig(reestimate_every=0, safety=1.0).validate()
 
 
-@pytest.mark.parametrize("setting", [{"safety": 1.5}, {"seed": -1},
-                                     {"reestimate_every": -5}])
-def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys, setting):
+@pytest.mark.parametrize("setting", [
+    {"safety": 1.5}, {"seed": -1}, {"reestimate_every": -5},
+    {"max_basis": 0}, {"n_pod": 0}, {"eps_pod": 1.0}, {"cfl_steps": 0},
+    {"cfl_tol": -1e-3}, {"tol": 0.0}, {"strategy": "banana"},
+    {"newton_tol": 0.0}, {"max_newton": 0}])
+def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys,
+                                                 monkeypatch, setting):
+    # the check runs before any model is built
+    def no_model(**_):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(bench, "builtin_model", no_model)
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(setting))
     assert cli_main(["cfl", "--cells", "6", "--config",
                      str(config_file)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and next(iter(setting)) in err
+    # the message names the key the user wrote
+    assert err.startswith(f"error: {next(iter(setting))} ")
+
+
+def test_run_config_defaults_are_the_library_settings():
+    # only the inner solve tolerance differs, on purpose
+    library = ExplicitConfig()
+    assert (RunConfig.tol, library.pcg.rel_tol) == (1e-6, 1e-8)
+    assert RunConfig().explicit_config() == dataclasses.replace(
+        library, pcg=dataclasses.replace(library.pcg, rel_tol=RunConfig.tol))
+    assert RunConfig().newton_config() == NewtonConfig()
 
 
 def test_config_solver_mappings():
     config = RunConfig(tol=1e-5, preconditioner="none", newton_tol=1e-9,
                        max_newton=7)
-    pcg = config.pcg_config()
+    pcg = config.explicit_config().pcg
     assert pcg.rel_tol == 1e-5
     assert pcg.preconditioner.value == "none"
     newton = config.newton_config()

@@ -11,12 +11,12 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (FAMILIES, CsrMatrix, PartitionedSystem, PcgConfig,
-                     Preconditioner, RhsFamily, ScaledPatternSource,
-                     SchurOperator, StepFailureError, estimate_cfl,
-                     explicit_euler_step, exponential_ramp, krylov,
-                     make_strategy, pcg_solve, recover_an, run_explicit,
-                     schur)
+from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, PartitionedSystem,
+                     PcgConfig, Preconditioner, RhsFamily,
+                     ScaledPatternSource, SchurOperator, StepFailureError,
+                     StrategyConfig, estimate_cfl, explicit_euler_step,
+                     exponential_ramp, krylov, make_strategy, pcg_solve,
+                     recover_an, run_explicit, schur)
 from mqsolve.schur import TraceRecorder
 from mqsolve.sparse import spmv
 
@@ -25,6 +25,11 @@ JACOBI = Preconditioner.JACOBI
 SRC = RhsFamily.SOURCE_CURRENT
 PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
 STRATEGIES = ("previous", "cspe", "pod")
+
+
+def explicit(kind, **fields):
+    """Run settings with the start-vector method *kind*."""
+    return ExplicitConfig(strategy=StrategyConfig(kind), **fields)
 
 
 def dense_schur(blocks):
@@ -77,7 +82,7 @@ def test_validate_flags_asymmetric_block(rng, make_linear_system):
 def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system,
                                                 schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     x = rng.standard_normal(4)
     out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -90,7 +95,7 @@ def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
     decoupled = PartitionedSystem.linear(
         mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
         kn=system.kn, kc=system.kc_matrix(None), source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT)
+    op = SchurOperator(decoupled, explicit("previous", pcg=TIGHT))
     x = rng.standard_normal(3)
     out, inner = schur_action(op, x, x)
     assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
@@ -104,7 +109,7 @@ def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
 def test_apply_matches_dense_schur_singular(rng, make_linear_system,
                                             schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=7, singular=True)
-    op = SchurOperator(system, pcg=TIGHT)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     x = rng.standard_normal(4)
     out, inner = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -122,7 +127,7 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
                                             seed, n_c, n_n):
     rng = np.random.default_rng(seed)
     system, blocks = make_linear_system(rng, n_c=n_c, n_n=n_n, singular=True)
-    op = SchurOperator(system, pcg=TIGHT)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     x = rng.standard_normal(n_c)
     out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -135,12 +140,13 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
 
 def test_schur_operator_honours_the_pcg_preconditioner(builtin6):
     system = builtin6.system
-    assert SchurOperator(system).pcg.preconditioner is JACOBI
+    assert SchurOperator(system).config.pcg.preconditioner is JACOBI
     rhs = system.source(1e-3)
     solutions = {}
     for kind in Preconditioner:
         config = PcgConfig(preconditioner=kind)
-        y, _ = SchurOperator(system, pcg=config).solve_kn(rhs, SRC)
+        op = SchurOperator(system, explicit("previous", pcg=config))
+        y, _ = op.solve_kn(rhs, SRC)
         # the strategy's first start vector is zero
         expected, _ = pcg_solve(system.kn, rhs, x0=np.zeros(system.n_n),
                                 config=config)
@@ -177,12 +183,24 @@ def test_non_finite_source_names_the_step_and_family(builtin6, strategy):
     with pytest.raises(StepFailureError,
                        match=rf"^inner solve \(source\) at step {step}: "
                              "non-finite right-hand side$"):
-        run_explicit(broken, t_end=1e-3, dt=1e-5, strategy=strategy)
+        run_explicit(broken, t_end=1e-3, dt=1e-5, config=explicit(strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_stalled_inner_solve_names_the_step_and_family(builtin6, strategy):
+    # cspe solves from its cached residual, previous and pod by PCG from
+    # their start vector; the t = 0 solves have zero right-hand sides
+    one_iteration = PcgConfig(max_iter=1, preconditioner=JACOBI)
+    with pytest.raises(StepFailureError,
+                       match=r"^inner solve \(source\) at step 1 stalled at "
+                             r"relative residual \S+ after 1 iterations$"):
+        run_explicit(builtin6.system, t_end=1e-4, dt=1e-5,
+                     config=explicit(strategy, pcg=one_iteration))
 
 
 def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous")
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     dt = 1e-3
     log = op.solve_iterations
     a1, y_src = explicit_euler_step((np.zeros(3), 0.0), dt, op)
@@ -195,7 +213,7 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     a2, _ = explicit_euler_step((a1, dt), dt, op, coupling=y_cpl)
     assert [len(log[SRC]), len(log[PREV])] == [2, 2]
     # it is the coupling solve the step would have made itself
-    again = SchurOperator(system, pcg=TIGHT, strategy="previous")
+    again = SchurOperator(system, explicit("previous", pcg=TIGHT))
     b1, _ = explicit_euler_step((np.zeros(3), 0.0), dt, again)
     b2, _ = explicit_euler_step((b1, dt), dt, again)
     assert np.array_equal(a2, b2)
@@ -208,8 +226,9 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
 def test_run_solves_each_family_once_per_step_and_once_more(
         rng, make_linear_system, strategy):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
-    result = run_explicit(system, t_end=1e-2, dt=1e-3, strategy=strategy,
-                          pcg=TIGHT, output_period=2e-3)
+    result = run_explicit(system, t_end=1e-2, dt=1e-3,
+                          config=explicit(strategy, pcg=TIGHT),
+                          output_period=2e-3)
     n = result.aggregates["steps"]
     assert (n, result.n_rows) == (10, 6)
     # the t = 0 row solves the source, and the last row's coupling solve
@@ -222,8 +241,9 @@ def test_run_solves_each_family_once_per_step_and_once_more(
 def test_output_rows_leave_the_trajectory_bit_for_bit(rng, make_linear_system,
                                                       strategy):
     system, _ = make_linear_system(rng, n_c=4, n_n=8, singular=True)
-    finals = [run_explicit(system, t_end=1.2e-2, dt=1e-3, strategy=strategy,
-                           pcg=TIGHT, output_period=period)
+    finals = [run_explicit(system, t_end=1.2e-2, dt=1e-3,
+                           config=explicit(strategy, pcg=TIGHT),
+                           output_period=period)
               for period in (1e-3, 1.2e-2)]
     assert [r.n_rows for r in finals] == [13, 2]
     assert np.array_equal(finals[0].final_a_c, finals[1].final_a_c)
@@ -236,9 +256,9 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
     system, blocks = make_linear_system(rng, n_c=4, n_n=8, singular=True)
     tol = 1e-10
     t_end = 1.2e-2
-    result = run_explicit(system, t_end=t_end, dt=1e-3, strategy=strategy,
-                          pcg=PcgConfig(rel_tol=tol, max_iter=2000,
-                                        preconditioner=JACOBI),
+    pcg = PcgConfig(rel_tol=tol, max_iter=2000, preconditioner=JACOBI)
+    result = run_explicit(system, t_end=t_end, dt=1e-3,
+                          config=explicit(strategy, pcg=pcg),
                           output_period=5e-3)
     a_c, a_n = result.final_a_c, result.final_a_n
     coupling = blocks["kcn"].T @ a_c
@@ -251,7 +271,7 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
 
 def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     a_c = rng.standard_normal(3)
     t = 0.2
     a_n, _ = recover_an(op, a_c, t)
@@ -262,7 +282,7 @@ def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
 
 def test_explicit_step_matches_dense_rate(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, pcg=TIGHT, strategy="previous")
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     a0 = rng.standard_normal(4) * 0.1
     dt = 1e-3
     a1, _ = explicit_euler_step((a0, 0.0), dt, op)
@@ -277,7 +297,7 @@ def test_explicit_step_matches_dense_rate(rng, make_linear_system):
 
 def test_zero_dt_step_is_identity(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, pcg=TIGHT)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     a0 = rng.standard_normal(3)
     a1, _ = explicit_euler_step((a0, 0.0), 0.0, op)
     assert np.array_equal(a1, a0)
@@ -294,7 +314,7 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([10.0, 10.0])),
         source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT)
+    op = SchurOperator(decoupled, explicit("previous", pcg=TIGHT))
     huge = np.full(2, 1e300)
     with pytest.raises(StepFailureError, match="7"):
         explicit_euler_step((huge, 0.0), 1e9, op, step_index=7)
@@ -302,8 +322,9 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
 
 def test_cspe_evictions_reach_the_aggregates(builtin6):
     def evictions(strategy, **kwargs):
+        config = ExplicitConfig(strategy=StrategyConfig(strategy, **kwargs))
         result = run_explicit(builtin6.system, t_end=3e-4, dt=1e-5,
-                              strategy=strategy, output_period=1e-4, **kwargs)
+                              config=config, output_period=1e-4)
         return result.aggregates["evictions"]
 
     capped = evictions("cspe", max_cols=2)
@@ -319,8 +340,8 @@ def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
         mc=system.mc, kcn=system.kcn, kn=system.kn,
         kc=system.kc_matrix(None),
         source=ScaledPatternSource(np.zeros(5), exponential_ramp(0.5)))
-    result = run_explicit(quiet, t_end=1e-2, dt=1e-3, strategy="previous",
-                          pcg=TIGHT)
+    result = run_explicit(quiet, t_end=1e-2, dt=1e-3,
+                          config=explicit("previous", pcg=TIGHT))
     assert np.array_equal(result.final_a_c, np.zeros(3))
     assert np.array_equal(result.final_a_n, np.zeros(5))
     assert result.aggregates["iterations"] == {
@@ -334,8 +355,8 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0])),
         source=system.source)
-    op = SchurOperator(decoupled, pcg=TIGHT)
-    est = estimate_cfl(op, cfl_tol=1e-10, cfl_steps=500)
+    settings = explicit("previous", pcg=TIGHT, cfl_tol=1e-10, cfl_steps=500)
+    est = estimate_cfl(SchurOperator(decoupled, settings))
     assert est.lambda_max == pytest.approx(4.0, rel=1e-6)
     assert est.dt_max == pytest.approx(0.45, rel=1e-6)
     assert est.safety == 0.9
@@ -346,15 +367,16 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
     op2 = SchurOperator(PartitionedSystem.linear(
         mc=CsrMatrix.identity(2),
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
-        kc=coupled_kc, source=system.source), pcg=TIGHT)
-    est2 = estimate_cfl(op2, cfl_tol=1e-10, cfl_steps=500)
+        kc=coupled_kc, source=system.source), settings)
+    est2 = estimate_cfl(op2)
     assert est2.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=6, n_n=9, singular=True)
-    op = SchurOperator(system, pcg=TIGHT)
-    est = estimate_cfl(op, cfl_tol=1e-10, cfl_steps=2000)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT, cfl_tol=1e-10,
+                                        cfl_steps=2000))
+    est = estimate_cfl(op)
     ks = dense_schur(blocks)
     lam = scipy.linalg.eigh(ks, np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
@@ -362,17 +384,14 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     assert est.dt_max == pytest.approx(0.9 * 2.0 / lam, rel=1e-6)
 
 
-def test_cfl_validation(rng, make_linear_system):
-    system, _ = make_linear_system(rng)
-    op = SchurOperator(system, pcg=TIGHT)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, safety=0.0)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, safety=1.5)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, cfl_steps=0)
-    with pytest.raises(ValueError):
-        estimate_cfl(op, cfl_tol=-1.0)
+def test_cfl_validation():
+    # the message starts with the field's name, which RunConfig maps to its
+    # own key
+    for field, value in (("safety", 0.0), ("safety", 1.5), ("cfl_steps", 0),
+                         ("cfl_tol", -1.0), ("seed", -1),
+                         ("reestimate_every", -3)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ExplicitConfig(**{field: value})
 
 
 def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
@@ -383,8 +402,8 @@ def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
         mc=CsrMatrix.identity(5),
         kcn=CsrMatrix.from_dense(np.zeros((5, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0, 1.0, 4.0, 1.0])),
-        source=system.source), pcg=TIGHT)
-    est = estimate_cfl(op, cfl_tol=0.0)
+        source=system.source), explicit("previous", pcg=TIGHT, cfl_tol=0.0))
+    est = estimate_cfl(op)
     assert est.power_iters == 2
     assert est.residual == 0.0
     assert est.lambda_max == pytest.approx(4.0, rel=1e-12)
@@ -405,9 +424,9 @@ def dense_lambda_max(op, a_c, schur_action):
 def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(
         builtin6, schur_action):
     system = builtin6.system
-    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
-                                             preconditioner=JACOBI),
-                       strategy="cspe")
+    settings = explicit("cspe", pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
+                                              preconditioner=JACOBI))
+    op = SchurOperator(system, settings)
     first = estimate_cfl(op)
     a_c = np.zeros(system.n_c)
     t = 0.0
@@ -418,9 +437,11 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(
     applies = sum(op.kn_applies.values())
     refresh = estimate_cfl(op, a_c_ref=a_c, previous=first)
     assert sum(op.kn_applies.values()) == applies and refresh.power_iters == 0
-    # a tolerance no Rayleigh-Ritz step on the old basis meets
-    fallback = estimate_cfl(op, a_c_ref=a_c, previous=first, cfl_tol=1e-9)
-    assert fallback.power_iters > 0 and sum(op.kn_applies.values()) > applies
+    # a tolerance no Rayleigh-Ritz step on the old basis meets, on an
+    # operator whose settings differ in it alone
+    tight = SchurOperator(system, dataclasses.replace(settings, cfl_tol=1e-9))
+    fallback = estimate_cfl(tight, a_c_ref=a_c, previous=first)
+    assert fallback.power_iters > 0 and sum(tight.kn_applies.values()) > 0
 
     lam = dense_lambda_max(op, a_c, schur_action)
     # the inner solves' tolerance bounds how far theta may pass lam
@@ -435,14 +456,16 @@ def test_cfl_refresh_reuses_the_basis_and_brackets_the_dense_value(
 
 def test_cfl_refresh_restarts_a_full_basis(builtin6, schur_action):
     system = builtin6.system
-    op = SchurOperator(system, pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
-                                             preconditioner=JACOBI))
+    settings = explicit("previous", pcg=PcgConfig(
+        rel_tol=1e-10, max_iter=20000, preconditioner=JACOBI), cfl_steps=5)
+    op = SchurOperator(system, settings)
     # the start estimate stops at the cap with a basis of cfl_steps columns
-    first = estimate_cfl(op, cfl_steps=5)
+    first = estimate_cfl(op)
     assert first.power_iters == 5 and first.basis.shape[1] == 5
     assert first.residual > 1e-3 * first.lambda_max
     # the refresh misses the tolerance on that basis and must restart
-    refresh = estimate_cfl(op, previous=first, cfl_steps=5, cfl_tol=1e-9)
+    refresh = estimate_cfl(SchurOperator(system, dataclasses.replace(
+        settings, cfl_tol=1e-9)), previous=first)
     assert refresh.power_iters == 5
     q = refresh.basis
     assert q.shape[1] < 5
@@ -458,8 +481,8 @@ def test_cfl_refresh_restarts_a_full_basis(builtin6, schur_action):
                            scale * (system.kcn.to_scipy() @ y), rtol=1e-8,
                            atol=1e-8 * np.abs(refresh.coupling).max())
 
-    result = run_explicit(system, t_end=3e-3, strategy="cspe", cfl_steps=5,
-                          cfl_tol=1e-6, reestimate_every=50)
+    result = run_explicit(system, t_end=3e-3, config=explicit(
+        "cspe", cfl_steps=5, cfl_tol=1e-6, reestimate_every=50))
     history = result.aggregates["cfl_history"]
     assert history and all(entry[2] == 5 for entry in history)
 
@@ -481,9 +504,9 @@ def logged_refreshes(system, monkeypatch, cfl_tol):
         return est
 
     monkeypatch.setattr(schur, "estimate_cfl", estimate)
-    dt0 = estimate_cfl(SchurOperator(system), cfl_tol=cfl_tol).dt_max
-    result = run_explicit(system, t_end=350.5 * dt0, strategy="cspe",
-                          cfl_tol=cfl_tol, reestimate_every=100)
+    settings = explicit("cspe", cfl_tol=cfl_tol, reestimate_every=100)
+    dt0 = estimate_cfl(SchurOperator(system, settings)).dt_max
+    result = run_explicit(system, t_end=350.5 * dt0, config=settings)
     agg = result.aggregates
     history = agg["cfl_history"]
     assert agg["cfl_refreshes"] == len(history) == 3
@@ -514,10 +537,34 @@ def test_run_explicit_logs_a_forced_lanczos_fallback(builtin6, monkeypatch):
     assert any(entry[2] > 0 for entry in history)
 
 
+def test_a_cfl_refresh_never_raises_dt(builtin6, monkeypatch):
+    original = schur.estimate_cfl
+    starts, refreshes = [], []
+
+    def estimate(op, *args, **kwargs):
+        est = original(op, *args, **kwargs)
+        if kwargs.get("previous") is None:
+            starts.append(est.dt_max)
+            return est
+        # a refresh that would allow a larger step
+        refreshes.append(dataclasses.replace(est, dt_max=10.0 * est.dt_max))
+        return refreshes[-1]
+
+    monkeypatch.setattr(schur, "estimate_cfl", estimate)
+    result = run_explicit(builtin6.system, t_end=2e-4,
+                          config=explicit("cspe", reestimate_every=2))
+    agg = result.aggregates
+    [dt0] = starts
+    assert agg["cfl_refreshes"] == len(refreshes) > 0
+    assert all(est.dt_max > dt0 for est in refreshes)
+    assert agg["dt"] == dt0
+    assert [entry[3] for entry in agg["cfl_history"]] == [dt0] * len(refreshes)
+
+
 def test_cfl_estimate_above_the_gershgorin_ceiling_names_the_step(
         builtin6, monkeypatch):
     system = builtin6.system
-    op = SchurOperator(system)
+    op = SchurOperator(system, explicit("previous"))
     est = estimate_cfl(op)
     scale = 1.0 / np.sqrt(system.mc.diagonal())
     kc = np.abs(system.kc_matrix(np.zeros(system.n_c)).to_dense())
@@ -536,7 +583,7 @@ def test_cfl_estimate_above_the_gershgorin_ceiling_names_the_step(
     with pytest.raises(StepFailureError, match="at step 7.*Gershgorin"):
         estimate_cfl(op, step=7)
     with pytest.raises(StepFailureError, match="at step 0.*Gershgorin"):
-        run_explicit(system, t_end=1e-4, strategy="cspe")
+        run_explicit(system, t_end=1e-4, config=explicit("cspe"))
 
 
 @settings(max_examples=30, deadline=None)
@@ -548,15 +595,15 @@ def test_ritz_value_stays_below_the_dense_eigenvalue(make_linear_system, seed,
                                                      cfl_steps):
     system, blocks = make_linear_system(np.random.default_rng(seed), n_c=n_c,
                                         n_n=n_n, singular=singular)
-    est = estimate_cfl(SchurOperator(system, pcg=TIGHT), cfl_steps=cfl_steps,
-                       cfl_tol=1e-6, seed=seed)
+    settings = explicit("previous", pcg=TIGHT, cfl_steps=cfl_steps,
+                        cfl_tol=1e-6, seed=seed)
+    est = estimate_cfl(SchurOperator(system, settings))
     lam = scipy.linalg.eigh(dense_schur(blocks), np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
     assert est.lambda_max <= lam * (1.0 + 1e-9)
     assert est.lambda_max <= est.ceiling * (1.0 + 1e-9)
     # bitwise deterministic for a fixed seed, on a fresh operator
-    again = estimate_cfl(SchurOperator(system, pcg=TIGHT),
-                         cfl_steps=cfl_steps, cfl_tol=1e-6, seed=seed)
+    again = estimate_cfl(SchurOperator(system, settings))
     assert again == est
     assert np.array_equal(again.basis, est.basis)
     assert np.array_equal(again.coupling, est.coupling)
@@ -567,7 +614,7 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
     finals = {}
     for strategy in ("previous", "cspe", "pod"):
         result = run_explicit(system, t_end=1.2e-2, dt=1e-3,
-                              strategy=strategy, pcg=TIGHT)
+                              config=explicit(strategy, pcg=TIGHT))
         finals[strategy] = result.final_a_c
     scale = np.linalg.norm(finals["previous"])
     for strategy in ("cspe", "pod"):
@@ -577,8 +624,9 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
 
 def test_run_explicit_rows_and_validation(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    result = run_explicit(system, t_end=1e-2, dt=1e-3, strategy="previous",
-                          pcg=TIGHT, output_period=2e-3)
+    result = run_explicit(system, t_end=1e-2, dt=1e-3,
+                          config=explicit("previous", pcg=TIGHT),
+                          output_period=2e-3)
     assert result.times[0] == 0.0
     assert result.times[-1] == pytest.approx(1e-2, rel=1e-12)
     assert np.all(np.diff(result.times) > 0)
@@ -598,8 +646,8 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system):
 def test_run_explicit_step_budget(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     with pytest.raises(StepFailureError):
-        run_explicit(system, t_end=1.0, dt=1e-6, strategy="previous",
-                     pcg=TIGHT, max_steps=10)
+        run_explicit(system, t_end=1.0, dt=1e-6, config=explicit(
+            "previous", pcg=TIGHT, max_steps=10))
 
 
 CAUSES = ("pcg", "initial", "cfl", "upkeep")
@@ -658,8 +706,8 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
     for strategy in STRATEGIES:
         counted.update(dict.fromkeys(counted, 0))
         result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
-                              strategy=strategy, output_period=2e-5,
-                              reestimate_every=2)
+                              config=explicit(strategy, reestimate_every=2),
+                              output_period=2e-5)
         agg = result.aggregates
         assert agg["cfl_refreshes"] > 0
         # every product made, by any cause, is in operator_applies
@@ -684,7 +732,7 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_kn_applies_are_plain_and_repeat_exactly(builtin6, strategy):
     aggregates = [run_explicit(builtin6.system, t_end=5e-5, dt="auto",
-                               strategy=strategy,
+                               config=explicit(strategy),
                                output_period=1e-5).aggregates
                   for _ in range(2)]
     first, second = aggregates
@@ -706,9 +754,9 @@ def kn_solver(kn_dense, config, operator=None, drop_tol=None):
         kn=CsrMatrix.from_dense(kn_dense), kc=CsrMatrix.identity(1),
         source=ScaledPatternSource(np.zeros(n), exponential_ramp(1.0)))
     strategy = make_strategy(
-        "cspe", n, operator or kn_dense.__matmul__,
+        StrategyConfig("cspe"), n, operator or kn_dense.__matmul__,
         drop_tol=config.rel_tol if drop_tol is None else drop_tol)
-    return SchurOperator(system, pcg=config, strategy=strategy)
+    return SchurOperator(system, ExplicitConfig(pcg=config), strategy)
 
 
 def singular_spd(rng, n, deficit):
@@ -908,7 +956,7 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
 def test_non_finite_rhs_on_the_cached_path_names_family_and_step(
         builtin6, bad):
     system = builtin6.system
-    op = SchurOperator(system, strategy="cspe")
+    op = SchurOperator(system, explicit("cspe"))
     rhs = spmv(system.kn, np.ones(system.n_n))
     op.solve_kn(rhs, PREV, step=6)
     assert op.strategy.start_product(PREV) is not None

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (CsrMatrix, NonFiniteError, SchurOperator, as_vector,
+from mqsolve import (CsrMatrix, ExplicitConfig, NonFiniteError,
+                     SchurOperator, StrategyConfig, as_vector,
                      explicit_euler_step, read_dense_vector,
                      read_matrix_market, recover_an, spmv, spmv_transpose,
                      symmetric_check, write_dense_vector,
@@ -293,7 +294,8 @@ def test_per_step_products_skip_scipy_dispatch(builtin6, monkeypatch):
     for cls in (sp.csr_matrix, sp.csc_matrix):
         monkeypatch.setattr(cls, "__matmul__", refuse)
     for strategy in ("previous", "cspe", "pod"):
-        op = SchurOperator(system, strategy=strategy)
+        op = SchurOperator(system, ExplicitConfig(
+            strategy=StrategyConfig(strategy)))
         a_c, t = np.zeros(system.n_c), 0.0
         for step in range(1, 4):
             a_c, _ = explicit_euler_step((a_c, t), 1e-5, op, step)

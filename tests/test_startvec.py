@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (CspeStrategy, PodStrategy, PreviousSolutionStrategy,
-                     RhsFamily, SchurOperator, SubspaceCache, make_strategy,
+from mqsolve import (CspeStrategy, ExplicitConfig, PodStrategy,
+                     PreviousSolutionStrategy, RhsFamily, SchurOperator,
+                     StrategyConfig, SubspaceCache, make_strategy,
                      pod_start_vector)
 
 SRC = RhsFamily.SOURCE_CURRENT
@@ -17,7 +18,7 @@ def test_cache_counts_one_product_per_accepted_column(rng, make_spd,
                                                       counting_operator):
     dense = make_spd(rng, 8)
     op = counting_operator(dense)
-    cache = SubspaceCache(8, op)
+    cache = SubspaceCache(8, op, 20)
     assert cache.insert(rng.standard_normal(8))
     assert cache.insert(rng.standard_normal(8))
     v = rng.standard_normal(8)
@@ -32,7 +33,7 @@ def test_cache_counts_one_product_per_accepted_column(rng, make_spd,
 
 def test_cache_products_and_galerkin_match_dense(rng, make_spd):
     dense = make_spd(rng, 9)
-    cache = SubspaceCache(9, dense.__matmul__)
+    cache = SubspaceCache(9, dense.__matmul__, 20)
     for _ in range(4):
         cache.insert(rng.standard_normal(9))
     u = cache.basis
@@ -42,7 +43,7 @@ def test_cache_products_and_galerkin_match_dense(rng, make_spd):
 
 def test_cache_reuses_old_products_bit_for_bit(rng, make_spd):
     dense = make_spd(rng, 7)
-    cache = SubspaceCache(7, dense.__matmul__)
+    cache = SubspaceCache(7, dense.__matmul__, 20)
     cache.insert(rng.standard_normal(7))
     cache.insert(rng.standard_normal(7))
     before = cache.cached_products[:, :2].copy()
@@ -68,7 +69,7 @@ def test_cache_fifo_eviction(rng, make_spd):
 
 def test_project_matches_dense_galerkin_solution(rng, make_spd):
     dense = make_spd(rng, 10)
-    cache = SubspaceCache(10, dense.__matmul__)
+    cache = SubspaceCache(10, dense.__matmul__, 20)
     for _ in range(3):
         cache.insert(rng.standard_normal(10))
     rhs = rng.standard_normal(10)
@@ -80,7 +81,7 @@ def test_project_matches_dense_galerkin_solution(rng, make_spd):
 
 def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
     dense = make_spd(rng, 8)
-    cache = SubspaceCache(8, dense.__matmul__)
+    cache = SubspaceCache(8, dense.__matmul__, 20)
     cache.insert(rng.standard_normal(8))
     cache.insert(rng.standard_normal(8))
     rhs = rng.standard_normal(8)
@@ -101,7 +102,7 @@ def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
 def test_projection_exact_when_solution_in_subspace(rng, make_spd):
     dense = make_spd(rng, 6)
     x_star = rng.standard_normal(6)
-    cache = SubspaceCache(6, dense.__matmul__)
+    cache = SubspaceCache(6, dense.__matmul__, 20)
     cache.insert(x_star)
     x0 = cache.project(dense @ x_star)
     assert np.allclose(x0, x_star, rtol=0.0, atol=1e-8)
@@ -109,7 +110,7 @@ def test_projection_exact_when_solution_in_subspace(rng, make_spd):
 
 def test_project_edge_cases(rng, make_spd):
     dense = make_spd(rng, 5)
-    cache = SubspaceCache(5, dense.__matmul__)
+    cache = SubspaceCache(5, dense.__matmul__, 20)
     with pytest.raises(RuntimeError, match="projection"):
         cache.start_product()
     assert np.array_equal(cache.project(rng.standard_normal(5)), np.zeros(5))
@@ -129,7 +130,7 @@ def test_project_edge_cases(rng, make_spd):
 def test_project_drops_the_column_whose_pivot_fails():
     # the third direction is in the operator's nullspace
     dense = np.diag([1.0, 2.0, 0.0])
-    cache = SubspaceCache(3, dense.__matmul__)
+    cache = SubspaceCache(3, dense.__matmul__, 20)
     assert cache.insert(np.array([1.0, 0.0, 0.0]))
     assert cache.insert(np.array([0.0, 0.0, 1.0]))
     x0 = cache.project(np.array([3.0, 1.0, 1.0]))
@@ -188,7 +189,7 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
 
 def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
     dense = make_spd(rng, 4)
-    cache = SubspaceCache(4, dense.__matmul__)
+    cache = SubspaceCache(4, dense.__matmul__, 20)
     assert not cache.insert(np.zeros(4))
     assert not cache.insert(np.array([1.0, np.nan, 0.0, 0.0]))
     assert cache.size == 0
@@ -226,7 +227,7 @@ def test_a_modified_start_vector_is_not_taken_for_the_projection(rng,
     # the caller owns the start vector; its product comes from the cache's
     # own coefficients
     dense = make_spd(rng, 8)
-    cache = SubspaceCache(8, dense.__matmul__)
+    cache = SubspaceCache(8, dense.__matmul__, 20)
     for _ in range(2):
         cache.insert(rng.standard_normal(8))
     x0 = cache.project(rng.standard_normal(8))
@@ -364,16 +365,26 @@ def test_pod_galerkin_residual_is_small(rng, make_spd):
     assert np.linalg.norm(dense @ x0 - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
-def test_pod_info_monotone_in_eps(rng):
-    dim = 8
-    snaps = [rng.standard_normal(dim) * (0.5 ** j) for j in range(4)]
-    dense = np.eye(dim)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+       n_snap=st.integers(1, 8), rank=st.integers(0, 8),
+       decay=st.floats(0.0, 1.0),
+       log_eps=st.lists(st.floats(-14.0, -0.01), min_size=2, max_size=2))
+def test_pod_info_monotone_in_eps(make_spd, seed, dim, n_snap, rank, decay,
+                                  log_eps):
+    # snapshot sets of any rank, with geometrically decaying columns; a
+    # larger eps_pod keeps no more modes and no more information
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim, n_snap)
+    mixed = (rng.standard_normal((dim, rank))
+             @ rng.standard_normal((rank, n_snap)))
+    snaps = [mixed[:, j] * decay ** j for j in range(n_snap)]
+    operator = make_spd(rng, dim).__matmul__
     rhs = rng.standard_normal(dim)
-    prev_k = dim + 1
-    for eps in (1e-12, 1e-4, 1e-1, 0.9):
-        _, k, _, _ = pod_start_vector(snaps, rhs, dense.__matmul__, eps)
-        assert k <= prev_k
-        prev_k = k
+    small, large = (pod_start_vector(snaps, rhs, operator, 10.0 ** e)[1:3]
+                    for e in sorted(log_eps))
+    assert large[0] <= small[0]
+    assert large[1] <= small[1]
 
 
 def test_previous_strategy_isolates_families(rng):
@@ -394,7 +405,7 @@ def test_previous_strategy_isolates_families(rng):
 
 def test_cspe_strategy_isolates_families(rng, make_spd):
     dense = make_spd(rng, 5)
-    strat = CspeStrategy(5, dense.__matmul__)
+    strat = CspeStrategy(5, dense.__matmul__, 20, 1e-10)
     x = rng.standard_normal(5)
     strat.observe(SRC, x)
     assert strat.basis_size(SRC) == 1
@@ -447,18 +458,18 @@ def test_pod_basis_size_answers_per_family(rng, make_spd):
 
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
-    assert make_strategy("previous", 4).kind == "previous"
-    assert isinstance(make_strategy("cspe", 4, dense.__matmul__,
-                                    max_cols=7), CspeStrategy)
-    assert isinstance(make_strategy("pod", 4, dense.__matmul__,
-                                    n_pod=3), PodStrategy)
+    assert make_strategy(StrategyConfig("previous"), 4).kind == "previous"
+    assert isinstance(make_strategy(StrategyConfig("cspe", max_cols=7), 4,
+                                    dense.__matmul__), CspeStrategy)
+    assert isinstance(make_strategy(StrategyConfig("pod", n_pod=3), 4,
+                                    dense.__matmul__), PodStrategy)
     with pytest.raises(ValueError):
-        make_strategy("cspe", 4)
+        make_strategy(StrategyConfig("cspe"), 4)
     with pytest.raises(ValueError):
-        make_strategy("pod", 4)
+        make_strategy(StrategyConfig("pod"), 4)
     for unknown in ("banana", "zero"):
         with pytest.raises(ValueError):
-            make_strategy(unknown, 4, dense.__matmul__)
+            make_strategy(StrategyConfig(unknown), 4, dense.__matmul__)
 
 
 @pytest.mark.parametrize("kind, setting", [("pod", dict(n_pod=0)),
@@ -470,6 +481,8 @@ def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
     # before any solve, so before a run's start CFL estimate
     [name] = setting
     with pytest.raises(ValueError, match=name):
-        make_strategy(kind, 4, np.eye(4).__matmul__, **setting)
+        make_strategy(StrategyConfig(kind, **setting), 4,
+                      np.eye(4).__matmul__)
     with pytest.raises(ValueError, match=name):
-        SchurOperator(builtin6.system, strategy=kind, **setting)
+        SchurOperator(builtin6.system, ExplicitConfig(
+            strategy=StrategyConfig(kind, **setting)))
