@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .implicit import NewtonConfig, run_implicit
 from .model import Model, builtin_model
-from .schur import (ExplicitConfig, PartitionedSystem, ScaledPatternSource,
-                    SchurOperator, TransientResult, estimate_cfl,
-                    exponential_ramp, run_explicit)
+from .schur import (OUTPUT_PERIOD, ExplicitConfig, PartitionedSystem,
+                    ScaledPatternSource, SchurOperator, TransientResult,
+                    check_run_arguments, estimate_cfl, exponential_ramp,
+                    run_explicit)
 from .sparse import read_dense_vector, read_matrix_market, symmetric_check
 from .startvec import STRATEGIES, StrategyConfig
 
@@ -47,22 +50,26 @@ class ConfigError(ValueError):
     """Invalid run configuration or model manifest."""
 
 
-def _parse_dt(value) -> float | str:
+def _parse_dt(value):
+    """A flag or file dt as a float or "auto"; validate judges the rest."""
     if isinstance(value, str):
         if value.strip().lower() == "auto":
             return "auto"
         try:
             return float(value)
         except ValueError:
-            pass
-    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    raise ConfigError(f"dt must be a number or 'auto', got {value!r}")
+    return value
 
 
 # RunConfig keys of the settings whose library checks name them otherwise
 _RUN_KEYS = {"kind": "strategy", "max_cols": "max_basis", "rel_tol": "tol",
              "tol": "newton_tol"}
+
+# builtin_model's parameters; the RunConfig fields named alike set them
+_MODEL = inspect.signature(builtin_model).parameters
 
 # the values each field type accepts; bool is an int subclass and is
 # rejected where a number is expected
@@ -96,8 +103,8 @@ class RunConfig:
     Sources are layered: dataclass defaults, then a JSON config file, then
     explicit flag overrides.
     The model source is either the string ``builtin`` or a path to a model
-    manifest (directory or manifest.json). Solver settings default to the
-    library's, except ``tol``, and are checked by building them.
+    manifest (directory or manifest.json). Defaults are the library's where
+    it has one, except ``tol``; the library checks run arguments and settings.
     """
 
     model: str = "builtin"
@@ -105,10 +112,10 @@ class RunConfig:
     strategy: str = StrategyConfig.kind
     dt: float | str = "auto"
     t_end: float = 0.12
-    output_period: float = 1e-3
+    output_period: float = OUTPUT_PERIOD
     # benchmark default; library-level solves default to 1e-8
     tol: float = 1e-6
-    preconditioner: str = "jacobi"
+    preconditioner: str = ExplicitConfig.pcg.preconditioner.value
     newton_tol: float = NewtonConfig.tol
     max_newton: int = NewtonConfig.max_newton
     implicit_dt: float = 2.5e-4
@@ -118,12 +125,12 @@ class RunConfig:
     seed: int = ExplicitConfig.seed
     out: str = "."
     # builtin model parameters
-    cells: int = 8
-    h: float = 5e-3
-    kappa: float = 5e6
-    amps: float = 5e4
-    tau: float = 0.5
-    linear: bool = False
+    cells: int = _MODEL["cells"].default
+    h: float = _MODEL["h"].default
+    kappa: float = _MODEL["kappa"].default
+    amps: float = _MODEL["amps"].default
+    tau: float = _MODEL["tau"].default
+    linear: bool = _MODEL["linear"].default
     # explicit integrator knobs
     safety: float = ExplicitConfig.safety
     reestimate_every: int = ExplicitConfig.reestimate_every
@@ -134,24 +141,21 @@ class RunConfig:
         """Check every setting, whatever the integrator, before a model."""
         if self.integrator not in ("explicit", "implicit"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if not (self.t_end > 0):
-            raise ConfigError("t_end must be positive")
-        if not (self.output_period > 0):
-            raise ConfigError("output period must be positive")
-        if self.dt != "auto" and not (isinstance(self.dt, numbers.Real)
-                                      and self.dt > 0):
-            raise ConfigError(f"dt must be positive or 'auto': {self.dt!r}")
-        if not (self.implicit_dt > 0):
-            raise ConfigError("implicit_dt must be positive")
         if not self.model:
             raise ConfigError("model source must not be empty")
-        for build in (self.explicit_config, self.newton_config):
+        arguments = partial(check_run_arguments, self.t_end,
+                            output_period=self.output_period)
+        # the implicit step is the library's dt of the implicit run
+        for check, keys in ((partial(arguments, self.dt), _RUN_KEYS),
+                            (partial(arguments, self.implicit_dt, auto=False),
+                             {"dt": "implicit_dt"}),
+                            (self.explicit_config, _RUN_KEYS),
+                            (self.newton_config, _RUN_KEYS)):
             try:
-                build()
+                check()
             except ValueError as err:
                 name, _, rest = str(err).partition(" ")
-                raise ConfigError(f"{_RUN_KEYS.get(name, name)} {rest}"
-                                  ) from None
+                raise ConfigError(f"{keys.get(name, name)} {rest}") from None
         return self
 
     @classmethod
@@ -291,9 +295,9 @@ def load_model(path) -> tuple[PartitionedSystem, Model | None, dict]:
         raise ConfigError(
             f"unknown waveform kind {waveform_info.get('kind')!r}")
     tau = _field(waveform_info, "tau", "waveform section")
-    if not tau > 0:
-        raise ConfigError(f"waveform section 'tau' must be positive, "
-                          f"got {tau!r}")
+    if not 0 < tau < np.inf:
+        raise ConfigError(f"waveform section 'tau' must be finite and "
+                          f"positive, got {tau!r}")
 
     if manifest.get("builtin"):
         builtin = _section(manifest, "builtin", "manifest")
@@ -341,9 +345,8 @@ def model_from_config(config: RunConfig) -> tuple[PartitionedSystem,
                                                   Model | None]:
     """The config's model: the builtin one or a loaded model directory."""
     if config.model == "builtin":
-        model = builtin_model(cells=config.cells, h=config.h,
-                              kappa=config.kappa, amps=config.amps,
-                              tau=config.tau, linear=config.linear)
+        model = builtin_model(**{key: getattr(config, key) for key in _MODEL
+                                 if key in config.field_names()})
         return model.system, model
     system, model, _ = load_model(config.model)
     return system, model

@@ -32,6 +32,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                                         "manifest directory")
     parser.add_argument("--cells", type=int, help="builtin grid cells per "
                                                   "direction")
+    parser.add_argument("--linear", action="store_const", const=True,
+                        help="freeze the builtin conductor at its "
+                             "unsaturated reluctivity")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", help="output file or directory")
 
@@ -47,9 +50,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-basis", dest="max_basis", type=int)
     parser.add_argument("--preconditioner", choices=("none", "jacobi"))
     parser.add_argument("--implicit-dt", dest="implicit_dt", type=float)
-    parser.add_argument("--linear", action="store_const", const=True,
-                        help="freeze the builtin conductor at its "
-                             "unsaturated reluctivity")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write the builtin model as Matrix "
                                           "Market blocks plus manifest")
     _add_common(gen)
-    gen.add_argument("--linear", action="store_const", const=True)
     gen.add_argument("--amps", type=float)
     gen.add_argument("--tau", type=float)
     gen.add_argument("--kappa", type=float)
@@ -80,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cfl)
     cfl.add_argument("--tol", type=float)
     cfl.add_argument("--preconditioner", choices=("none", "jacobi"))
-    cfl.add_argument("--linear", action="store_const", const=True)
     return parser
 
 

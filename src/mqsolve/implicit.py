@@ -24,7 +24,8 @@ import numpy as np
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
                      build_preconditioner, pcg_solve)
-from .schur import FAMILIES, TraceRecorder, TransientResult
+from .schur import (FAMILIES, OUTPUT_PERIOD, TraceRecorder, TransientResult,
+                    check_run_arguments)
 from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv, spmv_transpose
 from .startvec import RhsFamily
 
@@ -247,7 +248,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
 
 def run_implicit(system, t_end: float, dt: float,
                  config: NewtonConfig | None = None, *, probe=None,
-                 output_period: float = 1e-3) -> TransientResult:
+                 output_period: float = OUTPUT_PERIOD) -> TransientResult:
     """Integrate with implicit Euler on a uniform grid.
 
     Produces the same output-row schema and shared aggregates as the
@@ -256,14 +257,13 @@ def run_implicit(system, t_end: float, dt: float,
     so ``iters_src`` carries the mean PCG iterations per Newton solve since
     the previous row and the coupling column stays zero. A step that fails
     raises :class:`NewtonFailureError` with a message that starts with
-    ``step N:``.
+    ``step N:``. A bad run argument raises ValueError first; dt is a number.
     """
+    check_run_arguments(t_end, dt, output_period, auto=False)
     iterations = {f: [] for f in FAMILIES}
     # one entry per Newton iteration
     linear = iterations[RhsFamily.SOURCE_CURRENT]
     trace = TraceRecorder(t_end, output_period, probe, iterations)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     config = config or NewtonConfig()
     jacobian = MonolithicJacobian(system)
     wall_start = time.perf_counter()

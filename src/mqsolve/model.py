@@ -92,12 +92,14 @@ class Material:
     brauer_k3: float = VACUUM_RELUCTIVITY
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ModelError("conductivity must be nonnegative")
-        if self.brauer_k1 < 0 or self.brauer_k2 < 0:
-            raise ModelError("saturation coefficients must be nonnegative")
-        if self.brauer_k3 <= 0:
-            raise ModelError("base reluctivity must be positive")
+        if not 0 <= self.kappa < np.inf:
+            raise ModelError("conductivity must be finite and nonnegative")
+        if not (0 <= self.brauer_k1 < np.inf
+                and 0 <= self.brauer_k2 < np.inf):
+            raise ModelError("saturation coefficients must be finite and "
+                             "nonnegative")
+        if not 0 < self.brauer_k3 < np.inf:
+            raise ModelError("base reluctivity must be finite and positive")
 
     @property
     def is_linear(self) -> bool:
@@ -161,8 +163,8 @@ class GridSpec:
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 2:
             raise ModelError("grid needs at least two cells per direction")
-        if not (self.h > 0):
-            raise ModelError("grid spacing must be positive")
+        if not 0 < self.h < np.inf:
+            raise ModelError("grid spacing must be finite and positive")
         mat = np.ascontiguousarray(self.material, dtype=np.int8)
         if mat.shape != (self.nx, self.ny, self.nz):
             raise ModelError(
@@ -198,8 +200,10 @@ class Excitation:
     def __post_init__(self):
         if not (self.i0 < self.i1 and self.j0 < self.j1):
             raise ModelError("loop extents must be nonempty")
-        if self.tau <= 0:
-            raise ModelError("time constant must be positive")
+        if not np.isfinite(self.amps):
+            raise ModelError("ampere-turns must be finite")
+        if not 0 < self.tau < np.inf:
+            raise ModelError("time constant must be finite and positive")
 
 
 class _Topology:

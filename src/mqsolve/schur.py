@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -65,6 +66,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 FAMILIES = tuple(RhsFamily)
+
+# seconds between the output rows of either integrator, by default
+OUTPUT_PERIOD = 1e-3
 
 
 class StepFailureError(RuntimeError):
@@ -100,10 +104,25 @@ class ExplicitConfig:
             raise ValueError("reestimate_every must be nonnegative")
 
 
+def check_run_arguments(t_end, dt, output_period, *, auto=True) -> None:
+    """The run arguments of both integrators: ``t_end``, ``output_period``
+    and ``dt`` must be positive finite numbers, and with *auto* ``dt`` may
+    be exactly ``"auto"``. A bad one raises ValueError naming it first."""
+    named = {"t_end": t_end, "output_period": output_period, "dt": dt}
+    if auto and isinstance(dt, str) and dt == "auto":
+        del named["dt"]
+    for name, value in named.items():
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and value > 0 and math.isfinite(value)):
+            also = " or 'auto'" if auto and name == "dt" else ""
+            raise ValueError(f"{name} must be a positive finite number{also}"
+                             f", got {value!r}")
+
+
 def exponential_ramp(tau: float) -> Callable[[float], float]:
     """Waveform t -> 1 - exp(-t / tau), the saturating turn-on current."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     return lambda t: 1.0 - np.exp(-t / tau)
 
 
@@ -579,10 +598,6 @@ class TraceRecorder:
 
     def __init__(self, t_end: float, output_period: float, probe,
                  iterations: dict, projections=()):
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if output_period <= 0:
-            raise ValueError("output_period must be positive")
         self.t_end = t_end
         self.output_period = output_period
         self.eps = 1e-12 * t_end
@@ -647,7 +662,7 @@ class TraceRecorder:
 
 def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
                  config: ExplicitConfig | None = None, *, probe=None,
-                 output_period: float = 1e-3) -> TransientResult:
+                 output_period: float = OUTPUT_PERIOD) -> TransientResult:
     """Integrate the eliminated system with explicit Euler.
 
     *config* holds the run's settings (None: the default
@@ -664,24 +679,22 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
     used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
 
-    Raises StepFailureError on divergence, a non-finite source, a stalled
+    Raises ValueError first on a bad run argument (``check_run_arguments``),
+    and StepFailureError on divergence, a non-finite source, a stalled
     inner solve or more than ``config.max_steps`` steps, naming the step.
     """
+    check_run_arguments(t_end, dt, output_period)
     wall_start = time.perf_counter()
     op = SchurOperator(system, config)
     trace = TraceRecorder(t_end, output_period, probe, op.solve_iterations,
                           op.strategy.projections)
     auto = isinstance(dt, str)
     if auto:
-        if dt != "auto":
-            raise ValueError(f"dt must be a number or 'auto', got {dt!r}")
         est = estimate_cfl(op, step=0)
         dt_val = est.dt_max
         lambda_max = est.lambda_max
     else:
         dt_val = float(dt)
-        if dt_val <= 0:
-            raise ValueError("dt must be positive")
         lambda_max = None
     refresh_every = op.config.reestimate_every if auto else 0
     max_steps = op.config.max_steps

@@ -1,13 +1,15 @@
 """Run configuration, model manifests, trace output, and the CLI."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from mqsolve import (ExplicitConfig, NewtonConfig, SchurOperator,
-                     TransientResult, bench, estimate_cfl, export_model)
+                     TransientResult, bench, builtin_model, estimate_cfl,
+                     export_model, run_explicit, run_implicit)
 from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig, load_model,
                            run_benchmark, run_single, trace_bytes,
                            write_trace)
@@ -139,15 +141,23 @@ def test_cfl_settings_reach_the_estimate(builtin6):
 
 
 def test_config_validation_errors():
+    nan, inf = float("nan"), float("inf")
+    # a run argument's error names its config key
+    run_arguments = [
+        dict(t_end=0.0), dict(t_end=nan), dict(t_end=inf),
+        dict(output_period=0.0), dict(output_period=nan), dict(dt=0.0),
+        dict(dt=nan), dict(dt=True), dict(dt="Auto"), dict(dt="1e-5"),
+        dict(implicit_dt=0.0), dict(implicit_dt=nan)]
+    for fields in run_arguments:
+        with pytest.raises(ConfigError, match=f"^{next(iter(fields))} "):
+            RunConfig(**fields).validate()
     cases = [dict(integrator="leapfrog"), dict(strategy="banana"),
-             dict(t_end=0.0), dict(output_period=0.0), dict(dt=0.0),
-             dict(tol=0.0), dict(newton_tol=0.0), dict(implicit_dt=0.0),
+             dict(tol=0.0), dict(newton_tol=0.0),
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
              dict(max_basis=0), dict(max_newton=0), dict(cfl_steps=0),
              dict(cfl_tol=-1e-3), dict(preconditioner="magic"),
              dict(model=""), dict(safety=1.5), dict(safety=0.0),
-             dict(seed=-1), dict(reestimate_every=-5), dict(dt="Auto"),
-             dict(dt="1e-5")]
+             dict(seed=-1), dict(reestimate_every=-5)]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
@@ -159,7 +169,8 @@ def test_config_validation_errors():
     {"safety": 1.5}, {"seed": -1}, {"reestimate_every": -5},
     {"max_basis": 0}, {"n_pod": 0}, {"eps_pod": 1.0}, {"cfl_steps": 0},
     {"cfl_tol": -1e-3}, {"tol": 0.0}, {"strategy": "banana"},
-    {"newton_tol": 0.0}, {"max_newton": 0}])
+    {"newton_tol": 0.0}, {"max_newton": 0}, {"output_period": 0.0},
+    {"t_end": float("nan")}, {"dt": float("nan")}, {"implicit_dt": 0.0}])
 def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys,
                                                  monkeypatch, setting):
     # the check runs before any model is built
@@ -183,6 +194,18 @@ def test_run_config_defaults_are_the_library_settings():
     assert RunConfig().explicit_config() == dataclasses.replace(
         library, pcg=dataclasses.replace(library.pcg, rel_tol=RunConfig.tol))
     assert RunConfig().newton_config() == NewtonConfig()
+    # both preconditioner settings, the output period of both integrators
+    # and the builtin model's parameters
+    config = RunConfig()
+    assert config.preconditioner == library.pcg.preconditioner.value
+    assert config.preconditioner == (
+        NewtonConfig().linear_solver.preconditioner.value)
+    for run in (run_explicit, run_implicit):
+        period = inspect.signature(run).parameters["output_period"].default
+        assert config.output_period == period
+    model = inspect.signature(builtin_model).parameters
+    for key in ("cells", "h", "kappa", "amps", "tau", "linear"):
+        assert getattr(config, key) == model[key].default, key
 
 
 def test_config_solver_mappings():
@@ -263,6 +286,8 @@ def test_load_model_error_paths(corner_toy, builtin6, tmp_path):
             (lambda m: m["waveform"].update(tau="abc"), "tau"),
             (lambda m: m["waveform"].update(tau="0.5"), "tau"),
             (lambda m: m["waveform"].update(tau=-1.0), "tau"),
+            (lambda m: m["waveform"].update(tau=float("nan")), "tau"),
+            (lambda m: m["waveform"].update(tau=float("inf")), "tau"),
             (lambda m: m.update(blocks=list(m["blocks"])), "blocks"),
             (lambda m: m.update(waveform="exponential_ramp"), "waveform"),
             (lambda m: m["blocks"].update(k_c="k_c.mtx"), "k_c"),
@@ -488,6 +513,17 @@ def test_cli_run_rejects_small_grid(tmp_path, capsys):
     code = cli_main(["run", "--cells", "4", "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # so does any other builtin parameter the model rejects, NaN included
+    config_file = tmp_path / "run.json"
+    for setting, word in (({"kappa": float("nan")}, "conductivity"),
+                          ({"tau": float("nan")}, "time constant"),
+                          ({"h": float("inf")}, "grid spacing")):
+        config_file.write_text(json.dumps(setting))
+        code = cli_main(["run", "--cells", "6", "--config", str(config_file),
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {word} ")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_run_unstable_dt_exits_numerical(tmp_path, capsys):

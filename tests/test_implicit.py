@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from mqsolve import (CsrMatrix, MonolithicJacobian, NewtonConfig,
                      NewtonFailureError, PartitionedSystem, PcgConfig,
-                     implicit_euler_step, run_implicit)
+                     implicit, implicit_euler_step, run_implicit)
 
 TIGHT = NewtonConfig(tol=1e-10,
                      linear_solver=PcgConfig(rel_tol=1e-12, max_iter=50000))
@@ -179,7 +179,7 @@ def test_run_implicit_abort_records_reason(corner_toy):
     assert len(err.value.residual_history) >= 2
 
 
-def test_validation_errors(rng, make_linear_system):
+def test_validation_errors(rng, make_linear_system, monkeypatch):
     system, _ = make_linear_system(rng)
     state = (np.zeros(3), np.zeros(5), 0.0)
     with pytest.raises(ValueError):
@@ -188,12 +188,18 @@ def test_validation_errors(rng, make_linear_system):
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_newton=0)
-    with pytest.raises(ValueError):
-        run_implicit(system, t_end=0.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        run_implicit(system, t_end=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        run_implicit(system, t_end=1.0, dt=1e-3, output_period=0.0)
+
+    # a bad run argument fails first, naming itself
+    def no_jacobian(*_):
+        raise AssertionError("a Newton matrix was built")
+
+    monkeypatch.setattr(implicit, "MonolithicJacobian", no_jacobian)
+    for name, bad in [("t_end", 0.0), ("t_end", np.nan), ("t_end", np.inf),
+                      ("dt", 0.0), ("dt", np.nan), ("dt", True),
+                      ("dt", "auto"), ("output_period", 0.0),
+                      ("output_period", np.nan)]:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            run_implicit(system, **(dict(t_end=1.0, dt=1e-3) | {name: bad}))
 
 
 def test_singular_block_keeps_algebraic_row_consistent(rng,

@@ -84,6 +84,10 @@ def test_material_validation():
         Material(brauer_k1=-0.1)
     with pytest.raises(ModelError):
         Material(brauer_k3=0.0)
+    for bad in (np.nan, np.inf):
+        for field in ("kappa", "brauer_k1", "brauer_k2", "brauer_k3"):
+            with pytest.raises(ModelError):
+                Material(**{field: bad})
     assert air_material().is_linear
     assert not default_steel().is_linear
 
@@ -92,8 +96,9 @@ def test_gridspec_validation():
     good = np.zeros((2, 2, 2), dtype=np.int8)
     with pytest.raises(ModelError):
         GridSpec(1, 2, 2, 1e-3, np.zeros((1, 2, 2), dtype=np.int8))
-    with pytest.raises(ModelError):
-        GridSpec(2, 2, 2, 0.0, good)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ModelError):
+            GridSpec(2, 2, 2, bad, good)
     with pytest.raises(ModelError):
         GridSpec(2, 2, 2, 1e-3, np.zeros((3, 2, 2), dtype=np.int8))
     bad_ids = good.copy()
@@ -112,6 +117,11 @@ def test_excitation_validation():
         Excitation(0, 1, 3, 2, 1, amps=1.0)
     with pytest.raises(ModelError):
         Excitation(0, 1, 0, 1, 1, amps=1.0, tau=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError):
+            Excitation(0, 1, 0, 1, 1, amps=bad)
+        with pytest.raises(ModelError):
+            Excitation(0, 1, 0, 1, 1, amps=1.0, tau=bad)
 
 
 def test_curl_of_gradient_vanishes(builtin6):

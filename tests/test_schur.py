@@ -44,8 +44,9 @@ def test_exponential_ramp_values():
     assert ramp(np.inf) == 1.0
     with pytest.raises(ValueError):
         exponential_ramp(0.0)
-    with pytest.raises(ValueError):
-        exponential_ramp(-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            exponential_ramp(bad)
 
 
 def test_scaled_pattern_source(rng):
@@ -622,7 +623,8 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
         assert diff <= 1e-8 * max(scale, 1.0)
 
 
-def test_run_explicit_rows_and_validation(rng, make_linear_system):
+def test_run_explicit_rows_and_validation(rng, make_linear_system,
+                                          monkeypatch):
     system, _ = make_linear_system(rng)
     result = run_explicit(system, t_end=1e-2, dt=1e-3,
                           config=explicit("previous", pcg=TIGHT),
@@ -633,14 +635,18 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system):
     assert result.n_rows == len(result.probe_b)
     assert result.aggregates["steps"] == 10
     assert result.aggregates["solves"]["source"] >= 10
-    with pytest.raises(ValueError):
-        run_explicit(system, t_end=0.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        run_explicit(system, t_end=1.0, dt="sideways")
-    with pytest.raises(ValueError):
-        run_explicit(system, t_end=1.0, dt=-1e-3)
-    with pytest.raises(ValueError):
-        run_explicit(system, t_end=1.0, dt=1e-3, output_period=0.0)
+
+    # a bad run argument fails first, naming itself
+    def no_operator(*_):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(schur, "SchurOperator", no_operator)
+    for name, bad in [("t_end", 0.0), ("t_end", np.nan), ("t_end", np.inf),
+                      ("dt", "sideways"), ("dt", -1e-3), ("dt", np.nan),
+                      ("dt", True), ("output_period", 0.0),
+                      ("output_period", np.nan)]:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            run_explicit(system, **(dict(t_end=1.0, dt=1e-3) | {name: bad}))
 
 
 def test_run_explicit_step_budget(rng, make_linear_system):
