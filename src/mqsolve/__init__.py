@@ -21,7 +21,8 @@ from .model import (AIR, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
 from .schur import (FAMILIES, CflEstimate, ExplicitConfig, PartitionedSystem,
                     ScaledPatternSource, SchurOperator, StepFailureError,
                     TransientResult, estimate_cfl, explicit_euler_step,
-                    exponential_ramp, recover_an, run_explicit)
+                    exponential_ramp, recover_an, run_explicit,
+                    stability_bound)
 from .sparse import (CsrMatrix, NonFiniteError, as_vector,
                      read_dense_vector, read_matrix_market, spmv,
                      spmv_transpose, symmetric_check, write_dense_vector,
@@ -48,8 +49,7 @@ __all__ = [
     # partitioned system and explicit integrator
     "FAMILIES", "StepFailureError", "exponential_ramp", "ScaledPatternSource",
     "PartitionedSystem", "ExplicitConfig", "SchurOperator", "CflEstimate",
-    "estimate_cfl",
-    "explicit_euler_step", "recover_an", "TransientResult", "run_explicit",
+    "stability_bound", "estimate_cfl", "explicit_euler_step", "recover_an", "TransientResult", "run_explicit",
     # implicit reference
     "NewtonConfig", "NewtonStepReport", "NewtonFailureError",
     "MonolithicJacobian", "implicit_euler_step", "run_implicit",

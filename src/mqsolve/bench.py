@@ -23,9 +23,8 @@ import numpy as np
 from .implicit import NewtonConfig, run_implicit
 from .model import Model, builtin_model
 from .schur import (OUTPUT_PERIOD, ExplicitConfig, PartitionedSystem,
-                    ScaledPatternSource, SchurOperator, TransientResult,
-                    check_run_arguments, estimate_cfl, exponential_ramp,
-                    run_explicit)
+                    ScaledPatternSource, TransientResult, check_run_arguments,
+                    exponential_ramp, run_explicit, stability_bound)
 from .sparse import read_dense_vector, read_matrix_market, symmetric_check
 from .startvec import STRATEGIES, StrategyConfig
 
@@ -493,8 +492,9 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     """Run the three start strategies plus the implicit reference.
 
     Every run is a :func:`run_single` call. The explicit runs share one dt
-    (auto-estimated once unless the config pins it), one tolerance, and one
-    preconditioner; equal step counts across strategies are asserted. The
+    (the auto step at the zero state unless the config pins it), one
+    tolerance, and one preconditioner; equal step counts across strategies
+    are asserted. The
     reference runs at ``implicit_dt``. Artifacts land in *out_dir*:
     ``trace_<name>.csv``, ``summary.csv``, ``summary.txt``, ``timings.json``.
     """
@@ -503,8 +503,7 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.dt == "auto":
         system, _ = model_from_config(config)
-        dt = estimate_cfl(SchurOperator(system,
-                                        config.explicit_config())).dt_max
+        dt = config.explicit_config().stable_step(stability_bound(system))
     else:
         dt = float(config.dt)
 

@@ -47,8 +47,8 @@ class NewtonConfig:
                                          preconditioner=Preconditioner.JACOBI)
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < np.inf):
+            raise ValueError("tol must be finite and positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
 

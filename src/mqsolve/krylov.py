@@ -2,12 +2,14 @@
 
 The solver never regularizes: on a singular matrix it relies on the right-hand
 side being consistent (in the range), in which case CG converges to one of the
-solutions. Iteration counting is explicit because downstream benchmarks
-compare iteration budgets: ``iterations`` is the number of operator
-applications after the initial residual, and a start vector that already
-meets the tolerance reports zero iterations without touching the operator
-loop. The preconditioner is either none or Jacobi. :func:`_stopping_target`
-is the one stopping rule.
+solutions. A rounding-level nullspace component of the right-hand side, left
+by cancellation when it is formed, is dropped when CG reaches it; a larger one
+raises :class:`IndefiniteOperatorError` naming the inconsistency. Iteration
+counting is explicit because downstream benchmarks compare iteration budgets:
+``iterations`` is the number of operator applications after the initial
+residual, and a start vector that already meets the tolerance reports zero
+iterations without touching the operator loop. The preconditioner is either
+none or Jacobi. :func:`_stopping_target` is the one stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
@@ -62,10 +64,10 @@ class PcgConfig:
     preconditioner: Preconditioner = Preconditioner.NONE
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise ValueError("rel_tol must be finite and positive")
+        if not (0.0 <= self.abs_tol < math.inf):
+            raise ValueError("abs_tol must be finite and nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not isinstance(self.preconditioner, Preconditioner):
@@ -75,6 +77,14 @@ class PcgConfig:
                 raise ValueError(f"preconditioner {self.preconditioner!r} "
                                  "is unknown") from None
             object.__setattr__(self, "preconditioner", kind)
+
+
+# A direction whose curvature p^T A p / p^T M p is below this fraction of the
+# largest seen is taken to lie in the operator's nullspace: on the range, the
+# ratio stays within the condition number of the preconditioned operator
+_NULL_CURVATURE = 1e-12
+# the largest nullspace component of b, relative to ||b||, taken for rounding
+_ROUNDING = math.sqrt(np.finfo(float).eps)
 
 
 def _stopping_target(config: PcgConfig, b_norm: float) -> float:
@@ -150,7 +160,8 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     ----------
     a : CsrMatrix or callable x -> A x
         Symmetric positive (semi)definite operator. For a singular operator
-        the right-hand side must be consistent.
+        the right-hand side must be consistent up to rounding: a nullspace
+        component of at most sqrt(eps) ||b|| is dropped.
     b : array_like
         Right-hand side.
     x0 : array_like, optional
@@ -167,7 +178,8 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     -------
     (x, SolveReport)
         ``converged=False`` with the last iterate when the budget is
-        exhausted; indefiniteness raises :class:`IndefiniteOperatorError`.
+        exhausted; indefiniteness or a larger nullspace component raises
+        :class:`IndefiniteOperatorError`.
         *x* is a new array: neither *b* nor *x0* is written.
     """
     config = config or PcgConfig()
@@ -198,12 +210,40 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     p = z.copy()
     scratch = np.empty_like(p)
     rz = float(r @ z)
+    # p^T M p (M the preconditioner) by its exact-arithmetic recurrence, and
+    # the largest curvature p^T A p / p^T M p seen: -inf before the first
+    # step, so that step never counts as along the nullspace
+    pmp = rz
+    curvature = -math.inf
     for it in range(1, config.max_iter + 1):
         ap = apply_a(p)
         pap = float(p @ ap)
+        if abs(pap) <= _NULL_CURVATURE * curvature * pmp:
+            # p's curvature is rounding noise, so p lies in the nullspace of
+            # a singular operator, and the residual along it is the
+            # inconsistency of b. No step reduces it; taking one would add a
+            # huge nullspace component to x. Rounding-level inconsistency is
+            # dropped from r and the recurrence restarts; more is an error.
+            pp = float(p @ p)
+            along = float(r @ p) / pp
+            dropped = abs(along) * math.sqrt(pp)
+            if dropped > _ROUNDING * b_norm:
+                raise IndefiniteOperatorError(
+                    "inconsistent right-hand side: a nullspace component "
+                    f"of {_relative(dropped, b_norm):.3e} ||b|| at iteration "
+                    f"{it}")
+            np.subtract(r, np.multiply(p, along, out=scratch), out=r)
+            r_norm = math.sqrt(r @ r)
+            if r_norm <= target:
+                return x, SolveReport(it, _relative(r_norm, b_norm), True)
+            z = preconditioner.apply(r) if preconditioner is not None else r
+            p[:] = z
+            rz = pmp = float(r @ z)
+            continue
         if not math.isfinite(pap) or pap <= 0.0:
             raise IndefiniteOperatorError(
                 f"nonpositive curvature p^T A p = {pap:.3e} at iteration {it}")
+        curvature = max(curvature, pap / pmp)
         alpha = rz / pap
         np.add(x, np.multiply(p, alpha, out=scratch), out=x)
         np.subtract(r, np.multiply(ap, alpha, out=scratch), out=r)
@@ -215,7 +255,9 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         if not math.isfinite(rz_next):
             raise IndefiniteOperatorError(
                 f"non-finite preconditioned residual at iteration {it}")
-        np.add(z, np.multiply(p, rz_next / rz, out=p), out=p)
+        beta = rz_next / rz
+        np.add(z, np.multiply(p, beta, out=p), out=p)
+        pmp = rz_next + beta * beta * pmp
         rz = rz_next
     return x, SolveReport(config.max_iter, _relative(r_norm, b_norm), False)
 

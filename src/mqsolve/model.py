@@ -109,9 +109,11 @@ class Material:
 # Brauer coefficients (k1, k2, k3) of the steel: unsaturated nu(0) = 570 m/H,
 # relative permeability about 1400
 _STEEL_BRAUER = (49.4, 1.46, 520.6)
+# conductivity of the steel in S/m
+_STEEL_KAPPA = 5e6
 
 
-def default_steel(kappa: float = 5e6) -> Material:
+def default_steel(kappa: float = _STEEL_KAPPA) -> Material:
     k1, k2, k3 = _STEEL_BRAUER
     return Material(kappa=kappa, brauer_k1=k1, brauer_k2=k2, brauer_k3=k3)
 
@@ -648,9 +650,10 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
                  amps=excitation.amps, probe_cells=probe_cells)
 
 
-def builtin_model(cells: int = 8, h: float = 5e-3, kappa: float = 5e6,
+def builtin_model(cells: int = 8, h: float = 5e-3,
+                  kappa: float = _STEEL_KAPPA,
                   brauer: tuple[float, float, float] = _STEEL_BRAUER,
-                  amps: float = 50000.0, tau: float = 0.5, *,
+                  amps: float = 50000.0, tau: float = Excitation.tau, *,
                   linear: bool = False, probe_cells=None) -> Model:
     """Reference benchmark model: steel bar threaded by a square coil loop.
 

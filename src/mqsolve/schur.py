@@ -21,11 +21,13 @@ coupling solution to the next step. A run therefore pays two solves for
 all of its recoveries, the source at t = 0 and the coupling after the
 last step.
 
-The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S); the
-bound is estimated by Lanczos with a Ritz-residual certificate and checked
-against a Gershgorin ceiling that needs no inner solve. Saturation changes
-K_S, so a run refreshes the bound periodically; only K_c depends on the
-state, so a refresh reuses the Krylov basis and its inner solutions.
+The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S). Since
+K_cn pinv(K_n) K_cn^T is positive semidefinite, K_S(a_c) <= K_c(a_c), so
+lambda_max(M_c^{-1/2} K_c(a_c) M_c^{-1/2}) bounds it from above: one dense
+eigenvalue problem of order n_c and no inner solve (``stability_bound``).
+A run takes its step from that bound and refreshes it periodically, since
+saturation changes K_c. ``estimate_cfl`` runs Lanczos on M_c^{-1} K_S itself,
+as a diagnostic of how tight the bound is.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .krylov import (PcgConfig, Preconditioner, SolveReport, _relative,
                      _stopping_target, _vector, build_preconditioner,
@@ -55,6 +58,7 @@ __all__ = [
     "exponential_ramp",
     "SchurOperator",
     "CflEstimate",
+    "stability_bound",
     "estimate_cfl",
     "explicit_euler_step",
     "recover_an",
@@ -78,9 +82,11 @@ class StepFailureError(RuntimeError):
 @dataclass(frozen=True)
 class ExplicitConfig:
     """Settings of the explicit run: start vectors, inner solves (Jacobi
-    PCG; ``pcg.rel_tol`` is also the CSPE drop tolerance), stability
-    estimate, auto-dt refresh period (0: none) and step budget. A bad value
-    raises ValueError naming the field first."""
+    PCG; ``pcg.rel_tol`` is also the CSPE drop tolerance), the auto step's
+    safety factor, auto-dt refresh period (0: none) and step budget.
+    ``cfl_steps``, ``cfl_tol`` and ``seed`` set only the Lanczos diagnostic
+    ``estimate_cfl``. A bad value raises ValueError naming the field
+    first."""
 
     strategy: StrategyConfig = StrategyConfig()
     pcg: PcgConfig = PcgConfig(preconditioner=Preconditioner.JACOBI)
@@ -96,12 +102,19 @@ class ExplicitConfig:
             raise ValueError("safety must lie in (0, 1]")
         if self.cfl_steps < 1:
             raise ValueError("cfl_steps must be at least 1")
-        if not (self.cfl_tol >= 0.0):
-            raise ValueError("cfl_tol must be nonnegative")
+        if not (0.0 <= self.cfl_tol < math.inf):
+            raise ValueError("cfl_tol must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.reestimate_every < 0:
             raise ValueError("reestimate_every must be nonnegative")
+
+    def stable_step(self, bound: float) -> float:
+        """The step of ``dt="auto"`` under a stability bound:
+        ``safety * 2 / bound``."""
+        if not (0.0 < bound < math.inf):
+            raise StepFailureError(f"stability bound is not positive: {bound}")
+        return self.safety * 2.0 / bound
 
 
 def check_run_arguments(t_end, dt, output_period, *, auto=True) -> None:
@@ -346,35 +359,37 @@ def _solve_name(family: RhsFamily | None, step: int | None) -> str:
 
 @dataclass(frozen=True)
 class CflEstimate:
-    """Largest stable explicit step: dt_max = safety * 2 / bound.
+    """Lanczos estimate of lambda_max(M_c^{-1} K_S), the diagnostic that
+    shows how tight ``stability_bound`` is.
 
     ``lambda_max`` is the top Ritz value theta of the eliminated operator,
-    ``residual`` the norm of its explicit Ritz residual, ``bound`` their sum
-    and ``ceiling`` the Gershgorin bound of M_c^{-1/2} K_c M_c^{-1/2}, which
-    no eigenvalue of the eliminated operator exceeds. Only the ceiling is a
-    guaranteed upper bound on lambda_max: the residual shows that *some*
-    eigenvalue lies within it of theta, and ``bound`` is above lambda_max
-    only if theta approximates the top eigenvalue (see estimate_cfl).
+    ``residual`` the norm of its explicit Ritz residual and ``ceiling`` the
+    ``stability_bound`` at the same state, which no eigenvalue of the
+    eliminated operator exceeds. The residual shows that *some* eigenvalue
+    lies within it of theta; theta + residual is above lambda_max only if
+    theta approximates the top eigenvalue (see estimate_cfl).
     ``power_iters`` counts the Lanczos steps this estimate took, one inner
-    K_n solve each. ``basis``
-    (orthonormal columns Q in the scaled space) and ``coupling``
-    (M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2} Q) do not depend on the state;
-    passing the estimate as ``previous`` to the next estimate reuses them.
+    K_n solve each.
     """
 
     lambda_max: float
     residual: float
     ceiling: float
-    dt_max: float
-    safety: float
     power_iters: int
     cfl_tol: float
-    basis: np.ndarray = field(repr=False, compare=False)
-    coupling: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def bound(self) -> float:
-        return self.lambda_max + self.residual
+
+def stability_bound(system: PartitionedSystem, a_c=None) -> float:
+    """lambda_max(M_c^{-1/2} K_c(a_c) M_c^{-1/2}), an upper bound on
+    lambda_max(M_c^{-1} K_S(a_c)) that needs no inner solve (see the module
+    docstring), from one dense symmetric eigenvalue problem of order n_c.
+    *a_c* None is the zero state."""
+    n = system.n_c
+    state = np.zeros(n) if a_c is None else as_vector(a_c, length=n)
+    scale = 1.0 / np.sqrt(system.mc.diagonal())
+    scaled = scale[:, None] * system.kc_matrix(state).to_dense() * scale
+    return float(scipy.linalg.eigvalsh(scaled,
+                                       subset_by_index=[n - 1, n - 1])[0])
 
 
 def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -386,12 +401,10 @@ def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(theta[-1]), y, residual
 
 
-def estimate_cfl(op: SchurOperator, a_c_ref=None, *,
-                 previous: CflEstimate | None = None,
-                 step: int | None = None) -> CflEstimate:
+def estimate_cfl(op: SchurOperator, a_c_ref=None) -> CflEstimate:
     """Estimate lambda_max(M_c^{-1} K_S) by Lanczos with a residual certificate.
 
-    The settings (``cfl_steps``, ``cfl_tol``, ...) are ``op.config``'s.
+    The settings (``cfl_steps``, ``cfl_tol``, ``seed``) are ``op.config``'s.
     M_c is diagonal, so M_c^{-1} K_S has the eigenvalues of the symmetric
     A = M_c^{-1/2} K_S(a) M_c^{-1/2}. Lanczos with full reorthogonalisation
     runs on A from a fixed-seed pseudo-random start vector, written as
@@ -404,27 +417,18 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *,
     the top two eigenvalues are 83,517 and 83,535, and 20 steps meet the
     default tolerance 1e-3.
 
-    Only K_c depends on the state. With ``previous`` the estimate first does
-    Rayleigh-Ritz on the previous basis, with its stored coupling products
-    and K_c at *a_c_ref*: no K_n solve. Lanczos continues from that Ritz
-    vector only if the residual is above the tolerance; a basis of
-    ``cfl_steps`` columns restarts from the Ritz vector.
-
     theta never exceeds lambda_max, and an eigenvalue lies within the
     residual of theta. theta + residual is therefore an upper bound on
     lambda_max only when theta approximates the top eigenvalue, not one
     below it: likely from a random start vector once the residual meets
     ``cfl_tol``, but not certified. An estimate stopped by ``cfl_steps`` can
     fall short: on the 6-cell builtin model at a_c = 0, five steps give
-    theta + residual = 82,423 against lambda_max = 83,622. Explicit Euler
-    keeps a margin of 1 / safety; anything that needs a guaranteed bound
-    must use the ceiling.
+    theta + residual = 82,423 against lambda_max = 83,622. A run therefore
+    takes its step from ``stability_bound``, not from this estimate.
 
-    A theta above the Gershgorin ceiling of M_c^{-1/2} K_c M_c^{-1/2} is
-    impossible, since K_cn K_n^+ K_cn^T is positive semidefinite: it raises
-    StepFailureError naming *step*, as a broken inner solve. The bound
-    theta + residual is not held to the ceiling: the residual of an estimate
-    stopped by ``cfl_steps`` may pass it with correct solves.
+    A theta above ``stability_bound`` is impossible, since K_cn K_n^+ K_cn^T
+    is positive semidefinite: it raises StepFailureError, as a broken inner
+    solve.
     """
     config = op.config
     system = op.system
@@ -432,70 +436,50 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None, *,
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
     scale = np.sqrt(op.minv(np.ones(n)))
     kc = system.kc_matrix(ref).to_scipy()
-    ceiling = float((scale * (abs(kc) @ scale)).max())
+    ceiling = stability_bound(system, ref)
 
     def lanczos_step(v):
-        # A v and C v, C = M_c^{-1/2} K_cn K_n^+ K_cn^T M_c^{-1/2}, from one
-        # detached inner solve
+        # A v from one detached inner solve
         x = scale * v
         y, _ = op.solve_kn(spmv_transpose(system.kcn, x))
-        cv = scale * spmv(system.kcn, y)
-        return scale * (kc @ x) - cv, cv
+        return scale * (kc @ x) - scale * spmv(system.kcn, y)
 
-    if previous is not None:
-        q, cq = previous.basis, previous.coupling
-        if q.shape[0] != n:
-            raise ValueError("previous estimate belongs to another system")
-        aq = scale[:, None] * (kc @ (scale[:, None] * q)) - cq
-        steps = 0
-    else:
-        v = np.random.default_rng(config.seed).standard_normal(n)
-        v /= np.linalg.norm(v)
-        av, cv = lanczos_step(v)
-        q, aq, cq = v[:, None], av[:, None], cv[:, None]
-        steps = 1
+    v = np.random.default_rng(config.seed).standard_normal(n)
+    v /= np.linalg.norm(v)
+    q, aq = v[:, None], lanczos_step(v)[:, None]
     while True:
         theta, y, residual = _ritz(q, aq)
         if q.shape[1] == n:
             residual = 0.0
         if residual <= config.cfl_tol * abs(theta):
             break
-        if steps == config.cfl_steps:
+        if q.shape[1] == config.cfl_steps:
             log.warning("CFL estimate stopped after %d Lanczos steps at "
-                        "residual %.3e > %.1e * theta", steps, residual,
+                        "residual %.3e > %.1e * theta", q.shape[1], residual,
                         config.cfl_tol)
             break
         # the Ritz residual is orthogonal to the basis; two Gram-Schmidt
         # sweeps keep it so in floating point
         v = aq @ y - theta * (q @ y)
-        if q.shape[1] >= config.cfl_steps:
-            # restart from the Ritz vector, to which v is orthogonal too
-            q, aq, cq = q @ y[:, None], aq @ y[:, None], cq @ y[:, None]
         for _ in range(2):
             v -= q @ (q.T @ v)
         beta = np.linalg.norm(v)
         if beta <= n * np.finfo(float).eps * abs(theta):
             residual = 0.0           # invariant subspace: theta is exact
             break
-        av, cv = lanczos_step(v / beta)
         q = np.column_stack([q, v / beta])
-        aq = np.column_stack([aq, av])
-        cq = np.column_stack([cq, cv])
-        steps += 1
+        aq = np.column_stack([aq, lanczos_step(v / beta)])
     if not (theta > 0.0) or not np.isfinite(theta):
         raise StepFailureError(f"spectral estimate is not positive: {theta}")
     # rounding, and the inner solves' tolerance, may lift an exact theta
     # just above the ceiling
     if theta > ceiling * (1.0 + max(config.pcg.rel_tol, 1e-8)):
-        where = f" at step {step}" if step is not None else ""
         raise StepFailureError(
-            f"spectral estimate{where}: Ritz value {theta:.6e} exceeds the "
-            f"Gershgorin ceiling {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, "
-            "so an inner K_n solve is wrong")
+            f"spectral estimate: Ritz value {theta:.6e} exceeds the "
+            f"stability bound {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, so an "
+            "inner K_n solve is wrong")
     return CflEstimate(lambda_max=theta, residual=residual, ceiling=ceiling,
-                       dt_max=config.safety * 2.0 / (theta + residual),
-                       safety=config.safety, power_iters=steps,
-                       cfl_tol=config.cfl_tol, basis=q, coupling=cq)
+                       power_iters=q.shape[1], cfl_tol=config.cfl_tol)
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -666,17 +650,14 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
     """Integrate the eliminated system with explicit Euler.
 
     *config* holds the run's settings (None: the default
-    ``ExplicitConfig``). ``dt="auto"`` estimates the stability bound up
-    front by Lanczos (see ``estimate_cfl``) and re-estimates every
-    ``config.reestimate_every`` steps at the current state, shrinking the
-    step when saturation tightened the bound (a fixed dt is never
-    adjusted). A re-estimate is Rayleigh-Ritz on the previous estimate's
-    Krylov basis with K_c at the current state; it needs no K_n solve
-    unless its residual misses ``config.cfl_tol``, and then Lanczos
-    continues from the Ritz vector. Every re-estimate is logged in
-    ``aggregates["cfl_history"]`` as ``(step, lambda_max, steps, dt)``:
-    the Ritz value, the Lanczos steps (inner solves) it took, and the step
-    used after it.
+    ``ExplicitConfig``). ``dt="auto"`` takes the step
+    ``config.stable_step(stability_bound(system))`` at the zero state and
+    re-evaluates the bound every ``config.reestimate_every`` steps at the
+    current state, shrinking the step when saturation raised the bound (a
+    fixed dt is never adjusted). No bound needs a K_n product, so the run's
+    trace does not depend on ``config.seed``. Every refresh is logged in
+    ``aggregates["cfl_history"]`` as ``(step, bound, dt)``: the bound and
+    the step used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
 
     Raises ValueError first on a bad run argument (``check_run_arguments``),
@@ -690,12 +671,11 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
                           op.strategy.projections)
     auto = isinstance(dt, str)
     if auto:
-        est = estimate_cfl(op, step=0)
-        dt_val = est.dt_max
-        lambda_max = est.lambda_max
+        bound = stability_bound(system)
+        dt_val = op.config.stable_step(bound)
     else:
         dt_val = float(dt)
-        lambda_max = None
+        bound = None
     refresh_every = op.config.reestimate_every if auto else 0
     max_steps = op.config.max_steps
 
@@ -708,13 +688,13 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
     cfl_history = []
     while trace.running(t):
         if refresh_every and steps and steps % refresh_every == 0:
-            est = estimate_cfl(op, a_c_ref=a_c, previous=est, step=steps)
-            lambda_max = est.lambda_max
-            if est.dt_max < dt_val:
+            bound = stability_bound(system, a_c)
+            refreshed = op.config.stable_step(bound)
+            if refreshed < dt_val:
                 log.info("stability bound tightened: dt %.3e -> %.3e",
-                         dt_val, est.dt_max)
-                dt_val = est.dt_max
-            cfl_history.append((steps, lambda_max, est.power_iters, dt_val))
+                         dt_val, refreshed)
+                dt_val = refreshed
+            cfl_history.append((steps, bound, dt_val))
         step_dt = min(dt_val, t_end - t)
         a_c, y_src = explicit_euler_step((a_c, t), step_dt, op,
                                          step_index=steps + 1,
@@ -734,7 +714,7 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         "strategy": op.strategy.kind,
         "steps": steps,
         "dt": dt_val,
-        "lambda_max": lambda_max,
+        "stability_bound": bound,
         "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
         "maintenance_applies": op.strategy.maintenance_applies,

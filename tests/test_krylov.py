@@ -97,6 +97,31 @@ def test_iteration_count_equals_operator_applications(rng, make_spd,
     assert op.count == report.iterations + 1
 
 
+@pytest.mark.parametrize("kind", [Preconditioner.NONE, Preconditioner.JACOBI])
+def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, kind):
+    # path-graph Laplacian: singular, nullspace = constants
+    n = 30
+    dense = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    dense[0, 0] = dense[-1, -1] = 1.0
+    a = CsrMatrix.from_dense(dense)
+    b = dense @ rng.standard_normal(n)
+    b_norm = np.linalg.norm(b)
+    constant = np.full(n, 1.0 / math.sqrt(n))
+    config = PcgConfig(rel_tol=1e-12, max_iter=500, preconditioner=kind)
+    # a nullspace component above rel_tol, of the size rounding leaves in
+    # a right-hand side formed with cancellation: CG solves the consistent
+    # part, up to a constant
+    x, report = pcg_solve(a, b + 1e-10 * b_norm * constant, config=config)
+    assert report.converged
+    assert np.linalg.norm(dense @ x - b) <= 1e-12 * b_norm
+    expected = np.linalg.pinv(dense) @ b
+    assert np.allclose(x - x.mean(), expected, rtol=0.0, atol=1e-10)
+    with pytest.raises(IndefiniteOperatorError,
+                       match="inconsistent right-hand side: a nullspace "
+                             "component of 1.000e-06 "):
+        pcg_solve(a, b + 1e-6 * b_norm * constant, config=config)
+
+
 def test_budget_exhaustion_reports_failure(rng, make_spd):
     dense = make_spd(rng, 40, lo=1e-3, hi=1e3)
     b = rng.standard_normal(40)
