@@ -17,8 +17,7 @@ from .bench import (ConfigError, RunConfig, model_from_config,
 from .implicit import NewtonFailureError
 from .krylov import IndefiniteOperatorError
 from .model import ModelError, export_model
-from .schur import (SchurOperator, StepFailureError, estimate_cfl,
-                    stability_bound)
+from .schur import StepFailureError, estimate_cfl, stability_bound
 from .startvec import STRATEGIES
 
 EXIT_OK = 0
@@ -36,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--linear", action="store_const", const=True,
                         help="freeze the builtin conductor at its "
                              "unsaturated reluctivity")
-    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", help="output file or directory")
 
 
@@ -80,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cfl)
     cfl.add_argument("--tol", type=float)
     cfl.add_argument("--preconditioner", choices=("none", "jacobi"))
+    cfl.add_argument("--seed", type=int,
+                     help="seed of the Lanczos start vector")
     return parser
 
 
@@ -137,7 +137,7 @@ def _cmd_cfl(args) -> int:
     print(f"bound      = {bound:.6e}  (lambda_max of M_c^-1/2 K_c M_c^-1/2)")
     print(f"dt_max     = {settings.stable_step(bound)!r}  (safety "
           f"{settings.safety}: the step of run --dt auto)")
-    estimate = estimate_cfl(SchurOperator(system, settings))
+    estimate = estimate_cfl(system, pcg=settings.pcg, seed=config.seed)
     print(f"lambda_max = {estimate.lambda_max:.6e}  "
           f"(Ritz value, {estimate.power_iters} Lanczos steps)")
     print(f"residual   = {estimate.residual:.6e}")

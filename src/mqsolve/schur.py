@@ -43,9 +43,9 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .krylov import (PcgConfig, Preconditioner, SolveReport, _relative,
-                     _stopping_target, _vector, build_preconditioner,
-                     pcg_solve)
+from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
+                     SolveReport, _relative, _stopping_target, _vector,
+                     build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
 from .startvec import (RhsFamily, StartVectorStrategy, StrategyConfig,
@@ -83,29 +83,18 @@ class StepFailureError(RuntimeError):
 class ExplicitConfig:
     """Settings of the explicit run: start vectors, inner solves (Jacobi
     PCG; ``pcg.rel_tol`` is also the CSPE drop tolerance), the auto step's
-    safety factor, auto-dt refresh period (0: none) and step budget.
-    ``cfl_steps``, ``cfl_tol`` and ``seed`` set only the Lanczos diagnostic
-    ``estimate_cfl``. A bad value raises ValueError naming the field
-    first."""
+    safety factor, auto-dt refresh period (0: none) and step budget. A bad
+    value raises ValueError naming the field first."""
 
     strategy: StrategyConfig = StrategyConfig()
     pcg: PcgConfig = PcgConfig(preconditioner=Preconditioner.JACOBI)
     safety: float = 0.9
-    cfl_steps: int = 60
-    cfl_tol: float = 1e-3
-    seed: int = 42
     reestimate_every: int = 500
     max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety must lie in (0, 1]")
-        if self.cfl_steps < 1:
-            raise ValueError("cfl_steps must be at least 1")
-        if not (0.0 <= self.cfl_tol < math.inf):
-            raise ValueError("cfl_tol must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.reestimate_every < 0:
             raise ValueError("reestimate_every must be nonnegative")
 
@@ -235,11 +224,10 @@ class SchurOperator:
     names, or by a built *strategy*. Per-solve iteration counts
     (``solve_iterations``, one list per family), solver wall time and the
     K_n products of the solves are accumulated for benchmarking. The
-    products are split by cause in ``kn_applies``: PCG iterations of
-    family solves (``pcg``), initial residuals formed with a product
-    (``initial``) and every product of a family-less solve, the spectral
-    estimator's probes (``cfl``). ``cached_residuals`` counts the family
-    solves whose initial residual came from the strategy's cached products.
+    products are split by cause in ``kn_applies``: PCG iterations
+    (``pcg``) and initial residuals formed with a product (``initial``).
+    ``cached_residuals`` counts the solves whose initial residual came from
+    the strategy's cached products.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -258,37 +246,38 @@ class SchurOperator:
             config.strategy, system.n_n, self._kn_apply, config.pcg.rel_tol)
         self._minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
-        self.kn_applies = {"pcg": 0, "initial": 0, "cfl": 0}
+        self.kn_applies = {"pcg": 0, "initial": 0}
         self.cached_residuals = 0
         self.solver_seconds = 0.0
 
-    def solve_kn(self, rhs, family: RhsFamily | None = None,
-                 step: int | None = None) -> tuple[np.ndarray, SolveReport]:
-        """K_n^+ rhs by PCG: the one solve behind every inner action.
+    def solve_kn(self, rhs, family: RhsFamily, step: int | None = None
+                 ) -> tuple[np.ndarray, SolveReport]:
+        """K_n^+ rhs by PCG: the one solve behind every inner action of the
+        run.
 
-        With a *family* the start vector comes from the strategy, and the
-        solution and iteration count go back to it and to the family log;
-        without one the solve starts from zero and leaves no history, so the
-        spectral estimator's probes do not pollute the time-stepping caches.
-        When the strategy knows the start vector's K_n image
-        (``start_product``), the solve takes the initial residual from it
-        (see ``_solve_from_image``); a start that already meets the
-        tolerance is then returned itself, and is not handed back to the
-        strategy, whose history already spans it.
-        *step* only names the time step in a failure message.
+        The start vector comes from the strategy, and the solution and
+        iteration count go back to it and to the *family* log. When the
+        strategy knows the start vector's K_n image (``start_product``), the
+        solve takes the initial residual from it (see
+        ``_solve_from_image``); a start that already meets the tolerance is
+        then returned itself, and is not handed back to the strategy, whose
+        history already spans it.
+        A failure names the solve by *family* and *step*; an
+        IndefiniteOperatorError from PCG keeps its class.
         """
         started = time.perf_counter()
-        x0 = image = None
         try:
-            if family is not None:
-                x0 = self.strategy.start_vector(family, rhs)
-                image = self.strategy.start_product(family)
+            x0 = self.strategy.start_vector(family, rhs)
+            image = self.strategy.start_product(family)
             if image is None:
                 y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
                                       config=self.config.pcg,
                                       preconditioner=self._precond)
             else:
                 y, report = self._solve_from_image(rhs, x0, image)
+        except IndefiniteOperatorError as err:
+            raise IndefiniteOperatorError(
+                f"{_solve_name(family, step)}: {err}") from err
         except ValueError as err:
             # pcg_solve, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
@@ -304,17 +293,14 @@ class SchurOperator:
                 "iterations")
         # one K_n product per iteration, plus the initial residual, which
         # pcg_solve computes only when it is given a start vector
-        if family is None:
-            self.kn_applies["cfl"] += report.iterations
+        self.kn_applies["pcg"] += report.iterations
+        if image is None:
+            self.kn_applies["initial"] += 1
         else:
-            self.kn_applies["pcg"] += report.iterations
-            if image is None:
-                self.kn_applies["initial"] += 1
-            else:
-                self.cached_residuals += 1
-            if y is not x0:
-                self.strategy.observe(family, y)
-            self.solve_iterations[family].append(report.iterations)
+            self.cached_residuals += 1
+        if y is not x0:
+            self.strategy.observe(family, y)
+        self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
 
@@ -350,9 +336,7 @@ class SchurOperator:
         return self._minv_diag * x
 
 
-def _solve_name(family: RhsFamily | None, step: int | None) -> str:
-    if family is None:
-        return "spectral probe solve"
+def _solve_name(family: RhsFamily, step: int | None) -> str:
     where = f" at step {step}" if step is not None else ""
     return f"inner solve ({family.value}){where}"
 
@@ -376,7 +360,6 @@ class CflEstimate:
     residual: float
     ceiling: float
     power_iters: int
-    cfl_tol: float
 
 
 def stability_bound(system: PartitionedSystem, a_c=None) -> float:
@@ -401,21 +384,22 @@ def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(theta[-1]), y, residual
 
 
-def estimate_cfl(op: SchurOperator, a_c_ref=None) -> CflEstimate:
+def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
+                 pcg: PcgConfig = ExplicitConfig.pcg, cfl_steps: int = 60,
+                 cfl_tol: float = 1e-3, seed: int = 42) -> CflEstimate:
     """Estimate lambda_max(M_c^{-1} K_S) by Lanczos with a residual certificate.
 
-    The settings (``cfl_steps``, ``cfl_tol``, ``seed``) are ``op.config``'s.
     M_c is diagonal, so M_c^{-1} K_S has the eigenvalues of the symmetric
     A = M_c^{-1/2} K_S(a) M_c^{-1/2}. Lanczos with full reorthogonalisation
-    runs on A from a fixed-seed pseudo-random start vector, written as
-    Rayleigh-Ritz on a growing orthonormal basis whose next direction is the
-    top Ritz residual (in exact arithmetic the Lanczos vector). Each step
-    costs one inner K_n solve. It stops when the explicit Ritz residual is
-    at most ``cfl_tol * theta``, after ``cfl_steps`` steps, or when the basis
-    spans an invariant subspace (the whole space at the latest), where theta
-    is exact and the residual is 0. On the 8-cell builtin model at a_c = 0
-    the top two eigenvalues are 83,517 and 83,535, and 20 steps meet the
-    default tolerance 1e-3.
+    runs on A from a pseudo-random start vector drawn with *seed*, written
+    as Rayleigh-Ritz on a growing orthonormal basis whose next direction is
+    the top Ritz residual (in exact arithmetic the Lanczos vector). Each step
+    costs one inner K_n solve, PCG with *pcg* from zero. It stops when the
+    explicit Ritz residual is at most ``cfl_tol * theta``, after
+    ``cfl_steps`` steps, or when the basis spans an invariant subspace (the
+    whole space at the latest), where theta is exact and the residual is 0.
+    On the 8-cell builtin model at a_c = 0 the top two eigenvalues are
+    83,517 and 83,535, and 20 steps meet the default tolerance 1e-3.
 
     theta never exceeds lambda_max, and an eigenvalue lies within the
     residual of theta. theta + residual is therefore an upper bound on
@@ -430,33 +414,38 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None) -> CflEstimate:
     is positive semidefinite: it raises StepFailureError, as a broken inner
     solve.
     """
-    config = op.config
-    system = op.system
     n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
-    scale = np.sqrt(op.minv(np.ones(n)))
+    scale = np.sqrt(1.0 / system.mc.diagonal())
     kc = system.kc_matrix(ref).to_scipy()
     ceiling = stability_bound(system, ref)
+    precond = build_preconditioner(system.kn, pcg.preconditioner)
 
     def lanczos_step(v):
-        # A v from one detached inner solve
+        # A v from one inner solve
         x = scale * v
-        y, _ = op.solve_kn(spmv_transpose(system.kcn, x))
+        y, report = pcg_solve(system.kn, spmv_transpose(system.kcn, x),
+                              config=pcg, preconditioner=precond)
+        if not report.converged:
+            raise StepFailureError(
+                f"spectral estimate: inner solve stalled at relative residual "
+                f"{report.final_rel_residual:.3e} after {report.iterations} "
+                "iterations")
         return scale * (kc @ x) - scale * spmv(system.kcn, y)
 
-    v = np.random.default_rng(config.seed).standard_normal(n)
+    v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     q, aq = v[:, None], lanczos_step(v)[:, None]
     while True:
         theta, y, residual = _ritz(q, aq)
         if q.shape[1] == n:
             residual = 0.0
-        if residual <= config.cfl_tol * abs(theta):
+        if residual <= cfl_tol * abs(theta):
             break
-        if q.shape[1] == config.cfl_steps:
+        if q.shape[1] == cfl_steps:
             log.warning("CFL estimate stopped after %d Lanczos steps at "
                         "residual %.3e > %.1e * theta", q.shape[1], residual,
-                        config.cfl_tol)
+                        cfl_tol)
             break
         # the Ritz residual is orthogonal to the basis; two Gram-Schmidt
         # sweeps keep it so in floating point
@@ -473,13 +462,13 @@ def estimate_cfl(op: SchurOperator, a_c_ref=None) -> CflEstimate:
         raise StepFailureError(f"spectral estimate is not positive: {theta}")
     # rounding, and the inner solves' tolerance, may lift an exact theta
     # just above the ceiling
-    if theta > ceiling * (1.0 + max(config.pcg.rel_tol, 1e-8)):
+    if theta > ceiling * (1.0 + max(pcg.rel_tol, 1e-8)):
         raise StepFailureError(
             f"spectral estimate: Ritz value {theta:.6e} exceeds the "
             f"stability bound {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, so an "
             "inner K_n solve is wrong")
     return CflEstimate(lambda_max=theta, residual=residual, ceiling=ceiling,
-                       power_iters=q.shape[1], cfl_tol=config.cfl_tol)
+                       power_iters=q.shape[1])
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -654,10 +643,9 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
     ``config.stable_step(stability_bound(system))`` at the zero state and
     re-evaluates the bound every ``config.reestimate_every`` steps at the
     current state, shrinking the step when saturation raised the bound (a
-    fixed dt is never adjusted). No bound needs a K_n product, so the run's
-    trace does not depend on ``config.seed``. Every refresh is logged in
-    ``aggregates["cfl_history"]`` as ``(step, bound, dt)``: the bound and
-    the step used after it.
+    fixed dt is never adjusted). No bound needs a K_n product. Every refresh
+    is logged in ``aggregates["cfl_history"]`` as ``(step, bound, dt)``: the
+    bound and the step used after it.
     ``probe`` maps (a_c, a_n, t) to the scalar recorded per output row.
 
     Raises ValueError first on a bad run argument (``check_run_arguments``),

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from mqsolve import (CsrMatrix, Excitation, GridSpec, PartitionedSystem,
                      ScaledPatternSource, assemble, builtin_model,
-                     default_steel, exponential_ramp)
+                     default_steel, exponential_ramp, pcg_solve)
 from mqsolve.model import CONDUCTOR
 from mqsolve.sparse import spmv, spmv_transpose
 
@@ -73,11 +73,13 @@ class CountingOperator:
 def detached_schur(op, x, state):
     """K_S(state) x with one detached inner solve: (K_S x, K_n^+ K_cn^T x).
 
-    K_c enters as ``kc_matrix(state)``; the inner solve starts from zero and
-    leaves no family history, as the spectral estimator's probes do.
+    K_c enters as ``kc_matrix(state)``; the inner solve is PCG with
+    ``op.config.pcg`` from zero, as the spectral estimator's are, and leaves
+    no history in ``op``.
     """
     system = op.system
-    y, _ = op.solve_kn(spmv_transpose(system.kcn, x))
+    y, _ = pcg_solve(system.kn, spmv_transpose(system.kcn, x),
+                     config=op.config.pcg)
     return system.kc_matrix(state) @ x - spmv(system.kcn, y), y
 
 

@@ -96,7 +96,7 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
     system = builtin6_linear.system
     op = SchurOperator(system, ExplicitConfig(
         pcg=TIGHT, strategy=StrategyConfig("previous")))
-    estimate = estimate_cfl(op)
+    estimate = estimate_cfl(system, pcg=TIGHT)
 
     # dense reference for the eliminated operator, column by column
     n_c = system.n_c

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from mqsolve import (ExplicitConfig, NewtonConfig, SchurOperator,
-                     TransientResult, bench, builtin_model, estimate_cfl,
-                     export_model, run_explicit, run_implicit)
+from mqsolve import (ExplicitConfig, NewtonConfig, TransientResult, bench,
+                     builtin_model, cli, estimate_cfl, export_model,
+                     run_explicit, run_implicit)
 from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig, load_model,
                            run_benchmark, run_single, trace_bytes,
                            write_trace)
@@ -118,7 +118,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_sources(not_json)
 
 
-@pytest.mark.parametrize("key", ["power_iters", "power_tol"])
+@pytest.mark.parametrize("key", ["power_iters", "power_tol", "cfl_steps",
+                                 "cfl_tol"])
 def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
     old_file = tmp_path / "old.json"
     old_file.write_text(json.dumps({key: 100}))
@@ -129,13 +130,9 @@ def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
 
 
 def test_cfl_settings_reach_the_estimate(builtin6):
-    config = RunConfig.from_sources(
-        overrides={"cfl_tol": 1e-5, "cfl_steps": 40})
-    assert (config.cfl_tol, config.cfl_steps) == (1e-5, 40)
-    settings = config.explicit_config()
-    assert (settings.cfl_tol, settings.cfl_steps) == (1e-5, 40)
-    est = estimate_cfl(SchurOperator(builtin6.system, settings))
-    assert est.cfl_tol == 1e-5
+    settings = RunConfig().explicit_config()
+    est = estimate_cfl(builtin6.system, pcg=settings.pcg, cfl_tol=1e-5,
+                       cfl_steps=40)
     assert est.residual <= 1e-5 * est.lambda_max
     assert 0 < est.power_iters <= 40
 
@@ -154,15 +151,15 @@ def test_config_validation_errors():
     cases = [dict(integrator="leapfrog"), dict(strategy="banana"),
              dict(tol=0.0), dict(newton_tol=0.0),
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
-             dict(max_basis=0), dict(max_newton=0), dict(cfl_steps=0),
-             dict(cfl_tol=-1e-3), dict(preconditioner="magic"),
+             dict(max_basis=0), dict(max_newton=0),
+             dict(preconditioner="magic"),
              dict(model=""), dict(safety=1.5), dict(safety=0.0),
              dict(seed=-1), dict(reestimate_every=-5)]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
     # a tolerance must be finite, and its error names its config key
-    for key in ("tol", "newton_tol", "cfl_tol"):
+    for key in ("tol", "newton_tol"):
         with pytest.raises(ConfigError, match=f"^{key} "):
             RunConfig(**{key: inf}).validate()
     # 0 disables refreshes; a safety of exactly 1 keeps no margin
@@ -171,12 +168,12 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("setting", [
     {"safety": 1.5}, {"seed": -1}, {"reestimate_every": -5},
-    {"max_basis": 0}, {"n_pod": 0}, {"eps_pod": 1.0}, {"cfl_steps": 0},
-    {"cfl_tol": -1e-3}, {"tol": 0.0}, {"strategy": "banana"},
+    {"max_basis": 0}, {"n_pod": 0}, {"eps_pod": 1.0}, {"safety": 0.0},
+    {"eps_pod": 0.0}, {"tol": 0.0}, {"strategy": "banana"},
     {"newton_tol": 0.0}, {"max_newton": 0}, {"output_period": 0.0},
     {"t_end": float("nan")}, {"dt": float("nan")}, {"implicit_dt": 0.0},
     {"tol": float("inf")}, {"newton_tol": float("inf")},
-    {"cfl_tol": float("inf")}])
+    {"output_period": float("inf")}])
 def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys,
                                                  monkeypatch, setting):
     # the check runs before any model is built
@@ -212,6 +209,9 @@ def test_run_config_defaults_are_the_library_settings():
     model = inspect.signature(builtin_model).parameters
     for key in ("cells", "h", "kappa", "amps", "tau", "linear"):
         assert getattr(config, key) == model[key].default, key
+    # and the seed of the Lanczos diagnostic
+    assert config.seed == inspect.signature(
+        estimate_cfl).parameters["seed"].default
 
 
 def test_config_solver_mappings():
@@ -379,7 +379,7 @@ SHARED_KEYS = {"solves", "iterations", "mean_iterations", "max_basis_cols",
 def test_aggregates_repeat_exactly(options):
     # repeat runs must agree on every key but the timings, compared with
     # ``==``, and both integrators carry the shared keys; the seed sets only
-    # the Lanczos diagnostic, so a second seed changes nothing
+    # the start vector of ``mqsolve cfl``, so a second seed changes nothing
     runs = [run_single(tiny_config(t_end=2e-3, seed=seed, **options))[0]
             for seed in (42, 7)]
     first, second = ({key: value for key, value in r.aggregates.items()
@@ -574,6 +574,25 @@ def test_cli_cfl(capsys):
     result, _ = run_single(tiny_config(linear=True, t_end=1e-3))
     assert result.aggregates["cfl_refreshes"] == 0
     assert printed == result.aggregates["dt"]
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "generate"])
+def test_only_cfl_takes_a_seed(tmp_path, capsys, monkeypatch, command):
+    # no run reads the seed, so only the Lanczos diagnostic offers it
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([command, "--seed", "7", "--out", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    seeds = []
+
+    def estimate(system, a_c_ref=None, **settings):
+        seeds.append(settings["seed"])
+        return original(system, a_c_ref, **settings)
+
+    original = cli.estimate_cfl
+    monkeypatch.setattr(cli, "estimate_cfl", estimate)
+    assert cli_main(["cfl", "--cells", "6", "--linear", "--seed", "7"]) == 0
+    assert seeds == [7]
 
 
 def test_cli_bench(tmp_path, capsys):

@@ -91,18 +91,19 @@ def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system,
 
 
 def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
-                                                    schur_action):
+                                                    schur_action, monkeypatch):
     system, blocks = make_linear_system(rng, n_c=3, n_n=5)
     decoupled = PartitionedSystem.linear(
         mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
         kn=system.kn, kc=system.kc_matrix(None), source=system.source)
     op = SchurOperator(decoupled, explicit("previous", pcg=TIGHT))
     x = rng.standard_normal(3)
+    counted = count_products_by_cause(monkeypatch)
     out, inner = schur_action(op, x, x)
     assert np.allclose(out, blocks["kc"] @ x, rtol=0.0, atol=1e-12)
     # a zero coupling right-hand side needs no K_n product
     assert np.array_equal(inner, np.zeros(5))
-    assert sum(op.kn_applies.values()) == 0
+    assert counted["total"] == 0
     zero, _ = schur_action(op, np.zeros(3), np.zeros(3))
     assert np.array_equal(zero, np.zeros(3))
 
@@ -361,8 +362,9 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0])),
         source=system.source)
-    settings = explicit("previous", pcg=TIGHT, cfl_tol=1e-10, cfl_steps=500)
-    est = estimate_cfl(SchurOperator(decoupled, settings))
+    settings = explicit("previous", pcg=TIGHT)
+    lanczos = dict(pcg=TIGHT, cfl_tol=1e-10, cfl_steps=500)
+    est = estimate_cfl(decoupled, **lanczos)
     assert est.lambda_max == pytest.approx(4.0, rel=1e-6)
     # without coupling the bound is the eigenvalue itself
     assert est.ceiling == pytest.approx(4.0, rel=1e-14)
@@ -374,19 +376,16 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
     assert (est.power_iters, est.residual) == (2, 0.0)
 
     coupled_kc = CsrMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    op2 = SchurOperator(PartitionedSystem.linear(
+    est2 = estimate_cfl(PartitionedSystem.linear(
         mc=CsrMatrix.identity(2),
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
-        kc=coupled_kc, source=system.source), settings)
-    est2 = estimate_cfl(op2)
+        kc=coupled_kc, source=system.source), **lanczos)
     assert est2.lambda_max == pytest.approx(3.0, rel=1e-6)
 
 
 def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=6, n_n=9, singular=True)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT, cfl_tol=1e-10,
-                                        cfl_steps=2000))
-    est = estimate_cfl(op)
+    est = estimate_cfl(system, pcg=TIGHT, cfl_tol=1e-10, cfl_steps=2000)
     ks = dense_schur(blocks)
     lam = scipy.linalg.eigh(ks, np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
@@ -397,8 +396,7 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
 def test_cfl_validation():
     # the message starts with the field's name, which RunConfig maps to its
     # own key
-    for field, value in (("safety", 0.0), ("safety", 1.5), ("cfl_steps", 0),
-                         ("cfl_tol", -1.0), ("cfl_tol", np.inf), ("seed", -1),
+    for field, value in (("safety", 0.0), ("safety", 1.5),
                          ("reestimate_every", -3)):
         with pytest.raises(ValueError, match=f"^{field} "):
             ExplicitConfig(**{field: value})
@@ -413,12 +411,11 @@ def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
                                                            make_linear_system):
     # two distinct eigenvalues: the Krylov space is invariant after two steps
     system, _ = make_linear_system(rng, n_c=5, n_n=4)
-    op = SchurOperator(PartitionedSystem.linear(
+    est = estimate_cfl(PartitionedSystem.linear(
         mc=CsrMatrix.identity(5),
         kcn=CsrMatrix.from_dense(np.zeros((5, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0, 1.0, 4.0, 1.0])),
-        source=system.source), explicit("previous", pcg=TIGHT, cfl_tol=0.0))
-    est = estimate_cfl(op)
+        source=system.source), pcg=TIGHT, cfl_tol=0.0)
     assert est.power_iters == 2
     assert est.residual == 0.0
     assert est.lambda_max == pytest.approx(4.0, rel=1e-12)
@@ -436,11 +433,10 @@ def dense_lambda_max(op, a_c, schur_action):
 
 
 def saturated_state(system):
-    """A Schur operator with a Lanczos cap of five steps, and the state after
-    300 auto steps from rest, far enough for the conductor to saturate."""
+    """A Schur operator and the state after 300 auto steps from rest, far
+    enough for the conductor to saturate."""
     settings = explicit("cspe", pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
-                                              preconditioner=JACOBI),
-                        cfl_steps=5)
+                                              preconditioner=JACOBI))
     op = SchurOperator(system, settings)
     dt = settings.stable_step(schur.stability_bound(system))
     a_c = np.zeros(system.n_c)
@@ -469,7 +465,7 @@ def test_a_capped_lanczos_estimate_stays_below_the_dense_value(
     lam = dense_lambda_max(op, a_c, schur_action)
     # Lanczos capped at five steps misses its tolerance: its Ritz value is
     # below lam, and theta + residual need not bound it
-    est = estimate_cfl(op, a_c_ref=a_c)
+    est = estimate_cfl(system, a_c_ref=a_c, pcg=op.config.pcg, cfl_steps=5)
     assert est.power_iters == 5
     assert est.residual > 1e-3 * est.lambda_max
     assert est.lambda_max <= lam * (1.0 + 1e-8)
@@ -503,12 +499,6 @@ def test_run_explicit_logs_every_cfl_refresh(builtin6, monkeypatch):
         assert logged_dt == dt
     assert history[-1][1] == agg["stability_bound"]
     assert history[-1][2] == agg["dt"]
-    # no Lanczos setting or seed reaches the run
-    lanczos = dataclasses.replace(settings, cfl_steps=5, cfl_tol=1e-10,
-                                  seed=7)
-    again = run_explicit(system, t_end=350.5 * dt0, config=lanczos)
-    assert again.aggregates["cfl_history"] == history
-    assert np.array_equal(again.probe_b, result.probe_b)
 
 
 def test_a_cfl_refresh_never_raises_dt(builtin6, monkeypatch):
@@ -535,23 +525,20 @@ def test_a_cfl_refresh_never_raises_dt(builtin6, monkeypatch):
 
 def test_a_ritz_value_above_the_stability_bound_raises(builtin6, monkeypatch):
     system = builtin6.system
-    op = SchurOperator(system, explicit("previous"))
-    est = estimate_cfl(op)
+    est = estimate_cfl(system)
     assert est.ceiling == schur.stability_bound(system)
     assert est.lambda_max < est.lambda_max + est.residual < est.ceiling
 
-    # a broken detached inner solve: the probe solution comes back as -4 y
-    original = SchurOperator.solve_kn
+    # a broken inner solve of the estimate: its solution comes back as -4 y
+    original = schur.pcg_solve
 
-    def broken(self, rhs, family=None, step=None):
-        y, report = original(self, rhs, family, step)
-        return (y if family is not None else -4.0 * y), report
+    def broken(*args, **kwargs):
+        y, report = original(*args, **kwargs)
+        return -4.0 * y, report
 
-    monkeypatch.setattr(SchurOperator, "solve_kn", broken)
+    monkeypatch.setattr(schur, "pcg_solve", broken)
     with pytest.raises(StepFailureError, match="exceeds the stability bound"):
-        estimate_cfl(op)
-    # a run makes no probe solve, so the broken one never runs there
-    run_explicit(system, t_end=1e-4, config=explicit("cspe"))
+        estimate_cfl(system)
 
 
 @settings(max_examples=30, deadline=None)
@@ -563,9 +550,8 @@ def test_ritz_value_stays_below_the_dense_eigenvalue(make_linear_system, seed,
                                                      cfl_steps):
     system, blocks = make_linear_system(np.random.default_rng(seed), n_c=n_c,
                                         n_n=n_n, singular=singular)
-    settings = explicit("previous", pcg=TIGHT, cfl_steps=cfl_steps,
-                        cfl_tol=1e-6, seed=seed)
-    est = estimate_cfl(SchurOperator(system, settings))
+    lanczos = dict(pcg=TIGHT, cfl_steps=cfl_steps, cfl_tol=1e-6, seed=seed)
+    est = estimate_cfl(system, **lanczos)
     lam = scipy.linalg.eigh(dense_schur(blocks), np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
     # the bound is a bound
@@ -573,8 +559,8 @@ def test_ritz_value_stays_below_the_dense_eigenvalue(make_linear_system, seed,
     assert lam <= bound * (1.0 + 1e-12)
     assert est.ceiling == bound
     assert est.lambda_max <= lam * (1.0 + 1e-9)
-    # bitwise deterministic for a fixed seed, on a fresh operator
-    again = estimate_cfl(SchurOperator(system, settings))
+    # bitwise deterministic for a fixed seed
+    again = estimate_cfl(system, **lanczos)
     assert again == est
 
 
@@ -624,30 +610,25 @@ def test_run_explicit_step_budget(rng, make_linear_system):
             "previous", pcg=TIGHT, max_steps=10))
 
 
-CAUSES = ("pcg", "initial", "cfl", "upkeep")
+CAUSES = ("pcg", "initial", "upkeep")
 
 
 def count_products_by_cause(monkeypatch):
     """Every K_n product made through ``krylov._as_operator``, in total
     and split by cause.
 
-    Products inside ``estimate_cfl`` are CFL probes. The products of each
-    other ``pcg_solve`` call that ``schur`` makes are counted there: its
-    reported iterations are PCG products and the rest were made for the
-    initial residual.
+    The products of each ``pcg_solve`` call that ``schur`` makes are counted
+    there: its reported iterations are PCG products and the rest were made
+    for the initial residual.
     """
     counted = dict.fromkeys(("total",) + CAUSES, 0)
-    inside_cfl = [0]
     original_as_operator = krylov._as_operator
     original_pcg_solve = schur.pcg_solve
-    original_estimate = schur.estimate_cfl
 
     def as_operator(a):
         apply, n = original_as_operator(a)
         def apply_counted(x):
             counted["total"] += 1
-            if inside_cfl[0]:
-                counted["cfl"] += 1
             return apply(x)
         return apply_counted, n
 
@@ -655,34 +636,19 @@ def count_products_by_cause(monkeypatch):
         before = counted["total"]
         x, report = original_pcg_solve(a, b, x0=x0, config=config,
                                        preconditioner=preconditioner)
-        if not inside_cfl[0]:
-            made = counted["total"] - before
-            counted["pcg"] += report.iterations
-            counted["initial"] += made - report.iterations
+        made = counted["total"] - before
+        counted["pcg"] += report.iterations
+        counted["initial"] += made - report.iterations
         return x, report
-
-    def estimate(*args, **kwargs):
-        inside_cfl[0] += 1
-        try:
-            return original_estimate(*args, **kwargs)
-        finally:
-            inside_cfl[0] -= 1
 
     monkeypatch.setattr(krylov, "_as_operator", as_operator)
     monkeypatch.setattr(schur, "pcg_solve", solve)
-    monkeypatch.setattr(schur, "estimate_cfl", estimate)
     return counted
 
 
 def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
     # count the products made with the callable K_n operator, by cause
     counted = count_products_by_cause(monkeypatch)
-    # a Lanczos estimate's products are all probes
-    op = SchurOperator(builtin6.system, explicit("cspe"))
-    schur.estimate_cfl(op)
-    assert op.kn_applies == {"pcg": 0, "initial": 0,
-                             "cfl": counted["total"]}
-    assert counted["total"] == counted["cfl"] > 0
     for strategy in STRATEGIES:
         counted.update(dict.fromkeys(counted, 0))
         result = run_explicit(builtin6.system, t_end=1e-4, dt="auto",
@@ -698,8 +664,6 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
         counted["upkeep"] = agg["maintenance_applies"]
         assert agg["kn_applies"] == {c: counted[c] for c in CAUSES}
         assert agg["kn_applies"]["pcg"] == sum(agg["iterations"].values())
-        # the run's step needs no K_n product
-        assert agg["kn_applies"]["cfl"] == 0
         solves = sum(agg["solves"].values())
         if strategy == "cspe":
             # every family solve takes its residual from cached products
@@ -946,6 +910,24 @@ def test_non_finite_rhs_on_the_cached_path_names_family_and_step(
                        match=r"^inner solve \(coupling_previous\) at step 7: "
                              "non-finite right-hand side$"):
         op.solve_kn(rhs, PREV, step=7)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
+                                                   strategy):
+    system, blocks = make_linear_system(np.random.default_rng(3), n_c=3,
+                                        n_n=8, singular=True)
+    op = SchurOperator(system, explicit(strategy))
+    b = system.source(0.1)
+    # one consistent solve first, so CSPE takes the cached-image path
+    op.solve_kn(b, SRC, step=4)
+    assert (op.strategy.start_product(SRC) is not None) == (strategy == "cspe")
+    rhs = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
+    with pytest.raises(krylov.IndefiniteOperatorError,
+                       match=r"^inner solve \(source\) at step 5: "
+                             "inconsistent right-hand side") as failure:
+        op.solve_kn(rhs, SRC, step=5)
+    assert type(failure.value.__cause__) is krylov.IndefiniteOperatorError
 
 
 @settings(max_examples=40, deadline=None)
