@@ -13,9 +13,13 @@ none or Jacobi. :func:`_stopping_target` is the one stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
-products, so ``solve_kn`` forms the initial residual itself: a start that
-meets :func:`_stopping_target` is returned without a call here, and any
-other solves for the correction from zero down to that same residual norm.
+products, so ``solve_kn`` forms the initial residual itself and applies
+this module's rules inline: the finiteness test of :func:`_vector` and
+the stopping rule of :func:`_stopping_target`. A start that meets the rule
+is returned without a call here. Any other start is corrected by a solve
+from zero down to that same residual norm. An inconsistency found there is
+measured against the residual, so ``solve_kn`` restates it against its
+own right-hand side from ``IndefiniteOperatorError.component``.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
 run: :func:`pcg_solve` keeps the signature
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +58,29 @@ class Preconditioner(str, Enum):
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """Raised when a CG search direction exposes an indefinite operator."""
+    """Raised when a CG search direction exposes an indefinite operator, or
+    a right-hand side holds more than a rounding-level nullspace component.
+
+    In the latter case ``component`` is the norm of that component and
+    ``iteration`` the iteration that found it (both None otherwise), so a
+    caller that solved for a residual can state the component relative to
+    its own right-hand side (``inconsistent``).
+    """
+
+    def __init__(self, message: str, component: float | None = None,
+                 iteration: int | None = None):
+        super().__init__(message)
+        self.component = component
+        self.iteration = iteration
+
+    @classmethod
+    def inconsistent(cls, component: float, b_norm: float, iteration: int
+                     ) -> "IndefiniteOperatorError":
+        """The error for a nullspace component of norm *component* in a
+        right-hand side of norm *b_norm*."""
+        return cls("inconsistent right-hand side: a nullspace component of "
+                   f"{_relative(component, b_norm):.3e} ||b|| at iteration "
+                   f"{iteration}", component, iteration)
 
 
 @dataclass(frozen=True)
@@ -93,8 +120,10 @@ def _stopping_target(config: PcgConfig, b_norm: float) -> float:
     return max(config.rel_tol * b_norm, config.abs_tol)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
+    """Outcome of one solve. A named tuple, since a CSPE run builds two per
+    step: it is built in a third of a frozen dataclass's time."""
+
     iterations: int
     final_rel_residual: float
     converged: bool
@@ -228,10 +257,8 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
             along = float(r @ p) / pp
             dropped = abs(along) * math.sqrt(pp)
             if dropped > _ROUNDING * b_norm:
-                raise IndefiniteOperatorError(
-                    "inconsistent right-hand side: a nullspace component "
-                    f"of {_relative(dropped, b_norm):.3e} ||b|| at iteration "
-                    f"{it}")
+                raise IndefiniteOperatorError.inconsistent(dropped, b_norm,
+                                                           it)
             np.subtract(r, np.multiply(p, along, out=scratch), out=r)
             r_norm = math.sqrt(r @ r)
             if r_norm <= target:

@@ -44,8 +44,7 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
-                     SolveReport, _relative, _stopping_target, _vector,
-                     build_preconditioner, pcg_solve)
+                     SolveReport, _relative, build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
 from .startvec import (RhsFamily, StartVectorStrategy, StrategyConfig,
@@ -227,7 +226,8 @@ class SchurOperator:
     products are split by cause in ``kn_applies``: PCG iterations
     (``pcg``) and initial residuals formed with a product (``initial``).
     ``cached_residuals`` counts the solves whose initial residual came from
-    the strategy's cached products.
+    the strategy's cached products. ``minv_diag`` is the diagonal of
+    M_c^{-1}, by which the explicit step multiplies.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -244,7 +244,10 @@ class SchurOperator:
         # solver noise; accepting them churns the capped basis
         self.strategy = strategy or make_strategy(
             config.strategy, system.n_n, self._kn_apply, config.pcg.rel_tol)
-        self._minv_diag = 1.0 / system.mc.diagonal()
+        # the stopping rule of the solves that start from a cached image
+        self._rel_tol = config.pcg.rel_tol
+        self._abs_tol = config.pcg.abs_tol
+        self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.kn_applies = {"pcg": 0, "initial": 0}
         self.cached_residuals = 0
@@ -258,10 +261,13 @@ class SchurOperator:
         The start vector comes from the strategy, and the solution and
         iteration count go back to it and to the *family* log. When the
         strategy knows the start vector's K_n image (``start_product``), the
-        solve takes the initial residual from it (see
-        ``_solve_from_image``); a start that already meets the tolerance is
-        then returned itself, and is not handed back to the strategy, whose
-        history already spans it.
+        solve takes the initial residual r0 = rhs - image from it, with
+        ``pcg_solve``'s finiteness test and stopping rule written out here:
+        this is the path of almost every CSPE solve, so it makes no call it
+        can do without. A start that meets the rule is returned itself, with
+        zero iterations and its true residual, and is not handed back to the
+        strategy, whose history already spans it. Any other start is
+        corrected by ``_correct``.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class.
         """
@@ -274,10 +280,29 @@ class SchurOperator:
                                       config=self.config.pcg,
                                       preconditioner=self._precond)
             else:
-                y, report = self._solve_from_image(rhs, x0, image)
+                # the strategy checked the shape; a finite sum of squares
+                # proves every entry finite. ndarray.dot is @ without the
+                # ufunc dispatch.
+                rhs = np.asarray(rhs, dtype=np.float64)
+                squares = rhs.dot(rhs)
+                if not math.isfinite(squares):
+                    as_vector(rhs, name="rhs")
+                rhs_norm = math.sqrt(squares)
+                # _stopping_target's rule
+                target = max(self._rel_tol * rhs_norm, self._abs_tol)
+                r0 = rhs - image
+                r0_norm = math.sqrt(r0.dot(r0))
+                if r0_norm <= target:
+                    y, report = x0, SolveReport(
+                        0, r0_norm / rhs_norm if rhs_norm > 0.0
+                        else _relative(r0_norm, rhs_norm), True)
+                else:
+                    y, report = self._correct(x0, r0, r0_norm, rhs_norm,
+                                              target)
         except IndefiniteOperatorError as err:
             raise IndefiniteOperatorError(
-                f"{_solve_name(family, step)}: {err}") from err
+                f"{_solve_name(family, step)}: {err}", err.component,
+                err.iteration) from err
         except ValueError as err:
             # pcg_solve, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
@@ -304,36 +329,30 @@ class SchurOperator:
         self.solver_seconds += time.perf_counter() - started
         return y, report
 
-    def _solve_from_image(self, rhs, x0: np.ndarray, image: np.ndarray
-                          ) -> tuple[np.ndarray, SolveReport]:
-        """Solve from *x0* whose K_n image is *image*, with no product for
-        the initial residual r0 = rhs - image.
-
-        The stopping rule stays relative to *rhs*. A start that meets it is
-        returned itself, with zero iterations; otherwise PCG solves
-        K_n d = r0 from zero down to the same residual norm, and the
-        solution is x0 + d. The report's residual is relative to *rhs*.
+    def _correct(self, x0: np.ndarray, r0: np.ndarray, r0_norm: float,
+                 rhs_norm: float, target: float
+                 ) -> tuple[np.ndarray, SolveReport]:
+        """x0 + d, where PCG solves K_n d = r0 from zero down to the
+        residual norm *target* of the solve of a right-hand side of norm
+        *rhs_norm*. The report's residual and an inconsistency's size are
+        relative to that right-hand side, not to r0.
         """
-        rhs, squares = _vector(rhs, x0.size, "rhs")
-        rhs_norm = math.sqrt(squares)
-        target = _stopping_target(self.config.pcg, rhs_norm)
-        r0 = rhs - image
-        r0_norm = math.sqrt(r0 @ r0)
-        if r0_norm <= target:
-            return x0, SolveReport(0, _relative(r0_norm, rhs_norm), True)
         # the smallest positive rel_tol leaves target the whole rule
         absolute = replace(self.config.pcg, rel_tol=math.ulp(0.0),
                            abs_tol=target)
-        d, report = pcg_solve(self._kn_apply, r0, config=absolute,
-                              preconditioner=self._precond)
+        try:
+            d, report = pcg_solve(self._kn_apply, r0, config=absolute,
+                                  preconditioner=self._precond)
+        except IndefiniteOperatorError as err:
+            if err.component is None:
+                raise
+            raise IndefiniteOperatorError.inconsistent(
+                err.component, rhs_norm, err.iteration) from err
         d += x0
         return d, SolveReport(
             report.iterations,
             _relative(report.final_rel_residual * r0_norm, rhs_norm),
             report.converged)
-
-    def minv(self, x: np.ndarray) -> np.ndarray:
-        return self._minv_diag * x
 
 
 def _solve_name(family: RhsFamily, step: int | None) -> str:
@@ -498,8 +517,11 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
     rate = spmv(op.system.kcn, coupling - y_src) - op.system.kc_apply(a_c)
-    a_next = a_c + dt * op.minv(rate)
-    if not np.isfinite(a_next).all():
+    a_next = a_c + dt * (op.minv_diag * rate)
+    # a finite sum of squares proves every entry finite; the entries are
+    # tested only when it is not (numpy warns when a finite sum overflows)
+    if (not math.isfinite(a_next.dot(a_next))
+            and not np.isfinite(a_next).all()):
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
                                f"(t = {t_new:.6e})")

@@ -236,9 +236,11 @@ class SubspaceCache:
                 low, np.eye(self.size), lower=True).T
             self._w = np.asfortranarray(self._basis @ inv_t)
             self._aw = np.asfortranarray(self._products @ inv_t)
-        coeffs = self._w.T @ rhs
+        # ndarray.dot runs the BLAS call of @ without the ufunc dispatch,
+        # and projecting is every CSPE solve's cost
+        coeffs = self._w.T.dot(rhs)
         self._start = (self._aw, coeffs)
-        return self._w @ coeffs
+        return self._w.dot(coeffs)
 
     def start_product(self) -> np.ndarray:
         """A x0 for the start vector x0 that ``project`` last returned.
@@ -249,7 +251,7 @@ class SubspaceCache:
         if self._start is None:
             raise RuntimeError("start_product needs a projection first")
         aw, coeffs = self._start
-        return aw @ coeffs
+        return aw.dot(coeffs)
 
 
 def pod_start_vector(snapshots, rhs, operator, eps_pod: float

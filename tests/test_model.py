@@ -1,6 +1,7 @@
 """Grid assembly, material law, gauge structure, and the field probe."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_reluctivity_rejects_negative_and_handles_arrays():
         assert dnu[i] == dnu_s
     assert np.all(np.diff(nu) > 0)
 
+
+
+def test_kc_apply_saturates_to_inf_without_a_warning(builtin6):
+    # k2 B^2 above 709 overflows exp; kc_apply silences only that warning
+    system = builtin6.system
+    a = 1.5e-4 * np.random.default_rng(1).standard_normal(system.n_c)
+    b2 = builtin6.cell_b2(builtin6.full_interior(a, np.zeros(system.n_n)))
+    assert (builtin6.conductor.brauer_k2
+            * b2[builtin6.conductor_cells]).max() > 709.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        force = system.kc_apply(a)
+        below = system.kc_apply(0.5 * a)
+    assert np.isinf(force).any()
+    assert np.isfinite(below).all()
 
 def test_material_validation():
     with pytest.raises(ModelError):

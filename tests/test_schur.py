@@ -2,7 +2,9 @@
 
 import cProfile
 import dataclasses
+import os
 import pstats
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,74 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
     huge = np.full(2, 1e300)
     with pytest.raises(StepFailureError, match="7"):
         explicit_euler_step((huge, 0.0), 1e9, op, step_index=7)
+
+
+def test_a_finite_state_whose_sum_of_squares_overflows_steps(
+        rng, make_linear_system):
+    # the sum of squares of a_next overflows although every entry is
+    # finite: the entries are checked, pass, and the step returns (numpy's
+    # overflow warning aside)
+    system, _ = make_linear_system(rng)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    big = np.full(system.n_c, 1e200)
+    with np.errstate(over="ignore"):
+        a1, _ = explicit_euler_step((big, 0.0), 0.0, op, step_index=3)
+        a2, _ = explicit_euler_step((big, 0.0), 1e-3, op, step_index=4)
+    assert np.array_equal(a1, big)
+    assert np.isfinite(a2).all() and not np.array_equal(a2, big)
+
+
+def test_a_nan_state_raises_named_step(rng, make_linear_system):
+    system, _ = make_linear_system(rng)
+    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    poisoned = np.array([0.1, np.nan, 0.2])
+    # a given coupling solution skips the only solve that sees the state, so
+    # the state's own test raises
+    with pytest.raises(StepFailureError,
+                       match=r"^non-finite conducting state at step 9 "):
+        explicit_euler_step((poisoned, 0.0), 1e-3, op, step_index=9,
+                            coupling=np.zeros(system.n_n))
+
+
+def test_a_cached_step_makes_few_python_calls(builtin6):
+    """Python calls into mqsolve on the first explicit CSPE step that makes
+    no K_n product, so both of its solves return their start from cached
+    products: a deterministic proxy for the step's per-call overhead.
+
+    Before ``solve_kn`` took the cached-image case inline and ``kc_apply``
+    applied K_c in one pass, such a step made 39 calls at 6 and at 8 cells.
+    It now makes 26, two of them one cache's Cholesky refactorization.
+    """
+    package = str(Path(schur.__file__).parent) + os.sep
+    system = builtin6.system
+    op = SchurOperator(system, explicit("cspe"))
+    dt = op.config.stable_step(schur.stability_bound(system))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    def products():
+        return sum(op.kn_applies.values()) + op.strategy.maintenance_applies
+
+    a_c, t = np.zeros(system.n_c), 0.0
+    outer = sys.getprofile()
+    for step in range(1, 50):
+        before, calls = products(), 0
+        sys.setprofile(count)
+        try:
+            a_c, _ = explicit_euler_step((a_c, t), dt, op, step_index=step)
+        finally:
+            sys.setprofile(outer)
+        t += dt
+        if products() == before:
+            break
+    else:
+        pytest.fail("every step made a K_n product")
+    assert op.cached_residuals >= 2
+    assert 0 < calls <= 26
 
 
 def test_cspe_evictions_reach_the_aggregates(builtin6):
@@ -923,11 +993,16 @@ def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
     op.solve_kn(b, SRC, step=4)
     assert (op.strategy.start_product(SRC) is not None) == (strategy == "cspe")
     rhs = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
+    # the component is stated against the solve's rhs, also when PCG solved
+    # for the residual of CSPE's cached start
     with pytest.raises(krylov.IndefiniteOperatorError,
                        match=r"^inner solve \(source\) at step 5: "
-                             "inconsistent right-hand side") as failure:
+                             "inconsistent right-hand side: a nullspace "
+                             r"component of 1\.000e-03 \|\|b\|\|") as failure:
         op.solve_kn(rhs, SRC, step=5)
     assert type(failure.value.__cause__) is krylov.IndefiniteOperatorError
+    assert failure.value.component == pytest.approx(
+        1e-3 * np.linalg.norm(b), rel=1e-3)
 
 
 @settings(max_examples=40, deadline=None)

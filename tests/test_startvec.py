@@ -79,6 +79,23 @@ def test_project_matches_dense_galerkin_solution(rng, make_spd):
     assert np.allclose(x0, u @ coeffs, rtol=0.0, atol=1e-10)
 
 
+
+@pytest.mark.parametrize("n, k", [(10, 3), (138, 1), (1038, 6), (1038, 20)])
+def test_projection_products_are_bitwise_those_of_matmul(rng, n, k):
+    # project and start_product multiply through ndarray.dot, which costs
+    # less dispatch than @; the traces hold only while both run the same
+    # BLAS products
+    d = rng.uniform(1.0, 2.0, n)
+    cache = SubspaceCache(n, lambda x: d * x, 20)
+    for _ in range(k):
+        cache.insert(rng.standard_normal(n))
+    assert cache.size == k
+    rhs = rng.standard_normal(n)
+    x0 = cache.project(rhs)
+    coeffs = cache._w.T @ rhs
+    assert np.array_equal(x0, cache._w @ coeffs)
+    assert np.array_equal(cache.start_product(), cache._aw @ coeffs)
+
 def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
     dense = make_spd(rng, 8)
     cache = SubspaceCache(8, dense.__matmul__, 20)
