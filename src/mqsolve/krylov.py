@@ -13,10 +13,10 @@ none or Jacobi. :func:`_stopping_target` is the one stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
-products, so ``solve_kn`` forms the initial residual itself and applies
-this module's rules inline: the finiteness test of :func:`_vector` and
-the stopping rule of :func:`_stopping_target`. A start that meets the rule
-is returned without a call here. Any other start is corrected by a solve
+products, so ``solve_kn`` forms the initial residual itself, under this
+module's finiteness test (:func:`_vector`) and stopping rule
+(:func:`_stopping_target`). A start that meets the rule is returned
+without a call to :func:`pcg_solve`. Any other start is corrected by a solve
 from zero down to that same residual norm. An inconsistency found there is
 measured against the residual, so ``solve_kn`` restates it against its
 own right-hand side from ``IndefiniteOperatorError.component``.
@@ -175,7 +175,7 @@ def _vector(v, length: int | None, name: str) -> tuple[np.ndarray, float]:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or (length is not None and v.size != length):
         as_vector(v, length=length, name=name)      # raises the shape error
-    squares = float(v @ v)
+    squares = float(v.dot(v))       # @ without the ufunc dispatch
     if not math.isfinite(squares):
         as_vector(v, name=name)
     return v, squares

@@ -136,10 +136,6 @@ def reluctivity(material: Material, b2):
     return nu, dnu
 
 
-# np.exp overflows only above log(max float) = 709.78
-_EXP_SAFE = 709.0
-
-
 def _reluctivity(material: Material, b2: np.ndarray, derivative: bool):
     """nu(B^2) and, with *derivative*, dnu/dB^2 (else None) on float64 *b2*.
 
@@ -148,14 +144,8 @@ def _reluctivity(material: Material, b2: np.ndarray, derivative: bool):
     if material.is_linear:
         nu = np.full_like(b2, material.brauer_k3)
         return nu, np.zeros_like(b2) if derivative else None
-    exponent = material.brauer_k2 * b2
-    # exp's overflow to inf is silenced only where it can happen, so an
-    # unsaturated state skips np.errstate
-    if exponent.size and exponent.max() > _EXP_SAFE:
-        with np.errstate(over="ignore"):
-            grow = np.exp(exponent)
-    else:
-        grow = np.exp(exponent)
+    with np.errstate(over="ignore"):
+        grow = np.exp(material.brauer_k2 * b2)
     nu = material.brauer_k1 * grow + material.brauer_k3
     if not derivative:
         return nu, None
@@ -585,17 +575,13 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
 
         w and phi are on the force faces.
         """
-        phi = spmv(c_cond, state)
+        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
         nu_c, dnu_c = _reluctivity(conductor, _b2(phi[cond_faces6], h),
                                    derivative)
-        return base_weights + spmv(face_by_cond, nu_c), phi, dnu_c
+        return base_weights + _matvec(face_by_cond, nu_c), phi, dnu_c
 
     def kc_apply(state):
-        # face_weights' arithmetic in its order, on the CSR kernel directly:
-        # the explicit step calls this once per step
-        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
-        nu_c, _ = _reluctivity(conductor, _b2(phi[cond_faces6], h), False)
-        w = base_weights + _matvec(face_by_cond, nu_c)
+        w, phi, _ = face_weights(state)
         return _matvec(c_cond._transpose, (w / h) * phi)
 
     def kc_matrix(state) -> CsrMatrix:

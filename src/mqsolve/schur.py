@@ -44,7 +44,8 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
-                     SolveReport, _relative, build_preconditioner, pcg_solve)
+                     SolveReport, _relative, _stopping_target, _vector,
+                     build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
 from .startvec import (RhsFamily, StartVectorStrategy, StrategyConfig,
@@ -244,9 +245,6 @@ class SchurOperator:
         # solver noise; accepting them churns the capped basis
         self.strategy = strategy or make_strategy(
             config.strategy, system.n_n, self._kn_apply, config.pcg.rel_tol)
-        # the stopping rule of the solves that start from a cached image
-        self._rel_tol = config.pcg.rel_tol
-        self._abs_tol = config.pcg.abs_tol
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.kn_applies = {"pcg": 0, "initial": 0}
@@ -261,13 +259,13 @@ class SchurOperator:
         The start vector comes from the strategy, and the solution and
         iteration count go back to it and to the *family* log. When the
         strategy knows the start vector's K_n image (``start_product``), the
-        solve takes the initial residual r0 = rhs - image from it, with
-        ``pcg_solve``'s finiteness test and stopping rule written out here:
-        this is the path of almost every CSPE solve, so it makes no call it
-        can do without. A start that meets the rule is returned itself, with
-        zero iterations and its true residual, and is not handed back to the
-        strategy, whose history already spans it. Any other start is
-        corrected by ``_correct``.
+        solve takes the initial residual r0 = rhs - image from it, under
+        ``pcg_solve``'s finiteness test (``_vector``) and stopping rule
+        (``_stopping_target``), without calling ``pcg_solve``: this is the
+        path of almost every CSPE solve. A start that meets the rule is
+        returned itself, with zero iterations and its true residual, and is
+        not handed back to the strategy, whose history already spans it. Any
+        other start is corrected by ``_correct``.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class.
         """
@@ -280,22 +278,15 @@ class SchurOperator:
                                       config=self.config.pcg,
                                       preconditioner=self._precond)
             else:
-                # the strategy checked the shape; a finite sum of squares
-                # proves every entry finite. ndarray.dot is @ without the
-                # ufunc dispatch.
-                rhs = np.asarray(rhs, dtype=np.float64)
-                squares = rhs.dot(rhs)
-                if not math.isfinite(squares):
-                    as_vector(rhs, name="rhs")
+                rhs, squares = _vector(rhs, x0.size, "rhs")
                 rhs_norm = math.sqrt(squares)
-                # _stopping_target's rule
-                target = max(self._rel_tol * rhs_norm, self._abs_tol)
+                target = _stopping_target(self.config.pcg, rhs_norm)
+                # ndarray.dot is @ without the ufunc dispatch
                 r0 = rhs - image
                 r0_norm = math.sqrt(r0.dot(r0))
                 if r0_norm <= target:
                     y, report = x0, SolveReport(
-                        0, r0_norm / rhs_norm if rhs_norm > 0.0
-                        else _relative(r0_norm, rhs_norm), True)
+                        0, _relative(r0_norm, rhs_norm), True)
                 else:
                     y, report = self._correct(x0, r0, r0_norm, rhs_norm,
                                               target)
@@ -518,10 +509,7 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     # sign of the source term relative to the coupling term.
     rate = spmv(op.system.kcn, coupling - y_src) - op.system.kc_apply(a_c)
     a_next = a_c + dt * (op.minv_diag * rate)
-    # a finite sum of squares proves every entry finite; the entries are
-    # tested only when it is not (numpy warns when a finite sum overflows)
-    if (not math.isfinite(a_next.dot(a_next))
-            and not np.isfinite(a_next).all()):
+    if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
                                f"(t = {t_new:.6e})")

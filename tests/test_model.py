@@ -78,7 +78,6 @@ def test_reluctivity_rejects_negative_and_handles_arrays():
     assert np.all(np.diff(nu) > 0)
 
 
-
 def test_kc_apply_saturates_to_inf_without_a_warning(builtin6):
     # k2 B^2 above 709 overflows exp; kc_apply silences only that warning
     system = builtin6.system
@@ -92,6 +91,7 @@ def test_kc_apply_saturates_to_inf_without_a_warning(builtin6):
         below = system.kc_apply(0.5 * a)
     assert np.isinf(force).any()
     assert np.isfinite(below).all()
+
 
 def test_material_validation():
     with pytest.raises(ModelError):

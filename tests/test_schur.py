@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pstats
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,14 +333,19 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
 def test_a_finite_state_whose_sum_of_squares_overflows_steps(
         rng, make_linear_system):
     # the sum of squares of a_next overflows although every entry is
-    # finite: the entries are checked, pass, and the step returns (numpy's
-    # overflow warning aside)
+    # finite: the step tests the entries, so it returns without a warning.
+    # A given coupling solution keeps the state out of the solves, whose
+    # right-hand side would overflow its own sum of squares.
     system, _ = make_linear_system(rng)
     op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     big = np.full(system.n_c, 1e200)
-    with np.errstate(over="ignore"):
-        a1, _ = explicit_euler_step((big, 0.0), 0.0, op, step_index=3)
-        a2, _ = explicit_euler_step((big, 0.0), 1e-3, op, step_index=4)
+    coupling = np.zeros(system.n_n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a1, _ = explicit_euler_step((big, 0.0), 0.0, op, step_index=3,
+                                    coupling=coupling)
+        a2, _ = explicit_euler_step((big, 0.0), 1e-3, op, step_index=4,
+                                    coupling=coupling)
     assert np.array_equal(a1, big)
     assert np.isfinite(a2).all() and not np.array_equal(a2, big)
 
@@ -361,9 +367,10 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     no K_n product, so both of its solves return their start from cached
     products: a deterministic proxy for the step's per-call overhead.
 
-    Before ``solve_kn`` took the cached-image case inline and ``kc_apply``
-    applied K_c in one pass, such a step made 39 calls at 6 and at 8 cells.
-    It now makes 26, two of them one cache's Cholesky refactorization.
+    Before ``solve_kn`` took the cached-image case without a call to
+    ``_solve_from_image`` and ``kc_apply`` called the CSR kernel directly,
+    such a step made 39 calls at 6 and at 8 cells. It now makes 33, two of
+    them one cache's Cholesky refactorization.
     """
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
@@ -394,7 +401,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("every step made a K_n product")
     assert op.cached_residuals >= 2
-    assert 0 < calls <= 26
+    assert 0 < calls <= 33
 
 
 def test_cspe_evictions_reach_the_aggregates(builtin6):

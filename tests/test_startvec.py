@@ -79,7 +79,6 @@ def test_project_matches_dense_galerkin_solution(rng, make_spd):
     assert np.allclose(x0, u @ coeffs, rtol=0.0, atol=1e-10)
 
 
-
 @pytest.mark.parametrize("n, k", [(10, 3), (138, 1), (1038, 6), (1038, 20)])
 def test_projection_products_are_bitwise_those_of_matmul(rng, n, k):
     # project and start_product multiply through ndarray.dot, which costs
@@ -95,6 +94,7 @@ def test_projection_products_are_bitwise_those_of_matmul(rng, n, k):
     coeffs = cache._w.T @ rhs
     assert np.array_equal(x0, cache._w @ coeffs)
     assert np.array_equal(cache.start_product(), cache._aw @ coeffs)
+
 
 def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
     dense = make_spd(rng, 8)
