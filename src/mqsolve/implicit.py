@@ -12,6 +12,14 @@ right-hand side is inherited from the model construction, which keeps the
 singular lower-right block harmless without gauging. Implicit Euler is
 unconditionally stable, which is what makes this integrator the accuracy
 reference for the eliminated explicit one.
+
+From its second step on, :func:`run_implicit` starts Newton from the linear
+extrapolation of the last two states instead of from the previous state.
+That start is a lowest-order form of the start vectors the explicit run
+takes from earlier steps: on the builtin model it leaves one Newton
+iteration per step where the previous state needed two. The start changes
+where Newton begins, never what converged means (see
+:func:`implicit_euler_step`).
 """
 
 from __future__ import annotations
@@ -55,9 +63,15 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class NewtonStepReport:
+    """One step's Newton work. ``residual_history`` starts at the iterate
+    Newton starts from; ``half_steps`` counts updates taken at half length
+    and ``predictor_rejected`` says that a given start was not used."""
+
     newton_iterations: int
     linear_iterations: tuple[int, ...]
     residual_history: tuple[float, ...]
+    half_steps: int = 0
+    predictor_rejected: bool = False
 
 
 class NewtonFailureError(RuntimeError):
@@ -133,19 +147,28 @@ class MonolithicJacobian:
 
 
 def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = None,
-                        *, jacobian: MonolithicJacobian | None = None
+                        *, jacobian: MonolithicJacobian | None = None,
+                        start=None
                         ) -> tuple[np.ndarray, np.ndarray, NewtonStepReport]:
     """One implicit Euler step by monolithic Newton iteration.
 
-    *state* is ``(a_c, a_n, t)``. Convergence: ||F|| <= tol * ||F_initial||,
-    with an absolute floor at rounding level of the residual addends so an
-    already-stationary state is accepted rather than iterated into noise.
-    Linear materials converge in a single Newton iteration because the first
-    update solves the affine system to the linear tolerance. If a full
-    update raises the residual the step is halved once before failing. A
-    non-finite initial residual or Jacobian raises NewtonFailureError.
-    *jacobian* assembles the Newton matrix; pass the same one to every step
-    of a run so its pattern is built once.
+    *state* is ``(a_c, a_n, t)``. Convergence: ||F|| <= tol * r0, where r0
+    is the residual at the previous state, with an absolute floor at
+    rounding level of the residual addends so an already-stationary state
+    is accepted rather than iterated into noise. Linear materials converge
+    in a single Newton iteration because the first update solves the affine
+    system to the linear tolerance. If a full update raises the residual
+    the step is halved once before failing. A non-finite initial residual
+    or Jacobian raises NewtonFailureError. *jacobian* assembles the Newton
+    matrix; pass the same one to every step of a run so its pattern is
+    built once.
+
+    *start* ``(x_c, x_n)`` is an optional Newton start iterate, such as an
+    extrapolation of earlier states. Newton starts from it only when its
+    residual is below r0, and from the previous state otherwise
+    (``predictor_rejected``); a start that meets the target is returned
+    with zero Newton iterations. It changes neither r0, the target nor the
+    inner tolerance, and each Newton update is still solved from zero.
     """
     config = config or NewtonConfig()
     a_c_prev, a_n_prev, t = state
@@ -175,17 +198,33 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     x_n = a_n_prev.copy()
     f, data_scale = residual(x_c, x_n, with_scale=True)
     r0 = float(np.linalg.norm(f))
-    history = [r0]
     if not np.isfinite(r0):
         raise NewtonFailureError(
-            "non-finite residual before Newton iteration 1", history)
-    linear_iters: list[int] = []
+            "non-finite residual before Newton iteration 1", [r0])
     # residuals below rounding noise of their own addends cannot be reduced
     # further in double precision; a pure relative criterion would stall on
     # an already-stationary state
     floor = 64.0 * np.finfo(np.float64).eps * data_scale
     if r0 <= floor:
-        return x_c, x_n, NewtonStepReport(0, (), tuple(history))
+        return x_c, x_n, NewtonStepReport(0, (), (r0,))
+
+    target = max(config.tol * r0, floor)
+    r_current = r0
+    rejected = False
+    if start is not None:
+        s_c = as_vector(start[0], length=n_c, name="conducting start")
+        s_n = as_vector(start[1], length=system.n_n,
+                        name="nonconducting start")
+        f_start = residual(s_c, s_n)
+        r_start = float(np.linalg.norm(f_start))
+        # a NaN residual fails the comparison, so it is rejected too
+        if r_start < r0:
+            x_c, x_n, f, r_current = s_c.copy(), s_n.copy(), f_start, r_start
+            if r_start <= target:
+                return x_c, x_n, NewtonStepReport(0, (), (r_start,))
+        else:
+            rejected = True
+    history = [r_current]
 
     # Inner solves never target below a hundredth of the outer Newton bar:
     # the monolithic matrix is singular (gradient fields in the lower-right
@@ -195,8 +234,8 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         config.linear_solver,
         abs_tol=max(config.linear_solver.abs_tol, 0.01 * config.tol * r0))
 
-    target = max(config.tol * r0, floor)
-    r_current = r0
+    linear_iters: list[int] = []
+    half_steps = 0
     for k in range(1, config.max_newton + 1):
         try:
             jac = jacobian(x_c, dt)
@@ -218,16 +257,15 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
                 f"(relative residual {report.final_rel_residual:.3e})",
                 history)
         linear_iters.append(report.iterations)
-        scale = 1.0
         xc_try = x_c + delta[:n_c]
         xn_try = x_n + delta[n_c:]
         f_try = residual(xc_try, xn_try)
         r_try = float(np.linalg.norm(f_try))
         if not np.isfinite(r_try) or (r_try > r_current and r_try > target):
             # one half step before giving up; keeps mild overshoot recoverable
-            scale = 0.5
-            xc_try = x_c + scale * delta[:n_c]
-            xn_try = x_n + scale * delta[n_c:]
+            half_steps += 1
+            xc_try = x_c + 0.5 * delta[:n_c]
+            xn_try = x_n + 0.5 * delta[n_c:]
             f_try = residual(xc_try, xn_try)
             r_try = float(np.linalg.norm(f_try))
             if not np.isfinite(r_try) or (r_try > r_current
@@ -239,8 +277,8 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         r_current = r_try
         history.append(r_current)
         if r_current <= target:
-            return x_c, x_n, NewtonStepReport(k, tuple(linear_iters),
-                                              tuple(history))
+            return x_c, x_n, NewtonStepReport(
+                k, tuple(linear_iters), tuple(history), half_steps, rejected)
     raise NewtonFailureError(
         f"Newton did not converge within {config.max_newton} iterations "
         f"(residual {r_current:.3e}, initial {r0:.3e})", history)
@@ -255,9 +293,14 @@ def run_implicit(system, t_end: float, dt: float,
     explicit integrator so traces can be diffed column by column. Every
     Newton iteration's monolithic PCG solve is charged to the source family,
     so ``iters_src`` carries the mean PCG iterations per Newton solve since
-    the previous row and the coupling column stays zero. A step that fails
-    raises :class:`NewtonFailureError` with a message that starts with
-    ``step N:``. A bad run argument raises ValueError first; dt is a number.
+    the previous row and the coupling column stays zero. From the second
+    step on, Newton starts from a_k + (h_{k+1}/h_k)(a_k - a_{k-1}), the
+    linear extrapolation of the last two states, for both blocks;
+    ``predictor_rejected`` counts the steps that started from the previous
+    state instead and ``newton_half_steps`` the half-length updates. A step
+    that fails raises :class:`NewtonFailureError` with a message that starts
+    with ``step N:``. A bad run argument raises ValueError first; dt is a
+    number.
     """
     check_run_arguments(t_end, dt, output_period, auto=False)
     iterations = {f: [] for f in FAMILIES}
@@ -272,21 +315,32 @@ def run_implicit(system, t_end: float, dt: float,
     a_n = np.zeros(system.n_n)
     t = 0.0
     trace.row(t, a_c, a_n)
-    steps = 0
+    steps = half_steps = rejected = 0
+    # the state before the last step and that step's length
+    before = None
     while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
+        start = None
+        if before is not None:
+            c_old, n_old, h_old = before
+            ratio = step_dt / h_old
+            start = (a_c + ratio * (a_c - c_old), a_n + ratio * (a_n - n_old))
         try:
-            a_c, a_n, report = implicit_euler_step((a_c, a_n, t), step_dt,
-                                                   system, config,
-                                                   jacobian=jacobian)
+            a_c_new, a_n_new, report = implicit_euler_step(
+                (a_c, a_n, t), step_dt, system, config, jacobian=jacobian,
+                start=start)
         except NewtonFailureError as err:
             raise NewtonFailureError(f"step {steps + 1}: {err}",
                                      err.residual_history) from err
         solver_seconds += time.perf_counter() - started
+        before = (a_c, a_n, step_dt)
+        a_c, a_n = a_c_new, a_n_new
         t += step_dt
         steps += 1
         linear.extend(report.linear_iterations)
+        half_steps += report.half_steps
+        rejected += report.predictor_rejected
         if trace.due(t):
             trace.row(t, a_c, a_n)
 
@@ -298,6 +352,8 @@ def run_implicit(system, t_end: float, dt: float,
         "newton_iterations": len(linear),
         "linear_iterations": sum(linear),
         "mean_newton_per_step": (len(linear) / steps) if steps else 0.0,
+        "newton_half_steps": half_steps,
+        "predictor_rejected": rejected,
         "operator_applies": sum(linear),
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": solver_seconds,

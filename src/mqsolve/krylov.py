@@ -228,7 +228,9 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     else:
         x = _vector(x0, b.size, "start vector")[0].copy()
         r = b - apply_a(x)
-    r_norm = math.sqrt(r @ r)
+    # products through ndarray.dot: the BLAS product of @ without its ufunc
+    # dispatch, bitwise the same
+    r_norm = math.sqrt(r.dot(r))
 
     if r_norm <= target:
         return x, SolveReport(0, _relative(r_norm, b_norm), True)
@@ -238,7 +240,7 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     z = preconditioner.apply(r) if preconditioner is not None else r
     p = z.copy()
     scratch = np.empty_like(p)
-    rz = float(r @ z)
+    rz = float(r.dot(z))
     # p^T M p (M the preconditioner) by its exact-arithmetic recurrence, and
     # the largest curvature p^T A p / p^T M p seen: -inf before the first
     # step, so that step never counts as along the nullspace
@@ -246,26 +248,26 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     curvature = -math.inf
     for it in range(1, config.max_iter + 1):
         ap = apply_a(p)
-        pap = float(p @ ap)
+        pap = float(p.dot(ap))
         if abs(pap) <= _NULL_CURVATURE * curvature * pmp:
             # p's curvature is rounding noise, so p lies in the nullspace of
             # a singular operator, and the residual along it is the
             # inconsistency of b. No step reduces it; taking one would add a
             # huge nullspace component to x. Rounding-level inconsistency is
             # dropped from r and the recurrence restarts; more is an error.
-            pp = float(p @ p)
-            along = float(r @ p) / pp
+            pp = float(p.dot(p))
+            along = float(r.dot(p)) / pp
             dropped = abs(along) * math.sqrt(pp)
             if dropped > _ROUNDING * b_norm:
                 raise IndefiniteOperatorError.inconsistent(dropped, b_norm,
                                                            it)
             np.subtract(r, np.multiply(p, along, out=scratch), out=r)
-            r_norm = math.sqrt(r @ r)
+            r_norm = math.sqrt(r.dot(r))
             if r_norm <= target:
                 return x, SolveReport(it, _relative(r_norm, b_norm), True)
             z = preconditioner.apply(r) if preconditioner is not None else r
             p[:] = z
-            rz = pmp = float(r @ z)
+            rz = pmp = float(r.dot(z))
             continue
         if not math.isfinite(pap) or pap <= 0.0:
             raise IndefiniteOperatorError(
@@ -274,11 +276,11 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         alpha = rz / pap
         np.add(x, np.multiply(p, alpha, out=scratch), out=x)
         np.subtract(r, np.multiply(ap, alpha, out=scratch), out=r)
-        r_norm = math.sqrt(r @ r)
+        r_norm = math.sqrt(r.dot(r))
         if r_norm <= target:
             return x, SolveReport(it, _relative(r_norm, b_norm), True)
         z = preconditioner.apply(r) if preconditioner is not None else r
-        rz_next = float(r @ z)
+        rz_next = float(r.dot(z))
         if not math.isfinite(rz_next):
             raise IndefiniteOperatorError(
                 f"non-finite preconditioned residual at iteration {it}")

@@ -542,7 +542,8 @@ def test_cli_run_unstable_dt_exits_numerical(tmp_path, capsys):
 
 def test_cli_run_implicit_newton_failure_exits_numerical(tmp_path, capsys):
     config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"max_newton": 1}))
+    # at step 1 one Newton iteration cannot reduce the residual by 1e-12
+    config_file.write_text(json.dumps({"max_newton": 1, "newton_tol": 1e-12}))
     trace = tmp_path / "t.csv"
     code = cli_main(["run", "--integrator", "implicit", "--cells", "6",
                      "--t-end", "2e-3", "--config", str(config_file),
@@ -550,7 +551,7 @@ def test_cli_run_implicit_newton_failure_exits_numerical(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("numerical failure: step 4: ")
+    assert err[0].startswith("numerical failure: step 1: ")
     assert not trace.exists()
 
 

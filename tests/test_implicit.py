@@ -1,6 +1,7 @@
 """Monolithic backward Euler with damped Newton iterations."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from mqsolve import (CsrMatrix, MonolithicJacobian, NewtonConfig,
                      NewtonFailureError, PartitionedSystem, PcgConfig,
                      implicit, implicit_euler_step, run_implicit)
+from mqsolve.bench import RunConfig, run_single
 
 TIGHT = NewtonConfig(tol=1e-10,
                      linear_solver=PcgConfig(rel_tol=1e-12, max_iter=50000))
@@ -154,12 +156,110 @@ def test_two_steps_match_manual_chain(rng, make_linear_system):
     dt = 1e-2
     result = run_implicit(system, t_end=2 * dt, dt=dt, config=TIGHT,
                           output_period=dt)
-    a_c, a_n, t = np.zeros(3), np.zeros(6), 0.0
-    for _ in range(2):
-        a_c, a_n, _ = implicit_euler_step((a_c, a_n, t), dt, system, TIGHT)
-        t += dt
+    a_c, a_n, _ = implicit_euler_step((np.zeros(3), np.zeros(6), 0.0), dt,
+                                      system, TIGHT)
+    # the second step starts from the linear extrapolation a_1 + (a_1 - a_0)
+    a_c, a_n, _ = implicit_euler_step((a_c, a_n, dt), dt, system, TIGHT,
+                                      start=(2.0 * a_c, 2.0 * a_n))
     assert np.array_equal(result.final_a_c, a_c)
     assert np.array_equal(result.final_a_n, a_n)
+
+
+def test_a_start_at_the_solution_takes_no_newton_iteration(
+        rng, make_linear_system):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    state = (rng.standard_normal(3), rng.standard_normal(6), 0.0)
+    x_c, x_n, _ = implicit_euler_step(state, 1e-2, system, TIGHT)
+    y_c, y_n, report = implicit_euler_step(state, 1e-2, system, TIGHT,
+                                           start=(x_c, x_n))
+    assert report.newton_iterations == 0
+    assert not report.predictor_rejected
+    assert np.array_equal(y_c, x_c) and np.array_equal(y_n, x_n)
+    assert y_c is not x_c and y_n is not x_n
+
+
+def test_a_start_worse_than_the_previous_state_is_rejected(
+        rng, make_linear_system):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    state = (rng.standard_normal(3), rng.standard_normal(6), 0.0)
+    x_c, x_n, plain = implicit_euler_step(state, 1e-2, system, TIGHT)
+    far = (state[0] + 100.0, state[1] - 100.0)
+    y_c, y_n, report = implicit_euler_step(state, 1e-2, system, TIGHT,
+                                           start=far)
+    assert report.predictor_rejected and not plain.predictor_rejected
+    # the step falls back to the previous state, bit for bit
+    assert np.array_equal(y_c, x_c) and np.array_equal(y_n, x_n)
+    assert report.residual_history == plain.residual_history
+
+
+def test_run_counts_rejected_predictors(rng, make_linear_system):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    dt, source = 1e-2, system.source
+    # the source drops to zero after the first step, so extrapolating the
+    # first step's rise moves away from the second step's solution
+    pulse = dataclasses.replace(
+        system, source=lambda t: source(t) * (t < 1.5 * dt))
+    agg = run_implicit(pulse, t_end=4 * dt, dt=dt, config=TIGHT).aggregates
+    assert agg["predictor_rejected"] >= 1
+    assert agg["newton_half_steps"] == 0
+    smooth = run_implicit(system, t_end=4 * dt, dt=dt, config=TIGHT)
+    assert smooth.aggregates["predictor_rejected"] == 0
+
+
+def overshooting_first_update(monkeypatch):
+    """Make the first Newton update of the next solves three times too long."""
+    solve = implicit.pcg_solve
+    calls = []
+
+    def overshoot(*args, **kwargs):
+        delta, report = solve(*args, **kwargs)
+        calls.append(None)
+        return (3.0 * delta if len(calls) == 1 else delta), report
+
+    monkeypatch.setattr(implicit, "pcg_solve", overshoot)
+
+
+def test_an_overshoot_is_counted_as_a_half_step(rng, make_linear_system,
+                                                monkeypatch):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    state = (rng.standard_normal(3), rng.standard_normal(6), 0.0)
+    overshooting_first_update(monkeypatch)
+    # on a linear system 3x the Newton update doubles the residual, and the
+    # half step 1.5x halves it
+    _, _, report = implicit_euler_step(state, 1e-2, system, TIGHT)
+    assert report.half_steps == 1
+    assert report.newton_iterations == 2
+    hist = report.residual_history
+    assert hist[1] == pytest.approx(0.5 * hist[0], rel=1e-6)
+
+
+def test_run_counts_half_steps(rng, make_linear_system, monkeypatch):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    overshooting_first_update(monkeypatch)
+    agg = run_implicit(system, t_end=3e-2, dt=1e-2, config=TIGHT).aggregates
+    assert agg["newton_half_steps"] == 1
+    assert agg["newton_iterations"] == 4
+
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
+             / "probe_cells8_t0.12.csv")
+
+
+def test_reference_run_keeps_the_stored_reference():
+    # the stored probe trace was made at dt 6.25e-5 with every Newton step
+    # started from the previous state; the extrapolated start must agree
+    # with it to well within the Newton tolerance
+    stored = np.loadtxt(REFERENCE, delimiter=",", comments="#", skiprows=2)
+    result, _ = run_single(RunConfig(integrator="implicit", cells=8,
+                                     t_end=0.01, implicit_dt=6.25e-5))
+    assert result.aggregates["steps"] == 160
+    rows = len(result.times)
+    assert rows == 11
+    times, probe = stored[:rows, 0], stored[:rows, 1]
+    assert np.allclose(result.times, times, rtol=0.0, atol=1e-15)
+    gap = result.probe_b - probe
+    assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(probe)
+    assert np.abs(gap).max() <= 1e-9 * np.abs(probe).max()
 
 
 def test_newton_budget_failure_carries_history(corner_toy):
