@@ -14,12 +14,12 @@ explicit Euler step therefore costs exactly two inner solves, one per
 right-hand-side family. A solve costs one K_n product per PCG iteration,
 plus one for the initial residual unless the start vector's K_n image is
 known: CSPE takes it from its cached products, so a CSPE solve whose start
-meets the tolerance makes no K_n product at all. Recovering the
-nonconducting unknowns at an output time needs the same two solves: it
-takes the source solution of the step that just ended and hands its
-coupling solution to the next step. A run therefore pays two solves for
-all of its recoveries, the source at t = 0 and the coupling after the
-last step.
+meets the tolerance makes no K_n product at all. The step from (a_c, t)
+takes its rate at its start, K_n^+ j_n(t) and K_n^+ K_cn^T a_c, and
+recovering the nonconducting unknowns at an output time (a_c, t) needs the
+same pair: an output row makes both solves and hands them to the next step.
+A run therefore pays two solves for all of its recoveries, the pair after
+the last step.
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S). Since
 K_cn pinv(K_n) K_cn^T is positive semidefinite, K_S(a_c) <= K_c(a_c), so
@@ -483,57 +483,55 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
                         op: SchurOperator, step_index: int | None = None,
-                        coupling: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit Euler step of the eliminated system.
+                        solutions: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> np.ndarray:
+    """One explicit Euler step a_c + dt M_c^-1 f(t, a_c) of the eliminated
+    system, its rate taken at the step's start.
 
-    Two inner solves: the source term at the new time and the coupling term
-    K_n^+ K_cn^T a_c built from the previous state. A *coupling* solution
-    that ``recover_an`` returned for the same state replaces the second
-    solve. Returns the new state and the source solution K_n^+ j_n(t + dt),
-    which ``recover_an`` takes at an output time. ``dt == 0`` reproduces the
-    state bit for bit. A failure names ``step_index`` when it is given.
+    The rate needs two inner solves at (a_c, t): the source K_n^+ j_n(t) and
+    the coupling K_n^+ K_cn^T a_c. *solutions* is that pair
+    ``(y_src, y_cpl)`` as ``recover_an`` returned it for the same (a_c, t);
+    without it the step makes both solves. Returns the new conducting state.
+    ``dt == 0`` reproduces the state bit for bit. A failure names
+    ``step_index`` when it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    t_new = t + dt
-    y_src, _ = op.solve_kn(op.system.source(t_new), RhsFamily.SOURCE_CURRENT,
-                           step_index)
-    if coupling is None:
-        coupling, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
-                                  RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
-                                  step_index)
+    if solutions is None:
+        y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
+                               step_index)
+        y_cpl, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
+                               RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
+                               step_index)
+    else:
+        y_src, y_cpl = solutions
     # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
     # algebraic block a_n = y_src - y_cpl into the conducting row flips the
     # sign of the source term relative to the coupling term.
-    rate = spmv(op.system.kcn, coupling - y_src) - op.system.kc_apply(a_c)
+    rate = spmv(op.system.kcn, y_cpl - y_src) - op.system.kc_apply(a_c)
     a_next = a_c + dt * (op.minv_diag * rate)
     if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
-                               f"(t = {t_new:.6e})")
-    return a_next, y_src
+                               f"(t = {t + dt:.6e})")
+    return a_next
 
 
-def recover_an(op: SchurOperator, a_c, t: float,
-               y_src: np.ndarray | None = None, step: int | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+def recover_an(op: SchurOperator, a_c, t: float, step: int | None = None
+               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Nonconducting unknowns a_n = K_n^+ j_n(t) - K_n^+ K_cn^T a_c.
 
-    *y_src* is the source solution K_n^+ j_n(t) of the step that ended at t;
-    without it the source is solved here. The coupling solve runs under the
-    stepping family, so its solution is the one the next step from
-    (a_c, t) needs: returns ``(a_n, y_cpl)``, and y_cpl goes to
-    ``explicit_euler_step`` as *coupling*. *step* names the step that ended
-    at t in a failure message.
+    Both solves run under the stepping families, so they are the pair the
+    next step from (a_c, t) needs: returns ``(a_n, (y_src, y_cpl))``, and
+    the pair goes to ``explicit_euler_step`` as *solutions*. *step* names
+    the step that ended at t in a failure message.
     """
-    if y_src is None:
-        y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
-                               step)
+    y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
+                           step)
     y_cpl, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
                            RhsFamily.COUPLING_FROM_PREVIOUS_STATE, step)
-    return y_src - y_cpl, y_cpl
+    return y_src - y_cpl, (y_src, y_cpl)
 
 
 @dataclass
@@ -541,11 +539,11 @@ class TransientResult:
     """Output-time series of one transient run plus run-level aggregates.
 
     The iteration columns carry the mean inner iterations per solve of each
-    family since the previous output row. Recovery at a row reuses the
-    stepping solves: its one coupling solve, logged in that row, is the
-    next step's. ``pod_k`` and ``pod_info`` are the
-    largest k and the smallest kept information ratio over every POD
-    projection in the same window (0 and 1.0 without one).
+    family since the previous output row. Recovery at a row makes the pair
+    of solves the next step takes as its own, and logs them in that row.
+    ``pod_k`` and ``pod_info`` are the largest k and the smallest kept
+    information ratio over every POD projection in the same window (0 and
+    1.0 without one).
     """
 
     times: np.ndarray
@@ -679,8 +677,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
 
     a_c = np.zeros(system.n_c)
     t = 0.0
-    # each output row solves the coupling of the step after it
-    a_n, coupling = recover_an(op, a_c, t, step=0)
+    # each output row makes the solves of the step after it
+    a_n, solutions = recover_an(op, a_c, t, step=0)
     trace.row(t, a_c, a_n, op.strategy.basis_size())
     steps = 0
     cfl_history = []
@@ -694,16 +692,15 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
                 dt_val = refreshed
             cfl_history.append((steps, bound, dt_val))
         step_dt = min(dt_val, t_end - t)
-        a_c, y_src = explicit_euler_step((a_c, t), step_dt, op,
-                                         step_index=steps + 1,
-                                         coupling=coupling)
-        coupling = None
+        a_c = explicit_euler_step((a_c, t), step_dt, op,
+                                  step_index=steps + 1, solutions=solutions)
+        solutions = None
         t += step_dt
         steps += 1
         if steps > max_steps:
             raise StepFailureError(f"step budget exceeded ({max_steps})")
         if trace.due(t):
-            a_n, coupling = recover_an(op, a_c, t, y_src, step=steps)
+            a_n, solutions = recover_an(op, a_c, t, step=steps)
             trace.row(t, a_c, a_n, op.strategy.basis_size())
 
     kn_applies = op.kn_applies | {"upkeep": op.strategy.maintenance_applies}

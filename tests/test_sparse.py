@@ -298,7 +298,7 @@ def test_per_step_products_skip_scipy_dispatch(builtin6, monkeypatch):
             strategy=StrategyConfig(strategy)))
         a_c, t = np.zeros(system.n_c), 0.0
         for step in range(1, 4):
-            a_c, _ = explicit_euler_step((a_c, t), 1e-5, op, step)
+            a_c = explicit_euler_step((a_c, t), 1e-5, op, step)
             t += 1e-5
         recover_an(op, a_c, t)
     jacobian = MonolithicJacobian(system)
