@@ -12,8 +12,7 @@ integrator over the monolithic system serves as the reference.
 from .implicit import (MonolithicJacobian, NewtonConfig, NewtonFailureError,
                        NewtonStepReport, implicit_euler_step, run_implicit)
 from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
-                     Preconditioner, SolveReport, build_preconditioner,
-                     pcg_solve)
+                     SolveReport, build_preconditioner, pcg_solve)
 from .model import (AIR, CONDUCTOR, VACUUM_RELUCTIVITY, Excitation,
                     GridSpec, Material, Model, ModelError, air_material,
                     assemble, builtin_model, default_steel, export_model,
@@ -40,7 +39,7 @@ __all__ = [
     "symmetric_check", "read_matrix_market", "write_matrix_market",
     "read_dense_vector", "write_dense_vector",
     # krylov
-    "Preconditioner", "PcgConfig", "SolveReport", "JacobiPreconditioner",
+    "PcgConfig", "SolveReport", "JacobiPreconditioner",
     "IndefiniteOperatorError", "build_preconditioner", "pcg_solve",
     # start vectors
     "RhsFamily", "StrategyConfig", "SubspaceCache", "pod_start_vector",

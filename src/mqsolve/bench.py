@@ -24,8 +24,7 @@ from .implicit import NewtonConfig, run_implicit
 from .model import Model, builtin_model
 from .schur import (OUTPUT_PERIOD, ExplicitConfig, PartitionedSystem,
                     ScaledPatternSource, TransientResult, check_run_arguments,
-                    estimate_cfl, exponential_ramp, run_explicit,
-                    stability_bound)
+                    estimate_cfl, exponential_ramp, run_explicit)
 from .sparse import read_dense_vector, read_matrix_market, symmetric_check
 from .startvec import STRATEGIES, StrategyConfig
 
@@ -65,8 +64,7 @@ def _parse_dt(value):
 
 
 # RunConfig keys of the settings whose library checks name them otherwise
-_RUN_KEYS = {"kind": "strategy", "max_cols": "max_basis", "rel_tol": "tol",
-             "tol": "newton_tol"}
+_RUN_KEYS = {"kind": "strategy", "rel_tol": "tol", "tol": "newton_tol"}
 
 # builtin_model's parameters; the RunConfig fields named alike set them
 _MODEL = inspect.signature(builtin_model).parameters
@@ -115,13 +113,11 @@ class RunConfig:
     output_period: float = OUTPUT_PERIOD
     # benchmark default; library-level solves default to 1e-8
     tol: float = 1e-6
-    preconditioner: str = ExplicitConfig.pcg.preconditioner.value
     newton_tol: float = NewtonConfig.tol
     max_newton: int = NewtonConfig.max_newton
     implicit_dt: float = 2.5e-4
     eps_pod: float = StrategyConfig.eps_pod
     n_pod: int = StrategyConfig.n_pod
-    max_basis: int = StrategyConfig.max_cols
     # the Lanczos start vector of ``mqsolve cfl``; no run reads it
     seed: int = inspect.signature(estimate_cfl).parameters["seed"].default
     out: str = "."
@@ -200,16 +196,12 @@ class RunConfig:
         return cls(**values).validate()
 
     def newton_config(self) -> NewtonConfig:
-        linear = dataclasses.replace(NewtonConfig.linear_solver,
-                                     preconditioner=self.preconditioner)
-        return NewtonConfig(tol=self.newton_tol, max_newton=self.max_newton,
-                            linear_solver=linear)
+        return NewtonConfig(tol=self.newton_tol, max_newton=self.max_newton)
 
     def explicit_config(self) -> ExplicitConfig:
-        strategy = StrategyConfig(self.strategy, max_cols=self.max_basis,
-                                  n_pod=self.n_pod, eps_pod=self.eps_pod)
-        pcg = dataclasses.replace(ExplicitConfig.pcg, rel_tol=self.tol,
-                                  preconditioner=self.preconditioner)
+        strategy = StrategyConfig(self.strategy, n_pod=self.n_pod,
+                                  eps_pod=self.eps_pod)
+        pcg = dataclasses.replace(ExplicitConfig.pcg, rel_tol=self.tol)
         return ExplicitConfig(strategy=strategy, pcg=pcg, safety=self.safety,
                               reestimate_every=self.reestimate_every)
 
@@ -465,9 +457,7 @@ class BenchmarkSummary:
                 f"{row.solver_seconds:>10.2f}")
         meta = self.metadata
         shared = (f"model={meta.get('model')} dt={meta.get('dt')} "
-                  f"tol={meta.get('tol')} "
-                  f"preconditioner={meta.get('preconditioner')} "
-                  f"t_end={meta.get('t_end')}")
+                  f"tol={meta.get('tol')} t_end={meta.get('t_end')}")
         lines.append("")
         lines.append("shared: " + shared)
         lines.append(f"model checksum: {meta.get('model_checksum')}")
@@ -491,27 +481,22 @@ def _result_row(name: str, result: TransientResult) -> StrategyRow:
 def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     """Run the three start strategies plus the implicit reference.
 
-    Every run is a :func:`run_single` call. The explicit runs share one dt
-    (the auto step at the zero state unless the config pins it), one
-    tolerance, and one preconditioner; equal step counts across strategies
-    are asserted. The
-    reference runs at ``implicit_dt``. Artifacts land in *out_dir*:
+    Every run is a :func:`run_single` call, so a strategy row is the run
+    ``mqsolve run`` makes with that strategy. The explicit runs share the
+    config's dt (with ``"auto"``, each takes and refreshes its own auto
+    step) and tolerance; equal step counts across strategies are asserted.
+    The reference runs at ``implicit_dt``. Artifacts land in *out_dir*:
     ``trace_<name>.csv``, ``summary.csv``, ``summary.txt``, ``timings.json``.
     """
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.dt == "auto":
-        system, _ = model_from_config(config)
-        dt = config.explicit_config().stable_step(stability_bound(system))
-    else:
-        dt = float(config.dt)
 
     rows = []
     for strategy in STRATEGIES:
         result, meta = run_single(
             dataclasses.replace(config, integrator="explicit",
-                                strategy=strategy, dt=dt))
+                                strategy=strategy))
         write_trace(result, out_dir / f"trace_{strategy}.csv")
         rows.append(_result_row(strategy, result))
 
@@ -527,10 +512,9 @@ def run_benchmark(config: RunConfig, out_dir) -> BenchmarkSummary:
     summary = BenchmarkSummary(rows=rows, metadata={
         "model": config.model,
         "model_checksum": meta["model_checksum"],
-        "dt": dt,
+        "dt": config.dt,
         "t_end": config.t_end,
         "tol": config.tol,
-        "preconditioner": config.preconditioner,
         "implicit_dt": config.implicit_dt,
         "strategies": list(STRATEGIES),
     })

@@ -46,8 +46,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, help="PCG relative tolerance")
     parser.add_argument("--eps-pod", dest="eps_pod", type=float)
     parser.add_argument("--n-pod", dest="n_pod", type=int)
-    parser.add_argument("--max-basis", dest="max_basis", type=int)
-    parser.add_argument("--preconditioner", choices=("none", "jacobi"))
     parser.add_argument("--implicit-dt", dest="implicit_dt", type=float)
 
 
@@ -77,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfl = sub.add_parser("cfl", help="print the largest stable explicit step")
     _add_common(cfl)
     cfl.add_argument("--tol", type=float)
-    cfl.add_argument("--preconditioner", choices=("none", "jacobi"))
     cfl.add_argument("--seed", type=int,
                      help="seed of the Lanczos start vector")
     return parser

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
-                     build_preconditioner, pcg_solve)
+from .krylov import (IndefiniteOperatorError, PcgConfig, build_preconditioner,
+                     pcg_solve)
 from .schur import (FAMILIES, OUTPUT_PERIOD, TraceRecorder, TransientResult,
                     check_run_arguments)
 from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv, spmv_transpose
@@ -51,8 +51,7 @@ __all__ = [
 class NewtonConfig:
     tol: float = 1e-8
     max_newton: int = 25
-    linear_solver: PcgConfig = PcgConfig(rel_tol=1e-10, max_iter=50000,
-                                         preconditioner=Preconditioner.JACOBI)
+    linear_solver: PcgConfig = PcgConfig(rel_tol=1e-10, max_iter=50000)
 
     def __post_init__(self):
         if not (0.0 < self.tol < np.inf):
@@ -243,7 +242,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
             raise NewtonFailureError(
                 f"non-finite Jacobian at Newton iteration {k}: {err}",
                 history) from err
-        precond = build_preconditioner(jac, lin_config.preconditioner)
+        precond = build_preconditioner(jac)
         try:
             delta, report = pcg_solve(jac, -f, config=lin_config,
                                       preconditioner=precond)

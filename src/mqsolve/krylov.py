@@ -8,8 +8,11 @@ raises :class:`IndefiniteOperatorError` naming the inconsistency. Iteration
 counting is explicit because downstream benchmarks compare iteration budgets:
 ``iterations`` is the number of operator applications after the initial
 residual, and a start vector that already meets the tolerance reports zero
-iterations without touching the operator loop. The preconditioner is either
-none or Jacobi. :func:`_stopping_target` is the one stopping rule.
+iterations without touching the operator loop. A solve is preconditioned
+only by a preconditioner passed to it, and without one it is plain CG;
+every solver in the package passes the Jacobi one that
+:func:`build_preconditioner` builds. :func:`_stopping_target` is the one
+stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
@@ -42,7 +44,6 @@ import numpy as np
 from .sparse import CsrMatrix, _matvec, as_vector
 
 __all__ = [
-    "Preconditioner",
     "PcgConfig",
     "SolveReport",
     "pcg_solve",
@@ -50,11 +51,6 @@ __all__ = [
     "JacobiPreconditioner",
     "IndefiniteOperatorError",
 ]
-
-
-class Preconditioner(str, Enum):
-    NONE = "none"
-    JACOBI = "jacobi"
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -88,7 +84,6 @@ class PcgConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 0.0
     max_iter: int = 5000
-    preconditioner: Preconditioner = Preconditioner.NONE
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
@@ -97,13 +92,6 @@ class PcgConfig:
             raise ValueError("abs_tol must be finite and nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not isinstance(self.preconditioner, Preconditioner):
-            try:
-                kind = Preconditioner(self.preconditioner)
-            except ValueError:
-                raise ValueError(f"preconditioner {self.preconditioner!r} "
-                                 "is unknown") from None
-            object.__setattr__(self, "preconditioner", kind)
 
 
 # A direction whose curvature p^T A p / p^T M p is below this fraction of the
@@ -147,11 +135,8 @@ class JacobiPreconditioner:
         return self._inv * r
 
 
-def build_preconditioner(a: CsrMatrix, kind: Preconditioner):
-    """Build the requested preconditioner for *a*; None for ``NONE``."""
-    kind = Preconditioner(kind)
-    if kind is Preconditioner.NONE:
-        return None
+def build_preconditioner(a: CsrMatrix) -> JacobiPreconditioner:
+    """The Jacobi preconditioner of *a*, the one every solver caller uses."""
     return JacobiPreconditioner(a.diagonal())
 
 
@@ -200,8 +185,8 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         Tolerances and iteration budget. Stopping rule (_stopping_target):
         ||r||_2 <= max(rel_tol * ||b||_2, abs_tol) on the recurrence residual.
     preconditioner : object with ``apply``, optional
-        Prebuilt preconditioner; when omitted and the config requests one,
-        it is built from *a* (matrix operators only).
+        Prebuilt preconditioner, such as :func:`build_preconditioner`'s;
+        when omitted the solve is plain CG.
 
     Returns
     -------
@@ -214,11 +199,6 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     config = config or PcgConfig()
     apply_a, n = _as_operator(a)
     b, b_squares = _vector(b, n, "rhs")
-    if preconditioner is None and config.preconditioner is not Preconditioner.NONE:
-        if not isinstance(a, CsrMatrix):
-            raise ValueError("automatic preconditioner construction needs a CsrMatrix")
-        preconditioner = build_preconditioner(a, config.preconditioner)
-
     b_norm = math.sqrt(b_squares)
     target = _stopping_target(config, b_norm)
 

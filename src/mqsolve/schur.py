@@ -43,8 +43,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .krylov import (IndefiniteOperatorError, PcgConfig, Preconditioner,
-                     SolveReport, _relative, _stopping_target, _vector,
+from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
+                     _relative, _stopping_target, _vector,
                      build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
@@ -81,13 +81,14 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExplicitConfig:
-    """Settings of the explicit run: start vectors, inner solves (Jacobi
-    PCG; ``pcg.rel_tol`` is also the CSPE drop tolerance), the auto step's
-    safety factor, auto-dt refresh period (0: none) and step budget. A bad
-    value raises ValueError naming the field first."""
+    """Settings of the explicit run: start vectors, inner solves (PCG,
+    always Jacobi-preconditioned, to ``pcg``'s tolerances; ``pcg.rel_tol``
+    is also the CSPE drop tolerance), the auto step's safety factor,
+    auto-dt refresh period (0: none) and step budget. A bad value raises
+    ValueError naming the field first."""
 
     strategy: StrategyConfig = StrategyConfig()
-    pcg: PcgConfig = PcgConfig(preconditioner=Preconditioner.JACOBI)
+    pcg: PcgConfig = PcgConfig()
     safety: float = 0.9
     reestimate_every: int = 500
     max_steps: int = 2_000_000
@@ -218,10 +219,12 @@ def _matrix_scale(a: CsrMatrix) -> float:
 class SchurOperator:
     """The inner K_n solves of the eliminated system and their bookkeeping.
 
-    Inner pseudo-inverse actions are PCG solves on the singular nonconducting
-    block with ``config.pcg`` (None: the default ``ExplicitConfig``),
-    seeded per right-hand-side family by the strategy ``config.strategy``
-    names, or by a built *strategy*. Per-solve iteration counts
+    Inner pseudo-inverse actions are Jacobi-preconditioned CG solves on the
+    singular nonconducting block to the tolerances of ``config.pcg`` (None:
+    the default ``ExplicitConfig``), seeded per right-hand-side family by
+    the strategy ``config.strategy`` names, or by a built *strategy*. A
+    CSPE strategy built here keeps at most n_c basis columns per family,
+    the most directions the coupling solutions span. Per-solve iteration counts
     (``solve_iterations``, one list per family), solver wall time and the
     K_n products of the solves are accumulated for benchmarking. The
     products are split by cause in ``kn_applies``: PCG iterations
@@ -237,14 +240,14 @@ class SchurOperator:
         self.system = system
         self.config = config = config or ExplicitConfig()
         self._kn_apply = partial(_matvec, system.kn)
-        # built here from the matrix, so pcg_solve never tries to build one
-        # for the callable operator
-        self._precond = build_preconditioner(system.kn,
-                                             config.pcg.preconditioner)
-        # basis increments smaller than the inner solve tolerance are
-        # solver noise; accepting them churns the capped basis
+        self._precond = build_preconditioner(system.kn)
+        # the coupling solutions K_n^+ K_cn^T a_c span at most n_c
+        # directions, so a CSPE basis of n_c columns per family holds them
+        # all; basis increments smaller than the inner solve tolerance are
+        # solver noise, and accepting them churns the capped basis
         self.strategy = strategy or make_strategy(
-            config.strategy, system.n_n, self._kn_apply, config.pcg.rel_tol)
+            config.strategy, system.n_n, self._kn_apply, system.n_c,
+            config.pcg.rel_tol)
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.kn_applies = {"pcg": 0, "initial": 0}
@@ -429,7 +432,7 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
     scale = np.sqrt(1.0 / system.mc.diagonal())
     kc = system.kc_matrix(ref).to_scipy()
     ceiling = stability_bound(system, ref)
-    precond = build_preconditioner(system.kn, pcg.preconditioner)
+    precond = build_preconditioner(system.kn)
 
     def lanczos_step(v):
         # A v from one inner solve

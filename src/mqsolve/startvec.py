@@ -48,19 +48,18 @@ STRATEGIES = ("previous", "cspe", "pod")
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """A start-vector method (one of STRATEGIES) and its history sizes; a
-    bad value raises ValueError naming the field first."""
+    """A start-vector method (one of STRATEGIES) and the POD history
+    settings; a bad value raises ValueError naming the field first. The
+    CSPE basis cap is not a setting: the caller derives it from the
+    problem (see :func:`make_strategy`)."""
 
     kind: str = "cspe"
-    max_cols: int = 20
     n_pod: int = 10
     eps_pod: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind {self.kind!r} is not one of {STRATEGIES}")
-        if self.max_cols < 1:
-            raise ValueError("max_cols must be at least 1")
         if self.n_pod < 1:
             raise ValueError("n_pod must be at least 1")
         if not (0.0 < self.eps_pod < 1.0):
@@ -440,12 +439,16 @@ class PodStrategy(StartVectorStrategy):
 
 
 def make_strategy(config: StrategyConfig, dim: int, operator=None,
+                  max_cols: int | None = None,
                   drop_tol: float = 1e-10) -> StartVectorStrategy:
-    """The strategy *config* names; CSPE drops increments below *drop_tol*."""
+    """The strategy *config* names. CSPE keeps at most *max_cols* basis
+    columns per family (None: *dim*, which no basis exceeds) and drops
+    increments below *drop_tol*."""
     if config.kind == "previous":
         return PreviousSolutionStrategy(dim)
     if operator is None:
         raise ValueError(f"strategy {config.kind!r} needs the system operator")
     if config.kind == "cspe":
-        return CspeStrategy(dim, operator, config.max_cols, drop_tol)
+        return CspeStrategy(dim, operator,
+                            dim if max_cols is None else max_cols, drop_tol)
     return PodStrategy(dim, operator, config.n_pod, config.eps_pod)

@@ -73,9 +73,9 @@ class CountingOperator:
 def detached_schur(op, x, state):
     """K_S(state) x with one detached inner solve: (K_S x, K_n^+ K_cn^T x).
 
-    K_c enters as ``kc_matrix(state)``; the inner solve is PCG with
-    ``op.config.pcg`` from zero, as the spectral estimator's are, and leaves
-    no history in ``op``.
+    K_c enters as ``kc_matrix(state)``; the inner solve is plain CG to the
+    tolerances of ``op.config.pcg`` from zero, so on a singular K_n it
+    returns the minimum-norm solution, and leaves no history in ``op``.
     """
     system = op.system
     y, _ = pcg_solve(system.kn, spmv_transpose(system.kcn, x),

@@ -12,15 +12,14 @@ import scipy.integrate
 import scipy.linalg
 
 from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
-                     PcgConfig, Preconditioner, RhsFamily, SchurOperator,
+                     PcgConfig, RhsFamily, SchurOperator,
                      StrategyConfig, SubspaceCache, builtin_model,
                      estimate_cfl, explicit_euler_step, gradient_incidence,
                      implicit_euler_step, make_strategy, pcg_solve,
                      run_explicit, spmv)
 from mqsolve.bench import RunConfig, run_single
 
-TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000,
-                  preconditioner=Preconditioner.JACOBI)
+TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000)
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +96,7 @@ def test_criterion_3_galerkin_exactness_trials(rng):
         matrix = CsrMatrix.from_dense(dense)
         history = rng.standard_normal((n, 4))
         rhs = dense @ (history @ rng.standard_normal(4))
-        config = PcgConfig(rel_tol=1e-8, max_iter=n + 10,
-                           preconditioner=Preconditioner.NONE)
+        config = PcgConfig(rel_tol=1e-8, max_iter=n + 10)
         for kind in ("cspe", "pod"):
             strategy = make_strategy(StrategyConfig(kind), n,
                                      operator=lambda v: dense @ v)
@@ -135,8 +133,7 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
           f"({n_c} dofs): rel diff {rel:.2e} (<= 2e-2)")
     assert rel <= 0.02
 
-    solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
-                      preconditioner=Preconditioner.JACOBI)
+    solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
     dt_stable = 0.95 * 2.0 / estimate.lambda_max
     op_stable = SchurOperator(system, ExplicitConfig(
         pcg=solve, strategy=StrategyConfig("cspe")))
@@ -217,8 +214,7 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
     counter = counting_operator(lambda v: kn @ v)
     strategy = make_strategy(StrategyConfig("cspe"), system.n_n,
                              operator=counter)
-    solve = PcgConfig(rel_tol=1e-8, max_iter=5000,
-                      preconditioner=Preconditioner.JACOBI)
+    solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
     op = SchurOperator(system, ExplicitConfig(pcg=solve), strategy)
     a_c = np.zeros(system.n_c)
     t = 0.0

@@ -129,6 +129,18 @@ def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_config_rejects_the_derived_solver_keys(tmp_path, capsys):
+    # Jacobi is the one preconditioner and n_c the CSPE basis cap, so an
+    # old config file that sets either fails as any unknown key does
+    for key, value in (("preconditioner", "jacobi"), ("max_basis", 20)):
+        old_file = tmp_path / f"{key}.json"
+        old_file.write_text(json.dumps({key: value}))
+        assert cli_main(["run", "--cells", "6", "--config",
+                         str(old_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown config key {key!r}\n")
+
+
 def test_cfl_settings_reach_the_estimate(builtin6):
     settings = RunConfig().explicit_config()
     est = estimate_cfl(builtin6.system, pcg=settings.pcg, cfl_tol=1e-5,
@@ -151,10 +163,8 @@ def test_config_validation_errors():
     cases = [dict(integrator="leapfrog"), dict(strategy="banana"),
              dict(tol=0.0), dict(newton_tol=0.0),
              dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
-             dict(max_basis=0), dict(max_newton=0),
-             dict(preconditioner="magic"),
-             dict(model=""), dict(safety=1.5), dict(safety=0.0),
-             dict(seed=-1), dict(reestimate_every=-5)]
+             dict(max_newton=0), dict(model=""), dict(safety=1.5),
+             dict(safety=0.0), dict(seed=-1), dict(reestimate_every=-5)]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
@@ -168,8 +178,8 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("setting", [
     {"safety": 1.5}, {"seed": -1}, {"reestimate_every": -5},
-    {"max_basis": 0}, {"n_pod": 0}, {"eps_pod": 1.0}, {"safety": 0.0},
-    {"eps_pod": 0.0}, {"tol": 0.0}, {"strategy": "banana"},
+    {"implicit_dt": float("nan")}, {"n_pod": 0}, {"eps_pod": 1.0},
+    {"safety": 0.0}, {"eps_pod": 0.0}, {"tol": 0.0}, {"strategy": "banana"},
     {"newton_tol": 0.0}, {"max_newton": 0}, {"output_period": 0.0},
     {"t_end": float("nan")}, {"dt": float("nan")}, {"implicit_dt": 0.0},
     {"tol": float("inf")}, {"newton_tol": float("inf")},
@@ -197,12 +207,9 @@ def test_run_config_defaults_are_the_library_settings():
     assert RunConfig().explicit_config() == dataclasses.replace(
         library, pcg=dataclasses.replace(library.pcg, rel_tol=RunConfig.tol))
     assert RunConfig().newton_config() == NewtonConfig()
-    # both preconditioner settings, the output period of both integrators
-    # and the builtin model's parameters
+    # the output period of both integrators and the builtin model's
+    # parameters
     config = RunConfig()
-    assert config.preconditioner == library.pcg.preconditioner.value
-    assert config.preconditioner == (
-        NewtonConfig().linear_solver.preconditioner.value)
     for run in (run_explicit, run_implicit):
         period = inspect.signature(run).parameters["output_period"].default
         assert config.output_period == period
@@ -215,11 +222,9 @@ def test_run_config_defaults_are_the_library_settings():
 
 
 def test_config_solver_mappings():
-    config = RunConfig(tol=1e-5, preconditioner="none", newton_tol=1e-9,
-                       max_newton=7)
+    config = RunConfig(tol=1e-5, newton_tol=1e-9, max_newton=7)
     pcg = config.explicit_config().pcg
     assert pcg.rel_tol == 1e-5
-    assert pcg.preconditioner.value == "none"
     newton = config.newton_config()
     assert newton.tol == 1e-9
     assert newton.max_newton == 7
@@ -446,17 +451,23 @@ def test_benchmark_metadata(bench_pair):
     meta = summaries[0].metadata
     assert meta["model"] == "builtin"
     assert meta["strategies"] == list(("previous", "cspe", "pod"))
-    assert meta["dt"] > 0
+    # the config's dt: with "auto" each run takes its own auto step
+    assert meta["dt"] == "auto"
     assert meta["tol"] == 1e-6
 
 
 def test_run_single_matches_benchmark_traces(tmp_path):
-    # both entry points map the config to run_explicit the same way
-    run_benchmark(tiny_config(dt=2e-5), tmp_path)
-    for strategy in ("previous", "cspe", "pod"):
-        result, _ = run_single(tiny_config(dt=2e-5, strategy=strategy))
-        expected = (tmp_path / f"trace_{strategy}.csv").read_bytes()
-        assert trace_bytes(result) == expected, strategy
+    # both entry points map the config to run_explicit the same way, also
+    # under dt "auto", where each run refreshes its own step
+    for dt in (2e-5, "auto"):
+        config = tiny_config(dt=dt, reestimate_every=20)
+        out = tmp_path / str(dt)
+        run_benchmark(config, out)
+        for strategy in ("previous", "cspe", "pod"):
+            result, _ = run_single(dataclasses.replace(config,
+                                                       strategy=strategy))
+            expected = (out / f"trace_{strategy}.csv").read_bytes()
+            assert trace_bytes(result) == expected, (dt, strategy)
 
 
 def test_benchmark_strategy_rows_ignore_the_config_integrator(tmp_path):

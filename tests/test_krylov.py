@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
-                     NonFiniteError, PcgConfig, Preconditioner, pcg_solve)
+                     NonFiniteError, PcgConfig, build_preconditioner,
+                     pcg_solve)
 from mqsolve.krylov import _stopping_target
 
 
@@ -30,13 +31,18 @@ def test_diagonal_system_exact():
     assert np.allclose(x, np.ones(3), rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", [Preconditioner.NONE, Preconditioner.JACOBI])
-def test_random_spd_all_preconditioners(rng, make_spd, kind):
+# plain CG, or the Jacobi preconditioner every solver caller passes
+PRECONDITIONERS = pytest.mark.parametrize(
+    "build", [lambda a: None, build_preconditioner], ids=["none", "jacobi"])
+
+
+@PRECONDITIONERS
+def test_random_spd_all_preconditioners(rng, make_spd, build):
     dense = make_spd(rng, 30, lo=0.5, hi=50.0)
     a = CsrMatrix.from_dense(dense)
     b = rng.standard_normal(30)
-    config = PcgConfig(rel_tol=1e-10, max_iter=200, preconditioner=kind)
-    x, report = pcg_solve(a, b, config=config)
+    config = PcgConfig(rel_tol=1e-10, max_iter=200)
+    x, report = pcg_solve(a, b, config=config, preconditioner=build(a))
     assert report.converged
     true_rel = np.linalg.norm(dense @ x - b) / np.linalg.norm(b)
     assert true_rel <= 1e-8
@@ -50,8 +56,7 @@ def test_singular_consistent_system_matches_pseudoinverse():
                       [0.0, 0.0, -1.0, 1.0]])
     b = np.array([1.0, -0.5, 0.25, -0.75])
     assert abs(b.sum()) < 1e-15
-    config = PcgConfig(rel_tol=1e-12, max_iter=100,
-                       preconditioner=Preconditioner.NONE)
+    config = PcgConfig(rel_tol=1e-12, max_iter=100)
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, x0=np.zeros(4),
                           config=config)
     assert report.converged
@@ -65,7 +70,7 @@ def test_exact_start_vector_short_circuits(counting_operator):
     b = np.array([4.0, 9.0])
     x0 = np.array([2.0, 3.0])
     x, report = pcg_solve(op, b, x0=x0,
-                          config=PcgConfig(preconditioner=Preconditioner.NONE))
+                          config=PcgConfig())
     assert report.iterations == 0
     assert report.converged
     # the start-vector residual check costs exactly one application
@@ -76,7 +81,7 @@ def test_exact_start_vector_short_circuits(counting_operator):
 def test_zero_rhs_without_start_vector_is_free(counting_operator):
     op = counting_operator(np.eye(3))
     x, report = pcg_solve(op, np.zeros(3),
-                          config=PcgConfig(preconditioner=Preconditioner.NONE))
+                          config=PcgConfig())
     assert report.iterations == 0
     assert report.converged
     assert report.final_rel_residual == 0.0
@@ -90,15 +95,14 @@ def test_iteration_count_equals_operator_applications(rng, make_spd,
     op = counting_operator(dense)
     b = rng.standard_normal(12)
     x, report = pcg_solve(op, b, x0=rng.standard_normal(12),
-                          config=PcgConfig(rel_tol=1e-10, max_iter=100,
-                                           preconditioner=Preconditioner.NONE))
+                          config=PcgConfig(rel_tol=1e-10, max_iter=100))
     assert report.converged
     # one application for the initial residual, one per iteration
     assert op.count == report.iterations + 1
 
 
-@pytest.mark.parametrize("kind", [Preconditioner.NONE, Preconditioner.JACOBI])
-def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, kind):
+@PRECONDITIONERS
+def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, build):
     # path-graph Laplacian: singular, nullspace = constants
     n = 30
     dense = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -107,11 +111,13 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, kind):
     b = dense @ rng.standard_normal(n)
     b_norm = np.linalg.norm(b)
     constant = np.full(n, 1.0 / math.sqrt(n))
-    config = PcgConfig(rel_tol=1e-12, max_iter=500, preconditioner=kind)
+    config = PcgConfig(rel_tol=1e-12, max_iter=500)
+    preconditioner = build(a)
     # a nullspace component above rel_tol, of the size rounding leaves in
     # a right-hand side formed with cancellation: CG solves the consistent
     # part, up to a constant
-    x, report = pcg_solve(a, b + 1e-10 * b_norm * constant, config=config)
+    x, report = pcg_solve(a, b + 1e-10 * b_norm * constant, config=config,
+                          preconditioner=preconditioner)
     assert report.converged
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * b_norm
     expected = np.linalg.pinv(dense) @ b
@@ -119,14 +125,14 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, kind):
     with pytest.raises(IndefiniteOperatorError,
                        match="inconsistent right-hand side: a nullspace "
                              "component of 1.000e-06 "):
-        pcg_solve(a, b + 1e-6 * b_norm * constant, config=config)
+        pcg_solve(a, b + 1e-6 * b_norm * constant, config=config,
+                  preconditioner=preconditioner)
 
 
 def test_budget_exhaustion_reports_failure(rng, make_spd):
     dense = make_spd(rng, 40, lo=1e-3, hi=1e3)
     b = rng.standard_normal(40)
-    config = PcgConfig(rel_tol=1e-14, max_iter=3,
-                       preconditioner=Preconditioner.NONE)
+    config = PcgConfig(rel_tol=1e-14, max_iter=3)
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
     assert not report.converged
     assert report.iterations == 3
@@ -137,7 +143,7 @@ def test_indefinite_operator_raises():
     a = CsrMatrix.from_diagonal(np.array([1.0, -1.0]))
     with pytest.raises(IndefiniteOperatorError):
         pcg_solve(a, np.array([1.0, 1.0]),
-                  config=PcgConfig(preconditioner=Preconditioner.NONE))
+                  config=PcgConfig())
 
 
 def test_jacobi_apply_hand_example():
@@ -169,8 +175,7 @@ def test_error_norm_decreases_monotonically(rng, make_spd):
 
     errors = []
     for k in range(1, 9):
-        config = PcgConfig(rel_tol=1e-15, max_iter=k,
-                           preconditioner=Preconditioner.NONE)
+        config = PcgConfig(rel_tol=1e-15, max_iter=k)
         xk, _ = pcg_solve(a, b, x0=np.zeros(15), config=config)
         errors.append(a_norm_error(xk))
     diffs = np.diff(errors)
@@ -188,8 +193,7 @@ def test_config_validation():
 
 def test_the_smallest_rel_tol_stops_at_the_absolute_target_alone(
         rng, make_spd):
-    config = PcgConfig(rel_tol=1e-3, abs_tol=1e-2, max_iter=300,
-                       preconditioner=Preconditioner.JACOBI)
+    config = PcgConfig(rel_tol=1e-3, abs_tol=1e-2, max_iter=300)
     assert _stopping_target(config, 1.0) == 1e-2
     assert _stopping_target(config, 1e3) == 1.0
     # the configuration a cached-residual solve hands to pcg_solve
@@ -197,20 +201,28 @@ def test_the_smallest_rel_tol_stops_at_the_absolute_target_alone(
                                    abs_tol=1e-7)
     for b_norm in (0.0, 1e-3, 1.0, 1e12):
         assert _stopping_target(absolute, b_norm) == 1e-7
-    dense = make_spd(rng, 30, lo=0.5, hi=50.0)
+    a = CsrMatrix.from_dense(make_spd(rng, 30, lo=0.5, hi=50.0))
+    jacobi = build_preconditioner(a)
     b = 1e3 * rng.standard_normal(30)
-    x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=absolute)
+    x, report = pcg_solve(a, b, config=absolute, preconditioner=jacobi)
     assert report.converged
     assert report.final_rel_residual * np.linalg.norm(b) <= 1e-7
     # the config's own rule, max(1e-3 * ||b||, 1e-2), stops earlier
-    _, relative = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
+    _, relative = pcg_solve(a, b, config=config, preconditioner=jacobi)
     assert relative.iterations < report.iterations
 
 
-def test_callable_operator_needs_explicit_preconditioner():
-    config = PcgConfig(preconditioner=Preconditioner.JACOBI)
-    with pytest.raises(ValueError):
-        pcg_solve(lambda x: x, np.ones(2), config=config)
+def test_callable_operator_needs_explicit_preconditioner(rng, make_spd):
+    # a solve is preconditioned only by a preconditioner passed to it:
+    # without one, a matrix and a callable operator both take plain CG
+    dense = make_spd(rng, 20, lo=0.5, hi=80.0)
+    a = CsrMatrix.from_dense(dense)
+    b = rng.standard_normal(20)
+    config = PcgConfig(rel_tol=1e-10)
+    plain, plain_report = pcg_solve(a, b, config=config)
+    x, report = pcg_solve(lambda v: a @ v, b, config=config)
+    assert report == plain_report
+    assert np.array_equal(x, plain)
     # supplying the preconditioner object directly works
     x, report = pcg_solve(lambda x: 2.0 * x, np.array([2.0, 4.0]),
                           config=config,
@@ -222,8 +234,8 @@ def test_callable_operator_needs_explicit_preconditioner():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
        rank_deficit=st.integers(1, 3),
-       kind=st.sampled_from([Preconditioner.NONE, Preconditioner.JACOBI]))
-def test_consistent_singular_systems_converge(seed, n, rank_deficit, kind):
+       jacobi=st.booleans())
+def test_consistent_singular_systems_converge(seed, n, rank_deficit, jacobi):
     rng = np.random.default_rng(seed)
     rank = max(n - rank_deficit, 1)
     basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rank]
@@ -231,8 +243,10 @@ def test_consistent_singular_systems_converge(seed, n, rank_deficit, kind):
     dense = 0.5 * (dense + dense.T)
     # a right-hand side in the range of the matrix
     b = dense @ rng.standard_normal(n)
-    config = PcgConfig(rel_tol=1e-10, max_iter=20 * n, preconditioner=kind)
-    x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
+    a = CsrMatrix.from_dense(dense)
+    config = PcgConfig(rel_tol=1e-10, max_iter=20 * n)
+    x, report = pcg_solve(a, b, config=config, preconditioner=(
+        build_preconditioner(a) if jacobi else None))
     assert report.converged
     assert np.linalg.norm(dense @ x - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -361,9 +375,10 @@ def test_a_preconditioner_is_used_only_through_apply(rng, make_spd):
     a = CsrMatrix.from_dense(dense)
     b = rng.standard_normal(20)
     x0 = rng.standard_normal(20)
-    config = PcgConfig(rel_tol=1e-10, preconditioner=Preconditioner.JACOBI)
+    config = PcgConfig(rel_tol=1e-10)
     jacobi = JacobiPreconditioner(a.diagonal())
-    expected, expected_report = pcg_solve(a, b, x0=x0, config=config)
+    expected, expected_report = pcg_solve(a, b, x0=x0, config=config,
+                                          preconditioner=jacobi)
     x, report = pcg_solve(lambda v: a @ v, b, x0=x0, config=config,
                           preconditioner=SimpleNamespace(apply=jacobi.apply))
     assert report.iterations > 1

@@ -15,16 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, PartitionedSystem,
-                     PcgConfig, Preconditioner, RhsFamily,
-                     ScaledPatternSource, SchurOperator, StepFailureError,
-                     StrategyConfig, estimate_cfl, explicit_euler_step,
+                     PcgConfig, RhsFamily, ScaledPatternSource,
+                     SchurOperator, StepFailureError, StrategyConfig,
+                     build_preconditioner, estimate_cfl, explicit_euler_step,
                      exponential_ramp, krylov, make_strategy, pcg_solve,
                      recover_an, run_explicit, schur)
 from mqsolve.schur import TraceRecorder
 from mqsolve.sparse import spmv
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
-JACOBI = Preconditioner.JACOBI
 SRC = RhsFamily.SOURCE_CURRENT
 PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
 STRATEGIES = ("previous", "cspe", "pod")
@@ -148,22 +147,29 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
     assert np.array_equal(inner, np.zeros(n_n))
 
 
-def test_schur_operator_honours_the_pcg_preconditioner(builtin6):
+def test_schur_operator_preconditions_with_jacobi_under_any_pcg_config(
+        builtin6):
+    # a PcgConfig sets tolerances only: one built for a run keeps Jacobi
     system = builtin6.system
-    assert SchurOperator(system).config.pcg.preconditioner is JACOBI
     rhs = system.source(1e-3)
-    solutions = {}
-    for kind in Preconditioner:
-        config = PcgConfig(preconditioner=kind)
-        op = SchurOperator(system, explicit("previous", pcg=config))
-        y, _ = op.solve_kn(rhs, SRC)
-        # the strategy's first start vector is zero
-        expected, _ = pcg_solve(system.kn, rhs, x0=np.zeros(system.n_n),
-                                config=config)
-        assert np.array_equal(y, expected)
-        solutions[kind] = y
-    assert not np.array_equal(solutions[Preconditioner.NONE],
-                              solutions[JACOBI])
+    config = PcgConfig(rel_tol=1e-6)
+    y, _ = SchurOperator(system, ExplicitConfig(pcg=config)).solve_kn(rhs,
+                                                                      SRC)
+    # the strategy's first start vector is zero
+    x0 = np.zeros(system.n_n)
+    jacobi, _ = pcg_solve(system.kn, rhs, x0=x0, config=config,
+                          preconditioner=build_preconditioner(system.kn))
+    plain, _ = pcg_solve(system.kn, rhs, x0=x0, config=config)
+    assert np.array_equal(y, jacobi)
+    assert not np.array_equal(y, plain)
+
+
+def test_the_cspe_basis_cap_is_n_c(builtin6, rng, make_linear_system):
+    # the coupling solutions K_n^+ K_cn^T a_c span at most n_c directions
+    for system in (builtin6.system, make_linear_system(rng)[0]):
+        strategy = SchurOperator(system).strategy
+        for family in FAMILIES:
+            assert strategy.cache(family).max_cols == system.n_c
 
 
 def test_conductivity_block_must_be_diagonal(rng, make_linear_system):
@@ -203,7 +209,7 @@ def test_a_stalled_inner_solve_names_the_step_and_family(builtin6, strategy):
     # cspe solves from its cached residual, previous and pod by PCG from
     # their start vector; the t = 0 row's solves, which step 1 takes, have
     # zero right-hand sides, so step 2 makes the first real solve
-    one_iteration = PcgConfig(max_iter=1, preconditioner=JACOBI)
+    one_iteration = PcgConfig(max_iter=1)
     with pytest.raises(StepFailureError,
                        match=r"^inner solve \(source\) at step 2 stalled at "
                              r"relative residual \S+ after 1 iterations$"):
@@ -278,7 +284,7 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
     system, blocks = make_linear_system(rng, n_c=4, n_n=8, singular=True)
     tol = 1e-10
     t_end = 1.2e-2
-    pcg = PcgConfig(rel_tol=tol, max_iter=2000, preconditioner=JACOBI)
+    pcg = PcgConfig(rel_tol=tol, max_iter=2000)
     result = run_explicit(system, t_end=t_end, dt=1e-3,
                           config=explicit(strategy, pcg=pcg),
                           output_period=5e-3)
@@ -423,18 +429,31 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     assert 0 < calls <= 33
 
 
-def test_cspe_evictions_reach_the_aggregates(builtin6):
-    def evictions(strategy, **kwargs):
-        config = ExplicitConfig(strategy=StrategyConfig(strategy, **kwargs))
-        result = run_explicit(builtin6.system, t_end=3e-4, dt=1e-5,
-                              config=config, output_period=1e-4)
-        return result.aggregates["evictions"]
+def test_cspe_evictions_reach_the_aggregates(builtin6, rng,
+                                            make_linear_system):
+    # the basis cap is n_c = 2 columns per family; a source j = K_n v(t)
+    # whose solution v(t) turns through four directions overflows it
+    system, blocks = make_linear_system(rng, n_c=2, n_n=6)
+    directions = np.linalg.qr(rng.standard_normal((6, 4)))[0]
 
-    capped = evictions("cspe", max_cols=2)
-    assert set(capped) == {"source", "coupling_previous"}
-    assert sum(capped.values()) > 0
+    def source(t):
+        turn = 2.0 * np.pi * t
+        v = directions @ np.array([np.cos(turn), np.sin(turn),
+                                   np.cos(2.0 * turn), np.sin(2.0 * turn)])
+        return blocks["kn"] @ v
+
+    turning = dataclasses.replace(system, source=source)
+    result = run_explicit(turning, t_end=1.0, dt=1e-2, config=explicit("cspe"),
+                          output_period=0.1)
+    evictions = result.aggregates["evictions"]
+    assert evictions["source"] > 0
+    # the coupling solutions span n_c directions, which the cap holds
+    assert evictions["coupling_previous"] == 0
     for strategy in STRATEGIES:
-        assert evictions(strategy) == {"source": 0, "coupling_previous": 0}
+        result = run_explicit(builtin6.system, t_end=3e-4, dt=1e-5,
+                              config=explicit(strategy), output_period=1e-4)
+        assert result.aggregates["evictions"] == {"source": 0,
+                                                  "coupling_previous": 0}
 
 
 def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
@@ -531,8 +550,7 @@ def dense_lambda_max(op, a_c, schur_action):
 def saturated_state(system):
     """A Schur operator and the state after 300 auto steps from rest, far
     enough for the conductor to saturate."""
-    settings = explicit("cspe", pcg=PcgConfig(rel_tol=1e-10, max_iter=20000,
-                                              preconditioner=JACOBI))
+    settings = explicit("cspe", pcg=PcgConfig(rel_tol=1e-10, max_iter=20000))
     op = SchurOperator(system, settings)
     dt = settings.stable_step(schur.stability_bound(system))
     a_c = np.zeros(system.n_c)
@@ -832,18 +850,16 @@ def observe_near_floor(op, dense, range_basis, null_basis, rng):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
        deficit=st.integers(1, 2), history=st.integers(0, 5),
-       in_span=st.booleans(), near_floor=st.booleans(),
-       kind=st.sampled_from(list(Preconditioner)))
+       in_span=st.booleans(), near_floor=st.booleans())
 # a zero-iteration return from a start with a near-floor pivot
-@example(seed=0, n=12, deficit=1, history=0, in_span=True, near_floor=True,
-         kind=Preconditioner.JACOBI)
+@example(seed=0, n=12, deficit=1, history=0, in_span=True, near_floor=True)
 def test_cached_residual_solve_matches_pcg_from_the_same_start(
-        seed, n, deficit, history, in_span, near_floor, kind):
+        seed, n, deficit, history, in_span, near_floor):
     rng = np.random.default_rng(seed)
     if near_floor:
         n = max(n, deficit + 2)
     dense, range_basis = singular_spd(rng, n, deficit)
-    config = PcgConfig(rel_tol=1e-8, max_iter=10 * n, preconditioner=kind)
+    config = PcgConfig(rel_tol=1e-8, max_iter=10 * n)
     op = kn_solver(dense, config)
     if near_floor:
         null_basis = scipy.linalg.null_space(range_basis.T)
@@ -860,8 +876,9 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
     rhs = dense @ (range_basis @ coeffs)
     x0 = op.strategy.start_vector(SRC, rhs)
     image = op.strategy.start_product(SRC)
-    reference, ref_report = pcg_solve(CsrMatrix.from_dense(dense), rhs,
-                                      x0=x0, config=config)
+    kn = CsrMatrix.from_dense(dense)
+    reference, ref_report = pcg_solve(kn, rhs, x0=x0, config=config,
+                                      preconditioner=build_preconditioner(kn))
     y, report = op.solve_kn(rhs, SRC)
     assert report.converged and ref_report.converged
     assert abs(report.iterations - ref_report.iterations) <= 1
@@ -886,11 +903,15 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
 
 def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     n = 40
-    dense = np.diag(np.linspace(1.0, 100.0, n))
+    # a rotated spectrum: the solve's Jacobi preconditioner would solve a
+    # diagonal matrix in one iteration
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dense = (q * np.linspace(1.0, 100.0, n)) @ q.T
+    dense = 0.5 * (dense + dense.T)
     config = PcgConfig(rel_tol=1e-6, max_iter=500)
     op = kn_solver(dense, config)
     rhs = rng.standard_normal(n)
-    exact = rhs / np.diag(dense)
+    exact = np.linalg.solve(dense, rhs)
     # a start about 1e-3 of the way from the solution
     op.strategy.observe(SRC, exact + 1e-3 * np.linalg.norm(exact)
                         * rng.standard_normal(n) / np.sqrt(n))
@@ -904,8 +925,11 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     assert residual <= 1.01 * config.rel_tol * rhs_norm
     assert residual > config.rel_tol * r0_norm
     matrix = CsrMatrix.from_dense(dense)
-    _, from_start = pcg_solve(matrix, rhs, x0=x0, config=config)
-    _, relative_to_r0 = pcg_solve(matrix, r0, config=config)
+    jacobi = build_preconditioner(matrix)
+    _, from_start = pcg_solve(matrix, rhs, x0=x0, config=config,
+                              preconditioner=jacobi)
+    _, relative_to_r0 = pcg_solve(matrix, r0, config=config,
+                                  preconditioner=jacobi)
     assert report.iterations == from_start.iterations
     assert report.iterations < relative_to_r0.iterations
 

@@ -476,8 +476,16 @@ def test_pod_basis_size_answers_per_family(rng, make_spd):
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
     assert make_strategy(StrategyConfig("previous"), 4).kind == "previous"
-    assert isinstance(make_strategy(StrategyConfig("cspe", max_cols=7), 4,
-                                    dense.__matmul__), CspeStrategy)
+    # the CSPE cap is the caller's, the whole space by default
+    for max_cols, cap in ((3, 3), (None, 4)):
+        cspe = make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__,
+                             max_cols)
+        assert isinstance(cspe, CspeStrategy)
+        assert all(cspe.cache(family).max_cols == cap
+                   for family in RhsFamily)
+    # the cache's own range check is the one check of the cap
+    with pytest.raises(ValueError, match="max_cols"):
+        make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__, 0)
     assert isinstance(make_strategy(StrategyConfig("pod", n_pod=3), 4,
                                     dense.__matmul__), PodStrategy)
     with pytest.raises(ValueError):
@@ -490,9 +498,8 @@ def test_make_strategy_dispatch(rng, make_spd):
 
 
 @pytest.mark.parametrize("kind, setting", [("pod", dict(n_pod=0)),
-                                           ("pod", dict(eps_pod=2.0)),
-                                           ("cspe", dict(max_cols=0))],
-                         ids=["n_pod", "eps_pod", "max_cols"])
+                                           ("pod", dict(eps_pod=2.0))],
+                         ids=["n_pod", "eps_pod"])
 def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
                                                         setting):
     # before any solve, so before a run's start CFL estimate
