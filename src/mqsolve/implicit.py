@@ -247,9 +247,11 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
             delta, report = pcg_solve(jac, -f, config=lin_config,
                                       preconditioner=precond)
         except IndefiniteOperatorError as err:
+            # err names its cause: a nonpositive curvature or, as an
+            # InconsistentRhsError, a right-hand side outside the range
             raise NewtonFailureError(
-                f"inner solver lost positive curvature at Newton "
-                f"iteration {k}: {err}", history) from err
+                f"linear solve failed at Newton iteration {k}: {err}",
+                history) from err
         if not report.converged:
             raise NewtonFailureError(
                 f"linear solve stalled at Newton iteration {k} "

@@ -4,7 +4,7 @@ The solver never regularizes: on a singular matrix it relies on the right-hand
 side being consistent (in the range), in which case CG converges to one of the
 solutions. A rounding-level nullspace component of the right-hand side, left
 by cancellation when it is formed, is dropped when CG reaches it; a larger one
-raises :class:`IndefiniteOperatorError` naming the inconsistency. Iteration
+raises :class:`InconsistentRhsError` naming the inconsistency. Iteration
 counting is explicit because downstream benchmarks compare iteration budgets:
 ``iterations`` is the number of operator applications after the initial
 residual, and a start vector that already meets the tolerance reports zero
@@ -22,7 +22,7 @@ module's finiteness test (:func:`_vector`) and stopping rule
 without a call to :func:`pcg_solve`. Any other start is corrected by a solve
 from zero down to that same residual norm. An inconsistency found there is
 measured against the residual, so ``solve_kn`` restates it against its
-own right-hand side from ``IndefiniteOperatorError.component``.
+own right-hand side from ``InconsistentRhsError.component``.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
 run: :func:`pcg_solve` keeps the signature
@@ -50,12 +50,14 @@ __all__ = [
     "build_preconditioner",
     "JacobiPreconditioner",
     "IndefiniteOperatorError",
+    "InconsistentRhsError",
 ]
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """Raised when a CG search direction exposes an indefinite operator, or
-    a right-hand side holds more than a rounding-level nullspace component.
+    """Raised when a CG search direction exposes an indefinite operator, or,
+    as its subclass :class:`InconsistentRhsError`, when a right-hand side
+    holds more than a rounding-level nullspace component.
 
     In the latter case ``component`` is the norm of that component and
     ``iteration`` the iteration that found it (both None otherwise), so a
@@ -69,14 +71,20 @@ class IndefiniteOperatorError(RuntimeError):
         self.component = component
         self.iteration = iteration
 
-    @classmethod
-    def inconsistent(cls, component: float, b_norm: float, iteration: int
-                     ) -> "IndefiniteOperatorError":
+    @staticmethod
+    def inconsistent(component: float, b_norm: float, iteration: int
+                     ) -> "InconsistentRhsError":
         """The error for a nullspace component of norm *component* in a
         right-hand side of norm *b_norm*."""
-        return cls("inconsistent right-hand side: a nullspace component of "
-                   f"{_relative(component, b_norm):.3e} ||b|| at iteration "
-                   f"{iteration}", component, iteration)
+        return InconsistentRhsError(
+            "inconsistent right-hand side: a nullspace component of "
+            f"{_relative(component, b_norm):.3e} ||b|| at iteration "
+            f"{iteration}", component, iteration)
+
+
+class InconsistentRhsError(IndefiniteOperatorError):
+    """A right-hand side of a singular operator is not in its range: the
+    operator may well be semidefinite, but no solution exists."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +200,9 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     -------
     (x, SolveReport)
         ``converged=False`` with the last iterate when the budget is
-        exhausted; indefiniteness or a larger nullspace component raises
-        :class:`IndefiniteOperatorError`.
+        exhausted; indefiniteness raises :class:`IndefiniteOperatorError`
+        and a larger nullspace component its subclass
+        :class:`InconsistentRhsError`.
         *x* is a new array: neither *b* nor *x0* is written.
     """
     config = config or PcgConfig()

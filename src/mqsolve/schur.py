@@ -48,10 +48,10 @@ from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
                      build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
                      symmetric_check)
-from .startvec import (RhsFamily, StartVectorStrategy, StrategyConfig,
-                       make_strategy)
+from .startvec import RhsFamily, StrategyConfig, make_strategy
 
 __all__ = [
+    "FAMILIES",
     "PartitionedSystem",
     "ExplicitConfig",
     "ScaledPatternSource",
@@ -74,6 +74,9 @@ FAMILIES = tuple(RhsFamily)
 # seconds between the output rows of either integrator, by default
 OUTPUT_PERIOD = 1e-3
 
+# steps an explicit run may take before it fails
+MAX_STEPS = 2_000_000
+
 
 class StepFailureError(RuntimeError):
     """A time step produced a non-finite state or an inner solve failed."""
@@ -83,15 +86,14 @@ class StepFailureError(RuntimeError):
 class ExplicitConfig:
     """Settings of the explicit run: start vectors, inner solves (PCG,
     always Jacobi-preconditioned, to ``pcg``'s tolerances; ``pcg.rel_tol``
-    is also the CSPE drop tolerance), the auto step's safety factor,
-    auto-dt refresh period (0: none) and step budget. A bad value raises
-    ValueError naming the field first."""
+    is also the CSPE drop tolerance), the auto step's safety factor and
+    auto-dt refresh period (0: none). A bad value raises ValueError naming
+    the field first. The step budget is ``MAX_STEPS``, not a setting."""
 
     strategy: StrategyConfig = StrategyConfig()
     pcg: PcgConfig = PcgConfig()
     safety: float = 0.9
     reestimate_every: int = 500
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
@@ -221,9 +223,10 @@ class SchurOperator:
 
     Inner pseudo-inverse actions are Jacobi-preconditioned CG solves on the
     singular nonconducting block to the tolerances of ``config.pcg`` (None:
-    the default ``ExplicitConfig``), seeded per right-hand-side family by
-    the strategy ``config.strategy`` names, or by a built *strategy*. A
-    CSPE strategy built here keeps at most n_c basis columns per family,
+    the default ``ExplicitConfig``). Each right-hand-side family is seeded
+    by a strategy object of its own, ``strategies[family]``: the one
+    ``config.strategy`` names, or the built *strategies* (a dict over
+    FAMILIES). A CSPE strategy built here keeps at most n_c basis columns,
     the most directions the coupling solutions span. Per-solve iteration counts
     (``solve_iterations``, one list per family), solver wall time and the
     K_n products of the solves are accumulated for benchmarking. The
@@ -236,7 +239,7 @@ class SchurOperator:
 
     def __init__(self, system: PartitionedSystem,
                  config: ExplicitConfig | None = None,
-                 strategy: StartVectorStrategy | None = None):
+                 strategies: dict | None = None):
         self.system = system
         self.config = config = config or ExplicitConfig()
         self._kn_apply = partial(_matvec, system.kn)
@@ -245,9 +248,10 @@ class SchurOperator:
         # directions, so a CSPE basis of n_c columns per family holds them
         # all; basis increments smaller than the inner solve tolerance are
         # solver noise, and accepting them churns the capped basis
-        self.strategy = strategy or make_strategy(
-            config.strategy, system.n_n, self._kn_apply, system.n_c,
-            config.pcg.rel_tol)
+        self.strategies = strategies or {
+            f: make_strategy(config.strategy, system.n_n, self._kn_apply,
+                             system.n_c, config.pcg.rel_tol)
+            for f in FAMILIES}
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.kn_applies = {"pcg": 0, "initial": 0}
@@ -259,23 +263,26 @@ class SchurOperator:
         """K_n^+ rhs by PCG: the one solve behind every inner action of the
         run.
 
-        The start vector comes from the strategy, and the solution and
-        iteration count go back to it and to the *family* log. When the
-        strategy knows the start vector's K_n image (``start_product``), the
-        solve takes the initial residual r0 = rhs - image from it, under
-        ``pcg_solve``'s finiteness test (``_vector``) and stopping rule
-        (``_stopping_target``), without calling ``pcg_solve``: this is the
-        path of almost every CSPE solve. A start that meets the rule is
-        returned itself, with zero iterations and its true residual, and is
-        not handed back to the strategy, whose history already spans it. Any
-        other start is corrected by ``_correct``.
+        The start vector comes from the *family*'s strategy, and the
+        solution and iteration count go back to it and to the family's log.
+        When the strategy knows the start vector's K_n image
+        (``start_product``), the solve takes the initial residual
+        r0 = rhs - image from it, under ``pcg_solve``'s finiteness test
+        (``_vector``) and stopping rule (``_stopping_target``), without
+        calling ``pcg_solve``: this is the path of almost every CSPE solve.
+        A start that meets the rule is returned itself, with zero iterations
+        and its true residual, and is not handed back to the strategy, whose
+        history already spans it. Any other start is corrected by
+        ``_correct``.
         A failure names the solve by *family* and *step*; an
-        IndefiniteOperatorError from PCG keeps its class.
+        IndefiniteOperatorError from PCG keeps its class, so an
+        InconsistentRhsError stays one.
         """
         started = time.perf_counter()
+        strategy = self.strategies[family]
         try:
-            x0 = self.strategy.start_vector(family, rhs)
-            image = self.strategy.start_product(family)
+            x0 = strategy.start_vector(rhs)
+            image = strategy.start_product()
             if image is None:
                 y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
                                       config=self.config.pcg,
@@ -294,9 +301,8 @@ class SchurOperator:
                     y, report = self._correct(x0, r0, r0_norm, rhs_norm,
                                               target)
         except IndefiniteOperatorError as err:
-            raise IndefiniteOperatorError(
-                f"{_solve_name(family, step)}: {err}", err.component,
-                err.iteration) from err
+            raise type(err)(f"{_solve_name(family, step)}: {err}",
+                            err.component, err.iteration) from err
         except ValueError as err:
             # pcg_solve, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
@@ -318,7 +324,7 @@ class SchurOperator:
         else:
             self.cached_residuals += 1
         if y is not x0:
-            self.strategy.observe(family, y)
+            strategy.observe(y)
         self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
@@ -574,10 +580,12 @@ class TraceRecorder:
 
     Both integrators log every count once and hand the logs over here:
     ``iterations`` maps each family in FAMILIES to its per-solve PCG
-    iterations, ``projections`` holds one ``(k, info)`` entry per POD
-    projection. A row reports what was logged since the previous row: the
-    mean iterations per solve of each family, the largest k and the smallest
-    kept information (0 and 1.0 without a projection).
+    iterations, and ``projections`` holds one log per family of
+    ``(k, info)`` entries, one per POD projection. A row reports what was
+    logged since the previous row: the mean iterations per solve of each
+    family, and over the projections of both families the largest k and the
+    smallest kept information (0 and 1.0 without a projection), which do
+    not depend on the order of the logs.
     """
 
     def __init__(self, t_end: float, output_period: float, probe,
@@ -591,7 +599,7 @@ class TraceRecorder:
         self._next_output = output_period
         # log lengths at the previous row
         self._seen = {f: 0 for f in FAMILIES}
-        self._seen_projections = 0
+        self._seen_projections = [0] * len(projections)
         self.rows = {name: [] for name in ("t", "b", "src", "prev", "basis",
                                            "k", "info")}
 
@@ -611,8 +619,10 @@ class TraceRecorder:
             log = self.iterations[family]
             rows[name].append(_mean(log[self._seen[family]:]))
             self._seen[family] = len(log)
-        window = self.projections[self._seen_projections:]
-        self._seen_projections = len(self.projections)
+        window = [entry for log, seen in zip(self.projections,
+                                             self._seen_projections)
+                  for entry in log[seen:]]
+        self._seen_projections = [len(log) for log in self.projections]
         rows["basis"].append(basis_cols)
         rows["k"].append(max((k for k, _ in window), default=0))
         # a truncation keeps at most all of the information
@@ -630,8 +640,8 @@ class TraceRecorder:
             "iterations": {f.value: int(sum(logs[f])) for f in FAMILIES},
             "mean_iterations": {f.value: _mean(logs[f]) for f in FAMILIES},
             "max_basis_cols": max(rows["basis"], default=0),
-            "min_pod_info": min([1.0] + [info for k, info in self.projections
-                                         if k]),
+            "min_pod_info": min([1.0] + [info for log in self.projections
+                                         for k, info in log if k]),
         }
         return TransientResult(
             times=np.asarray(rows["t"]), probe_b=np.asarray(rows["b"]),
@@ -661,13 +671,14 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
 
     Raises ValueError first on a bad run argument (``check_run_arguments``),
     and StepFailureError on divergence, a non-finite source, a stalled
-    inner solve or more than ``config.max_steps`` steps, naming the step.
+    inner solve or more than ``MAX_STEPS`` steps, naming the step.
     """
     check_run_arguments(t_end, dt, output_period)
     wall_start = time.perf_counter()
     op = SchurOperator(system, config)
+    strategies = op.strategies.values()
     trace = TraceRecorder(t_end, output_period, probe, op.solve_iterations,
-                          op.strategy.projections)
+                          [s.projections for s in strategies])
     auto = isinstance(dt, str)
     if auto:
         bound = stability_bound(system)
@@ -676,13 +687,12 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         dt_val = float(dt)
         bound = None
     refresh_every = op.config.reestimate_every if auto else 0
-    max_steps = op.config.max_steps
 
     a_c = np.zeros(system.n_c)
     t = 0.0
     # each output row makes the solves of the step after it
     a_n, solutions = recover_an(op, a_c, t, step=0)
-    trace.row(t, a_c, a_n, op.strategy.basis_size())
+    trace.row(t, a_c, a_n, max(s.size for s in strategies))
     steps = 0
     cfl_history = []
     while trace.running(t):
@@ -700,23 +710,25 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         solutions = None
         t += step_dt
         steps += 1
-        if steps > max_steps:
-            raise StepFailureError(f"step budget exceeded ({max_steps})")
+        if steps > MAX_STEPS:
+            raise StepFailureError(f"step budget exceeded ({MAX_STEPS})")
         if trace.due(t):
             a_n, solutions = recover_an(op, a_c, t, step=steps)
-            trace.row(t, a_c, a_n, op.strategy.basis_size())
+            trace.row(t, a_c, a_n, max(s.size for s in strategies))
 
-    kn_applies = op.kn_applies | {"upkeep": op.strategy.maintenance_applies}
+    upkeep = sum(s.products_computed for s in strategies)
+    kn_applies = op.kn_applies | {"upkeep": upkeep}
     return trace.result(a_c, a_n, {
         "integrator": "explicit",
-        "strategy": op.strategy.kind,
+        "strategy": op.config.strategy.kind,
         "steps": steps,
         "dt": dt_val,
         "stability_bound": bound,
         "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
-        "maintenance_applies": op.strategy.maintenance_applies,
-        "evictions": {f.value: op.strategy.evictions(f) for f in FAMILIES},
+        "maintenance_applies": upkeep,
+        "evictions": {f.value: s.evictions
+                      for f, s in op.strategies.items()},
         "kn_applies": kn_applies,
         "cached_residuals": op.cached_residuals,
         "operator_applies": sum(kn_applies.values()),

@@ -1,23 +1,24 @@
 """Start-vector generation for sequences of related linear solves.
 
 A transient run solves the same singular operator against two slowly
-varying right-hand-side families. A strategy builds the history of each
-family when it is constructed and produces a start vector by Galerkin
-projection onto a subspace built from that family's previous solutions:
+varying right-hand-side families. Each family has a strategy object of its
+own, which holds that family's history and produces the start vector of its
+next solve by Galerkin projection onto a subspace built from the family's
+previous solutions; mixing histories would poison the projections.
+:func:`make_strategy` builds one family's object:
 
 * ``previous``: reuse the last solution (zero before the first) unchanged.
-* ``cspe``: keep an orthonormal basis of past solutions; every accepted basis
-  column costs exactly one fresh operator application, and all previously
-  cached operator products and Galerkin entries are reused bit-identically
-  (the cascade property). The start vector and its operator image both
-  come from cached products, so a solve needs no operator application for
-  its initial residual (``start_product``).
+* ``cspe`` (:class:`SubspaceCache`): keep an orthonormal basis of past
+  solutions; every accepted basis column costs exactly one fresh operator
+  application, and all previously cached operator products and Galerkin
+  entries are reused bit-identically (the cascade property). The start
+  vector and its operator image both come from cached products, so a solve
+  needs no operator application for its initial residual
+  (``start_product``).
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
   truncated orthogonal basis per solve via the method of snapshots
   (``pod_start_vector``), paying one operator application per retained
   mode each time.
-
-Families never share state; mixing histories would poison the projections.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "pod_start_vector",
     "StartVectorStrategy",
     "PreviousSolutionStrategy",
-    "CspeStrategy",
     "PodStrategy",
     "make_strategy",
 ]
@@ -106,8 +106,41 @@ def _solve_spd(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(low.T, y, lower=False)
 
 
-class SubspaceCache:
-    """Orthonormal solution history with cached operator products.
+class StartVectorStrategy:
+    """Produces the start vectors of one right-hand-side family and absorbs
+    its solutions.
+
+    Subclasses define ``start_vector(rhs)``, the start of the family's next
+    solve, and ``observe(solution)``, which takes its converged solution. A
+    subclass builds its history in its constructor, not at the first solve.
+    ``start_product()`` is the operator image of the last start vector when
+    the strategy knows it without an operator application, else None.
+    ``size`` is the size of the basis (for POD, the modes its latest
+    projection kept). ``products_computed`` counts operator applications
+    spent on history upkeep (outside any Krylov iteration), the quantity
+    benchmarks charge to the start-vector method itself, and ``evictions``
+    the basis columns a capped history dropped to make room.
+    ``projections`` logs one ``(k, info)`` entry per truncated projection;
+    only POD truncates.
+    """
+
+    kind: str
+    size = 0
+    products_computed = 0
+    evictions = 0
+    projections: tuple | list = ()
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+
+    def start_product(self) -> np.ndarray | None:
+        return None
+
+
+class SubspaceCache(StartVectorStrategy):
+    """Orthonormal solution history with cached operator products: the CSPE
+    strategy of one family, whose ``start_vector`` is ``project`` and whose
+    ``observe`` calls ``insert``.
 
     The operator is bound at construction: cached products are only valid
     against a fixed operator, so rebinding is deliberately impossible.
@@ -121,11 +154,13 @@ class SubspaceCache:
     inserts are dropped as solver noise, so most projections reuse them.
     """
 
+    kind = "cspe"
+
     def __init__(self, dim: int, operator, max_cols: int,
                  drop_tol: float = 1e-10):
         if max_cols < 1:
             raise ValueError("max_cols must be at least 1")
-        self.dim = int(dim)
+        super().__init__(dim)
         self.max_cols = int(max_cols)
         self.drop_tol = float(drop_tol)
         self._operator = operator
@@ -252,6 +287,12 @@ class SubspaceCache:
         aw, coeffs = self._start
         return aw.dot(coeffs)
 
+    start_vector = project
+
+    def observe(self, solution) -> None:
+        # through the attribute, so a wrapper of the class's insert sees it
+        self.insert(solution)
+
 
 def pod_start_vector(snapshots, rhs, operator, eps_pod: float
                      ) -> tuple[np.ndarray, int, float, int]:
@@ -300,101 +341,28 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
     return np.zeros(dim), 0, 0.0, applications
 
 
-# -- per-family strategy objects -------------------------------------------
-
-
-class StartVectorStrategy:
-    """Produces start vectors per right-hand-side family and absorbs solutions.
-
-    Subclasses define ``start_vector(family, rhs)``, the start of the next
-    solve of a family, and ``observe(family, solution)``, which takes its
-    converged solution. A subclass builds the history of every family in
-    its constructor, not at the first solve.
-    ``basis_size(family)`` is the size of a family's basis (for POD, the
-    modes its latest projection kept) and ``basis_size()`` the largest
-    over the families. ``start_product(family)`` is the operator image of
-    the family's last start vector when the strategy knows it without an
-    operator application, else None. ``maintenance_applies`` counts
-    operator applications spent on history upkeep (outside any Krylov
-    iteration), the quantity benchmarks charge to the start-vector method
-    itself, and ``evictions(family)`` the basis columns a capped history
-    dropped to make room. ``projections`` logs one ``(k, info)`` entry per
-    truncated projection; only POD truncates.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-        self.projections: list[tuple[int, float]] = []
-
-    def start_product(self, family: RhsFamily) -> np.ndarray | None:
-        return None
-
-    def basis_size(self, family: RhsFamily | None = None) -> int:
-        return 0
-
-    def evictions(self, family: RhsFamily) -> int:
-        return 0
-
-    @property
-    def maintenance_applies(self) -> int:
-        return 0
+# -- the other strategies ---------------------------------------------------
 
 
 class PreviousSolutionStrategy(StartVectorStrategy):
-    """Start from the last converged solution of the same family."""
+    """Start from the family's last converged solution."""
 
     kind = "previous"
 
     def __init__(self, dim: int):
         super().__init__(dim)
-        self._last = {family: np.zeros(self.dim) for family in RhsFamily}
+        self._last = np.zeros(self.dim)
 
-    def start_vector(self, family, rhs):
-        return self._last[family].copy()
+    def start_vector(self, rhs):
+        return self._last.copy()
 
-    def observe(self, family, solution):
-        self._last[family] = np.asarray(solution, dtype=np.float64).copy()
-
-
-class CspeStrategy(StartVectorStrategy):
-    """Cascaded subspace projection with one cache per family."""
-
-    kind = "cspe"
-
-    def __init__(self, dim: int, operator, max_cols: int, drop_tol: float):
-        super().__init__(dim)
-        self._caches = {family: SubspaceCache(dim, operator, max_cols,
-                                              drop_tol)
-                        for family in RhsFamily}
-
-    def cache(self, family: RhsFamily) -> SubspaceCache:
-        return self._caches[family]
-
-    def start_vector(self, family, rhs):
-        return self._caches[family].project(rhs)
-
-    def start_product(self, family):
-        return self._caches[family].start_product()
-
-    def observe(self, family, solution):
-        self._caches[family].insert(solution)
-
-    def basis_size(self, family=None):
-        if family is not None:
-            return self._caches[family].size
-        return max(c.size for c in self._caches.values())
-
-    def evictions(self, family):
-        return self._caches[family].evictions
-
-    @property
-    def maintenance_applies(self) -> int:
-        return sum(c.products_computed for c in self._caches.values())
+    def observe(self, solution):
+        self._last = np.asarray(solution, dtype=np.float64).copy()
 
 
 class PodStrategy(StartVectorStrategy):
-    """Snapshot POD projection, one ring of the last ``n_pod`` solutions per
-    family, basis rebuilt per solve."""
+    """Snapshot POD projection on a ring of the family's last ``n_pod``
+    solutions, basis rebuilt per solve."""
 
     kind = "pod"
 
@@ -402,53 +370,38 @@ class PodStrategy(StartVectorStrategy):
         super().__init__(dim)
         self._operator = operator
         self.eps_pod = float(eps_pod)
-        self._snapshots = {family: deque(maxlen=int(n_pod))
-                           for family in RhsFamily}
-        # modes kept by each family's latest projection
-        self._modes = {family: 0 for family in RhsFamily}
-        self._applies = 0
+        self._snapshots = deque(maxlen=int(n_pod))
+        self.projections = []
 
-    def start_vector(self, family, rhs):
-        snapshots = self._snapshots[family]
-        if not snapshots:
+    def start_vector(self, rhs):
+        if not self._snapshots:
             return np.zeros(self.dim)
-        x0, k, info, applies = pod_start_vector(snapshots, rhs,
+        x0, k, info, applies = pod_start_vector(self._snapshots, rhs,
                                                 self._operator, self.eps_pod)
-        self._applies += applies
-        self._modes[family] = k
+        self.products_computed += applies
+        self.size = k
         self.projections.append((k, info))
         return x0
 
-    def observe(self, family, solution):
+    def observe(self, solution):
         v = np.asarray(solution, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"snapshot has shape {v.shape}, "
                              f"expected ({self.dim},)")
-        self._snapshots[family].append(v.copy())
-
-    def basis_size(self, family=None):
-        """Modes kept by the family's latest projection, or the largest
-        such count over both families."""
-        if family is not None:
-            return self._modes[family]
-        return max(self._modes.values())
-
-    @property
-    def maintenance_applies(self) -> int:
-        return self._applies
+        self._snapshots.append(v.copy())
 
 
 def make_strategy(config: StrategyConfig, dim: int, operator=None,
                   max_cols: int | None = None,
                   drop_tol: float = 1e-10) -> StartVectorStrategy:
-    """The strategy *config* names. CSPE keeps at most *max_cols* basis
-    columns per family (None: *dim*, which no basis exceeds) and drops
-    increments below *drop_tol*."""
+    """One family's strategy of the kind *config* names. CSPE keeps at most
+    *max_cols* basis columns (None: *dim*, which no basis exceeds) and
+    drops increments below *drop_tol*."""
     if config.kind == "previous":
         return PreviousSolutionStrategy(dim)
     if operator is None:
         raise ValueError(f"strategy {config.kind!r} needs the system operator")
     if config.kind == "cspe":
-        return CspeStrategy(dim, operator,
-                            dim if max_cols is None else max_cols, drop_tol)
+        return SubspaceCache(dim, operator,
+                             dim if max_cols is None else max_cols, drop_tol)
     return PodStrategy(dim, operator, config.n_pod, config.eps_pod)

@@ -12,7 +12,7 @@ import scipy.integrate
 import scipy.linalg
 
 from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
-                     PcgConfig, RhsFamily, SchurOperator,
+                     PcgConfig, SchurOperator,
                      StrategyConfig, SubspaceCache, builtin_model,
                      estimate_cfl, explicit_euler_step, gradient_incidence,
                      implicit_euler_step, make_strategy, pcg_solve,
@@ -85,7 +85,6 @@ def test_criterion_2_pcg_iteration_ordering(benchmark_runs):
 
 
 def test_criterion_3_galerkin_exactness_trials(rng):
-    family = RhsFamily.SOURCE_CURRENT
     trials = 100
     passed = {"cspe": 0, "pod": 0}
     for _ in range(trials):
@@ -101,8 +100,8 @@ def test_criterion_3_galerkin_exactness_trials(rng):
             strategy = make_strategy(StrategyConfig(kind), n,
                                      operator=lambda v: dense @ v)
             for column in history.T:
-                strategy.observe(family, column)
-            x0 = strategy.start_vector(family, rhs)
+                strategy.observe(column)
+            x0 = strategy.start_vector(rhs)
             _, report = pcg_solve(matrix, rhs, x0=x0, config=config)
             passed[kind] += report.iterations == 0
     print(f"zero-iteration starts: cspe {passed['cspe']}/{trials}, "
@@ -212,27 +211,33 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
     system = builtin6.system
     kn = system.kn.to_scipy()
     counter = counting_operator(lambda v: kn @ v)
-    strategy = make_strategy(StrategyConfig("cspe"), system.n_n,
-                             operator=counter)
+    strategies = {family: make_strategy(StrategyConfig("cspe"), system.n_n,
+                                        operator=counter)
+                  for family in FAMILIES}
     solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
-    op = SchurOperator(system, ExplicitConfig(pcg=solve), strategy)
+    op = SchurOperator(system, ExplicitConfig(pcg=solve), strategies)
     a_c = np.zeros(system.n_c)
     t = 0.0
+
+    def columns():
+        return max(strategy.size for strategy in strategies.values())
     for step in range(12):
         count_before = counter.count
-        cols_before = strategy.basis_size()
+        cols_before = columns()
         a_c = explicit_euler_step((a_c, t), 2e-5, op, step_index=step)
         t += 2e-5
         new_products = counter.count - count_before
         assert new_products <= 2  # two families solve per step
-        assert strategy.basis_size() - cols_before <= new_products
-    assert counter.count == strategy.maintenance_applies
-    sizes = {family.value: strategy.basis_size(family) for family in FAMILIES}
+        assert columns() - cols_before <= new_products
+    assert counter.count == sum(strategy.products_computed
+                                for strategy in strategies.values())
+    sizes = {family.value: strategy.size
+             for family, strategy in strategies.items()}
     assert all(size <= 20 for size in sizes.values())
 
     # full benchmark run never exceeds the cap
     aggregates = benchmark_runs["cspe"].aggregates
-    print(f"products {counter.count} for {strategy.basis_size()} columns "
+    print(f"products {counter.count} for {columns()} columns "
           f"over 12 steps {sizes}; benchmark max basis "
           f"{aggregates['max_basis_cols']} (<= 20)")
     assert aggregates["max_basis_cols"] <= 20

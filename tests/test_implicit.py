@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqsolve import (CsrMatrix, MonolithicJacobian, NewtonConfig,
-                     NewtonFailureError, PartitionedSystem, PcgConfig,
-                     implicit, implicit_euler_step, run_implicit)
+from mqsolve import (CsrMatrix, InconsistentRhsError, MonolithicJacobian,
+                     NewtonConfig, NewtonFailureError, PartitionedSystem,
+                     PcgConfig, implicit, implicit_euler_step, run_implicit)
 from mqsolve.bench import RunConfig, run_single
 
 TIGHT = NewtonConfig(tol=1e-10,
@@ -311,6 +311,27 @@ def test_singular_block_keeps_algebraic_row_consistent(rng,
     residual = (blocks["kcn"].T @ result.final_a_c
                 + blocks["kn"] @ result.final_a_n - j)
     assert np.linalg.norm(residual) <= 1e-7 * np.linalg.norm(j)
+
+
+def test_an_inconsistent_source_is_named_as_such(rng, make_linear_system):
+    # the singular system's null vector (0, g) is also a null vector of the
+    # Newton matrix; a source with a component along g has no solution
+    system, blocks = make_linear_system(rng, n_c=4, n_n=8, singular=True)
+    g = blocks["nullvec"]
+    source = system.source
+
+    def inconsistent(t):
+        j = source(t)
+        return j + 1e-2 * np.linalg.norm(j) * g
+
+    broken = dataclasses.replace(system, source=inconsistent)
+    with pytest.raises(NewtonFailureError,
+                       match="^linear solve failed at Newton iteration 1: "
+                             "inconsistent right-hand side") as err:
+        implicit_euler_step((np.zeros(4), np.zeros(8), 0.0), 1e-2, broken,
+                            TIGHT)
+    assert "curvature" not in str(err.value)
+    assert type(err.value.__cause__) is InconsistentRhsError
 
 
 def bmat_jacobian(system, kc, dt):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (CsrMatrix, IndefiniteOperatorError, JacobiPreconditioner,
-                     NonFiniteError, PcgConfig, build_preconditioner,
-                     pcg_solve)
+from mqsolve import (CsrMatrix, InconsistentRhsError, IndefiniteOperatorError,
+                     JacobiPreconditioner, NonFiniteError, PcgConfig,
+                     build_preconditioner, pcg_solve)
 from mqsolve.krylov import _stopping_target
 
 
@@ -122,7 +122,7 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, build):
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * b_norm
     expected = np.linalg.pinv(dense) @ b
     assert np.allclose(x - x.mean(), expected, rtol=0.0, atol=1e-10)
-    with pytest.raises(IndefiniteOperatorError,
+    with pytest.raises(InconsistentRhsError,
                        match="inconsistent right-hand side: a nullspace "
                              "component of 1.000e-06 "):
         pcg_solve(a, b + 1e-6 * b_norm * constant, config=config,
@@ -141,9 +141,11 @@ def test_budget_exhaustion_reports_failure(rng, make_spd):
 
 def test_indefinite_operator_raises():
     a = CsrMatrix.from_diagonal(np.array([1.0, -1.0]))
-    with pytest.raises(IndefiniteOperatorError):
+    with pytest.raises(IndefiniteOperatorError) as err:
         pcg_solve(a, np.array([1.0, 1.0]),
                   config=PcgConfig())
+    # an indefinite operator is not taken for an inconsistent rhs
+    assert type(err.value) is IndefiniteOperatorError
 
 
 def test_jacobi_apply_hand_example():

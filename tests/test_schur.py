@@ -167,9 +167,9 @@ def test_schur_operator_preconditions_with_jacobi_under_any_pcg_config(
 def test_the_cspe_basis_cap_is_n_c(builtin6, rng, make_linear_system):
     # the coupling solutions K_n^+ K_cn^T a_c span at most n_c directions
     for system in (builtin6.system, make_linear_system(rng)[0]):
-        strategy = SchurOperator(system).strategy
+        strategies = SchurOperator(system).strategies
         for family in FAMILIES:
-            assert strategy.cache(family).max_cols == system.n_c
+            assert strategies[family].max_cols == system.n_c
 
 
 def test_conductivity_block_must_be_diagonal(rng, make_linear_system):
@@ -393,8 +393,10 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
 
     Before ``solve_kn`` took the cached-image case without a call to
     ``_solve_from_image`` and ``kc_apply`` called the CSR kernel directly,
-    such a step made 39 calls at 6 and at 8 cells. It now makes 33, two of
-    them one cache's Cholesky refactorization.
+    such a step made 39 calls at 6 and at 8 cells, and 33 while a wrapper
+    forwarded each solve's start_vector and start_product to the family's
+    cache. It now makes 29, two of them one cache's Cholesky
+    refactorization.
     """
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
@@ -408,13 +410,14 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
             calls += 1
 
     def products():
-        return sum(op.kn_applies.values()) + op.strategy.maintenance_applies
+        return sum(op.kn_applies.values()) + sum(
+            s.products_computed for s in op.strategies.values())
 
     a_c, t = np.zeros(system.n_c), 0.0
     outer = sys.getprofile()
     for step in range(1, 50):
         before, calls = products(), 0
-        held = min(op.strategy.basis_size(f) for f in FAMILIES)
+        held = min(s.size for s in op.strategies.values())
         sys.setprofile(count)
         try:
             a_c = explicit_euler_step((a_c, t), dt, op, step_index=step)
@@ -426,7 +429,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("every step made a K_n product")
     assert op.cached_residuals >= 2
-    assert 0 < calls <= 33
+    assert 0 < calls <= 29
 
 
 def test_cspe_evictions_reach_the_aggregates(builtin6, rng,
@@ -717,11 +720,12 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system,
             run_explicit(system, **(dict(t_end=1.0, dt=1e-3) | {name: bad}))
 
 
-def test_run_explicit_step_budget(rng, make_linear_system):
+def test_run_explicit_step_budget(rng, make_linear_system, monkeypatch):
     system, _ = make_linear_system(rng)
-    with pytest.raises(StepFailureError):
+    monkeypatch.setattr(schur, "MAX_STEPS", 10)
+    with pytest.raises(StepFailureError, match=r"step budget exceeded \(10\)"):
         run_explicit(system, t_end=1.0, dt=1e-6, config=explicit(
-            "previous", pcg=TIGHT, max_steps=10))
+            "previous", pcg=TIGHT))
 
 
 CAUSES = ("pcg", "initial", "upkeep")
@@ -802,9 +806,9 @@ def test_kn_applies_are_plain_and_repeat_exactly(builtin6, strategy):
 
 
 def kn_solver(kn_dense, config, operator=None, drop_tol=None):
-    """A SchurOperator whose K_n block is *kn_dense*, with a CSPE strategy.
+    """A SchurOperator whose K_n block is *kn_dense*, with CSPE strategies.
 
-    The strategy's cache applies *operator* (K_n by default) and drops
+    Each family's cache applies *operator* (K_n by default) and drops
     columns below *drop_tol* (the solve tolerance by default).
     """
     n = kn_dense.shape[0]
@@ -812,10 +816,11 @@ def kn_solver(kn_dense, config, operator=None, drop_tol=None):
         mc=CsrMatrix.identity(1), kcn=CsrMatrix.from_dense(np.zeros((1, n))),
         kn=CsrMatrix.from_dense(kn_dense), kc=CsrMatrix.identity(1),
         source=ScaledPatternSource(np.zeros(n), exponential_ramp(1.0)))
-    strategy = make_strategy(
+    strategies = {f: make_strategy(
         StrategyConfig("cspe"), n, operator or kn_dense.__matmul__,
         drop_tol=config.rel_tol if drop_tol is None else drop_tol)
-    return SchurOperator(system, ExplicitConfig(pcg=config), strategy)
+        for f in FAMILIES}
+    return SchurOperator(system, ExplicitConfig(pcg=config), strategies)
 
 
 def singular_spd(rng, n, deficit):
@@ -839,10 +844,10 @@ def observe_near_floor(op, dense, range_basis, null_basis, rng):
     z = null_basis[:, 0]
     theta = rng.uniform(0.3, 1.2)
     eta = np.sin(theta) * np.sqrt(1e-11 * (r @ dense @ r) / (w @ dense @ w))
-    op.strategy.observe(SRC, np.cos(theta) * r + np.sin(theta) * z)
-    op.strategy.observe(SRC, -np.sin(theta) * r + np.cos(theta) * z
-                        + eta * w)
-    galerkin = op.strategy.cache(SRC).galerkin
+    cache = op.strategies[SRC]
+    cache.observe(np.cos(theta) * r + np.sin(theta) * z)
+    cache.observe(-np.sin(theta) * r + np.cos(theta) * z + eta * w)
+    galerkin = cache.galerkin
     pivot = np.linalg.cholesky(galerkin)[-1, -1] ** 2 / galerkin[-1, -1]
     assert 1e-12 < pivot < 1e-10
 
@@ -866,16 +871,16 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
         observe_near_floor(op, dense, range_basis, null_basis, rng)
     else:
         for _ in range(history):
-            op.strategy.observe(SRC, rng.standard_normal(n))
-    cache = op.strategy.cache(SRC)
+            op.strategies[SRC].observe(rng.standard_normal(n))
+    cache = op.strategies[SRC]
     coeffs = rng.standard_normal(range_basis.shape[1])
     if in_span and cache.size:
         # a right-hand side whose solution the basis holds
         coeffs = range_basis.T @ (cache.basis @ rng.standard_normal(
             cache.size))
     rhs = dense @ (range_basis @ coeffs)
-    x0 = op.strategy.start_vector(SRC, rhs)
-    image = op.strategy.start_product(SRC)
+    x0 = cache.start_vector(rhs)
+    image = cache.start_product()
     kn = CsrMatrix.from_dense(dense)
     reference, ref_report = pcg_solve(kn, rhs, x0=x0, config=config,
                                       preconditioner=build_preconditioner(kn))
@@ -913,9 +918,9 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     rhs = rng.standard_normal(n)
     exact = np.linalg.solve(dense, rhs)
     # a start about 1e-3 of the way from the solution
-    op.strategy.observe(SRC, exact + 1e-3 * np.linalg.norm(exact)
-                        * rng.standard_normal(n) / np.sqrt(n))
-    x0 = op.strategy.start_vector(SRC, rhs)
+    op.strategies[SRC].observe(exact + 1e-3 * np.linalg.norm(exact)
+                               * rng.standard_normal(n) / np.sqrt(n))
+    x0 = op.strategies[SRC].start_vector(rhs)
     r0 = rhs - dense @ x0
     rhs_norm, r0_norm = np.linalg.norm(rhs), np.linalg.norm(r0)
     assert 10 * config.rel_tol * rhs_norm < r0_norm < 1e-2 * rhs_norm
@@ -941,7 +946,7 @@ def test_a_cspe_solve_hashes_its_family_by_identity(rng):
     dense, _ = singular_spd(rng, n, 1)
     op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200))
     for family in FAMILIES:
-        op.strategy.observe(family, dense @ rng.standard_normal(n))
+        op.strategies[family].observe(dense @ rng.standard_normal(n))
     profiler = cProfile.Profile()
     profiler.enable()
     for family in FAMILIES:
@@ -963,8 +968,8 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200), upkeep,
                    drop_tol=0.0)
     for _ in range(3):
-        op.strategy.observe(SRC, dense @ rng.standard_normal(n))
-    cache = op.strategy.cache(SRC)
+        op.strategies[SRC].observe(dense @ rng.standard_normal(n))
+    cache = op.strategies[SRC]
     products = []
     original_as_operator = krylov._as_operator
 
@@ -977,14 +982,14 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
         return apply_counted, size
 
     starts = []
-    original_start = type(op.strategy).start_vector
+    original_start = type(cache).start_vector
 
-    def start_vector(self, family, rhs):
-        starts.append(original_start(self, family, rhs))
+    def start_vector(self, rhs):
+        starts.append(original_start(self, rhs))
         return starts[-1]
 
     monkeypatch.setattr(krylov, "_as_operator", as_operator)
-    monkeypatch.setattr(type(op.strategy), "start_vector", start_vector)
+    monkeypatch.setattr(type(cache), "start_vector", start_vector)
 
     def arrays():
         return cache.basis, cache.cached_products, cache.galerkin
@@ -1024,7 +1029,7 @@ def test_non_finite_rhs_on_the_cached_path_names_family_and_step(
     op = SchurOperator(system, explicit("cspe"))
     rhs = spmv(system.kn, np.ones(system.n_n))
     op.solve_kn(rhs, PREV, step=6)
-    assert op.strategy.start_product(PREV) is not None
+    assert op.strategies[PREV].start_product() is not None
     rhs[3] = bad
     with pytest.raises(StepFailureError,
                        match=r"^inner solve \(coupling_previous\) at step 7: "
@@ -1041,16 +1046,18 @@ def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
     b = system.source(0.1)
     # one consistent solve first, so CSPE takes the cached-image path
     op.solve_kn(b, SRC, step=4)
-    assert (op.strategy.start_product(SRC) is not None) == (strategy == "cspe")
+    assert ((op.strategies[SRC].start_product() is not None)
+            == (strategy == "cspe"))
     rhs = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
     # the component is stated against the solve's rhs, also when PCG solved
     # for the residual of CSPE's cached start
-    with pytest.raises(krylov.IndefiniteOperatorError,
+    with pytest.raises(krylov.InconsistentRhsError,
                        match=r"^inner solve \(source\) at step 5: "
                              "inconsistent right-hand side: a nullspace "
                              r"component of 1\.000e-03 \|\|b\|\|") as failure:
         op.solve_kn(rhs, SRC, step=5)
-    assert type(failure.value.__cause__) is krylov.IndefiniteOperatorError
+    assert type(failure.value) is krylov.InconsistentRhsError
+    assert type(failure.value.__cause__) is krylov.InconsistentRhsError
     assert failure.value.component == pytest.approx(
         1e-3 * np.linalg.norm(b), rel=1e-3)
 
@@ -1062,9 +1069,10 @@ def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
 def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
     period, dt = period_frac * t_end, dt_frac * t_end
     iterations = {f: [] for f in FAMILIES}
-    projections = []
+    # one projection log per family
+    projections = {f: [] for f in FAMILIES}
     trace = TraceRecorder(t_end, period, lambda a_c, a_n, t: 2.0 * t,
-                          iterations, projections)
+                          iterations, list(projections.values()))
     window = {f: [] for f in FAMILIES}
     window_pod = []
     expected = []
@@ -1095,8 +1103,9 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
             log(PREV, 3 * step)
         handed_over = False
         if step % 3 == 0:
-            projections.append((step % 5, 1.0 / step))
-            window_pod.append(projections[-1])
+            projected = projections[SRC if step % 2 else PREV]
+            projected.append((step % 5, 1.0 / step))
+            window_pod.append(projected[-1])
         if trace.due(t):
             log(PREV, step)
             handed_over = True
@@ -1127,4 +1136,5 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
                                  for f in FAMILIES}
     assert agg["max_basis_cols"] == max(rows["basis"])
     assert agg["min_pod_info"] == min(
-        [info for k, info in projections if k], default=1.0)
+        [info for log in projections.values() for k, info in log if k],
+        default=1.0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (CspeStrategy, ExplicitConfig, PodStrategy,
-                     PreviousSolutionStrategy, RhsFamily, SchurOperator,
+from mqsolve import (ExplicitConfig, PodStrategy, PreviousSolutionStrategy,
+                     RhsFamily, SchurOperator, StartVectorStrategy,
                      StrategyConfig, SubspaceCache, make_strategy,
-                     pod_start_vector)
+                     pod_start_vector, run_explicit, schur)
 
 SRC = RhsFamily.SOURCE_CURRENT
 CPL_PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
@@ -277,30 +277,40 @@ def test_the_sweep_drops_every_exact_projection(make_spd, n, k, seed,
     assert cache.products_computed == products
 
 
-def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(rng,
-                                                                make_spd):
+def family_strategies(make_linear_system, kind, n_n=5, **settings):
+    """The per-family strategies a SchurOperator builds, on a linear system
+    whose K_n block is SPD; returns them with that block."""
+    system, blocks = make_linear_system(np.random.default_rng(7), n_n=n_n)
+    op = SchurOperator(system, ExplicitConfig(
+        strategy=StrategyConfig(kind, **settings)))
+    assert set(op.strategies) == set(RhsFamily)
+    assert op.strategies[SRC] is not op.strategies[CPL_PREV]
+    return op.strategies, blocks["kn"]
+
+
+def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(
+        rng, make_linear_system):
     dim = 8
-    dense = make_spd(rng, dim)
-    strat = PodStrategy(dim, dense.__matmul__, n_pod=3, eps_pod=1e-12)
+    strategies, dense = family_strategies(make_linear_system, "pod", n_n=dim,
+                                          n_pod=3, eps_pod=1e-12)
+    src, cpl = strategies[SRC], strategies[CPL_PREV]
     pushed = [rng.standard_normal(dim) for _ in range(5)]
     originals = [v.copy() for v in pushed]
     for v in pushed:
-        strat.observe(SRC, v)
-    strat.observe(CPL_PREV, pushed[0])
+        src.observe(v)
+    cpl.observe(pushed[0])
     for v in pushed:
         v[:] = 0.0  # the rings hold copies
     rhs = rng.standard_normal(dim)
     # the Galerkin solution on the span of the last three source solutions
     q, _ = np.linalg.qr(np.column_stack(originals[2:]))
     expected = q @ np.linalg.solve(q.T @ dense @ q, q.T @ rhs)
-    assert np.allclose(strat.start_vector(SRC, rhs), expected, rtol=0.0,
-                       atol=1e-8)
+    assert np.allclose(src.start_vector(rhs), expected, rtol=0.0, atol=1e-8)
     u = originals[0]
     expected = u * (u @ rhs) / (u @ dense @ u)
-    assert np.allclose(strat.start_vector(CPL_PREV, rhs), expected,
-                       rtol=0.0, atol=1e-8)
+    assert np.allclose(cpl.start_vector(rhs), expected, rtol=0.0, atol=1e-8)
     with pytest.raises(ValueError, match="shape"):
-        strat.observe(SRC, np.zeros(dim - 1))
+        src.observe(np.zeros(dim - 1))
 
 
 def test_pod_matches_dense_svd(rng, make_spd):
@@ -404,38 +414,40 @@ def test_pod_info_monotone_in_eps(make_spd, seed, dim, n_snap, rank, decay,
     assert large[1] <= small[1]
 
 
-def test_previous_strategy_isolates_families(rng):
-    strat = PreviousSolutionStrategy(4)
-    assert np.array_equal(strat.start_vector(SRC, None), np.zeros(4))
+def test_previous_strategy_isolates_families(rng, make_linear_system):
+    strategies, _ = family_strategies(make_linear_system, "previous", n_n=4)
+    src, cpl = strategies[SRC], strategies[CPL_PREV]
+    assert np.array_equal(src.start_vector(None), np.zeros(4))
     sol_src = rng.standard_normal(4)
     sol_cpl = rng.standard_normal(4)
-    strat.observe(SRC, sol_src)
-    assert np.array_equal(strat.start_vector(CPL_PREV, None), np.zeros(4))
-    strat.observe(CPL_PREV, sol_cpl)
-    assert np.array_equal(strat.start_vector(SRC, None), sol_src)
-    assert np.array_equal(strat.start_vector(CPL_PREV, None), sol_cpl)
+    src.observe(sol_src)
+    assert np.array_equal(cpl.start_vector(None), np.zeros(4))
+    cpl.observe(sol_cpl)
+    assert np.array_equal(src.start_vector(None), sol_src)
+    assert np.array_equal(cpl.start_vector(None), sol_cpl)
     # returned vectors are copies, not views into the history
-    out = strat.start_vector(SRC, None)
+    out = src.start_vector(None)
     out[:] = 0.0
-    assert np.array_equal(strat.start_vector(SRC, None), sol_src)
+    assert np.array_equal(src.start_vector(None), sol_src)
+    assert (src.size, src.products_computed, src.evictions,
+            src.projections) == (0, 0, 0, ())
+    assert src.start_product() is None
 
 
-def test_cspe_strategy_isolates_families(rng, make_spd):
-    dense = make_spd(rng, 5)
-    strat = CspeStrategy(5, dense.__matmul__, 20, 1e-10)
+def test_cspe_strategy_isolates_families(rng, make_linear_system):
+    strategies, dense = family_strategies(make_linear_system, "cspe")
+    src, cpl = strategies[SRC], strategies[CPL_PREV]
     x = rng.standard_normal(5)
-    strat.observe(SRC, x)
-    assert strat.basis_size(SRC) == 1
-    assert strat.basis_size(CPL_PREV) == 0
-    assert strat.basis_size() == 1
-    assert strat.maintenance_applies == 1
-    # coupling families see an empty cache: zero start vector
+    src.observe(x)
+    assert (src.size, cpl.size) == (1, 0)
+    assert (src.products_computed, cpl.products_computed) == (1, 0)
+    # the coupling family sees an empty cache: zero start vector
     rhs = dense @ x
-    assert np.array_equal(strat.start_vector(CPL_PREV, rhs), np.zeros(5))
-    assert np.allclose(strat.start_vector(SRC, rhs), x, rtol=0.0, atol=1e-8)
-    assert strat.basis_size() == 1
-    assert strat.maintenance_applies == 1
-    assert strat.projections == []
+    assert np.array_equal(cpl.start_vector(rhs), np.zeros(5))
+    assert np.allclose(src.start_vector(rhs), x, rtol=0.0, atol=1e-8)
+    assert src.size == 1
+    assert src.products_computed == 1
+    assert src.projections == cpl.projections == ()
 
 
 def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
@@ -443,51 +455,52 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     strat = PodStrategy(6, dense.__matmul__, n_pod=4, eps_pod=1e-10)
     rhs = rng.standard_normal(6)
     # empty buffer: zero vector, no operator work
-    assert np.array_equal(strat.start_vector(SRC, rhs), np.zeros(6))
-    assert strat.maintenance_applies == 0
-    strat.observe(SRC, rng.standard_normal(6))
-    strat.observe(SRC, rng.standard_normal(6))
+    assert np.array_equal(strat.start_vector(rhs), np.zeros(6))
+    assert strat.products_computed == 0
+    strat.observe(rng.standard_normal(6))
+    strat.observe(rng.standard_normal(6))
     assert strat.projections == []
-    strat.start_vector(SRC, rhs)
-    assert strat.basis_size() == 2
-    assert strat.maintenance_applies == 2
+    strat.start_vector(rhs)
+    assert strat.size == 2
+    assert strat.products_computed == 2
     [(k, info)] = strat.projections
     assert k == 2
     assert 0.0 < info <= 1.0
+    assert strat.evictions == 0 and strat.start_product() is None
 
 
-def test_pod_basis_size_answers_per_family(rng, make_spd):
-    dense = make_spd(rng, 6)
-    strat = PodStrategy(6, dense.__matmul__, n_pod=4, eps_pod=1e-10)
-    assert (strat.basis_size(), strat.basis_size(SRC),
-            strat.basis_size(CPL_PREV)) == (0, 0, 0)
+def test_pod_basis_size_answers_per_family(rng, make_linear_system):
+    strategies, _ = family_strategies(make_linear_system, "pod", n_n=6,
+                                      n_pod=4, eps_pod=1e-10)
+    src, cpl = strategies[SRC], strategies[CPL_PREV]
+    assert (src.size, cpl.size) == (0, 0)
     for _ in range(3):
-        strat.observe(SRC, rng.standard_normal(6))
-    strat.observe(CPL_PREV, rng.standard_normal(6))
-    strat.start_vector(SRC, rng.standard_normal(6))
-    strat.start_vector(CPL_PREV, rng.standard_normal(6))
-    # the latest projection kept one mode, the source family's three
-    assert [k for k, _ in strat.projections] == [3, 1]
-    assert strat.basis_size(SRC) == 3
-    assert strat.basis_size(CPL_PREV) == 1
-    assert strat.basis_size() == 3
+        src.observe(rng.standard_normal(6))
+    cpl.observe(rng.standard_normal(6))
+    src.start_vector(rng.standard_normal(6))
+    cpl.start_vector(rng.standard_normal(6))
+    # each family's size is the modes of its own latest projection
+    assert [k for k, _ in src.projections] == [3]
+    assert [k for k, _ in cpl.projections] == [1]
+    assert (src.size, cpl.size) == (3, 1)
 
 
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
-    assert make_strategy(StrategyConfig("previous"), 4).kind == "previous"
+    previous = make_strategy(StrategyConfig("previous"), 4)
+    assert isinstance(previous, PreviousSolutionStrategy)
+    assert previous.kind == "previous"
     # the CSPE cap is the caller's, the whole space by default
     for max_cols, cap in ((3, 3), (None, 4)):
         cspe = make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__,
                              max_cols)
-        assert isinstance(cspe, CspeStrategy)
-        assert all(cspe.cache(family).max_cols == cap
-                   for family in RhsFamily)
+        assert isinstance(cspe, SubspaceCache)
+        assert (cspe.kind, cspe.max_cols) == ("cspe", cap)
     # the cache's own range check is the one check of the cap
     with pytest.raises(ValueError, match="max_cols"):
         make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__, 0)
-    assert isinstance(make_strategy(StrategyConfig("pod", n_pod=3), 4,
-                                    dense.__matmul__), PodStrategy)
+    pod = make_strategy(StrategyConfig("pod", n_pod=3), 4, dense.__matmul__)
+    assert isinstance(pod, PodStrategy) and pod.kind == "pod"
     with pytest.raises(ValueError):
         make_strategy(StrategyConfig("cspe"), 4)
     with pytest.raises(ValueError):
@@ -510,3 +523,46 @@ def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
     with pytest.raises(ValueError, match=name):
         SchurOperator(builtin6.system, ExplicitConfig(
             strategy=StrategyConfig(kind, **setting)))
+
+
+@pytest.mark.parametrize("kind", ["previous", "cspe", "pod"])
+def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
+    # a tracer wraps start_vector on every strategy class and insert on
+    # SubspaceCache, on the classes, as perfbench/run.py's Tracer.hooks
+    # does; no call may go round them
+    starts, inserts = [], []
+    for cls in StartVectorStrategy.__subclasses__():
+        assert {"start_vector", "observe"} <= set(vars(cls)), cls
+
+        def start_vector(self, rhs, original=vars(cls)["start_vector"]):
+            starts.append(type(self))
+            return original(self, rhs)
+        monkeypatch.setattr(cls, "start_vector", start_vector)
+    original_insert = SubspaceCache.insert
+
+    def insert(self, vector):
+        inserts.append(vector)
+        return original_insert(self, vector)
+    monkeypatch.setattr(SubspaceCache, "insert", insert)
+    operators = []
+
+    class Recorded(SchurOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+    monkeypatch.setattr(schur, "SchurOperator", Recorded)
+
+    result = run_explicit(builtin6.system, t_end=2e-3, dt="auto",
+                          config=ExplicitConfig(strategy=StrategyConfig(kind)),
+                          output_period=5e-4)
+    [op] = operators
+    logs = op.solve_iterations.values()
+    assert len(starts) == sum(len(log) for log in logs) \
+        == sum(result.aggregates["solves"].values()) > 0
+    assert set(starts) == {type(op.strategies[SRC])}
+    if kind == "cspe":
+        # a solve that moved its start hands the solution to the cache
+        moved = sum(iterations > 0 for log in logs for iterations in log)
+        assert len(inserts) == moved > 0
+    else:
+        assert inserts == []
