@@ -34,7 +34,8 @@ from .krylov import (IndefiniteOperatorError, PcgConfig, build_preconditioner,
                      pcg_solve)
 from .schur import (FAMILIES, OUTPUT_PERIOD, TraceRecorder, TransientResult,
                     check_run_arguments)
-from .sparse import CsrMatrix, NonFiniteError, as_vector, spmv, spmv_transpose
+from .sparse import (CsrMatrix, NonFiniteError, _check_count, as_vector, spmv,
+                     spmv_transpose)
 from .startvec import RhsFamily
 
 __all__ = [
@@ -56,8 +57,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < np.inf):
             raise ValueError("tol must be finite and positive")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
+        _check_count("max_newton", self.max_newton, 1)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ every solver in the package passes the Jacobi one that
 stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
-:func:`pcg_solve`. A CSPE start vector comes with its K_n image from cached
-products, so ``solve_kn`` forms the initial residual itself, under this
-module's finiteness test (:func:`_vector`) and stopping rule
+:func:`pcg_solve`. Every start vector comes with its K_n image, so
+``solve_kn`` forms the initial residual itself, under this module's
+finiteness test (:func:`_vector`) and stopping rule
 (:func:`_stopping_target`). A start that meets the rule is returned
 without a call to :func:`pcg_solve`. Any other start is corrected by a solve
-from zero down to that same residual norm. An inconsistency found there is
+from zero down to that same residual norm; no solver of the package hands
+:func:`pcg_solve` a start vector. An inconsistency found there is
 measured against the residual, so ``solve_kn`` restates it against its
 own right-hand side from ``InconsistentRhsError.component``.
 
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sparse import CsrMatrix, _matvec, as_vector
+from .sparse import CsrMatrix, _check_count, _matvec, as_vector
 
 __all__ = [
     "PcgConfig",
@@ -98,8 +99,7 @@ class PcgConfig:
             raise ValueError("rel_tol must be finite and positive")
         if not (0.0 <= self.abs_tol < math.inf):
             raise ValueError("abs_tol must be finite and nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_count("max_iter", self.max_iter, 1)
 
 
 # A direction whose curvature p^T A p / p^T M p is below this fraction of the

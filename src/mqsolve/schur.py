@@ -11,10 +11,12 @@ side. Eliminating the algebraic block turns the conducting part into an ODE
 where every pseudo-inverse action is realized by an unregularized PCG solve
 on the singular block (consistency makes CG converge without gauging). Each
 explicit Euler step therefore costs exactly two inner solves, one per
-right-hand-side family. A solve costs one K_n product per PCG iteration,
-plus one for the initial residual unless the start vector's K_n image is
-known: CSPE takes it from its cached products, so a CSPE solve whose start
-meets the tolerance makes no K_n product at all. The step from (a_c, t)
+right-hand-side family. A solve costs one K_n product per PCG iteration
+and none for its initial residual: every start vector comes with its K_n
+image, which its strategy knows without a product at solve time, so a
+solve whose start meets the tolerance makes no K_n product at all. The
+strategies' own products (CSPE basis columns, POD modes, the image of the
+previous solution) are their upkeep. The step from (a_c, t)
 takes its rate at its start, K_n^+ j_n(t) and K_n^+ K_cn^T a_c, and
 recovering the nonconducting unknowns at an output time (a_c, t) needs the
 same pair: an output row makes both solves and hands them to the next step.
@@ -46,8 +48,8 @@ import scipy.linalg
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
                      _relative, _stopping_target, _vector,
                      build_preconditioner, pcg_solve)
-from .sparse import (CsrMatrix, _matvec, as_vector, spmv, spmv_transpose,
-                     symmetric_check)
+from .sparse import (CsrMatrix, _check_count, _matvec, as_vector, spmv,
+                     spmv_transpose, symmetric_check)
 from .startvec import RhsFamily, StrategyConfig, make_strategy
 
 __all__ = [
@@ -98,8 +100,7 @@ class ExplicitConfig:
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety must lie in (0, 1]")
-        if self.reestimate_every < 0:
-            raise ValueError("reestimate_every must be nonnegative")
+        _check_count("reestimate_every", self.reestimate_every, 0)
 
     def stable_step(self, bound: float) -> float:
         """The step of ``dt="auto"`` under a stability bound:
@@ -228,13 +229,10 @@ class SchurOperator:
     ``config.strategy`` names, or the built *strategies* (a dict over
     FAMILIES). A CSPE strategy built here keeps at most n_c basis columns,
     the most directions the coupling solutions span. Per-solve iteration counts
-    (``solve_iterations``, one list per family), solver wall time and the
-    K_n products of the solves are accumulated for benchmarking. The
-    products are split by cause in ``kn_applies``: PCG iterations
-    (``pcg``) and initial residuals formed with a product (``initial``).
-    ``cached_residuals`` counts the solves whose initial residual came from
-    the strategy's cached products. ``minv_diag`` is the diagonal of
-    M_c^{-1}, by which the explicit step multiplies.
+    (``solve_iterations``, one list per family) and solver wall time are
+    accumulated for benchmarking, and ``kn_applies`` splits the K_n
+    products by cause. ``minv_diag`` is the diagonal of M_c^{-1}, by which
+    the explicit step multiplies.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -254,26 +252,31 @@ class SchurOperator:
             for f in FAMILIES}
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
-        self.kn_applies = {"pcg": 0, "initial": 0}
-        self.cached_residuals = 0
         self.solver_seconds = 0.0
+
+    @property
+    def kn_applies(self) -> dict[str, int]:
+        """The K_n products so far by cause: PCG iterations of the family
+        solves (``pcg``), one product each, and the strategies' upkeep
+        (``upkeep``, their ``products_computed``). No solve forms its
+        initial residual with a product."""
+        return {"pcg": sum(sum(log) for log in self.solve_iterations.values()),
+                "upkeep": sum(s.products_computed
+                              for s in self.strategies.values())}
 
     def solve_kn(self, rhs, family: RhsFamily, step: int | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
         """K_n^+ rhs by PCG: the one solve behind every inner action of the
         run.
 
-        The start vector comes from the *family*'s strategy, and the
-        solution and iteration count go back to it and to the family's log.
-        When the strategy knows the start vector's K_n image
-        (``start_product``), the solve takes the initial residual
-        r0 = rhs - image from it, under ``pcg_solve``'s finiteness test
-        (``_vector``) and stopping rule (``_stopping_target``), without
-        calling ``pcg_solve``: this is the path of almost every CSPE solve.
-        A start that meets the rule is returned itself, with zero iterations
-        and its true residual, and is not handed back to the strategy, whose
-        history already spans it. Any other start is corrected by
-        ``_correct``.
+        The strategy of the *family* returns the start vector x0 with its
+        K_n image, and the solve takes the initial residual r0 = rhs - image
+        from it under ``pcg_solve``'s finiteness test (``_vector``) and
+        stopping rule (``_stopping_target``), with no K_n product. A start
+        that meets the rule is returned itself, with zero iterations and its
+        true residual; any other start is corrected by ``_correct``. The
+        solution goes back to the strategy (``observe``) and its iteration
+        count to the family's log.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class, so an
         InconsistentRhsError stays one.
@@ -281,30 +284,23 @@ class SchurOperator:
         started = time.perf_counter()
         strategy = self.strategies[family]
         try:
-            x0 = strategy.start_vector(rhs)
-            image = strategy.start_product()
-            if image is None:
-                y, report = pcg_solve(self._kn_apply, rhs, x0=x0,
-                                      config=self.config.pcg,
-                                      preconditioner=self._precond)
+            x0, image = strategy.start_vector(rhs)
+            rhs, squares = _vector(rhs, x0.size, "rhs")
+            rhs_norm = math.sqrt(squares)
+            target = _stopping_target(self.config.pcg, rhs_norm)
+            # ndarray.dot is @ without the ufunc dispatch
+            r0 = rhs - image
+            r0_norm = math.sqrt(r0.dot(r0))
+            if r0_norm <= target:
+                y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
+                                            True)
             else:
-                rhs, squares = _vector(rhs, x0.size, "rhs")
-                rhs_norm = math.sqrt(squares)
-                target = _stopping_target(self.config.pcg, rhs_norm)
-                # ndarray.dot is @ without the ufunc dispatch
-                r0 = rhs - image
-                r0_norm = math.sqrt(r0.dot(r0))
-                if r0_norm <= target:
-                    y, report = x0, SolveReport(
-                        0, _relative(r0_norm, rhs_norm), True)
-                else:
-                    y, report = self._correct(x0, r0, r0_norm, rhs_norm,
-                                              target)
+                y, report = self._correct(x0, r0, r0_norm, rhs_norm, target)
         except IndefiniteOperatorError as err:
             raise type(err)(f"{_solve_name(family, step)}: {err}",
                             err.component, err.iteration) from err
         except ValueError as err:
-            # pcg_solve, or a strategy before it, rejects a non-finite rhs;
+            # _vector, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
             if np.isfinite(rhs).all():
                 raise
@@ -316,15 +312,7 @@ class SchurOperator:
                 f"{_solve_name(family, step)} stalled at relative residual "
                 f"{report.final_rel_residual:.3e} after {report.iterations} "
                 "iterations")
-        # one K_n product per iteration, plus the initial residual, which
-        # pcg_solve computes only when it is given a start vector
-        self.kn_applies["pcg"] += report.iterations
-        if image is None:
-            self.kn_applies["initial"] += 1
-        else:
-            self.cached_residuals += 1
-        if y is not x0:
-            strategy.observe(y)
+        strategy.observe(y)
         self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
@@ -716,8 +704,7 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
             a_n, solutions = recover_an(op, a_c, t, step=steps)
             trace.row(t, a_c, a_n, max(s.size for s in strategies))
 
-    upkeep = sum(s.products_computed for s in strategies)
-    kn_applies = op.kn_applies | {"upkeep": upkeep}
+    kn_applies = op.kn_applies
     return trace.result(a_c, a_n, {
         "integrator": "explicit",
         "strategy": op.config.strategy.kind,
@@ -726,11 +713,10 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         "stability_bound": bound,
         "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
-        "maintenance_applies": upkeep,
+        "maintenance_applies": kn_applies["upkeep"],
         "evictions": {f.value: s.evictions
                       for f, s in op.strategies.items()},
         "kn_applies": kn_applies,
-        "cached_residuals": op.cached_residuals,
         "operator_applies": sum(kn_applies.values()),
         "wall_seconds": time.perf_counter() - wall_start,
         "solver_seconds": op.solver_seconds,

@@ -1,9 +1,10 @@
-"""Compressed sparse row matrices and the vector checks used across the library.
+"""Compressed sparse row matrices and the input checks used across the library.
 
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` is the boundary
-validator. :class:`CsrMatrix` is the single canonical matrix format: builders
-accept COO triplets or dense arrays and canonicalize (duplicates summed,
-column indices sorted per row). SciPy supplies the Matrix Market codec behind
+validator, and ``_check_count`` the one rule for the integer settings.
+:class:`CsrMatrix` is the single canonical matrix format: builders accept
+COO triplets or dense arrays and canonicalize (duplicates summed, column
+indices sorted per row). SciPy supplies the Matrix Market codec behind
 this surface; the public contract does not expose scipy types.
 
 Every matrix-vector product (:func:`spmv`, :func:`spmv_transpose` and the
@@ -20,6 +21,7 @@ the time-step paths never reach ``@``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,6 +63,15 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return v
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError, naming *name* first, unless *value* is an integer
+    of at least *least*; a bool or a float such as 2.0 is not one."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

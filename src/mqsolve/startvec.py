@@ -5,20 +5,20 @@ varying right-hand-side families. Each family has a strategy object of its
 own, which holds that family's history and produces the start vector of its
 next solve by Galerkin projection onto a subspace built from the family's
 previous solutions; mixing histories would poison the projections.
-:func:`make_strategy` builds one family's object:
+:func:`make_strategy` builds one family's object. Each returns its start
+x0 with the image A x0, so a solve forms rhs - A x0 with no product:
 
-* ``previous``: reuse the last solution (zero before the first) unchanged.
+* ``previous``: reuse the last solution (zero before the first) unchanged,
+  with the image formed when the solution is observed.
 * ``cspe`` (:class:`SubspaceCache`): keep an orthonormal basis of past
   solutions; every accepted basis column costs exactly one fresh operator
   application, and all previously cached operator products and Galerkin
   entries are reused bit-identically (the cascade property). The start
-  vector and its operator image both come from cached products, so a solve
-  needs no operator application for its initial residual
-  (``start_product``).
+  vector and its image both come from cached products.
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
   truncated orthogonal basis per solve via the method of snapshots
   (``pod_start_vector``), paying one operator application per retained
-  mode each time.
+  mode each time; the image comes from those products.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+
+from .sparse import _check_count
 
 __all__ = [
     "StrategyConfig",
@@ -60,8 +62,7 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind {self.kind!r} is not one of {STRATEGIES}")
-        if self.n_pod < 1:
-            raise ValueError("n_pod must be at least 1")
+        _check_count("n_pod", self.n_pod, 1)
         if not (0.0 < self.eps_pod < 1.0):
             raise ValueError("eps_pod must lie in (0, 1)")
 
@@ -77,44 +78,54 @@ class RhsFamily(Enum):
     __hash__ = object.__hash__
 
 
-class _PivotFailure(Exception):
-    def __init__(self, index: int):
-        super().__init__(f"nonpositive pivot at column {index}")
-        self.index = index
-
-
-def _cholesky_lower(g: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
-    """Dense Cholesky of a small SPD matrix; raises _PivotFailure(j).
-
-    The failing column index lets callers drop exactly the offending basis
-    vector instead of guessing.
-    """
+def _cholesky_lower(g: np.ndarray, rel_floor: float = 1e-12
+                    ) -> tuple[np.ndarray, int | None]:
+    """Dense Cholesky factor of a small SPD matrix and None, or a partial
+    factor and the index of the first pivot that fails."""
     n = g.shape[0]
     low = np.zeros_like(g)
     for j in range(n):
         s = g[j, j] - low[j, :j] @ low[j, :j]
         if not np.isfinite(s) or s <= rel_floor * abs(g[j, j]) or s <= 0.0:
-            raise _PivotFailure(j)
+            return low, j
         low[j, j] = np.sqrt(s)
         if j + 1 < n:
             low[j + 1:, j] = (g[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    return low, None
 
 
-def _solve_spd(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = scipy.linalg.solve_triangular(low, rhs, lower=True)
-    return scipy.linalg.solve_triangular(low.T, y, lower=False)
+def _galerkin_basis(basis: np.ndarray, products: np.ndarray,
+                    galerkin: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """W = U L^{-T}, A W = (A U) L^{-T} and the kept columns of a basis U
+    with products A U and Galerkin matrix G = U^T A U = L L^T: the start
+    for b is W c with c = W^T b, and its image (A W) c. A column whose
+    pivot fails is dropped and the rest refactored."""
+    keep = list(range(galerkin.shape[0]))
+    low, bad = _cholesky_lower(galerkin)
+    while bad is not None:
+        del keep[bad]
+        low, bad = _cholesky_lower(galerkin[np.ix_(keep, keep)])
+    if len(keep) < basis.shape[1]:
+        basis, products = basis[:, keep], products[:, keep]
+    # (U^T A U)^{-1} = L^{-T} L^{-1}; W and A W are column-major, on which
+    # numpy's products with them run faster
+    inv_t = scipy.linalg.solve_triangular(low, np.eye(len(keep)),
+                                          lower=True).T
+    return (np.asfortranarray(basis @ inv_t),
+            np.asfortranarray(products @ inv_t), keep)
 
 
 class StartVectorStrategy:
     """Produces the start vectors of one right-hand-side family and absorbs
     its solutions.
 
-    Subclasses define ``start_vector(rhs)``, the start of the family's next
-    solve, and ``observe(solution)``, which takes its converged solution. A
-    subclass builds its history in its constructor, not at the first solve.
-    ``start_product()`` is the operator image of the last start vector when
-    the strategy knows it without an operator application, else None.
+    Subclasses define ``start_vector(rhs)``, which returns ``(x0, image)``:
+    the start of the family's next solve, which is the caller's, and its
+    operator image A x0 up to rounding, which is only read.
+    ``observe(solution)`` takes every converged solution, a start returned
+    unchanged included. A subclass builds its history in its constructor,
+    not at the first solve.
     ``size`` is the size of the basis (for POD, the modes its latest
     projection kept). ``products_computed`` counts operator applications
     spent on history upkeep (outside any Krylov iteration), the quantity
@@ -133,25 +144,19 @@ class StartVectorStrategy:
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def start_product(self) -> np.ndarray | None:
-        return None
-
 
 class SubspaceCache(StartVectorStrategy):
     """Orthonormal solution history with cached operator products: the CSPE
-    strategy of one family, whose ``start_vector`` is ``project`` and whose
-    ``observe`` calls ``insert``.
+    strategy of one family, whose ``observe`` calls ``insert``.
 
     The operator is bound at construction: cached products are only valid
     against a fixed operator, so rebinding is deliberately impossible.
     Eviction is first-in-first-out once ``max_cols`` is reached.
 
-    With the Galerkin matrix U^T A U = L L^T, ``project`` keeps
-    W = U L^{-T} and A W = (A U) L^{-T}: the start vector is x0 = W c with
-    c = W^T rhs, and its image A x0 = (A W) c (``start_product``) costs no
-    operator application. W and A W are rebuilt only after the basis
-    changed (an accepted insert, an eviction or a dropped column). Most
-    inserts are dropped as solver noise, so most projections reuse them.
+    ``start_vector`` keeps W and A W from ``_galerkin_basis`` and rebuilds
+    them only after the basis changed (an accepted insert or an eviction).
+    Most inserts are dropped as solver noise, so most projections reuse
+    them.
     """
 
     kind = "cspe"
@@ -170,8 +175,8 @@ class SubspaceCache(StartVectorStrategy):
         # W and A W, None after a basis change
         self._w: np.ndarray | None = None
         self._aw: np.ndarray | None = None
-        # A W and c of the last projection
-        self._start: tuple[np.ndarray, np.ndarray] | None = None
+        # the start vector last returned
+        self._start: np.ndarray | None = None
         self.products_computed = 0
         self.columns_accepted = 0
         self.columns_dropped = 0
@@ -240,76 +245,53 @@ class SubspaceCache(StartVectorStrategy):
         self.columns_accepted += 1
         return True
 
-    def drop_column(self, index: int) -> None:
-        keep = [j for j in range(self.size) if j != index]
-        self._basis = self._basis[:, keep]
-        self._products = self._products[:, keep]
-        self._galerkin = self._galerkin[np.ix_(keep, keep)]
-        self._w = self._aw = None
-
-    def project(self, rhs) -> np.ndarray:
-        """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs.
-
-        It is W W^T rhs. An empty cache returns the zero vector. A singular
-        Galerkin matrix drops the offending column and retries. The
-        returned array is the caller's.
-        """
+    def start_vector(self, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs = W W^T rhs
+        and its image (A W) W^T rhs; zero vectors from an empty cache. A
+        column whose pivot fails leaves the basis (``columns_dropped``)."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.dim},)")
-        while self._w is None:
-            try:
-                low = _cholesky_lower(self._galerkin)
-            except _PivotFailure as bad:
-                self.drop_column(bad.index)
-                self.columns_dropped += 1
-                continue
-            # (U^T A U)^{-1} = L^{-T} L^{-1}; W and A W are stored
-            # column-major, on which numpy's products with them run faster
-            inv_t = scipy.linalg.solve_triangular(
-                low, np.eye(self.size), lower=True).T
-            self._w = np.asfortranarray(self._basis @ inv_t)
-            self._aw = np.asfortranarray(self._products @ inv_t)
+        if self._w is None:
+            self._w, self._aw, keep = _galerkin_basis(
+                self._basis, self._products, self._galerkin)
+            dropped = self._basis.shape[1] - len(keep)
+            if dropped:
+                self._basis = self._basis[:, keep]
+                self._products = self._products[:, keep]
+                self._galerkin = self._galerkin[np.ix_(keep, keep)]
+                self.columns_dropped += dropped
         # ndarray.dot runs the BLAS call of @ without the ufunc dispatch,
         # and projecting is every CSPE solve's cost
         coeffs = self._w.T.dot(rhs)
-        self._start = (self._aw, coeffs)
-        return self._w.dot(coeffs)
-
-    def start_product(self) -> np.ndarray:
-        """A x0 for the start vector x0 that ``project`` last returned.
-
-        It is (A W) c from the cached products, with no operator
-        application; it equals A x0 up to rounding.
-        """
-        if self._start is None:
-            raise RuntimeError("start_product needs a projection first")
-        aw, coeffs = self._start
-        return aw.dot(coeffs)
-
-    start_vector = project
+        self._start = x0 = self._w.dot(coeffs)
+        return x0, self._aw.dot(coeffs)
 
     def observe(self, solution) -> None:
-        # through the attribute, so a wrapper of the class's insert sees it
-        self.insert(solution)
+        # the start last returned is in the basis's span; insert through
+        # the attribute, so a wrapper of the class's insert sees it
+        if solution is not self._start:
+            self.insert(solution)
 
 
 def pod_start_vector(snapshots, rhs, operator, eps_pod: float
-                     ) -> tuple[np.ndarray, int, float, int]:
+                     ) -> tuple[np.ndarray, int, float, int, np.ndarray]:
     """Proper-orthogonal-decomposition start vector from raw snapshots.
 
     Builds the basis by the method of snapshots: eigendecomposition of the
     small Gram matrix X^T X of the *snapshots* (a sequence of vectors),
     singular values sigma_i = sqrt(eigenvalues), truncation keeping all
-    modes with sigma_i / sigma_1 > eps_pod. The kept fraction of total
-    singular-value mass is reported alongside.
+    modes with sigma_i / sigma_1 > eps_pod. The Galerkin projection onto the
+    modes (``_galerkin_basis``) drops a mode whose pivot fails, and the kept
+    modes' fraction of the total singular-value mass is reported alongside.
 
-    Returns ``(x0, k, info_kept, operator_applications)``. No snapshots or
-    all-zero snapshots give a zero start vector with k = 0 and info 0.
+    Returns ``(x0, k, info_kept, operator_applications, image)`` with k the
+    kept modes and image = A x0 from the modes' products. No snapshots or
+    all-zero snapshots give zero vectors with k = 0 and info 0.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if len(snapshots) == 0:
-        return np.zeros(rhs.size), 0, 0.0, 0
+        return np.zeros(rhs.size), 0, 0.0, 0, np.zeros(rhs.size)
     x = np.column_stack(snapshots)
     dim = x.shape[0]
     if rhs.shape != (dim,):
@@ -320,49 +302,51 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
     sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     evecs = evecs[:, order]
     if sigma[0] == 0.0:
-        return np.zeros(dim), 0, 0.0, 0
+        return np.zeros(dim), 0, 0.0, 0, np.zeros(dim)
     k = int(np.count_nonzero(sigma / sigma[0] > eps_pod))
-    total = float(sigma.sum())
     basis = (x @ evecs[:, :k]) / sigma[:k]
     products = np.column_stack([np.asarray(operator(basis[:, j]), dtype=np.float64)
                                 for j in range(k)])
-    applications = k
-    while k:
-        g = basis[:, :k].T @ products[:, :k]
-        g = 0.5 * (g + g.T)
-        try:
-            low = _cholesky_lower(g)
-        except _PivotFailure:
-            k -= 1
-            continue
-        coeff = _solve_spd(low, basis[:, :k].T @ rhs)
-        info = float(sigma[:k].sum() / total)
-        return basis[:, :k] @ coeff, k, info, applications
-    return np.zeros(dim), 0, 0.0, applications
+    g = basis.T @ products
+    w, aw, keep = _galerkin_basis(basis, products, 0.5 * (g + g.T))
+    coeffs = w.T @ rhs
+    info = float(sigma[keep].sum() / sigma.sum())
+    return w @ coeffs, len(keep), info, k, aw @ coeffs
 
 
 # -- the other strategies ---------------------------------------------------
 
 
 class PreviousSolutionStrategy(StartVectorStrategy):
-    """Start from the family's last converged solution."""
+    """Start from the family's last converged solution, whose image costs
+    one operator application when it is observed (``products_computed``)."""
 
     kind = "previous"
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, operator):
         super().__init__(dim)
+        self._operator = operator
         self._last = np.zeros(self.dim)
+        self._image = np.zeros(self.dim)
+        # the start vector last returned
+        self._start: np.ndarray | None = None
 
     def start_vector(self, rhs):
-        return self._last.copy()
+        self._start = self._last.copy()
+        return self._start, self._image
 
     def observe(self, solution):
-        self._last = np.asarray(solution, dtype=np.float64).copy()
+        if solution is self._start:
+            return
+        self._last = np.array(solution, dtype=np.float64)
+        self._image = np.asarray(self._operator(self._last), dtype=np.float64)
+        self.products_computed += 1
 
 
 class PodStrategy(StartVectorStrategy):
     """Snapshot POD projection on a ring of the family's last ``n_pod``
-    solutions, basis rebuilt per solve."""
+    solutions, basis rebuilt per solve. Every observed solution enters the
+    ring, also a start returned unchanged."""
 
     kind = "pod"
 
@@ -370,18 +354,18 @@ class PodStrategy(StartVectorStrategy):
         super().__init__(dim)
         self._operator = operator
         self.eps_pod = float(eps_pod)
-        self._snapshots = deque(maxlen=int(n_pod))
+        self._snapshots = deque(maxlen=n_pod)
         self.projections = []
 
     def start_vector(self, rhs):
         if not self._snapshots:
-            return np.zeros(self.dim)
-        x0, k, info, applies = pod_start_vector(self._snapshots, rhs,
-                                                self._operator, self.eps_pod)
+            return np.zeros(self.dim), np.zeros(self.dim)
+        x0, k, info, applies, image = pod_start_vector(
+            self._snapshots, rhs, self._operator, self.eps_pod)
         self.products_computed += applies
         self.size = k
         self.projections.append((k, info))
-        return x0
+        return x0, image
 
     def observe(self, solution):
         v = np.asarray(solution, dtype=np.float64)
@@ -391,16 +375,15 @@ class PodStrategy(StartVectorStrategy):
         self._snapshots.append(v.copy())
 
 
-def make_strategy(config: StrategyConfig, dim: int, operator=None,
+def make_strategy(config: StrategyConfig, dim: int, operator,
                   max_cols: int | None = None,
                   drop_tol: float = 1e-10) -> StartVectorStrategy:
-    """One family's strategy of the kind *config* names. CSPE keeps at most
-    *max_cols* basis columns (None: *dim*, which no basis exceeds) and
-    drops increments below *drop_tol*."""
+    """One family's strategy of the kind *config* names, applying the
+    system *operator*. CSPE keeps at most *max_cols* basis columns (None:
+    *dim*, which no basis exceeds) and drops increments below
+    *drop_tol*."""
     if config.kind == "previous":
-        return PreviousSolutionStrategy(dim)
-    if operator is None:
-        raise ValueError(f"strategy {config.kind!r} needs the system operator")
+        return PreviousSolutionStrategy(dim, operator)
     if config.kind == "cspe":
         return SubspaceCache(dim, operator,
                              dim if max_cols is None else max_cols, drop_tol)

@@ -101,7 +101,7 @@ def test_criterion_3_galerkin_exactness_trials(rng):
                                      operator=lambda v: dense @ v)
             for column in history.T:
                 strategy.observe(column)
-            x0 = strategy.start_vector(rhs)
+            x0, _ = strategy.start_vector(rhs)
             _, report = pcg_solve(matrix, rhs, x0=x0, config=config)
             passed[kind] += report.iterations == 0
     print(f"zero-iteration starts: cspe {passed['cspe']}/{trials}, "

@@ -14,12 +14,13 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, PartitionedSystem,
-                     PcgConfig, RhsFamily, ScaledPatternSource,
-                     SchurOperator, StepFailureError, StrategyConfig,
-                     build_preconditioner, estimate_cfl, explicit_euler_step,
-                     exponential_ramp, krylov, make_strategy, pcg_solve,
-                     recover_an, run_explicit, schur)
+from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
+                     PartitionedSystem, PcgConfig, RhsFamily,
+                     ScaledPatternSource, SchurOperator, StepFailureError,
+                     StrategyConfig, build_preconditioner, estimate_cfl,
+                     explicit_euler_step, exponential_ramp, krylov,
+                     make_strategy, pcg_solve, recover_an, run_explicit,
+                     schur)
 from mqsolve.schur import TraceRecorder
 from mqsolve.sparse import spmv
 
@@ -396,7 +397,8 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     such a step made 39 calls at 6 and at 8 cells, and 33 while a wrapper
     forwarded each solve's start_vector and start_product to the family's
     cache. It now makes 29, two of them one cache's Cholesky
-    refactorization.
+    refactorization: per solve, ``start_vector`` returns the start with
+    its image and ``observe`` takes the solution back.
     """
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
@@ -410,8 +412,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
             calls += 1
 
     def products():
-        return sum(op.kn_applies.values()) + sum(
-            s.products_computed for s in op.strategies.values())
+        return sum(op.kn_applies.values())
 
     a_c, t = np.zeros(system.n_c), 0.0
     outer = sys.getprofile()
@@ -428,7 +429,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
             break
     else:
         pytest.fail("every step made a K_n product")
-    assert op.cached_residuals >= 2
+    assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
     assert 0 < calls <= 29
 
 
@@ -515,14 +516,24 @@ def test_cfl_validation():
     # the message starts with the field's name, which RunConfig maps to its
     # own key
     for field, value in (("safety", 0.0), ("safety", 1.5),
-                         ("reestimate_every", -3)):
+                         ("reestimate_every", -3),
+                         ("reestimate_every", 2.5),
+                         ("reestimate_every", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
             ExplicitConfig(**{field: value})
-    # the inner solves' tolerances must be finite too
+    # the inner solves' tolerances must be finite too, and the counts
+    # integers
     for field, value in (("rel_tol", np.inf), ("rel_tol", np.nan),
-                         ("abs_tol", np.inf), ("abs_tol", np.nan)):
+                         ("abs_tol", np.inf), ("abs_tol", np.nan),
+                         ("max_iter", 10.5), ("max_iter", 0),
+                         ("max_iter", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
             PcgConfig(**{field: value})
+    for value in (2.5, 0, True):
+        with pytest.raises(ValueError, match="^max_newton "):
+            NewtonConfig(max_newton=value)
+    # an integer of another type is a count
+    assert ExplicitConfig(reestimate_every=np.int64(3)).reestimate_every == 3
 
 
 def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
@@ -728,18 +739,15 @@ def test_run_explicit_step_budget(rng, make_linear_system, monkeypatch):
             "previous", pcg=TIGHT))
 
 
-CAUSES = ("pcg", "initial", "upkeep")
-
-
 def count_products_by_cause(monkeypatch):
     """Every K_n product made through ``krylov._as_operator``, in total
     and split by cause.
 
     The products of each ``pcg_solve`` call that ``schur`` makes are counted
     there: its reported iterations are PCG products and the rest were made
-    for the initial residual.
+    for an initial residual.
     """
-    counted = dict.fromkeys(("total",) + CAUSES, 0)
+    counted = dict.fromkeys(("total", "pcg", "initial"), 0)
     original_as_operator = krylov._as_operator
     original_pcg_solve = schur.pcg_solve
 
@@ -777,19 +785,43 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
         # every product made, by any cause, is in operator_applies
         assert (counted["total"] + agg["maintenance_applies"]
                 == agg["operator_applies"])
-        # and no product falls outside the causes
-        assert counted["total"] == sum(counted[c] for c in CAUSES)
-        counted["upkeep"] = agg["maintenance_applies"]
-        assert agg["kn_applies"] == {c: counted[c] for c in CAUSES}
+        # no solve forms its initial residual with a product
+        assert counted["initial"] == 0
+        assert counted["total"] == counted["pcg"]
+        assert agg["kn_applies"] == {"pcg": counted["pcg"],
+                                     "upkeep": agg["maintenance_applies"]}
         assert agg["kn_applies"]["pcg"] == sum(agg["iterations"].values())
-        solves = sum(agg["solves"].values())
-        if strategy == "cspe":
-            # every family solve takes its residual from cached products
-            assert agg["cached_residuals"] == solves
-            assert agg["kn_applies"]["initial"] == 0
-        else:
-            assert agg["cached_residuals"] == 0
-            assert agg["kn_applies"]["initial"] == solves
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_no_family_solve_hands_pcg_a_start_vector(builtin6, strategy,
+                                                  monkeypatch):
+    # every strategy returns its start with its K_n image, so a family
+    # solve forms its initial residual itself and PCG corrects from zero
+    original_pcg_solve = schur.pcg_solve
+
+    def solve(a, b, x0=None, config=None, preconditioner=None):
+        assert x0 is None, "a family solve handed pcg_solve a start vector"
+        return original_pcg_solve(a, b, config=config,
+                                  preconditioner=preconditioner)
+    operators = []
+
+    class Recorded(SchurOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+    monkeypatch.setattr(schur, "pcg_solve", solve)
+    monkeypatch.setattr(schur, "SchurOperator", Recorded)
+    result = run_explicit(builtin6.system, t_end=3e-3, dt="auto",
+                          config=explicit(strategy), output_period=5e-4)
+    [op] = operators
+    agg = result.aggregates
+    moved = sum(iterations > 0 for log in op.solve_iterations.values()
+                for iterations in log)
+    assert 0 < moved < sum(agg["solves"].values())
+    if strategy == "previous":
+        # one product for the image of each solution a solve moved
+        assert agg["kn_applies"]["upkeep"] == moved
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -800,9 +832,8 @@ def test_kn_applies_are_plain_and_repeat_exactly(builtin6, strategy):
                   for _ in range(2)]
     first, second = aggregates
     assert first["kn_applies"] == second["kn_applies"]
-    assert first["cached_residuals"] == second["cached_residuals"]
+    assert set(first["kn_applies"]) == {"pcg", "upkeep"}
     assert all(type(v) is int for v in first["kn_applies"].values())
-    assert type(first["cached_residuals"]) is int
 
 
 def kn_solver(kn_dense, config, operator=None, drop_tol=None):
@@ -879,8 +910,7 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
         coeffs = range_basis.T @ (cache.basis @ rng.standard_normal(
             cache.size))
     rhs = dense @ (range_basis @ coeffs)
-    x0 = cache.start_vector(rhs)
-    image = cache.start_product()
+    x0, image = cache.start_vector(rhs)
     kn = CsrMatrix.from_dense(dense)
     reference, ref_report = pcg_solve(kn, rhs, x0=x0, config=config,
                                       preconditioner=build_preconditioner(kn))
@@ -920,7 +950,7 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     # a start about 1e-3 of the way from the solution
     op.strategies[SRC].observe(exact + 1e-3 * np.linalg.norm(exact)
                                * rng.standard_normal(n) / np.sqrt(n))
-    x0 = op.strategies[SRC].start_vector(rhs)
+    x0, _ = op.strategies[SRC].start_vector(rhs)
     r0 = rhs - dense @ x0
     rhs_norm, r0_norm = np.linalg.norm(rhs), np.linalg.norm(r0)
     assert 10 * config.rel_tol * rhs_norm < r0_norm < 1e-2 * rhs_norm
@@ -985,8 +1015,9 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     original_start = type(cache).start_vector
 
     def start_vector(self, rhs):
-        starts.append(original_start(self, rhs))
-        return starts[-1]
+        x0, image = original_start(self, rhs)
+        starts.append(x0)
+        return x0, image
 
     monkeypatch.setattr(krylov, "_as_operator", as_operator)
     monkeypatch.setattr(type(cache), "start_vector", start_vector)
@@ -1010,7 +1041,6 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     assert all(now is before for now, before in zip(arrays(), arrays_before))
     assert counters() == counters_before    # no insert
     assert op.kn_applies == kn_applies
-    assert op.cached_residuals == 1
     assert op.solve_iterations[SRC] == [0]
 
     # a start the solve moves is observed and, with drop_tol 0, accepted
@@ -1029,7 +1059,7 @@ def test_non_finite_rhs_on_the_cached_path_names_family_and_step(
     op = SchurOperator(system, explicit("cspe"))
     rhs = spmv(system.kn, np.ones(system.n_n))
     op.solve_kn(rhs, PREV, step=6)
-    assert op.strategies[PREV].start_product() is not None
+    assert op.strategies[PREV].size == 1
     rhs[3] = bad
     with pytest.raises(StepFailureError,
                        match=r"^inner solve \(coupling_previous\) at step 7: "
@@ -1044,13 +1074,11 @@ def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
                                         n_n=8, singular=True)
     op = SchurOperator(system, explicit(strategy))
     b = system.source(0.1)
-    # one consistent solve first, so CSPE takes the cached-image path
+    # one consistent solve first, so every strategy has a nonzero start
     op.solve_kn(b, SRC, step=4)
-    assert ((op.strategies[SRC].start_product() is not None)
-            == (strategy == "cspe"))
     rhs = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
-    # the component is stated against the solve's rhs, also when PCG solved
-    # for the residual of CSPE's cached start
+    # the component is stated against the solve's rhs, although PCG solved
+    # for the residual of the strategy's start
     with pytest.raises(krylov.InconsistentRhsError,
                        match=r"^inner solve \(source\) at step 5: "
                              "inconsistent right-hand side: a nullspace "

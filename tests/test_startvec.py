@@ -73,7 +73,7 @@ def test_project_matches_dense_galerkin_solution(rng, make_spd):
     for _ in range(3):
         cache.insert(rng.standard_normal(10))
     rhs = rng.standard_normal(10)
-    x0 = cache.project(rhs)
+    x0, _ = cache.start_vector(rhs)
     u = cache.basis
     coeffs = np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
     assert np.allclose(x0, u @ coeffs, rtol=0.0, atol=1e-10)
@@ -81,19 +81,19 @@ def test_project_matches_dense_galerkin_solution(rng, make_spd):
 
 @pytest.mark.parametrize("n, k", [(10, 3), (138, 1), (1038, 6), (1038, 20)])
 def test_projection_products_are_bitwise_those_of_matmul(rng, n, k):
-    # project and start_product multiply through ndarray.dot, which costs
-    # less dispatch than @; the traces hold only while both run the same
-    # BLAS products
+    # start_vector multiplies through ndarray.dot, which costs less
+    # dispatch than @; the traces hold only while both run the same BLAS
+    # products
     d = rng.uniform(1.0, 2.0, n)
     cache = SubspaceCache(n, lambda x: d * x, 20)
     for _ in range(k):
         cache.insert(rng.standard_normal(n))
     assert cache.size == k
     rhs = rng.standard_normal(n)
-    x0 = cache.project(rhs)
+    x0, image = cache.start_vector(rhs)
     coeffs = cache._w.T @ rhs
     assert np.array_equal(x0, cache._w @ coeffs)
-    assert np.array_equal(cache.start_product(), cache._aw @ coeffs)
+    assert np.array_equal(image, cache._aw @ coeffs)
 
 
 def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
@@ -102,7 +102,7 @@ def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
     cache.insert(rng.standard_normal(8))
     cache.insert(rng.standard_normal(8))
     rhs = rng.standard_normal(8)
-    x0 = cache.project(rhs)
+    x0, _ = cache.start_vector(rhs)
     x_star = np.linalg.solve(dense, rhs)
 
     def energy_err(x):
@@ -121,25 +121,24 @@ def test_projection_exact_when_solution_in_subspace(rng, make_spd):
     x_star = rng.standard_normal(6)
     cache = SubspaceCache(6, dense.__matmul__, 20)
     cache.insert(x_star)
-    x0 = cache.project(dense @ x_star)
+    x0, _ = cache.start_vector(dense @ x_star)
     assert np.allclose(x0, x_star, rtol=0.0, atol=1e-8)
 
 
 def test_project_edge_cases(rng, make_spd):
     dense = make_spd(rng, 5)
     cache = SubspaceCache(5, dense.__matmul__, 20)
-    with pytest.raises(RuntimeError, match="projection"):
-        cache.start_product()
-    assert np.array_equal(cache.project(rng.standard_normal(5)), np.zeros(5))
+    for vector in cache.start_vector(rng.standard_normal(5)):
+        assert np.array_equal(vector, np.zeros(5))
     v = rng.standard_normal(5)
     cache.insert(v)
     # rhs orthogonal to the basis projects to zero
     u = cache.basis[:, 0]
     rhs = rng.standard_normal(5)
     rhs -= u * (u @ rhs)
-    assert np.linalg.norm(cache.project(rhs)) <= 1e-10
+    assert np.linalg.norm(cache.start_vector(rhs)[0]) <= 1e-10
     with pytest.raises(ValueError):
-        cache.project(np.zeros(4))
+        cache.start_vector(np.zeros(4))
     with pytest.raises(ValueError):
         cache.insert(np.zeros(6))
 
@@ -150,18 +149,19 @@ def test_project_drops_the_column_whose_pivot_fails():
     cache = SubspaceCache(3, dense.__matmul__, 20)
     assert cache.insert(np.array([1.0, 0.0, 0.0]))
     assert cache.insert(np.array([0.0, 0.0, 1.0]))
-    x0 = cache.project(np.array([3.0, 1.0, 1.0]))
+    x0, image = cache.start_vector(np.array([3.0, 1.0, 1.0]))
     assert cache.size == 1
     assert cache.columns_dropped == 1
     assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(image, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
     # the next accepted column rebuilds the factor over the new basis
     assert cache.insert(np.array([0.0, 1.0, 0.0]))
-    x0 = cache.project(np.array([3.0, 1.0, 1.0]))
+    x0, _ = cache.start_vector(np.array([3.0, 1.0, 1.0]))
     assert np.allclose(x0, [3.0, 0.5, 0.0], rtol=0.0, atol=1e-15)
 
 
 CACHE_OPS = st.lists(
-    st.tuples(st.sampled_from(("insert", "insert_in_span", "drop")),
+    st.tuples(st.sampled_from(("insert", "insert_in_span", "insert_null")),
               st.integers(0, 2**32 - 1)),
     min_size=1, max_size=25)
 
@@ -172,7 +172,13 @@ CACHE_OPS = st.lists(
 def test_cache_state_matches_a_rebuild_after_every_operation(
         make_spd, n, max_cols, seed, ops):
     rng = np.random.default_rng(seed)
-    dense = make_spd(rng, n)
+    # an operator with the null vector z: a column along z fails its
+    # Galerkin pivot at the next projection and leaves the basis
+    z = rng.standard_normal(n)
+    z /= np.linalg.norm(z)
+    off = np.eye(n) - np.outer(z, z)
+    dense = off @ make_spd(rng, n) @ off
+    dense = 0.5 * (dense + dense.T)
     cache = SubspaceCache(n, dense.__matmul__, max_cols)
     for op, arg in ops:
         if op == "insert":
@@ -181,8 +187,10 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
             # dependent on the basis, so dropped; the factor must survive
             coeffs = np.random.default_rng(arg).standard_normal(cache.size)
             cache.insert(cache.basis @ coeffs)
-        elif cache.size:
-            cache.drop_column(arg % cache.size)
+        else:
+            cache.insert(z)
+        rhs = rng.standard_normal(n)
+        x0, image = cache.start_vector(rhs)
         u = cache.basis
         k = cache.size
         assert np.allclose(u.T @ u, np.eye(k), rtol=0.0, atol=1e-10)
@@ -190,18 +198,16 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
                            rtol=0.0, atol=1e-12)
         assert np.allclose(cache.cached_products, dense @ u,
                            rtol=0.0, atol=1e-12)
-        rhs = rng.standard_normal(n)
-        x0 = cache.project(rhs)
+        assert (np.linalg.norm(image - dense @ x0)
+                <= 1e-12 * np.abs(dense).max() * np.linalg.norm(x0))
         if k == 0:
             assert np.array_equal(x0, np.zeros(n))
-            assert np.array_equal(cache.start_product(), np.zeros(n))
+            assert np.array_equal(image, np.zeros(n))
             continue
-        expected = u @ np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
-        assert (np.linalg.norm(x0 - expected)
-                <= 1e-10 * np.linalg.norm(expected))
-        image = dense @ x0
-        assert (np.linalg.norm(cache.start_product() - image)
-                <= 1e-12 * np.abs(dense).max() * np.linalg.norm(x0))
+        # the Galerkin condition on the kept basis: u^T (A x0 - rhs) = 0
+        assert (np.linalg.norm(u.T @ (dense @ x0 - rhs))
+                <= 1e-10 * np.abs(dense).max() * np.linalg.norm(x0)
+                + 1e-12 * np.linalg.norm(rhs))
 
 
 def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
@@ -215,7 +221,7 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
         SubspaceCache(4, dense.__matmul__, 0)
 
 
-@pytest.mark.parametrize("change", ["drop_column", "eviction", "accepted"])
+@pytest.mark.parametrize("change", ["eviction", "accepted"])
 def test_a_basis_change_forgets_the_projection(rng, make_spd, change):
     # W and A W belong to one basis: after a change the next start vector
     # and its product are those of the new basis
@@ -224,33 +230,29 @@ def test_a_basis_change_forgets_the_projection(rng, make_spd, change):
     for _ in range(3 if change == "eviction" else 2):
         cache.insert(rng.standard_normal(8))
     rhs = rng.standard_normal(8)
-    before = cache.project(rhs)
-    if change == "drop_column":
-        cache.drop_column(0)
-    else:
-        assert cache.insert(rng.standard_normal(8))
-        assert cache.evictions == (change == "eviction")
-    x0 = cache.project(rhs)
+    before, _ = cache.start_vector(rhs)
+    assert cache.insert(rng.standard_normal(8))
+    assert cache.evictions == (change == "eviction")
+    x0, image = cache.start_vector(rhs)
     u = cache.basis
     expected = u @ np.linalg.solve(u.T @ dense @ u, u.T @ rhs)
     assert not np.allclose(x0, before)
     assert np.allclose(x0, expected, rtol=0.0, atol=1e-11)
-    assert np.allclose(cache.start_product(), dense @ x0, rtol=0.0,
-                       atol=1e-11)
+    assert np.allclose(image, dense @ x0, rtol=0.0, atol=1e-11)
 
 
 def test_a_modified_start_vector_is_not_taken_for_the_projection(rng,
                                                                  make_spd):
-    # the caller owns the start vector; its product comes from the cache's
-    # own coefficients
+    # the caller owns the start vector; its image is an array of its own,
+    # and the cache's insert takes the start once the caller moved it
     dense = make_spd(rng, 8)
     cache = SubspaceCache(8, dense.__matmul__, 20)
     for _ in range(2):
         cache.insert(rng.standard_normal(8))
-    x0 = cache.project(rng.standard_normal(8))
-    image = dense @ x0
+    x0, image = cache.start_vector(rng.standard_normal(8))
+    expected = dense @ x0
     x0 += rng.standard_normal(8)
-    assert np.allclose(cache.start_product(), image, rtol=0.0, atol=1e-11)
+    assert np.allclose(image, expected, rtol=0.0, atol=1e-11)
     assert cache.insert(x0)
 
 
@@ -269,12 +271,66 @@ def test_the_sweep_drops_every_exact_projection(make_spd, n, k, seed,
                           drop_tol=drop_tol)
     for _ in range(k):
         cache.insert(10.0 ** log_scale * rng.standard_normal(n))
-    earlier = cache.project(rng.standard_normal(n))
-    latest = cache.project(rng.standard_normal(n))
+    earlier, _ = cache.start_vector(rng.standard_normal(n))
+    latest, _ = cache.start_vector(rng.standard_normal(n))
     assert not np.array_equal(earlier, latest)
     products = cache.products_computed
     assert not cache.insert(earlier)
     assert cache.products_computed == products
+
+
+CONTRACT_OPS = st.lists(
+    st.tuples(st.sampled_from(("solution", "null", "start")),
+              st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(("previous", "cspe", "pod")),
+       singular=st.booleans(), n=st.integers(3, 12), n_pod=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), ops=CONTRACT_OPS)
+def test_every_start_comes_with_its_image(make_spd, kind, singular, n, n_pod,
+                                          seed, ops):
+    # the contract of every strategy: start_vector returns x0 with its
+    # image A x0, and observe takes every solution, a start returned
+    # unchanged included. On a singular operator the history takes null
+    # vectors, whose Galerkin pivots fail.
+    rng = np.random.default_rng(seed)
+    dense = make_spd(rng, n)
+    z = rng.standard_normal(n)
+    z /= np.linalg.norm(z)
+    if singular:
+        off = np.eye(n) - np.outer(z, z)
+        dense = off @ dense @ off
+        dense = 0.5 * (dense + dense.T)
+    scale = np.abs(dense).max()
+    strategy = make_strategy(StrategyConfig(kind, n_pod=n_pod), n,
+                             dense.__matmul__)
+    observed = []
+    for op, arg in ops:
+        draw = np.random.default_rng(arg)
+        rhs = dense @ draw.standard_normal(n)
+        x0, image = strategy.start_vector(rhs)
+        assert (np.linalg.norm(image - dense @ x0)
+                <= 1e-11 * np.linalg.norm(rhs)
+                + 1e-13 * scale * np.linalg.norm(x0))
+        products = strategy.products_computed
+        if op == "start":
+            solution = x0
+        elif op == "null":
+            solution = draw.standard_normal() * z
+        else:
+            solution = draw.standard_normal(n)
+        observed.append(solution.copy())
+        strategy.observe(solution)
+        if op == "start" and kind != "pod":
+            # the history spans its own start, so observing it costs nothing
+            assert strategy.products_computed == products
+        if kind == "pod":
+            ring = list(strategy._snapshots)
+            assert len(ring) == len(observed[-n_pod:])
+            assert all(np.array_equal(kept, solution) for kept, solution
+                       in zip(ring, observed[-n_pod:]))
 
 
 def family_strategies(make_linear_system, kind, n_n=5, **settings):
@@ -305,10 +361,12 @@ def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(
     # the Galerkin solution on the span of the last three source solutions
     q, _ = np.linalg.qr(np.column_stack(originals[2:]))
     expected = q @ np.linalg.solve(q.T @ dense @ q, q.T @ rhs)
-    assert np.allclose(src.start_vector(rhs), expected, rtol=0.0, atol=1e-8)
+    assert np.allclose(src.start_vector(rhs)[0], expected, rtol=0.0,
+                       atol=1e-8)
     u = originals[0]
     expected = u * (u @ rhs) / (u @ dense @ u)
-    assert np.allclose(cpl.start_vector(rhs), expected, rtol=0.0, atol=1e-8)
+    assert np.allclose(cpl.start_vector(rhs)[0], expected, rtol=0.0,
+                       atol=1e-8)
     with pytest.raises(ValueError, match="shape"):
         src.observe(np.zeros(dim - 1))
 
@@ -318,8 +376,8 @@ def test_pod_matches_dense_svd(rng, make_spd):
     dense = make_spd(rng, dim)
     snaps = [rng.standard_normal(dim) for _ in range(n_snap)]
     rhs = rng.standard_normal(dim)
-    x0, k, info, applies = pod_start_vector(snaps, rhs, dense.__matmul__,
-                                            1e-12)
+    x0, k, info, applies, image = pod_start_vector(snaps, rhs,
+                                                   dense.__matmul__, 1e-12)
     x_mat = np.column_stack(snaps)
     sigma = np.linalg.svd(x_mat, compute_uv=False)
     k_expected = int(np.sum(sigma / sigma[0] > 1e-12))
@@ -330,6 +388,7 @@ def test_pod_matches_dense_svd(rng, make_spd):
     q, _ = np.linalg.qr(x_mat)
     coeffs = np.linalg.solve(q.T @ dense @ q, q.T @ rhs)
     assert np.allclose(x0, q @ coeffs, rtol=0.0, atol=1e-8)
+    assert np.allclose(image, dense @ x0, rtol=0.0, atol=1e-10)
 
 
 def test_pod_truncation_ladder(rng):
@@ -339,7 +398,7 @@ def test_pod_truncation_ladder(rng):
     sigma = np.array([1.0, 1e-3, 1e-5])
     x_mat = (u * sigma) @ v.T
     dense = np.eye(dim)
-    x0, k, info, applies = pod_start_vector(list(x_mat.T),
+    x0, k, info, applies, _ = pod_start_vector(list(x_mat.T),
                                             rng.standard_normal(dim),
                                             dense.__matmul__, 1e-4)
     assert k == 2
@@ -351,7 +410,7 @@ def test_pod_truncation_ladder(rng):
 def test_pod_rank_one_snapshots(rng):
     v = rng.standard_normal(6)
     dense = np.diag(np.arange(1.0, 7.0))
-    x0, k, info, applies = pod_start_vector([v, v, v], dense @ v,
+    x0, k, info, applies, _ = pod_start_vector([v, v, v], dense @ v,
                                             dense.__matmul__, 1e-4)
     assert k == 1
     # tiny spurious Gram eigenvalues keep info marginally below one
@@ -362,9 +421,10 @@ def test_pod_rank_one_snapshots(rng):
 
 def test_pod_empty_and_zero_snapshots():
     for snapshots in ([], [np.zeros(4)]):
-        x0, k, info, applies = pod_start_vector(snapshots, np.ones(4),
-                                                np.eye(4).__matmul__, 1e-4)
+        x0, k, info, applies, image = pod_start_vector(
+            snapshots, np.ones(4), np.eye(4).__matmul__, 1e-4)
         assert np.array_equal(x0, np.zeros(4))
+        assert np.array_equal(image, np.zeros(4))
         assert (k, info, applies) == (0, 0.0, 0)
     with pytest.raises(ValueError, match="shape"):
         pod_start_vector([np.ones(4)], np.ones(3), np.eye(4).__matmul__,
@@ -376,18 +436,34 @@ def test_pod_drops_the_mode_whose_galerkin_pivot_fails():
     # is zero, so the projection keeps the stronger mode alone
     dense = np.diag([1.0, 2.0, 0.0])
     snapshots = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1e-2])]
-    x0, k, info, applies = pod_start_vector(
+    x0, k, info, applies, image = pod_start_vector(
         snapshots, np.array([3.0, 1.0, 1.0]), dense.__matmul__, 1e-4)
     assert (k, applies) == (1, 2)
     assert info == pytest.approx(1.0 / 1.01, rel=1e-12)
     assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(image, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
+def test_pod_keeps_the_modes_after_one_whose_pivot_fails():
+    # the middle mode lies in the operator's nullspace: it alone leaves the
+    # projection, and the weaker mode after it stays
+    dense = np.diag([1.0, 2.0, 0.0])
+    snapshots = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1e-1]),
+                 np.array([0.0, 1e-2, 0.0])]
+    x0, k, info, applies, image = pod_start_vector(
+        snapshots, np.array([3.0, 1.0, 1.0]), dense.__matmul__, 1e-4)
+    assert (k, applies) == (2, 3)
+    assert info == pytest.approx(1.01 / 1.11, rel=1e-12)
+    assert np.allclose(x0, [3.0, 0.5, 0.0], rtol=0.0, atol=1e-14)
+    assert np.allclose(image, [3.0, 1.0, 0.0], rtol=0.0, atol=1e-14)
 
 
 def test_pod_galerkin_residual_is_small(rng, make_spd):
     dense = make_spd(rng, 9)
     x_star = rng.standard_normal(9)
     rhs = dense @ x_star
-    x0, k, info, _ = pod_start_vector([x_star], rhs, dense.__matmul__, 1e-10)
+    x0, k, info, _, _ = pod_start_vector([x_star], rhs, dense.__matmul__,
+                                         1e-10)
     assert k == 1
     assert np.linalg.norm(dense @ x0 - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -415,23 +491,29 @@ def test_pod_info_monotone_in_eps(make_spd, seed, dim, n_snap, rank, decay,
 
 
 def test_previous_strategy_isolates_families(rng, make_linear_system):
-    strategies, _ = family_strategies(make_linear_system, "previous", n_n=4)
+    strategies, dense = family_strategies(make_linear_system, "previous",
+                                          n_n=4)
     src, cpl = strategies[SRC], strategies[CPL_PREV]
-    assert np.array_equal(src.start_vector(None), np.zeros(4))
+    for vector in src.start_vector(None):
+        assert np.array_equal(vector, np.zeros(4))
     sol_src = rng.standard_normal(4)
     sol_cpl = rng.standard_normal(4)
     src.observe(sol_src)
-    assert np.array_equal(cpl.start_vector(None), np.zeros(4))
+    assert np.array_equal(cpl.start_vector(None)[0], np.zeros(4))
     cpl.observe(sol_cpl)
-    assert np.array_equal(src.start_vector(None), sol_src)
-    assert np.array_equal(cpl.start_vector(None), sol_cpl)
+    x0, image = src.start_vector(None)
+    assert np.array_equal(x0, sol_src)
+    assert np.allclose(image, dense @ sol_src, rtol=0.0, atol=1e-12)
+    assert np.array_equal(cpl.start_vector(None)[0], sol_cpl)
     # returned vectors are copies, not views into the history
-    out = src.start_vector(None)
+    out, _ = src.start_vector(None)
     out[:] = 0.0
-    assert np.array_equal(src.start_vector(None), sol_src)
+    assert np.array_equal(src.start_vector(None)[0], sol_src)
+    # one product per observed solution, for its image; the start returned
+    # unchanged is not observed again
+    src.observe(src.start_vector(None)[0])
     assert (src.size, src.products_computed, src.evictions,
-            src.projections) == (0, 0, 0, ())
-    assert src.start_product() is None
+            src.projections) == (0, 1, 0, ())
 
 
 def test_cspe_strategy_isolates_families(rng, make_linear_system):
@@ -443,8 +525,8 @@ def test_cspe_strategy_isolates_families(rng, make_linear_system):
     assert (src.products_computed, cpl.products_computed) == (1, 0)
     # the coupling family sees an empty cache: zero start vector
     rhs = dense @ x
-    assert np.array_equal(cpl.start_vector(rhs), np.zeros(5))
-    assert np.allclose(src.start_vector(rhs), x, rtol=0.0, atol=1e-8)
+    assert np.array_equal(cpl.start_vector(rhs)[0], np.zeros(5))
+    assert np.allclose(src.start_vector(rhs)[0], x, rtol=0.0, atol=1e-8)
     assert src.size == 1
     assert src.products_computed == 1
     assert src.projections == cpl.projections == ()
@@ -454,8 +536,9 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     dense = make_spd(rng, 6)
     strat = PodStrategy(6, dense.__matmul__, n_pod=4, eps_pod=1e-10)
     rhs = rng.standard_normal(6)
-    # empty buffer: zero vector, no operator work
-    assert np.array_equal(strat.start_vector(rhs), np.zeros(6))
+    # empty buffer: zero vectors, no operator work
+    for vector in strat.start_vector(rhs):
+        assert np.array_equal(vector, np.zeros(6))
     assert strat.products_computed == 0
     strat.observe(rng.standard_normal(6))
     strat.observe(rng.standard_normal(6))
@@ -466,7 +549,7 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     [(k, info)] = strat.projections
     assert k == 2
     assert 0.0 < info <= 1.0
-    assert strat.evictions == 0 and strat.start_product() is None
+    assert strat.evictions == 0
 
 
 def test_pod_basis_size_answers_per_family(rng, make_linear_system):
@@ -487,7 +570,7 @@ def test_pod_basis_size_answers_per_family(rng, make_linear_system):
 
 def test_make_strategy_dispatch(rng, make_spd):
     dense = make_spd(rng, 4)
-    previous = make_strategy(StrategyConfig("previous"), 4)
+    previous = make_strategy(StrategyConfig("previous"), 4, dense.__matmul__)
     assert isinstance(previous, PreviousSolutionStrategy)
     assert previous.kind == "previous"
     # the CSPE cap is the caller's, the whole space by default
@@ -501,23 +584,26 @@ def test_make_strategy_dispatch(rng, make_spd):
         make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__, 0)
     pod = make_strategy(StrategyConfig("pod", n_pod=3), 4, dense.__matmul__)
     assert isinstance(pod, PodStrategy) and pod.kind == "pod"
-    with pytest.raises(ValueError):
-        make_strategy(StrategyConfig("cspe"), 4)
-    with pytest.raises(ValueError):
-        make_strategy(StrategyConfig("pod"), 4)
+    # every kind applies the operator, so it is a required argument
+    for kind in ("previous", "cspe", "pod"):
+        with pytest.raises(TypeError, match="operator"):
+            make_strategy(StrategyConfig(kind), 4)
     for unknown in ("banana", "zero"):
         with pytest.raises(ValueError):
             make_strategy(StrategyConfig(unknown), 4, dense.__matmul__)
 
 
 @pytest.mark.parametrize("kind, setting", [("pod", dict(n_pod=0)),
-                                           ("pod", dict(eps_pod=2.0))],
-                         ids=["n_pod", "eps_pod"])
+                                           ("pod", dict(eps_pod=2.0)),
+                                           ("pod", dict(n_pod=2.5)),
+                                           ("pod", dict(n_pod=True))],
+                         ids=["n_pod", "eps_pod", "n_pod_float",
+                              "n_pod_bool"])
 def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
                                                         setting):
     # before any solve, so before a run's start CFL estimate
     [name] = setting
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} "):
         make_strategy(StrategyConfig(kind, **setting), 4,
                       np.eye(4).__matmul__)
     with pytest.raises(ValueError, match=name):
