@@ -16,12 +16,12 @@ and none for its initial residual: every start vector comes with its K_n
 image, which its strategy knows without a product at solve time, so a
 solve whose start meets the tolerance makes no K_n product at all. The
 strategies' own products (CSPE basis columns, POD modes, the image of the
-previous solution) are their upkeep. The step from (a_c, t)
-takes its rate at its start, K_n^+ j_n(t) and K_n^+ K_cn^T a_c, and
-recovering the nonconducting unknowns at an output time (a_c, t) needs the
-same pair: an output row makes both solves and hands them to the next step.
-A run therefore pays two solves for all of its recoveries, the pair after
-the last step.
+previous solution) are their upkeep. ``rate`` owns the right-hand side
+M_c^{-1} f(t, a_c) of the eliminated system and its pair of solves,
+K_n^+ j_n(t) and K_n^+ K_cn^T a_c: the step from (a_c, t) is
+a_c + dt * rate at its start, and recovering the nonconducting unknowns at
+an output time makes the same pair and hands it to the next step (see
+``rate``).
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S). Since
 K_cn pinv(K_n) K_cn^T is positive semidefinite, K_S(a_c) <= K_c(a_c), so
@@ -62,6 +62,7 @@ __all__ = [
     "CflEstimate",
     "stability_bound",
     "estimate_cfl",
+    "rate",
     "explicit_euler_step",
     "recover_an",
     "run_explicit",
@@ -419,8 +420,13 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
 
     A theta above ``stability_bound`` is impossible, since K_cn K_n^+ K_cn^T
     is positive semidefinite: it raises StepFailureError, as a broken inner
-    solve.
+    solve. ``cfl_steps`` must be an integer of at least 1 and ``cfl_tol``
+    finite and nonnegative; a bad one raises ValueError naming it first,
+    before any solve.
     """
+    _check_count("cfl_steps", cfl_steps, 1)
+    if not (0.0 <= cfl_tol < math.inf):
+        raise ValueError("cfl_tol must be finite and nonnegative")
     n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
     scale = np.sqrt(1.0 / system.mc.diagonal())
@@ -478,36 +484,60 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
                        power_iters=q.shape[1])
 
 
+def _solve_pair(op: SchurOperator, a_c, t: float, step: int | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(y_src, y_cpl)`` of ``rate`` at (a_c, t), solved in this
+    order: the only family solves of the explicit path."""
+    y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT, step)
+    coupling = _matvec(op.system.kcn._transpose, np.asarray(a_c, dtype=float))
+    y_cpl, _ = op.solve_kn(coupling, RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
+                           step)
+    return y_src, y_cpl
+
+
+def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
+         solutions: tuple[np.ndarray, np.ndarray] | None = None
+         ) -> np.ndarray:
+    """The rate M_c^-1 f(t, a_c) = M_c^-1 (K_cn (y_cpl - y_src) - K_c(a_c) a_c)
+    of the eliminated system at (a_c, t).
+
+    y_src = K_n^+ j_n(t) and y_cpl = K_n^+ K_cn^T a_c are the pair of inner
+    solves, one per right-hand-side family, the source first. The algebraic
+    block is a_n = y_src - y_cpl; substituting it into the conducting row
+    flips the sign of the source term relative to the coupling term.
+    Recovering a_n at an output time (``recover_an``) therefore makes the
+    same pair, and *solutions* is that pair for the same (a_c, t); without
+    it the rate makes both solves. A run's output row thus hands its pair
+    to the next step, and the run pays two solves for all of its
+    recoveries: the pair after the last step. *step* names the step in a
+    solve's failure message.
+
+    K_cn and K_cn^T go to the CSR kernel ``_matvec`` directly, as in
+    ``kc_apply``: the products are bitwise those of ``spmv`` and
+    ``spmv_transpose`` without their call frames.
+    """
+    y_src, y_cpl = (_solve_pair(op, a_c, t, step) if solutions is None
+                    else solutions)
+    return op.minv_diag * (_matvec(op.system.kcn, y_cpl - y_src)
+                           - op.system.kc_apply(a_c))
+
+
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
                         op: SchurOperator, step_index: int | None = None,
                         solutions: tuple[np.ndarray, np.ndarray] | None = None
                         ) -> np.ndarray:
-    """One explicit Euler step a_c + dt M_c^-1 f(t, a_c) of the eliminated
-    system, its rate taken at the step's start.
+    """One explicit Euler step a_c + dt * ``rate`` from ``state`` = (a_c, t),
+    the rate taken at the step's start.
 
-    The rate needs two inner solves at (a_c, t): the source K_n^+ j_n(t) and
-    the coupling K_n^+ K_cn^T a_c. *solutions* is that pair
-    ``(y_src, y_cpl)`` as ``recover_an`` returned it for the same (a_c, t);
-    without it the step makes both solves. Returns the new conducting state.
-    ``dt == 0`` reproduces the state bit for bit. A failure names
-    ``step_index`` when it is given.
+    *solutions* is the pair of inner solves at (a_c, t) that ``rate``
+    takes (``recover_an`` returns it); without it the step makes both
+    solves. Returns the new conducting state. ``dt == 0`` reproduces the
+    state bit for bit. A failure names ``step_index`` when it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if solutions is None:
-        y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
-                               step_index)
-        y_cpl, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
-                               RhsFamily.COUPLING_FROM_PREVIOUS_STATE,
-                               step_index)
-    else:
-        y_src, y_cpl = solutions
-    # d/dt a_c = M^-1 (K_cn (y_cpl - y_src) - K_c a_c): substituting the
-    # algebraic block a_n = y_src - y_cpl into the conducting row flips the
-    # sign of the source term relative to the coupling term.
-    rate = spmv(op.system.kcn, y_cpl - y_src) - op.system.kc_apply(a_c)
-    a_next = a_c + dt * (op.minv_diag * rate)
+    a_next = a_c + dt * rate(op, a_c, t, step_index, solutions)
     if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
@@ -519,15 +549,12 @@ def recover_an(op: SchurOperator, a_c, t: float, step: int | None = None
                ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Nonconducting unknowns a_n = K_n^+ j_n(t) - K_n^+ K_cn^T a_c.
 
-    Both solves run under the stepping families, so they are the pair the
-    next step from (a_c, t) needs: returns ``(a_n, (y_src, y_cpl))``, and
-    the pair goes to ``explicit_euler_step`` as *solutions*. *step* names
-    the step that ended at t in a failure message.
+    Returns ``(a_n, (y_src, y_cpl))``: the pair is the one ``rate`` takes at
+    (a_c, t), and goes to ``rate`` or ``explicit_euler_step`` as
+    *solutions* (see ``rate``). *step* names the step that ended at t in a
+    failure message.
     """
-    y_src, _ = op.solve_kn(op.system.source(t), RhsFamily.SOURCE_CURRENT,
-                           step)
-    y_cpl, _ = op.solve_kn(spmv_transpose(op.system.kcn, a_c),
-                           RhsFamily.COUPLING_FROM_PREVIOUS_STATE, step)
+    y_src, y_cpl = _solve_pair(op, a_c, t, step)
     return y_src - y_cpl, (y_src, y_cpl)
 
 
@@ -711,7 +738,6 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         "steps": steps,
         "dt": dt_val,
         "stability_bound": bound,
-        "cfl_refreshes": len(cfl_history),
         "cfl_history": cfl_history,
         "maintenance_applies": kn_applies["upkeep"],
         "evictions": {f.value: s.evictions

@@ -151,7 +151,11 @@ class SubspaceCache(StartVectorStrategy):
 
     The operator is bound at construction: cached products are only valid
     against a fixed operator, so rebinding is deliberately impossible.
-    Eviction is first-in-first-out once ``max_cols`` is reached.
+    Eviction is first-in-first-out once ``max_cols`` is reached. An insert
+    whose remainder after the sweeps is at most ``drop_tol`` times its norm
+    is dropped. A ``max_cols`` that is not an integer of at least 1, or a
+    ``drop_tol`` that is not finite and nonnegative, raises ValueError
+    naming it first.
 
     ``start_vector`` keeps W and A W from ``_galerkin_basis`` and rebuilds
     them only after the basis changed (an accepted insert or an eviction).
@@ -163,8 +167,9 @@ class SubspaceCache(StartVectorStrategy):
 
     def __init__(self, dim: int, operator, max_cols: int,
                  drop_tol: float = 1e-10):
-        if max_cols < 1:
-            raise ValueError("max_cols must be at least 1")
+        _check_count("max_cols", max_cols, 1)
+        if not (0.0 <= drop_tol < math.inf):
+            raise ValueError("drop_tol must be finite and nonnegative")
         super().__init__(dim)
         self.max_cols = int(max_cols)
         self.drop_tol = float(drop_tol)
@@ -212,14 +217,14 @@ class SubspaceCache(StartVectorStrategy):
             self.columns_dropped += 1
             return False
         # Two Gram-Schmidt sweeps; a sweep never lengthens the vector, so
-        # one that falls below the drop threshold after the first is
-        # dropped without the second.
+        # one that falls to the drop threshold after the first is dropped
+        # without the second. A zero remainder is dropped at drop_tol 0 too.
         w = v
         for _ in range(2):
             if self.size:
                 w = w - self._basis @ (self._basis.T @ w)
             nw = math.sqrt(w @ w)
-            if nw < self.drop_tol * orig:
+            if nw <= self.drop_tol * orig:
                 self.columns_dropped += 1
                 return False
         u = w / nw

@@ -326,6 +326,41 @@ def test_explicit_step_matches_dense_rate(rng, make_linear_system):
     assert np.allclose(a1, expected, rtol=1e-9, atol=1e-13)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_step_and_the_recovery_share_one_rate(builtin6, strategy):
+    # two operators with one history: each takes five steps from rest
+    system = builtin6.system
+    settings = explicit(strategy)
+    dt = settings.stable_step(schur.stability_bound(system))
+    ops = [SchurOperator(system, settings) for _ in range(2)]
+    for op in ops:
+        a_c, t = np.zeros(system.n_c), 0.0
+        for step in range(1, 6):
+            a_c = explicit_euler_step((a_c, t), dt, op, step)
+            t += dt
+    recovered, solving = ops
+
+    def solves(op):
+        return [len(op.solve_iterations[f]) for f in FAMILIES]
+
+    # without a pair the rate makes one solve per family
+    before = solves(solving)
+    own = schur.rate(solving, a_c, t, 6)
+    assert solves(solving) == [n + 1 for n in before]
+    # the recovery's pair gives the same rate bit for bit, and no solve
+    a_n, pair = recover_an(recovered, a_c, t, 6)
+    assert np.array_equal(a_n, pair[0] - pair[1])
+    before = solves(recovered)
+    given = schur.rate(recovered, a_c, t, 6, pair)
+    assert solves(recovered) == before
+    assert np.array_equal(given, own)
+    assert np.any(given != 0.0)
+    # the step is a_c + dt * rate, bit for bit
+    stepped = explicit_euler_step((a_c, t), dt, recovered, 6, pair)
+    assert np.array_equal(stepped, a_c + dt * given)
+    assert solves(recovered) == before
+
+
 def test_zero_dt_step_is_identity(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     op = SchurOperator(system, explicit("previous", pcg=TIGHT))
@@ -398,7 +433,10 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     forwarded each solve's start_vector and start_product to the family's
     cache. It now makes 29, two of them one cache's Cholesky
     refactorization: per solve, ``start_vector`` returns the start with
-    its image and ``observe`` takes the solution back.
+    its image and ``observe`` takes the solution back. The step calls
+    ``rate``, which calls ``_solve_pair`` for the two solves; both apply
+    K_cn^T and K_cn by ``_matvec`` directly, as ``kc_apply`` does, not
+    through ``spmv_transpose`` and ``spmv``.
     """
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
@@ -512,7 +550,7 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     assert lam <= est.ceiling == schur.stability_bound(system)
 
 
-def test_cfl_validation():
+def test_cfl_validation(builtin6, monkeypatch):
     # the message starts with the field's name, which RunConfig maps to its
     # own key
     for field, value in (("safety", 0.0), ("safety", 1.5),
@@ -534,6 +572,19 @@ def test_cfl_validation():
             NewtonConfig(max_newton=value)
     # an integer of another type is a count
     assert ExplicitConfig(reestimate_every=np.int64(3)).reestimate_every == 3
+
+    # the Lanczos estimate checks its budget and tolerance before its first
+    # inner solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("estimate_cfl solved before checking")
+
+    monkeypatch.setattr(schur, "pcg_solve", no_solve)
+    for field, value in (("cfl_steps", 0), ("cfl_steps", -1),
+                         ("cfl_steps", 2.5), ("cfl_steps", True),
+                         ("cfl_tol", -1.0), ("cfl_tol", np.nan),
+                         ("cfl_tol", np.inf)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            estimate_cfl(builtin6.system, **{field: value})
 
 
 def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
@@ -617,7 +668,9 @@ def test_run_explicit_logs_every_cfl_refresh(builtin6, monkeypatch):
     result = run_explicit(system, t_end=350.5 * dt0, config=settings)
     agg = result.aggregates
     history = agg["cfl_history"]
-    assert agg["cfl_refreshes"] == len(history) == 3
+    assert len(history) == 3
+    # the refresh count is the length of the history, not a key of its own
+    assert "cfl_refreshes" not in agg
     assert [entry[0] for entry in history] == [100, 200, 300]
     assert states[0] is None and len(states) == 4
     dt = dt0
@@ -645,7 +698,7 @@ def test_a_cfl_refresh_never_raises_dt(builtin6, monkeypatch):
     dt0 = settings.stable_step(original(builtin6.system))
     result = run_explicit(builtin6.system, t_end=2e-4, config=settings)
     agg = result.aggregates
-    assert agg["cfl_refreshes"] == len(refreshes) > 0
+    assert len(agg["cfl_history"]) == len(refreshes) > 0
     assert all(settings.stable_step(bound) > dt0 for bound in refreshes)
     assert agg["dt"] == dt0
     assert [entry[2] for entry in agg["cfl_history"]] == [dt0] * len(refreshes)
@@ -781,7 +834,7 @@ def test_operator_applies_count_every_kn_product(builtin6, monkeypatch):
                               config=explicit(strategy, reestimate_every=2),
                               output_period=2e-5)
         agg = result.aggregates
-        assert agg["cfl_refreshes"] > 0
+        assert len(agg["cfl_history"]) > 0
         # every product made, by any cause, is in operator_applies
         assert (counted["total"] + agg["maintenance_applies"]
                 == agg["operator_applies"])

@@ -217,8 +217,18 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
     assert not cache.insert(np.array([1.0, np.nan, 0.0, 0.0]))
     assert cache.size == 0
     assert cache.columns_dropped == 2
-    with pytest.raises(ValueError):
-        SubspaceCache(4, dense.__matmul__, 0)
+    # the cap is a count and the drop tolerance a finite number >= 0; the
+    # message starts with the field's name
+    for field, value in (("max_cols", 0), ("max_cols", 2.5),
+                         ("max_cols", True), ("drop_tol", np.nan),
+                         ("drop_tol", -1e-6), ("drop_tol", np.inf)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SubspaceCache(4, dense.__matmul__, **{"max_cols": 3, field: value})
+    # at drop_tol 0 a remainder the sweeps zero exactly is still dropped
+    cache = SubspaceCache(4, dense.__matmul__, 3, drop_tol=0.0)
+    assert cache.insert(np.eye(4)[0])
+    assert not cache.insert(np.eye(4)[0])
+    assert cache.size == 1 and cache.columns_dropped == 1
 
 
 @pytest.mark.parametrize("change", ["eviction", "accepted"])
@@ -579,9 +589,15 @@ def test_make_strategy_dispatch(rng, make_spd):
                              max_cols)
         assert isinstance(cspe, SubspaceCache)
         assert (cspe.kind, cspe.max_cols) == ("cspe", cap)
-    # the cache's own range check is the one check of the cap
-    with pytest.raises(ValueError, match="max_cols"):
-        make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__, 0)
+    # the cache's own checks are the one check of the cap and tolerance
+    for field, max_cols, drop_tol in (("max_cols", 0, 1e-6),
+                                      ("max_cols", 2.5, 1e-6),
+                                      ("max_cols", True, 1e-6),
+                                      ("drop_tol", 3, np.nan),
+                                      ("drop_tol", 3, -1.0)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            make_strategy(StrategyConfig("cspe"), 4, dense.__matmul__,
+                          max_cols, drop_tol)
     pod = make_strategy(StrategyConfig("pod", n_pod=3), 4, dense.__matmul__)
     assert isinstance(pod, PodStrategy) and pod.kind == "pod"
     # every kind applies the operator, so it is a required argument
