@@ -163,12 +163,14 @@ def _vector(v, length: int | None, name: str) -> tuple[np.ndarray, float]:
 
     A finite sum of squares proves every entry finite, so the entries are
     tested (by :func:`as_vector`, with its error) only when the sum is not
-    finite; a finite vector whose sum overflows passes as before.
+    finite; a finite vector whose sum overflows passes, without numpy's
+    overflow warning.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or (length is not None and v.size != length):
         as_vector(v, length=length, name=name)      # raises the shape error
-    squares = float(v.dot(v))       # @ without the ufunc dispatch
+    with np.errstate(over="ignore"):
+        squares = float(v.dot(v))       # @ without the ufunc dispatch
     if not math.isfinite(squares):
         as_vector(v, name=name)
     return v, squares

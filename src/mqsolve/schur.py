@@ -21,7 +21,11 @@ M_c^{-1} f(t, a_c) of the eliminated system and its pair of solves,
 K_n^+ j_n(t) and K_n^+ K_cn^T a_c: the step from (a_c, t) is
 a_c + dt * rate at its start, and recovering the nonconducting unknowns at
 an output time makes the same pair and hands it to the next step (see
-``rate``).
+``rate``). The rate needs only K_cn (y_cpl - y_src), so when both families
+are CSPE and the source is separable, a residual screen decides from
+arrays of the conductor's dimension whether both starts would be
+accepted, and then makes no operation of the nonconducting dimension
+(``_ResidualScreen``).
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S). Since
 K_cn pinv(K_n) K_cn^T is positive semidefinite, K_S(a_c) <= K_c(a_c), so
@@ -50,7 +54,7 @@ from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
                      build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _check_count, _matvec, as_vector, spmv,
                      spmv_transpose, symmetric_check)
-from .startvec import RhsFamily, StrategyConfig, make_strategy
+from .startvec import RhsFamily, StrategyConfig, SubspaceCache, make_strategy
 
 __all__ = [
     "FAMILIES",
@@ -80,6 +84,13 @@ OUTPUT_PERIOD = 1e-3
 # steps an explicit run may take before it fails
 MAX_STEPS = 2_000_000
 
+# the CSPE drop tolerance as a fraction of the inner solve tolerance: a
+# correction of a start that missed the target is smaller than rel_tol, and
+# a cache that dropped it would miss the same way at the next solve
+DROP_FRACTION = 0.01
+
+EPS = float(np.finfo(float).eps)
+
 
 class StepFailureError(RuntimeError):
     """A time step produced a non-finite state or an inner solve failed."""
@@ -88,10 +99,12 @@ class StepFailureError(RuntimeError):
 @dataclass(frozen=True)
 class ExplicitConfig:
     """Settings of the explicit run: start vectors, inner solves (PCG,
-    always Jacobi-preconditioned, to ``pcg``'s tolerances; ``pcg.rel_tol``
-    is also the CSPE drop tolerance), the auto step's safety factor and
-    auto-dt refresh period (0: none). A bad value raises ValueError naming
-    the field first. The step budget is ``MAX_STEPS``, not a setting."""
+    always Jacobi-preconditioned, to ``pcg``'s tolerances), the auto step's
+    safety factor and auto-dt refresh period (0: none). A bad value raises
+    ValueError naming the field first. The step budget is ``MAX_STEPS``,
+    the CSPE drop tolerance ``DROP_FRACTION * pcg.rel_tol``, and whether
+    the residual screen runs follows from ``pcg.rel_tol``: none of them is
+    a setting."""
 
     strategy: StrategyConfig = StrategyConfig()
     pcg: PcgConfig = PcgConfig()
@@ -229,11 +242,15 @@ class SchurOperator:
     by a strategy object of its own, ``strategies[family]``: the one
     ``config.strategy`` names, or the built *strategies* (a dict over
     FAMILIES). A CSPE strategy built here keeps at most n_c basis columns,
-    the most directions the coupling solutions span. Per-solve iteration counts
+    the most directions the coupling solutions span, and drops increments
+    below ``DROP_FRACTION * pcg.rel_tol``. Per-solve iteration counts
     (``solve_iterations``, one list per family) and solver wall time are
     accumulated for benchmarking, and ``kn_applies`` splits the K_n
     products by cause. ``minv_diag`` is the diagonal of M_c^{-1}, by which
-    the explicit step multiplies.
+    the explicit step multiplies. ``screen`` is the ``_ResidualScreen`` of
+    ``rate``, or None where it cannot accept a start (decided here, once),
+    and ``screened`` counts the pairs it accepted and those it sent to the
+    full path.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -245,15 +262,17 @@ class SchurOperator:
         self._precond = build_preconditioner(system.kn)
         # the coupling solutions K_n^+ K_cn^T a_c span at most n_c
         # directions, so a CSPE basis of n_c columns per family holds them
-        # all; basis increments smaller than the inner solve tolerance are
-        # solver noise, and accepting them churns the capped basis
+        # all
         self.strategies = strategies or {
             f: make_strategy(config.strategy, system.n_n, self._kn_apply,
-                             system.n_c, config.pcg.rel_tol)
+                             system.n_c, DROP_FRACTION * config.pcg.rel_tol)
             for f in FAMILIES}
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.solver_seconds = 0.0
+        self.screened = {"accepted": 0, "full_path": 0}
+        self.screen = (_ResidualScreen(self) if _ResidualScreen.applies(self)
+                       else None)
 
     @property
     def kn_applies(self) -> dict[str, int]:
@@ -484,6 +503,135 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
                        power_iters=q.shape[1])
 
 
+class _ResidualScreen:
+    """The pair of CSPE starts of ``rate`` decided in the conductor's
+    dimension n_c, with no operation of the nonconducting dimension n_n.
+
+    ``solve_kn`` accepts the start x0 = W W^T b of a family's cache, with
+    (W, A W) its ``projection``, when ||b - A W W^T b|| <= rel_tol ||b||,
+    and the rate then needs only K_cn x0. Per basis version (the identity
+    of ``projection``) the screen keeps small arrays:
+
+    * source, b = w(t) p from a ``ScaledPatternSource``: c_p = W^T p,
+      rho_p = ||p - A W c_p||, ||p|| and K_cn W c_p. The start's residual
+      is |w| rho_p against the target rel_tol |w| ||p||, so one comparison,
+      rho_p plus a rounding slack against rel_tol ||p||, decides every
+      source solve of the version, and K_cn y_src = w K_cn W c_p.
+    * coupling, b = K_cn^T a_c: KW = K_cn W, KAW = K_cn A W and
+      G = (A W)^T A W, with S = K_cn K_cn^T built at the first use. With
+      c = KW^T a_c the start's squared residual is
+      est = first - 2 second + third
+          = a_c^T S a_c - 2 c^T (KAW^T a_c) + c^T G c,
+      and K_cn y_cpl = KW c.
+
+    The expansion cancels: a residual below sqrt(eps) ||b|| is of the
+    order of its rounding error, which
+    err = 4 eps sqrt(k + 1) (|first| + 2 |second| + |third|) bounds with
+    the probabilistic sqrt(k) growth (Buhr, Engwer, Ohlberger & Rave,
+    WCCM 2014, on such residual estimators). So a coupling start is
+    accepted only when est + err <= rel_tol^2 (first - err). The target is
+    rel_tol ||b|| whatever ``pcg.abs_tol``, which can only raise it.
+
+    A call returns K_cn (y_cpl - y_src) when both starts pass, and logs a
+    zero-iteration solve per family and nothing else: ``solve_kn``'s
+    ``observe`` of an accepted start changes no strategy either. Anything
+    else, a zero or non-finite w(t) or quadratic form, a cache whose basis
+    awaits its rebuild or an inconclusive estimate, returns None: ``rate``
+    then takes the full path. Both outcomes count in ``op.screened``, and
+    the screen's time in ``op.solver_seconds``.
+    """
+
+    def __init__(self, op: SchurOperator):
+        self._op = op
+        self._pattern = op.system.source.pattern
+        self._waveform = op.system.source.waveform
+        self._kcn = op.system.kcn
+        self._source = op.strategies[RhsFamily.SOURCE_CURRENT]
+        self._coupling = op.strategies[RhsFamily.COUPLING_FROM_PREVIOUS_STATE]
+        self._logs = tuple(op.solve_iterations[f] for f in FAMILIES)
+        self._rel_tol = op.config.pcg.rel_tol
+        self._s = None
+        # the projections the arrays below belong to
+        self._source_version = self._coupling_version = None
+        # K_cn W c_p, None while the source start misses
+        self._source_force = None
+        self._kw = self._kaw = self._g = None
+        self._err = 0.0
+
+    @staticmethod
+    def applies(op: SchurOperator) -> bool:
+        """Whether the screen can accept a start of *op*: both families are
+        CSPE, the source is separable, and rel_tol^2 is at least twice the
+        rounding floor of est at a full basis of k columns,
+        16 eps sqrt(k + 1) ||b||^2 (each term of err is about ||b||^2 at an
+        accepted start). At the default rel_tol of 1e-8 it is not."""
+        caches = [op.strategies[f] for f in FAMILIES]
+        if not (all(isinstance(c, SubspaceCache) for c in caches)
+                and isinstance(op.system.source, ScaledPatternSource)):
+            return False
+        cols = max(c.max_cols for c in caches)
+        return 32.0 * EPS * math.sqrt(cols + 1) <= op.config.pcg.rel_tol ** 2
+
+    def __call__(self, a_c, t: float) -> np.ndarray | None:
+        started = time.perf_counter()
+        op = self._op
+        source = self._source.projection
+        coupling = self._coupling.projection
+        w = float(self._waveform(t))
+        a_c = np.asarray(a_c, dtype=np.float64)
+        force = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (w != 0.0 and math.isfinite(w) and source is not None
+                    and coupling is not None):
+                if source is not self._source_version:
+                    self._version_source(source)
+                if self._source_force is not None:
+                    if coupling is not self._coupling_version:
+                        self._version_coupling(coupling)
+                    c = self._kw.T.dot(a_c)
+                    first = a_c.dot(_matvec(self._s, a_c))
+                    second = c.dot(self._kaw.T.dot(a_c))
+                    third = c.dot(self._g.dot(c))
+                    err = self._err * (abs(first) + 2.0 * abs(second)
+                                       + abs(third))
+                    # false for a NaN from an overflow, as for a miss
+                    if (0.0 < first and first - 2.0 * second + third + err
+                            <= self._rel_tol ** 2 * (first - err)):
+                        force = self._kw.dot(c) - w * self._source_force
+        if force is None:
+            op.screened["full_path"] += 1
+        else:
+            op.screened["accepted"] += 1
+            for log in self._logs:
+                log.append(0)
+        op.solver_seconds += time.perf_counter() - started
+        return force
+
+    def _version_source(self, projection) -> None:
+        w, aw = projection
+        p = self._pattern
+        c = w.T.dot(p)
+        r = p - aw.dot(c)
+        p_norm = math.sqrt(p.dot(p))
+        slack = 4.0 * EPS * math.sqrt(c.size + 1) * (
+            p_norm + np.linalg.norm(np.abs(aw).dot(np.abs(c))))
+        hit = 0.0 < p_norm and math.sqrt(r.dot(r)) + slack <= (
+            self._rel_tol * p_norm)
+        self._source_force = _matvec(self._kcn, w.dot(c)) if hit else None
+        self._source_version = projection
+
+    def _version_coupling(self, projection) -> None:
+        w, aw = projection
+        kcn = self._kcn.to_scipy()
+        if self._s is None:
+            self._s = CsrMatrix.from_scipy(kcn @ kcn.T)
+        self._kw = np.asarray(kcn @ w)
+        self._kaw = np.asarray(kcn @ aw)
+        self._g = aw.T.dot(aw)
+        self._err = 4.0 * EPS * math.sqrt(w.shape[1] + 1)
+        self._coupling_version = projection
+
+
 def _solve_pair(op: SchurOperator, a_c, t: float, step: int | None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(y_src, y_cpl)`` of ``rate`` at (a_c, t), solved in this
@@ -512,14 +660,24 @@ def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
     recoveries: the pair after the last step. *step* names the step in a
     solve's failure message.
 
-    K_cn and K_cn^T go to the CSR kernel ``_matvec`` directly, as in
-    ``kc_apply``: the products are bitwise those of ``spmv`` and
-    ``spmv_transpose`` without their call frames.
+    Without *solutions*, ``op.screen`` (when the operator has one) comes
+    first: where it shows that both starts would be accepted, it returns
+    K_cn (y_cpl - y_src) from arrays of the conductor's dimension, and
+    neither solve is made (see ``_ResidualScreen``). K_cn and K_cn^T go to
+    the CSR kernel ``_matvec`` directly, as in ``kc_apply``: the products
+    are bitwise those of ``spmv`` and ``spmv_transpose`` without their
+    call frames.
     """
-    y_src, y_cpl = (_solve_pair(op, a_c, t, step) if solutions is None
-                    else solutions)
-    return op.minv_diag * (_matvec(op.system.kcn, y_cpl - y_src)
-                           - op.system.kc_apply(a_c))
+    force = None
+    if solutions is None:
+        if op.screen is not None:
+            force = op.screen(a_c, t)
+        if force is None:
+            solutions = _solve_pair(op, a_c, t, step)
+    if force is None:
+        y_src, y_cpl = solutions
+        force = _matvec(op.system.kcn, y_cpl - y_src)
+    return op.minv_diag * (force - op.system.kc_apply(a_c))
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -742,6 +900,9 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         "maintenance_applies": kn_applies["upkeep"],
         "evictions": {f.value: s.evictions
                       for f, s in op.strategies.items()},
+        "columns_dropped": {f.value: s.columns_dropped
+                            for f, s in op.strategies.items()},
+        "screened": dict(op.screened),
         "kn_applies": kn_applies,
         "operator_applies": sum(kn_applies.values()),
         "wall_seconds": time.perf_counter() - wall_start,

@@ -14,7 +14,8 @@ x0 with the image A x0, so a solve forms rhs - A x0 with no product:
   solutions; every accepted basis column costs exactly one fresh operator
   application, and all previously cached operator products and Galerkin
   entries are reused bit-identically (the cascade property). The start
-  vector and its image both come from cached products.
+  vector and its image both come from cached products, and a solution
+  within the drop tolerance of the last start is dropped without a sweep.
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
   truncated orthogonal basis per solve via the method of snapshots
   (``pod_start_vector``), paying one operator application per retained
@@ -129,16 +130,18 @@ class StartVectorStrategy:
     ``size`` is the size of the basis (for POD, the modes its latest
     projection kept). ``products_computed`` counts operator applications
     spent on history upkeep (outside any Krylov iteration), the quantity
-    benchmarks charge to the start-vector method itself, and ``evictions``
-    the basis columns a capped history dropped to make room.
-    ``projections`` logs one ``(k, info)`` entry per truncated projection;
-    only POD truncates.
+    benchmarks charge to the start-vector method itself, ``evictions``
+    the basis columns a capped history dropped to make room and
+    ``columns_dropped`` the CSPE columns that never entered the basis or
+    left it at a failed pivot. ``projections`` logs one ``(k, info)``
+    entry per truncated projection; only POD truncates.
     """
 
     kind: str
     size = 0
     products_computed = 0
     evictions = 0
+    columns_dropped = 0
     projections: tuple | list = ()
 
     def __init__(self, dim: int):
@@ -152,15 +155,16 @@ class SubspaceCache(StartVectorStrategy):
     The operator is bound at construction: cached products are only valid
     against a fixed operator, so rebinding is deliberately impossible.
     Eviction is first-in-first-out once ``max_cols`` is reached. An insert
-    whose remainder after the sweeps is at most ``drop_tol`` times its norm
-    is dropped. A ``max_cols`` that is not an integer of at least 1, or a
-    ``drop_tol`` that is not finite and nonnegative, raises ValueError
-    naming it first.
+    whose distance from the basis's span is at most ``drop_tol`` times its
+    norm is dropped (see ``insert``). A ``max_cols`` that is not an integer
+    of at least 1, or a ``drop_tol`` that is not finite and nonnegative,
+    raises ValueError naming it first.
 
-    ``start_vector`` keeps W and A W from ``_galerkin_basis`` and rebuilds
-    them only after the basis changed (an accepted insert or an eviction).
-    Most inserts are dropped as solver noise, so most projections reuse
-    them.
+    ``start_vector`` keeps ``projection`` = (W, A W) from
+    ``_galerkin_basis`` and rebuilds it only after the basis changed (an
+    accepted insert or an eviction), which sets it to None; each rebuild
+    is a new tuple, so its identity names the basis version. Most inserts
+    are dropped as solver noise, so most projections reuse it.
     """
 
     kind = "cspe"
@@ -177,11 +181,12 @@ class SubspaceCache(StartVectorStrategy):
         self._basis = np.empty((self.dim, 0))
         self._products = np.empty((self.dim, 0))
         self._galerkin = np.empty((0, 0))
-        # W and A W, None after a basis change
-        self._w: np.ndarray | None = None
-        self._aw: np.ndarray | None = None
-        # the start vector last returned
+        # (W, A W), None after a basis change
+        self.projection: tuple[np.ndarray, np.ndarray] | None = None
+        # the start vector last returned, and a copy of its values while
+        # it lies in the basis's span: the caller may write the start
         self._start: np.ndarray | None = None
+        self._anchor: np.ndarray | None = None
         self.products_computed = 0
         self.columns_accepted = 0
         self.columns_dropped = 0
@@ -208,14 +213,30 @@ class SubspaceCache(StartVectorStrategy):
 
         Costs exactly one operator application on acceptance and none on a
         drop. Existing products and Galerkin entries are not recomputed.
+        The last start x0 lies in the basis's span, so the distance of the
+        vector v from the span is at most ||v - x0||: when that is already
+        at most ``drop_tol * ||v||``, v is dropped without a sweep. A
+        finite vector whose sum of squares overflows is taken by its
+        direction, without a warning.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        orig = math.sqrt(v @ v)
-        if orig == 0.0 or not math.isfinite(orig):
-            self.columns_dropped += 1
-            return False
+        anchor = self._anchor
+        with np.errstate(over="ignore"):
+            squares = v.dot(v)
+            if not math.isfinite(squares) and np.isfinite(v).all():
+                v = v / np.abs(v).max()
+                squares, anchor = v.dot(v), None
+            orig = math.sqrt(squares)
+            if orig == 0.0 or not math.isfinite(orig):
+                self.columns_dropped += 1
+                return False
+            if anchor is not None:
+                miss = v - anchor
+                if math.sqrt(miss.dot(miss)) <= self.drop_tol * orig:
+                    self.columns_dropped += 1
+                    return False
         # Two Gram-Schmidt sweeps; a sweep never lengthens the vector, so
         # one that falls to the drop threshold after the first is dropped
         # without the second. A zero remainder is dropped at drop_tol 0 too.
@@ -233,6 +254,8 @@ class SubspaceCache(StartVectorStrategy):
             self._products = self._products[:, 1:]
             self._galerkin = self._galerkin[1:, 1:]
             self.evictions += 1
+            # the evicted column may carry part of the last start
+            self._anchor = None
         ku = np.asarray(self._operator(u), dtype=np.float64)
         self.products_computed += 1
         cross = self._basis.T @ ku
@@ -246,19 +269,20 @@ class SubspaceCache(StartVectorStrategy):
         self._basis = np.column_stack([self._basis, u])
         self._products = np.column_stack([self._products, ku])
         self._galerkin = g
-        self._w = self._aw = None
+        self.projection = None
         self.columns_accepted += 1
         return True
 
     def start_vector(self, rhs) -> tuple[np.ndarray, np.ndarray]:
         """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs = W W^T rhs
         and its image (A W) W^T rhs; zero vectors from an empty cache. A
-        column whose pivot fails leaves the basis (``columns_dropped``)."""
+        column whose pivot fails leaves the basis (``columns_dropped``),
+        before the start is formed from the kept columns."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.dim},)")
-        if self._w is None:
-            self._w, self._aw, keep = _galerkin_basis(
+        if self.projection is None:
+            w, aw, keep = _galerkin_basis(
                 self._basis, self._products, self._galerkin)
             dropped = self._basis.shape[1] - len(keep)
             if dropped:
@@ -266,11 +290,14 @@ class SubspaceCache(StartVectorStrategy):
                 self._products = self._products[:, keep]
                 self._galerkin = self._galerkin[np.ix_(keep, keep)]
                 self.columns_dropped += dropped
+            self.projection = (w, aw)
+        w, aw = self.projection
         # ndarray.dot runs the BLAS call of @ without the ufunc dispatch,
         # and projecting is every CSPE solve's cost
-        coeffs = self._w.T.dot(rhs)
-        self._start = x0 = self._w.dot(coeffs)
-        return x0, self._aw.dot(coeffs)
+        coeffs = w.T.dot(rhs)
+        self._start = x0 = w.dot(coeffs)
+        self._anchor = x0.copy()
+        return x0, aw.dot(coeffs)
 
     def observe(self, solution) -> None:
         # the start last returned is in the basis's span; insert through
@@ -386,7 +413,7 @@ def make_strategy(config: StrategyConfig, dim: int, operator,
     """One family's strategy of the kind *config* names, applying the
     system *operator*. CSPE keeps at most *max_cols* basis columns (None:
     *dim*, which no basis exceeds) and drops increments below
-    *drop_tol*."""
+    *drop_tol* (see ``SubspaceCache.insert``)."""
     if config.kind == "previous":
         return PreviousSolutionStrategy(dim, operator)
     if config.kind == "cspe":

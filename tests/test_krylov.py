@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mqsolve import (CsrMatrix, InconsistentRhsError, IndefiniteOperatorError,
                      JacobiPreconditioner, NonFiniteError, PcgConfig,
                      build_preconditioner, pcg_solve)
-from mqsolve.krylov import _stopping_target
+from mqsolve.krylov import _stopping_target, _vector
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -358,6 +359,19 @@ def test_finite_vectors_whose_sum_of_squares_overflows_pass():
     assert report.iterations == 0
     assert np.array_equal(x, big)
     assert x is not big
+
+
+def test_a_finite_vector_whose_sum_of_squares_overflows_draws_no_warning():
+    # the sum of squares is taken with numpy's overflow warning off, and
+    # the entries are tested because it is not finite; a non-finite entry
+    # still raises
+    big = np.full(5, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, squares = _vector(big, 5, "rhs")
+        assert v is big and squares == math.inf
+        with pytest.raises(NonFiniteError, match="rhs"):
+            _vector(np.array([1e200, np.inf]), 2, "rhs")
 
 
 def test_rhs_and_start_vector_shapes_are_checked():

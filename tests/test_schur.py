@@ -1219,3 +1219,183 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
     assert agg["min_pod_info"] == min(
         [info for log in projections.values() for k, info in log if k],
         default=1.0)
+
+
+SCREENED = PcgConfig(rel_tol=1e-6)
+
+
+def test_the_screen_runs_only_where_it_can_accept(builtin6):
+    system = builtin6.system
+    # at the default rel_tol 1e-8, rel_tol^2 is below the rounding floor
+    # of the coupling estimate
+    assert SchurOperator(system).screen is None
+    assert SchurOperator(system, explicit("cspe", pcg=SCREENED)).screen
+    for kind in ("previous", "pod"):
+        assert SchurOperator(system, explicit(kind, pcg=SCREENED)).screen \
+            is None
+    # a source that is not a ScaledPatternSource
+    general = dataclasses.replace(system, source=system.source.__call__)
+    assert SchurOperator(general, explicit("cspe", pcg=SCREENED)).screen \
+        is None
+
+
+def forced_full_path(monkeypatch):
+    monkeypatch.setattr(schur._ResidualScreen, "applies",
+                        staticmethod(lambda op: False))
+
+
+def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
+    config = explicit("cspe", pcg=SCREENED)
+    screened = run_explicit(builtin6.system, t_end=0.12, config=config)
+    forced_full_path(monkeypatch)
+    full = run_explicit(builtin6.system, t_end=0.12, config=config)
+    agg, full_agg = screened.aggregates, full.aggregates
+    steps = agg["steps"]
+    assert agg["screened"]["accepted"] > 0.95 * steps
+    assert full_agg["screened"] == {"accepted": 0, "full_path": 0}
+    # the screen accepts only starts the full path accepts: the same K_n
+    # products and iteration logs
+    assert agg["kn_applies"] == full_agg["kn_applies"]
+    assert agg["iterations"] == full_agg["iterations"]
+    assert agg["solves"] == full_agg["solves"]
+    scale = np.abs(full.probe_b).max()
+    assert np.abs(screened.probe_b - full.probe_b).max() <= 1e-10 * scale
+    assert (np.linalg.norm(screened.final_a_c - full.final_a_c)
+            <= 1e-10 * np.linalg.norm(full.final_a_c))
+
+
+@pytest.mark.parametrize("screen", [True, False])
+def test_the_cspe_count_does_not_depend_on_rounding(builtin6, monkeypatch,
+                                                    screen):
+    # a start that misses by a hair is learned instead of dropped, so a
+    # source perturbed by 1e-12 makes the same K_n products; with the
+    # solve tolerance as the drop tolerance this run made 506 PCG
+    # iterations, and 542 perturbed
+    if not screen:
+        forced_full_path(monkeypatch)
+    system = builtin6.system
+    source = system.source
+    perturbed = dataclasses.replace(system, source=ScaledPatternSource(
+        source.pattern, lambda t: (1.0 + 1e-12) * source.waveform(t)))
+    config = explicit("cspe", pcg=SCREENED)
+    counts = [run_explicit(s, t_end=0.12, config=config).aggregates
+              ["kn_applies"] for s in (system, perturbed)]
+    assert counts[0] == counts[1]
+    assert counts[0]["pcg"] < 100
+
+
+def test_a_screened_step_makes_few_python_calls(builtin6):
+    """Python calls into mqsolve on the first explicit CSPE step that the
+    residual screen takes from the arrays of the step before: the step,
+    ``rate``, the screen, the source waveform and one product with
+    K_cn K_cn^T, then ``kc_apply``'s eight, 13 in all. The full path of
+    ``test_a_cached_step_makes_few_python_calls`` makes 29."""
+    package = str(Path(schur.__file__).parent) + os.sep
+    system = builtin6.system
+    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    dt = op.config.stable_step(schur.stability_bound(system))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    a_c, t = np.zeros(system.n_c), 0.0
+    outer = sys.getprofile()
+    screened = False
+    for step in range(1, 50):
+        before, calls = op.screened["accepted"], 0
+        sys.setprofile(count)
+        try:
+            a_c = explicit_euler_step((a_c, t), dt, op, step_index=step)
+        finally:
+            sys.setprofile(outer)
+        t += dt
+        # the first screened step builds the screen's arrays
+        if screened and op.screened["accepted"] > before:
+            break
+        screened = op.screened["accepted"] > before
+    else:
+        pytest.fail("the screen took no two steps in a row")
+    assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
+    assert 0 < calls <= 15
+
+
+def fill_near_target(rng, n, kn, kcn, op, k, ratio, source_ratio):
+    """Give the coupling cache the solutions for k conductor states and
+    the source cache one solution near the pattern's; return a state
+    whose coupling start misses the target by about *ratio*, and set the
+    source start's miss to about *source_ratio*."""
+    n_c = kcn.shape[0]
+    states = rng.standard_normal((n_c, k))
+    for j in range(k):
+        op.strategies[PREV].insert(np.linalg.solve(kn, kcn.T @ states[:, j]))
+    pattern = op.system.source.pattern
+    source = op.strategies[SRC]
+
+    def residual(cache, b):
+        x0, _ = cache.start_vector(b)
+        return np.linalg.norm(b - kn @ x0)
+
+    # the source miss is about linear in a small offset of the solution
+    offset = rng.standard_normal(n)
+    trial = make_strategy(StrategyConfig("cspe"), n, kn.__matmul__, n_c)
+    trial.insert(np.linalg.solve(kn, pattern + 1e-3 * offset))
+    target = SCREENED.rel_tol * np.linalg.norm(pattern)
+    sigma = 1e-3 * source_ratio * target / residual(trial, pattern)
+    source.insert(np.linalg.solve(kn, pattern + sigma * offset))
+    base = states @ rng.standard_normal(k)
+    z = rng.standard_normal(n_c)
+    target = SCREENED.rel_tol * np.linalg.norm(kcn.T @ base)
+    tau = ratio * target / residual(op.strategies[PREV], kcn.T @ z)
+    return base + tau * z
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(2, 6),
+       n_n=st.integers(6, 30), k=st.integers(1, 5),
+       ratio=st.floats(0.5, 2.0), source_ratio=st.floats(0.5, 2.0))
+@example(seed=1, n_c=4, n_n=12, k=2, ratio=0.5, source_ratio=0.5)
+# one family's start just above its target, the other's well below
+@example(seed=2, n_c=4, n_n=12, k=2, ratio=1.05, source_ratio=0.5)
+@example(seed=3, n_c=4, n_n=12, k=2, ratio=0.5, source_ratio=1.05)
+def test_the_screen_never_accepts_a_start_that_misses_the_target(
+        seed, n_c, n_n, k, ratio, source_ratio):
+    rng = np.random.default_rng(seed)
+    k = min(k, n_c - 1)
+    q = np.linalg.qr(rng.standard_normal((n_n, n_n)))[0]
+    kn = (q * rng.uniform(1.0, 10.0, n_n)) @ q.T
+    kn = 0.5 * (kn + kn.T)
+    kcn = rng.standard_normal((n_c, n_n))
+    system = PartitionedSystem.linear(
+        mc=CsrMatrix.identity(n_c), kcn=CsrMatrix.from_dense(kcn),
+        kn=CsrMatrix.from_dense(kn), kc=CsrMatrix.identity(n_c),
+        source=ScaledPatternSource(rng.standard_normal(n_n),
+                                   lambda t: 1.0 + t))
+    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    assert op.screen is not None
+    a_c = fill_near_target(rng, n_n, kn, kcn, op, k, ratio, source_ratio)
+    t = float(rng.uniform(0.0, 1.0))
+    b = {SRC: system.source(t), PREV: kcn.T @ a_c}
+    # the starts the full path would take, with explicitly formed residuals
+    starts, misses = {}, []
+    for family, rhs in b.items():
+        starts[family], _ = op.strategies[family].start_vector(rhs)
+        misses.append(np.linalg.norm(rhs - kn @ starts[family])
+                      / (SCREENED.rel_tol * np.linalg.norm(rhs)))
+    force = op.screen(a_c, t)
+    if max(misses) > 1.0:
+        assert force is None
+    if max(misses) <= 0.9:
+        # the screen is not much more cautious than the full path
+        assert force is not None
+    if force is not None:
+        expected = kcn @ (starts[PREV] - starts[SRC])
+        assert (np.linalg.norm(force - expected)
+                <= 1e-10 * np.linalg.norm(kcn) * (
+                    np.linalg.norm(starts[PREV]) + np.linalg.norm(starts[SRC])))
+        assert op.screened["accepted"] == 1
+        assert list(op.solve_iterations.values()) == [[0], [0]]
+    else:
+        assert op.screened["full_path"] == 1

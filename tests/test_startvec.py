@@ -1,14 +1,16 @@
 """Subspace recycling: cached-subspace projection and snapshot POD."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (ExplicitConfig, PodStrategy, PreviousSolutionStrategy,
-                     RhsFamily, SchurOperator, StartVectorStrategy,
-                     StrategyConfig, SubspaceCache, make_strategy,
-                     pod_start_vector, run_explicit, schur)
+from mqsolve import (ExplicitConfig, PcgConfig, PodStrategy,
+                     PreviousSolutionStrategy, RhsFamily, SchurOperator,
+                     StartVectorStrategy, StrategyConfig, SubspaceCache,
+                     make_strategy, pod_start_vector, run_explicit, schur)
 
 SRC = RhsFamily.SOURCE_CURRENT
 CPL_PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
@@ -91,9 +93,10 @@ def test_projection_products_are_bitwise_those_of_matmul(rng, n, k):
     assert cache.size == k
     rhs = rng.standard_normal(n)
     x0, image = cache.start_vector(rhs)
-    coeffs = cache._w.T @ rhs
-    assert np.array_equal(x0, cache._w @ coeffs)
-    assert np.array_equal(image, cache._aw @ coeffs)
+    w, aw = cache.projection
+    coeffs = w.T @ rhs
+    assert np.array_equal(x0, w @ coeffs)
+    assert np.array_equal(image, aw @ coeffs)
 
 
 def test_projection_minimizes_energy_error_over_subspace(rng, make_spd):
@@ -229,6 +232,72 @@ def test_cache_rejects_zero_and_nonfinite(rng, make_spd):
     assert cache.insert(np.eye(4)[0])
     assert not cache.insert(np.eye(4)[0])
     assert cache.size == 1 and cache.columns_dropped == 1
+
+
+def test_a_finite_huge_insert_is_taken_by_its_direction_without_a_warning(
+        rng, make_spd):
+    dense = make_spd(rng, 5)
+    cache = SubspaceCache(5, dense.__matmul__, 3)
+    direction = rng.standard_normal(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # its sum of squares overflows, but every entry is finite
+        assert cache.insert(1e200 * direction)
+        assert not cache.insert(np.array([1e200, np.inf, 0.0, 0.0, 0.0]))
+    u = cache.basis[:, 0]
+    assert np.isclose(abs(u @ direction), np.linalg.norm(direction),
+                      rtol=1e-12)
+    assert cache.columns_dropped == 1
+
+
+class Swept(np.ndarray):
+    """A basis that counts the products of a Gram-Schmidt sweep with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        Swept.products += 1
+        return np.asarray(self) @ other
+
+
+def test_a_near_miss_of_the_last_start_is_dropped_without_a_sweep(rng,
+                                                                  make_spd):
+    # a solution y = x0 + d of the last start x0, which lies in the
+    # basis's span, is at most ||d|| from the span: with ||d|| at most
+    # drop_tol ||y|| no sweep can keep it
+    dense = make_spd(rng, 10)
+    cache = SubspaceCache(10, dense.__matmul__, 6, drop_tol=1e-8)
+    for _ in range(3):
+        cache.insert(rng.standard_normal(10))
+    x0, _ = cache.start_vector(rng.standard_normal(10))
+    x0_values = x0.copy()
+    # the caller owns the start and may write it
+    x0[:] = 0.0
+    cache._basis = cache._basis.view(Swept)
+    Swept.products = 0
+    d = rng.standard_normal(10)
+    near = x0_values + 0.5e-8 * np.linalg.norm(x0_values) * d / np.linalg.norm(d)
+    dropped = cache.columns_dropped
+    assert not cache.insert(near)
+    assert Swept.products == 0
+    assert cache.columns_dropped == dropped + 1
+    # a larger correction is swept, and one out of the span is kept
+    assert cache.insert(x0_values + 1e-3 * np.linalg.norm(x0_values) * d)
+    assert Swept.products > 0
+
+
+def test_an_eviction_forgets_the_last_start(rng, make_spd):
+    # the evicted column carries part of the last start, so a vector at
+    # that start is no longer within reach of the basis: the sweeps keep it
+    dense = make_spd(rng, 6)
+    cache = SubspaceCache(6, dense.__matmul__, 2, drop_tol=1e-8)
+    for _ in range(2):
+        cache.insert(rng.standard_normal(6))
+    x0, _ = cache.start_vector(rng.standard_normal(6))
+    x0 = x0.copy()
+    assert cache.insert(rng.standard_normal(6))
+    assert cache.evictions == 1
+    assert cache.insert(x0)
 
 
 @pytest.mark.parametrize("change", ["eviction", "accepted"])
@@ -627,11 +696,12 @@ def test_a_bad_setting_fails_when_the_strategy_is_built(builtin6, kind,
             strategy=StrategyConfig(kind, **setting)))
 
 
-@pytest.mark.parametrize("kind", ["previous", "cspe", "pod"])
-def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
-    # a tracer wraps start_vector on every strategy class and insert on
-    # SubspaceCache, on the classes, as perfbench/run.py's Tracer.hooks
-    # does; no call may go round them
+def hook_strategy_classes(monkeypatch):
+    """Wrap start_vector on every strategy class and insert on
+    SubspaceCache, on the classes, as perfbench/run.py's Tracer.hooks
+    does, and record the SchurOperator that a run builds. Returns the
+    lists of starts (their strategy's class), inserted vectors and
+    operators."""
     starts, inserts = [], []
     for cls in StartVectorStrategy.__subclasses__():
         assert {"start_vector", "observe"} <= set(vars(cls)), cls
@@ -653,6 +723,13 @@ def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
             super().__init__(*args, **kwargs)
             operators.append(self)
     monkeypatch.setattr(schur, "SchurOperator", Recorded)
+    return starts, inserts, operators
+
+
+@pytest.mark.parametrize("kind", ["previous", "cspe", "pod"])
+def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
+    # no call may go round the class hooks
+    starts, inserts, operators = hook_strategy_classes(monkeypatch)
 
     result = run_explicit(builtin6.system, t_end=2e-3, dt="auto",
                           config=ExplicitConfig(strategy=StrategyConfig(kind)),
@@ -668,3 +745,27 @@ def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
         assert len(inserts) == moved > 0
     else:
         assert inserts == []
+
+
+def test_a_screened_pair_counts_as_two_solves(builtin6, monkeypatch):
+    # at rel_tol 1e-6 the residual screen accepts most pairs of starts
+    # without a start_vector call; each still logs one solve per family
+    starts, inserts, operators = hook_strategy_classes(monkeypatch)
+    config = ExplicitConfig(pcg=PcgConfig(rel_tol=1e-6))
+    result = run_explicit(builtin6.system, t_end=2e-3, dt="auto",
+                          config=config, output_period=5e-4)
+    [op] = operators
+    agg = result.aggregates
+    screened = agg["screened"]
+    assert screened["accepted"] > 0 and screened["full_path"] > 0
+    assert len(starts) + 2 * screened["accepted"] == sum(agg["solves"].values())
+    # every step tries the screen but those handed an output row's pair
+    assert (screened["accepted"] + screened["full_path"]
+            == agg["steps"] - (result.n_rows - 1))
+    logs = op.solve_iterations.values()
+    moved = sum(iterations > 0 for log in logs for iterations in log)
+    assert len(inserts) == moved > 0
+    assert agg["columns_dropped"] == {
+        f.value: s.columns_dropped for f, s in op.strategies.items()}
+    for counts in (screened, agg["columns_dropped"]):
+        assert all(type(v) is int for v in counts.values())
