@@ -13,12 +13,14 @@ singular lower-right block harmless without gauging. Implicit Euler is
 unconditionally stable, which is what makes this integrator the accuracy
 reference for the eliminated explicit one.
 
-From its second step on, :func:`run_implicit` starts Newton from the linear
-extrapolation of the last two states instead of from the previous state.
-That start is a lowest-order form of the start vectors the explicit run
-takes from earlier steps: on the builtin model it leaves one Newton
-iteration per step where the previous state needed two. The start changes
-where Newton begins, never what converged means (see
+:func:`run_implicit` starts Newton from an extrapolation of earlier states
+instead of from the previous state: linear through the last two states on
+its second step, quadratic through the last three from its third. These
+starts are a low-order form of the start vectors the explicit run takes
+from earlier steps. On the builtin model the linear start leaves one Newton
+iteration per step where the previous state needed two, and the quadratic
+one cuts the PCG iterations of that Newton solve by about a quarter. The
+start changes where Newton begins, never what converged means (see
 :func:`implicit_euler_step`).
 """
 
@@ -285,6 +287,25 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         f"(residual {r_current:.3e}, initial {r0:.3e})", history)
 
 
+def _extrapolate(a, h, earlier):
+    """The start of a step of length *h* from the state *a* at t_k.
+
+    *earlier* holds the states before *a*, newest first, each with the
+    length of the step that left it: ``[(a_{k-1}, h1)]`` or
+    ``[(a_{k-1}, h1), (a_{k-2}, h2)]``. One earlier state gives the linear
+    extrapolation a + (h/h1)(a - a_{k-1}); two give the quadratic
+    a + h D1 + h(h + h1) D2 in divided differences, D1 = (a - a_{k-1})/h1
+    and D2 = (D1 - (a_{k-1} - a_{k-2})/h2)/(h1 + h2).
+    """
+    (a1, h1), *older = earlier
+    if not older:
+        return a + (h / h1) * (a - a1)
+    (a2, h2), = older
+    d1 = (a - a1) / h1
+    d2 = (d1 - (a1 - a2) / h2) / (h1 + h2)
+    return a + h * d1 + (h * (h + h1)) * d2
+
+
 def run_implicit(system, t_end: float, dt: float,
                  config: NewtonConfig | None = None, *, probe=None,
                  output_period: float = OUTPUT_PERIOD) -> TransientResult:
@@ -294,11 +315,14 @@ def run_implicit(system, t_end: float, dt: float,
     explicit integrator so traces can be diffed column by column. Every
     Newton iteration's monolithic PCG solve is charged to the source family,
     so ``iters_src`` carries the mean PCG iterations per Newton solve since
-    the previous row and the coupling column stays zero. From the second
-    step on, Newton starts from a_k + (h_{k+1}/h_k)(a_k - a_{k-1}), the
-    linear extrapolation of the last two states, for both blocks;
-    ``predictor_rejected`` counts the steps that started from the previous
-    state instead and ``newton_half_steps`` the half-length updates. A step
+    the previous row and the coupling column stays zero. The first step
+    starts Newton from the previous state, the second from the linear
+    extrapolation a_k + (h/h1)(a_k - a_{k-1}) of the last two states and
+    every later one from the quadratic extrapolation of the last three
+    (:func:`_extrapolate`), for both blocks, with h, h1 and h2 the lengths
+    of this step and the two before it; ``predictor_rejected`` counts the
+    steps that started from the previous state instead and
+    ``newton_half_steps`` the half-length updates. A step
     that fails raises :class:`NewtonFailureError` with a message that starts
     with ``step N:``. A bad run argument raises ValueError first; dt is a
     number.
@@ -317,16 +341,16 @@ def run_implicit(system, t_end: float, dt: float,
     t = 0.0
     trace.row(t, a_c, a_n)
     steps = half_steps = rejected = 0
-    # the state before the last step and that step's length
-    before = None
+    # the two states before the current one, newest first, each with the
+    # length of the step that left it
+    earlier_c, earlier_n = [], []
     while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
         start = None
-        if before is not None:
-            c_old, n_old, h_old = before
-            ratio = step_dt / h_old
-            start = (a_c + ratio * (a_c - c_old), a_n + ratio * (a_n - n_old))
+        if earlier_c:
+            start = (_extrapolate(a_c, step_dt, earlier_c),
+                     _extrapolate(a_n, step_dt, earlier_n))
         try:
             a_c_new, a_n_new, report = implicit_euler_step(
                 (a_c, a_n, t), step_dt, system, config, jacobian=jacobian,
@@ -335,7 +359,8 @@ def run_implicit(system, t_end: float, dt: float,
             raise NewtonFailureError(f"step {steps + 1}: {err}",
                                      err.residual_history) from err
         solver_seconds += time.perf_counter() - started
-        before = (a_c, a_n, step_dt)
+        earlier_c = [(a_c, step_dt)] + earlier_c[:1]
+        earlier_n = [(a_n, step_dt)] + earlier_n[:1]
         a_c, a_n = a_c_new, a_n_new
         t += step_dt
         steps += 1

@@ -17,7 +17,8 @@ stopping rule.
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. Every start vector comes with its K_n image, so
 ``solve_kn`` forms the initial residual itself, under this module's
-finiteness test (:func:`_vector`) and stopping rule
+finiteness test (:func:`_squared`), norm (finite also where a sum of
+squares overflows, by :func:`_scaled_norm`) and stopping rule
 (:func:`_stopping_target`). A start that meets the rule is returned
 without a call to :func:`pcg_solve`. Any other start is corrected by a solve
 from zero down to that same residual norm; no solver of the package hands
@@ -36,7 +37,7 @@ nor *x0*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -164,16 +165,36 @@ def _vector(v, length: int | None, name: str) -> tuple[np.ndarray, float]:
     A finite sum of squares proves every entry finite, so the entries are
     tested (by :func:`as_vector`, with its error) only when the sum is not
     finite; a finite vector whose sum overflows passes, without numpy's
-    overflow warning.
+    overflow warning (:func:`_scaled_norm` gives its norm).
     """
+    with np.errstate(over="ignore"):
+        return _squared(v, length, name)
+
+
+def _squared(v, length: int | None, name: str) -> tuple[np.ndarray, float]:
+    """:func:`_vector` for a caller that holds ``np.errstate(over="ignore")``
+    around more than this vector."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or (length is not None and v.size != length):
         as_vector(v, length=length, name=name)      # raises the shape error
-    with np.errstate(over="ignore"):
-        squares = float(v.dot(v))       # @ without the ufunc dispatch
+    squares = float(v.dot(v))       # @ without the ufunc dispatch
     if not math.isfinite(squares):
         as_vector(v, name=name)
     return v, squares
+
+
+def _exponent(v: np.ndarray) -> int:
+    """The e with max |v_i| in [2^(e-1), 2^e): v 2^-e, exact for a finite
+    v, has entries below 1 and a sum of squares below its length."""
+    return math.frexp(float(np.abs(v).max()))[1]
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """||v||_2 of a finite *v* whose sum of squares overflows, finite: taken
+    from v scaled exactly by the power of two :func:`_exponent` gives."""
+    e = _exponent(v)
+    w = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(w.dot(w)), e)
 
 
 def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
@@ -198,6 +219,11 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         Prebuilt preconditioner, such as :func:`build_preconditioner`'s;
         when omitted the solve is plain CG.
 
+    A finite *b* whose sum of squares overflows is solved as b 2^-e, with
+    2^-e the power of two that puts its largest entry in [0.5, 1), and the
+    solution scaled back: the target stays finite and the iterates are
+    those of the scaled solve, scaled.
+
     Returns
     -------
     (x, SolveReport)
@@ -210,6 +236,8 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
     config = config or PcgConfig()
     apply_a, n = _as_operator(a)
     b, b_squares = _vector(b, n, "rhs")
+    if not math.isfinite(b_squares):
+        return _solve_scaled(a, b, x0, config, preconditioner)
     b_norm = math.sqrt(b_squares)
     target = _stopping_target(config, b_norm)
 
@@ -280,6 +308,30 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         pmp = rz_next + beta * beta * pmp
         rz = rz_next
     return x, SolveReport(config.max_iter, _relative(r_norm, b_norm), False)
+
+
+def _solve_scaled(a, b, x0, config: PcgConfig, preconditioner
+                  ) -> tuple[np.ndarray, SolveReport]:
+    """:func:`pcg_solve` of a finite *b* whose sum of squares overflows.
+
+    Every vector and norm of CG, the stopping rule and the nullspace test
+    scale with b, and by a power of two exactly, so the solve of b 2^-e
+    (:func:`_exponent`) is that of b scaled by 2^-e, bit for bit, with
+    finite norms and a finite target. Its x comes back scaled by 2^e, and
+    an inconsistency's ``component`` with it; the report and the messages
+    are relative to ||b||.
+    """
+    e = _exponent(b)
+    if x0 is not None:
+        x0 = np.ldexp(np.asarray(x0, dtype=np.float64), -e)
+    config = replace(config, abs_tol=math.ldexp(config.abs_tol, -e))
+    try:
+        x, report = pcg_solve(a, np.ldexp(b, -e), x0, config, preconditioner)
+    except IndefiniteOperatorError as err:
+        if err.component is not None:
+            err.component = math.ldexp(err.component, e)
+        raise
+    return np.ldexp(x, e), report
 
 
 def _relative(res: float, b_norm: float) -> float:

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
-                     _relative, _stopping_target, _vector,
+                     _relative, _scaled_norm, _squared, _stopping_target,
                      build_preconditioner, pcg_solve)
 from .sparse import (CsrMatrix, _check_count, _matvec, as_vector, spmv,
                      spmv_transpose, symmetric_check)
@@ -291,8 +291,12 @@ class SchurOperator:
 
         The strategy of the *family* returns the start vector x0 with its
         K_n image, and the solve takes the initial residual r0 = rhs - image
-        from it under ``pcg_solve``'s finiteness test (``_vector``) and
-        stopping rule (``_stopping_target``), with no K_n product. A start
+        from it under ``pcg_solve``'s finiteness test (``_squared``) and
+        stopping rule (``_stopping_target``), with no K_n product. One
+        ``np.errstate`` covers the start (with POD's Gram matrix) and both
+        sums of squares, so a finite rhs or r0 whose sum of squares
+        overflows draws no warning; its norm, and so the target, is taken
+        by ``_scaled_norm`` and stays finite. A start
         that meets the rule is returned itself, with zero iterations and its
         true residual; any other start is corrected by ``_correct``. The
         solution goes back to the strategy (``observe``) and its iteration
@@ -304,13 +308,17 @@ class SchurOperator:
         started = time.perf_counter()
         strategy = self.strategies[family]
         try:
-            x0, image = strategy.start_vector(rhs)
-            rhs, squares = _vector(rhs, x0.size, "rhs")
-            rhs_norm = math.sqrt(squares)
+            with np.errstate(over="ignore"):
+                x0, image = strategy.start_vector(rhs)
+                rhs, squares = _squared(rhs, x0.size, "rhs")
+                r0 = rhs - image
+                # ndarray.dot is @ without the ufunc dispatch
+                r0_squares = float(r0.dot(r0))
+            rhs_norm = (math.sqrt(squares) if math.isfinite(squares)
+                        else _scaled_norm(rhs))
             target = _stopping_target(self.config.pcg, rhs_norm)
-            # ndarray.dot is @ without the ufunc dispatch
-            r0 = rhs - image
-            r0_norm = math.sqrt(r0.dot(r0))
+            r0_norm = (math.sqrt(r0_squares) if math.isfinite(r0_squares)
+                       else _scaled_norm(r0))
             if r0_norm <= target:
                 y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
                                             True)
@@ -320,7 +328,7 @@ class SchurOperator:
             raise type(err)(f"{_solve_name(family, step)}: {err}",
                             err.component, err.iteration) from err
         except ValueError as err:
-            # _vector, or a strategy before it, rejects a non-finite rhs;
+            # _squared, or a strategy before it, rejects a non-finite rhs;
             # testing the rhs only then keeps the test off the step's cost
             if np.isfinite(rhs).all():
                 raise

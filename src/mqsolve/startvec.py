@@ -32,6 +32,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from .krylov import _exponent
 from .sparse import _check_count
 
 __all__ = [
@@ -319,7 +320,10 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
 
     Returns ``(x0, k, info_kept, operator_applications, image)`` with k the
     kept modes and image = A x0 from the modes' products. No snapshots or
-    all-zero snapshots give zero vectors with k = 0 and info 0.
+    all-zero snapshots give zero vectors with k = 0 and info 0. Finite
+    snapshots whose Gram matrix overflows are scaled by a power of two
+    first; call it under ``np.errstate(over="ignore")`` (as
+    ``SchurOperator.solve_kn`` does) to keep numpy's overflow warning off.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if len(snapshots) == 0:
@@ -329,6 +333,12 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
     if rhs.shape != (dim,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({dim},)")
     gram = x.T @ x
+    if not np.isfinite(gram).all():
+        # finite snapshots whose Gram matrix overflows: the modes and the
+        # singular-value ratios of x 2^-e are those of x, and its Gram
+        # matrix is finite
+        x = np.ldexp(x, -_exponent(x))
+        gram = x.T @ x
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
     sigma = np.sqrt(np.clip(evals[order], 0.0, None))

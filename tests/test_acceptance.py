@@ -52,6 +52,17 @@ def test_criterion_1_explicit_matches_implicit_reference(benchmark_runs):
     assert endpoint <= 0.02
 
 
+def test_the_implicit_reference_keeps_its_newton_and_pcg_counts(
+        benchmark_runs):
+    # from its third step Newton starts from the quadratic extrapolation of
+    # the last three states: one Newton iteration per step, none rejected,
+    # and about 7,400 PCG iterations where the linear start made 10,157
+    agg = benchmark_runs["implicit"].aggregates
+    assert agg["newton_iterations"] == 480
+    assert agg["predictor_rejected"] == 0
+    assert agg["linear_iterations"] <= 7500
+
+
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
              / "probe_cells8_t0.12.csv")
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, InconsistentRhsError, MonolithicJacobian,
                      NewtonConfig, NewtonFailureError, PartitionedSystem,
@@ -165,6 +167,101 @@ def test_two_steps_match_manual_chain(rng, make_linear_system):
     assert np.array_equal(result.final_a_n, a_n)
 
 
+def test_three_steps_match_manual_chain(rng, make_linear_system):
+    system, _ = make_linear_system(rng, n_c=3, n_n=6)
+    # a power of two, so every step of the run has length dt exactly
+    dt = 2.0 ** -7
+    result = run_implicit(system, t_end=3 * dt, dt=dt, config=TIGHT,
+                          output_period=dt)
+    a_c, a_n, _ = implicit_euler_step((np.zeros(3), np.zeros(6), 0.0), dt,
+                                      system, TIGHT)
+    b_c, b_n, _ = implicit_euler_step((a_c, a_n, dt), dt, system, TIGHT,
+                                      start=(2.0 * a_c, 2.0 * a_n))
+
+    def quadratic(a2, a1, a0):
+        # the third step's start: a_2 + h D1 + h(h + h1) D2 with
+        # h = h1 = h2 = dt
+        d1 = (a2 - a1) / dt
+        d2 = (d1 - (a1 - a0) / dt) / (dt + dt)
+        return a2 + dt * d1 + (dt * (dt + dt)) * d2
+
+    start = (quadratic(b_c, a_c, np.zeros(3)),
+             quadratic(b_n, a_n, np.zeros(6)))
+    c_c, c_n, report = implicit_euler_step((b_c, b_n, 2 * dt), dt, system,
+                                           TIGHT, start=start)
+    assert not report.predictor_rejected
+    assert np.array_equal(result.final_a_c, c_c)
+    assert np.array_equal(result.final_a_n, c_n)
+
+
+@pytest.mark.parametrize("lengths", [(1e-3, 1e-3, 1e-3),
+                                     (2e-3, 1e-3, 4e-4),
+                                     (3e-4, 1.7e-3, 2e-4)])
+def test_the_start_is_exact_on_a_quadratic_trajectory(rng, lengths):
+    # three earlier states of a(t) = c0 + c1 t + c2 t^2 at unequal spacings,
+    # the last step shorter than the others in two cases
+    h2, h1, h = lengths
+    c0, c1, c2 = rng.standard_normal((3, 5)) * [[1.0], [1e3], [1e6]]
+
+    def a(t):
+        return c0 + c1 * t + c2 * t * t
+
+    t0 = 0.01
+    t1, t2 = t0 + h2, t0 + h2 + h1
+    start = implicit._extrapolate(a(t2), h, [(a(t1), h1), (a(t0), h2)])
+    assert np.allclose(start, a(t2 + h), rtol=1e-12, atol=0.0)
+    # one earlier state: exact on a line, as the second step's start
+    line = implicit._extrapolate(c0 + c1 * t1, h, [(c0 + c1 * t0, h2)])
+    assert np.allclose(line, c0 + c1 * (t1 + h), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_c=st.integers(1, 5),
+       n_n=st.integers(1, 8), singular=st.booleans(),
+       log2_dt=st.integers(-14, 0), steps=st.integers(3, 8))
+def test_the_extrapolated_start_ends_within_the_newton_target(
+        make_linear_system, seed, n_c, n_n, singular, log2_dt, steps):
+    # a run that starts Newton from the extrapolations and a chain of
+    # steps that each start from the previous state land within their
+    # Newton targets of one solution: each step's residual is at most its
+    # target, and implicit Euler does not amplify a residual in the norm
+    # of the Newton matrix J, so the final states differ in that norm by
+    # at most ||J^+||^(1/2) times the sum of both runs' targets
+    system, blocks = make_linear_system(np.random.default_rng(seed),
+                                        n_c=n_c, n_n=n_n, singular=singular)
+    dt = 2.0 ** log2_dt
+    config = NewtonConfig()
+    extrapolated = run_implicit(system, t_end=steps * dt, dt=dt,
+                                config=config)
+    assert extrapolated.aggregates["steps"] == steps
+    x_c, x_n, t = np.zeros(n_c), np.zeros(n_n), 0.0
+    for _ in range(steps):
+        x_c, x_n, _ = implicit_euler_step((x_c, x_n, t), dt, system, config)
+        t += dt
+    gap = np.concatenate([extrapolated.final_a_c - x_c,
+                          extrapolated.final_a_n - x_n])
+
+    # the targets, from the exact chain: r0 = ||K x_prev - b|| with K the
+    # stiffness, and the rounding floor of addends of norm at most
+    # 3 ||K|| ||x_prev|| + ||b||
+    full = blocks["full"]
+    jac = monolithic(blocks, dt)
+    mass = np.zeros_like(jac)
+    mass[:n_c, :n_c] = np.diag(blocks["mc_diag"] / dt)
+    jac_pinv = np.linalg.pinv(jac)
+    eps = np.finfo(float).eps
+    x, targets = np.zeros(n_c + n_n), 0.0
+    for k in range(1, steps + 1):
+        b = np.concatenate([np.zeros(n_c), system.source(k * dt)])
+        r0 = np.linalg.norm(full @ x - b)
+        scale = (3.0 * np.linalg.norm(full, 2) * np.linalg.norm(x)
+                 + np.linalg.norm(b))
+        targets += 1.1 * config.tol * r0 + 128.0 * eps * scale
+        x = jac_pinv @ (mass @ x + b)
+    bound = 2.0 * np.sqrt(np.linalg.norm(jac_pinv, 2)) * targets
+    assert np.sqrt(max(gap @ jac @ gap, 0.0)) <= bound
+
+
 def test_a_start_at_the_solution_takes_no_newton_iteration(
         rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
@@ -247,8 +344,9 @@ REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
 
 def test_reference_run_keeps_the_stored_reference():
     # the stored probe trace was made at dt 6.25e-5 with every Newton step
-    # started from the previous state; the extrapolated start must agree
-    # with it to well within the Newton tolerance
+    # started from the previous state; the linear start of the second step
+    # and the quadratic start of every later one must agree with it to
+    # well within the Newton tolerance
     stored = np.loadtxt(REFERENCE, delimiter=",", comments="#", skiprows=2)
     result, _ = run_single(RunConfig(integrator="implicit", cells=8,
                                      t_end=0.01, implicit_dt=6.25e-5))

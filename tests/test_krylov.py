@@ -344,21 +344,51 @@ def test_non_finite_rhs_and_start_vector_are_named(bad):
 
 def test_finite_vectors_whose_sum_of_squares_overflows_pass():
     # b @ b overflows to inf although every entry is finite: the entries
-    # are checked, pass, and the solve goes on as it always did (numpy's
-    # overflow warning aside)
+    # are checked and pass, and the solve runs on b scaled by a power of
+    # two, so its target is finite and the zero start does not meet it
     a = CsrMatrix.identity(3)
     big = np.full(3, 1e200)
-    with np.errstate(over="ignore"):
-        x, report = pcg_solve(a, big)
-    assert report.iterations == 0
-    assert report.converged
-    assert np.array_equal(x, np.zeros(3))
+    x, report = pcg_solve(a, big)
+    assert report == (1, 0.0, True)
+    assert np.array_equal(x, big)
     # an exact start vector of the same size returns as a copy
-    with np.errstate(over="ignore"):
-        x, report = pcg_solve(a, big, x0=big)
+    x, report = pcg_solve(a, big, x0=big)
     assert report.iterations == 0
     assert np.array_equal(x, big)
     assert x is not big
+
+
+def test_a_huge_rhs_is_solved_as_its_power_of_two_scaling(builtin6):
+    # CG is exactly equivariant under scaling by a power of two, so the
+    # solve of 2^532 b, whose sum of squares overflows, is the solve of b
+    # scaled back, bit for bit, with no overflow warning
+    kn = builtin6.system.kn
+    b = builtin6.system.source.pattern
+    precond = build_preconditioner(kn)
+    x, report = pcg_solve(kn, b, preconditioner=precond)
+    huge = np.ldexp(b, 532)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(_vector(huge, None, "rhs")[1])
+        x_huge, report_huge = pcg_solve(kn, huge, preconditioner=precond)
+    assert report.converged and report.iterations > 0
+    assert report_huge == report
+    assert np.array_equal(x_huge, np.ldexp(x, 532))
+
+
+def test_an_inconsistency_of_a_huge_rhs_keeps_its_size(make_linear_system):
+    system, blocks = make_linear_system(np.random.default_rng(3), n_c=3,
+                                        n_n=8, singular=True)
+    b = system.source(0.1)
+    b = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
+    errors = []
+    for scale in (0, 600):
+        with pytest.raises(InconsistentRhsError) as failure:
+            pcg_solve(system.kn, np.ldexp(b, scale))
+        errors.append(failure.value)
+    # the component is the huge rhs's own, the message relative to it
+    assert errors[1].component == math.ldexp(errors[0].component, 600)
+    assert str(errors[1]) == str(errors[0])
 
 
 def test_a_finite_vector_whose_sum_of_squares_overflows_draws_no_warning():

@@ -1143,6 +1143,30 @@ def test_an_inconsistent_rhs_names_family_and_step(make_linear_system,
         1e-3 * np.linalg.norm(b), rel=1e-3)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
+                                                              strategy):
+    # 2^532 p has a sum of squares above the largest double. Its norm, the
+    # target and, for previous, the residual of the stale start are taken
+    # in power-of-two scaled form; the next POD start builds its Gram
+    # matrix from a snapshot of that size.
+    system = builtin6.system
+    op = SchurOperator(system, explicit(strategy))
+    rel_tol = op.config.pcg.rel_tol
+    pattern = system.source.pattern
+    for step, (factor, scale) in enumerate([(1.0, 0), (1.0, 532),
+                                            (1.5, 532)], start=1):
+        rhs = np.ldexp(factor * pattern, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, report = op.solve_kn(rhs, SRC, step=step)
+        assert report.converged
+        assert report.final_rel_residual <= rel_tol
+        residual = spmv(system.kn, np.ldexp(y, -scale)) - factor * pattern
+        assert (np.linalg.norm(residual)
+                <= 10 * rel_tol * np.linalg.norm(factor * pattern))
+
+
 @settings(max_examples=40, deadline=None)
 @given(t_end=st.floats(1e-3, 1.0),
        period_frac=st.floats(0.01, 2.0),
