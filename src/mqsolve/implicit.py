@@ -27,17 +27,19 @@ start changes where Newton begins, never what converged means (see
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .krylov import (IndefiniteOperatorError, PcgConfig, build_preconditioner,
-                     pcg_solve)
+from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
+                     _scaled_norm, build_preconditioner, pcg_solve)
 from .schur import (FAMILIES, OUTPUT_PERIOD, TraceRecorder, TransientResult,
                     check_run_arguments)
-from .sparse import (CsrMatrix, NonFiniteError, _check_count, as_vector, spmv,
-                     spmv_transpose)
+from .sparse import (CsrMatrix, NonFiniteError, _check_count, _matvec,
+                     as_vector)
 from .startvec import RhsFamily
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "NewtonConfig",
     "NewtonStepReport",
     "NewtonFailureError",
+    "ResidualParts",
     "implicit_euler_step",
     "run_implicit",
 ]
@@ -65,14 +68,21 @@ class NewtonConfig:
 @dataclass(frozen=True)
 class NewtonStepReport:
     """One step's Newton work. ``residual_history`` starts at the iterate
-    Newton starts from; ``half_steps`` counts updates taken at half length
-    and ``predictor_rejected`` says that a given start was not used."""
+    Newton starts from; ``r0`` is the residual at the previous state and
+    ``target`` the residual the step had to reach. ``half_steps`` counts
+    updates taken at half length and ``predictor_rejected`` says that a
+    given start was not used. ``parts`` are the residual parts at the
+    returned state, for the next step (:func:`implicit_euler_step`)."""
 
     newton_iterations: int
     linear_iterations: tuple[int, ...]
     residual_history: tuple[float, ...]
+    r0: float
+    target: float
     half_steps: int = 0
     predictor_rejected: bool = False
+    parts: ResidualParts | None = field(default=None, repr=False,
+                                        compare=False)
 
 
 class NewtonFailureError(RuntimeError):
@@ -89,7 +99,8 @@ class MonolithicJacobian:
     M_c entries are built for one J_c pattern and kept while
     ``kc_jacobian`` returns that pattern, so each call copies the constant
     values and writes J_c and M_c/dt into them. A J_c with another pattern
-    rebuilds them.
+    rebuilds them. So is the Jacobi inverse of the constant rows, and
+    :meth:`preconditioner` refreshes only the n_c conductor rows.
     """
 
     def __init__(self, system):
@@ -130,9 +141,9 @@ class MonolithicJacobian:
         constant[kcn_t_at] = s.kcn.values
         constant[kn_at] = s.kn.values
         self._constant = CsrMatrix(n, n, row_ptr, merged % n, constant)
-        # finds the diagonal positions, which every Newton matrix built by
-        # with_values shares for its Jacobi preconditioner
-        self._constant.diagonal()
+        # the Jacobi inverse of the constant rows; the conductor rows come
+        # first, and M_c's entries are their diagonal
+        self._jacobi = build_preconditioner(self._constant)
         self._kc_at = kc_at
         self._mc_at = mc_at
         self._kc_pattern = (kc.row_ptr, kc.col_idx)
@@ -146,10 +157,43 @@ class MonolithicJacobian:
         values[self._mc_at] += self.system.mc.values * (1.0 / dt)
         return self._constant.with_values(values)
 
+    def preconditioner(self, jac: CsrMatrix) -> JacobiPreconditioner:
+        """The Jacobi preconditioner of *jac*, the matrix the last call
+        returned, bitwise ``build_preconditioner(jac)``: the inverse of the
+        constant rows is kept, and the n_c conductor rows, whose diagonal is
+        M_c/dt + J_c, are refreshed."""
+        return self._jacobi.refreshed(jac.values[self._mc_at])
+
+
+class ResidualParts(NamedTuple):
+    """The static parts of the Newton residual at one state (x_c, x_n):
+    K_c(x_c) x_c, K_cn x_n, K_cn^T x_c and K_n x_n."""
+
+    kc: np.ndarray
+    kcn: np.ndarray
+    kcn_t: np.ndarray
+    kn: np.ndarray
+
+
+def _residual_parts(system, x_c, x_n) -> ResidualParts:
+    return ResidualParts(system.kc_apply(x_c), _matvec(system.kcn, x_n),
+                         _matvec(system.kcn._transpose, x_c),
+                         _matvec(system.kn, x_n))
+
+
+def _norms(*vectors) -> list[float]:
+    """||v||_2 of each vector as sqrt(v.v), bitwise ``np.linalg.norm``; a
+    finite v whose sum of squares overflows gets its finite norm from
+    ``krylov._scaled_norm``, and a non-finite one inf or NaN."""
+    with np.errstate(over="ignore"):
+        squares = [v.dot(v) for v in vectors]
+    return [math.sqrt(q) if math.isfinite(q) or not np.isfinite(v).all()
+            else _scaled_norm(v) for v, q in zip(vectors, squares)]
+
 
 def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = None,
                         *, jacobian: MonolithicJacobian | None = None,
-                        start=None
+                        start=None, parts: ResidualParts | None = None
                         ) -> tuple[np.ndarray, np.ndarray, NewtonStepReport]:
     """One implicit Euler step by monolithic Newton iteration.
 
@@ -170,6 +214,12 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     (``predictor_rejected``); a start that meets the target is returned
     with zero Newton iterations. It changes neither r0, the target nor the
     inner tolerance, and each Newton update is still solved from zero.
+
+    The report's ``parts`` are the :class:`ResidualParts` at the returned
+    state, as the step's last residual evaluation made them. Handed to the
+    next step as *parts*, whose state is the one returned, they give its r0
+    and floor without a product; the step is bitwise the same with or
+    without them.
     """
     config = config or NewtonConfig()
     a_c_prev, a_n_prev, t = state
@@ -180,49 +230,66 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     t_new = t + dt
     j_n = system.source(t_new)
     n_c = system.n_c
+    # PartitionedSystem holds M_c diagonal, one positive entry per row
+    mc_diag = system.mc.values
     if jacobian is None:
         jacobian = MonolithicJacobian(system)
 
-    def residual(xc, xn, with_scale=False):
-        t1 = spmv(system.mc, xc - a_c_prev) / dt
-        t2 = system.kc_apply(xc)
-        t3 = spmv(system.kcn, xn)
-        t4 = spmv_transpose(system.kcn, xc)
-        t5 = spmv(system.kn, xn)
-        f = np.concatenate([t1 + t2 + t3, t4 + t5 - j_n])
-        if not with_scale:
-            return f
-        scale = sum(float(np.linalg.norm(v)) for v in (t1, t2, t3, t4, t5))
-        return f, scale + float(np.linalg.norm(j_n))
+    def residual(xc, p: ResidualParts) -> np.ndarray:
+        # [M_c (xc - a_c_prev) / dt + K_c(xc) xc + K_cn xn,
+        #  K_cn^T xc + K_n xn - j_n], each sum taken left to right
+        f = np.empty(n_c + system.n_n)
+        fc, fn = f[:n_c], f[n_c:]
+        np.subtract(xc, a_c_prev, out=fc)
+        fc *= mc_diag
+        fc /= dt
+        fc += p.kc
+        fc += p.kcn
+        np.add(p.kcn_t, p.kn, out=fn)
+        fn -= j_n
+        return f
 
-    x_c = a_c_prev.copy()
-    x_n = a_n_prev.copy()
-    f, data_scale = residual(x_c, x_n, with_scale=True)
-    r0 = float(np.linalg.norm(f))
-    if not np.isfinite(r0):
+    def evaluate(xc, xn) -> tuple[ResidualParts, np.ndarray, float]:
+        p = _residual_parts(system, xc, xn)
+        f = residual(xc, p)
+        return p, f, _norms(f)[0]
+
+    x_c, x_n = a_c_prev.copy(), a_n_prev.copy()
+    if parts is None:
+        parts = _residual_parts(system, x_c, x_n)
+    f = residual(x_c, parts)
+    # the mass term is zero at the previous state
+    r0, *addends = _norms(f, *parts, j_n)
+    if not math.isfinite(r0):
         raise NewtonFailureError(
             "non-finite residual before Newton iteration 1", [r0])
     # residuals below rounding noise of their own addends cannot be reduced
     # further in double precision; a pure relative criterion would stall on
     # an already-stationary state
-    floor = 64.0 * np.finfo(np.float64).eps * data_scale
-    if r0 <= floor:
-        return x_c, x_n, NewtonStepReport(0, (), (r0,))
-
+    floor = 64.0 * np.finfo(np.float64).eps * sum(addends, 0.0)
     target = max(config.tol * r0, floor)
+
+    def step_report(iterations=0, linear=(), history=(r0,), half=0,
+                    rejected=False):
+        return NewtonStepReport(iterations, tuple(linear), tuple(history),
+                                r0, target, half, rejected, parts)
+
+    if r0 <= floor:
+        return x_c, x_n, step_report()
+
     r_current = r0
     rejected = False
     if start is not None:
         s_c = as_vector(start[0], length=n_c, name="conducting start")
         s_n = as_vector(start[1], length=system.n_n,
                         name="nonconducting start")
-        f_start = residual(s_c, s_n)
-        r_start = float(np.linalg.norm(f_start))
+        parts_start, f_start, r_start = evaluate(s_c, s_n)
         # a NaN residual fails the comparison, so it is rejected too
         if r_start < r0:
             x_c, x_n, f, r_current = s_c.copy(), s_n.copy(), f_start, r_start
+            parts = parts_start
             if r_start <= target:
-                return x_c, x_n, NewtonStepReport(0, (), (r_start,))
+                return x_c, x_n, step_report(history=(r_start,))
         else:
             rejected = True
     history = [r_current]
@@ -244,7 +311,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
             raise NewtonFailureError(
                 f"non-finite Jacobian at Newton iteration {k}: {err}",
                 history) from err
-        precond = build_preconditioner(jac)
+        precond = jacobian.preconditioner(jac)
         try:
             delta, report = pcg_solve(jac, -f, config=lin_config,
                                       preconditioner=precond)
@@ -262,26 +329,24 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         linear_iters.append(report.iterations)
         xc_try = x_c + delta[:n_c]
         xn_try = x_n + delta[n_c:]
-        f_try = residual(xc_try, xn_try)
-        r_try = float(np.linalg.norm(f_try))
-        if not np.isfinite(r_try) or (r_try > r_current and r_try > target):
+        parts_try, f_try, r_try = evaluate(xc_try, xn_try)
+        if not math.isfinite(r_try) or (r_try > r_current and r_try > target):
             # one half step before giving up; keeps mild overshoot recoverable
             half_steps += 1
             xc_try = x_c + 0.5 * delta[:n_c]
             xn_try = x_n + 0.5 * delta[n_c:]
-            f_try = residual(xc_try, xn_try)
-            r_try = float(np.linalg.norm(f_try))
-            if not np.isfinite(r_try) or (r_try > r_current
-                                          and r_try > target):
+            parts_try, f_try, r_try = evaluate(xc_try, xn_try)
+            if not math.isfinite(r_try) or (r_try > r_current
+                                            and r_try > target):
                 raise NewtonFailureError(
                     f"residual increased at Newton iteration {k} "
                     f"({r_current:.3e} -> {r_try:.3e})", history + [r_try])
-        x_c, x_n, f = xc_try, xn_try, f_try
+        x_c, x_n, f, parts = xc_try, xn_try, f_try, parts_try
         r_current = r_try
         history.append(r_current)
         if r_current <= target:
-            return x_c, x_n, NewtonStepReport(
-                k, tuple(linear_iters), tuple(history), half_steps, rejected)
+            return x_c, x_n, step_report(k, linear_iters, history,
+                                         half_steps, rejected)
     raise NewtonFailureError(
         f"Newton did not converge within {config.max_newton} iterations "
         f"(residual {r_current:.3e}, initial {r0:.3e})", history)
@@ -301,9 +366,18 @@ def _extrapolate(a, h, earlier):
     if not older:
         return a + (h / h1) * (a - a1)
     (a2, h2), = older
-    d1 = (a - a1) / h1
-    d2 = (d1 - (a1 - a2) / h2) / (h1 + h2)
-    return a + h * d1 + (h * (h + h1)) * d2
+    # the same operations in the same order, in place
+    d1 = a - a1
+    d1 /= h1
+    d2 = a1 - a2
+    d2 /= h2
+    np.subtract(d1, d2, out=d2)
+    d2 /= h1 + h2
+    d2 *= h * (h + h1)
+    d1 *= h
+    d1 += a
+    d1 += d2
+    return d1
 
 
 def run_implicit(system, t_end: float, dt: float,
@@ -344,6 +418,7 @@ def run_implicit(system, t_end: float, dt: float,
     # the two states before the current one, newest first, each with the
     # length of the step that left it
     earlier_c, earlier_n = [], []
+    parts = None
     while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
@@ -354,14 +429,14 @@ def run_implicit(system, t_end: float, dt: float,
         try:
             a_c_new, a_n_new, report = implicit_euler_step(
                 (a_c, a_n, t), step_dt, system, config, jacobian=jacobian,
-                start=start)
+                start=start, parts=parts)
         except NewtonFailureError as err:
             raise NewtonFailureError(f"step {steps + 1}: {err}",
                                      err.residual_history) from err
         solver_seconds += time.perf_counter() - started
         earlier_c = [(a_c, step_dt)] + earlier_c[:1]
         earlier_n = [(a_n, step_dt)] + earlier_n[:1]
-        a_c, a_n = a_c_new, a_n_new
+        a_c, a_n, parts = a_c_new, a_n_new, report.parts
         t += step_dt
         steps += 1
         linear.extend(report.linear_iterations)

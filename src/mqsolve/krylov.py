@@ -135,13 +135,28 @@ class JacobiPreconditioner:
     """
 
     def __init__(self, diag):
-        d = as_vector(diag, name="diagonal")
-        if (d < 0).any():
-            raise ValueError("Jacobi preconditioner requires a nonnegative diagonal")
-        self._inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
+        self._inv = _jacobi_inverse(as_vector(diag, name="diagonal"))
+
+    def refreshed(self, head: np.ndarray) -> "JacobiPreconditioner":
+        """This preconditioner with the leading ``head.size`` entries of its
+        diagonal replaced by the finite *head*; the inverse of the other
+        rows is copied, not recomputed."""
+        out = object.__new__(JacobiPreconditioner)
+        out._inv = self._inv.copy()
+        out._inv[:head.size] = _jacobi_inverse(head)
+        return out
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._inv * r
+
+
+def _jacobi_inverse(d: np.ndarray) -> np.ndarray:
+    """1 / d, and 1 where d is zero; a negative entry raises ValueError."""
+    if d.size and d.min() > 0.0:
+        return 1.0 / d
+    if (d < 0).any():
+        raise ValueError("Jacobi preconditioner requires a nonnegative diagonal")
+    return np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
 
 
 def build_preconditioner(a: CsrMatrix) -> JacobiPreconditioner:

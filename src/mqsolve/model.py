@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,7 @@ import scipy.ndimage
 import scipy.sparse as sp
 
 from .schur import PartitionedSystem, ScaledPatternSource, exponential_ramp
-from .sparse import (CsrMatrix, _matvec, spmv, write_dense_vector,
-                     write_matrix_market)
+from .sparse import CsrMatrix, _matvec, write_dense_vector, write_matrix_market
 
 __all__ = [
     "AIR",
@@ -101,7 +101,8 @@ class Material:
         if not 0 < self.brauer_k3 < np.inf:
             raise ModelError("base reluctivity must be finite and positive")
 
-    @property
+    # cached, so that the force's reluctivity reads it without a call
+    @cached_property
     def is_linear(self) -> bool:
         return self.brauer_k1 == 0.0
 
@@ -567,27 +568,38 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     # constant face weights: non-conductor cells only
     nu_air_cells = np.where(in_conductor, 0.0, VACUUM_RELUCTIVITY)
     base_weights = (average @ nu_air_cells)[force_faces]
-    # each conductor cell's six faces as rows of the force faces
+    # each conductor cell's six faces as rows of the force faces, and as
+    # the (6, m) gather that takes one contiguous row per face of the cell
     cond_faces6 = np.searchsorted(force_faces, cell_faces[cond_cells])
+    faces_by_cell = np.ascontiguousarray(cond_faces6.T)
+    linear = conductor.is_linear
 
-    def face_weights(state, derivative=False):
-        """Face weights w, circulations phi and, if asked, dnu/dB^2 per cell.
+    def face_weights(phi, derivative=False):
+        """w / h on the force faces at their circulations *phi*, then
+        dnu/dB^2 per conductor cell (None unless *derivative*) and the
+        (6, m) circulations of the conductor cells."""
+        per = phi[faces_by_cell]
+        nu_c, dnu_c = _reluctivity(conductor, _b2(per.T, h), derivative)
+        w = _matvec(face_by_cond, nu_c)
+        w += base_weights
+        w /= h
+        return w, dnu_c, per
 
-        w and phi are on the force faces.
-        """
-        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
-        nu_c, dnu_c = _reluctivity(conductor, _b2(phi[cond_faces6], h),
-                                   derivative)
-        return base_weights + _matvec(face_by_cond, nu_c), phi, dnu_c
+    # the linear law's weights do not depend on the state, so its force and
+    # Jacobian never evaluate B^2
+    linear_weights = (face_weights(np.zeros(force_faces.size))[0]
+                      if linear else None)
 
     def kc_apply(state):
-        w, phi, _ = face_weights(state)
-        return _matvec(c_cond._transpose, (w / h) * phi)
+        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
+        phi *= linear_weights if linear else face_weights(phi)[0]
+        return _matvec(c_cond._transpose, phi)
 
     def kc_matrix(state) -> CsrMatrix:
-        w, _, _ = face_weights(state)
+        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
+        w = linear_weights if linear else face_weights(phi)[0]
         c = c_cond.to_scipy()
-        return CsrMatrix.from_scipy(c.T @ sp.diags(w / h) @ c)
+        return CsrMatrix.from_scipy(c.T @ sp.diags(w) @ c)
 
     # pattern and value maps of kc_jacobian, built on its first call so a
     # run that never asks for the Jacobian never pays for them
@@ -598,12 +610,17 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
         if jacobian_maps is None:
             jacobian_maps = _jacobian_maps(c_cond, cond_faces6)
         pattern, weight_map, block_map = jacobian_maps
-        w, phi, dnu_c = face_weights(state, derivative=True)
-        per = phi[cond_faces6]                           # (m, 6)
-        scale = dnu_c / (2.0 * h ** 5)                   # (m,)
-        blocks = scale[:, None, None] * per[:, :, None] * per[:, None, :]
-        return pattern.with_values(spmv(weight_map, w / h)
-                                   + spmv(block_map, blocks.ravel()))
+        if linear:
+            return pattern.with_values(_matvec(weight_map, linear_weights))
+        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
+        w, dnu_c, per = face_weights(phi, derivative=True)
+        values = _matvec(weight_map, w)
+        # blocks[c, i, j] = (dnu_c / (2 h^5) per_i) per_j on cell c's faces
+        scaled = per * (dnu_c / (2.0 * h ** 5))
+        blocks = np.empty((dnu_c.size, 6, 6))
+        np.multiply(scaled.T[:, :, None], per.T[:, None, :], out=blocks)
+        values += _matvec(block_map, blocks.ravel())
+        return pattern.with_values(values)
 
     # excitation: closed loop of interior, nonconducting edges
     loop_ids, loop_signs = topo.loop_edges(excitation)

@@ -1,7 +1,9 @@
 """Monolithic backward Euler with damped Newton iterations."""
 
 import dataclasses
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, InconsistentRhsError, MonolithicJacobian,
                      NewtonConfig, NewtonFailureError, PartitionedSystem,
-                     PcgConfig, implicit, implicit_euler_step, run_implicit)
+                     PcgConfig, build_preconditioner, builtin_model, implicit,
+                     implicit_euler_step, run_implicit)
 from mqsolve.bench import RunConfig, run_single
 
 TIGHT = NewtonConfig(tol=1e-10,
@@ -231,34 +234,31 @@ def test_the_extrapolated_start_ends_within_the_newton_target(
                                         n_c=n_c, n_n=n_n, singular=singular)
     dt = 2.0 ** log2_dt
     config = NewtonConfig()
-    extrapolated = run_implicit(system, t_end=steps * dt, dt=dt,
-                                config=config)
+    reports = []
+    step = implicit.implicit_euler_step
+
+    def recorded(*args, **kwargs):
+        x_c, x_n, report = step(*args, **kwargs)
+        reports.append(report)
+        return x_c, x_n, report
+
+    with mock.patch.object(implicit, "implicit_euler_step", recorded):
+        extrapolated = run_implicit(system, t_end=steps * dt, dt=dt,
+                                    config=config)
     assert extrapolated.aggregates["steps"] == steps
     x_c, x_n, t = np.zeros(n_c), np.zeros(n_n), 0.0
     for _ in range(steps):
-        x_c, x_n, _ = implicit_euler_step((x_c, x_n, t), dt, system, config)
+        x_c, x_n, report = implicit_euler_step((x_c, x_n, t), dt, system,
+                                               config)
+        reports.append(report)
         t += dt
+    assert len(reports) == 2 * steps
+    assert all(r.residual_history[-1] <= r.target for r in reports)
     gap = np.concatenate([extrapolated.final_a_c - x_c,
                           extrapolated.final_a_n - x_n])
-
-    # the targets, from the exact chain: r0 = ||K x_prev - b|| with K the
-    # stiffness, and the rounding floor of addends of norm at most
-    # 3 ||K|| ||x_prev|| + ||b||
-    full = blocks["full"]
     jac = monolithic(blocks, dt)
-    mass = np.zeros_like(jac)
-    mass[:n_c, :n_c] = np.diag(blocks["mc_diag"] / dt)
-    jac_pinv = np.linalg.pinv(jac)
-    eps = np.finfo(float).eps
-    x, targets = np.zeros(n_c + n_n), 0.0
-    for k in range(1, steps + 1):
-        b = np.concatenate([np.zeros(n_c), system.source(k * dt)])
-        r0 = np.linalg.norm(full @ x - b)
-        scale = (3.0 * np.linalg.norm(full, 2) * np.linalg.norm(x)
-                 + np.linalg.norm(b))
-        targets += 1.1 * config.tol * r0 + 128.0 * eps * scale
-        x = jac_pinv @ (mass @ x + b)
-    bound = 2.0 * np.sqrt(np.linalg.norm(jac_pinv, 2)) * targets
+    bound = (np.sqrt(np.linalg.norm(np.linalg.pinv(jac), 2))
+             * sum(r.target for r in reports))
     assert np.sqrt(max(gap @ jac @ gap, 0.0)) <= bound
 
 
@@ -336,6 +336,114 @@ def test_run_counts_half_steps(rng, make_linear_system, monkeypatch):
     agg = run_implicit(system, t_end=3e-2, dt=1e-2, config=TIGHT).aggregates
     assert agg["newton_half_steps"] == 1
     assert agg["newton_iterations"] == 4
+
+
+def assert_same_step(system, given, plain):
+    """*given*, a step handed the residual parts of its state, returned the
+    bits of *plain*, the same step without them, and parts that a fresh
+    evaluation at its result repeats."""
+    (x_c, x_n, report), (y_c, y_n, other) = given, plain
+    assert x_c.tobytes() == y_c.tobytes() and x_n.tobytes() == y_n.tobytes()
+    # every field but the parts: counts, r0, target and the histories
+    assert report == other
+    fresh = implicit._residual_parts(system, x_c, x_n)
+    for parts in (report.parts, other.parts):
+        assert [p.tobytes() for p in parts] == [p.tobytes() for p in fresh]
+
+
+def test_handed_residual_parts_leave_every_step_bitwise(builtin6,
+                                                        monkeypatch):
+    system = builtin6.system
+    dt = 1e-3
+    # the first step evaluates its parts itself
+    x_c, x_n, report = implicit_euler_step(
+        (np.zeros(system.n_c), np.zeros(system.n_n), 0.0), dt, system)
+    t = dt
+    # accepted Newton updates from the previous state
+    for _ in range(3):
+        state = (x_c, x_n, t)
+        given = implicit_euler_step(state, dt, system, parts=report.parts)
+        assert given[2].newton_iterations >= 1
+        assert_same_step(system, given,
+                         implicit_euler_step(state, dt, system))
+        x_c, x_n, report = given
+        t += dt
+    # a start at the solution, accepted with zero Newton iterations
+    state = (x_c, x_n, t)
+    solution = implicit_euler_step(state, dt, system)[:2]
+    given = implicit_euler_step(state, dt, system, start=solution,
+                                parts=report.parts)
+    assert given[2].newton_iterations == 0
+    assert_same_step(system, given,
+                     implicit_euler_step(state, dt, system, start=solution))
+    x_c, x_n, report = given
+    t += dt
+    # a half step: each solve's first update overshoots
+    state = (x_c, x_n, t)
+    overshooting_first_update(monkeypatch)
+    given = implicit_euler_step(state, dt, system, parts=report.parts)
+    assert given[2].half_steps == 1
+    overshooting_first_update(monkeypatch)
+    assert_same_step(system, given, implicit_euler_step(state, dt, system))
+
+
+def test_handed_residual_parts_leave_the_floor_return_bitwise(builtin6):
+    # a stationary state: x_c = 0 and x_n on edges that K_cn does not
+    # couple, so K_cn x_n is exactly zero, and the source is K_n x_n
+    system = builtin6.system
+    uncoupled = np.diff(system.kcn._transpose.row_ptr) == 0
+    x_n = np.where(uncoupled, np.random.default_rng(3).standard_normal(
+        system.n_n), 0.0)
+    j_n = system.kn @ x_n
+    stationary = dataclasses.replace(system, source=lambda t: j_n)
+    x_c, parts, t = np.zeros(system.n_c), None, 0.0
+    for _ in range(2):
+        state = (x_c, x_n, t)
+        given = implicit_euler_step(state, 1e-3, stationary, parts=parts)
+        report = given[2]
+        assert report.newton_iterations == 0 and report.r0 == 0.0
+        assert 0.0 < report.target and report.residual_history == (0.0,)
+        assert_same_step(stationary, given,
+                         implicit_euler_step(state, 1e-3, stationary))
+        x_c, x_n, parts = given[0], given[1], report.parts
+        t += 1e-3
+
+
+def test_the_default_implicit_run_applies_the_force_twice_per_step():
+    # one evaluation at the start, one at the Newton update: the first step
+    # has no start, and each later step takes r0 from the parts of the
+    # step before
+    system = builtin_model(cells=8).system
+    calls = 0
+    kc_apply = system.kc_apply
+
+    def counted(state):
+        nonlocal calls
+        calls += 1
+        return kc_apply(state)
+
+    config = RunConfig(integrator="implicit")
+    result = run_implicit(dataclasses.replace(system, kc_apply=counted),
+                          config.t_end, config.implicit_dt)
+    assert result.aggregates["steps"] == 480
+    assert result.aggregates["newton_iterations"] == 480
+    assert calls == 960
+
+
+def test_a_state_whose_residual_overflows_its_squares_steps_quietly(
+        builtin6_linear):
+    # the residual is finite, but its sum of squares is not
+    system = builtin6_linear.system
+    x_c, x_n, _ = implicit_euler_step(
+        (np.zeros(system.n_c), np.zeros(system.n_n), 0.0), 1e-3, system)
+    state = (np.ldexp(x_c, 532), np.ldexp(x_n, 532), 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_c, y_n, report = implicit_euler_step(state, 1e-3, system)
+    assert np.isfinite(y_c).all() and np.isfinite(y_n).all()
+    assert np.isfinite(report.r0) and report.r0 > 1e154
+    assert report.newton_iterations == 1
+    assert report.residual_history[-1] <= report.target
 
 
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
@@ -454,6 +562,19 @@ def test_monolithic_jacobian_matches_bmat_for_a_shortened_step(builtin6):
             assembled[-1].to_dense(),
             bmat_jacobian(system, system.kc_jacobian(x_c), dt))
     assert assembled[1].row_ptr is assembled[0].row_ptr
+
+
+def test_the_refreshed_preconditioner_is_the_newton_matrix_jacobi(builtin6):
+    # only the conductor rows are refreshed; the result is bitwise the
+    # preconditioner built from the whole diagonal
+    system = builtin6.system
+    jacobian = MonolithicJacobian(system)
+    rng = np.random.default_rng(2)
+    for dt in (1e-3, 3.7e-4):
+        jac = jacobian(rng.standard_normal(system.n_c) * 2e-5, dt)
+        r = rng.standard_normal(jac.nrows)
+        assert (jacobian.preconditioner(jac).apply(r).tobytes()
+                == build_preconditioner(jac).apply(r).tobytes())
 
 
 @pytest.mark.parametrize("singular", [False, True])

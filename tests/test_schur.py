@@ -431,12 +431,13 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     ``_solve_from_image`` and ``kc_apply`` called the CSR kernel directly,
     such a step made 39 calls at 6 and at 8 cells, and 33 while a wrapper
     forwarded each solve's start_vector and start_product to the family's
-    cache. It now makes 29, two of them one cache's Cholesky
-    refactorization: per solve, ``start_vector`` returns the start with
-    its image and ``observe`` takes the solution back. The step calls
-    ``rate``, which calls ``_solve_pair`` for the two solves; both apply
-    K_cn^T and K_cn by ``_matvec`` directly, as ``kc_apply`` does, not
-    through ``spmv_transpose`` and ``spmv``.
+    cache, and 29 while ``kc_apply`` made eight. It now makes 28, two of
+    them one cache's Cholesky refactorization: per solve,
+    ``start_vector`` returns the start with its image and ``observe``
+    takes the solution back. The step calls ``rate``, which calls
+    ``_solve_pair`` for the two solves; both apply K_cn^T and K_cn by
+    ``_matvec`` directly, as ``kc_apply`` does, not through
+    ``spmv_transpose`` and ``spmv``.
     """
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
@@ -468,7 +469,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("every step made a K_n product")
     assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
-    assert 0 < calls <= 29
+    assert 0 < calls <= 28
 
 
 def test_cspe_evictions_reach_the_aggregates(builtin6, rng,
@@ -1312,8 +1313,9 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     """Python calls into mqsolve on the first explicit CSPE step that the
     residual screen takes from the arrays of the step before: the step,
     ``rate``, the screen, the source waveform and one product with
-    K_cn K_cn^T, then ``kc_apply``'s eight, 13 in all. The full path of
-    ``test_a_cached_step_makes_few_python_calls`` makes 29."""
+    K_cn K_cn^T, then ``kc_apply``'s seven (itself, ``face_weights``,
+    ``_b2``, ``_reluctivity`` and three products), 12 in all. The full
+    path of ``test_a_cached_step_makes_few_python_calls`` makes 28."""
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
     op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
@@ -1343,7 +1345,7 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("the screen took no two steps in a row")
     assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
-    assert 0 < calls <= 15
+    assert 0 < calls <= 12
 
 
 def fill_near_target(rng, n, kn, kcn, op, k, ratio, source_ratio):
