@@ -53,8 +53,21 @@ __all__ = [
 ]
 
 
+# Each Newton update's PCG solve stops at this fraction of the step's Newton
+# target: the update need only be solved as far as the outer test needs, and
+# the other half of the target is left for the nonlinear remainder and the
+# drift of the CG recurrence from the true residual (inexact Newton)
+FORCING = 0.5
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Newton settings of :func:`implicit_euler_step`. A step converges at
+    ||F|| <= max(tol * r0, floor). Each update's PCG solve stops at
+    ``FORCING`` times that target; ``linear_solver`` sets the rest of its
+    stopping rule, so ``rel_tol * ||F||`` and ``abs_tol`` stop it later
+    only where they exceed that, and ``max_iter`` bounds it."""
+
     tol: float = 1e-8
     max_newton: int = 25
     linear_solver: PcgConfig = PcgConfig(rel_tol=1e-10, max_iter=50000)
@@ -200,20 +213,22 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     *state* is ``(a_c, a_n, t)``. Convergence: ||F|| <= tol * r0, where r0
     is the residual at the previous state, with an absolute floor at
     rounding level of the residual addends so an already-stationary state
-    is accepted rather than iterated into noise. Linear materials converge
-    in a single Newton iteration because the first update solves the affine
-    system to the linear tolerance. If a full update raises the residual
-    the step is halved once before failing. A non-finite initial residual
-    or Jacobian raises NewtonFailureError. *jacobian* assembles the Newton
-    matrix; pass the same one to every step of a run so its pattern is
-    built once.
+    is accepted rather than iterated into noise. Each update's PCG solve
+    stops at ``FORCING`` times that target (inexact Newton), or at the
+    ``linear_solver`` rule max(rel_tol * ||F||, abs_tol) where that is
+    larger. Linear materials converge in a single Newton iteration: the
+    first update solves the affine system to half the target. If a full
+    update raises the residual the step is halved once before failing. A
+    non-finite initial residual or Jacobian raises NewtonFailureError.
+    *jacobian* assembles the Newton matrix; pass the same one to every step
+    of a run so its pattern is built once.
 
     *start* ``(x_c, x_n)`` is an optional Newton start iterate, such as an
     extrapolation of earlier states. Newton starts from it only when its
     residual is below r0, and from the previous state otherwise
     (``predictor_rejected``); a start that meets the target is returned
     with zero Newton iterations. It changes neither r0, the target nor the
-    inner tolerance, and each Newton update is still solved from zero.
+    inner target, and each Newton update is still solved from zero.
 
     The report's ``parts`` are the :class:`ResidualParts` at the returned
     state, as the step's last residual evaluation made them. Handed to the
@@ -294,13 +309,14 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
             rejected = True
     history = [r_current]
 
-    # Inner solves never target below a hundredth of the outer Newton bar:
-    # the monolithic matrix is singular (gradient fields in the lower-right
-    # block), so a relative-only inner tolerance becomes unreachable once
-    # the Newton residual is tiny and PCG would grind into roundoff.
+    # Each update is solved only as far as the Newton test needs: to
+    # FORCING times the target, which also keeps PCG out of roundoff once
+    # the Newton residual is tiny, where a relative-only inner tolerance on
+    # the singular monolithic matrix (gradient fields in the lower-right
+    # block) would be unreachable.
     lin_config = dataclasses.replace(
         config.linear_solver,
-        abs_tol=max(config.linear_solver.abs_tol, 0.01 * config.tol * r0))
+        abs_tol=max(config.linear_solver.abs_tol, FORCING * target))
 
     linear_iters: list[int] = []
     half_steps = 0
@@ -352,32 +368,34 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         f"(residual {r_current:.3e}, initial {r0:.3e})", history)
 
 
-def _extrapolate(a, h, earlier):
-    """The start of a step of length *h* from the state *a* at t_k.
+def _extrapolate(a, h, back, slope=None):
+    """The start of a step of length *h* from the state *a* at t_k, and the
+    slope the next step's start takes.
 
-    *earlier* holds the states before *a*, newest first, each with the
-    length of the step that left it: ``[(a_{k-1}, h1)]`` or
-    ``[(a_{k-1}, h1), (a_{k-2}, h2)]``. One earlier state gives the linear
-    extrapolation a + (h/h1)(a - a_{k-1}); two give the quadratic
+    *back* ``(a_{k-1}, h1)`` is the state before *a* with the length of the
+    step that left it, and *slope* ``(D, h2)`` the divided difference
+    D = (a_{k-1} - a_{k-2})/h2 that the previous start returned, or None.
+    Without a slope the start is the linear extrapolation
+    a + (h/h1)(a - a_{k-1}); with one it is the quadratic
     a + h D1 + h(h + h1) D2 in divided differences, D1 = (a - a_{k-1})/h1
-    and D2 = (D1 - (a_{k-1} - a_{k-2})/h2)/(h1 + h2).
+    and D2 = (D1 - D)/(h1 + h2). The returned slope is ``(D1, h1)``, the
+    D the next step would form from a and a_{k-1} again, bit for bit.
     """
-    (a1, h1), *older = earlier
-    if not older:
-        return a + (h / h1) * (a - a1)
-    (a2, h2), = older
-    # the same operations in the same order, in place
+    a1, h1 = back
     d1 = a - a1
+    if slope is None:
+        start = a + (h / h1) * d1
+        d1 /= h1
+        return start, (d1, h1)
+    d, h2 = slope
     d1 /= h1
-    d2 = a1 - a2
-    d2 /= h2
-    np.subtract(d1, d2, out=d2)
+    d2 = d1 - d
     d2 /= h1 + h2
     d2 *= h * (h + h1)
-    d1 *= h
-    d1 += a
-    d1 += d2
-    return d1
+    start = d1 * h
+    start += a
+    start += d2
+    return start, (d1, h1)
 
 
 def run_implicit(system, t_end: float, dt: float,
@@ -394,7 +412,9 @@ def run_implicit(system, t_end: float, dt: float,
     extrapolation a_k + (h/h1)(a_k - a_{k-1}) of the last two states and
     every later one from the quadratic extrapolation of the last three
     (:func:`_extrapolate`), for both blocks, with h, h1 and h2 the lengths
-    of this step and the two before it; ``predictor_rejected`` counts the
+    of this step and the two before it. Each start hands its divided
+    difference D1 to the next, which would otherwise form it again from
+    the same two states; ``predictor_rejected`` counts the
     steps that started from the previous state instead and
     ``newton_half_steps`` the half-length updates. A step
     that fails raises :class:`NewtonFailureError` with a message that starts
@@ -415,17 +435,18 @@ def run_implicit(system, t_end: float, dt: float,
     t = 0.0
     trace.row(t, a_c, a_n)
     steps = half_steps = rejected = 0
-    # the two states before the current one, newest first, each with the
-    # length of the step that left it
-    earlier_c, earlier_n = [], []
+    # per block: the state before the current one with the length of the
+    # step that left it, and the slope the last start formed (_extrapolate)
+    back_c = back_n = slope_c = slope_n = None
     parts = None
     while trace.running(t):
         step_dt = min(dt, t_end - t)
         started = time.perf_counter()
         start = None
-        if earlier_c:
-            start = (_extrapolate(a_c, step_dt, earlier_c),
-                     _extrapolate(a_n, step_dt, earlier_n))
+        if back_c is not None:
+            start_c, slope_c = _extrapolate(a_c, step_dt, back_c, slope_c)
+            start_n, slope_n = _extrapolate(a_n, step_dt, back_n, slope_n)
+            start = (start_c, start_n)
         try:
             a_c_new, a_n_new, report = implicit_euler_step(
                 (a_c, a_n, t), step_dt, system, config, jacobian=jacobian,
@@ -434,8 +455,7 @@ def run_implicit(system, t_end: float, dt: float,
             raise NewtonFailureError(f"step {steps + 1}: {err}",
                                      err.residual_history) from err
         solver_seconds += time.perf_counter() - started
-        earlier_c = [(a_c, step_dt)] + earlier_c[:1]
-        earlier_n = [(a_n, step_dt)] + earlier_n[:1]
+        back_c, back_n = (a_c, step_dt), (a_n, step_dt)
         a_c, a_n, parts = a_c_new, a_n_new, report.parts
         t += step_dt
         steps += 1

@@ -82,9 +82,53 @@ def test_hard_nonlinear_step_converges_with_damping(corner_toy):
     assert report.newton_iterations <= 10
     assert np.all(np.diff(hist) < 0)
     assert hist[-1] <= 1e-8 * hist[0]
-    # terminal contraction is much faster than the damped opening phase
-    assert hist[-1] / hist[-2] < 1e-2
+    # terminal contraction is much faster than the damped opening phase;
+    # the last update stops at FORCING times the target by design, so the
+    # quadratic contraction shows in the update before it
+    assert hist[-2] / hist[-3] < 1e-2
+    assert hist[-1] <= report.target
     assert 1.5 <= corner_toy.probe(x_c, x_n) <= 3.5
+
+
+def test_each_update_is_solved_to_forcing_times_the_target(
+        builtin6, builtin6_linear, corner_toy, monkeypatch):
+    # inexact Newton: every update's PCG solve stops at FORCING times the
+    # step's own target, and the step still ends within that target
+    solve, step = implicit.pcg_solve, implicit.implicit_euler_step
+    abs_tols, reports = [], []
+
+    def recorded_solve(*args, config, **kwargs):
+        abs_tols.append(config.abs_tol)
+        return solve(*args, config=config, **kwargs)
+
+    def checked_step(*args, **kwargs):
+        abs_tols.clear()
+        x_c, x_n, report = step(*args, **kwargs)
+        assert abs_tols == ([implicit.FORCING * report.target]
+                            * report.newton_iterations)
+        assert report.residual_history[-1] <= report.target
+        reports.append(report)
+        return x_c, x_n, report
+
+    monkeypatch.setattr(implicit, "pcg_solve", recorded_solve)
+    monkeypatch.setattr(implicit, "implicit_euler_step", checked_step)
+    # steel, with the extrapolated starts of a run
+    run_implicit(builtin6.system, t_end=5e-3, dt=1e-3)
+    assert len(reports) == 5
+    assert sum(r.newton_iterations for r in reports) >= 5
+    # corner_toy's hard step takes several damped updates
+    system = corner_toy.system
+    _, _, hard = implicit.implicit_euler_step(
+        (np.zeros(system.n_c), np.zeros(system.n_n), 0.0), 0.2, system)
+    assert hard.newton_iterations >= 3
+    # a linear conductor converges in one Newton iteration per step
+    system = builtin6_linear.system
+    x_c, x_n, t = np.zeros(system.n_c), np.zeros(system.n_n), 0.0
+    for _ in range(4):
+        x_c, x_n, report = implicit.implicit_euler_step((x_c, x_n, t), 1e-3,
+                                                        system)
+        assert report.newton_iterations == 1
+        t += 1e-3
 
 
 def test_moderate_nonlinear_step(corner_toy):
@@ -211,11 +255,44 @@ def test_the_start_is_exact_on_a_quadratic_trajectory(rng, lengths):
 
     t0 = 0.01
     t1, t2 = t0 + h2, t0 + h2 + h1
-    start = implicit._extrapolate(a(t2), h, [(a(t1), h1), (a(t0), h2)])
+    _, slope = implicit._extrapolate(a(t1), h1, (a(t0), h2))
+    start, _ = implicit._extrapolate(a(t2), h, (a(t1), h1), slope)
     assert np.allclose(start, a(t2 + h), rtol=1e-12, atol=0.0)
     # one earlier state: exact on a line, as the second step's start
-    line = implicit._extrapolate(c0 + c1 * t1, h, [(c0 + c1 * t0, h2)])
+    line, _ = implicit._extrapolate(c0 + c1 * t1, h, (c0 + c1 * t0, h2))
     assert np.allclose(line, c0 + c1 * (t1 + h), rtol=1e-12, atol=0.0)
+
+
+def test_the_carried_slope_keeps_every_start_bitwise(builtin6):
+    # the start the run hands each step is, bit for bit, the extrapolation
+    # that forms both divided differences from the last three states
+    system = builtin6.system
+    starts, states = [], []
+    step = implicit.implicit_euler_step
+
+    def recorded(state, dt, *args, start=None, **kwargs):
+        states.append((state[0], state[1], dt))
+        starts.append(start)
+        return step(state, dt, *args, start=start, **kwargs)
+
+    dt = 1e-3
+    with mock.patch.object(implicit, "implicit_euler_step", recorded):
+        # a short last step: the lengths differ
+        run_implicit(system, t_end=5.5 * dt, dt=dt)
+    assert len(states) == 6 and starts[0] is None
+    assert states[-1][2] == pytest.approx(0.5 * dt, rel=1e-9)
+    for k in range(1, 6):
+        for block in (0, 1):
+            a, a1 = states[k][block], states[k - 1][block]
+            h, h1 = states[k][2], states[k - 1][2]
+            if k == 1:
+                expected = a + (h / h1) * (a - a1)
+            else:
+                a2, h2 = states[k - 2][block], states[k - 2][2]
+                d1 = (a - a1) / h1
+                d2 = (d1 - (a1 - a2) / h2) / (h1 + h2) * (h * (h + h1))
+                expected = d1 * h + a + d2
+            assert starts[k][block].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,6 +583,25 @@ def test_validation_errors(rng, make_linear_system, monkeypatch):
                       ("output_period", np.nan)]:
         with pytest.raises(ValueError, match=f"^{name} "):
             run_implicit(system, **(dict(t_end=1.0, dt=1e-3) | {name: bad}))
+
+
+@pytest.mark.parametrize("model", ["builtin6", "builtin6_linear"])
+def test_a_step_near_a_stationary_state_stops_at_the_floor(model, request):
+    # a frozen source and long steps: by the third step tol * r0 is far
+    # below the rounding floor, so the floor sets the target and the inner
+    # target with it, and PCG stops before it meets the rounding-level
+    # nullspace component of -F, which it would report as an inconsistent
+    # right-hand side
+    system = request.getfixturevalue(model).system
+    j_n = 1e-3 * system.source(1.0)
+    frozen = dataclasses.replace(system, source=lambda t: j_n)
+    x_c, x_n, t = np.zeros(system.n_c), np.zeros(system.n_n), 0.0
+    for _ in range(3):
+        x_c, x_n, report = implicit_euler_step((x_c, x_n, t), 10.0, frozen)
+        assert report.residual_history[-1] <= report.target
+        t += 10.0
+    assert report.newton_iterations == 1
+    assert report.target > 1e4 * NewtonConfig().tol * report.r0
 
 
 def test_singular_block_keeps_algebraic_row_consistent(rng,
