@@ -167,8 +167,15 @@ class MonolithicJacobian:
             self._build(kc)
         values = self._constant.values.copy()
         values[self._kc_at] = kc.values
-        values[self._mc_at] += self.system.mc.values * (1.0 / dt)
-        return self._constant.with_values(values)
+        # the constant values and J_c's, a CsrMatrix's, are finite, so only
+        # the M_c/dt diagonal sums need the finiteness test
+        diagonal = values[self._mc_at]
+        diagonal += self.system.mc.values * (1.0 / dt)
+        if not np.isfinite(diagonal).all():
+            raise NonFiniteError("M_c/dt + J_c has non-finite diagonal "
+                                 "values")
+        values[self._mc_at] = diagonal
+        return self._constant.with_values(values, checked=True)
 
     def preconditioner(self, jac: CsrMatrix) -> JacobiPreconditioner:
         """The Jacobi preconditioner of *jac*, the matrix the last call

@@ -30,6 +30,19 @@ empty rows and leaves every sum with the same terms in the same order. The
 per-step cost of the force thus follows the conductor, not the grid (252 of
 1,728 faces at 8 cells, 828 of 43,200 at 24).
 
+The Brauer constants are folded into the force's operators once, at
+assembly (``_force_operators``). One product x = Q (phi * phi) gives
+k2 B^2 per conductor cell, with k2 / (2 h^4) on each cell's six faces in Q.
+The face weights w / h = w0 + A1 e^x then come from one product that adds
+into a copy of w0, with A1 = k1 / h times the conductor-cell averaging and
+w0 = (the averaging of k3 plus the non-conductor weights) / h; the
+derivative is dnu/dB^2 = k1 k2 e^x. One function, ``_face_weights``, serves
+the force, its matrix and its Jacobian, which passes its value maps of A1
+and w0 instead. The folded form rounds differently from the pairwise
+nu = k1 exp(k2 B^2) + k3 (within about 8 eps (1 + k2 B^2) relative), so
+traces follow it only to rounding level. The linear law's weights are w0,
+bitwise its pairwise weights, so its force and Jacobian keep their bits.
+
 The excitation is a closed rectangular loop of edges carrying the coil
 current; a closed loop is discretely divergence-free, which keeps the
 nonconducting right-hand side consistent with the singular curl-curl block.
@@ -39,7 +52,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +113,7 @@ class Material:
         if not 0 < self.brauer_k3 < np.inf:
             raise ModelError("base reluctivity must be finite and positive")
 
-    # cached, so that the force's reluctivity reads it without a call
-    @cached_property
+    @property
     def is_linear(self) -> bool:
         return self.brauer_k1 == 0.0
 
@@ -131,26 +142,16 @@ def reluctivity(material: Material, b2):
     b2 = np.asarray(b2, dtype=np.float64)
     if (b2 < 0).any():
         raise ModelError("B^2 must be nonnegative")
-    nu, dnu = _reluctivity(material, b2, derivative=True)
+    if material.is_linear:
+        nu, dnu = np.full_like(b2, material.brauer_k3), np.zeros_like(b2)
+    else:
+        with np.errstate(over="ignore"):
+            grow = np.exp(material.brauer_k2 * b2)
+        nu = material.brauer_k1 * grow + material.brauer_k3
+        dnu = material.brauer_k1 * material.brauer_k2 * grow
     if b2.ndim == 0:
         return float(nu), float(dnu)
     return nu, dnu
-
-
-def _reluctivity(material: Material, b2: np.ndarray, derivative: bool):
-    """nu(B^2) and, with *derivative*, dnu/dB^2 (else None) on float64 *b2*.
-
-    *b2* is not checked: the model's B^2 is a sum of squares.
-    """
-    if material.is_linear:
-        nu = np.full_like(b2, material.brauer_k3)
-        return nu, np.zeros_like(b2) if derivative else None
-    with np.errstate(over="ignore"):
-        grow = np.exp(material.brauer_k2 * b2)
-    nu = material.brauer_k1 * grow + material.brauer_k3
-    if not derivative:
-        return nu, None
-    return nu, material.brauer_k1 * material.brauer_k2 * grow
 
 
 @dataclass(frozen=True)
@@ -372,11 +373,58 @@ def _b2(per: np.ndarray, h: float) -> np.ndarray:
     """Cell B^2 from the (cells, 6) face circulations: x, y, z face pairs.
 
     Sums ((p0^2 + p1^2) + (p2^2 + p3^2)) + (p4^2 + p5^2) in five array
-    operations; the order of the sums is part of the traces.
+    operations. The force folds k2 / (2 h^4) into one product instead (see
+    :func:`_force_operators`), so this order fixes only the probe's
+    ``Model.cell_b2``.
     """
     squares = per * per
     pairs = squares[:, 0::2] + squares[:, 1::2]
     return (pairs[:, 0] + pairs[:, 1] + pairs[:, 2]) / (2.0 * h ** 4)
+
+
+def _force_operators(face_by_cond: CsrMatrix, base: np.ndarray,
+                     faces6: np.ndarray, material: Material, h: float):
+    """The conducting force's operators with the Brauer constants folded in.
+
+    *face_by_cond* averages the conductor cells onto the faces (1/2 per
+    adjacent cell), *base* holds each face's constant weight from its
+    non-conductor cells, and row c of *faces6* names conductor cell c's six
+    faces. Returns ``(q, a1, w0)`` with
+
+    - ``q``: k2 / (2 h^4) on each cell's six faces, so that
+      ``q (phi * phi)`` is k2 B^2 per conductor cell;
+    - ``a1``: ``face_by_cond`` times k1 / h;
+    - ``w0``: (``face_by_cond`` k3 + ``base``) / h, summed in that order.
+
+    The face weights w / h are then ``w0 + a1 exp(k2 B^2)``
+    (:func:`_face_weights`), and ``w0`` alone for the linear law.
+    """
+    k1, k2, k3 = material.brauer_k1, material.brauer_k2, material.brauer_k3
+    m = faces6.shape[0]
+    q = CsrMatrix(m, face_by_cond.nrows, np.arange(0, 6 * m + 1, 6),
+                  np.sort(faces6, axis=1).ravel(),
+                  np.full(6 * m, k2 / (2.0 * h ** 4)))
+    a1 = face_by_cond.with_values(face_by_cond.values * (k1 / h))
+    w0 = _matvec(face_by_cond, np.full(m, k3))
+    w0 += base
+    w0 /= h
+    return q, a1, w0
+
+
+def _face_weights(phi: np.ndarray, q: CsrMatrix, a: CsrMatrix,
+                  w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w0 + a e^x, e^x)`` with x = ``q (phi * phi)`` at the force-face
+    circulations *phi*.
+
+    With the operators of :func:`_force_operators` the first is the face
+    weights w / h, and k1 k2 e^x is dnu/dB^2 per conductor cell; a map
+    applied to ``a`` and ``w0`` gives the same map of the weights. A B^2
+    or an exponent that overflows gives inf without a warning.
+    """
+    with np.errstate(over="ignore"):
+        grow = _matvec(q, phi * phi)
+        np.exp(grow, out=grow)
+    return _matvec(a, grow, out=w0.copy()), grow
 
 
 @dataclass
@@ -486,6 +534,22 @@ def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
     return pattern, weight_map, block_map
 
 
+def _fold_jacobian_maps(pattern: CsrMatrix, weight_map: CsrMatrix,
+                        block_map: CsrMatrix, a1: CsrMatrix, w0: np.ndarray,
+                        material: Material, h: float):
+    """The maps of :func:`_jacobian_maps` with the Brauer constants folded
+    in: ``(pattern, weight_map a1, weight_map w0, block_map k1 k2 / (2 h^5))``.
+
+    With the operators of :func:`_force_operators`, the Jacobian values are
+    ``weight_map w0 + (weight_map a1) e^x`` plus the scaled block map of the
+    cell blocks e^x_c per_i per_j.
+    """
+    weight_a1 = CsrMatrix.from_scipy(weight_map.to_scipy() @ a1.to_scipy())
+    scale = material.brauer_k1 * material.brauer_k2 / (2.0 * h ** 5)
+    return (pattern, weight_a1, _matvec(weight_map, w0),
+            block_map.with_values(block_map.values * scale))
+
+
 def _rows(m: sp.csr_matrix, rows: np.ndarray) -> CsrMatrix:
     """The *rows* of canonical *m* as a CsrMatrix; the others must be empty.
 
@@ -572,32 +636,20 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     # the (6, m) gather that takes one contiguous row per face of the cell
     cond_faces6 = np.searchsorted(force_faces, cell_faces[cond_cells])
     faces_by_cell = np.ascontiguousarray(cond_faces6.T)
+    q, a1, w0 = _force_operators(face_by_cond, base_weights, cond_faces6,
+                                 conductor, h)
+    # the linear law's weights w0 do not depend on the state, so its force
+    # and Jacobian never evaluate B^2
     linear = conductor.is_linear
-
-    def face_weights(phi, derivative=False):
-        """w / h on the force faces at their circulations *phi*, then
-        dnu/dB^2 per conductor cell (None unless *derivative*) and the
-        (6, m) circulations of the conductor cells."""
-        per = phi[faces_by_cell]
-        nu_c, dnu_c = _reluctivity(conductor, _b2(per.T, h), derivative)
-        w = _matvec(face_by_cond, nu_c)
-        w += base_weights
-        w /= h
-        return w, dnu_c, per
-
-    # the linear law's weights do not depend on the state, so its force and
-    # Jacobian never evaluate B^2
-    linear_weights = (face_weights(np.zeros(force_faces.size))[0]
-                      if linear else None)
 
     def kc_apply(state):
         phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
-        phi *= linear_weights if linear else face_weights(phi)[0]
+        phi *= w0 if linear else _face_weights(phi, q, a1, w0)[0]
         return _matvec(c_cond._transpose, phi)
 
     def kc_matrix(state) -> CsrMatrix:
         phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
-        w = linear_weights if linear else face_weights(phi)[0]
+        w = w0 if linear else _face_weights(phi, q, a1, w0)[0]
         c = c_cond.to_scipy()
         return CsrMatrix.from_scipy(c.T @ sp.diags(w) @ c)
 
@@ -608,18 +660,22 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     def kc_jacobian(state) -> CsrMatrix:
         nonlocal jacobian_maps
         if jacobian_maps is None:
-            jacobian_maps = _jacobian_maps(c_cond, cond_faces6)
-        pattern, weight_map, block_map = jacobian_maps
+            jacobian_maps = _fold_jacobian_maps(
+                *_jacobian_maps(c_cond, cond_faces6), a1, w0, conductor, h)
+        pattern, weight_a1, weight_w0, block_map = jacobian_maps
         if linear:
-            return pattern.with_values(_matvec(weight_map, linear_weights))
+            return pattern.with_values(weight_w0)
         phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
-        w, dnu_c, per = face_weights(phi, derivative=True)
-        values = _matvec(weight_map, w)
-        # blocks[c, i, j] = (dnu_c / (2 h^5) per_i) per_j on cell c's faces
-        scaled = per * (dnu_c / (2.0 * h ** 5))
-        blocks = np.empty((dnu_c.size, 6, 6))
-        np.multiply(scaled.T[:, :, None], per.T[:, None, :], out=blocks)
-        values += _matvec(block_map, blocks.ravel())
+        values, grow = _face_weights(phi, q, weight_a1, weight_w0)
+        per = phi[faces_by_cell]
+        # blocks[c, i, j] = e^x_c per_i per_j on cell c's faces; block_map
+        # holds k1 k2 / (2 h^5), so it adds dnu/dB^2 / (2 h^5) per_i per_j
+        blocks = np.empty((grow.size, 6, 6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_grow = per * grow
+            np.multiply(per_grow.T[:, :, None], per.T[:, None, :],
+                        out=blocks)
+        _matvec(block_map, blocks.ravel(), out=values)
         return pattern.with_values(values)
 
     # excitation: closed loop of interior, nonconducting edges

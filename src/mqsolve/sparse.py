@@ -17,6 +17,11 @@ kernel itself on the small blocks of the conducting force. The kernel is
 private scipy API, so tests check that every product stays bitwise equal to
 ``@``, on random patterns and on every block of the builtin model, and that
 the time-step paths never reach ``@``.
+
+``_matvec(a, x, out=y)`` adds A x into *y* in place instead: each row's sum
+starts from y_i and adds the row's products in stored order. The conducting
+force uses it to add a product into a copy of a constant vector with no
+second array operation.
 """
 
 from __future__ import annotations
@@ -165,20 +170,22 @@ class CsrMatrix:
     def identity(cls, n: int) -> "CsrMatrix":
         return cls.from_diagonal(np.ones(n))
 
-    def with_values(self, values) -> "CsrMatrix":
+    def with_values(self, values, *, checked: bool = False) -> "CsrMatrix":
         """This matrix's pattern with new *values* in stored order.
 
         The pattern was validated when this matrix was built, so only the
-        length and finiteness of *values* are checked; the index arrays are
-        shared, and so are the diagonal positions once :meth:`diagonal` has
-        found them. Like the constructor, it freezes *values* when they are
-        already a contiguous float64 array rather than copying them.
+        length and finiteness of *values* are checked, and with
+        ``checked=True`` only the length: the caller has tested the values
+        for finiteness itself. The index arrays are shared, and so are the
+        diagonal positions once :meth:`diagonal` has found them. Like the
+        constructor, it freezes *values* when they are already a contiguous
+        float64 array rather than copying them.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != self.col_idx.shape:
             raise ValueError(f"values have shape {values.shape}, expected "
                              f"({self.nnz},)")
-        if not np.isfinite(values).all():
+        if not (checked or np.isfinite(values).all()):
             raise NonFiniteError("matrix values must be finite")
         values.flags.writeable = False
         out = object.__new__(type(self))
@@ -255,21 +262,27 @@ class CsrMatrix:
         return spmv(self, x)
 
 
-def _matvec(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x by scipy's CSR kernel on A's own arrays.
+def _matvec(a: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """y = A x by scipy's CSR kernel on A's own arrays, or out += A x.
 
-    The kernel adds each row's products in stored order into a zeroed
-    output, and takes an integer or strided *x* through a contiguous float64
-    copy. Only the length of *x* is checked: the kernel does not bound its
-    reads.
+    The kernel adds each row's products in stored order into the output,
+    which is a zeroed array unless *out* is given, and takes an integer or
+    strided *x* through a contiguous float64 copy. *out* must be a float64
+    array; it is returned. Only the lengths of *x* and *out* are checked:
+    the kernel does not bound its reads or writes.
     """
     if x.shape != (a.ncols,):
         raise ValueError(f"operand has shape {x.shape}, "
                          f"expected ({a.ncols},)")
-    y = np.zeros(a.nrows)
+    if out is None:
+        out = np.zeros(a.nrows)
+    elif out.shape != (a.nrows,):
+        raise ValueError(f"output has shape {out.shape}, "
+                         f"expected ({a.nrows},)")
     _sparsetools.csr_matvec(a.nrows, a.ncols, a.row_ptr, a.col_idx, a.values,
-                            x, y)
-    return y
+                            x, out)
+    return out
 
 
 def spmv(a: CsrMatrix, x) -> np.ndarray:

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, InconsistentRhsError, MonolithicJacobian,
-                     NewtonConfig, NewtonFailureError, PartitionedSystem,
-                     PcgConfig, build_preconditioner, builtin_model, implicit,
-                     implicit_euler_step, run_implicit)
+                     NewtonConfig, NewtonFailureError, NonFiniteError,
+                     PartitionedSystem, PcgConfig, build_preconditioner,
+                     builtin_model, implicit, implicit_euler_step,
+                     run_implicit)
 from mqsolve.bench import RunConfig, run_single
 
 TIGHT = NewtonConfig(tol=1e-10,
@@ -746,3 +747,20 @@ def test_non_finite_jacobian_raises_newton_failure(rng, make_linear_system):
             np.full(kc.nnz, np.inf)))
     with pytest.raises(NewtonFailureError, match="Newton iteration 1"):
         implicit_euler_step((np.zeros(3), np.zeros(5), 0.0), 1e-2, broken)
+
+
+def test_an_overflowing_mass_term_raises_newton_failure(rng,
+                                                        make_linear_system):
+    # M_c/dt + J_c is the one block of the Newton matrix whose values the
+    # assembly tests: 1/dt overflows here, with no warning
+    system, _ = make_linear_system(rng)
+    jacobian = MonolithicJacobian(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="M_c/dt"):
+            jacobian(np.zeros(3), 1e-310)
+        with pytest.raises(NewtonFailureError,
+                           match="^non-finite Jacobian at Newton iteration 1"):
+            implicit_euler_step((rng.standard_normal(3), np.zeros(5), 0.0),
+                                1e-310, system, jacobian=jacobian)
+    assert np.isfinite(jacobian(np.zeros(3), 1e-3).values).all()

@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, CsrMatrix, Excitation,
-                     GridSpec, Material, ModelError, PcgConfig, air_material,
-                     assemble, build_preconditioner, builtin_model,
-                     default_steel, export_model, gradient_incidence,
-                     pcg_solve, probe_b, read_matrix_market, reluctivity)
-from mqsolve.model import _b2, _jacobian_maps, _rows, _Topology
-from mqsolve.sparse import spmv, spmv_transpose
+                     ExplicitConfig, GridSpec, Material, ModelError,
+                     NewtonFailureError, NonFiniteError, PcgConfig,
+                     SchurOperator, StepFailureError, air_material, assemble,
+                     build_preconditioner, builtin_model, default_steel,
+                     explicit_euler_step, export_model, gradient_incidence,
+                     implicit_euler_step, pcg_solve, probe_b,
+                     read_matrix_market, reluctivity)
+from mqsolve.model import (_b2, _face_weights, _fold_jacobian_maps,
+                           _force_operators, _jacobian_maps, _rows,
+                           _Topology)
+from mqsolve.sparse import _matvec, spmv, spmv_transpose
 
 STEEL_NU0 = 49.4 + 520.6
 STEEL_DNU0 = 49.4 * 1.46
@@ -390,15 +395,13 @@ def test_kc_jacobian_matches_spgemm_on_a_fixed_pattern(name, request):
                                jacobians[0].to_dense())
 
 
-def all_faces_force(model):
-    """kc_apply, kc_matrix and kc_jacobian on every face of the grid.
+def all_faces_operators(model):
+    """The curl, averaging and folded force operators on every face.
 
-    The same arithmetic as the model, on the rows of
-    ``curl_interior[:, conducting]`` for all faces rather than the force
-    faces only; the dropped rows are empty, so the results must agree bit
-    for bit.
+    Returns ``(c, face_by_cond, base, faces6, (q, a1, w0))`` built as the
+    model builds them, from the rows of all faces rather than the force
+    faces only.
     """
-    h = model.grid.h
     c = CsrMatrix.from_scipy(model.curl_interior[:, model.conducting])
     average = _Topology(model.grid).face_cell_average()
     cond = model.conductor_cells
@@ -406,31 +409,121 @@ def all_faces_force(model):
     in_conductor = np.isin(np.arange(model.grid.n_cells), cond)
     base = average @ np.where(in_conductor, 0.0, VACUUM_RELUCTIVITY)
     faces6 = model.cell_faces[cond]
-    pattern, weight_map, block_map = _jacobian_maps(c, faces6)
+    folded = _force_operators(face_by_cond, base, faces6, model.conductor,
+                              model.grid.h)
+    return c, face_by_cond, base, faces6, folded
 
-    def weights(state):
-        phi = spmv(c, state)
-        nu_c, dnu_c = reluctivity(model.conductor, _b2(phi[faces6], h))
-        return base + spmv(face_by_cond, nu_c), phi, dnu_c
+
+def all_faces_force(model):
+    """kc_apply, kc_matrix and kc_jacobian on every face of the grid.
+
+    The same folded operators and arithmetic as the model, built on the
+    rows of ``curl_interior[:, conducting]`` for all faces rather than the
+    force faces only; the dropped rows are empty, so the results must agree
+    bit for bit. The linear law takes the general formula too: its k1 and
+    k2 are zero, so the weights are w0 plus zeros.
+    """
+    c, _, _, faces6, (q, a1, w0) = all_faces_operators(model)
+    pattern, weight_a1, weight_w0, block_map = _fold_jacobian_maps(
+        *_jacobian_maps(c, faces6), a1, w0, model.conductor, model.grid.h)
 
     def kc_apply(state):
-        w, phi, _ = weights(state)
-        return spmv_transpose(c, (w / h) * phi)
+        phi = spmv(c, state)
+        return spmv_transpose(c, _face_weights(phi, q, a1, w0)[0] * phi)
 
     def kc_matrix(state):
-        w, _, _ = weights(state)
+        w, _ = _face_weights(spmv(c, state), q, a1, w0)
         scipy_c = c.to_scipy()
-        return CsrMatrix.from_scipy(scipy_c.T @ sp.diags(w / h) @ scipy_c)
+        return CsrMatrix.from_scipy(scipy_c.T @ sp.diags(w) @ scipy_c)
 
     def kc_jacobian(state):
-        w, phi, dnu_c = weights(state)
+        phi = spmv(c, state)
+        values, grow = _face_weights(phi, q, weight_a1, weight_w0)
         per = phi[faces6]
-        scale = dnu_c / (2.0 * h ** 5)
-        blocks = scale[:, None, None] * per[:, :, None] * per[:, None, :]
-        return pattern.with_values(spmv(weight_map, w / h)
-                                   + spmv(block_map, blocks.ravel()))
+        blocks = (per * grow[:, None])[:, :, None] * per[:, None, :]
+        return pattern.with_values(
+            _matvec(block_map, blocks.ravel(), out=values))
 
     return kc_apply, kc_matrix, kc_jacobian
+
+
+def scaled_to(model, direction, x_max):
+    """*direction* scaled so that k2 B^2 peaks at *x_max* over the cells."""
+    b2 = model.cell_b2(model.full_interior(direction, np.zeros(model.n_n)))
+    peak = model.conductor.brauer_k2 * b2[model.conductor_cells].max()
+    return direction * np.sqrt(x_max / peak)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), x_max=st.one_of(
+    st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 700.0)))
+def test_folded_weights_match_the_pairwise_brauer_form(builtin6, corner_toy,
+                                                        seed, x_max):
+    # from the zero state to deep saturation: x = k2 B^2 up to 700, where
+    # exp's condition number x sets the rounding of either form
+    for model in (builtin6, corner_toy):
+        c, face_by_cond, base, faces6, (q, a1, w0) = \
+            all_faces_operators(model)
+        k1, k2, k3 = (model.conductor.brauer_k1, model.conductor.brauer_k2,
+                      model.conductor.brauer_k3)
+        direction = np.random.default_rng(seed).standard_normal(model.n_c)
+        phi = spmv(c, scaled_to(model, direction, x_max))
+        x = k2 * _b2(phi[faces6], model.grid.h)
+        expected = ((spmv(face_by_cond, k1 * np.exp(x) + k3) + base)
+                    / model.grid.h)
+        got, grow = _face_weights(phi, q, a1, w0)
+        # each face's bound follows the largest x of its conductor cells
+        adjacent = face_by_cond.to_dense() > 0
+        x_face = np.where(adjacent, x, 0.0).max(axis=1, initial=0.0)
+        eps = np.finfo(np.float64).eps
+        assert (np.abs(got - expected)
+                <= 8 * eps * (1 + x_face) * expected).all()
+        assert np.allclose(grow, np.exp(x), rtol=8 * eps * (1 + x.max()),
+                           atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1.5e-4, 1e150, 1e160])
+def test_a_state_whose_b2_overflows_fails_typed_without_a_warning(builtin6,
+                                                                   scale):
+    # 1.5e-4 overflows exp alone, 1e150 the sum of the squares and 1e160
+    # the squares themselves; each ends in the step's typed error
+    system = builtin6.system
+    state = scale * np.random.default_rng(1).standard_normal(system.n_c)
+    op = SchurOperator(system, ExplicitConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(system.kc_apply(state)).all()
+        with pytest.raises(NonFiniteError):
+            system.kc_jacobian(state)
+        with pytest.raises(StepFailureError,
+                           match="non-finite conducting state at step 3"):
+            explicit_euler_step((state, 0.0), 1e-5, op, step_index=3)
+        with pytest.raises(NewtonFailureError, match="non-finite residual"):
+            implicit_euler_step((state, np.zeros(system.n_n), 0.0), 1e-3,
+                                system)
+
+
+@pytest.mark.parametrize("name", ["builtin6_linear", "corner_toy_linear"])
+def test_the_linear_law_keeps_its_state_free_weights_bit_for_bit(name,
+                                                                 request):
+    # w0 is the weights the linear law had before the constants were
+    # folded: the reluctivity k3 averaged onto the faces, plus the
+    # non-conductor weights, over h; its force and Jacobian follow from it
+    model = request.getfixturevalue(name)
+    system = model.system
+    c, face_by_cond, base, faces6, (_, _, w0) = all_faces_operators(model)
+    nu, _ = reluctivity(model.conductor, np.zeros(faces6.shape[0]))
+    weights = spmv(face_by_cond, nu)
+    weights += base
+    weights /= model.grid.h
+    assert w0.tobytes() == weights.tobytes()
+    pattern, weight_map, _ = _jacobian_maps(c, faces6)
+    for state in (np.zeros(model.n_c), saturated_state(model)):
+        phi = spmv(c, state)
+        assert (system.kc_apply(state).tobytes()
+                == spmv_transpose(c, weights * phi).tobytes())
+        assert_same_csr(system.kc_jacobian(state),
+                        pattern.with_values(spmv(weight_map, weights)))
 
 
 def assert_same_csr(a, b):

@@ -431,10 +431,10 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     ``_solve_from_image`` and ``kc_apply`` called the CSR kernel directly,
     such a step made 39 calls at 6 and at 8 cells, and 33 while a wrapper
     forwarded each solve's start_vector and start_product to the family's
-    cache, and 29 while ``kc_apply`` made eight. It now makes 28, two of
-    them one cache's Cholesky refactorization: per solve,
-    ``start_vector`` returns the start with its image and ``observe``
-    takes the solution back. The step calls ``rate``, which calls
+    cache, 29 while ``kc_apply`` made eight, and 28 while it made seven.
+    It now makes 27, two of them one cache's Cholesky refactorization: per
+    solve, ``start_vector`` returns the start with its image and
+    ``observe`` takes the solution back. The step calls ``rate``, which calls
     ``_solve_pair`` for the two solves; both apply K_cn^T and K_cn by
     ``_matvec`` directly, as ``kc_apply`` does, not through
     ``spmv_transpose`` and ``spmv``.
@@ -469,7 +469,7 @@ def test_a_cached_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("every step made a K_n product")
     assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
-    assert 0 < calls <= 28
+    assert 0 < calls <= 27
 
 
 def test_cspe_evictions_reach_the_aggregates(builtin6, rng,
@@ -1313,9 +1313,10 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     """Python calls into mqsolve on the first explicit CSPE step that the
     residual screen takes from the arrays of the step before: the step,
     ``rate``, the screen, the source waveform and one product with
-    K_cn K_cn^T, then ``kc_apply``'s seven (itself, ``face_weights``,
-    ``_b2``, ``_reluctivity`` and three products), 12 in all. The full
-    path of ``test_a_cached_step_makes_few_python_calls`` makes 28."""
+    K_cn K_cn^T, then ``kc_apply``'s six (itself, ``_face_weights`` and
+    four products), 11 in all. It made 12 while ``kc_apply`` formed B^2
+    and the reluctivity in calls of their own. The full path of
+    ``test_a_cached_step_makes_few_python_calls`` makes 27."""
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
     op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
@@ -1345,7 +1346,7 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("the screen took no two steps in a row")
     assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
-    assert 0 < calls <= 12
+    assert 0 < calls <= 11
 
 
 def fill_near_target(rng, n, kn, kcn, op, k, ratio, source_ratio):

@@ -14,6 +14,7 @@ from mqsolve import (CsrMatrix, ExplicitConfig, NonFiniteError,
                      write_matrix_market)
 from mqsolve.implicit import MonolithicJacobian, implicit_euler_step
 from mqsolve.krylov import _as_operator
+from mqsolve.sparse import _matvec
 
 
 @st.composite
@@ -209,13 +210,16 @@ def test_with_values_checks_length_and_finiteness(coo, shift, bad, value):
     assert not b.values.flags.writeable
     for length in (a.nnz + shift, a.nnz - shift):
         if length >= 0:
-            with pytest.raises(ValueError):
-                a.with_values(np.ones(length))
+            for checked in (False, True):
+                with pytest.raises(ValueError):
+                    a.with_values(np.ones(length), checked=checked)
     if a.nnz:
         poisoned = np.ones(a.nnz)
         poisoned[bad % a.nnz] = value
         with pytest.raises(NonFiniteError):
             a.with_values(poisoned)
+        # a caller that has tested the values itself skips the test
+        assert a.with_values(poisoned, checked=True).values is poisoned
 
 
 @st.composite
@@ -262,6 +266,24 @@ def assert_kernel_matches_scipy(a: CsrMatrix, rng):
 def test_kernel_products_equal_scipy_bit_for_bit(case):
     a, rng = case
     assert_kernel_matches_scipy(a, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(csr_patterns(), csr_patterns(square=True)))
+def test_a_product_into_out_adds_to_each_row_from_out(case):
+    # out + A x with row i's sum starting at out_i: bitwise the product of
+    # [I A] with (out, x), whose identity entry comes first in every row
+    a, rng = case
+    stacked = sp.hstack([sp.identity(a.nrows), a.to_scipy()], format="csr")
+    for x in operands(rng, a.ncols):
+        out = (rng.standard_normal(a.nrows)
+               * 10.0 ** rng.uniform(-8, 8, a.nrows))
+        expected = stacked @ np.concatenate([out, x])
+        got = _matvec(a, x, out=out)
+        assert got is out
+        assert_same_bits(got, expected)
+    with pytest.raises(ValueError, match="output has shape"):
+        _matvec(a, np.zeros(a.ncols), out=np.zeros(a.nrows + 1))
 
 
 def test_kernel_products_equal_scipy_on_the_model_blocks(builtin6, rng):
