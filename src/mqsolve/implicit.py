@@ -26,7 +26,6 @@ start changes where Newton begins, never what converged means (see
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,19 +57,19 @@ __all__ = [
 # the other half of the target is left for the nonlinear remainder and the
 # drift of the CG recurrence from the true residual (inexact Newton)
 FORCING = 0.5
+# the PCG iteration cap of a Newton update's solve
+NEWTON_PCG_MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Newton settings of :func:`implicit_euler_step`. A step converges at
     ||F|| <= max(tol * r0, floor). Each update's PCG solve stops at
-    ``FORCING`` times that target; ``linear_solver`` sets the rest of its
-    stopping rule, so ``rel_tol * ||F||`` and ``abs_tol`` stop it later
-    only where they exceed that, and ``max_iter`` bounds it."""
+    ``FORCING`` times that target, within ``NEWTON_PCG_MAX_ITER``
+    iterations."""
 
     tol: float = 1e-8
     max_newton: int = 25
-    linear_solver: PcgConfig = PcgConfig(rel_tol=1e-10, max_iter=50000)
 
     def __post_init__(self):
         if not (0.0 < self.tol < np.inf):
@@ -221,10 +220,9 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     is the residual at the previous state, with an absolute floor at
     rounding level of the residual addends so an already-stationary state
     is accepted rather than iterated into noise. Each update's PCG solve
-    stops at ``FORCING`` times that target (inexact Newton), or at the
-    ``linear_solver`` rule max(rel_tol * ||F||, abs_tol) where that is
-    larger. Linear materials converge in a single Newton iteration: the
-    first update solves the affine system to half the target. If a full
+    stops at ``FORCING`` times that target (inexact Newton). Linear
+    materials converge in a single Newton iteration: the first update
+    solves the affine system to half the target. If a full
     update raises the residual the step is halved once before failing. A
     non-finite initial residual or Jacobian raises NewtonFailureError.
     *jacobian* assembles the Newton matrix; pass the same one to every step
@@ -321,9 +319,9 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     # the Newton residual is tiny, where a relative-only inner tolerance on
     # the singular monolithic matrix (gradient fields in the lower-right
     # block) would be unreachable.
-    lin_config = dataclasses.replace(
-        config.linear_solver,
-        abs_tol=max(config.linear_solver.abs_tol, FORCING * target))
+    # the smallest positive rel_tol leaves that target the whole rule
+    lin_config = PcgConfig(rel_tol=math.ulp(0.0), abs_tol=FORCING * target,
+                           max_iter=NEWTON_PCG_MAX_ITER)
 
     linear_iters: list[int] = []
     half_steps = 0

@@ -518,7 +518,8 @@ class _ResidualScreen:
     ``solve_kn`` accepts the start x0 = W W^T b of a family's cache, with
     (W, A W) its ``projection``, when ||b - A W W^T b|| <= rel_tol ||b||,
     and the rate then needs only K_cn x0. Per basis version (the identity
-    of ``projection``) the screen keeps small arrays:
+    of ``projection``, a new pair at every accepted column or eviction)
+    the screen keeps small arrays:
 
     * source, b = w(t) p from a ``ScaledPatternSource``: c_p = W^T p,
       rho_p = ||p - A W c_p||, ||p|| and K_cn W c_p. The start's residual
@@ -543,8 +544,8 @@ class _ResidualScreen:
     A call returns K_cn (y_cpl - y_src) when both starts pass, and logs a
     zero-iteration solve per family and nothing else: ``solve_kn``'s
     ``observe`` of an accepted start changes no strategy either. Anything
-    else, a zero or non-finite w(t) or quadratic form, a cache whose basis
-    awaits its rebuild or an inconclusive estimate, returns None: ``rate``
+    else, a zero or non-finite w(t) or quadratic form or an inconclusive
+    estimate, returns None: ``rate``
     then takes the full path. Both outcomes count in ``op.screened``, and
     the screen's time in ``op.solver_seconds``.
     """
@@ -589,8 +590,7 @@ class _ResidualScreen:
         a_c = np.asarray(a_c, dtype=np.float64)
         force = None
         with np.errstate(over="ignore", invalid="ignore"):
-            if (w != 0.0 and math.isfinite(w) and source is not None
-                    and coupling is not None):
+            if w != 0.0 and math.isfinite(w):
                 if source is not self._source_version:
                     self._version_source(source)
                 if self._source_force is not None:

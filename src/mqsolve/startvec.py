@@ -10,12 +10,13 @@ x0 with the image A x0, so a solve forms rhs - A x0 with no product:
 
 * ``previous``: reuse the last solution (zero before the first) unchanged,
   with the image formed when the solution is observed.
-* ``cspe`` (:class:`SubspaceCache`): keep an orthonormal basis of past
-  solutions; every accepted basis column costs exactly one fresh operator
-  application, and all previously cached operator products and Galerkin
-  entries are reused bit-identically (the cascade property). The start
-  vector and its image both come from cached products, and a solution
-  within the drop tolerance of the last start is dropped without a sweep.
+* ``cspe`` (:class:`SubspaceCache`): keep a K_n-orthonormal basis W of
+  past solutions with its products K_n W; every accepted basis column
+  costs exactly one fresh operator application, and all earlier columns
+  and products are reused bit-identically (the cascade property). The
+  start W W^T b and its image both come from them with no factorisation,
+  and a solution within the drop tolerance of the last start is dropped
+  without a sweep.
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
   truncated orthogonal basis per solve via the method of snapshots
   (``pod_start_vector``), paying one operator application per retained
@@ -80,15 +81,18 @@ class RhsFamily(Enum):
     __hash__ = object.__hash__
 
 
-def _cholesky_lower(g: np.ndarray, rel_floor: float = 1e-12
-                    ) -> tuple[np.ndarray, int | None]:
+# a Galerkin pivot at or below this fraction of its diagonal entry fails
+PIVOT_FLOOR = 1e-12
+
+
+def _cholesky_lower(g: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Dense Cholesky factor of a small SPD matrix and None, or a partial
     factor and the index of the first pivot that fails."""
     n = g.shape[0]
     low = np.zeros_like(g)
     for j in range(n):
         s = g[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(s) or s <= rel_floor * abs(g[j, j]) or s <= 0.0:
+        if not np.isfinite(s) or s <= PIVOT_FLOOR * abs(g[j, j]) or s <= 0.0:
             return low, j
         low[j, j] = np.sqrt(s)
         if j + 1 < n:
@@ -133,8 +137,8 @@ class StartVectorStrategy:
     spent on history upkeep (outside any Krylov iteration), the quantity
     benchmarks charge to the start-vector method itself, ``evictions``
     the basis columns a capped history dropped to make room and
-    ``columns_dropped`` the CSPE columns that never entered the basis or
-    left it at a failed pivot. ``projections`` logs one ``(k, info)``
+    ``columns_dropped`` the CSPE columns that never entered the basis,
+    a failed pivot's included. ``projections`` logs one ``(k, info)``
     entry per truncated projection; only POD truncates.
     """
 
@@ -150,22 +154,20 @@ class StartVectorStrategy:
 
 
 class SubspaceCache(StartVectorStrategy):
-    """Orthonormal solution history with cached operator products: the CSPE
-    strategy of one family, whose ``observe`` calls ``insert``.
+    """K_n-orthonormal solution history with cached operator products: the
+    CSPE strategy of one family, whose ``observe`` calls ``insert``.
 
-    The operator is bound at construction: cached products are only valid
-    against a fixed operator, so rebinding is deliberately impossible.
-    Eviction is first-in-first-out once ``max_cols`` is reached. An insert
-    whose distance from the basis's span is at most ``drop_tol`` times its
-    norm is dropped (see ``insert``). A ``max_cols`` that is not an integer
-    of at least 1, or a ``drop_tol`` that is not finite and nonnegative,
-    raises ValueError naming it first.
-
-    ``start_vector`` keeps ``projection`` = (W, A W) from
-    ``_galerkin_basis`` and rebuilds it only after the basis changed (an
-    accepted insert or an eviction), which sets it to None; each rebuild
-    is a new tuple, so its identity names the basis version. Most inserts
-    are dropped as solver noise, so most projections reuse it.
+    ``projection`` is the pair (W, A W), ``basis`` and ``cached_products``,
+    with W^T A W = I, so the start W W^T b needs no factorisation (Fischer,
+    Comput. Methods Appl. Mech. Engrg. 163, 1998). Both are column-major
+    views of a row store that doubles when full: a column appends one row
+    to each and changes no other, and each change is a new tuple, whose
+    identity names the basis version. The operator is bound at
+    construction, as the products hold only for it. Eviction is FIFO once
+    ``max_cols`` is reached, and the kept columns stay K_n-orthonormal.
+    See ``insert`` for drops. A ``max_cols`` that is not an integer of at
+    least 1, or a ``drop_tol`` that is not finite and nonnegative, raises
+    ValueError naming it first.
     """
 
     kind = "cspe"
@@ -179,11 +181,13 @@ class SubspaceCache(StartVectorStrategy):
         self.max_cols = int(max_cols)
         self.drop_tol = float(drop_tol)
         self._operator = operator
-        self._basis = np.empty((self.dim, 0))
-        self._products = np.empty((self.dim, 0))
-        self._galerkin = np.empty((0, 0))
-        # (W, A W), None after a basis change
-        self.projection: tuple[np.ndarray, np.ndarray] | None = None
+        # rows j of _rows[0] and _rows[1] are column j of W and of A W
+        self._rows = np.empty((2, 0, self.dim))
+        self.size = 0
+        self.projection = self._views()
+        # the largest u^T A u of an accepted unit column, a lower bound of
+        # ||A|| that scales the pivot floor
+        self._scale = 0.0
         # the start vector last returned, and a copy of its values while
         # it lies in the basis's span: the caller may write the start
         self._start: np.ndarray | None = None
@@ -193,32 +197,27 @@ class SubspaceCache(StartVectorStrategy):
         self.columns_dropped = 0
         self.evictions = 0
 
-    @property
-    def size(self) -> int:
-        return self._basis.shape[1]
+    def _views(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._rows[:, :self.size]
+        return rows[0].T, rows[1].T
 
     @property
     def basis(self) -> np.ndarray:
-        return self._basis
+        return self.projection[0]
 
     @property
     def cached_products(self) -> np.ndarray:
-        return self._products
-
-    @property
-    def galerkin(self) -> np.ndarray:
-        return self._galerkin
+        return self.projection[1]
 
     def insert(self, vector) -> bool:
-        """Append one orthonormalized column; True when accepted.
+        """Append one K_n-orthonormalized column; True when accepted.
 
-        Costs exactly one operator application on acceptance and none on a
-        drop. Existing products and Galerkin entries are not recomputed.
-        The last start x0 lies in the basis's span, so the distance of the
-        vector v from the span is at most ||v - x0||: when that is already
-        at most ``drop_tol * ||v||``, v is dropped without a sweep. A
-        finite vector whose sum of squares overflows is taken by its
-        direction, without a warning.
+        A vector v within ``drop_tol * ||v||`` of the last start (which is
+        in the span) is dropped without a sweep, and one whose remainder
+        after the sweeps is that short without a product. Otherwise the one
+        product is made, and a failed pivot drops the column. A finite v
+        whose sum of squares overflows is taken by its direction, without
+        a warning.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
@@ -238,60 +237,58 @@ class SubspaceCache(StartVectorStrategy):
                 if math.sqrt(miss.dot(miss)) <= self.drop_tol * orig:
                     self.columns_dropped += 1
                     return False
-        # Two Gram-Schmidt sweeps; a sweep never lengthens the vector, so
-        # one that falls to the drop threshold after the first is dropped
-        # without the second. A zero remainder is dropped at drop_tol 0 too.
-        w = v
+        # two K_n-Gram-Schmidt sweeps u - W (A W)^T u need no product; a
+        # zero remainder is dropped at drop_tol 0 too
+        k = self.size
+        # W^T and (A W)^T
+        wt, awt = self._rows[:, :k]
+        u = v
         for _ in range(2):
-            if self.size:
-                w = w - self._basis @ (self._basis.T @ w)
-            nw = math.sqrt(w @ w)
-            if nw <= self.drop_tol * orig:
+            if k:
+                u = u - wt.T @ (awt @ u)
+            nu = math.sqrt(u @ u)
+            if nu <= self.drop_tol * orig:
                 self.columns_dropped += 1
                 return False
-        u = w / nw
-        if self.size == self.max_cols:
-            self._basis = self._basis[:, 1:]
-            self._products = self._products[:, 1:]
-            self._galerkin = self._galerkin[1:, 1:]
+        u = u / nu
+        au = np.asarray(self._operator(u), dtype=np.float64)
+        self.products_computed += 1
+        c = wt.dot(au)
+        diag = float(u @ au)
+        delta2 = diag - c.dot(c)
+        # after the sweeps the pivot is about u^T A u, so it is held
+        # against the operator's scale too: a direction the operator maps
+        # to rounding noise fails. False for a NaN as well.
+        if not delta2 > PIVOT_FLOOR * max(abs(diag), self._scale):
+            self.columns_dropped += 1
+            return False
+        self._scale = max(self._scale, diag)
+        delta = math.sqrt(delta2)
+        if k == self.max_cols:
+            self._rows = self._rows[:, 1:]
+            k -= 1
+            c = c[1:]
+            wt, awt = wt[1:], awt[1:]
             self.evictions += 1
             # the evicted column may carry part of the last start
             self._anchor = None
-        ku = np.asarray(self._operator(u), dtype=np.float64)
-        self.products_computed += 1
-        cross = self._basis.T @ ku
-        diag = float(u @ ku)
-        k = self.size
-        g = np.empty((k + 1, k + 1))
-        g[:k, :k] = self._galerkin
-        g[:k, k] = cross
-        g[k, :k] = cross
-        g[k, k] = diag
-        self._basis = np.column_stack([self._basis, u])
-        self._products = np.column_stack([self._products, ku])
-        self._galerkin = g
-        self.projection = None
+        if k == self._rows.shape[1]:
+            rows = np.empty((2, max(1, 2 * k), self.dim))
+            rows[:, :k] = self._rows[:, :k]
+            self._rows = rows
+        self._rows[0, k] = (u - wt.T.dot(c)) / delta
+        self._rows[1, k] = (au - awt.T.dot(c)) / delta
+        self.size = k + 1
+        self.projection = self._views()
         self.columns_accepted += 1
         return True
 
     def start_vector(self, rhs) -> tuple[np.ndarray, np.ndarray]:
-        """Galerkin-optimal start vector U (U^T A U)^{-1} U^T rhs = W W^T rhs
-        and its image (A W) W^T rhs; zero vectors from an empty cache. A
-        column whose pivot fails leaves the basis (``columns_dropped``),
-        before the start is formed from the kept columns."""
+        """Galerkin-optimal start vector W W^T rhs and its image
+        (A W) W^T rhs; zero vectors from an empty cache."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.dim},)")
-        if self.projection is None:
-            w, aw, keep = _galerkin_basis(
-                self._basis, self._products, self._galerkin)
-            dropped = self._basis.shape[1] - len(keep)
-            if dropped:
-                self._basis = self._basis[:, keep]
-                self._products = self._products[:, keep]
-                self._galerkin = self._galerkin[np.ix_(keep, keep)]
-                self.columns_dropped += dropped
-            self.projection = (w, aw)
         w, aw = self.projection
         # ndarray.dot runs the BLAS call of @ without the ufunc dispatch,
         # and projecting is every CSPE solve's cost

@@ -66,6 +66,16 @@ def test_the_implicit_reference_keeps_its_newton_and_pcg_counts(
     assert agg["linear_iterations"] <= 5100
 
 
+def test_the_cspe_run_keeps_its_product_and_basis_counts(benchmark_runs):
+    # each accepted column costs one K_n product and no rebuild, so the
+    # residual screen takes every step whose starts pass at once
+    agg = benchmark_runs["cspe"].aggregates
+    assert agg["kn_applies"] == {"pcg": 77, "upkeep": 10}
+    assert agg["max_basis_cols"] == 9
+    assert sum(agg["evictions"].values()) == 0
+    assert agg["screened"]["accepted"] >= 6719
+
+
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
              / "probe_cells8_t0.12.csv")
 
@@ -291,9 +301,7 @@ def test_criterion_7_order_of_accuracy(make_linear_system, rng, corner_toy):
     system = corner_toy.system
     n_c, n_n = system.n_c, system.n_n
     dt = 0.05
-    newton = NewtonConfig(tol=1e-10,
-                          linear_solver=PcgConfig(rel_tol=1e-12,
-                                                  max_iter=50000))
+    newton = NewtonConfig(tol=1e-10)
     a_prev = np.zeros(n_c)
     a_c, a_n, _ = implicit_euler_step((a_prev, np.zeros(n_n), 0.0), dt,
                                       system, config=newton)

@@ -228,7 +228,10 @@ def test_config_solver_mappings():
     newton = config.newton_config()
     assert newton.tol == 1e-9
     assert newton.max_newton == 7
-    assert newton.linear_solver.rel_tol == 1e-10
+    # the Newton settings are these two; each update's PCG solve stops at
+    # a fraction of the Newton target, not at a setting of its own
+    assert [f.name for f in dataclasses.fields(newton)] == ["tol",
+                                                            "max_newton"]
 
 
 def test_load_model_roundtrip_builtin(builtin6, tmp_path):

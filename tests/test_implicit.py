@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, InconsistentRhsError, MonolithicJacobian,
                      NewtonConfig, NewtonFailureError, NonFiniteError,
-                     PartitionedSystem, PcgConfig, build_preconditioner,
+                     PartitionedSystem, build_preconditioner,
                      builtin_model, implicit, implicit_euler_step,
                      run_implicit)
 from mqsolve.bench import RunConfig, run_single
 
-TIGHT = NewtonConfig(tol=1e-10,
-                     linear_solver=PcgConfig(rel_tol=1e-12, max_iter=50000))
+TIGHT = NewtonConfig(tol=1e-10)
 
 
 def ramp_value(t, tau):

@@ -918,22 +918,26 @@ def singular_spd(rng, n, deficit):
 
 def observe_near_floor(op, dense, range_basis, null_basis, rng):
     """Give the source cache two columns whose last Galerkin pivot sits
-    about 1e-11 above zero, relative to its diagonal entry: the floor at
-    which a column is dropped is 1e-12.
+    about 1e-11 above zero: the floor at which a column is dropped is
+    1e-12 of the largest Rayleigh quotient of an accepted column.
 
     The columns span a range vector r and a null vector z, rotated, plus
     eta times a second range vector w; a combination of them is then
-    nearly null, and W = U L^{-T} has a column of norm about 1e5 / eta.
+    nearly null, and W has a column of norm about 1 / eta.
     """
     r, w = range_basis[:, 0], range_basis[:, 1]
     z = null_basis[:, 0]
     theta = rng.uniform(0.3, 1.2)
-    eta = np.sin(theta) * np.sqrt(1e-11 * (r @ dense @ r) / (w @ dense @ w))
+    eta = np.sqrt(1e-11 * (r @ dense @ r) / (w @ dense @ w))
     cache = op.strategies[SRC]
     cache.observe(np.cos(theta) * r + np.sin(theta) * z)
     cache.observe(-np.sin(theta) * r + np.cos(theta) * z + eta * w)
-    galerkin = cache.galerkin
-    pivot = np.linalg.cholesky(galerkin)[-1, -1] ** 2 / galerkin[-1, -1]
+    assert cache.size == 2
+    # the columns have unit K_n-norm, so 1 / ||w_j||^2 is the Rayleigh
+    # quotient u^T A u of the unit direction u of column j; after the
+    # sweeps, the pivot delta^2 of the second is that of its direction
+    first, second = np.linalg.norm(cache.basis, axis=0) ** -2.0
+    pivot = second / first
     assert 1e-12 < pivot < 1e-10
 
 
@@ -1077,7 +1081,7 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     monkeypatch.setattr(type(cache), "start_vector", start_vector)
 
     def arrays():
-        return cache.basis, cache.cached_products, cache.galerkin
+        return cache.basis, cache.cached_products
 
     def counters():
         # every insert moves columns_accepted or columns_dropped

@@ -38,9 +38,11 @@ def test_cache_products_and_galerkin_match_dense(rng, make_spd):
     cache = SubspaceCache(9, dense.__matmul__, 20)
     for _ in range(4):
         cache.insert(rng.standard_normal(9))
-    u = cache.basis
-    assert np.allclose(cache.cached_products, dense @ u, rtol=0.0, atol=1e-12)
-    assert np.allclose(cache.galerkin, u.T @ dense @ u, rtol=0.0, atol=1e-12)
+    w = cache.basis
+    assert w.shape == (9, 4)
+    assert np.allclose(cache.cached_products, dense @ w, rtol=0.0, atol=1e-12)
+    # the basis is K_n-orthonormal: its Galerkin matrix is the identity
+    assert np.allclose(w.T @ dense @ w, np.eye(4), rtol=0.0, atol=1e-12)
 
 
 def test_cache_reuses_old_products_bit_for_bit(rng, make_spd):
@@ -63,10 +65,10 @@ def test_cache_fifo_eviction(rng, make_spd):
     assert cache.size == 3
     assert cache.evictions == 1
     assert cache.columns_accepted == 4
-    # oldest column (e_0) left the basis: e_0 no longer in the span
+    # the oldest column (along e_0) left the basis, and the kept columns
+    # are K_n-orthogonal to it
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    coords = cache.basis.T @ e0
-    assert np.linalg.norm(cache.basis @ coords) < 1e-10
+    assert np.linalg.norm(cache.cached_products.T @ e0) < 1e-10
 
 
 def test_project_matches_dense_galerkin_solution(rng, make_spd):
@@ -137,6 +139,7 @@ def test_project_edge_cases(rng, make_spd):
     cache.insert(v)
     # rhs orthogonal to the basis projects to zero
     u = cache.basis[:, 0]
+    u = u / np.linalg.norm(u)
     rhs = rng.standard_normal(5)
     rhs -= u * (u @ rhs)
     assert np.linalg.norm(cache.start_vector(rhs)[0]) <= 1e-10
@@ -151,13 +154,15 @@ def test_project_drops_the_column_whose_pivot_fails():
     dense = np.diag([1.0, 2.0, 0.0])
     cache = SubspaceCache(3, dense.__matmul__, 20)
     assert cache.insert(np.array([1.0, 0.0, 0.0]))
-    assert cache.insert(np.array([0.0, 0.0, 1.0]))
-    x0, image = cache.start_vector(np.array([3.0, 1.0, 1.0]))
+    # refused at its insert, after the one product that shows its pivot
+    assert not cache.insert(np.array([0.0, 0.0, 1.0]))
     assert cache.size == 1
     assert cache.columns_dropped == 1
+    assert cache.products_computed == 2
+    x0, image = cache.start_vector(np.array([3.0, 1.0, 1.0]))
     assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
     assert np.allclose(image, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
-    # the next accepted column rebuilds the factor over the new basis
+    # the next accepted column extends the basis
     assert cache.insert(np.array([0.0, 1.0, 0.0]))
     x0, _ = cache.start_vector(np.array([3.0, 1.0, 1.0]))
     assert np.allclose(x0, [3.0, 0.5, 0.0], rtol=0.0, atol=1e-15)
@@ -176,7 +181,8 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
         make_spd, n, max_cols, seed, ops):
     rng = np.random.default_rng(seed)
     # an operator with the null vector z: a column along z fails its
-    # Galerkin pivot at the next projection and leaves the basis
+    # Galerkin pivot at its insert, unless it is the first column, which no
+    # earlier column's Rayleigh quotient scales
     z = rng.standard_normal(n)
     z /= np.linalg.norm(z)
     off = np.eye(n) - np.outer(z, z)
@@ -187,19 +193,22 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
         if op == "insert":
             cache.insert(np.random.default_rng(arg).standard_normal(n))
         elif op == "insert_in_span":
-            # dependent on the basis, so dropped; the factor must survive
+            # dependent on the basis, so dropped; the basis must survive
             coeffs = np.random.default_rng(arg).standard_normal(cache.size)
             cache.insert(cache.basis @ coeffs)
         else:
-            cache.insert(z)
+            accepted = cache.insert(z)
+            assert not accepted or cache.columns_accepted == 1
         rhs = rng.standard_normal(n)
         x0, image = cache.start_vector(rhs)
-        u = cache.basis
         k = cache.size
-        assert np.allclose(u.T @ u, np.eye(k), rtol=0.0, atol=1e-10)
-        assert np.allclose(cache.galerkin, u.T @ dense @ u,
+        # W^T A W = I on the unit directions u_j = w_j / ||w_j|| of the
+        # columns: a first null column has a huge norm
+        norms = np.linalg.norm(cache.basis, axis=0)
+        u = cache.basis / norms
+        assert np.allclose(u.T @ dense @ u, np.diag(norms ** -2.0),
                            rtol=0.0, atol=1e-12)
-        assert np.allclose(cache.cached_products, dense @ u,
+        assert np.allclose(cache.cached_products / norms, dense @ u,
                            rtol=0.0, atol=1e-12)
         assert (np.linalg.norm(image - dense @ x0)
                 <= 1e-12 * np.abs(dense).max() * np.linalg.norm(x0))
@@ -245,6 +254,7 @@ def test_a_finite_huge_insert_is_taken_by_its_direction_without_a_warning(
         assert cache.insert(1e200 * direction)
         assert not cache.insert(np.array([1e200, np.inf, 0.0, 0.0, 0.0]))
     u = cache.basis[:, 0]
+    u = u / np.linalg.norm(u)
     assert np.isclose(abs(u @ direction), np.linalg.norm(direction),
                       rtol=1e-12)
     assert cache.columns_dropped == 1
@@ -273,7 +283,7 @@ def test_a_near_miss_of_the_last_start_is_dropped_without_a_sweep(rng,
     x0_values = x0.copy()
     # the caller owns the start and may write it
     x0[:] = 0.0
-    cache._basis = cache._basis.view(Swept)
+    cache._rows = cache._rows.view(Swept)
     Swept.products = 0
     d = rng.standard_normal(10)
     near = x0_values + 0.5e-8 * np.linalg.norm(x0_values) * d / np.linalg.norm(d)
