@@ -18,9 +18,10 @@ x0 with the image A x0, so a solve forms rhs - A x0 with no product:
   and a solution within the drop tolerance of the last start is dropped
   without a sweep.
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
-  truncated orthogonal basis per solve via the method of snapshots
-  (``pod_start_vector``), paying one operator application per retained
-  mode each time; the image comes from those products.
+  truncated basis per solve via the method of snapshots
+  (``pod_start_vector``). Its modes are K_n-orthonormalised as CSPE's
+  columns are, at one operator application per truncated mode each time,
+  and the start and its image come from W and K_n W as CSPE's do.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .krylov import _exponent
 from .sparse import _check_count
@@ -81,45 +81,48 @@ class RhsFamily(Enum):
     __hash__ = object.__hash__
 
 
-# a Galerkin pivot at or below this fraction of its diagonal entry fails
+# a K_n-Gram-Schmidt pivot at or below this fraction of the operator's
+# scale (see _orthonormal_row) fails
 PIVOT_FLOOR = 1e-12
 
 
-def _cholesky_lower(g: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """Dense Cholesky factor of a small SPD matrix and None, or a partial
-    factor and the index of the first pivot that fails."""
-    n = g.shape[0]
-    low = np.zeros_like(g)
-    for j in range(n):
-        s = g[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(s) or s <= PIVOT_FLOOR * abs(g[j, j]) or s <= 0.0:
-            return low, j
-        low[j, j] = np.sqrt(s)
-        if j + 1 < n:
-            low[j + 1:, j] = (g[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low, None
+def _orthonormal_row(rows: np.ndarray, v: np.ndarray, drop_norm: float,
+                     operator, scale: float):
+    """The next K_n-orthonormal column after the basis in *rows*, from *v*
+    (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).
 
+    ``rows[0]`` and ``rows[1]`` hold the columns of W (W^T A W = I) and of
+    A W as rows. Two Gram-Schmidt sweeps u - W (A W)^T u need no product;
+    a remainder no longer than *drop_norm* after either, a zero one at
+    *drop_norm* 0 included, is dropped without one. Otherwise the unit
+    remainder u costs the one product A u, and with c = W^T A u the pivot
+    u^T A u - ||c||^2 must exceed PIVOT_FLOOR times the larger of
+    |u^T A u| and *scale*, the largest u^T A u of an accepted column: a
+    direction the operator maps to rounding noise fails.
 
-def _galerkin_basis(basis: np.ndarray, products: np.ndarray,
-                    galerkin: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """W = U L^{-T}, A W = (A U) L^{-T} and the kept columns of a basis U
-    with products A U and Galerkin matrix G = U^T A U = L L^T: the start
-    for b is W c with c = W^T b, and its image (A W) c. A column whose
-    pivot fails is dropped and the rest refactored."""
-    keep = list(range(galerkin.shape[0]))
-    low, bad = _cholesky_lower(galerkin)
-    while bad is not None:
-        del keep[bad]
-        low, bad = _cholesky_lower(galerkin[np.ix_(keep, keep)])
-    if len(keep) < basis.shape[1]:
-        basis, products = basis[:, keep], products[:, keep]
-    # (U^T A U)^{-1} = L^{-T} L^{-1}; W and A W are column-major, on which
-    # numpy's products with them run faster
-    inv_t = scipy.linalg.solve_triangular(low, np.eye(len(keep)),
-                                          lower=True).T
-    return (np.asfortranarray(basis @ inv_t),
-            np.asfortranarray(products @ inv_t), keep)
+    Returns ``(pair, diag)``: the row pair (w, A w) of the new column and
+    diag = u^T A u; ``(None, diag)`` when the pivot fails, and
+    ``(None, None)`` when no product was made.
+    """
+    wt, awt = rows
+    u = v
+    for _ in range(2):
+        if len(wt):
+            u = u - wt.T @ (awt @ u)
+        nu = math.sqrt(u @ u)
+        if nu <= drop_norm:
+            return None, None
+    u = u / nu
+    au = np.asarray(operator(u), dtype=np.float64)
+    c = wt.dot(au)
+    diag = float(u @ au)
+    delta2 = diag - c.dot(c)
+    # after the sweeps the pivot is about u^T A u, so it is held against
+    # the operator's scale too. False for a NaN as well.
+    if not delta2 > PIVOT_FLOOR * max(abs(diag), scale):
+        return None, diag
+    delta = math.sqrt(delta2)
+    return ((u - wt.T.dot(c)) / delta, (au - awt.T.dot(c)) / delta), diag
 
 
 class StartVectorStrategy:
@@ -137,9 +140,10 @@ class StartVectorStrategy:
     spent on history upkeep (outside any Krylov iteration), the quantity
     benchmarks charge to the start-vector method itself, ``evictions``
     the basis columns a capped history dropped to make room and
-    ``columns_dropped`` the CSPE columns that never entered the basis,
-    a failed pivot's included. ``projections`` logs one ``(k, info)``
-    entry per truncated projection; only POD truncates.
+    ``columns_dropped`` the CSPE solutions that never entered the basis,
+    a failed pivot's included; a POD mode whose pivot fails shows only as
+    a product beyond its projection's k. ``projections`` logs one
+    ``(k, info)`` entry per truncated projection; only POD truncates.
     """
 
     kind: str
@@ -215,9 +219,10 @@ class SubspaceCache(StartVectorStrategy):
         A vector v within ``drop_tol * ||v||`` of the last start (which is
         in the span) is dropped without a sweep, and one whose remainder
         after the sweeps is that short without a product. Otherwise the one
-        product is made, and a failed pivot drops the column. A finite v
-        whose sum of squares overflows is taken by its direction, without
-        a warning.
+        product is made, and a failed pivot drops the column (see
+        ``_orthonormal_row``). At ``max_cols`` an accepted column, swept
+        against every column, evicts the oldest. A finite v whose sum of
+        squares overflows is taken by its direction, without a warning.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
@@ -237,38 +242,19 @@ class SubspaceCache(StartVectorStrategy):
                 if math.sqrt(miss.dot(miss)) <= self.drop_tol * orig:
                     self.columns_dropped += 1
                     return False
-        # two K_n-Gram-Schmidt sweeps u - W (A W)^T u need no product; a
-        # zero remainder is dropped at drop_tol 0 too
         k = self.size
-        # W^T and (A W)^T
-        wt, awt = self._rows[:, :k]
-        u = v
-        for _ in range(2):
-            if k:
-                u = u - wt.T @ (awt @ u)
-            nu = math.sqrt(u @ u)
-            if nu <= self.drop_tol * orig:
-                self.columns_dropped += 1
-                return False
-        u = u / nu
-        au = np.asarray(self._operator(u), dtype=np.float64)
-        self.products_computed += 1
-        c = wt.dot(au)
-        diag = float(u @ au)
-        delta2 = diag - c.dot(c)
-        # after the sweeps the pivot is about u^T A u, so it is held
-        # against the operator's scale too: a direction the operator maps
-        # to rounding noise fails. False for a NaN as well.
-        if not delta2 > PIVOT_FLOOR * max(abs(diag), self._scale):
+        pair, diag = _orthonormal_row(self._rows[:, :k], v,
+                                      self.drop_tol * orig, self._operator,
+                                      self._scale)
+        if diag is not None:
+            self.products_computed += 1
+        if pair is None:
             self.columns_dropped += 1
             return False
         self._scale = max(self._scale, diag)
-        delta = math.sqrt(delta2)
         if k == self.max_cols:
             self._rows = self._rows[:, 1:]
             k -= 1
-            c = c[1:]
-            wt, awt = wt[1:], awt[1:]
             self.evictions += 1
             # the evicted column may carry part of the last start
             self._anchor = None
@@ -276,8 +262,7 @@ class SubspaceCache(StartVectorStrategy):
             rows = np.empty((2, max(1, 2 * k), self.dim))
             rows[:, :k] = self._rows[:, :k]
             self._rows = rows
-        self._rows[0, k] = (u - wt.T.dot(c)) / delta
-        self._rows[1, k] = (au - awt.T.dot(c)) / delta
+        self._rows[:, k] = pair
         self.size = k + 1
         self.projection = self._views()
         self.columns_accepted += 1
@@ -311,9 +296,11 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
     Builds the basis by the method of snapshots: eigendecomposition of the
     small Gram matrix X^T X of the *snapshots* (a sequence of vectors),
     singular values sigma_i = sqrt(eigenvalues), truncation keeping all
-    modes with sigma_i / sigma_1 > eps_pod. The Galerkin projection onto the
-    modes (``_galerkin_basis``) drops a mode whose pivot fails, and the kept
-    modes' fraction of the total singular-value mass is reported alongside.
+    modes with sigma_i / sigma_1 > eps_pod. The modes are K_n-orthonormalised
+    in sigma order as CSPE's columns are (``_orthonormal_row``), one product
+    each: a mode whose pivot fails is dropped, and the kept modes' fraction
+    of the total singular-value mass is reported alongside. The start is
+    W W^T rhs and its image (A W) W^T rhs.
 
     Returns ``(x0, k, info_kept, operator_applications, image)`` with k the
     kept modes and image = A x0 from the modes' products. No snapshots or
@@ -325,32 +312,44 @@ def pod_start_vector(snapshots, rhs, operator, eps_pod: float
     rhs = np.asarray(rhs, dtype=np.float64)
     if len(snapshots) == 0:
         return np.zeros(rhs.size), 0, 0.0, 0, np.zeros(rhs.size)
-    x = np.column_stack(snapshots)
-    dim = x.shape[0]
+    # one snapshot per row
+    x = np.array(snapshots, dtype=np.float64)
+    dim = x.shape[1]
     if rhs.shape != (dim,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({dim},)")
-    gram = x.T @ x
+    gram = x @ x.T
     if not np.isfinite(gram).all():
         # finite snapshots whose Gram matrix overflows: the modes and the
         # singular-value ratios of x 2^-e are those of x, and its Gram
         # matrix is finite
         x = np.ldexp(x, -_exponent(x))
-        gram = x.T @ x
+        gram = x @ x.T
+    # eigh's eigenvalues ascend: reversed, the modes come in sigma order
     evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    sigma = np.sqrt(np.clip(evals[order], 0.0, None))
-    evecs = evecs[:, order]
+    sigma = np.sqrt(np.clip(evals[::-1], 0.0, None))
     if sigma[0] == 0.0:
         return np.zeros(dim), 0, 0.0, 0, np.zeros(dim)
     k = int(np.count_nonzero(sigma / sigma[0] > eps_pod))
-    basis = (x @ evecs[:, :k]) / sigma[:k]
-    products = np.column_stack([np.asarray(operator(basis[:, j]), dtype=np.float64)
-                                for j in range(k)])
-    g = basis.T @ products
-    w, aw, keep = _galerkin_basis(basis, products, 0.5 * (g + g.T))
-    coeffs = w.T @ rhs
+    # the modes' directions X v_j as rows; _orthonormal_row scales each
+    modes = evecs[:, ::-1][:, :k].T @ x
+    # rows j of rows[0] and rows[1] are the kept columns j of W and A W
+    rows = np.empty((2, k, dim))
+    keep = []
+    scale = 0.0
+    applies = 0
+    for j in range(k):
+        pair, diag = _orthonormal_row(rows[:, :len(keep)], modes[j], 0.0,
+                                      operator, scale)
+        if diag is not None:
+            applies += 1
+        if pair is not None:
+            rows[:, len(keep)] = pair
+            keep.append(j)
+            scale = max(scale, diag)
+    w, aw = rows[:, :len(keep)]
+    coeffs = w.dot(rhs)
     info = float(sigma[keep].sum() / sigma.sum())
-    return w @ coeffs, len(keep), info, k, aw @ coeffs
+    return w.T.dot(coeffs), len(keep), info, applies, aw.T.dot(coeffs)
 
 
 # -- the other strategies ---------------------------------------------------

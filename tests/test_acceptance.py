@@ -76,6 +76,14 @@ def test_the_cspe_run_keeps_its_product_and_basis_counts(benchmark_runs):
     assert agg["screened"]["accepted"] >= 6719
 
 
+def test_the_pod_run_keeps_its_product_and_iteration_counts(benchmark_runs):
+    # every projection applies K_n once per truncated mode, and the modes
+    # go through CSPE's K_n-Gram-Schmidt and pivot floor
+    agg = benchmark_runs["pod"].aggregates
+    assert agg["kn_applies"]["upkeep"] == 13824
+    assert agg["iterations"] == {"source": 17, "coupling_previous": 8733}
+
+
 REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "references"
              / "probe_cells8_t0.12.csv")
 

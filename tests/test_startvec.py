@@ -547,6 +547,20 @@ def test_pod_keeps_the_modes_after_one_whose_pivot_fails():
     assert np.allclose(image, [3.0, 1.0, 0.0], rtol=0.0, atol=1e-14)
 
 
+def test_pod_drops_a_mode_the_operator_maps_to_rounding_noise():
+    # the weaker mode's pivot 1e-13 is large beside its own diagonal but
+    # not beside the operator's scale, the stronger mode's Rayleigh
+    # quotient 1: kept, it would put 1e13 into the start
+    dense = np.diag([1.0, 1e-13, 1.0])
+    snapshots = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-2, 0.0])]
+    x0, k, info, applies, image = pod_start_vector(
+        snapshots, np.array([3.0, 1.0, 1.0]), dense.__matmul__, 1e-4)
+    assert (k, applies) == (1, 2)
+    assert info == pytest.approx(1.0 / 1.01, rel=1e-12)
+    assert np.allclose(x0, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(image, [3.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
 def test_pod_galerkin_residual_is_small(rng, make_spd):
     dense = make_spd(rng, 9)
     x_star = rng.standard_normal(9)
