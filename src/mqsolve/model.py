@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,8 @@ import scipy.ndimage
 import scipy.sparse as sp
 
 from .schur import PartitionedSystem, ScaledPatternSource, exponential_ramp
-from .sparse import CsrMatrix, _matvec, write_dense_vector, write_matrix_market
+from .sparse import (CsrMatrix, _csr_matvec, _matvec, write_dense_vector,
+                     write_matrix_market)
 
 __all__ = [
     "AIR",
@@ -419,12 +421,19 @@ def _face_weights(phi: np.ndarray, q: CsrMatrix, a: CsrMatrix,
     With the operators of :func:`_force_operators` the first is the face
     weights w / h, and k1 k2 e^x is dnu/dB^2 per conductor cell; a map
     applied to ``a`` and ``w0`` gives the same map of the weights. A B^2
-    or an exponent that overflows gives inf without a warning.
+    or an exponent that overflows gives inf without a warning. Both
+    products take the CSR kernel unchecked, so *phi* must hold ``q.ncols``
+    values and *w0* ``a.nrows``, as every caller's circulations and maps do.
     """
+    grow = np.zeros(q.nrows)
     with np.errstate(over="ignore"):
-        grow = _matvec(q, phi * phi)
+        _csr_matvec(q.nrows, q.ncols, q.row_ptr, q.col_idx, q.values,
+                    phi * phi, grow)
         np.exp(grow, out=grow)
-    return _matvec(a, grow, out=w0.copy()), grow
+    weights = w0.copy()
+    _csr_matvec(a.nrows, a.ncols, a.row_ptr, a.col_idx, a.values, grow,
+                weights)
+    return weights, grow
 
 
 @dataclass
@@ -465,8 +474,34 @@ class Model:
         phi = self.curl_interior @ np.asarray(a_interior, dtype=np.float64)
         return _b2(phi[self.cell_faces], self.grid.h)
 
+    @cached_property
+    def _probe_curl(self):
+        """``y += C_p x`` by the CSR kernel, with C_p the rows of
+        ``curl_interior`` on the probe cells' faces, cell by cell. They are
+        gathered from its arrays at the first call (the probe cells are
+        fixed at assembly), so a run's first row costs about what the whole
+        curl's product did. *x* must hold an interior field."""
+        m = self.curl_interior
+        faces = self.cell_faces[self.probe_cells].ravel()
+        starts = m.indptr[faces]
+        counts = m.indptr[faces + 1] - starts
+        row_ptr = np.zeros(faces.size + 1, dtype=m.indptr.dtype)
+        np.cumsum(counts, out=row_ptr[1:])
+        at = np.repeat(starts - row_ptr[:-1], counts) + np.arange(row_ptr[-1])
+        return partial(_csr_matvec, faces.size, m.shape[1], row_ptr,
+                       m.indices[at], m.data[at])
+
     def probe(self, a_c, a_n, cells=None) -> float:
-        return probe_b(self, self.full_interior(a_c, a_n), cells)
+        """``probe_b`` of the field (a_c, a_n). With the default cells it
+        forms only their face circulations, whose rows and sums are those
+        of ``cell_b2``, so the value is ``probe_b``'s bit for bit."""
+        full = self.full_interior(a_c, a_n)
+        if cells is not None or self.probe_cells.size == 0:
+            return probe_b(self, full, cells)
+        phi = np.zeros(6 * self.probe_cells.size)
+        self._probe_curl(full, phi)
+        b2 = _b2(phi.reshape(-1, 6), self.grid.h)
+        return float(np.sqrt(b2).mean())
 
     def probe_callable(self):
         return lambda a_c, a_n, t: self.probe(a_c, a_n)
@@ -485,14 +520,12 @@ def probe_b(model: Model, a_interior, cells=None) -> float:
     return float(np.sqrt(b2[cells]).mean())
 
 
-def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
-    """Fixed pattern of C^T diag(w) C + C^T H C and linear maps onto its values.
-
-    H is the sum over cells of a dense 6 x 6 block on the cell's six faces
-    (rows of *cell_faces*). Returns ``(pattern, weight_map, block_map)`` with
-    the Jacobian values ``weight_map w + block_map blocks.ravel()`` for
-    face weights ``w`` and cell blocks of shape ``(cells, 6, 6)``. Every map
-    coefficient is a product of two entries of C, so it is exactly +-1.
+def _edge_products(c: CsrMatrix):
+    """``products(fa, fb, source)`` over the faces of the curl *c*: the
+    pattern key i n + j, the coefficient and the source of every pair of
+    an edge i of a face of *fa* and an edge j of the matching face of
+    *fb*, in the C order of the face arrays. Every coefficient is a product
+    of two entries of C, so it is exactly +-1.
     """
     n_faces, n = c.shape
     counts = np.diff(c.row_ptr)
@@ -507,14 +540,53 @@ def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
     signs[face, slot] = c.values
 
     def products(fa, fb, source):
-        """Pattern key, coefficient and source of every edge pair of fa x fb."""
         key = edges[fa][..., :, None] * n + edges[fb][..., None, :]
         coef = signs[fa][..., :, None] * signs[fb][..., None, :]
         keep = coef != 0.0
         return (key[keep], coef[keep],
                 np.broadcast_to(source[..., None, None], keep.shape)[keep])
 
-    faces = np.flatnonzero(counts)
+    return products
+
+
+def _pattern(keys: np.ndarray, n: int) -> CsrMatrix:
+    """The n x n pattern, zero-valued, of the sorted unique keys i n + j."""
+    row_ptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    return CsrMatrix(n, n, row_ptr, keys % n, np.zeros(keys.size))
+
+
+def _matrix_maps(c: CsrMatrix):
+    """Fixed pattern of C^T diag(w) C and the linear map of the face weights
+    w onto its values: ``(pattern, weight_map)``.
+
+    The products run face by face, so a stable sort by key leaves each
+    entry's faces in ascending order. ``weight_map w`` then adds each
+    entry's +-w_f in the order in which scipy's product C^T diag(w) C adds
+    them, so its values are that product's bit for bit.
+    """
+    faces = np.flatnonzero(np.diff(c.row_ptr))
+    keys, coef, source = _edge_products(c)(faces, faces, faces)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    weight_map = CsrMatrix(starts.size, c.nrows, np.append(starts, keys.size),
+                           source[order], coef[order])
+    return _pattern(keys[starts], c.ncols), weight_map
+
+
+def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
+    """Fixed pattern of C^T diag(w) C + C^T H C and linear maps onto its values.
+
+    H is the sum over cells of a dense 6 x 6 block on the cell's six faces
+    (rows of *cell_faces*). Returns ``(pattern, weight_map, block_map)`` with
+    the Jacobian values ``weight_map w + block_map blocks.ravel()`` for
+    face weights ``w`` and cell blocks of shape ``(cells, 6, 6)``. Every map
+    coefficient is exactly +-1 (see :func:`_edge_products`).
+    """
+    n_faces = c.nrows
+    products = _edge_products(c)
+    faces = np.flatnonzero(np.diff(c.row_ptr))
     n_cells = cell_faces.shape[0]
     w_keys, w_coef, w_src = products(faces, faces, faces)
     b_keys, b_coef, b_src = products(
@@ -525,9 +597,7 @@ def _jacobian_maps(c: CsrMatrix, cell_faces: np.ndarray):
     # this build sets the implicit run's peak memory; free the product keys
     # before the pattern and the maps are built
     del w_keys, b_keys
-    row_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    pattern = CsrMatrix(n, n, row_ptr, keys % n, np.zeros(keys.size))
+    pattern = _pattern(keys, c.ncols)
     weight_map = CsrMatrix.from_coo(keys.size, n_faces, w_at, w_src, w_coef)
     block_map = CsrMatrix.from_coo(keys.size, 36 * n_cells, b_at, b_src,
                                    b_coef)
@@ -642,20 +712,37 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
     # and Jacobian never evaluate B^2
     linear = conductor.is_linear
 
+    n_faces, n_cond = c_cond.shape
+
     def kc_apply(state):
-        phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
+        # the one length check: every product below takes the CSR kernel
+        # unchecked, and the transpose is still built on the first call
+        state = np.asarray(state, dtype=np.float64)
+        if state.shape != (n_cond,):
+            raise ValueError(f"state has shape {state.shape}, "
+                             f"expected ({n_cond},)")
+        phi = np.zeros(n_faces)
+        _csr_matvec(n_faces, n_cond, c_cond.row_ptr, c_cond.col_idx,
+                    c_cond.values, state, phi)
         phi *= w0 if linear else _face_weights(phi, q, a1, w0)[0]
-        return _matvec(c_cond._transpose, phi)
+        curl_t = c_cond._transpose
+        force = np.zeros(n_cond)
+        _csr_matvec(n_cond, n_faces, curl_t.row_ptr, curl_t.col_idx,
+                    curl_t.values, phi, force)
+        return force
+
+    # pattern and value maps of kc_matrix and kc_jacobian, each built on its
+    # first call so a run that never asks for one never pays for its maps
+    matrix_maps = jacobian_maps = None
 
     def kc_matrix(state) -> CsrMatrix:
+        nonlocal matrix_maps
+        if matrix_maps is None:
+            matrix_maps = _matrix_maps(c_cond)
+        pattern, weight_map = matrix_maps
         phi = _matvec(c_cond, np.asarray(state, dtype=np.float64))
         w = w0 if linear else _face_weights(phi, q, a1, w0)[0]
-        c = c_cond.to_scipy()
-        return CsrMatrix.from_scipy(c.T @ sp.diags(w) @ c)
-
-    # pattern and value maps of kc_jacobian, built on its first call so a
-    # run that never asks for the Jacobian never pays for them
-    jacobian_maps = None
+        return pattern.with_values(_matvec(weight_map, w))
 
     def kc_jacobian(state) -> CsrMatrix:
         nonlocal jacobian_maps

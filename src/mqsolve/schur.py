@@ -19,13 +19,15 @@ strategies' own products (CSPE basis columns, POD modes, the image of the
 previous solution) are their upkeep. ``rate`` owns the right-hand side
 M_c^{-1} f(t, a_c) of the eliminated system and its pair of solves,
 K_n^+ j_n(t) and K_n^+ K_cn^T a_c: the step from (a_c, t) is
-a_c + dt * rate at its start, and recovering the nonconducting unknowns at
-an output time makes the same pair and hands it to the next step (see
-``rate``). The rate needs only K_cn (y_cpl - y_src), so when both families
-are CSPE and the source is separable, a residual screen decides from
-arrays of the conductor's dimension whether both starts would be
-accepted, and then makes no operation of the nonconducting dimension
-(``_ResidualScreen``).
+a_c + dt * rate at its start. The rate needs only the force
+K_cn (y_cpl - y_src), so when both families are CSPE and the source is
+separable, a residual screen decides from arrays of the conductor's
+dimension whether both starts would be accepted, and then makes no
+operation of the nonconducting dimension (``_ResidualScreen``).
+Recovering the nonconducting unknowns a_n = y_src - y_cpl at an output time
+takes the same screen, or else the same pair of solves, and hands its force
+to the next step (see ``recover_an``), so no (a_c, t) is solved or
+screened twice.
 
 The explicit step is stable for dt below 2 / lambda_max(M_c^{-1} K_S). Since
 K_cn pinv(K_n) K_cn^T is positive semidefinite, K_S(a_c) <= K_c(a_c), so
@@ -52,8 +54,8 @@ import scipy.linalg
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
                      _relative, _scaled_norm, _squared, _stopping_target,
                      build_preconditioner, pcg_solve)
-from .sparse import (CsrMatrix, _check_count, _matvec, as_vector, spmv,
-                     spmv_transpose, symmetric_check)
+from .sparse import (CsrMatrix, _check_count, _csr_matvec, _matvec,
+                     as_vector, spmv, spmv_transpose, symmetric_check)
 from .startvec import RhsFamily, StrategyConfig, SubspaceCache, make_strategy
 
 __all__ = [
@@ -248,9 +250,9 @@ class SchurOperator:
     accumulated for benchmarking, and ``kn_applies`` splits the K_n
     products by cause. ``minv_diag`` is the diagonal of M_c^{-1}, by which
     the explicit step multiplies. ``screen`` is the ``_ResidualScreen`` of
-    ``rate``, or None where it cannot accept a start (decided here, once),
-    and ``screened`` counts the pairs it accepted and those it sent to the
-    full path.
+    ``rate`` and ``recover_an``, or None where it cannot accept a start
+    (decided here, once), and ``screened`` counts the pairs it accepted and
+    those it sent to the full path.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -547,7 +549,10 @@ class _ResidualScreen:
     else, a zero or non-finite w(t) or quadratic form or an inconclusive
     estimate, returns None: ``rate``
     then takes the full path. Both outcomes count in ``op.screened``, and
-    the screen's time in ``op.solver_seconds``.
+    the screen's time in ``op.solver_seconds``. ``recover`` adds the field
+    a_n = y_src - y_cpl = w W_src c_p - W_cpl c of an accepted pair, from
+    the call's own coefficients and one product of the nonconducting
+    dimension per family.
     """
 
     def __init__(self, op: SchurOperator):
@@ -559,13 +564,17 @@ class _ResidualScreen:
         self._coupling = op.strategies[RhsFamily.COUPLING_FROM_PREVIOUS_STATE]
         self._logs = tuple(op.solve_iterations[f] for f in FAMILIES)
         self._rel_tol = op.config.pcg.rel_tol
-        self._s = None
+        self._shape = (op.system.n_c,)
+        # y += S x by the CSR kernel, S bound at the first use
+        self._s_apply = None
         # the projections the arrays below belong to
         self._source_version = self._coupling_version = None
-        # K_cn W c_p, None while the source start misses
-        self._source_force = None
+        # W c_p and K_cn W c_p, None while the source start misses
+        self._source_solution = self._source_force = None
         self._kw = self._kaw = self._g = None
         self._err = 0.0
+        # (w, c) of the last accepted pair
+        self._coefficients = None
 
     @staticmethod
     def applies(op: SchurOperator) -> bool:
@@ -588,6 +597,10 @@ class _ResidualScreen:
         coupling = self._coupling.projection
         w = float(self._waveform(t))
         a_c = np.asarray(a_c, dtype=np.float64)
+        # S takes the CSR kernel, which does not bound its reads
+        if a_c.shape != self._shape:
+            raise ValueError(f"state has shape {a_c.shape}, "
+                             f"expected {self._shape}")
         force = None
         with np.errstate(over="ignore", invalid="ignore"):
             if w != 0.0 and math.isfinite(w):
@@ -597,7 +610,9 @@ class _ResidualScreen:
                     if coupling is not self._coupling_version:
                         self._version_coupling(coupling)
                     c = self._kw.T.dot(a_c)
-                    first = a_c.dot(_matvec(self._s, a_c))
+                    s_a = np.zeros(a_c.size)
+                    self._s_apply(a_c, s_a)
+                    first = a_c.dot(s_a)
                     second = c.dot(self._kaw.T.dot(a_c))
                     third = c.dot(self._g.dot(c))
                     err = self._err * (abs(first) + 2.0 * abs(second)
@@ -606,6 +621,7 @@ class _ResidualScreen:
                     if (0.0 < first and first - 2.0 * second + third + err
                             <= self._rel_tol ** 2 * (first - err)):
                         force = self._kw.dot(c) - w * self._source_force
+                        self._coefficients = (w, c)
         if force is None:
             op.screened["full_path"] += 1
         else:
@@ -614,6 +630,17 @@ class _ResidualScreen:
                 log.append(0)
         op.solver_seconds += time.perf_counter() - started
         return force
+
+    def recover(self, a_c, t: float
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(a_n, force)`` at (a_c, t) where the call accepts the pair,
+        with a_n = y_src - y_cpl from the call's coefficients; else None."""
+        force = self(a_c, t)
+        if force is None:
+            return None
+        w, c = self._coefficients
+        basis = self._coupling_version[0]
+        return w * self._source_solution - basis.dot(c), force
 
     def _version_source(self, projection) -> None:
         w, aw = projection
@@ -625,14 +652,18 @@ class _ResidualScreen:
             p_norm + np.linalg.norm(np.abs(aw).dot(np.abs(c))))
         hit = 0.0 < p_norm and math.sqrt(r.dot(r)) + slack <= (
             self._rel_tol * p_norm)
-        self._source_force = _matvec(self._kcn, w.dot(c)) if hit else None
+        self._source_solution = w.dot(c) if hit else None
+        self._source_force = (_matvec(self._kcn, self._source_solution)
+                              if hit else None)
         self._source_version = projection
 
     def _version_coupling(self, projection) -> None:
         w, aw = projection
         kcn = self._kcn.to_scipy()
-        if self._s is None:
-            self._s = CsrMatrix.from_scipy(kcn @ kcn.T)
+        if self._s_apply is None:
+            s = CsrMatrix.from_scipy(kcn @ kcn.T)
+            self._s_apply = partial(_csr_matvec, s.nrows, s.ncols, s.row_ptr,
+                                    s.col_idx, s.values)
         self._kw = np.asarray(kcn @ w)
         self._kaw = np.asarray(kcn @ aw)
         self._g = aw.T.dot(aw)
@@ -652,8 +683,7 @@ def _solve_pair(op: SchurOperator, a_c, t: float, step: int | None
 
 
 def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
-         solutions: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> np.ndarray:
+         force: np.ndarray | None = None) -> np.ndarray:
     """The rate M_c^-1 f(t, a_c) = M_c^-1 (K_cn (y_cpl - y_src) - K_c(a_c) a_c)
     of the eliminated system at (a_c, t).
 
@@ -661,49 +691,46 @@ def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
     solves, one per right-hand-side family, the source first. The algebraic
     block is a_n = y_src - y_cpl; substituting it into the conducting row
     flips the sign of the source term relative to the coupling term.
-    Recovering a_n at an output time (``recover_an``) therefore makes the
-    same pair, and *solutions* is that pair for the same (a_c, t); without
-    it the rate makes both solves. A run's output row thus hands its pair
-    to the next step, and the run pays two solves for all of its
-    recoveries: the pair after the last step. *step* names the step in a
+    *force* is K_cn (y_cpl - y_src) at the same (a_c, t), as recovering a_n
+    at an output time (``recover_an``) returns it; without it the rate
+    forms its own. A run's output row thus hands its force to the next
+    step, and the run pays one pair of solves or screens for all of its
+    recoveries: the one after the last step. *step* names the step in a
     solve's failure message.
 
-    Without *solutions*, ``op.screen`` (when the operator has one) comes
+    Without *force*, ``op.screen`` (when the operator has one) comes
     first: where it shows that both starts would be accepted, it returns
-    K_cn (y_cpl - y_src) from arrays of the conductor's dimension, and
-    neither solve is made (see ``_ResidualScreen``). K_cn and K_cn^T go to
-    the CSR kernel ``_matvec`` directly, as in ``kc_apply``: the products
-    are bitwise those of ``spmv`` and ``spmv_transpose`` without their
-    call frames.
+    the force from arrays of the conductor's dimension, and neither solve
+    is made (see ``_ResidualScreen``). Otherwise the rate makes both solves
+    (``_solve_pair``). K_cn and K_cn^T go to the CSR kernel ``_matvec``
+    directly, as in ``kc_apply``: the products are bitwise those of
+    ``spmv`` and ``spmv_transpose`` without their call frames.
     """
-    force = None
-    if solutions is None:
+    if force is None:
         if op.screen is not None:
             force = op.screen(a_c, t)
         if force is None:
-            solutions = _solve_pair(op, a_c, t, step)
-    if force is None:
-        y_src, y_cpl = solutions
-        force = _matvec(op.system.kcn, y_cpl - y_src)
+            y_src, y_cpl = _solve_pair(op, a_c, t, step)
+            force = _matvec(op.system.kcn, y_cpl - y_src)
     return op.minv_diag * (force - op.system.kc_apply(a_c))
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
                         op: SchurOperator, step_index: int | None = None,
-                        solutions: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> np.ndarray:
+                        force: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step a_c + dt * ``rate`` from ``state`` = (a_c, t),
     the rate taken at the step's start.
 
-    *solutions* is the pair of inner solves at (a_c, t) that ``rate``
-    takes (``recover_an`` returns it); without it the step makes both
-    solves. Returns the new conducting state. ``dt == 0`` reproduces the
-    state bit for bit. A failure names ``step_index`` when it is given.
+    *force* is the force K_cn (y_cpl - y_src) at (a_c, t) that ``rate``
+    takes (``recover_an`` returns it); without it the step screens or
+    solves for its own. Returns the new conducting state. ``dt == 0``
+    reproduces the state bit for bit. A failure names ``step_index`` when
+    it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    a_next = a_c + dt * rate(op, a_c, t, step_index, solutions)
+    a_next = a_c + dt * rate(op, a_c, t, step_index, force)
     if not np.isfinite(a_next).all():
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
@@ -712,16 +739,25 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
 
 
 def recover_an(op: SchurOperator, a_c, t: float, step: int | None = None
-               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Nonconducting unknowns a_n = K_n^+ j_n(t) - K_n^+ K_cn^T a_c.
 
-    Returns ``(a_n, (y_src, y_cpl))``: the pair is the one ``rate`` takes at
-    (a_c, t), and goes to ``rate`` or ``explicit_euler_step`` as
-    *solutions* (see ``rate``). *step* names the step that ended at t in a
-    failure message.
+    Returns ``(a_n, force)``, with the force K_cn (y_cpl - y_src) that
+    ``rate`` takes at (a_c, t) and that goes to ``rate`` or
+    ``explicit_euler_step`` as *force*. Where ``op.screen`` accepts both
+    starts, a_n and the force come from the screen's coefficients
+    (``_ResidualScreen.recover``) and no solve is made; anything else (the
+    t = 0 row, a rejected or inconclusive estimate, an operator without a
+    screen) makes the pair of solves the rate would make, and a_n is
+    y_src - y_cpl. *step* names the step that ended at t in a failure
+    message.
     """
+    if op.screen is not None:
+        recovered = op.screen.recover(a_c, t)
+        if recovered is not None:
+            return recovered
     y_src, y_cpl = _solve_pair(op, a_c, t, step)
-    return y_src - y_cpl, (y_src, y_cpl)
+    return y_src - y_cpl, _matvec(op.system.kcn, y_cpl - y_src)
 
 
 @dataclass
@@ -729,8 +765,9 @@ class TransientResult:
     """Output-time series of one transient run plus run-level aggregates.
 
     The iteration columns carry the mean inner iterations per solve of each
-    family since the previous output row. Recovery at a row makes the pair
-    of solves the next step takes as its own, and logs them in that row.
+    family since the previous output row. Recovery at a row screens or
+    solves the pair the next step takes as its own (``recover_an``), and
+    logs its two solves in that row.
     ``pod_k`` and ``pod_info`` are the largest k and the smallest kept
     information ratio over every POD projection in the same window (0 and
     1.0 without one).
@@ -753,7 +790,9 @@ class TransientResult:
 
 
 def _mean(counts) -> float:
-    return float(np.mean(counts)) if counts else 0.0
+    """The mean of integer *counts*, 0.0 for none: ``np.mean``'s value,
+    since a sum of integers is exact, without an array."""
+    return sum(counts) / len(counts) if counts else 0.0
 
 
 class TraceRecorder:
@@ -871,8 +910,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
 
     a_c = np.zeros(system.n_c)
     t = 0.0
-    # each output row makes the solves of the step after it
-    a_n, solutions = recover_an(op, a_c, t, step=0)
+    # each output row screens or solves for the step after it
+    a_n, force = recover_an(op, a_c, t, step=0)
     trace.row(t, a_c, a_n, max(s.size for s in strategies))
     steps = 0
     cfl_history = []
@@ -887,14 +926,14 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
             cfl_history.append((steps, bound, dt_val))
         step_dt = min(dt_val, t_end - t)
         a_c = explicit_euler_step((a_c, t), step_dt, op,
-                                  step_index=steps + 1, solutions=solutions)
-        solutions = None
+                                  step_index=steps + 1, force=force)
+        force = None
         t += step_dt
         steps += 1
         if steps > MAX_STEPS:
             raise StepFailureError(f"step budget exceeded ({MAX_STEPS})")
         if trace.due(t):
-            a_n, solutions = recover_an(op, a_c, t, step=steps)
+            a_n, force = recover_an(op, a_c, t, step=steps)
             trace.row(t, a_c, a_n, max(s.size for s in strategies))
 
     kn_applies = op.kn_applies

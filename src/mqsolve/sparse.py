@@ -262,6 +262,11 @@ class CsrMatrix:
         return spmv(self, x)
 
 
+# the kernel itself, for the few per-step callers that have checked their
+# operand's length already: it does not bound its reads or writes
+_csr_matvec = _sparsetools.csr_matvec
+
+
 def _matvec(a: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None
             ) -> np.ndarray:
     """y = A x by scipy's CSR kernel on A's own arrays, or out += A x.
@@ -280,8 +285,7 @@ def _matvec(a: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None
     elif out.shape != (a.nrows,):
         raise ValueError(f"output has shape {out.shape}, "
                          f"expected ({a.nrows},)")
-    _sparsetools.csr_matvec(a.nrows, a.ncols, a.row_ptr, a.col_idx, a.values,
-                            x, out)
+    _csr_matvec(a.nrows, a.ncols, a.row_ptr, a.col_idx, a.values, x, out)
     return out
 
 

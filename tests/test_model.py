@@ -21,10 +21,16 @@ from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, CsrMatrix, Excitation,
 from mqsolve.model import (_b2, _face_weights, _fold_jacobian_maps,
                            _force_operators, _jacobian_maps, _rows,
                            _Topology)
+from mqsolve.bench import _model_checksum
 from mqsolve.sparse import _matvec, spmv, spmv_transpose
 
 STEEL_NU0 = 49.4 + 520.6
 STEEL_DNU0 = 49.4 * 1.46
+
+
+@pytest.fixture(scope="module")
+def builtin8():
+    return builtin_model(cells=8)
 
 
 def interior_gradient_field(model):
@@ -229,6 +235,26 @@ def test_probe_mean_over_cells(builtin6, rng):
     merged = probe_b(builtin6, a, cells)
     singles = [probe_b(builtin6, a, [c]) for c in cells]
     assert merged == pytest.approx(np.mean(singles), rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-9.0, 0.0))
+def test_the_probe_reads_its_own_cells_bit_for_bit(builtin6, builtin8, seed,
+                                                    exponent):
+    # Model.probe forms only the probe cells' face circulations: the same
+    # rows and sums as probe_b's whole interior curl
+    rng = np.random.default_rng(seed)
+    for model in (builtin6, builtin8):
+        a_c = rng.standard_normal(model.n_c) * 10.0 ** exponent
+        a_n = rng.standard_normal(model.n_n) * 10.0 ** exponent
+        full = model.full_interior(a_c, a_n)
+        got = model.probe(a_c, a_n)
+        assert type(got) is float
+        assert (np.float64(got).tobytes()
+                == np.float64(probe_b(model, full)).tobytes())
+        # explicit cells take probe_b itself
+        cells = model.conductor_cells[::3]
+        assert model.probe(a_c, a_n, cells) == probe_b(model, full, cells)
 
 
 def test_probe_validation(builtin6, rng):
@@ -494,6 +520,8 @@ def test_a_state_whose_b2_overflows_fails_typed_without_a_warning(builtin6,
         warnings.simplefilter("error")
         assert not np.isfinite(system.kc_apply(state)).all()
         with pytest.raises(NonFiniteError):
+            system.kc_matrix(state)
+        with pytest.raises(NonFiniteError):
             system.kc_jacobian(state)
         with pytest.raises(StepFailureError,
                            match="non-finite conducting state at step 3"):
@@ -544,6 +572,37 @@ def test_force_faces_give_the_all_faces_force_bit_for_bit(name, request):
         assert np.array_equal(system.kc_apply(state), kc_apply(state))
         assert_same_csr(system.kc_matrix(state), kc_matrix(state))
         assert_same_csr(system.kc_jacobian(state), kc_jacobian(state))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), x_max=st.one_of(
+    st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 700.0)))
+def test_kc_matrix_is_the_spgemm_bit_for_bit(builtin6, builtin6_linear,
+                                             corner_toy, seed, x_max):
+    # kc_matrix fills a fixed pattern from a map of the face weights; the
+    # SpGEMM C^T diag(w) C of all_faces_force is the oracle, up to deep
+    # saturation, where both overflow. The linear law has no k2 to scale
+    # by, so its states take builtin6's: the same grid and conductor.
+    for model, scale_by in ((builtin6, builtin6), (builtin6_linear, builtin6),
+                            (corner_toy, corner_toy)):
+        direction = np.random.default_rng(seed).standard_normal(model.n_c)
+        state = scaled_to(scale_by, direction, x_max)
+        spgemm = all_faces_force(model)[1]
+        try:
+            expected = spgemm(state)
+        except NonFiniteError:
+            with pytest.raises(NonFiniteError):
+                model.system.kc_matrix(state)
+            continue
+        got = model.system.kc_matrix(state)
+        assert_same_csr(got, expected)
+        assert got.values.tobytes() == expected.values.tobytes()
+
+
+def test_the_model_checksum_keeps_its_digest(builtin8):
+    # the digest of the 8-cell builtin model while kc_matrix was a SpGEMM
+    assert _model_checksum(builtin8.system) == (
+        "1ebd76069d03eafda6d719cf74c7ab7f8f35ee7527c7ab27be6cd0ae82b7c0e2")
 
 
 def test_force_rows_refuse_to_drop_a_stored_entry():

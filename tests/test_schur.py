@@ -22,7 +22,7 @@ from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
                      make_strategy, pcg_solve, recover_an, run_explicit,
                      schur)
 from mqsolve.schur import TraceRecorder
-from mqsolve.sparse import spmv
+from mqsolve.sparse import spmv, spmv_transpose
 
 TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
 SRC = RhsFamily.SOURCE_CURRENT
@@ -223,16 +223,16 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     dt = 1e-3
     log = op.solve_iterations
-    # a step without solutions solves both families once
+    # a step without a force solves both families once
     a1 = explicit_euler_step((np.zeros(3), 0.0), dt, op)
     assert [len(log[SRC]), len(log[PREV])] == [1, 1]
     # recovery solves both, under the stepping families
-    a_n, solutions = recover_an(op, a1, dt)
+    a_n, force = recover_an(op, a1, dt)
     assert [len(log[SRC]), len(log[PREV])] == [2, 2]
-    y_src, y_cpl = solutions
-    assert np.array_equal(a_n, y_src - y_cpl)
-    # the next step takes that pair and solves nothing
-    a2 = explicit_euler_step((a1, dt), dt, op, solutions=solutions)
+    # a_n = y_src - y_cpl, and the force is K_cn (y_cpl - y_src)
+    assert np.array_equal(force, spmv(system.kcn, -a_n))
+    # the next step takes that force and solves nothing
+    a2 = explicit_euler_step((a1, dt), dt, op, force=force)
     assert [len(log[SRC]), len(log[PREV])] == [2, 2]
     # it is the pair the step would have solved itself
     again = SchurOperator(system, explicit("previous", pcg=TIGHT))
@@ -347,16 +347,16 @@ def test_the_step_and_the_recovery_share_one_rate(builtin6, strategy):
     before = solves(solving)
     own = schur.rate(solving, a_c, t, 6)
     assert solves(solving) == [n + 1 for n in before]
-    # the recovery's pair gives the same rate bit for bit, and no solve
-    a_n, pair = recover_an(recovered, a_c, t, 6)
-    assert np.array_equal(a_n, pair[0] - pair[1])
+    # the recovery's force gives the same rate bit for bit, and no solve
+    a_n, force = recover_an(recovered, a_c, t, 6)
+    assert np.array_equal(force, spmv(system.kcn, -a_n))
     before = solves(recovered)
-    given = schur.rate(recovered, a_c, t, 6, pair)
+    given = schur.rate(recovered, a_c, t, 6, force)
     assert solves(recovered) == before
     assert np.array_equal(given, own)
     assert np.any(given != 0.0)
     # the step is a_c + dt * rate, bit for bit
-    stepped = explicit_euler_step((a_c, t), dt, recovered, 6, pair)
+    stepped = explicit_euler_step((a_c, t), dt, recovered, 6, force)
     assert np.array_equal(stepped, a_c + dt * given)
     assert solves(recovered) == before
 
@@ -390,18 +390,18 @@ def test_a_finite_state_whose_sum_of_squares_overflows_steps(
         rng, make_linear_system):
     # the sum of squares of a_next overflows although every entry is
     # finite: the step tests the entries, so it returns without a warning.
-    # Given solutions keep the state out of the solves, whose right-hand
+    # A given force keeps the state out of the solves, whose right-hand
     # side would overflow its own sum of squares.
     system, _ = make_linear_system(rng)
     op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     big = np.full(system.n_c, 1e200)
-    zeros = np.zeros(system.n_n)
+    zeros = np.zeros(system.n_c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a1 = explicit_euler_step((big, 0.0), 0.0, op, step_index=3,
-                                 solutions=(zeros, zeros))
+                                 force=zeros)
         a2 = explicit_euler_step((big, 0.0), 1e-3, op, step_index=4,
-                                 solutions=(zeros, zeros))
+                                 force=zeros)
     assert np.array_equal(a1, big)
     assert np.isfinite(a2).all() and not np.array_equal(a2, big)
 
@@ -410,13 +410,12 @@ def test_a_nan_state_raises_named_step(rng, make_linear_system):
     system, _ = make_linear_system(rng)
     op = SchurOperator(system, explicit("previous", pcg=TIGHT))
     poisoned = np.array([0.1, np.nan, 0.2])
-    # given solutions skip the only solve that sees the state, so the
+    # a given force skips the only solve that sees the state, so the
     # state's own test raises
-    zeros = np.zeros(system.n_n)
     with pytest.raises(StepFailureError,
                        match=r"^non-finite conducting state at step 9 "):
         explicit_euler_step((poisoned, 0.0), 1e-3, op, step_index=9,
-                            solutions=(zeros, zeros))
+                            force=np.zeros(system.n_c))
 
 
 def test_a_cached_step_makes_few_python_calls(builtin6):
@@ -1172,6 +1171,16 @@ def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
                 <= 10 * rel_tol * np.linalg.norm(factor * pattern))
 
 
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 10**9), max_size=300))
+def test_the_row_mean_is_numpys_mean_bit_for_bit(counts):
+    # a sum of integer counts is exact, so sum / len is np.mean's value
+    got = schur._mean(counts)
+    assert type(got) is float
+    expected = np.mean(counts) if counts else 0.0
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(t_end=st.floats(1e-3, 1.0),
        period_frac=st.floats(0.01, 2.0),
@@ -1293,6 +1302,45 @@ def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
             <= 1e-10 * np.linalg.norm(full.final_a_c))
 
 
+def test_a_screened_row_hands_the_step_its_force(builtin6):
+    # two operators with one history, stepped from rest to a state whose
+    # pair the screen accepts
+    system = builtin6.system
+    settings = explicit("cspe", pcg=SCREENED)
+    dt = settings.stable_step(schur.stability_bound(system))
+    ops = [SchurOperator(system, settings) for _ in range(2)]
+    for op in ops:
+        a_c, t = np.zeros(system.n_c), 0.0
+        for step in range(1, 101):
+            a_c = explicit_euler_step((a_c, t), dt, op, step)
+            t += dt
+    recovered, stepping = ops
+    assert recovered.screened == stepping.screened
+    accepted = recovered.screened["accepted"]
+    logs = [recovered.solve_iterations[f] for f in FAMILIES]
+    lengths = [len(log) for log in logs]
+    a_n, force = recover_an(recovered, a_c, t, 100)
+    # the row is screened: one zero-iteration solve per family
+    assert recovered.screened["accepted"] == accepted + 1
+    assert [log[n:] for log, n in zip(logs, lengths)] == [[0], [0]]
+    # a_n solves the algebraic row K_cn^T a_c + K_n a_n = j_n(t) to the
+    # tolerance of its two starts
+    coupling = spmv_transpose(system.kcn, a_c)
+    source = system.source(t)
+    residual = coupling + spmv(system.kn, a_n) - source
+    assert np.linalg.norm(residual) <= 2 * SCREENED.rel_tol * (
+        np.linalg.norm(coupling) + np.linalg.norm(source))
+    # the handed force is the rate's own screened one, bit for bit, and
+    # the step that takes it logs no solve
+    given = schur.rate(recovered, a_c, t, 101, force)
+    assert [len(log) for log in logs] == [n + 1 for n in lengths]
+    assert recovered.screened["accepted"] == accepted + 1
+    own = schur.rate(stepping, a_c, t, 101)
+    assert stepping.screened["accepted"] == accepted + 1
+    assert np.array_equal(given, own)
+    assert np.any(given != 0.0)
+
+
 @pytest.mark.parametrize("screen", [True, False])
 def test_the_cspe_count_does_not_depend_on_rounding(builtin6, monkeypatch,
                                                     screen):
@@ -1316,9 +1364,10 @@ def test_the_cspe_count_does_not_depend_on_rounding(builtin6, monkeypatch,
 def test_a_screened_step_makes_few_python_calls(builtin6):
     """Python calls into mqsolve on the first explicit CSPE step that the
     residual screen takes from the arrays of the step before: the step,
-    ``rate``, the screen, the source waveform and one product with
-    K_cn K_cn^T, then ``kc_apply``'s six (itself, ``_face_weights`` and
-    four products), 11 in all. It made 12 while ``kc_apply`` formed B^2
+    ``rate``, the screen and the source waveform, then ``kc_apply`` and
+    ``_face_weights``, 6 in all; the products with K_cn K_cn^T and those
+    of the force take the CSR kernel directly. It made 11 while each
+    product went through ``_matvec``, and 12 while ``kc_apply`` formed B^2
     and the reluctivity in calls of their own. The full path of
     ``test_a_cached_step_makes_few_python_calls`` makes 27."""
     package = str(Path(schur.__file__).parent) + os.sep
@@ -1350,7 +1399,7 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     else:
         pytest.fail("the screen took no two steps in a row")
     assert [log[-1] for log in op.solve_iterations.values()] == [0, 0]
-    assert 0 < calls <= 11
+    assert 0 < calls <= 6
 
 
 def fill_near_target(rng, n, kn, kcn, op, k, ratio, source_ratio):

@@ -783,9 +783,10 @@ def test_a_screened_pair_counts_as_two_solves(builtin6, monkeypatch):
     screened = agg["screened"]
     assert screened["accepted"] > 0 and screened["full_path"] > 0
     assert len(starts) + 2 * screened["accepted"] == sum(agg["solves"].values())
-    # every step tries the screen but those handed an output row's pair
+    # every output row tries the screen, and so does every step but those
+    # handed a row's force: one try per step, plus the last row's
     assert (screened["accepted"] + screened["full_path"]
-            == agg["steps"] - (result.n_rows - 1))
+            == agg["steps"] - (result.n_rows - 1) + result.n_rows)
     logs = op.solve_iterations.values()
     moved = sum(iterations > 0 for log in logs for iterations in log)
     assert len(inserts) == moved > 0
