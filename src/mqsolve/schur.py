@@ -93,6 +93,16 @@ DROP_FRACTION = 0.01
 
 EPS = float(np.finfo(float).eps)
 
+# a solve whose start's residual is within this factor of its target, but
+# above it, is a near miss
+NEAR_MISS = 10.0
+
+# why the residual screen sent a pair to the full path: a zero or
+# non-finite w(t), a source start that misses, a coupling estimate that
+# shows a miss, one within its rounding margin, and a non-finite one
+SCREEN_MISSES = ("waveform", "source", "rejected", "inconclusive",
+                 "nonfinite")
+
 
 class StepFailureError(RuntimeError):
     """A time step produced a non-finite state or an inner solve failed."""
@@ -252,7 +262,9 @@ class SchurOperator:
     the explicit step multiplies. ``screen`` is the ``_ResidualScreen`` of
     ``rate`` and ``recover_an``, or None where it cannot accept a start
     (decided here, once), and ``screened`` counts the pairs it accepted and
-    those it sent to the full path.
+    those it sent to the full path, ``screen_misses`` the latter by cause.
+    ``near_misses`` counts, per family, the solves that entered PCG from a
+    start within ``NEAR_MISS`` times the target.
     """
 
     def __init__(self, system: PartitionedSystem,
@@ -273,6 +285,8 @@ class SchurOperator:
         self.solve_iterations = {f: [] for f in FAMILIES}
         self.solver_seconds = 0.0
         self.screened = {"accepted": 0, "full_path": 0}
+        self.screen_misses = dict.fromkeys(SCREEN_MISSES, 0)
+        self.near_misses = dict.fromkeys(FAMILIES, 0)
         self.screen = (_ResidualScreen(self) if _ResidualScreen.applies(self)
                        else None)
 
@@ -325,6 +339,8 @@ class SchurOperator:
                 y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
                                             True)
             else:
+                if r0_norm <= NEAR_MISS * target:
+                    self.near_misses[family] += 1
                 y, report = self._correct(x0, r0, r0_norm, rhs_norm, target)
         except IndefiniteOperatorError as err:
             raise type(err)(f"{_solve_name(family, step)}: {err}",
@@ -529,27 +545,39 @@ class _ResidualScreen:
       rho_p plus a rounding slack against rel_tol ||p||, decides every
       source solve of the version, and K_cn y_src = w K_cn W c_p.
     * coupling, b = K_cn^T a_c: KW = K_cn W, KAW = K_cn A W and
-      G = (A W)^T A W, with S = K_cn K_cn^T built at the first use. With
-      c = KW^T a_c the start's squared residual is
+      G = (A W)^T A W, with S = K_cn K_cn^T built at the first use. KAW
+      and KW are kept stacked as one C-contiguous (2k, n_c) block
+      [KAW^T; KW^T], so one product gives d = KAW^T a_c and c = KW^T a_c.
+      The start's squared residual is
       est = first - 2 second + third
-          = a_c^T S a_c - 2 c^T (KAW^T a_c) + c^T G c,
+          = a_c^T S a_c - 2 c^T d + c^T G c,
       and K_cn y_cpl = KW c.
+    * the pair: F = [KW | -K_cn W c_p] of shape (n_c, k + 1), rebuilt
+      (``_version``) when either projection changes and the source start
+      hits, never per call. With y = [d; c; w] the force is one product,
+      K_cn (y_cpl - y_src) = F [c; w].
 
+    S a_c takes the CSR kernel, as S is sparse; G c is one small product.
     The expansion cancels: a residual below sqrt(eps) ||b|| is of the
     order of its rounding error, which
     err = 4 eps sqrt(k + 1) (|first| + 2 |second| + |third|) bounds with
     the probabilistic sqrt(k) growth (Buhr, Engwer, Ohlberger & Rave,
     WCCM 2014, on such residual estimators). So a coupling start is
-    accepted only when est + err <= rel_tol^2 (first - err). The target is
-    rel_tol ||b|| whatever ``pcg.abs_tol``, which can only raise it.
+    accepted only when est + err <= rel_tol^2 (first - err), a test of
+    Python floats. The target is rel_tol ||b|| whatever ``pcg.abs_tol``,
+    which can only raise it.
 
     A call returns K_cn (y_cpl - y_src) when both starts pass, and logs a
     zero-iteration solve per family and nothing else: ``solve_kn``'s
     ``observe`` of an accepted start changes no strategy either. Anything
-    else, a zero or non-finite w(t) or quadratic form or an inconclusive
-    estimate, returns None: ``rate``
-    then takes the full path. Both outcomes count in ``op.screened``, and
-    the screen's time in ``op.solver_seconds``. ``recover`` adds the field
+    else returns None, and ``rate`` then takes the full path. Both
+    outcomes count in ``op.screened``, and the screen's time in
+    ``op.solver_seconds``. A miss also counts in ``op.screen_misses`` by
+    its cause (``SCREEN_MISSES``): a zero or non-finite w(t)
+    (``waveform``), a source start that misses (``source``), a coupling
+    estimate that shows a miss, est - err > rel_tol^2 (first + err)
+    (``rejected``), a non-finite one (``nonfinite``), and any other
+    (``inconclusive``). ``recover`` adds the field
     a_n = y_src - y_cpl = w W_src c_p - W_cpl c of an accepted pair, from
     the call's own coefficients and one product of the nonconducting
     dimension per family.
@@ -571,8 +599,11 @@ class _ResidualScreen:
         self._source_version = self._coupling_version = None
         # W c_p and K_cn W c_p, None while the source start misses
         self._source_solution = self._source_force = None
-        self._kw = self._kaw = self._g = None
+        # [KAW^T; KW^T], KW and G of the coupling version
+        self._block = self._kw = self._g = None
         self._err = 0.0
+        # F = [KW | -K_cn W c_p] of the pair, None while the source misses
+        self._force_block = None
         # (w, c) of the last accepted pair
         self._coefficients = None
 
@@ -603,27 +634,44 @@ class _ResidualScreen:
                              f"expected {self._shape}")
         force = None
         with np.errstate(over="ignore", invalid="ignore"):
-            if w != 0.0 and math.isfinite(w):
-                if source is not self._source_version:
-                    self._version_source(source)
-                if self._source_force is not None:
-                    if coupling is not self._coupling_version:
-                        self._version_coupling(coupling)
-                    c = self._kw.T.dot(a_c)
+            if not (w != 0.0 and math.isfinite(w)):
+                miss = "waveform"
+            else:
+                if (source is not self._source_version
+                        or coupling is not self._coupling_version):
+                    self._version(source, coupling)
+                if self._force_block is None:
+                    miss = "source"
+                else:
+                    k = self._g.shape[0]
+                    # y = [d; c; w] with d = KAW^T a_c and c = KW^T a_c
+                    y = np.empty(2 * k + 1)
+                    np.dot(self._block, a_c, out=y[:2 * k])
+                    y[2 * k] = w
+                    c = y[k:2 * k]
                     s_a = np.zeros(a_c.size)
                     self._s_apply(a_c, s_a)
-                    first = a_c.dot(s_a)
-                    second = c.dot(self._kaw.T.dot(a_c))
-                    third = c.dot(self._g.dot(c))
+                    first = float(a_c.dot(s_a))
+                    second = float(c.dot(y[:k]))
+                    third = float(c.dot(self._g.dot(c)))
+                    est = first - 2.0 * second + third
                     err = self._err * (abs(first) + 2.0 * abs(second)
                                        + abs(third))
                     # false for a NaN from an overflow, as for a miss
-                    if (0.0 < first and first - 2.0 * second + third + err
-                            <= self._rel_tol ** 2 * (first - err)):
-                        force = self._kw.dot(c) - w * self._source_force
+                    if 0.0 < first and est + err <= (
+                            self._rel_tol ** 2 * (first - err)):
+                        # K_cn W c - w K_cn W_src c_p
+                        force = self._force_block.dot(y[k:])
                         self._coefficients = (w, c)
+                    elif not math.isfinite(est + err):
+                        miss = "nonfinite"
+                    elif est - err > self._rel_tol ** 2 * (first + err):
+                        miss = "rejected"
+                    else:
+                        miss = "inconclusive"
         if force is None:
             op.screened["full_path"] += 1
+            op.screen_misses[miss] += 1
         else:
             op.screened["accepted"] += 1
             for log in self._logs:
@@ -641,6 +689,19 @@ class _ResidualScreen:
         w, c = self._coefficients
         basis = self._coupling_version[0]
         return w * self._source_solution - basis.dot(c), force
+
+    def _version(self, source, coupling) -> None:
+        """The arrays of the pair of projections (*source*, *coupling*):
+        the source's where it changed, the coupling's where it changed and
+        the source start hits, and F of the pair."""
+        if source is not self._source_version:
+            self._version_source(source)
+        self._force_block = None
+        if self._source_force is None:
+            return
+        if coupling is not self._coupling_version:
+            self._version_coupling(coupling)
+        self._force_block = np.column_stack([self._kw, -self._source_force])
 
     def _version_source(self, projection) -> None:
         w, aw = projection
@@ -665,7 +726,8 @@ class _ResidualScreen:
             self._s_apply = partial(_csr_matvec, s.nrows, s.ncols, s.row_ptr,
                                     s.col_idx, s.values)
         self._kw = np.asarray(kcn @ w)
-        self._kaw = np.asarray(kcn @ aw)
+        # C-contiguous, so one gemv gives d and c
+        self._block = np.vstack([np.asarray(kcn @ aw).T, self._kw.T])
         self._g = aw.T.dot(aw)
         self._err = 4.0 * EPS * math.sqrt(w.shape[1] + 1)
         self._coupling_version = projection
@@ -705,6 +767,9 @@ def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
     (``_solve_pair``). K_cn and K_cn^T go to the CSR kernel ``_matvec``
     directly, as in ``kc_apply``: the products are bitwise those of
     ``spmv`` and ``spmv_transpose`` without their call frames.
+
+    The rate is the one array it allocates: it writes neither *force* nor
+    the array ``kc_apply`` returns, which a user's ``kc_apply`` may keep.
     """
     if force is None:
         if op.screen is not None:
@@ -712,7 +777,9 @@ def rate(op: SchurOperator, a_c, t: float, step: int | None = None,
         if force is None:
             y_src, y_cpl = _solve_pair(op, a_c, t, step)
             force = _matvec(op.system.kcn, y_cpl - y_src)
-    return op.minv_diag * (force - op.system.kc_apply(a_c))
+    out = force - op.system.kc_apply(a_c)
+    out *= op.minv_diag
+    return out
 
 
 def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
@@ -724,14 +791,18 @@ def explicit_euler_step(state: tuple[np.ndarray, float], dt: float,
     *force* is the force K_cn (y_cpl - y_src) at (a_c, t) that ``rate``
     takes (``recover_an`` returns it); without it the step screens or
     solves for its own. Returns the new conducting state. ``dt == 0``
-    reproduces the state bit for bit. A failure names ``step_index`` when
-    it is given.
+    reproduces the state bit for bit. The step scales and shifts the
+    rate's own array, bitwise a_c + dt * rate (IEEE sums and products
+    commute), and allocates nothing else. A failure names ``step_index``
+    when it is given.
     """
     a_c, t = state
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    a_next = a_c + dt * rate(op, a_c, t, step_index, force)
-    if not np.isfinite(a_next).all():
+    a_next = rate(op, a_c, t, step_index, force)
+    a_next *= dt
+    a_next += a_c
+    if np.count_nonzero(np.isfinite(a_next)) != a_next.size:
         where = f" at step {step_index}" if step_index is not None else ""
         raise StepFailureError(f"non-finite conducting state{where} "
                                f"(t = {t + dt:.6e})")
@@ -950,6 +1021,8 @@ def run_explicit(system: PartitionedSystem, t_end: float, dt="auto",
         "columns_dropped": {f.value: s.columns_dropped
                             for f, s in op.strategies.items()},
         "screened": dict(op.screened),
+        "screen_misses": dict(op.screen_misses),
+        "near_misses": {f.value: n for f, n in op.near_misses.items()},
         "kn_applies": kn_applies,
         "operator_applies": sum(kn_applies.values()),
         "wall_seconds": time.perf_counter() - wall_start,

@@ -76,6 +76,17 @@ def test_the_cspe_run_keeps_its_product_and_basis_counts(benchmark_runs):
     assert agg["screened"]["accepted"] >= 6719
 
 
+def test_the_cspe_run_sends_eleven_pairs_to_the_full_path(benchmark_runs):
+    # the t = 0 row (w = 0), the source start of the first step that
+    # screens (the source cache is empty), eight coupling estimates that
+    # show a miss and one within the rounding margin
+    agg = benchmark_runs["cspe"].aggregates
+    assert agg["screened"] == {"accepted": 6843, "full_path": 11}
+    assert agg["screen_misses"] == {"waveform": 1, "source": 1,
+                                    "rejected": 8, "inconclusive": 1,
+                                    "nonfinite": 0}
+
+
 def test_the_pod_run_keeps_its_product_and_iteration_counts(benchmark_runs):
     # every projection applies K_n once per truncated mode, and the modes
     # go through CSPE's K_n-Gram-Schmidt and pivot floor

@@ -1291,11 +1291,18 @@ def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
     steps = agg["steps"]
     assert agg["screened"]["accepted"] > 0.95 * steps
     assert full_agg["screened"] == {"accepted": 0, "full_path": 0}
+    # every pair sent to the full path is counted once, by its cause
+    misses = agg["screen_misses"]
+    assert set(misses) == set(schur.SCREEN_MISSES)
+    assert sum(misses.values()) == agg["screened"]["full_path"] > 0
+    assert misses["waveform"] == 1
+    assert set(full_agg["screen_misses"].values()) == {0}
     # the screen accepts only starts the full path accepts: the same K_n
     # products and iteration logs
     assert agg["kn_applies"] == full_agg["kn_applies"]
     assert agg["iterations"] == full_agg["iterations"]
     assert agg["solves"] == full_agg["solves"]
+    assert agg["near_misses"] == full_agg["near_misses"]
     scale = np.abs(full.probe_b).max()
     assert np.abs(screened.probe_b - full.probe_b).max() <= 1e-10 * scale
     assert (np.linalg.norm(screened.final_a_c - full.final_a_c)
@@ -1365,11 +1372,12 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     """Python calls into mqsolve on the first explicit CSPE step that the
     residual screen takes from the arrays of the step before: the step,
     ``rate``, the screen and the source waveform, then ``kc_apply`` and
-    ``_face_weights``, 6 in all; the products with K_cn K_cn^T and those
-    of the force take the CSR kernel directly. It made 11 while each
-    product went through ``_matvec``, and 12 while ``kc_apply`` formed B^2
-    and the reluctivity in calls of their own. The full path of
-    ``test_a_cached_step_makes_few_python_calls`` makes 27."""
+    ``_face_weights``, 6 in all; the product with K_cn K_cn^T and those
+    of the conducting force take the CSR kernel directly, and the screen
+    forms its coefficients and its force by one stacked product each. It
+    made 11 while each product went through ``_matvec``, and 12 while
+    ``kc_apply`` formed B^2 and the reluctivity in calls of their own. The
+    full path of ``test_a_cached_step_makes_few_python_calls`` makes 27."""
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
     op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
@@ -1479,3 +1487,108 @@ def test_the_screen_never_accepts_a_start_that_misses_the_target(
         assert list(op.solve_iterations.values()) == [[0], [0]]
     else:
         assert op.screened["full_path"] == 1
+
+
+def dense_screened_system(rng, n_c, n_n):
+    """A linear system on dense random blocks with a separable source,
+    its K_n and K_cn as dense arrays."""
+    q = np.linalg.qr(rng.standard_normal((n_n, n_n)))[0]
+    kn = (q * rng.uniform(1.0, 10.0, n_n)) @ q.T
+    kn = 0.5 * (kn + kn.T)
+    kcn = rng.standard_normal((n_c, n_n))
+    system = PartitionedSystem.linear(
+        mc=CsrMatrix.identity(n_c), kcn=CsrMatrix.from_dense(kcn),
+        kn=CsrMatrix.from_dense(kn), kc=CsrMatrix.identity(n_c),
+        source=ScaledPatternSource(rng.standard_normal(n_n),
+                                   lambda t: 1.0 + t))
+    return system, kn, kcn
+
+
+def test_the_screens_arrays_follow_every_basis_version(rng):
+    # caches of two columns, so the third coupling column evicts the
+    # first; after each new projection the screen, which kept the arrays
+    # of the one before, decides and forms the force as a screen built
+    # fresh on the same caches does
+    n_c, n_n = 5, 12
+    system, kn, kcn = dense_screened_system(rng, n_c, n_n)
+    caches = {f: make_strategy(StrategyConfig("cspe"), n_n, kn.__matmul__, 2)
+              for f in FAMILIES}
+    op = SchurOperator(system, explicit("cspe", pcg=SCREENED), caches)
+    pattern = system.source.pattern
+    t = 0.3
+
+    def screened(a_c):
+        force = op.screen(a_c, t)
+        fresh = schur._ResidualScreen(op)(a_c, t)
+        assert (force is None) == (fresh is None)
+        if force is not None:
+            assert (np.linalg.norm(force - fresh)
+                    <= 1e-12 * np.linalg.norm(fresh))
+        return force
+
+    def exact_state():
+        # a state whose coupling start the current projection meets: its
+        # right-hand side is K_n of a basis combination
+        _, images = caches[PREV].projection
+        combination = images @ rng.standard_normal(images.shape[1])
+        return np.linalg.lstsq(kcn.T, combination, rcond=None)[0]
+
+    states = rng.standard_normal((n_c, 3))
+    caches[PREV].insert(np.linalg.solve(kn, kcn.T @ states[:, 0]))
+    # a source start that misses, then one that meets its target
+    caches[SRC].insert(np.linalg.solve(
+        kn, pattern + 0.1 * rng.standard_normal(n_n)))
+    assert screened(states[:, 0]) is None
+    assert op.screen_misses["source"] == 2
+    caches[SRC].insert(np.linalg.solve(kn, pattern))
+    assert screened(states[:, 0]) is not None
+    for j in (1, 2):
+        # an accepted column, then one that evicts the oldest
+        caches[PREV].insert(np.linalg.solve(kn, kcn.T @ states[:, j]))
+        assert screened(exact_state()) is not None
+        assert screened(rng.standard_normal(n_c)) is None
+    assert caches[PREV].evictions == 1
+    assert op.screened["accepted"] == 6
+    assert sum(op.screen_misses.values()) == op.screened["full_path"]
+
+
+@pytest.mark.parametrize("ratio, near", [(0.5, 0), (3.0, 1), (30.0, 0)])
+def test_a_start_within_ten_targets_is_a_near_miss(rng, ratio, near):
+    # the coupling start misses its target by about *ratio*; a start that
+    # meets it makes no PCG solve, and one that misses by more than ten
+    # times is no near miss
+    system, kn, kcn = dense_screened_system(rng, 4, 12)
+    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    a_c = fill_near_target(rng, 12, kn, kcn, op, 2, ratio, 0.5)
+    _, report = op.solve_kn(kcn.T @ a_c, PREV, step=1)
+    assert (report.iterations > 0) == (ratio > 1.0)
+    assert op.near_misses == {SRC: 0, PREV: near}
+
+
+@pytest.mark.parametrize("strategy", ["previous", "cspe"])
+def test_the_step_is_its_expression_and_writes_no_input(builtin6, strategy):
+    # kc_apply hands out one cached array, which the step must not write
+    inner = builtin6.system.kc_apply
+    cached = np.empty(builtin6.system.n_c)
+
+    def kc_apply(a):
+        cached[:] = inner(a)
+        return cached
+
+    system = dataclasses.replace(builtin6.system, kc_apply=kc_apply)
+    op = SchurOperator(system, explicit(strategy, pcg=SCREENED))
+    dt = op.config.stable_step(schur.stability_bound(system))
+    a_c, t = np.zeros(system.n_c), 0.0
+    for step in range(1, 21):
+        a_c = explicit_euler_step((a_c, t), dt, op, step)
+        t += dt
+    _, force = recover_an(op, a_c, t, 20)
+    handed = force.copy()
+    expected = a_c + dt * (op.minv_diag * (force - inner(a_c)))
+    a_next = explicit_euler_step((a_c, t), dt, op, 21, force=force)
+    assert np.array_equal(a_next, expected)
+    assert np.array_equal(cached, inner(a_c))
+    after = explicit_euler_step((a_next, t + dt), dt, op, 22)
+    assert np.array_equal(cached, inner(a_next))
+    assert np.array_equal(force, handed)
+    assert np.any(after != a_next)
