@@ -118,8 +118,10 @@ def _stopping_target(config: PcgConfig, b_norm: float) -> float:
 
 
 class SolveReport(NamedTuple):
-    """Outcome of one solve. A named tuple, since a CSPE run builds two per
-    step: it is built in a third of a frozen dataclass's time."""
+    """Outcome of one solve. A named tuple, since a previous or pod run
+    builds at least two per step (a screened CSPE run about 30 in all, as a
+    screened step builds none): it is built in a third of a frozen
+    dataclass's time."""
 
     iterations: int
     final_rel_residual: float

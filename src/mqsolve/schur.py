@@ -313,10 +313,11 @@ class SchurOperator:
         sums of squares, so a finite rhs or r0 whose sum of squares
         overflows draws no warning; its norm, and so the target, is taken
         by ``_scaled_norm`` and stays finite. A start
-        that meets the rule is returned itself, with zero iterations and its
-        true residual; any other start is corrected by ``_correct``. The
-        solution goes back to the strategy (``observe``) and its iteration
-        count to the family's log.
+        that meets the rule is accepted: it is returned itself, with zero
+        iterations and its true residual; any other start is corrected by
+        ``_correct``. The solution goes back to the strategy with that
+        decision (``observe(y, accepted)``), the one place it is made, and
+        its iteration count to the family's log.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class, so an
         InconsistentRhsError stays one.
@@ -335,7 +336,8 @@ class SchurOperator:
             target = _stopping_target(self.config.pcg, rhs_norm)
             r0_norm = (math.sqrt(r0_squares) if math.isfinite(r0_squares)
                        else _scaled_norm(r0))
-            if r0_norm <= target:
+            accepted = r0_norm <= target
+            if accepted:
                 y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
                                             True)
             else:
@@ -358,7 +360,7 @@ class SchurOperator:
                 f"{_solve_name(family, step)} stalled at relative residual "
                 f"{report.final_rel_residual:.3e} after {report.iterations} "
                 "iterations")
-        strategy.observe(y)
+        strategy.observe(y, accepted)
         self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
@@ -568,19 +570,18 @@ class _ResidualScreen:
     which can only raise it.
 
     A call returns K_cn (y_cpl - y_src) when both starts pass, and logs a
-    zero-iteration solve per family and nothing else: ``solve_kn``'s
-    ``observe`` of an accepted start changes no strategy either. Anything
-    else returns None, and ``rate`` then takes the full path. Both
-    outcomes count in ``op.screened``, and the screen's time in
-    ``op.solver_seconds``. A miss also counts in ``op.screen_misses`` by
-    its cause (``SCREEN_MISSES``): a zero or non-finite w(t)
-    (``waveform``), a source start that misses (``source``), a coupling
-    estimate that shows a miss, est - err > rel_tol^2 (first + err)
-    (``rejected``), a non-finite one (``nonfinite``), and any other
-    (``inconclusive``). ``recover`` adds the field
-    a_n = y_src - y_cpl = w W_src c_p - W_cpl c of an accepted pair, from
-    the call's own coefficients and one product of the nonconducting
-    dimension per family.
+    zero-iteration solve per family and nothing else: ``solve_kn`` hands an
+    accepted start to ``observe`` as accepted, which changes no CSPE
+    strategy either. Anything else returns None, and ``rate`` then takes the
+    full path. Both outcomes count in ``op.screened``, and the screen's time
+    in ``op.solver_seconds``. A miss also counts in ``op.screen_misses`` by
+    its cause (``SCREEN_MISSES``): a zero or non-finite w(t) (``waveform``),
+    a source start that misses (``source``), a coupling estimate that shows
+    a miss, est - err > rel_tol^2 (first + err) (``rejected``), a non-finite
+    one (``nonfinite``), and any other (``inconclusive``). ``recover`` adds
+    the field a_n = y_src - y_cpl = w W_src c_p - W_cpl c of an accepted
+    pair, from the call's own coefficients and one product of the
+    nonconducting dimension per family.
     """
 
     def __init__(self, op: SchurOperator):
@@ -599,8 +600,8 @@ class _ResidualScreen:
         self._source_version = self._coupling_version = None
         # W c_p and K_cn W c_p, None while the source start misses
         self._source_solution = self._source_force = None
-        # [KAW^T; KW^T], KW and G of the coupling version
-        self._block = self._kw = self._g = None
+        # [KAW^T; KW^T] and G of the coupling version
+        self._block = self._g = None
         self._err = 0.0
         # F = [KW | -K_cn W c_p] of the pair, None while the source misses
         self._force_block = None
@@ -701,7 +702,8 @@ class _ResidualScreen:
             return
         if coupling is not self._coupling_version:
             self._version_coupling(coupling)
-        self._force_block = np.column_stack([self._kw, -self._source_force])
+        kw = self._block[self._g.shape[0]:].T
+        self._force_block = np.column_stack([kw, -self._source_force])
 
     def _version_source(self, projection) -> None:
         w, aw = projection
@@ -725,9 +727,9 @@ class _ResidualScreen:
             s = CsrMatrix.from_scipy(kcn @ kcn.T)
             self._s_apply = partial(_csr_matvec, s.nrows, s.ncols, s.row_ptr,
                                     s.col_idx, s.values)
-        self._kw = np.asarray(kcn @ w)
         # C-contiguous, so one gemv gives d and c
-        self._block = np.vstack([np.asarray(kcn @ aw).T, self._kw.T])
+        self._block = np.vstack([np.asarray(kcn @ aw).T,
+                                 np.asarray(kcn @ w).T])
         self._g = aw.T.dot(aw)
         self._err = 4.0 * EPS * math.sqrt(w.shape[1] + 1)
         self._coupling_version = projection

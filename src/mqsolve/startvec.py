@@ -14,9 +14,9 @@ x0 with the image A x0, so a solve forms rhs - A x0 with no product:
   past solutions with its products K_n W; every accepted basis column
   costs exactly one fresh operator application, and all earlier columns
   and products are reused bit-identically (the cascade property). The
-  start W W^T b and its image both come from them with no factorisation,
-  and a solution within the drop tolerance of the last start is dropped
-  without a sweep.
+  start W W^T b and its image both come from them with no factorisation.
+  A solution the solve had to correct enters the basis unless its
+  remainder after the K_n-Gram-Schmidt sweep is within the drop tolerance.
 * ``pod``: keep a ring of the last ``n_pod`` raw solutions and rebuild a
   truncated basis per solve via the method of snapshots
   (``pod_start_vector``). Its modes are K_n-orthonormalised as CSPE's
@@ -132,9 +132,10 @@ class StartVectorStrategy:
     Subclasses define ``start_vector(rhs)``, which returns ``(x0, image)``:
     the start of the family's next solve, which is the caller's, and its
     operator image A x0 up to rounding, which is only read.
-    ``observe(solution)`` takes every converged solution, a start returned
-    unchanged included. A subclass builds its history in its constructor,
-    not at the first solve.
+    ``observe(solution, accepted)`` takes every converged solution;
+    *accepted* is true when the solve took the last start as its solution
+    unchanged, which the caller alone decides. A subclass builds its
+    history in its constructor, not at the first solve.
     ``size`` is the size of the basis (for POD, the modes its latest
     projection kept). ``products_computed`` counts operator applications
     spent on history upkeep (outside any Krylov iteration), the quantity
@@ -159,7 +160,8 @@ class StartVectorStrategy:
 
 class SubspaceCache(StartVectorStrategy):
     """K_n-orthonormal solution history with cached operator products: the
-    CSPE strategy of one family, whose ``observe`` calls ``insert``.
+    CSPE strategy of one family, whose ``observe`` calls ``insert`` for
+    every solution but an accepted start, which lies in the basis's span.
 
     ``projection`` is the pair (W, A W), ``basis`` and ``cached_products``,
     with W^T A W = I, so the start W W^T b needs no factorisation (Fischer,
@@ -169,9 +171,9 @@ class SubspaceCache(StartVectorStrategy):
     identity names the basis version. The operator is bound at
     construction, as the products hold only for it. Eviction is FIFO once
     ``max_cols`` is reached, and the kept columns stay K_n-orthonormal.
-    See ``insert`` for drops. A ``max_cols`` that is not an integer of at
-    least 1, or a ``drop_tol`` that is not finite and nonnegative, raises
-    ValueError naming it first.
+    See ``insert`` for its drop rule. A ``max_cols`` that is not an
+    integer of at least 1, or a ``drop_tol`` that is not finite and
+    nonnegative, raises ValueError naming it first.
     """
 
     kind = "cspe"
@@ -192,12 +194,7 @@ class SubspaceCache(StartVectorStrategy):
         # the largest u^T A u of an accepted unit column, a lower bound of
         # ||A|| that scales the pivot floor
         self._scale = 0.0
-        # the start vector last returned, and a copy of its values while
-        # it lies in the basis's span: the caller may write the start
-        self._start: np.ndarray | None = None
-        self._anchor: np.ndarray | None = None
         self.products_computed = 0
-        self.columns_accepted = 0
         self.columns_dropped = 0
         self.evictions = 0
 
@@ -216,32 +213,28 @@ class SubspaceCache(StartVectorStrategy):
     def insert(self, vector) -> bool:
         """Append one K_n-orthonormalized column; True when accepted.
 
-        A vector v within ``drop_tol * ||v||`` of the last start (which is
-        in the span) is dropped without a sweep, and one whose remainder
-        after the sweeps is that short without a product. Otherwise the one
-        product is made, and a failed pivot drops the column (see
-        ``_orthonormal_row``). At ``max_cols`` an accepted column, swept
-        against every column, evicts the oldest. A finite v whose sum of
-        squares overflows is taken by its direction, without a warning.
+        A vector v whose remainder after the sweeps is no longer than
+        ``drop_tol * ||v||`` is dropped without a product: the one drop
+        rule, which also drops a start the solve returned unchanged, as it
+        lies in the span. Otherwise the one product is made, and a failed
+        pivot drops the column (see ``_orthonormal_row``). At ``max_cols``
+        an accepted column, swept against every column, evicts the oldest,
+        so each accepted column raises ``size`` or ``evictions`` by one. A
+        finite v whose sum of squares overflows is taken by its direction,
+        without a warning.
         """
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        anchor = self._anchor
         with np.errstate(over="ignore"):
             squares = v.dot(v)
             if not math.isfinite(squares) and np.isfinite(v).all():
                 v = v / np.abs(v).max()
-                squares, anchor = v.dot(v), None
+                squares = v.dot(v)
             orig = math.sqrt(squares)
             if orig == 0.0 or not math.isfinite(orig):
                 self.columns_dropped += 1
                 return False
-            if anchor is not None:
-                miss = v - anchor
-                if math.sqrt(miss.dot(miss)) <= self.drop_tol * orig:
-                    self.columns_dropped += 1
-                    return False
         k = self.size
         pair, diag = _orthonormal_row(self._rows[:, :k], v,
                                       self.drop_tol * orig, self._operator,
@@ -256,8 +249,6 @@ class SubspaceCache(StartVectorStrategy):
             self._rows = self._rows[:, 1:]
             k -= 1
             self.evictions += 1
-            # the evicted column may carry part of the last start
-            self._anchor = None
         if k == self._rows.shape[1]:
             rows = np.empty((2, max(1, 2 * k), self.dim))
             rows[:, :k] = self._rows[:, :k]
@@ -265,7 +256,6 @@ class SubspaceCache(StartVectorStrategy):
         self._rows[:, k] = pair
         self.size = k + 1
         self.projection = self._views()
-        self.columns_accepted += 1
         return True
 
     def start_vector(self, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -278,14 +268,12 @@ class SubspaceCache(StartVectorStrategy):
         # ndarray.dot runs the BLAS call of @ without the ufunc dispatch,
         # and projecting is every CSPE solve's cost
         coeffs = w.T.dot(rhs)
-        self._start = x0 = w.dot(coeffs)
-        self._anchor = x0.copy()
-        return x0, aw.dot(coeffs)
+        return w.dot(coeffs), aw.dot(coeffs)
 
-    def observe(self, solution) -> None:
-        # the start last returned is in the basis's span; insert through
-        # the attribute, so a wrapper of the class's insert sees it
-        if solution is not self._start:
+    def observe(self, solution, accepted: bool) -> None:
+        # an accepted start is in the basis's span; insert through the
+        # attribute, so a wrapper of the class's insert sees it
+        if not accepted:
             self.insert(solution)
 
 
@@ -366,15 +354,13 @@ class PreviousSolutionStrategy(StartVectorStrategy):
         self._operator = operator
         self._last = np.zeros(self.dim)
         self._image = np.zeros(self.dim)
-        # the start vector last returned
-        self._start: np.ndarray | None = None
 
     def start_vector(self, rhs):
-        self._start = self._last.copy()
-        return self._start, self._image
+        return self._last.copy(), self._image
 
-    def observe(self, solution):
-        if solution is self._start:
+    def observe(self, solution, accepted: bool):
+        # an accepted start is the last solution, its image known
+        if accepted:
             return
         self._last = np.array(solution, dtype=np.float64)
         self._image = np.asarray(self._operator(self._last), dtype=np.float64)
@@ -384,7 +370,7 @@ class PreviousSolutionStrategy(StartVectorStrategy):
 class PodStrategy(StartVectorStrategy):
     """Snapshot POD projection on a ring of the family's last ``n_pod``
     solutions, basis rebuilt per solve. Every observed solution enters the
-    ring, also a start returned unchanged."""
+    ring, an accepted start included."""
 
     kind = "pod"
 
@@ -405,7 +391,7 @@ class PodStrategy(StartVectorStrategy):
         self.projections.append((k, info))
         return x0, image
 
-    def observe(self, solution):
+    def observe(self, solution, accepted: bool):
         v = np.asarray(solution, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"snapshot has shape {v.shape}, "

@@ -143,7 +143,7 @@ def test_criterion_3_galerkin_exactness_trials(rng):
             strategy = make_strategy(StrategyConfig(kind), n,
                                      operator=lambda v: dense @ v)
             for column in history.T:
-                strategy.observe(column)
+                strategy.observe(column, False)
             x0, _ = strategy.start_vector(rhs)
             _, report = pcg_solve(matrix, rhs, x0=x0, config=config)
             passed[kind] += report.iterations == 0
@@ -246,7 +246,7 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
         previous = before if before.shape[1] < 20 else before[:, 1:]
         assert np.array_equal(kept, previous)
     assert counter.count == 30
-    assert cache.products_computed == cache.columns_accepted == 30
+    assert cache.products_computed == cache.size + cache.evictions == 30
     assert cache.size == 20
     assert cache.evictions == 10
 

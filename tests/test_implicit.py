@@ -712,8 +712,8 @@ def test_monolithic_jacobian_follows_a_changing_kc_pattern(
 
 def test_kc_matrix_backed_jacobian_keeps_its_pattern(builtin6):
     full = builtin6.system
-    # without kc_jacobian the system falls back to kc_matrix, which builds
-    # new index arrays on every call
+    # without kc_jacobian the system falls back to kc_matrix, which returns
+    # a new matrix on every call, sharing one pattern's index arrays
     system = PartitionedSystem(mc=full.mc, kcn=full.kcn, kn=full.kn,
                                kc_apply=full.kc_apply,
                                kc_matrix=full.kc_matrix, source=full.source)

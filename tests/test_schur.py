@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
                      PartitionedSystem, PcgConfig, RhsFamily,
                      ScaledPatternSource, SchurOperator, StepFailureError,
-                     StrategyConfig, build_preconditioner, estimate_cfl,
-                     explicit_euler_step, exponential_ramp, krylov,
-                     make_strategy, pcg_solve, recover_an, run_explicit,
-                     schur)
+                     StrategyConfig, SubspaceCache, build_preconditioner,
+                     estimate_cfl, explicit_euler_step, exponential_ramp,
+                     krylov, make_strategy, pcg_solve, recover_an,
+                     run_explicit, schur)
 from mqsolve.schur import TraceRecorder
 from mqsolve.sparse import spmv, spmv_transpose
 
@@ -929,8 +929,9 @@ def observe_near_floor(op, dense, range_basis, null_basis, rng):
     theta = rng.uniform(0.3, 1.2)
     eta = np.sqrt(1e-11 * (r @ dense @ r) / (w @ dense @ w))
     cache = op.strategies[SRC]
-    cache.observe(np.cos(theta) * r + np.sin(theta) * z)
-    cache.observe(-np.sin(theta) * r + np.cos(theta) * z + eta * w)
+    cache.observe(np.cos(theta) * r + np.sin(theta) * z, False)
+    cache.observe(-np.sin(theta) * r + np.cos(theta) * z + eta * w,
+                  False)
     assert cache.size == 2
     # the columns have unit K_n-norm, so 1 / ||w_j||^2 is the Rayleigh
     # quotient u^T A u of the unit direction u of column j; after the
@@ -959,7 +960,7 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
         observe_near_floor(op, dense, range_basis, null_basis, rng)
     else:
         for _ in range(history):
-            op.strategies[SRC].observe(rng.standard_normal(n))
+            op.strategies[SRC].observe(rng.standard_normal(n), False)
     cache = op.strategies[SRC]
     coeffs = rng.standard_normal(range_basis.shape[1])
     if in_span and cache.size:
@@ -1006,7 +1007,7 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     exact = np.linalg.solve(dense, rhs)
     # a start about 1e-3 of the way from the solution
     op.strategies[SRC].observe(exact + 1e-3 * np.linalg.norm(exact)
-                               * rng.standard_normal(n) / np.sqrt(n))
+                               * rng.standard_normal(n) / np.sqrt(n), False)
     x0, _ = op.strategies[SRC].start_vector(rhs)
     r0 = rhs - dense @ x0
     rhs_norm, r0_norm = np.linalg.norm(rhs), np.linalg.norm(r0)
@@ -1033,7 +1034,7 @@ def test_a_cspe_solve_hashes_its_family_by_identity(rng):
     dense, _ = singular_spd(rng, n, 1)
     op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200))
     for family in FAMILIES:
-        op.strategies[family].observe(dense @ rng.standard_normal(n))
+        op.strategies[family].observe(dense @ rng.standard_normal(n), False)
     profiler = cProfile.Profile()
     profiler.enable()
     for family in FAMILIES:
@@ -1055,7 +1056,7 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200), upkeep,
                    drop_tol=0.0)
     for _ in range(3):
-        op.strategies[SRC].observe(dense @ rng.standard_normal(n))
+        op.strategies[SRC].observe(dense @ rng.standard_normal(n), False)
     cache = op.strategies[SRC]
     products = []
     original_as_operator = krylov._as_operator
@@ -1083,8 +1084,8 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
         return cache.basis, cache.cached_products
 
     def counters():
-        # every insert moves columns_accepted or columns_dropped
-        return (cache.products_computed, cache.columns_accepted,
+        # every insert moves size + evictions or columns_dropped
+        return (cache.products_computed, cache.size + cache.evictions,
                 cache.columns_dropped, cache.evictions, upkeep.count)
 
     arrays_before, counters_before = arrays(), counters()
@@ -1307,6 +1308,39 @@ def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
     assert np.abs(screened.probe_b - full.probe_b).max() <= 1e-10 * scale
     assert (np.linalg.norm(screened.final_a_c - full.final_a_c)
             <= 1e-10 * np.linalg.norm(full.final_a_c))
+
+
+@pytest.mark.parametrize("pcg", [SCREENED, PcgConfig()],
+                         ids=["screen", "no_screen"])
+def test_a_cache_inserts_each_solution_pcg_corrected_once(builtin6,
+                                                          monkeypatch, pcg):
+    # solve_kn tells observe whether it took the start: every solution
+    # PCG corrected is inserted once, and no accepted start is
+    inserts, solves, ops = [], [], []
+    insert, solve_kn = SubspaceCache.insert, SchurOperator.solve_kn
+
+    def counted_insert(cache, vector):
+        inserts.append(vector)
+        return insert(cache, vector)
+
+    def logged_solve_kn(op, *args, **kwargs):
+        before = len(inserts)
+        y, report = solve_kn(op, *args, **kwargs)
+        solves.append((report.iterations, len(inserts) - before))
+        ops.append(op)
+        return y, report
+
+    monkeypatch.setattr(SubspaceCache, "insert", counted_insert)
+    monkeypatch.setattr(SchurOperator, "solve_kn", logged_solve_kn)
+    run_explicit(builtin6.system, t_end=0.12, config=explicit("cspe", pcg=pcg))
+    [op] = set(ops)
+    assert (op.screen is not None) == (pcg is SCREENED)
+    assert all(count == (iterations > 0) for iterations, count in solves)
+    # solves of both kinds reach solve_kn, so a constant flag fails
+    assert {iterations > 0 for iterations, _ in solves} == {False, True}
+    corrected = sum(iterations > 0 for log in op.solve_iterations.values()
+                    for iterations in log)
+    assert len(inserts) == corrected
 
 
 def test_a_screened_row_hands_the_step_its_force(builtin6):

@@ -29,7 +29,7 @@ def test_cache_counts_one_product_per_accepted_column(rng, make_spd,
     assert cache.size == 3
     assert cache.products_computed == 3
     assert op.count == 3
-    assert cache.columns_accepted == 3
+    assert cache.size + cache.evictions == 3
     assert cache.columns_dropped == 1
 
 
@@ -64,7 +64,7 @@ def test_cache_fifo_eviction(rng, make_spd):
         assert cache.insert(e)
     assert cache.size == 3
     assert cache.evictions == 1
-    assert cache.columns_accepted == 4
+    assert cache.size + cache.evictions == 4
     # the oldest column (along e_0) left the basis, and the kept columns
     # are K_n-orthogonal to it
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -198,7 +198,7 @@ def test_cache_state_matches_a_rebuild_after_every_operation(
             cache.insert(cache.basis @ coeffs)
         else:
             accepted = cache.insert(z)
-            assert not accepted or cache.columns_accepted == 1
+            assert not accepted or cache.size + cache.evictions == 1
         rhs = rng.standard_normal(n)
         x0, image = cache.start_vector(rhs)
         k = cache.size
@@ -270,11 +270,11 @@ class Swept(np.ndarray):
         return np.asarray(self) @ other
 
 
-def test_a_near_miss_of_the_last_start_is_dropped_without_a_sweep(rng,
-                                                                  make_spd):
+def test_a_near_miss_of_the_last_start_is_dropped_by_the_sweep(rng,
+                                                               make_spd):
     # a solution y = x0 + d of the last start x0, which lies in the
-    # basis's span, is at most ||d|| from the span: with ||d|| at most
-    # drop_tol ||y|| no sweep can keep it
+    # basis's span, with ||d|| half of drop_tol ||y||: the sweeps leave
+    # only the part of d off the span, short enough to drop
     dense = make_spd(rng, 10)
     cache = SubspaceCache(10, dense.__matmul__, 6, drop_tol=1e-8)
     for _ in range(3):
@@ -289,7 +289,6 @@ def test_a_near_miss_of_the_last_start_is_dropped_without_a_sweep(rng,
     near = x0_values + 0.5e-8 * np.linalg.norm(x0_values) * d / np.linalg.norm(d)
     dropped = cache.columns_dropped
     assert not cache.insert(near)
-    assert Swept.products == 0
     assert cache.columns_dropped == dropped + 1
     # a larger correction is swept, and one out of the span is kept
     assert cache.insert(x0_values + 1e-3 * np.linalg.norm(x0_values) * d)
@@ -352,8 +351,9 @@ def test_a_modified_start_vector_is_not_taken_for_the_projection(rng,
        log_scale=st.floats(-8.0, 8.0))
 def test_the_sweep_drops_every_exact_projection(make_spd, n, k, seed,
                                                 drop_tol, log_scale):
-    # the condition under which insert may skip the sweep for the last
-    # projection: the sweep itself drops any exact projection
+    # a start returned unchanged is an exact projection onto the span, and
+    # the sweep drops it before any product, whichever start it was: the
+    # cache's one drop rule needs no record of its starts
     rng = np.random.default_rng(seed)
     dense = make_spd(rng, n)
     cache = SubspaceCache(n, dense.__matmul__, max_cols=20,
@@ -381,9 +381,9 @@ CONTRACT_OPS = st.lists(
 def test_every_start_comes_with_its_image(make_spd, kind, singular, n, n_pod,
                                           seed, ops):
     # the contract of every strategy: start_vector returns x0 with its
-    # image A x0, and observe takes every solution, a start returned
-    # unchanged included. On a singular operator the history takes null
-    # vectors, whose Galerkin pivots fail.
+    # image A x0, and observe takes every solution, told whether it is the
+    # start returned unchanged. On a singular operator the history takes
+    # null vectors, whose Galerkin pivots fail.
     rng = np.random.default_rng(seed)
     dense = make_spd(rng, n)
     z = rng.standard_normal(n)
@@ -411,7 +411,7 @@ def test_every_start_comes_with_its_image(make_spd, kind, singular, n, n_pod,
         else:
             solution = draw.standard_normal(n)
         observed.append(solution.copy())
-        strategy.observe(solution)
+        strategy.observe(solution, op == "start")
         if op == "start" and kind != "pod":
             # the history spans its own start, so observing it costs nothing
             assert strategy.products_computed == products
@@ -442,8 +442,8 @@ def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(
     pushed = [rng.standard_normal(dim) for _ in range(5)]
     originals = [v.copy() for v in pushed]
     for v in pushed:
-        src.observe(v)
-    cpl.observe(pushed[0])
+        src.observe(v, False)
+    cpl.observe(pushed[0], False)
     for v in pushed:
         v[:] = 0.0  # the rings hold copies
     rhs = rng.standard_normal(dim)
@@ -457,7 +457,7 @@ def test_pod_strategy_keeps_the_last_n_pod_solutions_per_family(
     assert np.allclose(cpl.start_vector(rhs)[0], expected, rtol=0.0,
                        atol=1e-8)
     with pytest.raises(ValueError, match="shape"):
-        src.observe(np.zeros(dim - 1))
+        src.observe(np.zeros(dim - 1), False)
 
 
 def test_pod_matches_dense_svd(rng, make_spd):
@@ -601,9 +601,9 @@ def test_previous_strategy_isolates_families(rng, make_linear_system):
         assert np.array_equal(vector, np.zeros(4))
     sol_src = rng.standard_normal(4)
     sol_cpl = rng.standard_normal(4)
-    src.observe(sol_src)
+    src.observe(sol_src, False)
     assert np.array_equal(cpl.start_vector(None)[0], np.zeros(4))
-    cpl.observe(sol_cpl)
+    cpl.observe(sol_cpl, False)
     x0, image = src.start_vector(None)
     assert np.array_equal(x0, sol_src)
     assert np.allclose(image, dense @ sol_src, rtol=0.0, atol=1e-12)
@@ -614,7 +614,7 @@ def test_previous_strategy_isolates_families(rng, make_linear_system):
     assert np.array_equal(src.start_vector(None)[0], sol_src)
     # one product per observed solution, for its image; the start returned
     # unchanged is not observed again
-    src.observe(src.start_vector(None)[0])
+    src.observe(src.start_vector(None)[0], True)
     assert (src.size, src.products_computed, src.evictions,
             src.projections) == (0, 1, 0, ())
 
@@ -623,7 +623,7 @@ def test_cspe_strategy_isolates_families(rng, make_linear_system):
     strategies, dense = family_strategies(make_linear_system, "cspe")
     src, cpl = strategies[SRC], strategies[CPL_PREV]
     x = rng.standard_normal(5)
-    src.observe(x)
+    src.observe(x, False)
     assert (src.size, cpl.size) == (1, 0)
     assert (src.products_computed, cpl.products_computed) == (1, 0)
     # the coupling family sees an empty cache: zero start vector
@@ -643,8 +643,8 @@ def test_pod_strategy_diagnostics_and_min_info(rng, make_spd):
     for vector in strat.start_vector(rhs):
         assert np.array_equal(vector, np.zeros(6))
     assert strat.products_computed == 0
-    strat.observe(rng.standard_normal(6))
-    strat.observe(rng.standard_normal(6))
+    strat.observe(rng.standard_normal(6), False)
+    strat.observe(rng.standard_normal(6), False)
     assert strat.projections == []
     strat.start_vector(rhs)
     assert strat.size == 2
@@ -661,8 +661,8 @@ def test_pod_basis_size_answers_per_family(rng, make_linear_system):
     src, cpl = strategies[SRC], strategies[CPL_PREV]
     assert (src.size, cpl.size) == (0, 0)
     for _ in range(3):
-        src.observe(rng.standard_normal(6))
-    cpl.observe(rng.standard_normal(6))
+        src.observe(rng.standard_normal(6), False)
+    cpl.observe(rng.standard_normal(6), False)
     src.start_vector(rng.standard_normal(6))
     cpl.start_vector(rng.standard_normal(6))
     # each family's size is the modes of its own latest projection
