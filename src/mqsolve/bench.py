@@ -64,7 +64,7 @@ def _parse_dt(value):
 
 
 # RunConfig keys of the settings whose library checks name them otherwise
-_RUN_KEYS = {"kind": "strategy", "rel_tol": "tol", "tol": "newton_tol"}
+_RUN_KEYS = {"kind": "strategy"}
 
 # builtin_model's parameters; the RunConfig fields named alike set them
 _MODEL = inspect.signature(builtin_model).parameters
@@ -113,8 +113,6 @@ class RunConfig:
     output_period: float = OUTPUT_PERIOD
     # benchmark default; library-level solves default to 1e-8
     tol: float = 1e-6
-    newton_tol: float = NewtonConfig.tol
-    max_newton: int = NewtonConfig.max_newton
     implicit_dt: float = 2.5e-4
     eps_pod: float = StrategyConfig.eps_pod
     n_pod: int = StrategyConfig.n_pod
@@ -146,8 +144,7 @@ class RunConfig:
         for check, keys in ((partial(arguments, self.dt), _RUN_KEYS),
                             (partial(arguments, self.implicit_dt, auto=False),
                              {"dt": "implicit_dt"}),
-                            (self.explicit_config, _RUN_KEYS),
-                            (self.newton_config, _RUN_KEYS)):
+                            (self.explicit_config, _RUN_KEYS)):
             try:
                 check()
             except ValueError as err:
@@ -195,14 +192,11 @@ class RunConfig:
             values[key] = cls._coerce(key, value)
         return cls(**values).validate()
 
-    def newton_config(self) -> NewtonConfig:
-        return NewtonConfig(tol=self.newton_tol, max_newton=self.max_newton)
-
     def explicit_config(self) -> ExplicitConfig:
         strategy = StrategyConfig(self.strategy, n_pod=self.n_pod,
                                   eps_pod=self.eps_pod)
-        pcg = dataclasses.replace(ExplicitConfig.pcg, rel_tol=self.tol)
-        return ExplicitConfig(strategy=strategy, pcg=pcg, safety=self.safety,
+        return ExplicitConfig(strategy=strategy, tol=self.tol,
+                              safety=self.safety,
                               reestimate_every=self.reestimate_every)
 
 
@@ -389,7 +383,7 @@ def run_single(config: RunConfig) -> tuple[TransientResult, dict]:
     probe = model.probe_callable() if model is not None else None
     if config.integrator == "implicit":
         dt = config.implicit_dt if config.dt == "auto" else float(config.dt)
-        run, settings = run_implicit, config.newton_config()
+        run, settings = run_implicit, NewtonConfig()
     else:
         dt, run, settings = config.dt, run_explicit, config.explicit_config()
     result = run(system, config.t_end, dt, settings, probe=probe,

@@ -134,7 +134,7 @@ def _cmd_cfl(args) -> int:
     print(f"bound      = {bound:.6e}  (lambda_max of M_c^-1/2 K_c M_c^-1/2)")
     print(f"dt_max     = {settings.stable_step(bound)!r}  (safety "
           f"{settings.safety}: the step of run --dt auto)")
-    estimate = estimate_cfl(system, pcg=settings.pcg, seed=config.seed)
+    estimate = estimate_cfl(system, tol=settings.tol, seed=config.seed)
     print(f"lambda_max = {estimate.lambda_max:.6e}  "
           f"(Ritz value, {estimate.power_iters} Lanczos steps)")
     print(f"residual   = {estimate.residual:.6e}")

@@ -11,20 +11,20 @@ residual, and a start vector that already meets the tolerance reports zero
 iterations without touching the operator loop. A solve is preconditioned
 only by a preconditioner passed to it, and without one it is plain CG;
 every solver in the package passes the Jacobi one that
-:func:`build_preconditioner` builds. :func:`_stopping_target` is the one
-stopping rule.
+:func:`build_preconditioner` builds. :func:`_stopping_target` is
+:func:`pcg_solve`'s stopping rule.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. Every start vector comes with its K_n image, so
 ``solve_kn`` forms the initial residual itself, under this module's
-finiteness test (:func:`_squared`), norm (finite also where a sum of
-squares overflows, by :func:`_scaled_norm`) and stopping rule
-(:func:`_stopping_target`). A start that meets the rule is returned
-without a call to :func:`pcg_solve`. Any other start is corrected by a solve
-from zero down to that same residual norm; no solver of the package hands
-:func:`pcg_solve` a start vector. An inconsistency found there is
-measured against the residual, so ``solve_kn`` restates it against its
-own right-hand side from ``InconsistentRhsError.component``.
+finiteness test (:func:`_squared`) and norm (finite also where a sum of
+squares overflows, by :func:`_scaled_norm`), against the target
+``ExplicitConfig.tol * ||b||``. A start that meets it is returned without a
+call to :func:`pcg_solve`; any other is corrected by a solve from zero with
+that target as ``abs_tol``. No solver of the package hands :func:`pcg_solve`
+a start vector. An inconsistency found there is measured against the
+residual, so ``solve_kn`` restates it against its own right-hand side from
+``InconsistentRhsError.component``.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
 run: :func:`pcg_solve` keeps the signature

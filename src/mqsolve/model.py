@@ -451,7 +451,6 @@ class Model:
     conductor_cells: np.ndarray
     pattern_n: np.ndarray
     tau: float
-    amps: float
     probe_cells: np.ndarray
     builtin_params: dict | None = None
 
@@ -807,7 +806,7 @@ def assemble(grid: GridSpec, conductor: Material, excitation: Excitation, *,
                  nonconducting=noncond_int, curl_interior=c_int,
                  cell_faces=cell_faces, conductor_cells=cond_cells,
                  pattern_n=pattern_n, tau=excitation.tau,
-                 amps=excitation.amps, probe_cells=probe_cells)
+                 probe_cells=probe_cells)
 
 
 def builtin_model(cells: int = 8, h: float = 5e-3,

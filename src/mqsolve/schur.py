@@ -44,7 +44,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -52,8 +52,8 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
-                     _relative, _scaled_norm, _squared, _stopping_target,
-                     build_preconditioner, pcg_solve)
+                     _relative, _scaled_norm, _squared, build_preconditioner,
+                     pcg_solve)
 from .sparse import (CsrMatrix, _check_count, _csr_matvec, _matvec,
                      as_vector, spmv, spmv_transpose, symmetric_check)
 from .startvec import RhsFamily, StrategyConfig, SubspaceCache, make_strategy
@@ -87,9 +87,12 @@ OUTPUT_PERIOD = 1e-3
 MAX_STEPS = 2_000_000
 
 # the CSPE drop tolerance as a fraction of the inner solve tolerance: a
-# correction of a start that missed the target is smaller than rel_tol, and
+# correction of a start that missed the target is smaller than tol, and
 # a cache that dropped it would miss the same way at the next solve
 DROP_FRACTION = 0.01
+
+# PCG iterations an inner K_n solve may take before it stalls
+PCG_MAX_ITER = 5000
 
 EPS = float(np.finfo(float).eps)
 
@@ -110,20 +113,22 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExplicitConfig:
-    """Settings of the explicit run: start vectors, inner solves (PCG,
-    always Jacobi-preconditioned, to ``pcg``'s tolerances), the auto step's
-    safety factor and auto-dt refresh period (0: none). A bad value raises
-    ValueError naming the field first. The step budget is ``MAX_STEPS``,
-    the CSPE drop tolerance ``DROP_FRACTION * pcg.rel_tol``, and whether
-    the residual screen runs follows from ``pcg.rel_tol``: none of them is
-    a setting."""
+    """Settings of the explicit run: start vectors, the relative tolerance
+    ``tol`` of every inner solve (Jacobi-preconditioned PCG to the residual
+    norm ``tol * ||b||``), the auto step's safety factor and auto-dt
+    refresh period (0: none). A bad value raises ValueError naming the
+    field first. The step and PCG budgets (``MAX_STEPS``, ``PCG_MAX_ITER``),
+    the CSPE drop tolerance ``DROP_FRACTION * tol`` and whether the residual
+    screen runs (it follows from ``tol``) are not settings."""
 
     strategy: StrategyConfig = StrategyConfig()
-    pcg: PcgConfig = PcgConfig()
+    tol: float = 1e-8
     safety: float = 0.9
     reestimate_every: int = 500
 
     def __post_init__(self):
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be finite and positive")
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety must lie in (0, 1]")
         _check_count("reestimate_every", self.reestimate_every, 0)
@@ -249,13 +254,13 @@ class SchurOperator:
     """The inner K_n solves of the eliminated system and their bookkeeping.
 
     Inner pseudo-inverse actions are Jacobi-preconditioned CG solves on the
-    singular nonconducting block to the tolerances of ``config.pcg`` (None:
-    the default ``ExplicitConfig``). Each right-hand-side family is seeded
-    by a strategy object of its own, ``strategies[family]``: the one
+    singular nonconducting block to the relative tolerance ``config.tol``
+    (None: the default ``ExplicitConfig``). Each right-hand-side family is
+    seeded by a strategy object of its own, ``strategies[family]``: the one
     ``config.strategy`` names, or the built *strategies* (a dict over
     FAMILIES). A CSPE strategy built here keeps at most n_c basis columns,
     the most directions the coupling solutions span, and drops increments
-    below ``DROP_FRACTION * pcg.rel_tol``. Per-solve iteration counts
+    below ``DROP_FRACTION * tol``. Per-solve iteration counts
     (``solve_iterations``, one list per family) and solver wall time are
     accumulated for benchmarking, and ``kn_applies`` splits the K_n
     products by cause. ``minv_diag`` is the diagonal of M_c^{-1}, by which
@@ -279,7 +284,7 @@ class SchurOperator:
         # all
         self.strategies = strategies or {
             f: make_strategy(config.strategy, system.n_n, self._kn_apply,
-                             system.n_c, DROP_FRACTION * config.pcg.rel_tol)
+                             system.n_c, DROP_FRACTION * config.tol)
             for f in FAMILIES}
         self.minv_diag = 1.0 / system.mc.diagonal()
         self.solve_iterations = {f: [] for f in FAMILIES}
@@ -305,19 +310,18 @@ class SchurOperator:
         """K_n^+ rhs by PCG: the one solve behind every inner action of the
         run.
 
-        The strategy of the *family* returns the start vector x0 with its
-        K_n image, and the solve takes the initial residual r0 = rhs - image
-        from it under ``pcg_solve``'s finiteness test (``_squared``) and
-        stopping rule (``_stopping_target``), with no K_n product. One
-        ``np.errstate`` covers the start (with POD's Gram matrix) and both
-        sums of squares, so a finite rhs or r0 whose sum of squares
-        overflows draws no warning; its norm, and so the target, is taken
-        by ``_scaled_norm`` and stays finite. A start
-        that meets the rule is accepted: it is returned itself, with zero
-        iterations and its true residual; any other start is corrected by
-        ``_correct``. The solution goes back to the strategy with that
-        decision (``observe(y, accepted)``), the one place it is made, and
-        its iteration count to the family's log.
+        The strategy of the *family* returns the start vector x0 with its K_n
+        image, and the solve takes the initial residual r0 = rhs - image from
+        it under ``pcg_solve``'s finiteness test (``_squared``), with no K_n
+        product; its target is the residual norm ``tol * ||rhs||``. One
+        ``np.errstate`` covers the start (with POD's Gram matrix) and both sums
+        of squares, so a finite rhs or r0 whose sum of squares overflows draws
+        no warning; its norm, and so the target, is taken by ``_scaled_norm``
+        and stays finite. A start that meets the target is accepted: it is
+        returned itself, with zero iterations and its true residual; any other
+        start is corrected by ``_correct``. The solution goes back to the
+        strategy with that decision (``observe(y, accepted)``), the one place
+        it is made, and its iteration count to the family's log.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class, so an
         InconsistentRhsError stays one.
@@ -333,7 +337,7 @@ class SchurOperator:
                 r0_squares = float(r0.dot(r0))
             rhs_norm = (math.sqrt(squares) if math.isfinite(squares)
                         else _scaled_norm(rhs))
-            target = _stopping_target(self.config.pcg, rhs_norm)
+            target = self.config.tol * rhs_norm
             r0_norm = (math.sqrt(r0_squares) if math.isfinite(r0_squares)
                        else _scaled_norm(r0))
             accepted = r0_norm <= target
@@ -374,8 +378,8 @@ class SchurOperator:
         relative to that right-hand side, not to r0.
         """
         # the smallest positive rel_tol leaves target the whole rule
-        absolute = replace(self.config.pcg, rel_tol=math.ulp(0.0),
-                           abs_tol=target)
+        absolute = PcgConfig(rel_tol=math.ulp(0.0), abs_tol=target,
+                             max_iter=PCG_MAX_ITER)
         try:
             d, report = pcg_solve(self._kn_apply, r0, config=absolute,
                                   preconditioner=self._precond)
@@ -440,7 +444,7 @@ def _ritz(q: np.ndarray, aq: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
-                 pcg: PcgConfig = ExplicitConfig.pcg, cfl_steps: int = 60,
+                 tol: float = ExplicitConfig.tol, cfl_steps: int = 60,
                  cfl_tol: float = 1e-3, seed: int = 42) -> CflEstimate:
     """Estimate lambda_max(M_c^{-1} K_S) by Lanczos with a residual certificate.
 
@@ -449,10 +453,10 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
     runs on A from a pseudo-random start vector drawn with *seed*, written
     as Rayleigh-Ritz on a growing orthonormal basis whose next direction is
     the top Ritz residual (in exact arithmetic the Lanczos vector). Each step
-    costs one inner K_n solve, PCG with *pcg* from zero. It stops when the
-    explicit Ritz residual is at most ``cfl_tol * theta``, after
-    ``cfl_steps`` steps, or when the basis spans an invariant subspace (the
-    whole space at the latest), where theta is exact and the residual is 0.
+    costs one inner K_n solve, PCG to the relative tolerance *tol* from zero.
+    It stops when the explicit Ritz residual is at most ``cfl_tol * theta``,
+    after ``cfl_steps`` steps, or when the basis spans an invariant subspace
+    (the whole space at the latest), where theta is exact, its residual 0.
     On the 8-cell builtin model at a_c = 0 the top two eigenvalues are
     83,517 and 83,535, and 20 steps meet the default tolerance 1e-3.
 
@@ -467,13 +471,16 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
 
     A theta above ``stability_bound`` is impossible, since K_cn K_n^+ K_cn^T
     is positive semidefinite: it raises StepFailureError, as a broken inner
-    solve. ``cfl_steps`` must be an integer of at least 1 and ``cfl_tol``
-    finite and nonnegative; a bad one raises ValueError naming it first,
-    before any solve.
+    solve. ``tol`` must be finite and positive, ``cfl_steps`` an integer of
+    at least 1 and ``cfl_tol`` finite and nonnegative; a bad one raises
+    ValueError naming it first, before any solve.
     """
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be finite and positive")
     _check_count("cfl_steps", cfl_steps, 1)
     if not (0.0 <= cfl_tol < math.inf):
         raise ValueError("cfl_tol must be finite and nonnegative")
+    pcg = PcgConfig(rel_tol=tol, max_iter=PCG_MAX_ITER)
     n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
     scale = np.sqrt(1.0 / system.mc.diagonal())
@@ -522,7 +529,7 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
         raise StepFailureError(f"spectral estimate is not positive: {theta}")
     # rounding, and the inner solves' tolerance, may lift an exact theta
     # just above the ceiling
-    if theta > ceiling * (1.0 + max(pcg.rel_tol, 1e-8)):
+    if theta > ceiling * (1.0 + max(tol, 1e-8)):
         raise StepFailureError(
             f"spectral estimate: Ritz value {theta:.6e} exceeds the "
             f"stability bound {ceiling:.6e} of M_c^-1/2 K_c M_c^-1/2, so an "
@@ -536,15 +543,15 @@ class _ResidualScreen:
     dimension n_c, with no operation of the nonconducting dimension n_n.
 
     ``solve_kn`` accepts the start x0 = W W^T b of a family's cache, with
-    (W, A W) its ``projection``, when ||b - A W W^T b|| <= rel_tol ||b||,
+    (W, A W) its ``projection``, when ||b - A W W^T b|| <= tol ||b||,
     and the rate then needs only K_cn x0. Per basis version (the identity
     of ``projection``, a new pair at every accepted column or eviction)
     the screen keeps small arrays:
 
     * source, b = w(t) p from a ``ScaledPatternSource``: c_p = W^T p,
       rho_p = ||p - A W c_p||, ||p|| and K_cn W c_p. The start's residual
-      is |w| rho_p against the target rel_tol |w| ||p||, so one comparison,
-      rho_p plus a rounding slack against rel_tol ||p||, decides every
+      is |w| rho_p against the target tol |w| ||p||, so one comparison,
+      rho_p plus a rounding slack against tol ||p||, decides every
       source solve of the version, and K_cn y_src = w K_cn W c_p.
     * coupling, b = K_cn^T a_c: KW = K_cn W, KAW = K_cn A W and
       G = (A W)^T A W, with S = K_cn K_cn^T built at the first use. KAW
@@ -565,9 +572,8 @@ class _ResidualScreen:
     err = 4 eps sqrt(k + 1) (|first| + 2 |second| + |third|) bounds with
     the probabilistic sqrt(k) growth (Buhr, Engwer, Ohlberger & Rave,
     WCCM 2014, on such residual estimators). So a coupling start is
-    accepted only when est + err <= rel_tol^2 (first - err), a test of
-    Python floats. The target is rel_tol ||b|| whatever ``pcg.abs_tol``,
-    which can only raise it.
+    accepted only when est + err <= tol^2 (first - err), a test of
+    Python floats.
 
     A call returns K_cn (y_cpl - y_src) when both starts pass, and logs a
     zero-iteration solve per family and nothing else: ``solve_kn`` hands an
@@ -577,7 +583,7 @@ class _ResidualScreen:
     in ``op.solver_seconds``. A miss also counts in ``op.screen_misses`` by
     its cause (``SCREEN_MISSES``): a zero or non-finite w(t) (``waveform``),
     a source start that misses (``source``), a coupling estimate that shows
-    a miss, est - err > rel_tol^2 (first + err) (``rejected``), a non-finite
+    a miss, est - err > tol^2 (first + err) (``rejected``), a non-finite
     one (``nonfinite``), and any other (``inconclusive``). ``recover`` adds
     the field a_n = y_src - y_cpl = w W_src c_p - W_cpl c of an accepted
     pair, from the call's own coefficients and one product of the
@@ -592,7 +598,7 @@ class _ResidualScreen:
         self._source = op.strategies[RhsFamily.SOURCE_CURRENT]
         self._coupling = op.strategies[RhsFamily.COUPLING_FROM_PREVIOUS_STATE]
         self._logs = tuple(op.solve_iterations[f] for f in FAMILIES)
-        self._rel_tol = op.config.pcg.rel_tol
+        self._tol = op.config.tol
         self._shape = (op.system.n_c,)
         # y += S x by the CSR kernel, S bound at the first use
         self._s_apply = None
@@ -611,16 +617,16 @@ class _ResidualScreen:
     @staticmethod
     def applies(op: SchurOperator) -> bool:
         """Whether the screen can accept a start of *op*: both families are
-        CSPE, the source is separable, and rel_tol^2 is at least twice the
+        CSPE, the source is separable, and tol^2 is at least twice the
         rounding floor of est at a full basis of k columns,
         16 eps sqrt(k + 1) ||b||^2 (each term of err is about ||b||^2 at an
-        accepted start). At the default rel_tol of 1e-8 it is not."""
+        accepted start). At the default tol of 1e-8 it is not."""
         caches = [op.strategies[f] for f in FAMILIES]
         if not (all(isinstance(c, SubspaceCache) for c in caches)
                 and isinstance(op.system.source, ScaledPatternSource)):
             return False
         cols = max(c.max_cols for c in caches)
-        return 32.0 * EPS * math.sqrt(cols + 1) <= op.config.pcg.rel_tol ** 2
+        return 32.0 * EPS * math.sqrt(cols + 1) <= op.config.tol ** 2
 
     def __call__(self, a_c, t: float) -> np.ndarray | None:
         started = time.perf_counter()
@@ -660,13 +666,13 @@ class _ResidualScreen:
                                        + abs(third))
                     # false for a NaN from an overflow, as for a miss
                     if 0.0 < first and est + err <= (
-                            self._rel_tol ** 2 * (first - err)):
+                            self._tol ** 2 * (first - err)):
                         # K_cn W c - w K_cn W_src c_p
                         force = self._force_block.dot(y[k:])
                         self._coefficients = (w, c)
                     elif not math.isfinite(est + err):
                         miss = "nonfinite"
-                    elif est - err > self._rel_tol ** 2 * (first + err):
+                    elif est - err > self._tol ** 2 * (first + err):
                         miss = "rejected"
                     else:
                         miss = "inconclusive"
@@ -714,7 +720,7 @@ class _ResidualScreen:
         slack = 4.0 * EPS * math.sqrt(c.size + 1) * (
             p_norm + np.linalg.norm(np.abs(aw).dot(np.abs(c))))
         hit = 0.0 < p_norm and math.sqrt(r.dot(r)) + slack <= (
-            self._rel_tol * p_norm)
+            self._tol * p_norm)
         self._source_solution = w.dot(c) if hit else None
         self._source_force = (_matvec(self._kcn, self._source_solution)
                               if hit else None)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from mqsolve import (CsrMatrix, Excitation, GridSpec, PartitionedSystem,
-                     ScaledPatternSource, assemble, builtin_model,
+                     PcgConfig, ScaledPatternSource, assemble, builtin_model,
                      default_steel, exponential_ramp, pcg_solve)
 from mqsolve.model import CONDUCTOR
 from mqsolve.sparse import spmv, spmv_transpose
@@ -74,12 +74,12 @@ def detached_schur(op, x, state):
     """K_S(state) x with one detached inner solve: (K_S x, K_n^+ K_cn^T x).
 
     K_c enters as ``kc_matrix(state)``; the inner solve is plain CG to the
-    tolerances of ``op.config.pcg`` from zero, so on a singular K_n it
+    relative tolerance ``op.config.tol`` from zero, so on a singular K_n it
     returns the minimum-norm solution, and leaves no history in ``op``.
     """
     system = op.system
     y, _ = pcg_solve(system.kn, spmv_transpose(system.kcn, x),
-                     config=op.config.pcg)
+                     config=PcgConfig(rel_tol=op.config.tol))
     return system.kc_matrix(state) @ x - spmv(system.kcn, y), y
 
 

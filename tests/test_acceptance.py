@@ -19,7 +19,7 @@ from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
                      run_explicit, spmv)
 from mqsolve.bench import RunConfig, run_single
 
-TIGHT = PcgConfig(rel_tol=1e-10, max_iter=20000)
+TIGHT = 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +156,8 @@ def test_criterion_3_galerkin_exactness_trials(rng):
 def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
     system = builtin6_linear.system
     op = SchurOperator(system, ExplicitConfig(
-        pcg=TIGHT, strategy=StrategyConfig("previous")))
-    estimate = estimate_cfl(system, pcg=TIGHT)
+        tol=TIGHT, strategy=StrategyConfig("previous")))
+    estimate = estimate_cfl(system, tol=TIGHT)
 
     # dense reference for the eliminated operator, column by column
     n_c = system.n_c
@@ -175,10 +175,10 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
           f"({n_c} dofs): rel diff {rel:.2e} (<= 2e-2)")
     assert rel <= 0.02
 
-    solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
+    tol = 1e-8
     dt_stable = 0.95 * 2.0 / estimate.lambda_max
     op_stable = SchurOperator(system, ExplicitConfig(
-        pcg=solve, strategy=StrategyConfig("cspe")))
+        tol=tol, strategy=StrategyConfig("cspe")))
     a_c = np.zeros(n_c)
     t = 0.0
     max_norm = 0.0
@@ -196,7 +196,7 @@ def test_criterion_4_cfl_dichotomy(builtin6_linear, schur_action):
 
     dt_unstable = 2.5 * 2.0 / estimate.lambda_max
     op_unstable = SchurOperator(system, ExplicitConfig(
-        pcg=solve, strategy=StrategyConfig("previous")))
+        tol=tol, strategy=StrategyConfig("previous")))
     a_c = np.zeros(n_c)
     t = 0.0
     norms = []
@@ -257,8 +257,8 @@ def test_criterion_6_cspe_cost_invariant(benchmark_runs, builtin6,
     strategies = {family: make_strategy(StrategyConfig("cspe"), system.n_n,
                                         operator=counter)
                   for family in FAMILIES}
-    solve = PcgConfig(rel_tol=1e-8, max_iter=5000)
-    op = SchurOperator(system, ExplicitConfig(pcg=solve), strategies)
+    tol = 1e-8
+    op = SchurOperator(system, ExplicitConfig(tol=tol), strategies)
     a_c = np.zeros(system.n_c)
     t = 0.0
 
@@ -306,7 +306,7 @@ def test_criterion_7_order_of_accuracy(make_linear_system, rng, corner_toy):
     for dt in (0.02, 0.01, 0.005):
         result = run_explicit(system, dt=dt, t_end=t_end,
                               config=ExplicitConfig(
-                                  pcg=TIGHT,
+                                  tol=TIGHT,
                                   strategy=StrategyConfig("previous")),
                               output_period=t_end)
         errors.append(np.linalg.norm(result.final_a_c - exact))

@@ -9,7 +9,7 @@ import pytest
 
 from mqsolve import (ExplicitConfig, NewtonConfig, TransientResult, bench,
                      builtin_model, cli, estimate_cfl, export_model,
-                     run_explicit, run_implicit)
+                     run_explicit, run_implicit, write_dense_vector)
 from mqsolve.bench import (TRACE_HEADER, ConfigError, RunConfig, load_model,
                            run_benchmark, run_single, trace_bytes,
                            write_trace)
@@ -91,8 +91,8 @@ def test_config_layering(tmp_path, monkeypatch):
     # coercion is exact: no truncation, no bool as a number and no number
     # as a string, from a file or an override
     for key, value in (("cells", 7.9), ("n_pod", 2.5), ("seed", 4.2),
-                       ("max_newton", True), ("tol", True), ("dt", True),
-                       ("dt", [1e-5]), ("strategy", 3), ("linear", 1)):
+                       ("tol", True), ("dt", True), ("dt", [1e-5]),
+                       ("strategy", 3), ("linear", 1)):
         config_file.write_text(json.dumps({key: value}))
         for sources in (dict(config_file=config_file),
                         dict(overrides={key: value})):
@@ -130,9 +130,11 @@ def test_config_rejects_the_power_iteration_keys(tmp_path, capsys, key):
 
 
 def test_config_rejects_the_derived_solver_keys(tmp_path, capsys):
-    # Jacobi is the one preconditioner and n_c the CSPE basis cap, so an
-    # old config file that sets either fails as any unknown key does
-    for key, value in (("preconditioner", "jacobi"), ("max_basis", 20)):
+    # Jacobi is the one preconditioner, n_c the CSPE basis cap and
+    # NewtonConfig() the implicit run's Newton settings, so an old config
+    # file that sets any of them fails as any unknown key does
+    for key, value in (("preconditioner", "jacobi"), ("max_basis", 20),
+                       ("newton_tol", 1e-12), ("max_newton", 1)):
         old_file = tmp_path / f"{key}.json"
         old_file.write_text(json.dumps({key: value}))
         assert cli_main(["run", "--cells", "6", "--config",
@@ -143,7 +145,7 @@ def test_config_rejects_the_derived_solver_keys(tmp_path, capsys):
 
 def test_cfl_settings_reach_the_estimate(builtin6):
     settings = RunConfig().explicit_config()
-    est = estimate_cfl(builtin6.system, pcg=settings.pcg, cfl_tol=1e-5,
+    est = estimate_cfl(builtin6.system, tol=settings.tol, cfl_tol=1e-5,
                        cfl_steps=40)
     assert est.residual <= 1e-5 * est.lambda_max
     assert 0 < est.power_iters <= 40
@@ -161,17 +163,15 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError, match=f"^{next(iter(fields))} "):
             RunConfig(**fields).validate()
     cases = [dict(integrator="leapfrog"), dict(strategy="banana"),
-             dict(tol=0.0), dict(newton_tol=0.0),
-             dict(eps_pod=0.0), dict(eps_pod=1.0), dict(n_pod=0),
-             dict(max_newton=0), dict(model=""), dict(safety=1.5),
+             dict(tol=0.0), dict(eps_pod=0.0), dict(eps_pod=1.0),
+             dict(n_pod=0), dict(model=""), dict(safety=1.5),
              dict(safety=0.0), dict(seed=-1), dict(reestimate_every=-5)]
     for fields in cases:
         with pytest.raises(ConfigError):
             RunConfig(**fields).validate()
-    # a tolerance must be finite, and its error names its config key
-    for key in ("tol", "newton_tol"):
-        with pytest.raises(ConfigError, match=f"^{key} "):
-            RunConfig(**{key: inf}).validate()
+    # the tolerance must be finite, and its error names its config key
+    with pytest.raises(ConfigError, match="^tol "):
+        RunConfig(tol=inf).validate()
     # 0 disables refreshes; a safety of exactly 1 keeps no margin
     RunConfig(reestimate_every=0, safety=1.0).validate()
 
@@ -180,10 +180,9 @@ def test_config_validation_errors():
     {"safety": 1.5}, {"seed": -1}, {"reestimate_every": -5},
     {"implicit_dt": float("nan")}, {"n_pod": 0}, {"eps_pod": 1.0},
     {"safety": 0.0}, {"eps_pod": 0.0}, {"tol": 0.0}, {"strategy": "banana"},
-    {"newton_tol": 0.0}, {"max_newton": 0}, {"output_period": 0.0},
-    {"t_end": float("nan")}, {"dt": float("nan")}, {"implicit_dt": 0.0},
-    {"tol": float("inf")}, {"newton_tol": float("inf")},
-    {"output_period": float("inf")}])
+    {"output_period": 0.0}, {"t_end": float("nan")}, {"dt": float("nan")},
+    {"implicit_dt": 0.0}, {"tol": float("inf")},
+    {"output_period": float("inf")}, {"tol": float("nan")}])
 def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys,
                                                  monkeypatch, setting):
     # the check runs before any model is built
@@ -203,10 +202,9 @@ def test_cli_rejects_an_out_of_range_run_setting(tmp_path, capsys,
 def test_run_config_defaults_are_the_library_settings():
     # only the inner solve tolerance differs, on purpose
     library = ExplicitConfig()
-    assert (RunConfig.tol, library.pcg.rel_tol) == (1e-6, 1e-8)
+    assert (RunConfig.tol, library.tol) == (1e-6, 1e-8)
     assert RunConfig().explicit_config() == dataclasses.replace(
-        library, pcg=dataclasses.replace(library.pcg, rel_tol=RunConfig.tol))
-    assert RunConfig().newton_config() == NewtonConfig()
+        library, tol=RunConfig.tol)
     # the output period of both integrators and the builtin model's
     # parameters
     config = RunConfig()
@@ -222,16 +220,12 @@ def test_run_config_defaults_are_the_library_settings():
 
 
 def test_config_solver_mappings():
-    config = RunConfig(tol=1e-5, newton_tol=1e-9, max_newton=7)
-    pcg = config.explicit_config().pcg
-    assert pcg.rel_tol == 1e-5
-    newton = config.newton_config()
-    assert newton.tol == 1e-9
-    assert newton.max_newton == 7
+    config = RunConfig(tol=1e-5)
+    assert config.explicit_config().tol == 1e-5
     # the Newton settings are these two; each update's PCG solve stops at
     # a fraction of the Newton target, not at a setting of its own
-    assert [f.name for f in dataclasses.fields(newton)] == ["tol",
-                                                            "max_newton"]
+    assert [f.name for f in dataclasses.fields(NewtonConfig)] == [
+        "tol", "max_newton"]
 
 
 def test_load_model_roundtrip_builtin(builtin6, tmp_path):
@@ -554,13 +548,21 @@ def test_cli_run_unstable_dt_exits_numerical(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_run_implicit_newton_failure_exits_numerical(tmp_path, capsys):
-    config_file = tmp_path / "run.json"
-    # at step 1 one Newton iteration cannot reduce the residual by 1e-12
-    config_file.write_text(json.dumps({"max_newton": 1, "newton_tol": 1e-12}))
+def test_cli_run_implicit_newton_failure_exits_numerical(builtin6, tmp_path,
+                                                        capsys):
+    # a frozen-linear model whose source drives one nonconducting edge: a
+    # current with nonzero divergence, so the step's right-hand side is
+    # inconsistent and its first Newton update cannot be solved
+    manifest_path = export_model(builtin6, tmp_path / "model")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["builtin"]
+    manifest_path.write_text(json.dumps(manifest))
+    pattern = np.zeros(builtin6.n_n)
+    pattern[0] = 1.0
+    write_dense_vector(manifest_path.parent / "source_pattern.mtx", pattern)
     trace = tmp_path / "t.csv"
-    code = cli_main(["run", "--integrator", "implicit", "--cells", "6",
-                     "--t-end", "2e-3", "--config", str(config_file),
+    code = cli_main(["run", "--integrator", "implicit", "--model",
+                     str(manifest_path), "--t-end", "2e-3",
                      "--out", str(trace)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()

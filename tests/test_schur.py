@@ -24,7 +24,7 @@ from mqsolve import (FAMILIES, CsrMatrix, ExplicitConfig, NewtonConfig,
 from mqsolve.schur import TraceRecorder
 from mqsolve.sparse import spmv, spmv_transpose
 
-TIGHT = PcgConfig(rel_tol=1e-12, max_iter=2000)
+TIGHT = 1e-12
 SRC = RhsFamily.SOURCE_CURRENT
 PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
 STRATEGIES = ("previous", "cspe", "pod")
@@ -86,7 +86,7 @@ def test_validate_flags_asymmetric_block(rng, make_linear_system):
 def test_apply_matches_dense_schur_nonsingular(rng, make_linear_system,
                                                 schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     x = rng.standard_normal(4)
     out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -99,7 +99,7 @@ def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
     decoupled = PartitionedSystem.linear(
         mc=system.mc, kcn=CsrMatrix.from_dense(np.zeros((3, 5))),
         kn=system.kn, kc=system.kc_matrix(None), source=system.source)
-    op = SchurOperator(decoupled, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(decoupled, explicit("previous", tol=TIGHT))
     x = rng.standard_normal(3)
     counted = count_products_by_cause(monkeypatch)
     out, inner = schur_action(op, x, x)
@@ -114,7 +114,7 @@ def test_apply_without_coupling_is_conducting_block(rng, make_linear_system,
 def test_apply_matches_dense_schur_singular(rng, make_linear_system,
                                             schur_action):
     system, blocks = make_linear_system(rng, n_c=4, n_n=7, singular=True)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     x = rng.standard_normal(4)
     out, inner = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -137,7 +137,7 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
                                             seed, n_c, n_n):
     rng = np.random.default_rng(seed)
     system, blocks = make_linear_system(rng, n_c=n_c, n_n=n_n, singular=True)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     x = rng.standard_normal(n_c)
     out, _ = schur_action(op, x, x)
     expected = dense_schur(blocks) @ x
@@ -150,12 +150,13 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
 
 def test_schur_operator_preconditions_with_jacobi_under_any_pcg_config(
         builtin6):
-    # a PcgConfig sets tolerances only: one built for a run keeps Jacobi
+    # a run sets the inner solves' tolerance only: at any tol it keeps
+    # Jacobi
     system = builtin6.system
     rhs = system.source(1e-3)
     config = PcgConfig(rel_tol=1e-6)
-    y, _ = SchurOperator(system, ExplicitConfig(pcg=config)).solve_kn(rhs,
-                                                                      SRC)
+    y, _ = SchurOperator(system, ExplicitConfig(
+        tol=config.rel_tol)).solve_kn(rhs, SRC)
     # the strategy's first start vector is zero
     x0 = np.zeros(system.n_n)
     jacobi, _ = pcg_solve(system.kn, rhs, x0=x0, config=config,
@@ -206,21 +207,22 @@ def test_non_finite_source_names_the_step_and_family(builtin6, strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_stalled_inner_solve_names_the_step_and_family(builtin6, strategy):
+def test_a_stalled_inner_solve_names_the_step_and_family(builtin6, strategy,
+                                                        monkeypatch):
     # cspe solves from its cached residual, previous and pod by PCG from
     # their start vector; the t = 0 row's solves, which step 1 takes, have
     # zero right-hand sides, so step 2 makes the first real solve
-    one_iteration = PcgConfig(max_iter=1)
+    monkeypatch.setattr(schur, "PCG_MAX_ITER", 1)
     with pytest.raises(StepFailureError,
                        match=r"^inner solve \(source\) at step 2 stalled at "
                              r"relative residual \S+ after 1 iterations$"):
         run_explicit(builtin6.system, t_end=1e-4, dt=1e-5,
-                     config=explicit(strategy, pcg=one_iteration))
+                     config=explicit(strategy))
 
 
 def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     dt = 1e-3
     log = op.solve_iterations
     # a step without a force solves both families once
@@ -235,7 +237,7 @@ def test_step_and_recovery_solve_accounting(rng, make_linear_system):
     a2 = explicit_euler_step((a1, dt), dt, op, force=force)
     assert [len(log[SRC]), len(log[PREV])] == [2, 2]
     # it is the pair the step would have solved itself
-    again = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    again = SchurOperator(system, explicit("previous", tol=TIGHT))
     b1 = explicit_euler_step((np.zeros(3), 0.0), dt, again)
     b2 = explicit_euler_step((b1, dt), dt, again)
     assert np.array_equal(a2, b2)
@@ -246,7 +248,7 @@ def test_run_solves_each_family_once_per_step_and_once_more(
         rng, make_linear_system, strategy):
     system, _ = make_linear_system(rng, n_c=3, n_n=6)
     result = run_explicit(system, t_end=1e-2, dt=1e-3,
-                          config=explicit(strategy, pcg=TIGHT),
+                          config=explicit(strategy, tol=TIGHT),
                           output_period=2e-3)
     n = result.aggregates["steps"]
     assert (n, result.n_rows) == (10, 6)
@@ -285,9 +287,8 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
     system, blocks = make_linear_system(rng, n_c=4, n_n=8, singular=True)
     tol = 1e-10
     t_end = 1.2e-2
-    pcg = PcgConfig(rel_tol=tol, max_iter=2000)
     result = run_explicit(system, t_end=t_end, dt=1e-3,
-                          config=explicit(strategy, pcg=pcg),
+                          config=explicit(strategy, tol=tol),
                           output_period=5e-3)
     a_c, a_n = result.final_a_c, result.final_a_n
     coupling = blocks["kcn"].T @ a_c
@@ -300,7 +301,7 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
 
 def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=3, n_n=6)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     a_c = rng.standard_normal(3)
     t = 0.2
     a_n, _ = recover_an(op, a_c, t)
@@ -311,7 +312,7 @@ def test_recovered_state_solves_algebraic_row(rng, make_linear_system):
 
 def test_explicit_step_matches_dense_rate(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=4, n_n=6)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     a0 = rng.standard_normal(4) * 0.1
     # explicit Euler takes the rate f(t, a0) at the step's start; t > 0, so
     # j(t) is not zero and differs from j(t + dt) by far more than rel_tol
@@ -363,7 +364,7 @@ def test_the_step_and_the_recovery_share_one_rate(builtin6, strategy):
 
 def test_zero_dt_step_is_identity(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     a0 = rng.standard_normal(3)
     a1 = explicit_euler_step((a0, 0.0), 0.0, op)
     assert np.array_equal(a1, a0)
@@ -380,7 +381,7 @@ def test_nonfinite_state_raises_named_step(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([10.0, 10.0])),
         source=system.source)
-    op = SchurOperator(decoupled, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(decoupled, explicit("previous", tol=TIGHT))
     huge = np.full(2, 1e300)
     with pytest.raises(StepFailureError, match="7"):
         explicit_euler_step((huge, 0.0), 1e9, op, step_index=7)
@@ -393,7 +394,7 @@ def test_a_finite_state_whose_sum_of_squares_overflows_steps(
     # A given force keeps the state out of the solves, whose right-hand
     # side would overflow its own sum of squares.
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     big = np.full(system.n_c, 1e200)
     zeros = np.zeros(system.n_c)
     with warnings.catch_warnings():
@@ -408,7 +409,7 @@ def test_a_finite_state_whose_sum_of_squares_overflows_steps(
 
 def test_a_nan_state_raises_named_step(rng, make_linear_system):
     system, _ = make_linear_system(rng)
-    op = SchurOperator(system, explicit("previous", pcg=TIGHT))
+    op = SchurOperator(system, explicit("previous", tol=TIGHT))
     poisoned = np.array([0.1, np.nan, 0.2])
     # a given force skips the only solve that sees the state, so the
     # state's own test raises
@@ -505,7 +506,7 @@ def test_zero_source_zero_state_stays_zero(rng, make_linear_system):
         kc=system.kc_matrix(None),
         source=ScaledPatternSource(np.zeros(5), exponential_ramp(0.5)))
     result = run_explicit(quiet, t_end=1e-2, dt=1e-3,
-                          config=explicit("previous", pcg=TIGHT))
+                          config=explicit("previous", tol=TIGHT))
     assert np.array_equal(result.final_a_c, np.zeros(3))
     assert np.array_equal(result.final_a_n, np.zeros(5))
     assert result.aggregates["iterations"] == {
@@ -519,8 +520,8 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
         kcn=CsrMatrix.from_dense(np.zeros((2, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0])),
         source=system.source)
-    settings = explicit("previous", pcg=TIGHT)
-    lanczos = dict(pcg=TIGHT, cfl_tol=1e-10, cfl_steps=500)
+    settings = explicit("previous", tol=TIGHT)
+    lanczos = dict(tol=TIGHT, cfl_tol=1e-10, cfl_steps=500)
     est = estimate_cfl(decoupled, **lanczos)
     assert est.lambda_max == pytest.approx(4.0, rel=1e-6)
     # without coupling the bound is the eigenvalue itself
@@ -542,7 +543,7 @@ def test_cfl_diagonal_examples(rng, make_linear_system):
 
 def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
     system, blocks = make_linear_system(rng, n_c=6, n_n=9, singular=True)
-    est = estimate_cfl(system, pcg=TIGHT, cfl_tol=1e-10, cfl_steps=2000)
+    est = estimate_cfl(system, tol=TIGHT, cfl_tol=1e-10, cfl_steps=2000)
     ks = dense_schur(blocks)
     lam = scipy.linalg.eigh(ks, np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
@@ -553,14 +554,14 @@ def test_cfl_matches_dense_generalized_eigenvalue(rng, make_linear_system):
 def test_cfl_validation(builtin6, monkeypatch):
     # the message starts with the field's name, which RunConfig maps to its
     # own key
-    for field, value in (("safety", 0.0), ("safety", 1.5),
+    for field, value in (("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+                         ("safety", 0.0), ("safety", 1.5),
                          ("reestimate_every", -3),
                          ("reestimate_every", 2.5),
                          ("reestimate_every", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
             ExplicitConfig(**{field: value})
-    # the inner solves' tolerances must be finite too, and the counts
-    # integers
+    # pcg_solve's tolerances must be finite too, and the counts integers
     for field, value in (("rel_tol", np.inf), ("rel_tol", np.nan),
                          ("abs_tol", np.inf), ("abs_tol", np.nan),
                          ("max_iter", 10.5), ("max_iter", 0),
@@ -573,13 +574,14 @@ def test_cfl_validation(builtin6, monkeypatch):
     # an integer of another type is a count
     assert ExplicitConfig(reestimate_every=np.int64(3)).reestimate_every == 3
 
-    # the Lanczos estimate checks its budget and tolerance before its first
+    # the Lanczos estimate checks its budget and tolerances before its first
     # inner solve
     def no_solve(*args, **kwargs):
         raise AssertionError("estimate_cfl solved before checking")
 
     monkeypatch.setattr(schur, "pcg_solve", no_solve)
-    for field, value in (("cfl_steps", 0), ("cfl_steps", -1),
+    for field, value in (("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
+                         ("cfl_steps", 0), ("cfl_steps", -1),
                          ("cfl_steps", 2.5), ("cfl_steps", True),
                          ("cfl_tol", -1.0), ("cfl_tol", np.nan),
                          ("cfl_tol", np.inf)):
@@ -595,7 +597,7 @@ def test_cfl_invariant_subspace_stops_with_the_exact_value(rng,
         mc=CsrMatrix.identity(5),
         kcn=CsrMatrix.from_dense(np.zeros((5, 4))), kn=system.kn,
         kc=CsrMatrix.from_diagonal(np.array([1.0, 4.0, 1.0, 4.0, 1.0])),
-        source=system.source), pcg=TIGHT, cfl_tol=0.0)
+        source=system.source), tol=TIGHT, cfl_tol=0.0)
     assert est.power_iters == 2
     assert est.residual == 0.0
     assert est.lambda_max == pytest.approx(4.0, rel=1e-12)
@@ -615,7 +617,7 @@ def dense_lambda_max(op, a_c, schur_action):
 def saturated_state(system):
     """A Schur operator and the state after 300 auto steps from rest, far
     enough for the conductor to saturate."""
-    settings = explicit("cspe", pcg=PcgConfig(rel_tol=1e-10, max_iter=20000))
+    settings = explicit("cspe", tol=1e-10)
     op = SchurOperator(system, settings)
     dt = settings.stable_step(schur.stability_bound(system))
     a_c = np.zeros(system.n_c)
@@ -644,7 +646,7 @@ def test_a_capped_lanczos_estimate_stays_below_the_dense_value(
     lam = dense_lambda_max(op, a_c, schur_action)
     # Lanczos capped at five steps misses its tolerance: its Ritz value is
     # below lam, and theta + residual need not bound it
-    est = estimate_cfl(system, a_c_ref=a_c, pcg=op.config.pcg, cfl_steps=5)
+    est = estimate_cfl(system, a_c_ref=a_c, tol=op.config.tol, cfl_steps=5)
     assert est.power_iters == 5
     assert est.residual > 1e-3 * est.lambda_max
     assert est.lambda_max <= lam * (1.0 + 1e-8)
@@ -731,7 +733,7 @@ def test_ritz_value_stays_below_the_dense_eigenvalue(make_linear_system, seed,
                                                      cfl_steps):
     system, blocks = make_linear_system(np.random.default_rng(seed), n_c=n_c,
                                         n_n=n_n, singular=singular)
-    lanczos = dict(pcg=TIGHT, cfl_steps=cfl_steps, cfl_tol=1e-6, seed=seed)
+    lanczos = dict(tol=TIGHT, cfl_steps=cfl_steps, cfl_tol=1e-6, seed=seed)
     est = estimate_cfl(system, **lanczos)
     lam = scipy.linalg.eigh(dense_schur(blocks), np.diag(blocks["mc_diag"]),
                             eigvals_only=True)[-1]
@@ -750,7 +752,7 @@ def test_final_state_is_strategy_independent(rng, make_linear_system):
     finals = {}
     for strategy in ("previous", "cspe", "pod"):
         result = run_explicit(system, t_end=1.2e-2, dt=1e-3,
-                              config=explicit(strategy, pcg=TIGHT))
+                              config=explicit(strategy, tol=TIGHT))
         finals[strategy] = result.final_a_c
     scale = np.linalg.norm(finals["previous"])
     for strategy in ("cspe", "pod"):
@@ -762,7 +764,7 @@ def test_run_explicit_rows_and_validation(rng, make_linear_system,
                                           monkeypatch):
     system, _ = make_linear_system(rng)
     result = run_explicit(system, t_end=1e-2, dt=1e-3,
-                          config=explicit("previous", pcg=TIGHT),
+                          config=explicit("previous", tol=TIGHT),
                           output_period=2e-3)
     assert result.times[0] == 0.0
     assert result.times[-1] == pytest.approx(1e-2, rel=1e-12)
@@ -789,7 +791,7 @@ def test_run_explicit_step_budget(rng, make_linear_system, monkeypatch):
     monkeypatch.setattr(schur, "MAX_STEPS", 10)
     with pytest.raises(StepFailureError, match=r"step budget exceeded \(10\)"):
         run_explicit(system, t_end=1.0, dt=1e-6, config=explicit(
-            "previous", pcg=TIGHT))
+            "previous", tol=TIGHT))
 
 
 def count_products_by_cause(monkeypatch):
@@ -904,7 +906,8 @@ def kn_solver(kn_dense, config, operator=None, drop_tol=None):
         StrategyConfig("cspe"), n, operator or kn_dense.__matmul__,
         drop_tol=config.rel_tol if drop_tol is None else drop_tol)
         for f in FAMILIES}
-    return SchurOperator(system, ExplicitConfig(pcg=config), strategies)
+    return SchurOperator(system, ExplicitConfig(tol=config.rel_tol),
+                         strategies)
 
 
 def singular_spd(rng, n, deficit):
@@ -1157,7 +1160,7 @@ def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
     # matrix from a snapshot of that size.
     system = builtin6.system
     op = SchurOperator(system, explicit(strategy))
-    rel_tol = op.config.pcg.rel_tol
+    rel_tol = op.config.tol
     pattern = system.source.pattern
     for step, (factor, scale) in enumerate([(1.0, 0), (1.0, 532),
                                             (1.5, 532)], start=1):
@@ -1260,21 +1263,21 @@ def test_trace_recorder_rows_and_windows(t_end, period_frac, dt_frac):
         default=1.0)
 
 
-SCREENED = PcgConfig(rel_tol=1e-6)
+SCREENED = 1e-6
 
 
 def test_the_screen_runs_only_where_it_can_accept(builtin6):
     system = builtin6.system
-    # at the default rel_tol 1e-8, rel_tol^2 is below the rounding floor
+    # at the default tol 1e-8, tol^2 is below the rounding floor
     # of the coupling estimate
     assert SchurOperator(system).screen is None
-    assert SchurOperator(system, explicit("cspe", pcg=SCREENED)).screen
+    assert SchurOperator(system, explicit("cspe", tol=SCREENED)).screen
     for kind in ("previous", "pod"):
-        assert SchurOperator(system, explicit(kind, pcg=SCREENED)).screen \
+        assert SchurOperator(system, explicit(kind, tol=SCREENED)).screen \
             is None
     # a source that is not a ScaledPatternSource
     general = dataclasses.replace(system, source=system.source.__call__)
-    assert SchurOperator(general, explicit("cspe", pcg=SCREENED)).screen \
+    assert SchurOperator(general, explicit("cspe", tol=SCREENED)).screen \
         is None
 
 
@@ -1284,7 +1287,7 @@ def forced_full_path(monkeypatch):
 
 
 def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
-    config = explicit("cspe", pcg=SCREENED)
+    config = explicit("cspe", tol=SCREENED)
     screened = run_explicit(builtin6.system, t_end=0.12, config=config)
     forced_full_path(monkeypatch)
     full = run_explicit(builtin6.system, t_end=0.12, config=config)
@@ -1310,10 +1313,10 @@ def test_the_screen_keeps_the_full_path_trace(builtin6, monkeypatch):
             <= 1e-10 * np.linalg.norm(full.final_a_c))
 
 
-@pytest.mark.parametrize("pcg", [SCREENED, PcgConfig()],
+@pytest.mark.parametrize("tol", [SCREENED, ExplicitConfig.tol],
                          ids=["screen", "no_screen"])
 def test_a_cache_inserts_each_solution_pcg_corrected_once(builtin6,
-                                                          monkeypatch, pcg):
+                                                          monkeypatch, tol):
     # solve_kn tells observe whether it took the start: every solution
     # PCG corrected is inserted once, and no accepted start is
     inserts, solves, ops = [], [], []
@@ -1332,9 +1335,9 @@ def test_a_cache_inserts_each_solution_pcg_corrected_once(builtin6,
 
     monkeypatch.setattr(SubspaceCache, "insert", counted_insert)
     monkeypatch.setattr(SchurOperator, "solve_kn", logged_solve_kn)
-    run_explicit(builtin6.system, t_end=0.12, config=explicit("cspe", pcg=pcg))
+    run_explicit(builtin6.system, t_end=0.12, config=explicit("cspe", tol=tol))
     [op] = set(ops)
-    assert (op.screen is not None) == (pcg is SCREENED)
+    assert (op.screen is not None) == (tol == SCREENED)
     assert all(count == (iterations > 0) for iterations, count in solves)
     # solves of both kinds reach solve_kn, so a constant flag fails
     assert {iterations > 0 for iterations, _ in solves} == {False, True}
@@ -1347,7 +1350,7 @@ def test_a_screened_row_hands_the_step_its_force(builtin6):
     # two operators with one history, stepped from rest to a state whose
     # pair the screen accepts
     system = builtin6.system
-    settings = explicit("cspe", pcg=SCREENED)
+    settings = explicit("cspe", tol=SCREENED)
     dt = settings.stable_step(schur.stability_bound(system))
     ops = [SchurOperator(system, settings) for _ in range(2)]
     for op in ops:
@@ -1369,7 +1372,7 @@ def test_a_screened_row_hands_the_step_its_force(builtin6):
     coupling = spmv_transpose(system.kcn, a_c)
     source = system.source(t)
     residual = coupling + spmv(system.kn, a_n) - source
-    assert np.linalg.norm(residual) <= 2 * SCREENED.rel_tol * (
+    assert np.linalg.norm(residual) <= 2 * SCREENED * (
         np.linalg.norm(coupling) + np.linalg.norm(source))
     # the handed force is the rate's own screened one, bit for bit, and
     # the step that takes it logs no solve
@@ -1395,7 +1398,7 @@ def test_the_cspe_count_does_not_depend_on_rounding(builtin6, monkeypatch,
     source = system.source
     perturbed = dataclasses.replace(system, source=ScaledPatternSource(
         source.pattern, lambda t: (1.0 + 1e-12) * source.waveform(t)))
-    config = explicit("cspe", pcg=SCREENED)
+    config = explicit("cspe", tol=SCREENED)
     counts = [run_explicit(s, t_end=0.12, config=config).aggregates
               ["kn_applies"] for s in (system, perturbed)]
     assert counts[0] == counts[1]
@@ -1414,7 +1417,7 @@ def test_a_screened_step_makes_few_python_calls(builtin6):
     full path of ``test_a_cached_step_makes_few_python_calls`` makes 27."""
     package = str(Path(schur.__file__).parent) + os.sep
     system = builtin6.system
-    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    op = SchurOperator(system, explicit("cspe", tol=SCREENED))
     dt = op.config.stable_step(schur.stability_bound(system))
     calls = 0
 
@@ -1464,12 +1467,12 @@ def fill_near_target(rng, n, kn, kcn, op, k, ratio, source_ratio):
     offset = rng.standard_normal(n)
     trial = make_strategy(StrategyConfig("cspe"), n, kn.__matmul__, n_c)
     trial.insert(np.linalg.solve(kn, pattern + 1e-3 * offset))
-    target = SCREENED.rel_tol * np.linalg.norm(pattern)
+    target = SCREENED * np.linalg.norm(pattern)
     sigma = 1e-3 * source_ratio * target / residual(trial, pattern)
     source.insert(np.linalg.solve(kn, pattern + sigma * offset))
     base = states @ rng.standard_normal(k)
     z = rng.standard_normal(n_c)
-    target = SCREENED.rel_tol * np.linalg.norm(kcn.T @ base)
+    target = SCREENED * np.linalg.norm(kcn.T @ base)
     tau = ratio * target / residual(op.strategies[PREV], kcn.T @ z)
     return base + tau * z
 
@@ -1495,7 +1498,7 @@ def test_the_screen_never_accepts_a_start_that_misses_the_target(
         kn=CsrMatrix.from_dense(kn), kc=CsrMatrix.identity(n_c),
         source=ScaledPatternSource(rng.standard_normal(n_n),
                                    lambda t: 1.0 + t))
-    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    op = SchurOperator(system, explicit("cspe", tol=SCREENED))
     assert op.screen is not None
     a_c = fill_near_target(rng, n_n, kn, kcn, op, k, ratio, source_ratio)
     t = float(rng.uniform(0.0, 1.0))
@@ -1505,7 +1508,7 @@ def test_the_screen_never_accepts_a_start_that_misses_the_target(
     for family, rhs in b.items():
         starts[family], _ = op.strategies[family].start_vector(rhs)
         misses.append(np.linalg.norm(rhs - kn @ starts[family])
-                      / (SCREENED.rel_tol * np.linalg.norm(rhs)))
+                      / (SCREENED * np.linalg.norm(rhs)))
     force = op.screen(a_c, t)
     if max(misses) > 1.0:
         assert force is None
@@ -1547,7 +1550,7 @@ def test_the_screens_arrays_follow_every_basis_version(rng):
     system, kn, kcn = dense_screened_system(rng, n_c, n_n)
     caches = {f: make_strategy(StrategyConfig("cspe"), n_n, kn.__matmul__, 2)
               for f in FAMILIES}
-    op = SchurOperator(system, explicit("cspe", pcg=SCREENED), caches)
+    op = SchurOperator(system, explicit("cspe", tol=SCREENED), caches)
     pattern = system.source.pattern
     t = 0.3
 
@@ -1592,7 +1595,7 @@ def test_a_start_within_ten_targets_is_a_near_miss(rng, ratio, near):
     # meets it makes no PCG solve, and one that misses by more than ten
     # times is no near miss
     system, kn, kcn = dense_screened_system(rng, 4, 12)
-    op = SchurOperator(system, explicit("cspe", pcg=SCREENED))
+    op = SchurOperator(system, explicit("cspe", tol=SCREENED))
     a_c = fill_near_target(rng, 12, kn, kcn, op, 2, ratio, 0.5)
     _, report = op.solve_kn(kcn.T @ a_c, PREV, step=1)
     assert (report.iterations > 0) == (ratio > 1.0)
@@ -1610,7 +1613,7 @@ def test_the_step_is_its_expression_and_writes_no_input(builtin6, strategy):
         return cached
 
     system = dataclasses.replace(builtin6.system, kc_apply=kc_apply)
-    op = SchurOperator(system, explicit(strategy, pcg=SCREENED))
+    op = SchurOperator(system, explicit(strategy, tol=SCREENED))
     dt = op.config.stable_step(schur.stability_bound(system))
     a_c, t = np.zeros(system.n_c), 0.0
     for step in range(1, 21):

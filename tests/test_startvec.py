@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqsolve import (ExplicitConfig, PcgConfig, PodStrategy,
-                     PreviousSolutionStrategy, RhsFamily, SchurOperator,
-                     StartVectorStrategy, StrategyConfig, SubspaceCache,
-                     make_strategy, pod_start_vector, run_explicit, schur)
+from mqsolve import (ExplicitConfig, PodStrategy, PreviousSolutionStrategy,
+                     RhsFamily, SchurOperator, StartVectorStrategy,
+                     StrategyConfig, SubspaceCache, make_strategy,
+                     pod_start_vector, run_explicit, schur)
 
 SRC = RhsFamily.SOURCE_CURRENT
 CPL_PREV = RhsFamily.COUPLING_FROM_PREVIOUS_STATE
@@ -295,9 +295,10 @@ def test_a_near_miss_of_the_last_start_is_dropped_by_the_sweep(rng,
     assert Swept.products > 0
 
 
-def test_an_eviction_forgets_the_last_start(rng, make_spd):
-    # the evicted column carries part of the last start, so a vector at
-    # that start is no longer within reach of the basis: the sweeps keep it
+def test_an_eviction_lets_the_sweep_keep_the_old_start(rng, make_spd):
+    # the cache keeps no record of its starts, only its basis: the evicted
+    # column carries part of an old start, so a vector at that start is no
+    # longer within reach of the basis, and the sweeps keep it
     dense = make_spd(rng, 6)
     cache = SubspaceCache(6, dense.__matmul__, 2, drop_tol=1e-8)
     for _ in range(2):
@@ -772,10 +773,10 @@ def test_class_hooks_see_every_start_and_insert(builtin6, kind, monkeypatch):
 
 
 def test_a_screened_pair_counts_as_two_solves(builtin6, monkeypatch):
-    # at rel_tol 1e-6 the residual screen accepts most pairs of starts
+    # at tol 1e-6 the residual screen accepts most pairs of starts
     # without a start_vector call; each still logs one solve per family
     starts, inserts, operators = hook_strategy_classes(monkeypatch)
-    config = ExplicitConfig(pcg=PcgConfig(rel_tol=1e-6))
+    config = ExplicitConfig(tol=1e-6)
     result = run_explicit(builtin6.system, t_end=2e-3, dt="auto",
                           config=config, output_period=5e-4)
     [op] = operators
