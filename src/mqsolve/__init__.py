@@ -7,7 +7,20 @@ nonconducting curl-curl matrix per explicit step. Subspace recycling
 (previous solution, cached-subspace extrapolation, proper orthogonal
 decomposition) supplies the inner start vectors; an implicit Euler/Newton
 integrator over the monolithic system serves as the reference.
+
+Importing the package pins BLAS and OpenMP to one thread unless the
+environment already sets a count: each variable below is set to "1" only
+where it is unset. BLAS reads it once, when numpy first loads, so the pin
+has no effect in a process that imported numpy before mqsolve.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from . import implicit, krylov, model, schur, sparse, startvec
 from .implicit import *  # noqa: F401,F403

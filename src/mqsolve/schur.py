@@ -49,7 +49,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
                      _relative, _scaled_norm, _squared, build_preconditioner,
@@ -425,7 +424,11 @@ def stability_bound(system: PartitionedSystem, a_c=None) -> float:
     """lambda_max(M_c^{-1/2} K_c(a_c) M_c^{-1/2}), an upper bound on
     lambda_max(M_c^{-1} K_S(a_c)) that needs no inner solve (see the module
     docstring), from one dense symmetric eigenvalue problem of order n_c.
-    *a_c* None is the zero state."""
+    *a_c* None is the zero state.
+
+    This is the package's only ``scipy.linalg`` call, so the module loads
+    here, at a process's first bound: an implicit run never loads it."""
+    import scipy.linalg
     n = system.n_c
     state = np.zeros(n) if a_c is None else as_vector(a_c, length=n)
     scale = 1.0 / np.sqrt(system.mc.diagonal())

@@ -32,7 +32,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
@@ -327,12 +326,14 @@ def write_matrix_market(path, a: CsrMatrix, symmetry: str = "general",
     path = Path(path)
     if path.suffix != ".mtx":
         raise ValueError("matrix market files must use the .mtx suffix")
+    import scipy.io
     scipy.io.mmwrite(str(path), a.to_scipy().tocoo(), comment=comment,
                      field="real", symmetry=symmetry)
 
 
 def read_matrix_market(path) -> CsrMatrix:
     """Read a real Matrix Market file; symmetric storage expands to full."""
+    import scipy.io
     m = scipy.io.mmread(str(path))
     if isinstance(m, np.ndarray):
         return CsrMatrix.from_dense(m)
@@ -345,10 +346,12 @@ def write_dense_vector(path, v) -> None:
     path = Path(path)
     if path.suffix != ".mtx":
         raise ValueError("matrix market files must use the .mtx suffix")
+    import scipy.io
     scipy.io.mmwrite(str(path), v.reshape(-1, 1), field="real")
 
 
 def read_dense_vector(path) -> np.ndarray:
+    import scipy.io
     m = scipy.io.mmread(str(path))
     if not isinstance(m, np.ndarray):
         m = m.toarray()

@@ -1,5 +1,7 @@
 """Shared fixtures: manufactured linear systems and small assembled models."""
 
+# first, so that its BLAS thread pin applies before numpy loads BLAS
+import mqsolve  # noqa: F401
 import numpy as np
 import pytest
 import scipy.linalg

@@ -18,7 +18,8 @@ from mqsolve import (CONDUCTOR, VACUUM_RELUCTIVITY, CsrMatrix, Excitation,
                      explicit_euler_step, export_model, gradient_incidence,
                      implicit_euler_step, pcg_solve, probe_b,
                      read_matrix_market, reluctivity)
-from mqsolve.model import (_b2, _face_weights, _fold_jacobian_maps,
+from mqsolve.model import (_b2, _check_conductor_region, _face_components,
+                           _face_weights, _fold_jacobian_maps,
                            _force_operators, _jacobian_maps, _rows,
                            _Topology)
 from mqsolve.bench import _model_checksum
@@ -291,6 +292,30 @@ def test_assemble_rejects_disconnected_conductor():
     exc = Excitation(1, 3, 1, 3, 2, amps=1.0)
     with pytest.raises(ModelError):
         assemble(grid, default_steel(), exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                   st.integers(1, 6))))
+def test_face_components_count_as_ndimage_labels(mask):
+    # the model itself loads no scipy.ndimage; it is the oracle here only
+    import scipy.ndimage
+    structure = scipy.ndimage.generate_binary_structure(3, 1)
+    assert (_face_components(mask)
+            == scipy.ndimage.label(mask, structure=structure)[1])
+
+
+def test_conductor_check_names_the_component_count():
+    mask = np.zeros((6, 6, 6), dtype=bool)
+    mask[1:3, 1:3, 1:5] = True
+    _check_conductor_region(mask)
+    # a second block that touches the first along an edge only
+    mask[3:5, 3:5, 1:5] = True
+    with pytest.raises(ModelError, match=r"not face-connected "
+                                         r"\(2 components\)"):
+        _check_conductor_region(mask)
+    with pytest.raises(ModelError, match="vanishes everywhere"):
+        _check_conductor_region(np.zeros((6, 6, 6), dtype=bool))
 
 
 def test_assemble_rejects_boundary_loop():

@@ -148,17 +148,16 @@ def test_apply_detached_matches_dense_schur(make_linear_system, schur_action,
     assert np.array_equal(inner, np.zeros(n_n))
 
 
-def test_schur_operator_preconditions_with_jacobi_under_any_pcg_config(
-        builtin6):
+def test_schur_operator_preconditions_with_jacobi_at_any_tol(builtin6):
     # a run sets the inner solves' tolerance only: at any tol it keeps
     # Jacobi
     system = builtin6.system
     rhs = system.source(1e-3)
-    config = PcgConfig(rel_tol=1e-6)
-    y, _ = SchurOperator(system, ExplicitConfig(
-        tol=config.rel_tol)).solve_kn(rhs, SRC)
-    # the strategy's first start vector is zero
+    y, _ = SchurOperator(system, ExplicitConfig(tol=1e-6)).solve_kn(rhs, SRC)
+    # the strategy's first start vector is zero, and the reference solves
+    # stop at the same relative tolerance
     x0 = np.zeros(system.n_n)
+    config = PcgConfig(rel_tol=1e-6)
     jacobi, _ = pcg_solve(system.kn, rhs, x0=x0, config=config,
                           preconditioner=build_preconditioner(system.kn))
     plain, _ = pcg_solve(system.kn, rhs, x0=x0, config=config)
