@@ -57,16 +57,14 @@ __all__ = [
 # the other half of the target is left for the nonlinear remainder and the
 # drift of the CG recurrence from the true residual (inexact Newton)
 FORCING = 0.5
-# the PCG iteration cap of a Newton update's solve
-NEWTON_PCG_MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Newton settings of :func:`implicit_euler_step`. A step converges at
     ||F|| <= max(tol * r0, floor). Each update's PCG solve stops at
-    ``FORCING`` times that target, within ``NEWTON_PCG_MAX_ITER``
-    iterations."""
+    ``FORCING`` times that target, within the ``PcgConfig`` default
+    budget."""
 
     tol: float = 1e-8
     max_newton: int = 25
@@ -319,9 +317,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
     # the Newton residual is tiny, where a relative-only inner tolerance on
     # the singular monolithic matrix (gradient fields in the lower-right
     # block) would be unreachable.
-    # the smallest positive rel_tol leaves that target the whole rule
-    lin_config = PcgConfig(rel_tol=math.ulp(0.0), abs_tol=FORCING * target,
-                           max_iter=NEWTON_PCG_MAX_ITER)
+    lin_config = PcgConfig(FORCING * target)
 
     linear_iters: list[int] = []
     half_steps = 0

@@ -11,24 +11,25 @@ residual, and a start vector that already meets the tolerance reports zero
 iterations without touching the operator loop. A solve is preconditioned
 only by a preconditioner passed to it, and without one it is plain CG;
 every solver in the package passes the Jacobi one that
-:func:`build_preconditioner` builds. :func:`_stopping_target` is
-:func:`pcg_solve`'s stopping rule.
+:func:`build_preconditioner` builds. A solve stops at the residual norm
+``PcgConfig.target``, an absolute norm that each caller forms from its own
+right-hand side.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. Every start vector comes with its K_n image, so
 ``solve_kn`` forms the initial residual itself, under this module's
-finiteness test (:func:`_squared`) and norm (finite also where a sum of
-squares overflows, by :func:`_scaled_norm`), against the target
+finiteness test (:func:`_squared`) and norm (:func:`_norm`, finite also
+where a sum of squares overflows), against the target
 ``ExplicitConfig.tol * ||b||``. A start that meets it is returned without a
-call to :func:`pcg_solve`; any other is corrected by a solve from zero with
-that target as ``abs_tol``. No solver of the package hands :func:`pcg_solve`
-a start vector. An inconsistency found there is measured against the
-residual, so ``solve_kn`` restates it against its own right-hand side from
+call to :func:`pcg_solve`; any other is corrected by a solve from zero to
+that target. No solver of the package hands :func:`pcg_solve` a start
+vector. An inconsistency found there is measured against the residual, so
+``solve_kn`` restates it against its own right-hand side from
 ``InconsistentRhsError.component``.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
 run: :func:`pcg_solve` keeps the signature
-``pcg_solve(a, b, x0=None, config=None, preconditioner=None)``, applies the
+``pcg_solve(a, b, x0=None, *, config, preconditioner=None)``, applies the
 operator only through the callable that ``_as_operator`` returns, and uses
 a preconditioner only through its ``apply`` method. It writes neither *b*
 nor *x0*.
@@ -91,15 +92,15 @@ class InconsistentRhsError(IndefiniteOperatorError):
 
 @dataclass(frozen=True)
 class PcgConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 0.0
+    """A solve stops at the residual norm *target*, or gives up after
+    *max_iter* iterations."""
+
+    target: float
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf):
-            raise ValueError("rel_tol must be finite and positive")
-        if not (0.0 <= self.abs_tol < math.inf):
-            raise ValueError("abs_tol must be finite and nonnegative")
+        if not (0.0 <= self.target < math.inf):
+            raise ValueError("target must be finite and nonnegative")
         _check_count("max_iter", self.max_iter, 1)
 
 
@@ -109,12 +110,6 @@ class PcgConfig:
 _NULL_CURVATURE = 1e-12
 # the largest nullspace component of b, relative to ||b||, taken for rounding
 _ROUNDING = math.sqrt(np.finfo(float).eps)
-
-
-def _stopping_target(config: PcgConfig, b_norm: float) -> float:
-    """Residual norm at which a solve of a right-hand side of norm *b_norm*
-    stops: max(rel_tol * ||b||, abs_tol), the one stopping rule."""
-    return max(config.rel_tol * b_norm, config.abs_tol)
 
 
 class SolveReport(NamedTuple):
@@ -214,7 +209,13 @@ def _scaled_norm(v: np.ndarray) -> float:
     return math.ldexp(math.sqrt(w.dot(w)), e)
 
 
-def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
+def _norm(v: np.ndarray, squares: float) -> float:
+    """||v||_2 of a finite *v* whose sum of squares is *squares*: its root,
+    or :func:`_scaled_norm` where that sum overflows."""
+    return math.sqrt(squares) if math.isfinite(squares) else _scaled_norm(v)
+
+
+def pcg_solve(a, b, x0=None, *, config: PcgConfig,
               preconditioner=None) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = b by preconditioned CG.
 
@@ -230,15 +231,17 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         Start vector (zero when omitted). If it already satisfies the
         tolerance the solve returns immediately with zero iterations.
     config : PcgConfig
-        Tolerances and iteration budget. Stopping rule (_stopping_target):
-        ||r||_2 <= max(rel_tol * ||b||_2, abs_tol) on the recurrence residual.
+        Required. The solve stops at the first recurrence residual with
+        ||r||_2 <= ``config.target``, an absolute norm that the caller forms
+        (``tol * ||b||_2`` for a relative tolerance), and gives up after
+        ``config.max_iter`` iterations.
     preconditioner : object with ``apply``, optional
         Prebuilt preconditioner, such as :func:`build_preconditioner`'s;
         when omitted the solve is plain CG.
 
     A finite *b* whose sum of squares overflows is solved as b 2^-e, with
-    2^-e the power of two that puts its largest entry in [0.5, 1), and the
-    solution scaled back: the target stays finite and the iterates are
+    2^-e the power of two that puts its largest entry in [0.5, 1), to the
+    target scaled by 2^-e, and the solution scaled back: the iterates are
     those of the scaled solve, scaled.
 
     Returns
@@ -250,13 +253,12 @@ def pcg_solve(a, b, x0=None, config: PcgConfig | None = None,
         :class:`InconsistentRhsError`.
         *x* is a new array: neither *b* nor *x0* is written.
     """
-    config = config or PcgConfig()
     apply_a, n = _as_operator(a)
     b, b_squares = _vector(b, n, "rhs")
     if not math.isfinite(b_squares):
         return _solve_scaled(a, b, x0, config, preconditioner)
     b_norm = math.sqrt(b_squares)
-    target = _stopping_target(config, b_norm)
+    target = config.target
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -331,19 +333,20 @@ def _solve_scaled(a, b, x0, config: PcgConfig, preconditioner
                   ) -> tuple[np.ndarray, SolveReport]:
     """:func:`pcg_solve` of a finite *b* whose sum of squares overflows.
 
-    Every vector and norm of CG, the stopping rule and the nullspace test
-    scale with b, and by a power of two exactly, so the solve of b 2^-e
-    (:func:`_exponent`) is that of b scaled by 2^-e, bit for bit, with
-    finite norms and a finite target. Its x comes back scaled by 2^e, and
+    Every vector and norm of CG, the target and the nullspace test scale
+    with b, and by a power of two exactly, so the solve of b 2^-e
+    (:func:`_exponent`) to the target scaled by 2^-e is that of b scaled by
+    2^-e, bit for bit, with finite norms. Its x comes back scaled by 2^e, and
     an inconsistency's ``component`` with it; the report and the messages
     are relative to ||b||.
     """
     e = _exponent(b)
     if x0 is not None:
         x0 = np.ldexp(np.asarray(x0, dtype=np.float64), -e)
-    config = replace(config, abs_tol=math.ldexp(config.abs_tol, -e))
+    config = replace(config, target=math.ldexp(config.target, -e))
     try:
-        x, report = pcg_solve(a, np.ldexp(b, -e), x0, config, preconditioner)
+        x, report = pcg_solve(a, np.ldexp(b, -e), x0, config=config,
+                              preconditioner=preconditioner)
     except IndefiniteOperatorError as err:
         if err.component is not None:
             err.component = math.ldexp(err.component, e)

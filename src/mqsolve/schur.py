@@ -50,8 +50,8 @@ from typing import Callable
 
 import numpy as np
 
-from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport,
-                     _relative, _scaled_norm, _squared, build_preconditioner,
+from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport, _norm,
+                     _relative, _squared, _vector, build_preconditioner,
                      pcg_solve)
 from .sparse import (CsrMatrix, _check_count, _csr_matvec, _matvec,
                      as_vector, spmv, spmv_transpose, symmetric_check)
@@ -90,9 +90,6 @@ MAX_STEPS = 2_000_000
 # a cache that dropped it would miss the same way at the next solve
 DROP_FRACTION = 0.01
 
-# PCG iterations an inner K_n solve may take before it stalls
-PCG_MAX_ITER = 5000
-
 EPS = float(np.finfo(float).eps)
 
 # a solve whose start's residual is within this factor of its target, but
@@ -116,9 +113,10 @@ class ExplicitConfig:
     ``tol`` of every inner solve (Jacobi-preconditioned PCG to the residual
     norm ``tol * ||b||``), the auto step's safety factor and auto-dt
     refresh period (0: none). A bad value raises ValueError naming the
-    field first. The step and PCG budgets (``MAX_STEPS``, ``PCG_MAX_ITER``),
-    the CSPE drop tolerance ``DROP_FRACTION * tol`` and whether the residual
-    screen runs (it follows from ``tol``) are not settings."""
+    field first. The step budget ``MAX_STEPS``, the PCG budget (the
+    ``PcgConfig`` default), the CSPE drop tolerance ``DROP_FRACTION * tol``
+    and whether the residual screen runs (it follows from ``tol``) are not
+    settings."""
 
     strategy: StrategyConfig = StrategyConfig()
     tol: float = 1e-8
@@ -315,8 +313,8 @@ class SchurOperator:
         product; its target is the residual norm ``tol * ||rhs||``. One
         ``np.errstate`` covers the start (with POD's Gram matrix) and both sums
         of squares, so a finite rhs or r0 whose sum of squares overflows draws
-        no warning; its norm, and so the target, is taken by ``_scaled_norm``
-        and stays finite. A start that meets the target is accepted: it is
+        no warning; its norm, and so the target, is taken by ``_norm`` and
+        stays finite. A start that meets the target is accepted: it is
         returned itself, with zero iterations and its true residual; any other
         start is corrected by ``_correct``. The solution goes back to the
         strategy with that decision (``observe(y, accepted)``), the one place
@@ -334,11 +332,9 @@ class SchurOperator:
                 r0 = rhs - image
                 # ndarray.dot is @ without the ufunc dispatch
                 r0_squares = float(r0.dot(r0))
-            rhs_norm = (math.sqrt(squares) if math.isfinite(squares)
-                        else _scaled_norm(rhs))
+            rhs_norm = _norm(rhs, squares)
             target = self.config.tol * rhs_norm
-            r0_norm = (math.sqrt(r0_squares) if math.isfinite(r0_squares)
-                       else _scaled_norm(r0))
+            r0_norm = _norm(r0, r0_squares)
             accepted = r0_norm <= target
             if accepted:
                 y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
@@ -376,11 +372,9 @@ class SchurOperator:
         *rhs_norm*. The report's residual and an inconsistency's size are
         relative to that right-hand side, not to r0.
         """
-        # the smallest positive rel_tol leaves target the whole rule
-        absolute = PcgConfig(rel_tol=math.ulp(0.0), abs_tol=target,
-                             max_iter=PCG_MAX_ITER)
         try:
-            d, report = pcg_solve(self._kn_apply, r0, config=absolute,
+            d, report = pcg_solve(self._kn_apply, r0,
+                                  config=PcgConfig(target),
                                   preconditioner=self._precond)
         except IndefiniteOperatorError as err:
             if err.component is None:
@@ -456,7 +450,8 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
     runs on A from a pseudo-random start vector drawn with *seed*, written
     as Rayleigh-Ritz on a growing orthonormal basis whose next direction is
     the top Ritz residual (in exact arithmetic the Lanczos vector). Each step
-    costs one inner K_n solve, PCG to the relative tolerance *tol* from zero.
+    costs one inner K_n solve of a right-hand side b, PCG from zero to the
+    residual norm ``tol * ||b||`` within the ``PcgConfig`` default budget.
     It stops when the explicit Ritz residual is at most ``cfl_tol * theta``,
     after ``cfl_steps`` steps, or when the basis spans an invariant subspace
     (the whole space at the latest), where theta is exact, its residual 0.
@@ -483,7 +478,6 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
     _check_count("cfl_steps", cfl_steps, 1)
     if not (0.0 <= cfl_tol < math.inf):
         raise ValueError("cfl_tol must be finite and nonnegative")
-    pcg = PcgConfig(rel_tol=tol, max_iter=PCG_MAX_ITER)
     n = system.n_c
     ref = np.zeros(n) if a_c_ref is None else as_vector(a_c_ref, length=n)
     scale = np.sqrt(1.0 / system.mc.diagonal())
@@ -494,8 +488,10 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
     def lanczos_step(v):
         # A v from one inner solve
         x = scale * v
-        y, report = pcg_solve(system.kn, spmv_transpose(system.kcn, x),
-                              config=pcg, preconditioner=precond)
+        rhs, squares = _vector(spmv_transpose(system.kcn, x), None, "rhs")
+        y, report = pcg_solve(system.kn, rhs,
+                              config=PcgConfig(tol * _norm(rhs, squares)),
+                              preconditioner=precond)
         if not report.converged:
             raise StepFailureError(
                 f"spectral estimate: inner solve stalled at relative residual "

@@ -76,12 +76,14 @@ def detached_schur(op, x, state):
     """K_S(state) x with one detached inner solve: (K_S x, K_n^+ K_cn^T x).
 
     K_c enters as ``kc_matrix(state)``; the inner solve is plain CG to the
-    relative tolerance ``op.config.tol`` from zero, so on a singular K_n it
-    returns the minimum-norm solution, and leaves no history in ``op``.
+    residual norm ``op.config.tol * ||rhs||`` from zero, so on a singular
+    K_n it returns the minimum-norm solution, and leaves no history in
+    ``op``.
     """
     system = op.system
-    y, _ = pcg_solve(system.kn, spmv_transpose(system.kcn, x),
-                     config=PcgConfig(rel_tol=op.config.tol))
+    rhs = spmv_transpose(system.kcn, x)
+    y, _ = pcg_solve(system.kn, rhs,
+                     config=PcgConfig(op.config.tol * np.linalg.norm(rhs)))
     return system.kc_matrix(state) @ x - spmv(system.kcn, y), y
 
 

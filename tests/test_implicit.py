@@ -95,17 +95,17 @@ def test_each_update_is_solved_to_forcing_times_the_target(
     # inexact Newton: every update's PCG solve stops at FORCING times the
     # step's own target, and the step still ends within that target
     solve, step = implicit.pcg_solve, implicit.implicit_euler_step
-    abs_tols, reports = [], []
+    targets, reports = [], []
 
     def recorded_solve(*args, config, **kwargs):
-        abs_tols.append(config.abs_tol)
+        targets.append(config.target)
         return solve(*args, config=config, **kwargs)
 
     def checked_step(*args, **kwargs):
-        abs_tols.clear()
+        targets.clear()
         x_c, x_n, report = step(*args, **kwargs)
-        assert abs_tols == ([implicit.FORCING * report.target]
-                            * report.newton_iterations)
+        assert targets == ([implicit.FORCING * report.target]
+                           * report.newton_iterations)
         assert report.residual_history[-1] <= report.target
         reports.append(report)
         return x_c, x_n, report

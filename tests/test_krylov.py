@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from mqsolve import (CsrMatrix, InconsistentRhsError, IndefiniteOperatorError,
                      JacobiPreconditioner, NonFiniteError, PcgConfig,
                      build_preconditioner, pcg_solve)
-from mqsolve.krylov import _stopping_target, _vector
+from mqsolve.krylov import _vector
 
 
 def test_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(5)
-    x, report = pcg_solve(CsrMatrix.identity(5), b)
+    x, report = pcg_solve(CsrMatrix.identity(5), b,
+                          config=PcgConfig(1e-8 * np.linalg.norm(b)))
     assert report.converged
     assert report.iterations == 1
     assert np.allclose(x, b, rtol=0.0, atol=1e-14)
@@ -27,7 +28,7 @@ def test_identity_converges_in_one_iteration(rng):
 def test_diagonal_system_exact():
     a = CsrMatrix.from_diagonal(np.array([1.0, 2.0, 3.0]))
     b = np.array([1.0, 2.0, 3.0])
-    x, report = pcg_solve(a, b)
+    x, report = pcg_solve(a, b, config=PcgConfig(1e-8 * np.linalg.norm(b)))
     assert report.converged
     assert np.allclose(x, np.ones(3), rtol=0.0, atol=1e-12)
 
@@ -42,7 +43,7 @@ def test_random_spd_all_preconditioners(rng, make_spd, build):
     dense = make_spd(rng, 30, lo=0.5, hi=50.0)
     a = CsrMatrix.from_dense(dense)
     b = rng.standard_normal(30)
-    config = PcgConfig(rel_tol=1e-10, max_iter=200)
+    config = PcgConfig(1e-10 * np.linalg.norm(b), max_iter=200)
     x, report = pcg_solve(a, b, config=config, preconditioner=build(a))
     assert report.converged
     true_rel = np.linalg.norm(dense @ x - b) / np.linalg.norm(b)
@@ -57,7 +58,7 @@ def test_singular_consistent_system_matches_pseudoinverse():
                       [0.0, 0.0, -1.0, 1.0]])
     b = np.array([1.0, -0.5, 0.25, -0.75])
     assert abs(b.sum()) < 1e-15
-    config = PcgConfig(rel_tol=1e-12, max_iter=100)
+    config = PcgConfig(1e-12 * np.linalg.norm(b), max_iter=100)
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, x0=np.zeros(4),
                           config=config)
     assert report.converged
@@ -71,7 +72,7 @@ def test_exact_start_vector_short_circuits(counting_operator):
     b = np.array([4.0, 9.0])
     x0 = np.array([2.0, 3.0])
     x, report = pcg_solve(op, b, x0=x0,
-                          config=PcgConfig())
+                          config=PcgConfig(1e-8 * np.linalg.norm(b)))
     assert report.iterations == 0
     assert report.converged
     # the start-vector residual check costs exactly one application
@@ -81,8 +82,8 @@ def test_exact_start_vector_short_circuits(counting_operator):
 
 def test_zero_rhs_without_start_vector_is_free(counting_operator):
     op = counting_operator(np.eye(3))
-    x, report = pcg_solve(op, np.zeros(3),
-                          config=PcgConfig())
+    # 1e-8 ||b|| of a zero b
+    x, report = pcg_solve(op, np.zeros(3), config=PcgConfig(0.0))
     assert report.iterations == 0
     assert report.converged
     assert report.final_rel_residual == 0.0
@@ -96,7 +97,8 @@ def test_iteration_count_equals_operator_applications(rng, make_spd,
     op = counting_operator(dense)
     b = rng.standard_normal(12)
     x, report = pcg_solve(op, b, x0=rng.standard_normal(12),
-                          config=PcgConfig(rel_tol=1e-10, max_iter=100))
+                          config=PcgConfig(1e-10 * np.linalg.norm(b),
+                                           max_iter=100))
     assert report.converged
     # one application for the initial residual, one per iteration
     assert op.count == report.iterations + 1
@@ -112,12 +114,13 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, build):
     b = dense @ rng.standard_normal(n)
     b_norm = np.linalg.norm(b)
     constant = np.full(n, 1.0 / math.sqrt(n))
-    config = PcgConfig(rel_tol=1e-12, max_iter=500)
     preconditioner = build(a)
-    # a nullspace component above rel_tol, of the size rounding leaves in
-    # a right-hand side formed with cancellation: CG solves the consistent
-    # part, up to a constant
-    x, report = pcg_solve(a, b + 1e-10 * b_norm * constant, config=config,
+    # a nullspace component above the tolerance 1e-12, of the size rounding
+    # leaves in a right-hand side formed with cancellation: CG solves the
+    # consistent part, up to a constant
+    rhs = b + 1e-10 * b_norm * constant
+    config = PcgConfig(1e-12 * np.linalg.norm(rhs), max_iter=500)
+    x, report = pcg_solve(a, rhs, config=config,
                           preconditioner=preconditioner)
     assert report.converged
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * b_norm
@@ -126,14 +129,16 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, build):
     with pytest.raises(InconsistentRhsError,
                        match="inconsistent right-hand side: a nullspace "
                              "component of 1.000e-06 "):
-        pcg_solve(a, b + 1e-6 * b_norm * constant, config=config,
+        rhs = b + 1e-6 * b_norm * constant
+        pcg_solve(a, rhs, config=PcgConfig(1e-12 * np.linalg.norm(rhs),
+                                           max_iter=500),
                   preconditioner=preconditioner)
 
 
 def test_budget_exhaustion_reports_failure(rng, make_spd):
     dense = make_spd(rng, 40, lo=1e-3, hi=1e3)
     b = rng.standard_normal(40)
-    config = PcgConfig(rel_tol=1e-14, max_iter=3)
+    config = PcgConfig(1e-14 * np.linalg.norm(b), max_iter=3)
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
     assert not report.converged
     assert report.iterations == 3
@@ -142,9 +147,9 @@ def test_budget_exhaustion_reports_failure(rng, make_spd):
 
 def test_indefinite_operator_raises():
     a = CsrMatrix.from_diagonal(np.array([1.0, -1.0]))
+    b = np.array([1.0, 1.0])
     with pytest.raises(IndefiniteOperatorError) as err:
-        pcg_solve(a, np.array([1.0, 1.0]),
-                  config=PcgConfig())
+        pcg_solve(a, b, config=PcgConfig(1e-8 * np.linalg.norm(b)))
     # an indefinite operator is not taken for an inconsistent rhs
     assert type(err.value) is IndefiniteOperatorError
 
@@ -178,7 +183,7 @@ def test_error_norm_decreases_monotonically(rng, make_spd):
 
     errors = []
     for k in range(1, 9):
-        config = PcgConfig(rel_tol=1e-15, max_iter=k)
+        config = PcgConfig(1e-15 * np.linalg.norm(b), max_iter=k)
         xk, _ = pcg_solve(a, b, x0=np.zeros(15), config=config)
         errors.append(a_norm_error(xk))
     diffs = np.diff(errors)
@@ -186,33 +191,46 @@ def test_error_norm_decreases_monotonically(rng, make_spd):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PcgConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        PcgConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        PcgConfig(max_iter=0)
+    for target in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="target"):
+            PcgConfig(target)
+    with pytest.raises(ValueError, match="max_iter"):
+        PcgConfig(1.0, max_iter=0)
 
 
-def test_the_smallest_rel_tol_stops_at_the_absolute_target_alone(
+def test_a_config_is_a_target_and_a_budget_and_is_required():
+    assert [f.name for f in dataclasses.fields(PcgConfig)] == ["target",
+                                                               "max_iter"]
+    assert PcgConfig(1.0).max_iter == 5000
+    with pytest.raises(TypeError):
+        pcg_solve(CsrMatrix.identity(2), np.ones(2))
+
+
+def test_one_target_stops_every_rhs_at_its_first_residual_below_it(
         rng, make_spd):
-    config = PcgConfig(rel_tol=1e-3, abs_tol=1e-2, max_iter=300)
-    assert _stopping_target(config, 1.0) == 1e-2
-    assert _stopping_target(config, 1e3) == 1.0
-    # the configuration a cached-residual solve hands to pcg_solve
-    absolute = dataclasses.replace(config, rel_tol=math.ulp(0.0),
-                                   abs_tol=1e-7)
-    for b_norm in (0.0, 1e-3, 1.0, 1e12):
-        assert _stopping_target(absolute, b_norm) == 1e-7
+    # the rule is absolute: whatever the size of b, a solve stops at the
+    # first recurrence residual at or below the target, and only there
     a = CsrMatrix.from_dense(make_spd(rng, 30, lo=0.5, hi=50.0))
     jacobi = build_preconditioner(a)
-    b = 1e3 * rng.standard_normal(30)
-    x, report = pcg_solve(a, b, config=absolute, preconditioner=jacobi)
-    assert report.converged
-    assert report.final_rel_residual * np.linalg.norm(b) <= 1e-7
-    # the config's own rule, max(1e-3 * ||b||, 1e-2), stops earlier
-    _, relative = pcg_solve(a, b, config=config, preconditioner=jacobi)
-    assert relative.iterations < report.iterations
+    b = rng.standard_normal(30)
+    config = PcgConfig(1.0, max_iter=300)
+    iterations = []
+    for scale in (1e-3, 1.0, 1e12):
+        rhs = scale * b
+        _, report = pcg_solve(a, rhs, config=config, preconditioner=jacobi)
+        assert report.converged
+        if report.iterations > 0:
+            # one iteration fewer leaves every residual above the target,
+            # the initial one included
+            shorter = dataclasses.replace(config,
+                                          max_iter=report.iterations - 1)
+            _, short = pcg_solve(a, rhs, config=shorter,
+                                 preconditioner=jacobi)
+            assert not short.converged
+        iterations.append(report.iterations)
+    # ||1e-3 b|| is below the target already
+    assert iterations[0] == 0
+    assert 1 < iterations[1] < iterations[2]
 
 
 def test_callable_operator_needs_explicit_preconditioner(rng, make_spd):
@@ -221,14 +239,15 @@ def test_callable_operator_needs_explicit_preconditioner(rng, make_spd):
     dense = make_spd(rng, 20, lo=0.5, hi=80.0)
     a = CsrMatrix.from_dense(dense)
     b = rng.standard_normal(20)
-    config = PcgConfig(rel_tol=1e-10)
+    config = PcgConfig(1e-10 * np.linalg.norm(b))
     plain, plain_report = pcg_solve(a, b, config=config)
     x, report = pcg_solve(lambda v: a @ v, b, config=config)
     assert report == plain_report
     assert np.array_equal(x, plain)
     # supplying the preconditioner object directly works
-    x, report = pcg_solve(lambda x: 2.0 * x, np.array([2.0, 4.0]),
-                          config=config,
+    b = np.array([2.0, 4.0])
+    x, report = pcg_solve(lambda x: 2.0 * x, b,
+                          config=PcgConfig(1e-10 * np.linalg.norm(b)),
                           preconditioner=JacobiPreconditioner(np.full(2, 2.0)))
     assert report.converged
     assert np.allclose(x, np.array([1.0, 2.0]), rtol=0.0, atol=1e-12)
@@ -247,7 +266,7 @@ def test_consistent_singular_systems_converge(seed, n, rank_deficit, jacobi):
     # a right-hand side in the range of the matrix
     b = dense @ rng.standard_normal(n)
     a = CsrMatrix.from_dense(dense)
-    config = PcgConfig(rel_tol=1e-10, max_iter=20 * n)
+    config = PcgConfig(1e-10 * np.linalg.norm(b), max_iter=20 * n)
     x, report = pcg_solve(a, b, config=config, preconditioner=(
         build_preconditioner(a) if jacobi else None))
     assert report.converged
@@ -255,8 +274,10 @@ def test_consistent_singular_systems_converge(seed, n, rank_deficit, jacobi):
 
 
 def test_rectangular_matrix_operator_is_rejected():
+    b = np.ones(2)
     with pytest.raises(ValueError, match="square"):
-        pcg_solve(CsrMatrix.from_dense(np.ones((2, 3))), np.ones(2))
+        pcg_solve(CsrMatrix.from_dense(np.ones((2, 3))), b,
+                  config=PcgConfig(1e-8 * np.linalg.norm(b)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,7 +295,7 @@ def test_norm_by_dot_product_equals_numpy_norm(n, seed, log_scale):
 def textbook_pcg(a, b, x0, config, preconditioner):
     """The out-of-place PCG recurrence that pcg_solve must reproduce bitwise."""
     b_norm = math.sqrt(b @ b)
-    target = max(config.rel_tol * b_norm, config.abs_tol)
+    target = config.target
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - a @ x
     r_norm = math.sqrt(r @ r)
@@ -315,7 +336,7 @@ def test_in_place_recurrence_equals_the_textbook_one(seed, n, rank_deficit,
     x0 = rng.standard_normal(n) if start else None
     preconditioner = (JacobiPreconditioner(a.diagonal()) if jacobi
                       else None)
-    config = PcgConfig(rel_tol=1e-10, max_iter=max_iter)
+    config = PcgConfig(1e-10 * np.linalg.norm(b), max_iter=max_iter)
     b_before = b.copy()
     x0_before = None if x0 is None else x0.copy()
 
@@ -336,10 +357,12 @@ def test_in_place_recurrence_equals_the_textbook_one(seed, n, rank_deficit,
 def test_non_finite_rhs_and_start_vector_are_named(bad):
     a = CsrMatrix.identity(3)
     poisoned = np.array([1.0, bad, 2.0])
+    # the vectors are rejected before the target is read
+    config = PcgConfig(1e-8)
     with pytest.raises(NonFiniteError, match="rhs"):
-        pcg_solve(a, poisoned)
+        pcg_solve(a, poisoned, config=config)
     with pytest.raises(NonFiniteError, match="start vector"):
-        pcg_solve(a, np.ones(3), x0=poisoned)
+        pcg_solve(a, np.ones(3), x0=poisoned, config=config)
 
 
 def test_finite_vectors_whose_sum_of_squares_overflows_pass():
@@ -348,11 +371,14 @@ def test_finite_vectors_whose_sum_of_squares_overflows_pass():
     # two, so its target is finite and the zero start does not meet it
     a = CsrMatrix.identity(3)
     big = np.full(3, 1e200)
-    x, report = pcg_solve(a, big)
+    # 1e-8 ||big||, from the norm of big scaled down by 2^-600
+    config = PcgConfig(math.ldexp(1e-8 * np.linalg.norm(np.ldexp(big, -600)),
+                                  600))
+    x, report = pcg_solve(a, big, config=config)
     assert report == (1, 0.0, True)
     assert np.array_equal(x, big)
     # an exact start vector of the same size returns as a copy
-    x, report = pcg_solve(a, big, x0=big)
+    x, report = pcg_solve(a, big, x0=big, config=config)
     assert report.iterations == 0
     assert np.array_equal(x, big)
     assert x is not big
@@ -365,12 +391,16 @@ def test_a_huge_rhs_is_solved_as_its_power_of_two_scaling(builtin6):
     kn = builtin6.system.kn
     b = builtin6.system.source.pattern
     precond = build_preconditioner(kn)
-    x, report = pcg_solve(kn, b, preconditioner=precond)
+    target = 1e-8 * np.linalg.norm(b)
+    x, report = pcg_solve(kn, b, config=PcgConfig(target),
+                          preconditioner=precond)
     huge = np.ldexp(b, 532)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not math.isfinite(_vector(huge, None, "rhs")[1])
-        x_huge, report_huge = pcg_solve(kn, huge, preconditioner=precond)
+        x_huge, report_huge = pcg_solve(
+            kn, huge, config=PcgConfig(math.ldexp(target, 532)),
+            preconditioner=precond)
     assert report.converged and report.iterations > 0
     assert report_huge == report
     assert np.array_equal(x_huge, np.ldexp(x, 532))
@@ -381,10 +411,12 @@ def test_an_inconsistency_of_a_huge_rhs_keeps_its_size(make_linear_system):
                                         n_n=8, singular=True)
     b = system.source(0.1)
     b = b + 1e-3 * np.linalg.norm(b) * blocks["nullvec"]
+    target = 1e-8 * np.linalg.norm(b)
     errors = []
     for scale in (0, 600):
         with pytest.raises(InconsistentRhsError) as failure:
-            pcg_solve(system.kn, np.ldexp(b, scale))
+            pcg_solve(system.kn, np.ldexp(b, scale),
+                      config=PcgConfig(math.ldexp(target, scale)))
         errors.append(failure.value)
     # the component is the huge rhs's own, the message relative to it
     assert errors[1].component == math.ldexp(errors[0].component, 600)
@@ -406,12 +438,14 @@ def test_a_finite_vector_whose_sum_of_squares_overflows_draws_no_warning():
 
 def test_rhs_and_start_vector_shapes_are_checked():
     a = CsrMatrix.identity(3)
+    # the shapes are checked before the target is read
+    config = PcgConfig(1e-8)
     with pytest.raises(ValueError, match="rhs has length 2, expected 3"):
-        pcg_solve(a, np.ones(2))
+        pcg_solve(a, np.ones(2), config=config)
     with pytest.raises(ValueError, match="rhs must be one-dimensional"):
-        pcg_solve(lambda x: x, np.ones((3, 1)))
+        pcg_solve(lambda x: x, np.ones((3, 1)), config=config)
     with pytest.raises(ValueError, match="start vector has length 2"):
-        pcg_solve(a, np.ones(3), x0=np.ones(2))
+        pcg_solve(a, np.ones(3), x0=np.ones(2), config=config)
 
 
 def test_a_preconditioner_is_used_only_through_apply(rng, make_spd):
@@ -421,7 +455,7 @@ def test_a_preconditioner_is_used_only_through_apply(rng, make_spd):
     a = CsrMatrix.from_dense(dense)
     b = rng.standard_normal(20)
     x0 = rng.standard_normal(20)
-    config = PcgConfig(rel_tol=1e-10)
+    config = PcgConfig(1e-10 * np.linalg.norm(b))
     jacobi = JacobiPreconditioner(a.diagonal())
     expected, expected_report = pcg_solve(a, b, x0=x0, config=config,
                                           preconditioner=jacobi)

@@ -205,7 +205,7 @@ def test_singular_block_solves_consistent_rhs(builtin6, rng):
     kn = builtin6.system.kn
     x = rng.standard_normal(builtin6.n_n)
     rhs = kn @ x
-    config = PcgConfig(rel_tol=1e-8, max_iter=builtin6.n_n)
+    config = PcgConfig(1e-8 * np.linalg.norm(rhs), max_iter=builtin6.n_n)
     _, report = pcg_solve(kn, rhs, config=config,
                           preconditioner=build_preconditioner(kn))
     assert report.converged

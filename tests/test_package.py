@@ -1,5 +1,6 @@
 """The package's public names, and what importing and running it loads."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -37,6 +38,14 @@ def test_each_public_name_is_listed_once_and_resolves():
         assert getattr(mqsolve, name) is not None, name
     assert {"FAMILIES", "InconsistentRhsError", "SubspaceCache",
             "run_explicit", "__version__"} <= set(names)
+
+
+def test_pcg_solve_keeps_the_keywords_that_perfbench_passes():
+    # perfbench/run.py traces a run through a wrapper that passes every
+    # argument of pcg_solve after b by keyword; a rename would break only
+    # the traced run
+    parameters = inspect.signature(mqsolve.pcg_solve).parameters
+    assert list(parameters) == ["a", "b", "x0", "config", "preconditioner"]
 
 
 THREADS = """

@@ -6,6 +6,7 @@ import os
 import pstats
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_apply_matches_dense_schur_singular(rng, make_linear_system,
 @given(seed=st.integers(0, 2**32 - 1), n_c=st.integers(1, 5),
        n_n=st.integers(2, 8))
 # K_cn^T x formed with cancellation: its rounding-level nullspace component
-# is above rel_tol, where PCG drifted along the nullspace (692663) or
+# is above the run's tol, where PCG drifted along the nullspace (692663) or
 # reported an indefinite operator (61)
 @example(seed=692663, n_c=2, n_n=2)
 @example(seed=61, n_c=2, n_n=2)
@@ -157,7 +158,7 @@ def test_schur_operator_preconditions_with_jacobi_at_any_tol(builtin6):
     # the strategy's first start vector is zero, and the reference solves
     # stop at the same relative tolerance
     x0 = np.zeros(system.n_n)
-    config = PcgConfig(rel_tol=1e-6)
+    config = PcgConfig(1e-6 * np.linalg.norm(rhs))
     jacobi, _ = pcg_solve(system.kn, rhs, x0=x0, config=config,
                           preconditioner=build_preconditioner(system.kn))
     plain, _ = pcg_solve(system.kn, rhs, x0=x0, config=config)
@@ -211,7 +212,7 @@ def test_a_stalled_inner_solve_names_the_step_and_family(builtin6, strategy,
     # cspe solves from its cached residual, previous and pod by PCG from
     # their start vector; the t = 0 row's solves, which step 1 takes, have
     # zero right-hand sides, so step 2 makes the first real solve
-    monkeypatch.setattr(schur, "PCG_MAX_ITER", 1)
+    monkeypatch.setattr(schur, "PcgConfig", partial(PcgConfig, max_iter=1))
     with pytest.raises(StepFailureError,
                        match=r"^inner solve \(source\) at step 2 stalled at "
                              r"relative residual \S+ after 1 iterations$"):
@@ -293,7 +294,7 @@ def test_run_final_field_solves_algebraic_row(rng, make_linear_system,
     coupling = blocks["kcn"].T @ a_c
     source = blocks["pattern"] * (1.0 - np.exp(-t_end / blocks["tau"]))
     residual = coupling + blocks["kn"] @ a_n - source
-    # each of the two solves meets rel_tol against its own right-hand side
+    # each of the two solves meets tol against its own right-hand side
     assert np.linalg.norm(residual) <= 2 * tol * (
         np.linalg.norm(coupling) + np.linalg.norm(source))
 
@@ -314,7 +315,7 @@ def test_explicit_step_matches_dense_rate(rng, make_linear_system):
     op = SchurOperator(system, explicit("previous", tol=TIGHT))
     a0 = rng.standard_normal(4) * 0.1
     # explicit Euler takes the rate f(t, a0) at the step's start; t > 0, so
-    # j(t) is not zero and differs from j(t + dt) by far more than rel_tol
+    # j(t) is not zero and differs from j(t + dt) by far more than tol
     t, dt = 0.05, 1e-3
     a1 = explicit_euler_step((a0, t), dt, op)
     kn_inv = np.linalg.inv(blocks["kn"])
@@ -560,13 +561,14 @@ def test_cfl_validation(builtin6, monkeypatch):
                          ("reestimate_every", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
             ExplicitConfig(**{field: value})
-    # pcg_solve's tolerances must be finite too, and the counts integers
-    for field, value in (("rel_tol", np.inf), ("rel_tol", np.nan),
-                         ("abs_tol", np.inf), ("abs_tol", np.nan),
+    # pcg_solve's target must be finite and nonnegative too, and the counts
+    # integers
+    for field, value in (("target", np.inf), ("target", np.nan),
+                         ("target", -1.0),
                          ("max_iter", 10.5), ("max_iter", 0),
                          ("max_iter", True)):
         with pytest.raises(ValueError, match=f"^{field} "):
-            PcgConfig(**{field: value})
+            PcgConfig(**{"target": 1.0, field: value})
     for value in (2.5, 0, True):
         with pytest.raises(ValueError, match="^max_newton "):
             NewtonConfig(max_newton=value)
@@ -890,11 +892,12 @@ def test_kn_applies_are_plain_and_repeat_exactly(builtin6, strategy):
     assert all(type(v) is int for v in first["kn_applies"].values())
 
 
-def kn_solver(kn_dense, config, operator=None, drop_tol=None):
-    """A SchurOperator whose K_n block is *kn_dense*, with CSPE strategies.
+def kn_solver(kn_dense, tol, operator=None, drop_tol=None):
+    """A SchurOperator whose K_n block is *kn_dense*, with CSPE strategies,
+    that solves to the relative tolerance *tol*.
 
     Each family's cache applies *operator* (K_n by default) and drops
-    columns below *drop_tol* (the solve tolerance by default).
+    columns below *drop_tol* (*tol* by default).
     """
     n = kn_dense.shape[0]
     system = PartitionedSystem.linear(
@@ -903,10 +906,9 @@ def kn_solver(kn_dense, config, operator=None, drop_tol=None):
         source=ScaledPatternSource(np.zeros(n), exponential_ramp(1.0)))
     strategies = {f: make_strategy(
         StrategyConfig("cspe"), n, operator or kn_dense.__matmul__,
-        drop_tol=config.rel_tol if drop_tol is None else drop_tol)
+        drop_tol=tol if drop_tol is None else drop_tol)
         for f in FAMILIES}
-    return SchurOperator(system, ExplicitConfig(tol=config.rel_tol),
-                         strategies)
+    return SchurOperator(system, ExplicitConfig(tol=tol), strategies)
 
 
 def singular_spd(rng, n, deficit):
@@ -955,8 +957,8 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
     if near_floor:
         n = max(n, deficit + 2)
     dense, range_basis = singular_spd(rng, n, deficit)
-    config = PcgConfig(rel_tol=1e-8, max_iter=10 * n)
-    op = kn_solver(dense, config)
+    tol = 1e-8
+    op = kn_solver(dense, tol)
     if near_floor:
         null_basis = scipy.linalg.null_space(range_basis.T)
         observe_near_floor(op, dense, range_basis, null_basis, rng)
@@ -972,6 +974,7 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
     rhs = dense @ (range_basis @ coeffs)
     x0, image = cache.start_vector(rhs)
     kn = CsrMatrix.from_dense(dense)
+    config = PcgConfig(tol * np.linalg.norm(rhs), max_iter=10 * n)
     reference, ref_report = pcg_solve(kn, rhs, x0=x0, config=config,
                                       preconditioner=build_preconditioner(kn))
     y, report = op.solve_kn(rhs, SRC)
@@ -989,22 +992,23 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
         # the start returned as it is meets the target in its true
         # residual, not only in the one formed from cached products
         assert np.array_equal(y, x0)
-        assert residual <= config.rel_tol * rhs_norm + slack
+        assert residual <= tol * rhs_norm + slack
     # both solutions lie in x0 + range(K_n), where K_n is at least 0.5
     gap = y - reference
     assert np.linalg.norm(gap) <= (3e-8 * rhs_norm + 2 * slack) / 0.5
-    assert report.final_rel_residual <= config.rel_tol
+    assert report.final_rel_residual <= tol
 
 
-def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
+def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng,
+                                                            monkeypatch):
     n = 40
     # a rotated spectrum: the solve's Jacobi preconditioner would solve a
     # diagonal matrix in one iteration
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     dense = (q * np.linspace(1.0, 100.0, n)) @ q.T
     dense = 0.5 * (dense + dense.T)
-    config = PcgConfig(rel_tol=1e-6, max_iter=500)
-    op = kn_solver(dense, config)
+    tol = 1e-6
+    op = kn_solver(dense, tol)
     rhs = rng.standard_normal(n)
     exact = np.linalg.solve(dense, rhs)
     # a start about 1e-3 of the way from the solution
@@ -1013,18 +1017,28 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng):
     x0, _ = op.strategies[SRC].start_vector(rhs)
     r0 = rhs - dense @ x0
     rhs_norm, r0_norm = np.linalg.norm(rhs), np.linalg.norm(r0)
-    assert 10 * config.rel_tol * rhs_norm < r0_norm < 1e-2 * rhs_norm
+    assert 10 * tol * rhs_norm < r0_norm < 1e-2 * rhs_norm
+    configs = []
+    solve = schur.pcg_solve
+
+    def recorded_solve(*args, config, **kwargs):
+        configs.append(config)
+        return solve(*args, config=config, **kwargs)
+
+    monkeypatch.setattr(schur, "pcg_solve", recorded_solve)
     y, report = op.solve_kn(rhs, SRC)
+    # _correct hands PCG the target tol * ||rhs|| and the default budget
+    assert configs == [PcgConfig(op.config.tol * np.linalg.norm(rhs))]
     residual = np.linalg.norm(rhs - dense @ y)
-    # the target is rel_tol * ||rhs||, met but not overshot to rel_tol * ||r0||
-    assert residual <= 1.01 * config.rel_tol * rhs_norm
-    assert residual > config.rel_tol * r0_norm
+    # the target is tol * ||rhs||, met but not overshot to tol * ||r0||
+    assert residual <= 1.01 * tol * rhs_norm
+    assert residual > tol * r0_norm
     matrix = CsrMatrix.from_dense(dense)
     jacobi = build_preconditioner(matrix)
-    _, from_start = pcg_solve(matrix, rhs, x0=x0, config=config,
-                              preconditioner=jacobi)
-    _, relative_to_r0 = pcg_solve(matrix, r0, config=config,
-                                  preconditioner=jacobi)
+    _, from_start = pcg_solve(matrix, rhs, x0=x0, config=PcgConfig(
+        tol * rhs_norm, max_iter=500), preconditioner=jacobi)
+    _, relative_to_r0 = pcg_solve(matrix, r0, config=PcgConfig(
+        tol * r0_norm, max_iter=500), preconditioner=jacobi)
     assert report.iterations == from_start.iterations
     assert report.iterations < relative_to_r0.iterations
 
@@ -1034,7 +1048,7 @@ def test_a_cspe_solve_hashes_its_family_by_identity(rng):
     # __hash__ would run on every lookup
     n = 12
     dense, _ = singular_spd(rng, n, 1)
-    op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200))
+    op = kn_solver(dense, 1e-8)
     for family in FAMILIES:
         op.strategies[family].observe(dense @ rng.standard_normal(n), False)
     profiler = cProfile.Profile()
@@ -1055,8 +1069,7 @@ def test_an_unmoved_cspe_start_makes_no_product_copy_or_insert(
     upkeep = counting_operator(dense)
     # with drop_tol 0 the sweep keeps any vector it does not zero exactly,
     # so an insert of the start would be accepted as a column
-    op = kn_solver(dense, PcgConfig(rel_tol=1e-8, max_iter=200), upkeep,
-                   drop_tol=0.0)
+    op = kn_solver(dense, 1e-8, upkeep, drop_tol=0.0)
     for _ in range(3):
         op.strategies[SRC].observe(dense @ rng.standard_normal(n), False)
     cache = op.strategies[SRC]
@@ -1159,7 +1172,7 @@ def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
     # matrix from a snapshot of that size.
     system = builtin6.system
     op = SchurOperator(system, explicit(strategy))
-    rel_tol = op.config.tol
+    tol = op.config.tol
     pattern = system.source.pattern
     for step, (factor, scale) in enumerate([(1.0, 0), (1.0, 532),
                                             (1.5, 532)], start=1):
@@ -1168,10 +1181,10 @@ def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
             warnings.simplefilter("error")
             y, report = op.solve_kn(rhs, SRC, step=step)
         assert report.converged
-        assert report.final_rel_residual <= rel_tol
+        assert report.final_rel_residual <= tol
         residual = spmv(system.kn, np.ldexp(y, -scale)) - factor * pattern
         assert (np.linalg.norm(residual)
-                <= 10 * rel_tol * np.linalg.norm(factor * pattern))
+                <= 10 * tol * np.linalg.norm(factor * pattern))
 
 
 @settings(max_examples=200, deadline=None)
