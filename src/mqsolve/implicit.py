@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .krylov import (IndefiniteOperatorError, JacobiPreconditioner, PcgConfig,
-                     _scaled_norm, build_preconditioner, pcg_solve)
+                     _norm, build_preconditioner, pcg_solve)
 from .schur import (FAMILIES, OUTPUT_PERIOD, TraceRecorder, TransientResult,
                     check_run_arguments)
 from .sparse import (CsrMatrix, NonFiniteError, _check_count, _matvec,
@@ -199,13 +199,11 @@ def _residual_parts(system, x_c, x_n) -> ResidualParts:
 
 
 def _norms(*vectors) -> list[float]:
-    """||v||_2 of each vector as sqrt(v.v), bitwise ``np.linalg.norm``; a
-    finite v whose sum of squares overflows gets its finite norm from
-    ``krylov._scaled_norm``, and a non-finite one inf or NaN."""
+    """||v||_2 of each vector by ``krylov._norm``: sqrt(v.v), bitwise
+    ``np.linalg.norm``, finite for a finite v whose sum of squares
+    overflows, and inf or NaN for a non-finite one."""
     with np.errstate(over="ignore"):
-        squares = [v.dot(v) for v in vectors]
-    return [math.sqrt(q) if math.isfinite(q) or not np.isfinite(v).all()
-            else _scaled_norm(v) for v, q in zip(vectors, squares)]
+        return [_norm(v, v.dot(v)) for v in vectors]
 
 
 def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = None,
@@ -341,7 +339,7 @@ def implicit_euler_step(state, dt: float, system, config: NewtonConfig | None = 
         if not report.converged:
             raise NewtonFailureError(
                 f"linear solve stalled at Newton iteration {k} "
-                f"(relative residual {report.final_rel_residual:.3e})",
+                f"(residual {report.residual:.3e} > {lin_config.target:.3e})",
                 history)
         linear_iters.append(report.iterations)
         xc_try = x_c + delta[:n_c]

@@ -13,7 +13,9 @@ only by a preconditioner passed to it, and without one it is plain CG;
 every solver in the package passes the Jacobi one that
 :func:`build_preconditioner` builds. A solve stops at the residual norm
 ``PcgConfig.target``, an absolute norm that each caller forms from its own
-right-hand side.
+right-hand side, and reports the residual norm it stopped at, in the units
+of *b*; a caller that prints a relative residual divides by the norm of its
+own right-hand side.
 
 A family solve of ``SchurOperator.solve_kn`` does not always enter
 :func:`pcg_solve`. Every start vector comes with its K_n image, so
@@ -22,9 +24,10 @@ finiteness test (:func:`_squared`) and norm (:func:`_norm`, finite also
 where a sum of squares overflows), against the target
 ``ExplicitConfig.tol * ||b||``. A start that meets it is returned without a
 call to :func:`pcg_solve`; any other is corrected by a solve from zero to
-that target. No solver of the package hands :func:`pcg_solve` a start
-vector. An inconsistency found there is measured against the residual, so
-``solve_kn`` restates it against its own right-hand side from
+that target, whose residual is that of the family solve. No solver of the
+package hands :func:`pcg_solve` a start vector. An inconsistency found
+there is named relative to the residual it was given, so ``solve_kn``
+restates it against its own right-hand side from
 ``InconsistentRhsError.component``.
 
 Contract with the caller, which ``perfbench/run.py`` relies on to trace a
@@ -81,8 +84,8 @@ class IndefiniteOperatorError(RuntimeError):
         right-hand side of norm *b_norm*."""
         return InconsistentRhsError(
             "inconsistent right-hand side: a nullspace component of "
-            f"{_relative(component, b_norm):.3e} ||b|| at iteration "
-            f"{iteration}", component, iteration)
+            f"{component / b_norm if b_norm > 0.0 else math.inf:.3e} ||b|| "
+            f"at iteration {iteration}", component, iteration)
 
 
 class InconsistentRhsError(IndefiniteOperatorError):
@@ -108,18 +111,21 @@ class PcgConfig:
 # largest seen is taken to lie in the operator's nullspace: on the range, the
 # ratio stays within the condition number of the preconditioned operator
 _NULL_CURVATURE = 1e-12
-# the largest nullspace component of b, relative to ||b||, taken for rounding
+# the largest nullspace component taken for rounding, relative to the larger
+# of ||b|| and the initial residual's norm, the scale of CG's rounding
 _ROUNDING = math.sqrt(np.finfo(float).eps)
 
 
 class SolveReport(NamedTuple):
-    """Outcome of one solve. A named tuple, since a previous or pod run
+    """Outcome of one solve: its iterations, the norm of its last recurrence
+    residual in the units of the right-hand side (``residual``), and whether
+    that norm met the target. A named tuple, since a previous or pod run
     builds at least two per step (a screened CSPE run about 30 in all, as a
     screened step builds none): it is built in a third of a frozen
     dataclass's time."""
 
     iterations: int
-    final_rel_residual: float
+    residual: float
     converged: bool
 
 
@@ -210,8 +216,11 @@ def _scaled_norm(v: np.ndarray) -> float:
 
 
 def _norm(v: np.ndarray, squares: float) -> float:
-    """||v||_2 of a finite *v* whose sum of squares is *squares*: its root,
-    or :func:`_scaled_norm` where that sum overflows."""
+    """||v||_2 of *v* whose sum of squares is *squares*: its root, or
+    :func:`_scaled_norm` where that sum is not finite. That is finite for a
+    finite *v*, also where its sum of squares overflows, and inf or NaN for
+    a non-finite one (under ``np.errstate(over="ignore")`` without a
+    warning)."""
     return math.sqrt(squares) if math.isfinite(squares) else _scaled_norm(v)
 
 
@@ -224,7 +233,7 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
     a : CsrMatrix or callable x -> A x
         Symmetric positive (semi)definite operator. For a singular operator
         the right-hand side must be consistent up to rounding: a nullspace
-        component of at most sqrt(eps) ||b|| is dropped.
+        component of at most sqrt(eps) max(||b||, ||b - A x0||) is dropped.
     b : array_like
         Right-hand side.
     x0 : array_like, optional
@@ -247,10 +256,11 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
     Returns
     -------
     (x, SolveReport)
-        ``converged=False`` with the last iterate when the budget is
-        exhausted; indefiniteness raises :class:`IndefiniteOperatorError`
-        and a larger nullspace component its subclass
-        :class:`InconsistentRhsError`.
+        The report's ``residual`` is the norm of the last recurrence
+        residual, in the units of *b*. ``converged=False`` with the last
+        iterate when the budget is exhausted; indefiniteness raises
+        :class:`IndefiniteOperatorError` and a larger nullspace component
+        its subclass :class:`InconsistentRhsError`.
         *x* is a new array: neither *b* nor *x0* is written.
     """
     apply_a, n = _as_operator(a)
@@ -271,7 +281,9 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
     r_norm = math.sqrt(r.dot(r))
 
     if r_norm <= target:
-        return x, SolveReport(0, _relative(r_norm, b_norm), True)
+        return x, SolveReport(0, r_norm, True)
+    # CG works on the initial residual, whose rounding scales with its norm
+    allowance = _ROUNDING * max(b_norm, r_norm)
 
     # x, r and p are updated in place through one scratch vector; the
     # operator's and the preconditioner's outputs are only read
@@ -296,13 +308,13 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
             pp = float(p.dot(p))
             along = float(r.dot(p)) / pp
             dropped = abs(along) * math.sqrt(pp)
-            if dropped > _ROUNDING * b_norm:
+            if dropped > allowance:
                 raise IndefiniteOperatorError.inconsistent(dropped, b_norm,
                                                            it)
             np.subtract(r, np.multiply(p, along, out=scratch), out=r)
             r_norm = math.sqrt(r.dot(r))
             if r_norm <= target:
-                return x, SolveReport(it, _relative(r_norm, b_norm), True)
+                return x, SolveReport(it, r_norm, True)
             z = preconditioner.apply(r) if preconditioner is not None else r
             p[:] = z
             rz = pmp = float(r.dot(z))
@@ -316,7 +328,7 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
         np.subtract(r, np.multiply(ap, alpha, out=scratch), out=r)
         r_norm = math.sqrt(r.dot(r))
         if r_norm <= target:
-            return x, SolveReport(it, _relative(r_norm, b_norm), True)
+            return x, SolveReport(it, r_norm, True)
         z = preconditioner.apply(r) if preconditioner is not None else r
         rz_next = float(r.dot(z))
         if not math.isfinite(rz_next):
@@ -326,7 +338,7 @@ def pcg_solve(a, b, x0=None, *, config: PcgConfig,
         np.add(z, np.multiply(p, beta, out=p), out=p)
         pmp = rz_next + beta * beta * pmp
         rz = rz_next
-    return x, SolveReport(config.max_iter, _relative(r_norm, b_norm), False)
+    return x, SolveReport(config.max_iter, r_norm, False)
 
 
 def _solve_scaled(a, b, x0, config: PcgConfig, preconditioner
@@ -336,9 +348,9 @@ def _solve_scaled(a, b, x0, config: PcgConfig, preconditioner
     Every vector and norm of CG, the target and the nullspace test scale
     with b, and by a power of two exactly, so the solve of b 2^-e
     (:func:`_exponent`) to the target scaled by 2^-e is that of b scaled by
-    2^-e, bit for bit, with finite norms. Its x comes back scaled by 2^e, and
-    an inconsistency's ``component`` with it; the report and the messages
-    are relative to ||b||.
+    2^-e, bit for bit, with finite norms. Its x and its report's residual
+    come back scaled by 2^e, and an inconsistency's ``component`` with them;
+    the messages state sizes relative to ||b||, which the scaling keeps.
     """
     e = _exponent(b)
     if x0 is not None:
@@ -351,10 +363,5 @@ def _solve_scaled(a, b, x0, config: PcgConfig, preconditioner
         if err.component is not None:
             err.component = math.ldexp(err.component, e)
         raise
-    return np.ldexp(x, e), report
-
-
-def _relative(res: float, b_norm: float) -> float:
-    if b_norm > 0.0:
-        return res / b_norm
-    return 0.0 if res == 0.0 else np.inf
+    return np.ldexp(x, e), report._replace(
+        residual=math.ldexp(report.residual, e))

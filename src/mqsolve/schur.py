@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .krylov import (IndefiniteOperatorError, PcgConfig, SolveReport, _norm,
-                     _relative, _squared, _vector, build_preconditioner,
+                     _squared, _vector, build_preconditioner,
                      pcg_solve)
 from .sparse import (CsrMatrix, _check_count, _csr_matvec, _matvec,
                      as_vector, spmv, spmv_transpose, symmetric_check)
@@ -315,13 +315,16 @@ class SchurOperator:
         of squares, so a finite rhs or r0 whose sum of squares overflows draws
         no warning; its norm, and so the target, is taken by ``_norm`` and
         stays finite. A start that meets the target is accepted: it is
-        returned itself, with zero iterations and its true residual; any other
-        start is corrected by ``_correct``. The solution goes back to the
-        strategy with that decision (``observe(y, accepted)``), the one place
-        it is made, and its iteration count to the family's log.
+        returned itself, with zero iterations and its residual norm r0. Any
+        other start is corrected: PCG solves K_n d = r0 from zero to the same
+        target and y = x0 + d. As rhs - K_n y = r0 - K_n d, PCG's report is
+        that of the family solve. The solution goes back to the strategy with
+        that decision (``observe(y, accepted)``), the one place it is made,
+        and its iteration count to the family's log.
         A failure names the solve by *family* and *step*; an
         IndefiniteOperatorError from PCG keeps its class, so an
-        InconsistentRhsError stays one.
+        InconsistentRhsError stays one, its component restated against
+        ||rhs||.
         """
         started = time.perf_counter()
         strategy = self.strategies[family]
@@ -337,14 +340,21 @@ class SchurOperator:
             r0_norm = _norm(r0, r0_squares)
             accepted = r0_norm <= target
             if accepted:
-                y, report = x0, SolveReport(0, _relative(r0_norm, rhs_norm),
-                                            True)
+                y, report = x0, SolveReport(0, r0_norm, True)
             else:
                 if r0_norm <= NEAR_MISS * target:
                     self.near_misses[family] += 1
-                y, report = self._correct(x0, r0, r0_norm, rhs_norm, target)
+                y, report = pcg_solve(self._kn_apply, r0,
+                                      config=PcgConfig(target),
+                                      preconditioner=self._precond)
+                y += x0
         except IndefiniteOperatorError as err:
-            raise type(err)(f"{_solve_name(family, step)}: {err}",
+            named = err
+            if err.component is not None:
+                # PCG named the component against r0
+                named = IndefiniteOperatorError.inconsistent(
+                    err.component, rhs_norm, err.iteration)
+            raise type(err)(f"{_solve_name(family, step)}: {named}",
                             err.component, err.iteration) from err
         except ValueError as err:
             # _squared, or a strategy before it, rejects a non-finite rhs;
@@ -357,35 +367,12 @@ class SchurOperator:
         if not report.converged:
             raise StepFailureError(
                 f"{_solve_name(family, step)} stalled at relative residual "
-                f"{report.final_rel_residual:.3e} after {report.iterations} "
-                "iterations")
+                f"{report.residual / rhs_norm if rhs_norm else math.inf:.3e} "
+                f"after {report.iterations} iterations")
         strategy.observe(y, accepted)
         self.solve_iterations[family].append(report.iterations)
         self.solver_seconds += time.perf_counter() - started
         return y, report
-
-    def _correct(self, x0: np.ndarray, r0: np.ndarray, r0_norm: float,
-                 rhs_norm: float, target: float
-                 ) -> tuple[np.ndarray, SolveReport]:
-        """x0 + d, where PCG solves K_n d = r0 from zero down to the
-        residual norm *target* of the solve of a right-hand side of norm
-        *rhs_norm*. The report's residual and an inconsistency's size are
-        relative to that right-hand side, not to r0.
-        """
-        try:
-            d, report = pcg_solve(self._kn_apply, r0,
-                                  config=PcgConfig(target),
-                                  preconditioner=self._precond)
-        except IndefiniteOperatorError as err:
-            if err.component is None:
-                raise
-            raise IndefiniteOperatorError.inconsistent(
-                err.component, rhs_norm, err.iteration) from err
-        d += x0
-        return d, SolveReport(
-            report.iterations,
-            _relative(report.final_rel_residual * r0_norm, rhs_norm),
-            report.converged)
 
 
 def _solve_name(family: RhsFamily, step: int | None) -> str:
@@ -489,13 +476,13 @@ def estimate_cfl(system: PartitionedSystem, a_c_ref=None, *,
         # A v from one inner solve
         x = scale * v
         rhs, squares = _vector(spmv_transpose(system.kcn, x), None, "rhs")
-        y, report = pcg_solve(system.kn, rhs,
-                              config=PcgConfig(tol * _norm(rhs, squares)),
+        rhs_norm = _norm(rhs, squares)
+        y, report = pcg_solve(system.kn, rhs, config=PcgConfig(tol * rhs_norm),
                               preconditioner=precond)
         if not report.converged:
             raise StepFailureError(
                 f"spectral estimate: inner solve stalled at relative residual "
-                f"{report.final_rel_residual:.3e} after {report.iterations} "
+                f"{report.residual / rhs_norm:.3e} after {report.iterations} "
                 "iterations")
         return scale * (kc @ x) - scale * spmv(system.kcn, y)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mqsolve import (CsrMatrix, InconsistentRhsError, IndefiniteOperatorError,
                      JacobiPreconditioner, NonFiniteError, PcgConfig,
-                     build_preconditioner, pcg_solve)
+                     SolveReport, build_preconditioner, pcg_solve)
 from mqsolve.krylov import _vector
 
 
@@ -86,7 +86,7 @@ def test_zero_rhs_without_start_vector_is_free(counting_operator):
     x, report = pcg_solve(op, np.zeros(3), config=PcgConfig(0.0))
     assert report.iterations == 0
     assert report.converged
-    assert report.final_rel_residual == 0.0
+    assert report.residual == 0.0
     assert op.count == 0
     assert np.array_equal(x, np.zeros(3))
 
@@ -126,13 +126,34 @@ def test_rounding_level_inconsistency_is_dropped_and_more_is_named(rng, build):
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * b_norm
     expected = np.linalg.pinv(dense) @ b
     assert np.allclose(x - x.mean(), expected, rtol=0.0, atol=1e-10)
-    with pytest.raises(InconsistentRhsError,
-                       match="inconsistent right-hand side: a nullspace "
-                             "component of 1.000e-06 "):
-        rhs = b + 1e-6 * b_norm * constant
-        pcg_solve(a, rhs, config=PcgConfig(1e-12 * np.linalg.norm(rhs),
-                                           max_iter=500),
-                  preconditioner=preconditioner)
+    rhs = b + 1e-6 * b_norm * constant
+    config = PcgConfig(1e-12 * np.linalg.norm(rhs), max_iter=500)
+    # with no start, a start near the solution and a random start
+    for x0 in (None, expected + 1e-3 * rng.standard_normal(n),
+               rng.standard_normal(n)):
+        with pytest.raises(InconsistentRhsError,
+                           match="inconsistent right-hand side: a nullspace "
+                                 "component of 1.000e-06 "):
+            pcg_solve(a, rhs, x0, config=config,
+                      preconditioner=preconditioner)
+    # From a start, CG works on r0 = b - A x0, whose rounding scales with
+    # ||r0||: for a zero or small b and a random start, a target below
+    # that rounding leads CG to a nullspace component that is rounding for
+    # r0, though not for b, and is dropped
+    x0 = rng.standard_normal(n)
+    r0_norm = np.linalg.norm(dense @ x0)
+    small = 1e-12 * b
+    for rhs, target in [(np.zeros(n), 1e-17 * r0_norm),
+                        (small, 1e-8 * np.linalg.norm(small))]:
+        x, report = pcg_solve(a, rhs, x0, config=PcgConfig(target,
+                                                            max_iter=500),
+                              preconditioner=preconditioner)
+        assert report.converged
+        assert np.linalg.norm(rhs - dense @ x) <= 1e-15 * r0_norm
+
+
+def test_a_report_holds_iterations_residual_norm_and_convergence():
+    assert SolveReport._fields == ("iterations", "residual", "converged")
 
 
 def test_budget_exhaustion_reports_failure(rng, make_spd):
@@ -142,7 +163,7 @@ def test_budget_exhaustion_reports_failure(rng, make_spd):
     x, report = pcg_solve(CsrMatrix.from_dense(dense), b, config=config)
     assert not report.converged
     assert report.iterations == 3
-    assert report.final_rel_residual > 1e-14
+    assert report.residual > config.target
 
 
 def test_indefinite_operator_raises():
@@ -293,15 +314,14 @@ def test_norm_by_dot_product_equals_numpy_norm(n, seed, log_scale):
 
 
 def textbook_pcg(a, b, x0, config, preconditioner):
-    """The out-of-place PCG recurrence that pcg_solve must reproduce bitwise."""
-    b_norm = math.sqrt(b @ b)
+    """The out-of-place PCG recurrence that pcg_solve must reproduce bitwise:
+    its solution, iterations and final residual norm."""
     target = config.target
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - a @ x
     r_norm = math.sqrt(r @ r)
-    rel = r_norm / b_norm if b_norm > 0.0 else (0.0 if r_norm == 0.0 else np.inf)
     if r_norm <= target:
-        return x, 0, rel
+        return x, 0, r_norm
     z = preconditioner.apply(r) if preconditioner is not None else r
     p = z.copy()
     rz = float(r @ z)
@@ -312,12 +332,12 @@ def textbook_pcg(a, b, x0, config, preconditioner):
         r = r - alpha * ap
         r_norm = math.sqrt(r @ r)
         if r_norm <= target:
-            return x, it, r_norm / b_norm
+            return x, it, r_norm
         z = preconditioner.apply(r) if preconditioner is not None else r
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x, config.max_iter, r_norm / b_norm
+    return x, config.max_iter, r_norm
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,11 +362,11 @@ def test_in_place_recurrence_equals_the_textbook_one(seed, n, rank_deficit,
 
     x, report = pcg_solve(a, b, x0=x0, config=config,
                           preconditioner=preconditioner)
-    expected, iterations, rel = textbook_pcg(a, b, x0, config,
-                                             preconditioner)
+    expected, iterations, residual = textbook_pcg(a, b, x0, config,
+                                                  preconditioner)
     assert np.array_equal(x, expected)
     assert report.iterations == iterations
-    assert report.final_rel_residual == rel
+    assert report.residual == residual
     assert np.array_equal(b, b_before)
     if x0 is not None:
         assert np.array_equal(x0, x0_before)
@@ -402,7 +422,8 @@ def test_a_huge_rhs_is_solved_as_its_power_of_two_scaling(builtin6):
             kn, huge, config=PcgConfig(math.ldexp(target, 532)),
             preconditioner=precond)
     assert report.converged and report.iterations > 0
-    assert report_huge == report
+    assert report_huge == report._replace(
+        residual=math.ldexp(report.residual, 532))
     assert np.array_equal(x_huge, np.ldexp(x, 532))
 
 

@@ -48,6 +48,12 @@ def test_pcg_solve_keeps_the_keywords_that_perfbench_passes():
     assert list(parameters) == ["a", "b", "x0", "config", "preconditioner"]
 
 
+def test_a_solve_report_keeps_the_fields_that_perfbench_reads():
+    # perfbench/run.py counts iterations and failures from each report that
+    # pcg_solve returns
+    assert {"iterations", "converged"} <= set(mqsolve.SolveReport._fields)
+
+
 THREADS = """
 import json, os, sys
 import mqsolve

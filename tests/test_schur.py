@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import math
 import os
 import pstats
 import sys
@@ -996,7 +997,8 @@ def test_cached_residual_solve_matches_pcg_from_the_same_start(
     # both solutions lie in x0 + range(K_n), where K_n is at least 0.5
     gap = y - reference
     assert np.linalg.norm(gap) <= (3e-8 * rhs_norm + 2 * slack) / 0.5
-    assert report.final_rel_residual <= tol
+    # solve_kn's stop test
+    assert report.residual <= tol * rhs_norm
 
 
 def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng,
@@ -1027,7 +1029,8 @@ def test_a_cached_residual_solve_stops_at_the_rhs_tolerance(rng,
 
     monkeypatch.setattr(schur, "pcg_solve", recorded_solve)
     y, report = op.solve_kn(rhs, SRC)
-    # _correct hands PCG the target tol * ||rhs|| and the default budget
+    # the correction hands PCG the target tol * ||rhs|| and the default
+    # budget
     assert configs == [PcgConfig(op.config.tol * np.linalg.norm(rhs))]
     residual = np.linalg.norm(rhs - dense @ y)
     # the target is tol * ||rhs||, met but not overshot to tol * ||r0||
@@ -1181,7 +1184,9 @@ def test_a_finite_rhs_whose_sum_of_squares_overflows_is_solved(builtin6,
             warnings.simplefilter("error")
             y, report = op.solve_kn(rhs, SRC, step=step)
         assert report.converged
-        assert report.final_rel_residual <= tol
+        # solve_kn's stop test, against ||rhs|| formed without overflow
+        assert report.residual <= math.ldexp(
+            tol * np.linalg.norm(factor * pattern), scale)
         residual = spmv(system.kn, np.ldexp(y, -scale)) - factor * pattern
         assert (np.linalg.norm(residual)
                 <= 10 * tol * np.linalg.norm(factor * pattern))
